@@ -143,8 +143,8 @@ def build_ta_semigroup(p, n) -> DualConeSemigroupReport:
     """
     acat = build_annihilator_category(p, n)
     ta, cones, endos = sc.enumerate_normal_cones(acat.dual_category)
-    primal = gf.enumerate_endos(p, n, singular_only=True)
-    sing = sg.from_multiplication(primal, lambda a, b: a * b)
+    sing = sg.sing_semigroup(p, n)
+    primal = sing.elements
     # anti-isomorphism: check alpha -> rho^(alpha^T) against the reversed table
     opposite = sg.from_table(sing.elements, tuple(zip(*sing.table)))
     mapping = tuple(ta.index(gf.transpose(a).rows) for a in opposite.elements)

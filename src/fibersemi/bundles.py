@@ -134,13 +134,20 @@ class BundleAmalgam:
 
 
 def assemble_amalgam(spec: FiberFamilySpec, m=None, eps_w=None) -> BundleAmalgam:
-    """Core, branches and verified embeddings for the whole fiber family."""
+    """Core, branches and verified embeddings for the whole fiber family.
+
+    Fibers (and the core) with the same automorphism share one linked-pair
+    semigroup; each branch still gets its own tagged copy.
+    """
     core = build_core(spec, m, eps_w)
+    built = {core.eps_w: core.cross}  # one linked-pair semigroup per distinct eps
     branches = []
     tagged = []
     embeddings = []
-    for i, d in enumerate(spec.dims):
-        branch = xc.build_cross_conn_semigroup(spec.eps[i])
+    for i, eps in enumerate(spec.eps):
+        if eps not in built:
+            built[eps] = xc.build_cross_conn_semigroup(eps)
+        branch = built[eps]
         branch_tagged = _tag_semigroup(branch.semigroup, ("fiber", i))
         embeddings.append(build_embedding(core, spec, i, branch, branch_tagged))
         branches.append(branch)

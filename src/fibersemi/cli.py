@@ -33,11 +33,6 @@ def _emit(text: str, out_path):
         sys.stdout.write(text)
 
 
-def _sing_semigroup(p, n):
-    elems = gf.enumerate_endos(p, n, singular_only=True)
-    return sg.from_multiplication(elems, lambda a, b: a * b)
-
-
 # ---------------------------------------------------------------------------
 # verification checks; each returns (ok, witness-or-None)
 
@@ -55,7 +50,7 @@ def _check_cardinalities(p, n, seed):
 
 
 def _check_regularity(p, n, seed):
-    sing = _sing_semigroup(p, n)
+    sing = sg.sing_semigroup(p, n)
     if not sg.is_regular(sing):
         return False, {"failure": "singular semigroup not regular"}
     got = len(sg.idempotents(sing))
@@ -75,8 +70,8 @@ def _check_regularity(p, n, seed):
 
 
 def _check_green(p, n, seed):
-    elems = gf.enumerate_endos(p, n, singular_only=True)
-    sing = sg.from_multiplication(elems, lambda a, b: a * b)
+    sing = sg.sing_semigroup(p, n)
+    elems = sing.elements
     green = sg.green_relations(sing)
     images = [e.image() for e in elems]
     kernels = [e.kernel() for e in elems]
@@ -139,7 +134,7 @@ def _check_cone_semigroup(p, n, seed):
     principal = {sc.principal_cone(cat, a) for a in sing_elems}
     if set(cones) != principal:
         return False, {"failure": "non-principal normal cone found"}
-    sing = sg.from_multiplication(sing_elems, lambda a, b: a * b)
+    sing = sg.sing_semigroup(p, n)
     mapping = tuple(cone_sg.index(a.rows) for a in sing.elements)
     rep = sg.verify_morphism(sg.SemigroupMorphism(sing, cone_sg, mapping))
     if not (rep.is_hom and rep.is_injective and len(set(mapping)) == cone_sg.order):
@@ -180,7 +175,7 @@ def _check_dual_category(p, n, seed):
 
 
 def _check_cross_connections(p, n, seed):
-    sing = _sing_semigroup(p, n)
+    sing = sg.sing_semigroup(p, n)
     cat = sc.build_category(p, n)
     for eps in gf.enumerate_automorphisms(p, n):
         cc = xc.cross_connection(eps, verify=False)
@@ -284,12 +279,11 @@ def _table_check(path):
 
 def cmd_enumerate(args):
     p, n = args.field, args.dim
-    sing = gf.enumerate_endos(p, n, singular_only=True)
-    smg = sg.from_multiplication(sing, lambda a, b: a * b)
+    smg = sg.sing_semigroup(p, n)
     doc = {
         "field": p,
         "dim": n,
-        "singular_endomorphisms": len(sing),
+        "singular_endomorphisms": smg.order,
         "closed_form": gf.singular_count(p, n),
         "idempotents": len(sg.idempotents(smg)),
         "proper_subspaces": len(gf.enumerate_subspaces(p, n, proper_only=True)),
@@ -320,8 +314,7 @@ def cmd_verify_all(args):
 
 def cmd_green(args):
     p, n = args.field, args.dim
-    sing = gf.enumerate_endos(p, n, singular_only=True)
-    smg = sg.from_multiplication(sing, lambda a, b: a * b)
+    smg = sg.sing_semigroup(p, n)
     green = sg.green_relations(smg)
     if args.format == "dot":
         _emit(sg.eggbox_dot(smg, green), args.out)

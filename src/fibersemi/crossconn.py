@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cached_property
 
 from . import gf
 from . import semigroups as sg
@@ -38,17 +39,17 @@ class CrossConnection:
     def n(self):
         return self.eps.n
 
-    @property
+    @cached_property
     def eps_inv(self) -> Endo:
         return self.eps.inverse()
 
-    @property
+    @cached_property
     def eps_t(self) -> Endo:
         return gf.transpose(self.eps)
 
-    @property
+    @cached_property
     def eps_inv_t(self) -> Endo:
-        return gf.transpose(self.eps.inverse())
+        return gf.transpose(self.eps_inv)
 
     # -- action on the annihilator side (dual coordinates) ------------------
     def dual_object_image(self, y: Subspace) -> Subspace:
@@ -289,32 +290,36 @@ class CrossConnSemigroup:
         }
 
 
-def build_cross_conn_semigroup(eps: Endo, verify_pairs=True) -> CrossConnSemigroup:
+def check_conjugation_law(table, perm):
+    """Raise unless the second coordinates multiply like the first ones.
+
+    perm[i] is the index of eps^-1.alpha_i.eps; the linked-pair product of
+    (a, perm[a]) and (b, perm[b]) has second coordinate perm[ab], which must
+    equal the product perm[a].perm[b] on every pair.
+    """
+    w = sg.automorphism_witness(table, perm)
+    if w is not None:
+        raise AssertionError(f"linked-pair product broke the conjugation law at pair {w}")
+
+
+def build_cross_conn_semigroup(eps: Endo) -> CrossConnSemigroup:
     """Linked pairs (alpha, eps^-1.alpha.eps) over all singular alpha.
 
     The product is componentwise; on second coordinates that is the opposite
     of the dual-side cone composition, and the convention-independent check
     is that the product's second coordinate is the conjugate of the product
-    of the first coordinates, verified on every pair for desk-scale orders.
+    of the first coordinates, verified on every pair.  The pairs are in Sing
+    order and share the verified Sing table, since the first projection is
+    an isomorphism by construction.
     """
     cc = cross_connection(eps, verify=False)
-    sing = gf.enumerate_endos(eps.p, eps.n, singular_only=True)
-    pairs = tuple(LinkedPair(x, cc.conjugate(x)) for x in sing)
+    sing = sg.sing_semigroup(eps.p, eps.n)
+    _, _, table = gf.sing_table(eps.p, eps.n)
+    perm = gf.sing_conjugation(cc.eps_inv, eps)
+    check_conjugation_law(table, perm)
+    pairs = tuple(LinkedPair(x, sing.elements[k]) for x, k in zip(sing.elements, perm.tolist()))
     labels = tuple((pr.first.rows, pr.second.rows) for pr in pairs)
-    index = {pr.first.rows: i for i, pr in enumerate(pairs)}
-    table = []
-    for pa in pairs:
-        row = []
-        for pb in pairs:
-            row.append(index[(pa.first * pb.first).rows])
-        table.append(tuple(row))
-    semigroup = sg.from_table(labels, table)
-    if verify_pairs and len(pairs) <= 400:
-        for pa in pairs:
-            for pb in pairs:
-                if (pa.second * pb.second) != cc.conjugate(pa.first * pb.first):
-                    raise AssertionError("linked-pair product broke the conjugation law")
-    return CrossConnSemigroup(eps, pairs, semigroup)
+    return CrossConnSemigroup(eps, pairs, sg.FiniteSemigroup(labels, sing.table))
 
 
 def crossconn_json(s: CrossConnSemigroup) -> str:

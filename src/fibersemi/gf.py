@@ -12,10 +12,13 @@ import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 
+import numpy as np
+
 SUPPORTED_PRIMES = (2, 3, 5, 7)
 
 SUBSPACE_ENUM_LIMIT = 4096  # max p**n
 ENDO_ENUM_LIMIT = 1 << 20   # max p**(n*n)
+ASSOC_GUARD = 1500          # largest order for the exhaustive associativity check
 
 
 class GuardExceeded(ValueError):
@@ -26,6 +29,17 @@ def check_field(p: int) -> int:
     if p not in SUPPORTED_PRIMES:
         raise ValueError(f"unsupported field GF({p}); p must be one of {SUPPORTED_PRIMES}")
     return p
+
+
+def check_dim(n: int) -> int:
+    if n < 1:
+        raise ValueError(f"dimension must be at least 1, got {n}")
+    return n
+
+
+def _check_endo_guard(p, n):
+    if p ** (n * n) > ENDO_ENUM_LIMIT:
+        raise GuardExceeded(f"p^(n^2) = {p ** (n * n)} exceeds endomorphism guard {ENDO_ENUM_LIMIT}")
 
 
 # ---------------------------------------------------------------------------
@@ -279,6 +293,7 @@ def enumerate_subspaces(p, n, proper_only=False):
     proper_only drops the full space but keeps the zero subspace.
     """
     check_field(p)
+    check_dim(n)
     if p ** n > SUBSPACE_ENUM_LIMIT:
         raise GuardExceeded(f"p^n = {p ** n} exceeds subspace guard {SUBSPACE_ENUM_LIMIT}")
     out = []
@@ -395,8 +410,8 @@ def transpose(alpha: Endo) -> Endo:
 def enumerate_endos(p, n, singular_only=False):
     """All n x n matrices over GF(p), lexicographic by entries."""
     check_field(p)
-    if p ** (n * n) > ENDO_ENUM_LIMIT:
-        raise GuardExceeded(f"p^(n^2) = {p ** (n * n)} exceeds endomorphism guard {ENDO_ENUM_LIMIT}")
+    check_dim(n)
+    _check_endo_guard(p, n)
     out = []
     for entries in itertools.product(range(p), repeat=n * n):
         rows = tuple(entries[i * n:(i + 1) * n] for i in range(n))
@@ -419,6 +434,61 @@ def singular_count(p, n):
     for i in range(n):
         gl *= p ** n - p ** i
     return p ** (n * n) - gl
+
+
+# ---------------------------------------------------------------------------
+# integer-coded kernel: an n x n matrix is the base-p number of its row-major
+# entries, which is exactly the lexicographic order of enumerate_endos
+
+TABLE_BLOCK_CELLS = 1 << 15  # matrix entries per block of table rows (256 KB as int64)
+
+
+def _codes(mats, p):
+    """Base-p codes of a stack of matrices (..., n, n)."""
+    flat = mats.reshape(*mats.shape[:-2], -1)
+    return (flat * p ** np.arange(flat.shape[-1] - 1, -1, -1)).sum(axis=-1)
+
+
+def _as_array(elems):
+    return np.array([e.rows for e in elems], dtype=np.int64)
+
+
+@lru_cache(maxsize=None)
+def sing_table(p, n):
+    """(singular Endos, decode, table) for Sing(GF(p)^n).
+
+    The Endos are in enumerate_endos order; decode maps a matrix code to its
+    index there, -1 for invertible matrices; table[i, j] is the index of
+    elems[i] * elems[j] as an int32 array.  Both guards are checked before
+    anything is enumerated, and the table is built a block of rows at a
+    time so no intermediate exceeds a few MB.
+    """
+    check_field(p)
+    check_dim(n)
+    _check_endo_guard(p, n)
+    order = singular_count(p, n)
+    if order > ASSOC_GUARD:
+        raise GuardExceeded(f"Sing(GF({p})^{n}) has order {order}, beyond the associativity guard {ASSOC_GUARD}")
+    elems = enumerate_endos(p, n, singular_only=True)
+    mats = _as_array(elems)
+    decode = np.full(p ** (n * n), -1, dtype=np.int32)
+    decode[_codes(mats, p)] = np.arange(order, dtype=np.int32)
+    table = np.empty((order, order), dtype=np.int32)
+    block = max(1, TABLE_BLOCK_CELLS // (order * n * n))
+    for lo in range(0, order, block):
+        prod = np.matmul(mats[lo:lo + block, None], mats[None]) % p
+        table[lo:lo + block] = decode[_codes(prod, p)]
+    decode.flags.writeable = table.flags.writeable = False  # shared by every caller
+    return elems, decode, table
+
+
+def sing_conjugation(left: Endo, right: Endo):
+    """perm[i] = index of left . elems[i] . right in sing_table order (-1
+    where that product is invertible)."""
+    p, n = right.p, right.n
+    elems, decode, _ = sing_table(p, n)
+    conj = np.array(left.rows) @ _as_array(elems) % p @ np.array(right.rows) % p
+    return decode[_codes(conj, p)]
 
 
 # ---------------------------------------------------------------------------

@@ -11,12 +11,12 @@ from __future__ import annotations
 import json
 from collections import defaultdict
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
-from .gf import GuardExceeded
-
-ASSOC_GUARD = 1500  # largest order for the exhaustive associativity check
+from . import gf
+from .gf import ASSOC_GUARD, GuardExceeded
 
 
 class NotAssociative(ValueError):
@@ -103,6 +103,28 @@ def from_table(elements, table) -> FiniteSemigroup:
         if w is not None:
             raise NotAssociative(tuple(elements[i] for i in w))
     return FiniteSemigroup(elements, table)
+
+
+def automorphism_witness(table, perm):
+    """First (i, j) with perm[ij] != perm[i]perm[j], or None.  table and perm
+    are integer arrays; perm must be a permutation of the indices.
+    Vectorized per row, like the associativity sweep."""
+    if not np.array_equal(np.sort(perm), np.arange(len(table))):
+        raise ValueError("not a permutation of the element indices")
+    for i in range(len(table)):
+        bad = perm[table[i]] != table[perm[i], perm]   # row i of perm[T] vs T[perm][:, perm]
+        if bad.any():
+            return (i, int(np.argmax(bad)))
+    return None
+
+
+@lru_cache(maxsize=None)
+def sing_semigroup(p, n) -> FiniteSemigroup:
+    """Sing(GF(p)^n) over its singular Endos in enumeration order, from the
+    integer-coded table; the associativity sweep runs once per (p, n)."""
+    elems, _, table = gf.sing_table(p, n)
+    ints = tuple(range(len(elems)))  # one int object per index, shared by every row
+    return from_table(elems, (tuple(map(ints.__getitem__, row.tolist())) for row in table))
 
 
 def semigroup_from_json(d) -> FiniteSemigroup:

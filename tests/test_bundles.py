@@ -122,3 +122,11 @@ def test_amalgam_json_and_dot():
     assert all(len(pair) == 2 for emb in doc["embeddings"] for pair in emb)
     dot = bn.amalgam_dot(am)
     assert dot.count("core -> fiber") == 2
+
+def test_each_distinct_branch_built_once(reference_amalgam):
+    # core and both dim-2 fibers use the identity on GF(2)^2
+    core, (b0, b1, b2) = reference_amalgam.core, reference_amalgam.branches
+    assert b0 is core.cross and b1 is core.cross
+    assert b2.eps == gf.identity_endo(2, 3)
+    tagged = reference_amalgam.amalgam.branches
+    assert tagged[0].elements[0][0] == ("fiber", 0) and tagged[1].elements[0][0] == ("fiber", 1)

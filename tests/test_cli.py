@@ -1,6 +1,7 @@
 """Command-line behavior: output formats, exit codes, guards, determinism."""
 
 import json
+import time
 
 import pytest
 
@@ -30,6 +31,25 @@ def test_enumerate_guard_exit(capsys):
     code, out, err = run(capsys, "enumerate", "--field", "2", "--dim", "9")
     assert code == 2
     assert "guard" in err
+
+@pytest.mark.parametrize("argv", [
+    ("enumerate", "--field", "2", "--dim", "4"),
+    ("enumerate", "--field", "3", "--dim", "3"),
+])
+def test_sing_guard_refuses_fast(capsys, argv):
+    start = time.perf_counter()
+    code, _, err = run(capsys, *argv)
+    assert time.perf_counter() - start < 1.0
+    assert code == 2
+    assert "associativity guard 1500" in err
+
+@pytest.mark.parametrize("dim", ["0", "-1"])
+def test_nonpositive_dim_exit(capsys, dim):
+    start = time.perf_counter()
+    code, _, err = run(capsys, "enumerate", "--field", "2", "--dim", dim)
+    assert time.perf_counter() - start < 1.0
+    assert code == 2
+    assert f"dimension must be at least 1, got {dim}" in err
 
 def test_unsupported_field_exit(capsys):
     code, _, err = run(capsys, "enumerate", "--field", "6", "--dim", "2")

@@ -243,3 +243,49 @@ def test_crossconn_json_shape():
     assert doc["eps"]["rows"] == [[0, 1], [1, 0]]
     assert len(doc["elements"]) == 10 and len(doc["table"]) == 10
     assert doc["elements"][0].keys() == {"first", "second"}
+
+
+# ---------------------------------------------------------------------------
+# the conjugation permutation of the integer-coded kernel
+
+def _perm_agrees_with_conjugate(eps):
+    cc = xc.cross_connection(eps, verify=False)
+    elems, _, _ = gf.sing_table(eps.p, eps.n)
+    perm = gf.sing_conjugation(cc.eps_inv, eps)
+    assert [elems[k] for k in perm.tolist()] == [cc.conjugate(a) for a in elems]
+
+@pytest.mark.parametrize("p,n", [(2, 2), (3, 2)])
+def test_conjugation_perm_matches_conjugate_everywhere(p, n):
+    for eps in gf.enumerate_automorphisms(p, n):
+        _perm_agrees_with_conjugate(eps)
+
+def test_conjugation_perm_matches_conjugate_at_2_3():
+    autos = gf.enumerate_automorphisms(2, 3)
+    for eps in (autos[0], autos[1], autos[len(autos) // 2], autos[-1]):
+        _perm_agrees_with_conjugate(eps)
+
+def test_conjugation_law_check_is_live():
+    _, _, table = gf.sing_table(2, 3)
+    eps = gf.enumerate_automorphisms(2, 3)[-1]
+    perm = gf.sing_conjugation(eps.inverse(), eps)
+    xc.check_conjugation_law(table, perm)
+    # index 0 is the zero map, which every automorphism fixes
+    broken = perm.copy()
+    broken[[0, 1]] = broken[[1, 0]]
+    with pytest.raises(AssertionError, match="conjugation law"):
+        xc.check_conjugation_law(table, broken)
+    with pytest.raises(ValueError, match="not a permutation"):
+        xc.check_conjugation_law(table, perm * 0)
+
+def test_linked_pairs_share_the_sing_table(all_eps):
+    sing = sg.sing_semigroup(2, 2)
+    for eps in all_eps:
+        s = xc.build_cross_conn_semigroup(eps)
+        assert s.semigroup.table is sing.table
+        assert [pr.first for pr in s.pairs] == list(sing.elements)
+
+def test_inverse_computed_once_per_connection():
+    cc = xc.cross_connection(SWAP, verify=False)
+    assert cc.eps_inv is cc.eps_inv
+    assert cc.eps_inv_t is cc.eps_inv_t
+    assert cc.eps_inv_t == gf.transpose(cc.eps_inv)

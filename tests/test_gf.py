@@ -259,3 +259,46 @@ def test_endo_json_round_trip():
     e = gf.endo([[1, 0], [0, 0]], 2)
     assert e.to_json() == {"p": 2, "n": 2, "rows": [[1, 0], [0, 0]]}
     assert gf.Endo.from_json(e.to_json()) == e
+
+
+# ---------------------------------------------------------------------------
+# the integer-coded Sing kernel, against enumerate_endos and mat_mul
+
+KERNEL_POINTS = [(2, 2), (3, 2), (5, 2), (7, 2), (2, 3)]
+
+@pytest.mark.parametrize("p,n", KERNEL_POINTS)
+def test_sing_table_matches_pure_python_products(p, n):
+    elems, decode, table = gf.sing_table(p, n)
+    assert elems == gf.enumerate_endos(p, n, singular_only=True)
+    index = {e.rows: i for i, e in enumerate(elems)}
+    assert table.shape == (len(elems), len(elems)) and table.dtype.name == "int32"
+    assert not table.flags.writeable and not decode.flags.writeable
+    for i, a in enumerate(elems):
+        assert [index[gf.mat_mul(a.rows, b.rows, p)] for b in elems] == table[i].tolist()
+
+@pytest.mark.parametrize("p,n", KERNEL_POINTS)
+def test_sing_decode_inverts_the_base_p_code(p, n):
+    elems, decode, _ = gf.sing_table(p, n)
+    sing = {e.rows: i for i, e in enumerate(elems)}
+    for code, e in enumerate(gf.enumerate_endos(p, n)):
+        assert decode[code] == sing.get(e.rows, -1)
+
+def test_sing_table_guards_refuse_before_enumerating(monkeypatch):
+    def enumerate_endos(*args, **kwargs):
+        raise AssertionError("enumerated before the guard refused")
+    monkeypatch.setattr(gf, "enumerate_endos", enumerate_endos)
+    with pytest.raises(gf.GuardExceeded, match="order 45376, beyond the associativity guard 1500"):
+        gf.sing_table(2, 4)
+    with pytest.raises(gf.GuardExceeded, match="order 8451, beyond the associativity guard 1500"):
+        gf.sing_table(3, 3)
+    with pytest.raises(gf.GuardExceeded, match="endomorphism guard"):
+        gf.sing_table(2, 9)
+
+def test_dimension_must_be_positive():
+    for n in (0, -1):
+        with pytest.raises(ValueError, match="dimension must be at least 1"):
+            gf.sing_table(2, n)
+        with pytest.raises(ValueError, match="dimension must be at least 1"):
+            gf.enumerate_endos(2, n)
+        with pytest.raises(ValueError, match="dimension must be at least 1"):
+            gf.enumerate_subspaces(2, n)

@@ -365,3 +365,14 @@ def test_cayley_json_round_trip():
     back = sg.semigroup_from_json(json.loads(json.dumps(doc)))
     assert back.elements == am.core.elements
     assert back.table == am.core.table
+
+
+# ---------------------------------------------------------------------------
+# the cached Sing semigroup against the from_multiplication oracle
+
+@pytest.mark.parametrize("p,n", [(2, 2), (3, 2)])
+def test_cached_sing_semigroup_matches_oracle(p, n):
+    s = sg.sing_semigroup(p, n)
+    oracle = sing_semigroup(p, n)
+    assert s.elements == oracle.elements and s.table == oracle.table
+    assert sg.sing_semigroup(p, n) is s
