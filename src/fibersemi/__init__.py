@@ -16,7 +16,6 @@ from .gf import (
     enumerate_subspaces,
     gaussian_binomial,
     identity_endo,
-    image_and_kernel,
     is_direct_sum,
     singular_count,
     subspace_intersection,
@@ -75,6 +74,7 @@ from .crossconn import (
     LinkedPair,
     bifunctor_sets,
     build_cross_conn_semigroup,
+    check_functorial,
     cross_connection,
     linking_bijection,
     verify_cross_connection,

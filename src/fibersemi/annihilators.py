@@ -70,12 +70,10 @@ class DualIsoReport:
     counts_match: bool
     double_annihilator_ok: bool
     order_reversal_ok: bool
-    hom_sizes_match: bool
 
     @property
     def ok(self):
-        return (self.counts_match and self.double_annihilator_ok
-                and self.order_reversal_ok and self.hom_sizes_match)
+        return self.counts_match and self.double_annihilator_ok and self.order_reversal_ok
 
 
 def iso_to_dual_subspace_category(acat: AnnihilatorCategory) -> DualIsoReport:
@@ -84,10 +82,9 @@ def iso_to_dual_subspace_category(acat: AnnihilatorCategory) -> DualIsoReport:
     Annihilator objects are realized as canonical subspaces of the dual, so
     the object bijection is A -> A° against the dual category's own list and
     the morphism bijection is the identity on linear maps; composition is
-    then preserved by construction.  What is checked: the two object lists
-    coincide with matching counts, annihilation is an order-reversing
-    bijection with (A°)° = A, and every hom-set has the size the dual side
-    predicts from the dimensions.
+    then preserved by construction, and so are the hom-sets.  What is
+    checked: the two object lists coincide with matching counts, and
+    annihilation is an order-reversing bijection with (A°)° = A.
     """
     dcat = acat.dual_category
     pairs = tuple((t.dual, obj) for t, obj in zip(acat.tags, dcat.objects))
@@ -103,14 +100,7 @@ def iso_to_dual_subspace_category(acat: AnnihilatorCategory) -> DualIsoReport:
             backward = s.dual.contains_subspace(t.dual)
             if forward != backward:
                 reversal = False
-    hom_sizes = True
-    p = acat.p
-    for y in dcat.objects:
-        for z in dcat.objects:
-            expected = p ** (y.dim * z.dim)
-            if sum(1 for _ in gf.all_linear_maps(y, z)) != expected:
-                hom_sizes = False
-    return DualIsoReport(pairs, counts, double, reversal, hom_sizes)
+    return DualIsoReport(pairs, counts, double, reversal)
 
 
 def normal_dual_object(cat: sc.SubspaceCategory, cone: sc.Cone) -> DualObjectTag:
@@ -129,7 +119,6 @@ def normal_dual_object(cat: sc.SubspaceCategory, cone: sc.Cone) -> DualObjectTag
 class DualConeSemigroupReport:
     semigroup: sg.FiniteSemigroup
     anti_isomorphism: sg.MorphismReport
-    reversal_ok: bool
 
 
 def build_ta_semigroup(p, n) -> DualConeSemigroupReport:
@@ -139,25 +128,14 @@ def build_ta_semigroup(p, n) -> DualConeSemigroupReport:
     The returned semigroup is the cone semigroup over the dual space; its
     labels are matrices acting on dual coordinates.  Transposition is checked
     to reverse products: the map sends alpha to the dual cone of alpha^T, and
-    the verified morphism is alpha -> that image over the opposite table.
+    the verified morphism is alpha -> that image over the opposite table,
+    which is exactly (alpha^T).(beta^T) = (beta.alpha)^T for every pair.
     """
     acat = build_annihilator_category(p, n)
     ta, cones, endos = sc.enumerate_normal_cones(acat.dual_category)
     sing = sg.sing_semigroup(p, n)
-    primal = sing.elements
-    # anti-isomorphism: check alpha -> rho^(alpha^T) against the reversed table
-    opposite = sg.from_table(sing.elements, tuple(zip(*sing.table)))
+    # the opposite of an associative table is associative
+    opposite = sg.FiniteSemigroup(sing.elements, tuple(zip(*sing.table)))
     mapping = tuple(ta.index(gf.transpose(a).rows) for a in opposite.elements)
     report = sg.verify_morphism(sg.SemigroupMorphism(opposite, ta, mapping))
-    # (alpha^T).(beta^T) in TA must be (beta.alpha)^T
-    reversal_ok = True
-    for a in primal:
-        ia = ta.index(gf.transpose(a).rows)
-        for b in primal:
-            lhs = ta.elements[ta.table[ia][ta.index(gf.transpose(b).rows)]]
-            if lhs != gf.transpose(b * a).rows:
-                reversal_ok = False
-                break
-        if not reversal_ok:
-            break
-    return DualConeSemigroupReport(ta, report, reversal_ok)
+    return DualConeSemigroupReport(ta, report)

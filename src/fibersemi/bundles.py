@@ -99,7 +99,7 @@ def build_embedding(core: CoreSpec, spec: FiberFamilySpec, i: int,
     if core.m > d:
         raise ValueError("core dimension exceeds fiber dimension")
     eps_i = spec.eps[i]
-    cc_i = xc.cross_connection(eps_i, verify=False)
+    cc_i = xc.cross_connection(eps_i)
     branch_index = {pr.first.rows: j for j, pr in enumerate(branch.pairs)}
     mapping = []
     for pr in core.cross.pairs:

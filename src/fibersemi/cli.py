@@ -1,16 +1,15 @@
 """Command-line front end: enumeration sweeps, verification runs and export
 of tables and diagrams.
 
-Every command writes deterministic output (stable ordering, seeded sampling,
-no timestamps), so identical configurations produce byte-identical artifacts.
-Exit status is 0 only when every requested verification passed.
+Every command writes deterministic output (stable ordering, exhaustive
+checks, no timestamps), so identical configurations produce byte-identical
+artifacts.  Exit status is 0 only when every requested verification passed.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import random
 import sys
 
 from . import annihilators as ann
@@ -34,22 +33,25 @@ def _emit(text: str, out_path):
 
 
 # ---------------------------------------------------------------------------
-# verification checks; each returns (ok, witness-or-None)
+# verification checks; each returns (ok, witness-or-None) and decides its
+# claims exhaustively.  A claim decided elsewhere, or true by construction,
+# is not checked again: the comments name where it is decided.
 
-def _check_cardinalities(p, n, seed):
+def _check_cardinalities(p, n):
     cases = [(p, n)]
     if (p, n) == (2, 2):
         cases += [(3, 2), (2, 3)]
     for cp, cn in cases:
         got = len(gf.enumerate_endos(cp, cn, singular_only=True))
         want = gf.singular_count(cp, cn)
-        brute = sum(1 for e in gf.enumerate_endos(cp, cn) if e.rank < cn)
-        if got != want or brute != want:
+        if got != want:
             return False, {"p": cp, "n": cn, "enumerated": got, "closed_form": want}
     return True, None
 
 
-def _check_regularity(p, n, seed):
+def _check_regularity(p, n):
+    # regularity of the cone semigroup follows from this one through the
+    # isomorphism that cone-semigroup decides
     sing = sg.sing_semigroup(p, n)
     if not sg.is_regular(sing):
         return False, {"failure": "singular semigroup not regular"}
@@ -60,16 +62,10 @@ def _check_regularity(p, n, seed):
     )
     if got != want:
         return False, {"idempotents": got, "expected": want}
-    if (p, n) == (2, 2):
-        if got != 7:
-            return False, {"idempotents": got, "expected": 7}
-        cone_sg, _, _ = sc.enumerate_normal_cones(sc.build_category(2, 2))
-        if not sg.is_regular(cone_sg):
-            return False, {"failure": "cone semigroup not regular"}
     return True, None
 
 
-def _check_green(p, n, seed):
+def _check_green(p, n):
     sing = sg.sing_semigroup(p, n)
     elems = sing.elements
     green = sg.green_relations(sing)
@@ -98,34 +94,26 @@ def _check_green(p, n, seed):
     return True, None
 
 
-def _check_factorization(p, n, seed):
-    cat = sc.build_category(p, n)
-    for f in cat.all_morphisms():
-        nf = sc.normal_factorization(f)
-        if nf.recomposed() != f or not nf.u.is_iso():
-            return False, {"failure": "factorization identity", "dom": f.dom.to_json()}
-    for i, j in cat.inclusion_pairs:
-        a, b = cat.objects[i], cat.objects[j]
-        if gf.inclusion_map(a, b).compose(sc.retraction(b, a)) != gf.identity_map(a):
-            return False, {"failure": "retraction law", "sub": a.to_json()}
+def _check_factorization(p, n):
+    cats = [sc.build_category(p, n)]
     if (p, n) == (2, 2):
-        rng = random.Random(seed)
-        cat3 = sc.build_category(2, 3)
-        for _ in range(10_000):
-            a = rng.choice(cat3.objects)
-            b = rng.choice(cat3.objects)
-            m = tuple(
-                tuple(rng.randrange(2) for _ in range(b.dim))
-                for _ in range(a.dim)
-            )
-            f = gf.LinearMap(a, b, m)
+        cats.append(sc.build_category(2, 3))
+    for cat in cats:
+        for f in cat.all_morphisms():
             nf = sc.normal_factorization(f)
             if nf.recomposed() != f or not nf.u.is_iso():
-                return False, {"failure": "sampled factorization", "matrix": [list(r) for r in m]}
+                return False, {"failure": "factorization identity", "dom": f.dom.to_json()}
+        for i, j in cat.inclusion_pairs:
+            a, b = cat.objects[i], cat.objects[j]
+            if gf.inclusion_map(a, b).compose(sc.retraction(b, a)) != gf.identity_map(a):
+                return False, {"failure": "retraction law", "sub": a.to_json()}
     return True, None
 
 
-def _check_cone_semigroup(p, n, seed):
+def _check_cone_semigroup(p, n):
+    # The table is built by cone_compose and its cones are exactly the
+    # principal ones, so the morphism check below decides
+    # cone(a).cone(b) = cone(ab) for every pair.
     cat = sc.build_category(p, n)
     cone_sg, cones, endos = sc.enumerate_normal_cones(cat)
     sing_elems = gf.enumerate_endos(p, n, singular_only=True)
@@ -137,17 +125,12 @@ def _check_cone_semigroup(p, n, seed):
     sing = sg.sing_semigroup(p, n)
     mapping = tuple(cone_sg.index(a.rows) for a in sing.elements)
     rep = sg.verify_morphism(sg.SemigroupMorphism(sing, cone_sg, mapping))
-    if not (rep.is_hom and rep.is_injective and len(set(mapping)) == cone_sg.order):
+    if not rep.ok:
         return False, {"failure": "cone map is not an isomorphism", **rep.witnesses}
-    for a in sing_elems:
-        for b in sing_elems:
-            lhs = sc.cone_compose(cat, sc.principal_cone(cat, a), sc.principal_cone(cat, b))
-            if lhs != sc.principal_cone(cat, a * b):
-                return False, {"failure": "cone composition", "a": a.to_json(), "b": b.to_json()}
     return True, None
 
 
-def _check_m_sets(p, n, seed):
+def _check_m_sets(p, n):
     cat = sc.build_category(p, n)
     for e in gf.enumerate_endos(p, n, singular_only=True):
         if e * e != e:
@@ -159,7 +142,7 @@ def _check_m_sets(p, n, seed):
     return True, None
 
 
-def _check_dual_category(p, n, seed):
+def _check_dual_category(p, n):
     acat = ann.build_annihilator_category(p, n)
     rep = ann.iso_to_dual_subspace_category(acat)
     if not rep.ok:
@@ -169,26 +152,22 @@ def _check_dual_category(p, n, seed):
         if len(acat3.objects) != 15:
             return False, {"objects_2_3": len(acat3.objects)}
         ta = ann.build_ta_semigroup(2, 2)
-        if not (ta.semigroup.order == 10 and ta.anti_isomorphism.ok and ta.reversal_ok):
+        if not (ta.semigroup.order == 10 and ta.anti_isomorphism.ok):
             return False, {"failure": "dual cone semigroup"}
     return True, None
 
 
-def _check_cross_connections(p, n, seed):
-    sing = sg.sing_semigroup(p, n)
+def _check_cross_connections(p, n):
+    # The linked-pair semigroup shares Sing's table with labels in Sing
+    # order, so its order, its first projection and its regularity hold by
+    # construction (regularity is regularity-idempotents).  The build raises
+    # unless the conjugation law holds on every pair.
     cat = sc.build_category(p, n)
     for eps in gf.enumerate_automorphisms(p, n):
-        cc = xc.cross_connection(eps, verify=False)
-        cov = xc.verify_cross_connection(cc)
-        if not cov.ok:
+        cc = xc.cross_connection(eps)
+        if not xc.verify_cross_connection(cc).ok:
             return False, {"eps": eps.to_json(), "failure": "covering"}
-        s = xc.build_cross_conn_semigroup(eps)
-        if s.order != sing.order:
-            return False, {"eps": eps.to_json(), "order": s.order}
-        mapping = tuple(sing.index(gf.Endo(p, n, lbl[0])) for lbl in s.semigroup.elements)
-        rep = sg.verify_morphism(sg.SemigroupMorphism(s.semigroup, sing, mapping))
-        if not (rep.is_hom and rep.is_injective and sg.is_regular(s.semigroup)):
-            return False, {"eps": eps.to_json(), "failure": "first projection"}
+        xc.build_cross_conn_semigroup(eps)
         for a in cat.objects:
             for y in cat.objects:
                 if not xc.linking_bijection(cc, a, y).bijective:
@@ -196,7 +175,7 @@ def _check_cross_connections(p, n, seed):
     return True, None
 
 
-def _check_null_amalgam(p, n, seed):
+def _check_null_amalgam(p, n):
     am = sg.null_semigroup_fixture()
     s1, s2 = am.branches
     facts = [
@@ -213,7 +192,9 @@ def _check_null_amalgam(p, n, seed):
     return rep.ok, None if rep.ok else {"witnesses": rep.witnesses}
 
 
-def _check_bundle_amalgam(p, n, seed, dims=(2, 2, 3), m=2):
+def _check_bundle_amalgam(p, n, dims=(2, 2, 3), m=2):
+    # assemble_amalgam raises unless verify_amalgam passes, and that decides
+    # the pairwise disjointness of the tagged element sets.
     spec = bn.fiber_family(p, max(dims), dims)
     bundle = bn.assemble_amalgam(spec, m=m)
     orders = [b.order for b in bundle.branches]
@@ -222,13 +203,6 @@ def _check_bundle_amalgam(p, n, seed, dims=(2, 2, 3), m=2):
         return False, {"orders": orders, "expected": want}
     if bundle.core.semigroup.order != len(gf.enumerate_endos(p, m, singular_only=True)):
         return False, {"core_order": bundle.core.semigroup.order}
-    if not bundle.report.ok:
-        return False, {"witnesses": bundle.report.witnesses}
-    labels = set(bundle.amalgam.core.elements)
-    for b in bundle.amalgam.branches:
-        if labels & set(b.elements):
-            return False, {"failure": "tag collision"}
-        labels |= set(b.elements)
     return True, None
 
 
@@ -246,13 +220,15 @@ CHECKS = (
 )
 
 
-def run_checks(p, n, seed, table_path=None):
+def run_checks(p, n, table_path=None):
     report = []
     for name, fn in CHECKS:
         try:
-            ok, witness = fn(p, n, seed)
+            ok, witness = fn(p, n)
         except gf.GuardExceeded as exc:
             ok, witness = False, {"guard": str(exc)}
+        except Exception as exc:  # a claim that fails by raising fails its check only
+            ok, witness = False, {"error": str(exc)}
         report.append({"check": name, "status": "pass" if ok else "fail",
                        "witness": witness})
     if table_path:
@@ -269,7 +245,7 @@ def _table_check(path):
     except sg.NotAssociative as exc:
         return {"check": name, "status": "fail",
                 "witness": {"triple": list(exc.witness)}}
-    except (OSError, ValueError, KeyError) as exc:
+    except (OSError, ValueError) as exc:
         return {"check": name, "status": "fail", "witness": {"error": str(exc)}}
     return {"check": name, "status": "pass", "witness": None}
 
@@ -298,7 +274,7 @@ def cmd_enumerate(args):
 
 
 def cmd_verify_all(args):
-    report = run_checks(args.field, args.dim, args.seed, args.table)
+    report = run_checks(args.field, args.dim, args.table)
     failed = [r["check"] for r in report if r["status"] != "pass"]
     if args.format == "json":
         _emit(_dump(report), args.out)
@@ -414,7 +390,8 @@ def build_parser():
 
     spv = sub.add_parser("verify-all", help="run every verification check")
     common(spv)
-    spv.add_argument("--seed", type=int, default=0, help="sampling seed")
+    spv.add_argument("--seed", type=int, default=0,
+                     help="accepted and ignored: every check is exhaustive")
     spv.add_argument("--table", default=None, help="also validate a Cayley-table JSON file")
     spv.set_defaults(fn=cmd_verify_all)
 

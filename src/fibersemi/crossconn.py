@@ -81,22 +81,17 @@ class CrossConnection:
         return {"eps": self.eps.to_json()}
 
 
-def cross_connection(eps: Endo, verify: bool = True) -> CrossConnection:
-    """Build the connection induced by an automorphism.
-
-    With verify on, functoriality of both actions (identities, composition,
-    inclusion preservation) is checked exhaustively over the proper
-    subspaces whenever the ambient space is desk-scale (p^n <= 16).
-    """
+def cross_connection(eps: Endo) -> CrossConnection:
+    """The connection induced by an automorphism; check_functorial verifies
+    its two actions."""
     if not eps.is_invertible():
         raise ValueError("cross-connections require an invertible endomorphism")
-    cc = CrossConnection(eps)
-    if verify and eps.p ** eps.n <= 16:
-        _check_functorial(cc)
-    return cc
+    return CrossConnection(eps)
 
 
-def _check_functorial(cc: CrossConnection):
+def check_functorial(cc: CrossConnection):
+    """Raise unless both actions preserve identities and composition, checked
+    exhaustively over the proper subspaces and every composable pair."""
     cat = sc.build_category(cc.p, cc.n)
     for obj in cat.objects:
         y = cc.dual_object_image(obj)
@@ -312,7 +307,7 @@ def build_cross_conn_semigroup(eps: Endo) -> CrossConnSemigroup:
     order and share the verified Sing table, since the first projection is
     an isomorphism by construction.
     """
-    cc = cross_connection(eps, verify=False)
+    cc = cross_connection(eps)
     sing = sg.sing_semigroup(eps.p, eps.n)
     _, _, table = gf.sing_table(eps.p, eps.n)
     perm = gf.sing_conjugation(cc.eps_inv, eps)

@@ -167,11 +167,7 @@ class Subspace:
         if len(v) != self.n:
             raise ValueError(f"vector length {len(v)} != ambient dim {self.n}")
         c = tuple(v[j] % self.p for j in self.pivots)
-        w = [0] * self.n
-        for coeff, row in zip(c, self.basis):
-            for j, x in enumerate(row):
-                w[j] = (w[j] + coeff * x) % self.p
-        return c if tuple(w) == tuple(x % self.p for x in v) else None
+        return c if self.from_coords(c) == tuple(x % self.p for x in v) else None
 
     def from_coords(self, c):
         w = [0] * self.n
@@ -269,14 +265,7 @@ def subspace_intersection(a: Subspace, b: Subspace) -> Subspace:
     if not stacked:
         return zero_subspace(a.p, a.n)
     kern = solve_homogeneous(mat_transpose(stacked), len(stacked), a.p)
-    vecs = []
-    for k in kern:
-        v = [0] * a.n
-        for coeff, row in zip(k[: a.dim], a.basis):
-            for j, x in enumerate(row):
-                v[j] = (v[j] + coeff * x) % a.p
-        vecs.append(tuple(v))
-    return subspace_span(vecs, a.n, a.p)
+    return subspace_span([a.from_coords(k[: a.dim]) for k in kern], a.n, a.p)
 
 
 def is_direct_sum(a: Subspace, b: Subspace) -> bool:
@@ -394,11 +383,6 @@ def identity_endo(p, n) -> Endo:
 
 def zero_endo(p, n) -> Endo:
     return Endo(p, n, zero_matrix(n, n))
-
-
-def image_and_kernel(alpha: Endo):
-    """(row space of M, left-action kernel {v : v.M = 0})."""
-    return alpha.image(), alpha.kernel()
 
 
 def transpose(alpha: Endo) -> Endo:

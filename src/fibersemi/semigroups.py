@@ -62,6 +62,8 @@ def _label_to_json(x):
 def _label_from_json(x):
     if isinstance(x, list):
         return tuple(_label_from_json(y) for y in x)
+    if isinstance(x, dict):
+        raise ValueError(f"element label {x} is a JSON object")
     return x
 
 
@@ -96,8 +98,8 @@ def from_table(elements, table) -> FiniteSemigroup:
         raise ValueError("table must be square of the same order as the element list")
     for r in table:
         for x in r:
-            if not (0 <= x < n):
-                raise ValueError(f"table entry {x} out of range")
+            if type(x) is not int or not (0 <= x < n):
+                raise ValueError(f"table entry {x!r} is not an index below {n}")
     if n:
         w = _associativity_witness(table)
         if w is not None:
@@ -128,7 +130,14 @@ def sing_semigroup(p, n) -> FiniteSemigroup:
 
 
 def semigroup_from_json(d) -> FiniteSemigroup:
-    return from_table([_label_from_json(x) for x in d["elements"]], d["table"])
+    """Validate a parsed table document; any malformed shape is a ValueError."""
+    if not isinstance(d, dict):
+        raise ValueError("a table document must be a JSON object")
+    elements, table = d.get("elements"), d.get("table")
+    if not (isinstance(elements, list) and isinstance(table, list)
+            and all(isinstance(r, list) for r in table)):
+        raise ValueError("a table document needs an element list and a list of rows")
+    return from_table([_label_from_json(x) for x in elements], table)
 
 
 def from_multiplication(elements, op) -> FiniteSemigroup:

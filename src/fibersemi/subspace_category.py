@@ -63,11 +63,7 @@ def projection_along(b: Subspace, a: Subspace, kernel: Subspace) -> LinearMap:
         t = gf.express_in_basis(v, stacked, b.p)
         if t is None:
             raise ValueError("projection requires b = a + kernel")
-        apart = [0] * b.n
-        for coeff, row in zip(t[: a.dim], a.basis):
-            for j, x in enumerate(row):
-                apart[j] = (apart[j] + coeff * x) % b.p
-        images.append(tuple(apart))
+        images.append(a.from_coords(t[: a.dim]))
     return gf.linear_map(b, a, images)
 
 

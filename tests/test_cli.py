@@ -177,3 +177,35 @@ def test_intact_table_passes(tmp_path, capsys):
     report = json.loads(out)
     entry = next(r for r in report if r["check"] == "table-associativity")
     assert entry["status"] == "pass"
+
+@pytest.mark.parametrize("doc", [
+    [1, 2],
+    {"elements": [{"a": 1}], "table": [[0]]},
+    {"elements": ["z"], "table": [[False]]},
+], ids=["top-level-array", "object-label", "boolean-entry"])
+def test_malformed_table_fails_with_error(tmp_path, capsys, doc):
+    path = tmp_path / "table.json"
+    path.write_text(json.dumps(doc))
+    code, out, _ = run(capsys, "verify-all", "--field", "2", "--dim", "2",
+                       "--format", "json", "--table", str(path))
+    assert code == 1
+    entry = json.loads(out)[-1]
+    assert entry["check"] == "table-associativity"
+    assert entry["status"] == "fail" and "error" in entry["witness"]
+
+
+def test_raising_check_fails_and_the_run_goes_on(monkeypatch, capsys):
+    from fibersemi import crossconn as xc
+
+    def broken(table, perm):
+        raise AssertionError("conjugation law broken")
+
+    monkeypatch.setattr(xc, "check_conjugation_law", broken)
+    code, out, _ = run(capsys, "verify-all", "--field", "2", "--dim", "2", "--format", "json")
+    assert code == 1
+    report = {r["check"]: r for r in json.loads(out)}
+    assert list(report) == [name for name, _ in cli.CHECKS]
+    failed = {name for name, r in report.items() if r["status"] == "fail"}
+    assert failed == {"cross-connections", "bundle-amalgam"}
+    for name in failed:
+        assert report[name]["witness"] == {"error": "conjugation law broken"}

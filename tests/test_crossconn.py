@@ -39,13 +39,13 @@ def test_swap_object_maps():
         gf.subspace_span([(0, 1)], 2, 2)
 
 def test_functoriality_checked_on_construction(all_eps):
-    # construction itself sweeps identities and all composable pairs
+    # identities and all composable pairs, for every automorphism
     for eps in all_eps:
-        xc.cross_connection(eps, verify=True)
+        xc.check_functorial(xc.cross_connection(eps))
 
 def test_conjugation_preserves_idempotents(all_eps):
     for eps in all_eps:
-        cc = xc.cross_connection(eps, verify=False)
+        cc = xc.cross_connection(eps)
         for e in gf.enumerate_endos(2, 2, singular_only=True):
             if e * e == e:
                 c = cc.conjugate(e)
@@ -55,7 +55,7 @@ def test_conjugation_is_table_automorphism(all_eps):
     elems = gf.enumerate_endos(2, 2, singular_only=True)
     sing = sg.from_multiplication(elems, lambda a, b: a * b)
     for eps in all_eps:
-        cc = xc.cross_connection(eps, verify=False)
+        cc = xc.cross_connection(eps)
         mapping = tuple(sing.index(cc.conjugate(x)) for x in elems)
         rep = sg.verify_morphism(sg.SemigroupMorphism(sing, sing, mapping))
         assert rep.is_hom and rep.is_injective
@@ -66,11 +66,11 @@ def test_conjugation_is_table_automorphism(all_eps):
 
 def test_covering_holds_for_every_automorphism(all_eps):
     for eps in all_eps:
-        rep = xc.verify_cross_connection(xc.cross_connection(eps, verify=False))
+        rep = xc.verify_cross_connection(xc.cross_connection(eps))
         assert rep.covering_ok and rep.inclusion_ok and rep.hom_injective_ok
 
 def test_covering_witness_example(cat22):
-    cc = xc.cross_connection(gf.identity_endo(2, 2), verify=False)
+    cc = xc.cross_connection(gf.identity_endo(2, 2))
     rep = xc.verify_cross_connection(cc)
     witness = dict(rep.witnesses)
     a = gf.subspace_span([(1, 0)], 2, 2)
@@ -79,14 +79,14 @@ def test_covering_witness_example(cat22):
     assert gf.is_direct_sum(a, pre)
 
 def test_zero_subspace_witnessed_by_zero_dual(cat22):
-    cc = xc.cross_connection(gf.identity_endo(2, 2), verify=False)
+    cc = xc.cross_connection(gf.identity_endo(2, 2))
     mset, pre = xc.functor_m_set(cc, cat22, gf.zero_subspace(2, 2))
     assert pre == gf.full_space(2, 2)
     assert mset == (gf.zero_subspace(2, 2),)
 
 def test_covering_sampled_at_2_3():
     eps = gf.endo([[0, 1, 0], [0, 0, 1], [1, 0, 0]], 2)
-    cc = xc.cross_connection(eps, verify=False)
+    cc = xc.cross_connection(eps)
     cat = sc.build_category(2, 3)
     for a in cat.objects:
         assert any(
@@ -96,7 +96,7 @@ def test_covering_sampled_at_2_3():
 def test_functoriality_sampled_at_2_3():
     import random
     eps = gf.endo([[1, 1, 0], [0, 1, 1], [0, 0, 1]], 2)
-    cc = xc.cross_connection(eps, verify=False)
+    cc = xc.cross_connection(eps)
     cat = sc.build_category(2, 3)
     rng = random.Random(3)
     for _ in range(300):
@@ -117,14 +117,14 @@ def test_functoriality_sampled_at_2_3():
 # bifunctor sets and the linking bijection
 
 def test_zero_object_first_set_is_zero_map(cat22):
-    cc = xc.cross_connection(gf.identity_endo(2, 2), verify=False)
+    cc = xc.cross_connection(gf.identity_endo(2, 2))
     zero = gf.zero_subspace(2, 2)
     for y in cat22.objects:
         first, _ = xc.bifunctor_sets(cc, zero, y)
         assert first == (gf.zero_endo(2, 2),)
 
 def test_zero_map_membership(cat22):
-    cc = xc.cross_connection(gf.identity_endo(2, 2), verify=False)
+    cc = xc.cross_connection(gf.identity_endo(2, 2))
     full_dual = max(cat22.objects, key=lambda o: o.dim)
     for a in cat22.objects:
         first, _ = xc.bifunctor_sets(cc, a, full_dual)
@@ -132,7 +132,7 @@ def test_zero_map_membership(cat22):
 
 def test_set_sizes_match_under_kernel_mode(cat22, all_eps):
     for eps in all_eps:
-        cc = xc.cross_connection(eps, verify=False)
+        cc = xc.cross_connection(eps)
         for a in cat22.objects:
             for y in cat22.objects:
                 first, second = xc.bifunctor_sets(cc, a, y, mode="kernel")
@@ -140,7 +140,7 @@ def test_set_sizes_match_under_kernel_mode(cat22, all_eps):
 
 def test_linking_bijection_kernel_mode_everywhere(cat22, all_eps):
     for eps in all_eps:
-        cc = xc.cross_connection(eps, verify=False)
+        cc = xc.cross_connection(eps)
         for a in cat22.objects:
             for y in cat22.objects:
                 rep = xc.linking_bijection(cc, a, y, mode="kernel")
@@ -148,8 +148,8 @@ def test_linking_bijection_kernel_mode_everywhere(cat22, all_eps):
 
 def test_linking_round_trip(cat22, all_eps):
     for eps in all_eps:
-        cc = xc.cross_connection(eps, verify=False)
-        inv = xc.cross_connection(eps.inverse(), verify=False)
+        cc = xc.cross_connection(eps)
+        inv = xc.cross_connection(eps.inverse())
         for a in cat22.objects:
             for y in cat22.objects:
                 rep = xc.linking_bijection(cc, a, y)
@@ -162,7 +162,7 @@ def test_literal_image_mode_fails_bijectivity(cat22, all_eps):
     kernel reading as the shipped default."""
     failures = 0
     for eps in all_eps:
-        cc = xc.cross_connection(eps, verify=False)
+        cc = xc.cross_connection(eps)
         for a in cat22.objects:
             for y in cat22.objects:
                 if not xc.linking_bijection(cc, a, y, mode="image").bijective:
@@ -170,19 +170,19 @@ def test_literal_image_mode_fails_bijectivity(cat22, all_eps):
     assert failures > 0
 
 def test_unknown_mode_rejected(cat22):
-    cc = xc.cross_connection(gf.identity_endo(2, 2), verify=False)
+    cc = xc.cross_connection(gf.identity_endo(2, 2))
     with pytest.raises(ValueError):
         xc.bifunctor_sets(cc, cat22.objects[0], cat22.objects[0], mode="guess")
 
 def test_identity_linking_is_identity(cat22):
-    cc = xc.cross_connection(gf.identity_endo(2, 2), verify=False)
+    cc = xc.cross_connection(gf.identity_endo(2, 2))
     for a in cat22.objects:
         for y in cat22.objects:
             rep = xc.linking_bijection(cc, a, y)
             assert all(x == img for x, img in rep.pairs)
 
 def test_swap_conjugation_example():
-    cc = xc.cross_connection(SWAP, verify=False)
+    cc = xc.cross_connection(SWAP)
     assert cc.conjugate(gf.endo([[1, 0], [0, 0]], 2)) == gf.endo([[0, 0], [0, 1]], 2)
 
 
@@ -196,7 +196,7 @@ def test_order_is_singular_count(all_eps):
 def test_second_coordinates_follow_conjugation(all_eps):
     for eps in all_eps:
         s = xc.build_cross_conn_semigroup(eps)
-        cc = xc.cross_connection(eps, verify=False)
+        cc = xc.cross_connection(eps)
         for pr in s.pairs:
             assert pr.second == cc.conjugate(pr.first)
         # product's second coordinate is the conjugate of the first product
@@ -249,7 +249,7 @@ def test_crossconn_json_shape():
 # the conjugation permutation of the integer-coded kernel
 
 def _perm_agrees_with_conjugate(eps):
-    cc = xc.cross_connection(eps, verify=False)
+    cc = xc.cross_connection(eps)
     elems, _, _ = gf.sing_table(eps.p, eps.n)
     perm = gf.sing_conjugation(cc.eps_inv, eps)
     assert [elems[k] for k in perm.tolist()] == [cc.conjugate(a) for a in elems]
@@ -285,7 +285,7 @@ def test_linked_pairs_share_the_sing_table(all_eps):
         assert [pr.first for pr in s.pairs] == list(sing.elements)
 
 def test_inverse_computed_once_per_connection():
-    cc = xc.cross_connection(SWAP, verify=False)
+    cc = xc.cross_connection(SWAP)
     assert cc.eps_inv is cc.eps_inv
     assert cc.eps_inv_t is cc.eps_inv_t
     assert cc.eps_inv_t == gf.transpose(cc.eps_inv)

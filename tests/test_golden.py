@@ -1,5 +1,6 @@
-"""Byte-identical CLI output: SHA-256 of each command's stdout, recorded
-before the Sing table moved to the integer-coded kernel."""
+"""Byte-identical CLI output: SHA-256 and exit status of each command,
+recorded before the Sing table moved to the integer-coded kernel; the last
+four before verify-all's checks were made exhaustive and deduplicated."""
 
 import hashlib
 import io
@@ -10,31 +11,35 @@ import pytest
 from fibersemi import cli
 
 GOLDEN = [
-    ("enumerate --field 2 --dim 2", "d258a35b5002af9fe79fbfb6d3516d5ccb0222bec3ccb0969f7f8f93108f6bee"),
-    ("enumerate --field 2 --dim 2 --format json", "c999b29f3f5f4bdb28b1f4db37856d16ccb32d67faee83410488cdb4b85cc32e"),
-    ("green --field 2 --dim 2 --format json", "0aff536d893a3c4ef774f8295e745a1d0d4e9c0e26a461247905f58d60804eeb"),
-    ("green --field 2 --dim 2 --format dot", "426a0592ebc219c642776eb746332540f587415899e535810b1ca003e68edb6e"),
-    ("enumerate --field 3 --dim 2", "683253f4ddbada75890d738b4e31a50f72e54083c96bfe39e9ace71eef499ca1"),
-    ("enumerate --field 3 --dim 2 --format json", "b8d0d754a4c7b478815e6f650a8bb4d1c6feca7b64fbadf4639abedaa8ee920c"),
-    ("green --field 3 --dim 2 --format json", "7f7fe09f5db6e2199ff9d156ed345bfae23421ea4cf2ebf037df5a61cc700ab9"),
-    ("green --field 3 --dim 2 --format dot", "5259540693543e1601f1fed0cc80c3884a7b6c38b193736d5d34de47699f9143"),
-    ("enumerate --field 5 --dim 2", "9a73e25566063a3b34d08e5cbbd8cb24fd95ab701fd7a250060762b744e1ffb9"),
-    ("enumerate --field 5 --dim 2 --format json", "6f12a344e7e69261e00df06d5d80f9aa4fa586d4020eca52dcc99ce35c9bc45c"),
-    ("green --field 5 --dim 2 --format json", "43bad5784a008ccd98264ba9994414b3e1d6508c41ac2e2c2c73b766ff8ec5eb"),
-    ("green --field 5 --dim 2 --format dot", "e3a7ecab7fc944267d222487ba8ccd2e6bb348b8e98eeaae2dff9b855407afa2"),
-    ("cones --field 2 --dim 2 --format json", "bcd6641ddb7bfd3888bd415f226a552f79c1d922f2a980c7243684d459d12497"),
-    ("cones --field 3 --dim 2 --format json", "976485832d7e45cc2dedf1692654a7cd9036191f95971525f8a66c8d4951f391"),
-    ("crossconn --field 2 --dim 2 --all-eps --format json", "5ecead98b5f9c56588070d0e0065dfb64e05bbec897fc7d6788002eafe387219"),
-    ("crossconn --field 3 --dim 2 --all-eps --format json", "7194738f68721819e2323c8873ef5b9079d0434f0e9518b025f9ffc2395c0072"),
-    ("amalgam --field 2 --format json", "014ea4bdc1230f776136262e7c93076b364cc4f74abd692cf92481d80eb350c6"),
-    ("verify-all --field 2 --dim 2 --format json", "a60e2df95ead945c2201f21117e5b874587e4466b78c9e4fa619892974663e37"),
+    ("enumerate --field 2 --dim 2", 0, "d258a35b5002af9fe79fbfb6d3516d5ccb0222bec3ccb0969f7f8f93108f6bee"),
+    ("enumerate --field 2 --dim 2 --format json", 0, "c999b29f3f5f4bdb28b1f4db37856d16ccb32d67faee83410488cdb4b85cc32e"),
+    ("green --field 2 --dim 2 --format json", 0, "0aff536d893a3c4ef774f8295e745a1d0d4e9c0e26a461247905f58d60804eeb"),
+    ("green --field 2 --dim 2 --format dot", 0, "426a0592ebc219c642776eb746332540f587415899e535810b1ca003e68edb6e"),
+    ("enumerate --field 3 --dim 2", 0, "683253f4ddbada75890d738b4e31a50f72e54083c96bfe39e9ace71eef499ca1"),
+    ("enumerate --field 3 --dim 2 --format json", 0, "b8d0d754a4c7b478815e6f650a8bb4d1c6feca7b64fbadf4639abedaa8ee920c"),
+    ("green --field 3 --dim 2 --format json", 0, "7f7fe09f5db6e2199ff9d156ed345bfae23421ea4cf2ebf037df5a61cc700ab9"),
+    ("green --field 3 --dim 2 --format dot", 0, "5259540693543e1601f1fed0cc80c3884a7b6c38b193736d5d34de47699f9143"),
+    ("enumerate --field 5 --dim 2", 0, "9a73e25566063a3b34d08e5cbbd8cb24fd95ab701fd7a250060762b744e1ffb9"),
+    ("enumerate --field 5 --dim 2 --format json", 0, "6f12a344e7e69261e00df06d5d80f9aa4fa586d4020eca52dcc99ce35c9bc45c"),
+    ("green --field 5 --dim 2 --format json", 0, "43bad5784a008ccd98264ba9994414b3e1d6508c41ac2e2c2c73b766ff8ec5eb"),
+    ("green --field 5 --dim 2 --format dot", 0, "e3a7ecab7fc944267d222487ba8ccd2e6bb348b8e98eeaae2dff9b855407afa2"),
+    ("cones --field 2 --dim 2 --format json", 0, "bcd6641ddb7bfd3888bd415f226a552f79c1d922f2a980c7243684d459d12497"),
+    ("cones --field 3 --dim 2 --format json", 0, "976485832d7e45cc2dedf1692654a7cd9036191f95971525f8a66c8d4951f391"),
+    ("crossconn --field 2 --dim 2 --all-eps --format json", 0, "5ecead98b5f9c56588070d0e0065dfb64e05bbec897fc7d6788002eafe387219"),
+    ("crossconn --field 3 --dim 2 --all-eps --format json", 0, "7194738f68721819e2323c8873ef5b9079d0434f0e9518b025f9ffc2395c0072"),
+    ("amalgam --field 2 --format json", 0, "014ea4bdc1230f776136262e7c93076b364cc4f74abd692cf92481d80eb350c6"),
+    ("verify-all --field 2 --dim 2 --format json", 0, "a60e2df95ead945c2201f21117e5b874587e4466b78c9e4fa619892974663e37"),
+    ("verify-all --field 2 --dim 2", 0, "1c65dfd448a9cbe24153def2f2646b6a747f34d0dda063e9574890c30de483d0"),
+    ("verify-all --field 2 --dim 2 --format json --seed 7", 0, "a60e2df95ead945c2201f21117e5b874587e4466b78c9e4fa619892974663e37"),
+    ("verify-all --field 3 --dim 2 --format json", 1, "f9bac6ed93aee13501002e3759c215bd6b5823279cb13886bde58c02d68afd87"),
+    ("amalgam --field 2 --format dot", 0, "8d9c59acea3ba14e8e6950d717be25445d424ddb3d7eef71063cf74606253dcc"),
 ]
 
 
-@pytest.mark.parametrize("command,digest", GOLDEN, ids=[c for c, _ in GOLDEN])
-def test_output_is_byte_identical(command, digest):
+@pytest.mark.parametrize("command,code,digest", GOLDEN, ids=[c for c, _, _ in GOLDEN])
+def test_output_is_byte_identical(command, code, digest):
     buf = io.StringIO()
     with redirect_stdout(buf):
-        code = cli.main(command.split())
-    assert code == 0
+        got = cli.main(command.split())
+    assert got == code
     assert hashlib.sha256(buf.getvalue().encode()).hexdigest() == digest
