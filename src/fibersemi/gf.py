@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -151,8 +151,10 @@ class Subspace:
     def dim(self) -> int:
         return len(self.basis)
 
-    @property
+    @cached_property
     def pivots(self):
+        """Pivot column of each basis row; computed once per instance, kept
+        out of the fields so equality, hashing and JSON ignore it."""
         return tuple(next(j for j, x in enumerate(row) if x) for row in self.basis)
 
     def contains(self, v) -> bool:

@@ -241,15 +241,29 @@ EXHAUSTIVE_CONE_LIMIT = 1 << 16
 def enumerate_normal_cones(cat: SubspaceCategory):
     """The cone semigroup, with the map back to inducing endomorphisms.
 
-    Small categories are swept assignment by assignment and filtered through
+    The closed-form order of Sing(GF(p)^n), which the cone semigroup has, is
+    checked against the associativity guard before any cone is built.  Small
+    categories are then swept assignment by assignment and filtered through
     validate_cone; larger ones take the principal cones of every singular
-    endomorphism and verify closure instead.  Either way the Cayley table is
-    computed by cone composition, never by a matrix shortcut.
+    endomorphism and verify closure instead.
+
+    Either way every cell of the Cayley table is a cone composition, never a
+    matrix shortcut, filled once per (row cone, component) pair:
+    cone_compose(g1, g2) reads g2 only through its component at the vertex
+    of g1, so all columns that share that component share the product.  Each
+    distinct component is factored once, and each row pushes g1 along each
+    distinct epimorphic part once; the product must be an enumerated cone.
 
     Returns (semigroup, cones, endos) with parallel indexing; labels are the
     matrices of the inducing endomorphisms.
     """
     p, n = cat.p, cat.n
+    size = gf.singular_count(p, n)
+    if size > gf.ASSOC_GUARD:
+        raise gf.GuardExceeded(
+            f"the cone semigroup of GF({p})^{n} has order {size}, "
+            f"beyond the associativity guard {gf.ASSOC_GUARD}"
+        )
     space = sum(
         _count_assignments(cat, v) for v in cat.objects
     )
@@ -268,15 +282,28 @@ def enumerate_normal_cones(cat: SubspaceCategory):
     order = sorted(range(len(cones)), key=lambda i: endos[i].rows)
     cones = [cones[i] for i in order]
     endos = [endos[i] for i in order]
+    if not all(is_normal_cone(c) for c in cones):
+        raise ValueError("cone composition requires normal cones")
     index = {c: i for i, c in enumerate(cones)}
+    # per object k: (epimorphic part of a component at k, columns having it)
+    columns = []
+    for k in range(len(cat.objects)):
+        by_component = {}
+        for j, c in enumerate(cones):
+            by_component.setdefault(c.components[k], []).append(j)
+        columns.append([
+            (normal_factorization(through).epi, cols)
+            for through, cols in by_component.items()
+        ])
     table = []
-    for c1 in cones:
-        row = []
-        for c2 in cones:
-            prod = cone_compose(cat, c1, c2)
-            if prod not in index:
+    for g1 in cones:
+        row = [None] * len(cones)
+        for epi, cols in columns[cat.index(g1.vertex)]:
+            prod = index.get(cone_star(cat, g1, epi))
+            if prod is None:
                 raise AssertionError("cone composition left the enumerated set")
-            row.append(index[prod])
+            for j in cols:
+                row[j] = prod
         table.append(tuple(row))
     semigroup = sg.from_table(tuple(e.rows for e in endos), table)
     return semigroup, tuple(cones), tuple(endos)

@@ -35,6 +35,8 @@ def test_enumerate_guard_exit(capsys):
 @pytest.mark.parametrize("argv", [
     ("enumerate", "--field", "2", "--dim", "4"),
     ("enumerate", "--field", "3", "--dim", "3"),
+    ("cones", "--field", "3", "--dim", "3"),
+    ("cones", "--field", "2", "--dim", "4"),
 ])
 def test_sing_guard_refuses_fast(capsys, argv):
     start = time.perf_counter()

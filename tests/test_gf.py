@@ -1,6 +1,7 @@
 """Field-level linear algebra: examples checked against independent
 brute-force oracles computed inside this module."""
 
+import dataclasses
 import itertools
 
 import pytest
@@ -158,6 +159,15 @@ def test_subspace_enumeration_matches_brute_force():
         brute = brute_all_subspaces(n, p)
         got = {frozenset(s.vectors()) for s in gf.enumerate_subspaces(p, n)}
         assert got == brute
+
+@pytest.mark.parametrize("p", gf.SUPPORTED_PRIMES)
+def test_cached_pivots_are_the_rref_pivots(p):
+    assert "pivots" not in {f.name for f in dataclasses.fields(gf.Subspace)}
+    for n in (1, 2, 3):
+        for s in gf.enumerate_subspaces(p, n):
+            assert s.pivots == gf.rref(s.basis, n, p)[1]
+            fresh = gf.Subspace(p, n, s.basis)
+            assert fresh == s and hash(fresh) == hash(s) and fresh.to_json() == s.to_json()
 
 def test_subspace_guard():
     with pytest.raises(gf.GuardExceeded):

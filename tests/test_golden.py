@@ -1,6 +1,7 @@
 """Byte-identical CLI output: SHA-256 and exit status of each command,
-recorded before the Sing table moved to the integer-coded kernel; the last
-four before verify-all's checks were made exhaustive and deduplicated."""
+recorded before the Sing table moved to the integer-coded kernel; the next
+four before verify-all's checks were made exhaustive and deduplicated; the
+(5,2) cones digest before the cone table was filled once per component."""
 
 import hashlib
 import io
@@ -33,6 +34,7 @@ GOLDEN = [
     ("verify-all --field 2 --dim 2 --format json --seed 7", 0, "a60e2df95ead945c2201f21117e5b874587e4466b78c9e4fa619892974663e37"),
     ("verify-all --field 3 --dim 2 --format json", 1, "f9bac6ed93aee13501002e3759c215bd6b5823279cb13886bde58c02d68afd87"),
     ("amalgam --field 2 --format dot", 0, "8d9c59acea3ba14e8e6950d717be25445d424ddb3d7eef71063cf74606253dcc"),
+    ("cones --field 5 --dim 2 --format json", 0, "666403c1efa3470d9df4c49e1426ed75a036d7f9c3ff8b0aa34e9fa10bcaabc2"),
 ]
 
 

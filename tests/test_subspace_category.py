@@ -7,6 +7,7 @@ import pytest
 from fibersemi import gf
 from fibersemi import semigroups as sg
 from fibersemi import subspace_category as sc
+from fibersemi.annihilators import build_annihilator_category
 
 
 @pytest.fixture(scope="module")
@@ -277,6 +278,51 @@ def test_cone_semigroup_isomorphic_to_singular_endos(cat22, sing22):
     rep = sg.verify_morphism(sg.SemigroupMorphism(sing, smg, mapping))
     assert rep.is_hom and rep.is_injective
     assert len(set(mapping)) == smg.order
+
+def cell_by_cell_rows(cat, cones, rows):
+    """Oracle: table rows filled one cone_compose per cell."""
+    index = {c: i for i, c in enumerate(cones)}
+    return [[index[sc.cone_compose(cat, cones[i], g2)] for g2 in cones] for i in rows]
+
+@pytest.mark.parametrize("build", [
+    lambda: sc.build_category(2, 2),
+    lambda: sc.build_category(3, 2),
+    lambda: build_annihilator_category(2, 2).dual_category,
+], ids=["2-2", "3-2", "annihilator-dual-2-2"])
+def test_grouped_fill_matches_cell_by_cell_composition(build):
+    cat = build()
+    smg, cones, _ = sc.enumerate_normal_cones(cat)
+    assert [list(r) for r in smg.table] == cell_by_cell_rows(cat, cones, range(len(cones)))
+
+def test_grouped_fill_on_the_principal_path_2_3(cat23):
+    smg, cones, _ = sc.enumerate_normal_cones(cat23)
+    # every cell against Sing's matrix products; one row per vertex, so every
+    # column grouping, against cell-by-cell composition (the whole table
+    # that way is 118k compositions)
+    assert smg.table == sg.sing_semigroup(2, 3).table
+    rows = [next(i for i, c in enumerate(cones) if c.vertex == v) for v in cat23.objects]
+    assert [list(smg.table[i]) for i in rows] == cell_by_cell_rows(cat23, cones, rows)
+
+def test_product_outside_the_enumerated_set_raises(monkeypatch, cat22):
+    star = sc.cone_star
+    def flattened_star(cat, cone, f):
+        out = star(cat, cone, f)
+        if out.vertex.dim == 0:
+            return out
+        return sc.Cone(out.vertex, tuple(gf.zero_map(o, out.vertex) for o in cat.objects))
+    monkeypatch.setattr(sc, "cone_star", flattened_star)
+    with pytest.raises(AssertionError, match="left the enumerated set"):
+        sc.enumerate_normal_cones(cat22)
+
+def test_cone_guard_refuses_before_building_a_cone(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("built a cone before the guard refused")
+    monkeypatch.setattr(sc, "principal_cone", refuse)
+    monkeypatch.setattr(sc, "_assignment_space", refuse)
+    with pytest.raises(gf.GuardExceeded, match="order 8451, beyond the associativity guard 1500"):
+        sc.enumerate_normal_cones(sc.build_category(3, 3))
+    with pytest.raises(gf.GuardExceeded, match="order 45376, beyond the associativity guard 1500"):
+        sc.enumerate_normal_cones(sc.build_category(2, 4))
 
 def test_unit_cones_exist_at_every_vertex(cat22, cat23):
     for cat in (cat22, cat23):
