@@ -18,7 +18,7 @@ SUPPORTED_PRIMES = (2, 3, 5, 7)
 
 SUBSPACE_ENUM_LIMIT = 4096  # max p**n
 ENDO_ENUM_LIMIT = 1 << 20   # max p**(n*n)
-ASSOC_GUARD = 1500          # largest order for the exhaustive associativity check
+ASSOC_GUARD = 1500          # largest order of a Cayley table checked for associativity
 
 
 class GuardExceeded(ValueError):

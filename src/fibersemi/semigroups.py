@@ -12,6 +12,7 @@ import json
 from collections import defaultdict
 from dataclasses import dataclass, field
 from functools import lru_cache
+from itertools import chain
 
 import numpy as np
 
@@ -67,17 +68,40 @@ def _label_from_json(x):
     return x
 
 
-def _associativity_witness(table):
-    """First (i,j,k) with (ij)k != i(jk), or None.  Vectorized per row."""
-    t = np.asarray(table, dtype=np.int32)
-    n = len(t)
-    for i in range(n):
-        left = t[t[i], :]        # left[j,k] = (ij)k
-        right = t[i, t]          # right[j,k] = i(jk)
-        bad = left != right
+def _generators(t):
+    """Generators of the magma with int table t.  Walking the indices in
+    order, each index outside the closure so far becomes a generator, and the
+    closure is extended under right multiplication by the generators so far.
+    At the end the closure is every index."""
+    closure, gens = np.zeros(len(t), dtype=bool), []
+    for a in range(len(t)):
+        if closure[a]:
+            continue
+        gens.append(a)
+        closure[a] = True
+        frontier = np.flatnonzero(closure)
+        while frontier.size:
+            fresh = np.zeros_like(closure)
+            fresh[t[np.ix_(frontier, gens)]] = True
+            frontier = np.flatnonzero(fresh & ~closure)
+            closure |= fresh
+    return gens
+
+
+def _associativity_witness(t):
+    """A triple (x, g, y) with (xg)y != x(gy), or None if t is associative.
+
+    Light's test over the generating set of ``_generators``.  It is sound for
+    any magma: A = {a : (xa)y = x(ay) for all x, y} is closed under the
+    product, since (x(ab))y = ((xa)b)y = (xa)(by) = x(a(by)) = x((ab)y).  The
+    closure of G under right multiplication lies in the submagma G generates,
+    which lies in A once G does; so closure = S means A = S.
+    """
+    for g in _generators(t):
+        bad = t[t[:, g]] != t[:, t[g]]   # [x, y]: (xg)y vs x(gy)
         if bad.any():
-            j, k = np.unravel_index(np.argmax(bad), bad.shape)
-            return (i, int(j), int(k))
+            x, y = divmod(int(np.argmax(bad)), len(t))
+            return (x, g, y)
     return None
 
 
@@ -96,12 +120,17 @@ def from_table(elements, table) -> FiniteSemigroup:
     table = tuple(tuple(r) for r in table)
     if len(table) != n or any(len(r) != n for r in table):
         raise ValueError("table must be square of the same order as the element list")
-    for r in table:
-        for x in r:
-            if type(x) is not int or not (0 <= x < n):
-                raise ValueError(f"table entry {x!r} is not an index below {n}")
+    t = None
+    if set(map(type, chain.from_iterable(table))) <= {int}:  # one C-level pass; bool is not int
+        try:
+            t = np.array(table, dtype=np.int32).reshape(n, n)
+        except OverflowError:  # beyond int32, so beyond any order the guard admits
+            pass
+    if t is None or (n and not 0 <= t.min() <= t.max() < n):
+        x = next(x for x in chain.from_iterable(table) if type(x) is not int or not 0 <= x < n)
+        raise ValueError(f"table entry {x!r} is not an index below {n}")
     if n:
-        w = _associativity_witness(table)
+        w = _associativity_witness(t)
         if w is not None:
             raise NotAssociative(tuple(elements[i] for i in w))
     return FiniteSemigroup(elements, table)
@@ -110,7 +139,7 @@ def from_table(elements, table) -> FiniteSemigroup:
 def automorphism_witness(table, perm):
     """First (i, j) with perm[ij] != perm[i]perm[j], or None.  table and perm
     are integer arrays; perm must be a permutation of the indices.
-    Vectorized per row, like the associativity sweep."""
+    Vectorized per row."""
     if not np.array_equal(np.sort(perm), np.arange(len(table))):
         raise ValueError("not a permutation of the element indices")
     for i in range(len(table)):
@@ -123,7 +152,7 @@ def automorphism_witness(table, perm):
 @lru_cache(maxsize=None)
 def sing_semigroup(p, n) -> FiniteSemigroup:
     """Sing(GF(p)^n) over its singular Endos in enumeration order, from the
-    integer-coded table; the associativity sweep runs once per (p, n)."""
+    integer-coded table; associativity is decided once per (p, n)."""
     elems, _, table = gf.sing_table(p, n)
     ints = tuple(range(len(elems)))  # one int object per index, shared by every row
     return from_table(elems, (tuple(map(ints.__getitem__, row.tolist())) for row in table))
@@ -221,18 +250,23 @@ def green_relations(s: FiniteSemigroup) -> GreenStructure:
     The completion keeps L and R reflexive on non-regular semigroups;
     principal_ideals still reports the literal product sets.
     """
-    rn = range(s.order)
-    lkeys, rkeys = [], []
-    for a in rn:
-        la = frozenset(s.table[x][a] for x in rn) | {a}
-        ra = frozenset(s.table[a][x] for x in rn) | {a}
-        lkeys.append(la)
-        rkeys.append(ra)
+    n = s.order
+    t = np.array(s.table, dtype=np.int32).reshape(n, n)
+    idx = np.arange(n)
+
+    def keys(rows):  # a bit-packed membership row per element, as bytes
+        member = np.zeros((n, n), dtype=bool)
+        member[rows, t] = True
+        member[idx, idx] = True
+        return [r.tobytes() for r in np.packbits(member, axis=1)]
+
+    lkeys = keys(idx)            # row a marks {xa : x} u {a}
+    rkeys = keys(idx[:, None])   # row a marks {ax : x} u {a}
     l_classes = _partition(lkeys)
     r_classes = _partition(rkeys)
     h_classes = _partition(list(zip(lkeys, rkeys)))
     # D = join of L and R: connected components under either relation
-    parent = list(rn)
+    parent = list(range(n))
 
     def find(x):
         while parent[x] != x:
@@ -249,7 +283,7 @@ def green_relations(s: FiniteSemigroup) -> GreenStructure:
         for cls in classes:
             for x in cls[1:]:
                 union(cls[0], x)
-    d_classes = _partition([find(i) for i in rn])
+    d_classes = _partition([find(i) for i in range(n)])
     return GreenStructure(l_classes, r_classes, h_classes, d_classes)
 
 

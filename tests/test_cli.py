@@ -184,7 +184,8 @@ def test_intact_table_passes(tmp_path, capsys):
     [1, 2],
     {"elements": [{"a": 1}], "table": [[0]]},
     {"elements": ["z"], "table": [[False]]},
-], ids=["top-level-array", "object-label", "boolean-entry"])
+    {"elements": ["z"], "table": [[2 ** 70]]},
+], ids=["top-level-array", "object-label", "boolean-entry", "huge-entry"])
 def test_malformed_table_fails_with_error(tmp_path, capsys, doc):
     path = tmp_path / "table.json"
     path.write_text(json.dumps(doc))

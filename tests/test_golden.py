@@ -1,7 +1,9 @@
 """Byte-identical CLI output: SHA-256 and exit status of each command,
 recorded before the Sing table moved to the integer-coded kernel; the next
 four before verify-all's checks were made exhaustive and deduplicated; the
-(5,2) cones digest before the cone table was filled once per component."""
+(5,2) cones digest before the cone table was filled once per component; the
+last four, the remaining sing-tables points, before associativity moved to
+Light's test and Green's relations to bit-packed ideal rows."""
 
 import hashlib
 import io
@@ -35,6 +37,10 @@ GOLDEN = [
     ("verify-all --field 3 --dim 2 --format json", 1, "f9bac6ed93aee13501002e3759c215bd6b5823279cb13886bde58c02d68afd87"),
     ("amalgam --field 2 --format dot", 0, "8d9c59acea3ba14e8e6950d717be25445d424ddb3d7eef71063cf74606253dcc"),
     ("cones --field 5 --dim 2 --format json", 0, "666403c1efa3470d9df4c49e1426ed75a036d7f9c3ff8b0aa34e9fa10bcaabc2"),
+    ("enumerate --field 2 --dim 3 --format json", 0, "4133e1cba8268285d64bc3c706eac76bce6e301baacb202e425e814fc40c0e5b"),
+    ("green --field 2 --dim 3 --format dot", 0, "6827a987aab561f2cc37d15702a45d4d4a97dd7605249a96935dfcb20823f1a5"),
+    ("enumerate --field 7 --dim 2 --format json", 0, "3cfbac822892b2bcce49bbfa4faeea9f1318a82a15ace61010c62e8929d38968"),
+    ("green --field 7 --dim 2 --format json", 0, "98d174d585664a30e22c08b61c862b18a4c9d6b72f278101b274c85023ef1522"),
 ]
 
 

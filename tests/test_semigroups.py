@@ -3,7 +3,13 @@ morphisms, amalgams and the eggbox export."""
 
 import itertools
 import json
+import random
+import subprocess
+import sys
+from collections import deque
+from pathlib import Path
 
+import numpy as np
 import pytest
 
 from fibersemi import gf
@@ -13,6 +19,31 @@ from fibersemi import semigroups as sg
 def sing_semigroup(p, n):
     elems = gf.enumerate_endos(p, n, singular_only=True)
     return sg.from_multiplication(elems, lambda a, b: a * b)
+
+
+def sweep_witness(table):
+    """Oracle: the first (i, j, k) with (ij)k != i(jk), or None, by the
+    O(N^3) sweep, vectorized per row."""
+    t = np.asarray(table, dtype=np.int32)
+    for i in range(len(t)):
+        bad = t[t[i], :] != t[i, t]   # [j, k]: (ij)k vs i(jk)
+        if bad.any():
+            j, k = np.unravel_index(np.argmax(bad), bad.shape)
+            return (i, int(j), int(k))
+    return None
+
+
+def relabelled(s, seed):
+    """s with its indices permuted at random: another presentation of it."""
+    perm = list(range(s.order))
+    random.Random(seed).shuffle(perm)
+    table = [[0] * s.order for _ in range(s.order)]
+    for i, j in itertools.product(range(s.order), repeat=2):
+        table[perm[i]][perm[j]] = perm[s.table[i][j]]
+    elements = [None] * s.order
+    for i, x in enumerate(s.elements):
+        elements[perm[i]] = x
+    return sg.from_table(elements, table)
 
 
 def brute_assoc_holds(table):
@@ -49,6 +80,9 @@ def test_table_shape_validation():
         sg.from_table(["a", "b"], [[0, 2], [0, 0]])
     with pytest.raises(ValueError):
         sg.from_table(["a", "a"], [[0, 0], [0, 0]])
+    for bad in (-1, True, 2 ** 70, -2 ** 70, 1.0):
+        with pytest.raises(ValueError, match="not an index below 2"):
+            sg.from_table(["a", "b"], [[0, 0], [0, bad]])
 
 def test_order_guard():
     n = sg.ASSOC_GUARD + 1
@@ -376,3 +410,123 @@ def test_cached_sing_semigroup_matches_oracle(p, n):
     oracle = sing_semigroup(p, n)
     assert s.elements == oracle.elements and s.table == oracle.table
     assert sg.sing_semigroup(p, n) is s
+
+
+# ---------------------------------------------------------------------------
+# Light's associativity test against the O(N^3) sweep
+
+def assert_decided_like_the_sweep(table):
+    """from_table rejects table exactly when the sweep finds a failing
+    triple, and its witness fails; returns whether it was rejected."""
+    n = len(table)
+    oracle = sweep_witness(table)
+    try:
+        sg.from_table(range(n), table)
+    except sg.NotAssociative as exc:
+        assert oracle is not None, table
+        x, y, z = exc.witness
+        assert table[table[x][y]][z] != table[x][table[y][z]], (table, exc.witness)
+    else:
+        assert oracle is None, table
+    return oracle is not None
+
+def test_light_decides_every_magma_of_order_at_most_3():
+    count = 0
+    for n in (1, 2, 3):
+        for cells in itertools.product(range(n), repeat=n * n):
+            assert_decided_like_the_sweep([cells[i * n:(i + 1) * n] for i in range(n)])
+            count += 1
+    assert count == 1 + 2 ** 4 + 3 ** 9
+
+def test_light_catches_every_single_cell_mutation_of_sing_2_2():
+    s = sg.sing_semigroup(2, 2)
+    caught = 0
+    for i, j in itertools.product(range(s.order), repeat=2):
+        for v in range(s.order):
+            if v != s.table[i][j]:
+                table = [list(r) for r in s.table]
+                table[i][j] = v
+                caught += assert_decided_like_the_sweep(table)
+    assert caught == 100 * 9   # every one of them breaks associativity
+
+def right_closure_walk(table):
+    """Independent pure-Python form of the generator walk: the least index
+    outside the right-multiplication closure of the generators so far is the
+    next generator; returns the generators and the final closure."""
+    n = len(table)
+    gens, closure = [], set()
+    for a in range(n):
+        if a in closure:
+            continue
+        gens.append(a)
+        closure.add(a)
+        queue = deque(closure)
+        while queue:
+            x = queue.popleft()
+            for g in gens:
+                y = table[x][g]
+                if y not in closure:
+                    closure.add(y)
+                    queue.append(y)
+    return gens, closure
+
+@pytest.mark.parametrize("builder", [
+    *(lambda p=p, n=n: sg.sing_semigroup(p, n) for p, n in [(2, 3), (7, 2), (5, 2), (3, 2)]),
+    lambda: relabelled(sg.sing_semigroup(2, 3), 5),
+], ids=["2,3", "7,2", "5,2", "3,2", "relabelled 2,3"])
+def test_generators_reach_every_element(builder):
+    s = builder()
+    gens = sg._generators(np.array(s.table, dtype=np.int32))
+    want, closure = right_closure_walk(s.table)
+    assert gens == want
+    assert closure == set(range(s.order))
+    assert len(gens) < s.order
+
+
+# ---------------------------------------------------------------------------
+# Green's relations against the frozenset construction
+
+def green_oracle(s):
+    """Green's relations from frozenset ideals S^1 a, with D as the join of L
+    and R by union-find."""
+    rn = range(s.order)
+    lkeys = [frozenset(s.table[x][a] for x in rn) | {a} for a in rn]
+    rkeys = [frozenset(s.table[a][x] for x in rn) | {a} for a in rn]
+    parent = list(rn)
+
+    def find(x):
+        while parent[x] != x:
+            x = parent[x]
+        return x
+
+    l_classes, r_classes = sg._partition(lkeys), sg._partition(rkeys)
+    for cls in l_classes + r_classes:
+        for x in cls[1:]:
+            rx, ry = find(cls[0]), find(x)
+            parent[max(rx, ry)] = min(rx, ry)
+    return sg.GreenStructure(l_classes, r_classes, sg._partition(list(zip(lkeys, rkeys))),
+                             sg._partition([find(i) for i in rn]))
+
+@pytest.mark.parametrize("builder", [
+    *(lambda p=p, n=n: sg.sing_semigroup(p, n) for p, n in [(2, 2), (3, 2), (5, 2), (7, 2), (2, 3)]),
+    lambda: sg.null_semigroup_fixture().core,
+    lambda: sg.null_semigroup_fixture().branches[0],
+    lambda: sg.null_semigroup_fixture().branches[1],
+    lambda: relabelled(sg.sing_semigroup(3, 2), 2),
+], ids=["2,2", "3,2", "5,2", "7,2", "2,3", "null core", "null branch 0", "null branch 1",
+        "relabelled 3,2"])
+def test_green_matches_frozenset_oracle(builder):
+    s = builder()
+    assert sg.green_relations(s) == green_oracle(s)
+
+
+def test_sing_and_green_leave_numpy_ma_unimported():
+    # numpy.ma (pulled in by np.unique, for one) costs about 1 MB of
+    # resident memory in every process
+    src = Path(sg.__file__).resolve().parents[1]
+    code = ("import sys; from fibersemi import semigroups as sg; "
+            "sg.green_relations(sg.sing_semigroup(2, 3)); "
+            "print('numpy.ma' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code], cwd=src, env={"PYTHONPATH": str(src)},
+                         capture_output=True, text=True, check=True).stdout
+    assert out.strip() == "False"
