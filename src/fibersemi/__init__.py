@@ -40,7 +40,6 @@ from .semigroups import (
     idempotents,
     is_regular,
     null_semigroup_fixture,
-    principal_ideals,
     semigroup_from_json,
     verify_amalgam,
     verify_morphism,
@@ -72,12 +71,8 @@ from .crossconn import (
     CrossConnection,
     CrossConnSemigroup,
     LinkedPair,
-    bifunctor_sets,
     build_cross_conn_semigroup,
-    check_functorial,
     cross_connection,
-    linking_bijection,
-    verify_cross_connection,
 )
 from .bundles import (
     BundleAmalgam,

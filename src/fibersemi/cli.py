@@ -158,20 +158,28 @@ def _check_dual_category(p, n):
 
 
 def _check_cross_connections(p, n):
-    # The linked-pair semigroup shares Sing's table with labels in Sing
-    # order, so its order, its first projection and its regularity hold by
-    # construction (regularity is regularity-idempotents).  The build raises
-    # unless the conjugation law holds on every pair.
-    cat = sc.build_category(p, n)
+    # Decided on the subspace index (crossconn.subspace_index), whose build
+    # refuses by Sing's order before any automorphism is enumerated.  The
+    # linked-pair semigroup shares Sing's table with labels in Sing order,
+    # so its order, its first projection and its regularity hold by
+    # construction; only its conjugation law is checked here.  object_actions
+    # also decides that the actions are injective on hom-sets.
+    idx = xc.subspace_index(p, n)
+    _, _, table = gf.sing_table(p, n)
     for eps in gf.enumerate_automorphisms(p, n):
         cc = xc.cross_connection(eps)
-        if not xc.verify_cross_connection(cc).ok:
+        actions = xc.object_actions(cc, idx)
+        if actions is None:
+            return False, {"eps": eps.to_json(), "failure": "functoriality"}
+        e_obj, et_obj = actions
+        if not xc.covers(idx, et_obj):
             return False, {"eps": eps.to_json(), "failure": "covering"}
-        xc.build_cross_conn_semigroup(eps)
-        for a in cat.objects:
-            for y in cat.objects:
-                if not xc.linking_bijection(cc, a, y).bijective:
-                    return False, {"eps": eps.to_json(), "a": a.to_json(), "y": y.to_json()}
+        perm = gf.sing_conjugation(cc.eps_inv, eps)
+        xc.check_conjugation_law(table, perm)  # raises unless perm is a permutation
+        pair = xc.link_failure(idx, perm, e_obj, et_obj)
+        if pair is not None:
+            a, y = pair
+            return False, {"eps": eps.to_json(), "a": a.to_json(), "y": y.to_json()}
     return True, None
 
 

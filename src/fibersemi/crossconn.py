@@ -6,25 +6,23 @@ subspace objects directly; conjugation links the two sides.  The linked pairs
 (alpha, eps^-1.alpha.eps) over all singular alpha form a semigroup under the
 componentwise product, isomorphic to the singular endomorphisms through the
 first projection.
+
+The claims about a connection (functoriality, covering, inclusion and the
+linking bijection) are decided on integer arrays: every subspace of GF(p)^n
+gets a position once per (p, n), and each Sing element is read through the
+positions of four subspaces it determines.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
+
+import numpy as np
 
 from . import gf
 from . import semigroups as sg
-from . import subspace_category as sc
 from .gf import Endo, LinearMap, Subspace
-
-#: membership readings for the bifunctor sets: the second condition either
-#: constrains the annihilator of the kernel ("kernel", the reading under
-#: which the linking map is a bijection) or of the image of the first
-#: argument ("image", the literal transcription, kept for comparison).
-MEMBERSHIP_MODES = ("kernel", "image")
-DEFAULT_MODE = "kernel"
 
 
 @dataclass(frozen=True)
@@ -51,207 +49,148 @@ class CrossConnection:
     def eps_inv_t(self) -> Endo:
         return gf.transpose(self.eps_inv)
 
+    def _restrictions(self, x: Subspace, fwd_map: Endo, back_map: Endo):
+        """(back_x, fwd_x) at object x: fwd_x is fwd_map restricted to
+        x -> F(x), F(x) being its image, and back_x is back_map restricted to
+        F(x) -> x.  Both actions on morphisms are back . f . fwd."""
+        images = [fwd_map.apply(v) for v in x.basis]
+        fx = gf.subspace_span(images, self.n, self.p)
+        back = gf.linear_map(fx, x, [back_map.apply(v) for v in fx.basis])
+        return back, gf.linear_map(x, fx, images)
+
     # -- action on the annihilator side (dual coordinates) ------------------
     def dual_object_image(self, y: Subspace) -> Subspace:
         return gf.subspace_span([self.eps_t.apply(f) for f in y.basis], self.n, self.p)
 
+    def dual_restrictions(self, y: Subspace):
+        return self._restrictions(y, self.eps_t, self.eps_inv_t)
+
     def dual_morphism_image(self, m: LinearMap) -> LinearMap:
         """Conjugate a map of dual subspaces: transpose-inverse, m, transpose."""
-        src = self.dual_object_image(m.dom)
-        dst = self.dual_object_image(m.cod)
-        back = gf.linear_map(src, m.dom, [self.eps_inv_t.apply(f) for f in src.basis])
-        fwd = gf.linear_map(m.cod, dst, [self.eps_t.apply(f) for f in m.cod.basis])
-        return back.compose(m).compose(fwd)
+        return self.dual_restrictions(m.dom)[0].compose(m).compose(self.dual_restrictions(m.cod)[1])
 
     # -- action on the subspace side ----------------------------------------
     def primal_object_image(self, a: Subspace) -> Subspace:
         return gf.subspace_span([self.eps.apply(v) for v in a.basis], self.n, self.p)
 
+    def primal_restrictions(self, a: Subspace):
+        return self._restrictions(a, self.eps, self.eps_inv)
+
     def primal_morphism_image(self, f: LinearMap) -> LinearMap:
-        src = self.primal_object_image(f.dom)
-        dst = self.primal_object_image(f.cod)
-        back = gf.linear_map(src, f.dom, [self.eps_inv.apply(v) for v in src.basis])
-        fwd = gf.linear_map(f.cod, dst, [self.eps.apply(v) for v in f.cod.basis])
-        return back.compose(f).compose(fwd)
+        return self.primal_restrictions(f.dom)[0].compose(f).compose(self.primal_restrictions(f.cod)[1])
 
     def conjugate(self, alpha: Endo) -> Endo:
         return self.eps_inv * alpha * self.eps
 
-    def to_json(self):
-        return {"eps": self.eps.to_json()}
-
 
 def cross_connection(eps: Endo) -> CrossConnection:
-    """The connection induced by an automorphism; check_functorial verifies
-    its two actions."""
+    """The connection induced by an automorphism; object_actions decides that
+    its two actions are functors."""
     if not eps.is_invertible():
         raise ValueError("cross-connections require an invertible endomorphism")
     return CrossConnection(eps)
 
 
-def check_functorial(cc: CrossConnection):
-    """Raise unless both actions preserve identities and composition, checked
-    exhaustively over the proper subspaces and every composable pair."""
-    cat = sc.build_category(cc.p, cc.n)
-    for obj in cat.objects:
-        y = cc.dual_object_image(obj)
-        if cc.dual_morphism_image(gf.identity_map(obj)) != gf.identity_map(y):
-            raise AssertionError("dual action does not preserve identities")
-        a = cc.primal_object_image(obj)
-        if cc.primal_morphism_image(gf.identity_map(obj)) != gf.identity_map(a):
-            raise AssertionError("primal action does not preserve identities")
-    for x in cat.objects:
-        for y in cat.objects:
-            for f in gf.all_linear_maps(x, y):
-                for z in cat.objects:
-                    for g in gf.all_linear_maps(y, z):
-                        if cc.dual_morphism_image(f.compose(g)) != \
-                                cc.dual_morphism_image(f).compose(cc.dual_morphism_image(g)):
-                            raise AssertionError("dual action does not preserve composition")
-                        if cc.primal_morphism_image(f.compose(g)) != \
-                                cc.primal_morphism_image(f).compose(cc.primal_morphism_image(g)):
-                            raise AssertionError("primal action does not preserve composition")
-
-
 # ---------------------------------------------------------------------------
-# covering condition and the local-isomorphism reading
+# the claims about a connection, decided on subspace positions
 
 @dataclass(frozen=True)
-class CoveringReport:
-    covering_ok: bool
-    witnesses: tuple          # (subspace object, dual witness object) pairs
-    inclusion_ok: bool
-    hom_injective_ok: bool
-    reading: str = "inclusion-preserving with injective hom maps"
-
-    @property
-    def ok(self):
-        return self.covering_ok and self.inclusion_ok and self.hom_injective_ok
-
-
-def functor_m_set(cc: CrossConnection, cat: sc.SubspaceCategory, y: Subspace):
-    """M-set of the connection at a dual object: complements of the subspace
-    annihilated by the transported functionals."""
-    pre = gf.annihilator(cc.dual_object_image(y))
-    return tuple(a for a in cat.objects if gf.is_direct_sum(a, pre)), pre
+class SubspaceIndex:
+    """Every subspace of GF(p)^n at its position in enumerate_subspaces
+    order, with the relations the cross-connection claims read.  The four
+    per-element arrays follow sing_table order."""
+    subspaces: tuple
+    position: dict          # Subspace -> position
+    objects: np.ndarray     # positions of the proper subspaces, the category's objects
+    contains: np.ndarray    # contains[u, v]: v is a subspace of u
+    direct_sum: np.ndarray  # direct_sum[u, v]: u (+) v is the whole space
+    ann: np.ndarray         # position of the annihilator
+    img: np.ndarray         # image of x
+    annker: np.ndarray      # ann(ker x)
+    timg: np.ndarray        # image of the transpose of x
+    tannker: np.ndarray     # ann(ker) of the transpose of x
 
 
-def verify_cross_connection(cc: CrossConnection) -> CoveringReport:
-    """Covering plus the artifact's reading of local isomorphism.
+@lru_cache(maxsize=None)
+def subspace_index(p, n) -> SubspaceIndex:
+    """The index for (p, n), built once.  Sing's table comes first, so its
+    order guard refuses before any subspace is enumerated."""
+    elems, _, _ = gf.sing_table(p, n)
+    subspaces = gf.enumerate_subspaces(p, n)
+    position = {s: i for i, s in enumerate(subspaces)}
 
-    Covering: every subspace object lies in the M-set of some dual object.
-    Local isomorphism is read as inclusion preservation on dual objects plus
-    injectivity of the induced map on every hom-set.
+    def at(spaces):
+        return np.array([position[s] for s in spaces], dtype=np.intp)
+
+    transposes = [gf.transpose(x) for x in elems]
+    return SubspaceIndex(
+        subspaces, position,
+        objects=at(gf.enumerate_subspaces(p, n, proper_only=True)),
+        contains=np.array([[u.contains_subspace(v) for v in subspaces] for u in subspaces]),
+        direct_sum=np.array([[gf.is_direct_sum(u, v) for v in subspaces] for u in subspaces]),
+        ann=at(map(gf.annihilator, subspaces)),
+        img=at(x.image() for x in elems),
+        annker=at(gf.annihilator(x.kernel()) for x in elems),
+        timg=at(t.image() for t in transposes),
+        tannker=at(gf.annihilator(t.kernel()) for t in transposes),
+    )
+
+
+def object_actions(cc: CrossConnection, idx: SubspaceIndex):
+    """(e_obj, et_obj), the positions of eps.x and eps_t.x for each object x,
+    or None unless both actions are functors.
+
+    Each action sends f: x -> y to F(f) = back_x . f . fwd_y (maps compose
+    left to right), with back and fwd from _restrictions.  Suppose
+    fwd_x . back_x = id_x and back_x . fwd_x = id_F(x) at every object x,
+    which is what is checked here.  Then for f: x -> y and g: y -> z
+    F(f)F(g) = back_x f (fwd_y back_y) g fwd_z = back_x f g fwd_z = F(fg),
+    and F(id_x) = back_x fwd_x = id_F(x), so F is a functor.  Also
+    f = (fwd_x back_x) f (fwd_y back_y) = fwd_x F(f) back_y, so F is
+    injective on every hom-set.
     """
-    cat = sc.build_category(cc.p, cc.n)
-    witnesses = []
-    covering = True
-    for a in cat.objects:
-        found = None
-        for y in cat.objects:
-            mset, _ = functor_m_set(cc, cat, y)
-            if a in mset:
-                found = y
-                break
-        if found is None:
-            covering = False
-        witnesses.append((a, found))
-    inclusion_ok = True
-    for y in cat.objects:
-        for z in cat.objects:
-            if z.contains_subspace(y):
-                if not cc.dual_object_image(z).contains_subspace(cc.dual_object_image(y)):
-                    inclusion_ok = False
-    hom_injective = True
-    for y in cat.objects:
-        for z in cat.objects:
-            images = [cc.dual_morphism_image(m) for m in gf.all_linear_maps(y, z)]
-            if len(set(images)) != len(images):
-                hom_injective = False
-    return CoveringReport(covering, tuple(witnesses), inclusion_ok, hom_injective)
+    e_obj, et_obj = [], []
+    for i in idx.objects:
+        x = idx.subspaces[i]
+        for restrictions, out in ((cc.primal_restrictions, e_obj), (cc.dual_restrictions, et_obj)):
+            back, fwd = restrictions(x)
+            if (fwd.compose(back) != gf.identity_map(x)
+                    or back.compose(fwd) != gf.identity_map(fwd.cod)):
+                return None
+            out.append(idx.position[fwd.cod])
+    return np.array(e_obj, dtype=np.intp), np.array(et_obj, dtype=np.intp)
 
 
-# ---------------------------------------------------------------------------
-# bifunctor sets and the linking bijection
-
-def _first_member(cc, alpha: Endo, a: Subspace, y: Subspace, mode) -> bool:
-    if not a.contains_subspace(alpha.image()):
-        return False
-    target = cc.dual_object_image(y)
-    if mode == "kernel":
-        constrained = gf.annihilator(alpha.kernel())
-    elif mode == "image":
-        image_of_a = gf.subspace_span([alpha.apply(v) for v in a.basis], cc.n, cc.p)
-        constrained = gf.annihilator(image_of_a)
-    else:
-        raise ValueError(f"unknown membership mode {mode!r}")
-    return target.contains_subspace(constrained)
+def covers(idx: SubspaceIndex, et_obj) -> bool:
+    """Covering and inclusion.  Covering: every object a has a complement
+    ann(eps_t.y) for some object y, that is a lies in the M-set of y.
+    Inclusion: y <= z implies eps_t.y <= eps_t.z for objects y, z."""
+    objs, c = idx.objects, idx.contains
+    covering = idx.direct_sum[np.ix_(objs, idx.ann[et_obj])].any(axis=1).all()
+    inclusion = (c[np.ix_(et_obj, et_obj)] | ~c[np.ix_(objs, objs)]).all()
+    return bool(covering and inclusion)
 
 
-def _second_member(cc, beta: Endo, a: Subspace, y: Subspace, mode) -> bool:
-    """Mirror conditions on the dual side, written in terms of the transpose
-    action and pulled back to primal matrices."""
-    bt = gf.transpose(beta)
-    if not y.contains_subspace(bt.image()):
-        return False
-    target = cc.primal_object_image(a)
-    if mode == "kernel":
-        constrained = gf.annihilator(bt.kernel())
-    elif mode == "image":
-        image_of_y = gf.subspace_span([bt.apply(f) for f in y.basis], cc.n, cc.p)
-        constrained = gf.annihilator(image_of_y)
-    else:
-        raise ValueError(f"unknown membership mode {mode!r}")
-    return target.contains_subspace(constrained)
+def link_failure(idx: SubspaceIndex, perm, e_obj, et_obj):
+    """The first object pair (a, y) at which conjugation is not a bijection
+    from the first bifunctor set onto the second, or None.
 
-
-def bifunctor_sets(cc: CrossConnection, a: Subspace, y: Subspace, mode=DEFAULT_MODE):
-    """(first set, second set) of singular endomorphisms at the object pair.
-
-    First set: image inside a, with the mode's annihilator condition against
-    the transported dual object.  Second set: the mirror conditions through
-    the transpose.  Under the kernel mode conjugation carries one onto the
-    other; the image mode is the literal transcription and fails that test.
+    Sing element i is in the first set at (a, y) when its image lies in a
+    and ann(ker x_i) in eps_t.y; j is in the second set when the image of
+    its transpose lies in y and that transpose's ann(ker) in eps.a.  perm
+    must be a permutation (check_conjugation_law decides that); it sends
+    the first set onto the second exactly when i is in the first set iff
+    perm[i] is in the second.
     """
-    if mode not in MEMBERSHIP_MODES:
-        raise ValueError(f"unknown membership mode {mode!r}")
-    sing = gf.enumerate_endos(cc.p, cc.n, singular_only=True)
-    first = tuple(x for x in sing if _first_member(cc, x, a, y, mode))
-    second = tuple(x for x in sing if _second_member(cc, x, a, y, mode))
-    return first, second
-
-
-@dataclass(frozen=True)
-class LinkReport:
-    pairs: tuple
-    lands_in_second: bool
-    injective: bool
-    surjective: bool
-    witness: tuple | None
-
-    @property
-    def bijective(self):
-        return self.lands_in_second and self.injective and self.surjective
-
-
-def linking_bijection(cc: CrossConnection, a: Subspace, y: Subspace,
-                      mode=DEFAULT_MODE) -> LinkReport:
-    """Conjugation by the automorphism from the first bifunctor set to the
-    second, with an explicit bijectivity verdict."""
-    first, second = bifunctor_sets(cc, a, y, mode)
-    second_set = set(second)
-    pairs = tuple((x, cc.conjugate(x)) for x in first)
-    witness = None
-    lands = True
-    for x, img in pairs:
-        if img not in second_set:
-            lands = False
-            witness = (x, img)
-            break
-    images = [img for _, img in pairs]
-    injective = len(set(images)) == len(images)
-    surjective = set(images) == second_set if lands else False
-    return LinkReport(pairs, lands, injective, surjective, witness)
+    c = idx.contains
+    objc = c[idx.objects]
+    first = objc[:, None, idx.img] & c[et_obj][None, :, idx.annker]
+    second = objc[None, :, idx.timg] & c[e_obj][:, None, idx.tannker]
+    bad = (first != second[:, :, perm]).any(axis=2)
+    if not bad.any():
+        return None
+    a, y = np.argwhere(bad)[0]
+    return idx.subspaces[idx.objects[a]], idx.subspaces[idx.objects[y]]
 
 
 # ---------------------------------------------------------------------------
@@ -290,11 +229,22 @@ def check_conjugation_law(table, perm):
 
     perm[i] is the index of eps^-1.alpha_i.eps; the linked-pair product of
     (a, perm[a]) and (b, perm[b]) has second coordinate perm[ab], which must
-    equal the product perm[a].perm[b] on every pair.
+    equal perm[a].perm[b].  After checking that perm is a permutation, that
+    is tested for every a but only for b in the table's generating set G.
+    This is sound on an associative table, as Light's test is: the set
+    B = {b : perm[ab] = perm[a]perm[b] for all a} is closed under products,
+    since for b, c in B
+    perm[a(bc)] = perm[(ab)c] = perm[ab]perm[c] = (perm[a]perm[b])perm[c]
+    = perm[a](perm[b]perm[c]) = perm[a]perm[bc].  So B holds the submagma
+    G generates, which is the whole table.
     """
-    w = sg.automorphism_witness(table, perm)
-    if w is not None:
-        raise AssertionError(f"linked-pair product broke the conjugation law at pair {w}")
+    if not np.array_equal(np.sort(perm), np.arange(len(table))):
+        raise ValueError("not a permutation of the element indices")
+    gens = sg.table_generators(table)
+    bad = perm[table[:, gens]] != table[np.ix_(perm, perm[gens])]   # [a, k]: perm[a g_k] vs perm[a]perm[g_k]
+    if bad.any():
+        a, k = divmod(int(np.argmax(bad)), len(gens))
+        raise AssertionError(f"linked-pair product broke the conjugation law at pair {(a, int(gens[k]))}")
 
 
 def build_cross_conn_semigroup(eps: Endo) -> CrossConnSemigroup:
@@ -315,7 +265,3 @@ def build_cross_conn_semigroup(eps: Endo) -> CrossConnSemigroup:
     pairs = tuple(LinkedPair(x, sing.elements[k]) for x, k in zip(sing.elements, perm.tolist()))
     labels = tuple((pr.first.rows, pr.second.rows) for pr in pairs)
     return CrossConnSemigroup(eps, pairs, sg.FiniteSemigroup(labels, sing.table))
-
-
-def crossconn_json(s: CrossConnSemigroup) -> str:
-    return json.dumps(s.to_json(), sort_keys=True, separators=(",", ":")) + "\n"

@@ -468,12 +468,20 @@ def sing_table(p, n):
     return elems, decode, table
 
 
+@lru_cache(maxsize=None)
+def _sing_matrices(p, n):
+    """The sing_table elements as one read-only (order, n, n) array."""
+    mats = _as_array(sing_table(p, n)[0])
+    mats.flags.writeable = False
+    return mats
+
+
 def sing_conjugation(left: Endo, right: Endo):
     """perm[i] = index of left . elems[i] . right in sing_table order (-1
     where that product is invertible)."""
     p, n = right.p, right.n
-    elems, decode, _ = sing_table(p, n)
-    conj = np.array(left.rows) @ _as_array(elems) % p @ np.array(right.rows) % p
+    _, decode, _ = sing_table(p, n)
+    conj = np.array(left.rows) @ _sing_matrices(p, n) % p @ np.array(right.rows) % p
     return decode[_codes(conj, p)]
 
 

@@ -88,6 +88,20 @@ def _generators(t):
     return gens
 
 
+_TABLE_GENERATORS = {}  # id(t) -> (t, generators) for read-only tables
+
+
+def table_generators(t):
+    """_generators(t) as an int array, computed once per read-only table (such
+    as the shared Sing tables).  Holding t in its entry keeps its id from
+    being reused; a writeable table is walked again on every call."""
+    if t.flags.writeable:
+        return np.array(_generators(t), dtype=np.intp)
+    if id(t) not in _TABLE_GENERATORS:
+        _TABLE_GENERATORS[id(t)] = (t, np.array(_generators(t), dtype=np.intp))
+    return _TABLE_GENERATORS[id(t)][1]
+
+
 def _associativity_witness(t):
     """A triple (x, g, y) with (xg)y != x(gy), or None if t is associative.
 
@@ -134,19 +148,6 @@ def from_table(elements, table) -> FiniteSemigroup:
         if w is not None:
             raise NotAssociative(tuple(elements[i] for i in w))
     return FiniteSemigroup(elements, table)
-
-
-def automorphism_witness(table, perm):
-    """First (i, j) with perm[ij] != perm[i]perm[j], or None.  table and perm
-    are integer arrays; perm must be a permutation of the indices.
-    Vectorized per row."""
-    if not np.array_equal(np.sort(perm), np.arange(len(table))):
-        raise ValueError("not a permutation of the element indices")
-    for i in range(len(table)):
-        bad = perm[table[i]] != table[perm[i], perm]   # row i of perm[T] vs T[perm][:, perm]
-        if bad.any():
-            return (i, int(np.argmax(bad)))
-    return None
 
 
 @lru_cache(maxsize=None)
@@ -197,27 +198,12 @@ def is_regular(s: FiniteSemigroup) -> bool:
     return all(any(s.table[s.table[a][x]][a] == a for x in rn) for a in rn)
 
 
-def principal_ideals(s: FiniteSemigroup, a: int):
-    """Literal products (Sa, aS, SaS) as index sets; no identity adjoined."""
-    rn = range(s.order)
-    left = frozenset(s.table[x][a] for x in rn)
-    right = frozenset(s.table[a][x] for x in rn)
-    two = frozenset(s.table[x][s.table[a][y]] for x in rn for y in rn)
-    return left, right, two
-
-
 @dataclass(frozen=True)
 class GreenStructure:
     l_classes: tuple
     r_classes: tuple
     h_classes: tuple
     d_classes: tuple
-
-    def class_of(self, kind, i):
-        for cls in getattr(self, kind + "_classes"):
-            if i in cls:
-                return cls
-        raise KeyError(i)
 
     def to_json(self):
         return {
@@ -247,8 +233,7 @@ def _partition(keys):
 def green_relations(s: FiniteSemigroup) -> GreenStructure:
     """L, R, H, D via monoid-completed ideals S^1 a = Sa u {a}.
 
-    The completion keeps L and R reflexive on non-regular semigroups;
-    principal_ideals still reports the literal product sets.
+    The completion keeps L and R reflexive on non-regular semigroups.
     """
     n = s.order
     t = np.array(s.table, dtype=np.int32).reshape(n, n)

@@ -6,6 +6,7 @@ import time
 import pytest
 
 from fibersemi import cli
+from fibersemi import gf
 
 
 def run(capsys, *argv):
@@ -44,6 +45,13 @@ def test_sing_guard_refuses_fast(capsys, argv):
     assert time.perf_counter() - start < 1.0
     assert code == 2
     assert "associativity guard 1500" in err
+
+@pytest.mark.parametrize("p,n", [(2, 4), (3, 3)])
+def test_cross_connections_check_refuses_before_any_automorphism(p, n):
+    start = time.perf_counter()
+    with pytest.raises(gf.GuardExceeded, match="associativity guard 1500"):
+        cli._check_cross_connections(p, n)
+    assert time.perf_counter() - start < 1.0
 
 @pytest.mark.parametrize("dim", ["0", "-1"])
 def test_nonpositive_dim_exit(capsys, dim):

@@ -1,8 +1,15 @@
 """Cross-connections induced by automorphisms: functor actions, covering,
-bifunctor sets, the linking bijection and the linked-pair semigroup."""
+bifunctor sets, the linking bijection and the linked-pair semigroup.  The
+claims are checked through the oracles of crossconn_oracle, and the index
+decision that verify-all uses is compared with them verdict for verdict."""
 
+import dataclasses
+
+import numpy as np
 import pytest
 
+import crossconn_oracle as oracle
+from fibersemi import cli
 from fibersemi import crossconn as xc
 from fibersemi import gf
 from fibersemi import semigroups as sg
@@ -41,7 +48,7 @@ def test_swap_object_maps():
 def test_functoriality_checked_on_construction(all_eps):
     # identities and all composable pairs, for every automorphism
     for eps in all_eps:
-        xc.check_functorial(xc.cross_connection(eps))
+        oracle.check_functorial(xc.cross_connection(eps))
 
 def test_conjugation_preserves_idempotents(all_eps):
     for eps in all_eps:
@@ -66,21 +73,21 @@ def test_conjugation_is_table_automorphism(all_eps):
 
 def test_covering_holds_for_every_automorphism(all_eps):
     for eps in all_eps:
-        rep = xc.verify_cross_connection(xc.cross_connection(eps))
+        rep = oracle.verify_cross_connection(xc.cross_connection(eps))
         assert rep.covering_ok and rep.inclusion_ok and rep.hom_injective_ok
 
 def test_covering_witness_example(cat22):
     cc = xc.cross_connection(gf.identity_endo(2, 2))
-    rep = xc.verify_cross_connection(cc)
+    rep = oracle.verify_cross_connection(cc)
     witness = dict(rep.witnesses)
     a = gf.subspace_span([(1, 0)], 2, 2)
     y = witness[a]
-    _, pre = xc.functor_m_set(cc, cat22, y)
+    _, pre = oracle.functor_m_set(cc, cat22, y)
     assert gf.is_direct_sum(a, pre)
 
 def test_zero_subspace_witnessed_by_zero_dual(cat22):
     cc = xc.cross_connection(gf.identity_endo(2, 2))
-    mset, pre = xc.functor_m_set(cc, cat22, gf.zero_subspace(2, 2))
+    mset, pre = oracle.functor_m_set(cc, cat22, gf.zero_subspace(2, 2))
     assert pre == gf.full_space(2, 2)
     assert mset == (gf.zero_subspace(2, 2),)
 
@@ -90,7 +97,7 @@ def test_covering_sampled_at_2_3():
     cat = sc.build_category(2, 3)
     for a in cat.objects:
         assert any(
-            a in xc.functor_m_set(cc, cat, y)[0] for y in cat.objects
+            a in oracle.functor_m_set(cc, cat, y)[0] for y in cat.objects
         )
 
 def test_functoriality_sampled_at_2_3():
@@ -120,14 +127,14 @@ def test_zero_object_first_set_is_zero_map(cat22):
     cc = xc.cross_connection(gf.identity_endo(2, 2))
     zero = gf.zero_subspace(2, 2)
     for y in cat22.objects:
-        first, _ = xc.bifunctor_sets(cc, zero, y)
+        first, _ = oracle.bifunctor_sets(cc, zero, y)
         assert first == (gf.zero_endo(2, 2),)
 
 def test_zero_map_membership(cat22):
     cc = xc.cross_connection(gf.identity_endo(2, 2))
     full_dual = max(cat22.objects, key=lambda o: o.dim)
     for a in cat22.objects:
-        first, _ = xc.bifunctor_sets(cc, a, full_dual)
+        first, _ = oracle.bifunctor_sets(cc, a, full_dual)
         assert gf.zero_endo(2, 2) in first
 
 def test_set_sizes_match_under_kernel_mode(cat22, all_eps):
@@ -135,7 +142,7 @@ def test_set_sizes_match_under_kernel_mode(cat22, all_eps):
         cc = xc.cross_connection(eps)
         for a in cat22.objects:
             for y in cat22.objects:
-                first, second = xc.bifunctor_sets(cc, a, y, mode="kernel")
+                first, second = oracle.bifunctor_sets(cc, a, y, mode="kernel")
                 assert len(first) == len(second)
 
 def test_linking_bijection_kernel_mode_everywhere(cat22, all_eps):
@@ -143,7 +150,7 @@ def test_linking_bijection_kernel_mode_everywhere(cat22, all_eps):
         cc = xc.cross_connection(eps)
         for a in cat22.objects:
             for y in cat22.objects:
-                rep = xc.linking_bijection(cc, a, y, mode="kernel")
+                rep = oracle.linking_bijection(cc, a, y, mode="kernel")
                 assert rep.bijective, (eps, a.basis, y.basis)
 
 def test_linking_round_trip(cat22, all_eps):
@@ -152,7 +159,7 @@ def test_linking_round_trip(cat22, all_eps):
         inv = xc.cross_connection(eps.inverse())
         for a in cat22.objects:
             for y in cat22.objects:
-                rep = xc.linking_bijection(cc, a, y)
+                rep = oracle.linking_bijection(cc, a, y)
                 for x, img in rep.pairs:
                     assert inv.conjugate(img) == x
 
@@ -165,20 +172,20 @@ def test_literal_image_mode_fails_bijectivity(cat22, all_eps):
         cc = xc.cross_connection(eps)
         for a in cat22.objects:
             for y in cat22.objects:
-                if not xc.linking_bijection(cc, a, y, mode="image").bijective:
+                if not oracle.linking_bijection(cc, a, y, mode="image").bijective:
                     failures += 1
     assert failures > 0
 
 def test_unknown_mode_rejected(cat22):
     cc = xc.cross_connection(gf.identity_endo(2, 2))
     with pytest.raises(ValueError):
-        xc.bifunctor_sets(cc, cat22.objects[0], cat22.objects[0], mode="guess")
+        oracle.bifunctor_sets(cc, cat22.objects[0], cat22.objects[0], mode="guess")
 
 def test_identity_linking_is_identity(cat22):
     cc = xc.cross_connection(gf.identity_endo(2, 2))
     for a in cat22.objects:
         for y in cat22.objects:
-            rep = xc.linking_bijection(cc, a, y)
+            rep = oracle.linking_bijection(cc, a, y)
             assert all(x == img for x, img in rep.pairs)
 
 def test_swap_conjugation_example():
@@ -289,3 +296,128 @@ def test_inverse_computed_once_per_connection():
     assert cc.eps_inv is cc.eps_inv
     assert cc.eps_inv_t is cc.eps_inv_t
     assert cc.eps_inv_t == gf.transpose(cc.eps_inv)
+
+
+# ---------------------------------------------------------------------------
+# the index decision against the Subspace-object and full-table oracles
+
+AUTOS_3_2 = gf.enumerate_automorphisms(3, 2)
+AUTOS_2_3 = gf.enumerate_automorphisms(2, 3)
+
+
+def _index_verdicts(eps):
+    """(functorial, covering and inclusion, linking bijective) as verify-all
+    decides them."""
+    idx = xc.subspace_index(eps.p, eps.n)
+    cc = xc.cross_connection(eps)
+    actions = xc.object_actions(cc, idx)
+    if actions is None:
+        return False, None, None
+    e_obj, et_obj = actions
+    perm = gf.sing_conjugation(cc.eps_inv, eps)
+    return True, xc.covers(idx, et_obj), xc.link_failure(idx, perm, e_obj, et_obj) is None
+
+
+def _oracle_verdicts(eps):
+    cc = xc.cross_connection(eps)
+    cat = sc.build_category(eps.p, eps.n)
+    cov = oracle.verify_cross_connection(cc)
+    linked = all(oracle.linking_bijection(cc, a, y).bijective
+                 for a in cat.objects for y in cat.objects)
+    return cov.hom_injective_ok, cov.covering_ok and cov.inclusion_ok, linked
+
+
+@pytest.mark.parametrize("eps", gf.enumerate_automorphisms(2, 2) + AUTOS_3_2
+                         + (AUTOS_2_3[1], AUTOS_2_3[-1]), ids=str)
+def test_index_decision_agrees_with_oracle(eps):
+    assert _index_verdicts(eps) == _oracle_verdicts(eps) == (True, True, True)
+
+
+def test_index_bifunctor_sets_match_oracle(cat22, all_eps):
+    idx = xc.subspace_index(2, 2)
+    elems = gf.sing_table(2, 2)[0]
+    for eps in all_eps:
+        cc = xc.cross_connection(eps)
+        e_obj, et_obj = xc.object_actions(cc, idx)
+        c = idx.contains
+        for ai, a in enumerate(cat22.objects):
+            for yi, y in enumerate(cat22.objects):
+                first, second = oracle.bifunctor_sets(cc, a, y)
+                pa, py = idx.position[a], idx.position[y]
+                got_first = c[pa, idx.img] & c[et_obj[yi], idx.annker]
+                got_second = c[py, idx.timg] & c[e_obj[ai], idx.tannker]
+                assert tuple(elems[i] for i in np.flatnonzero(got_first)) == first
+                assert tuple(elems[i] for i in np.flatnonzero(got_second)) == second
+
+
+@pytest.mark.parametrize("eps", gf.enumerate_automorphisms(2, 2) + AUTOS_3_2[::9], ids=str)
+def test_functoriality_by_restriction_inverses_agrees_with_oracle(eps):
+    oracle.check_functorial(xc.cross_connection(eps))
+    assert xc.object_actions(xc.cross_connection(eps), xc.subspace_index(eps.p, eps.n)) is not None
+
+
+@pytest.mark.parametrize("p,n", [(2, 2), (3, 2)])
+def test_generator_conjugation_law_agrees_with_full_table(p, n):
+    _, _, table = gf.sing_table(p, n)
+    assert len(sg.table_generators(table)) < len(table)
+    for eps in gf.enumerate_automorphisms(p, n):
+        perm = gf.sing_conjugation(eps.inverse(), eps)
+        assert oracle.automorphism_witness(table, perm) is None
+        xc.check_conjugation_law(table, perm)
+
+
+def test_generator_conjugation_law_rejects_every_transposition(all_eps):
+    _, _, table = gf.sing_table(2, 2)
+    for eps in all_eps:
+        perm = gf.sing_conjugation(eps.inverse(), eps)
+        for i in range(len(perm)):
+            for j in range(i + 1, len(perm)):
+                broken = perm.copy()
+                broken[[i, j]] = broken[[j, i]]
+                assert oracle.automorphism_witness(table, broken) is not None
+                with pytest.raises(AssertionError, match="conjugation law"):
+                    xc.check_conjugation_law(table, broken)
+
+
+def test_table_generators_computed_once_per_read_only_table():
+    _, _, table = gf.sing_table(2, 2)
+    assert sg.table_generators(table) is sg.table_generators(table)
+    fresh = table.copy()
+    assert sg.table_generators(fresh) is not sg.table_generators(fresh)
+    assert np.array_equal(sg.table_generators(fresh), sg.table_generators(table))
+
+
+# mutations of the decision, each of which the check must catch
+
+def _check_fails(p=2, n=2):
+    try:
+        ok, _ = cli._check_cross_connections(p, n)
+    except (AssertionError, ValueError):
+        return True
+    return not ok
+
+
+def test_image_reading_of_annker_is_caught(monkeypatch):
+    idx = xc.subspace_index(2, 2)
+    mutant = dataclasses.replace(idx, annker=idx.ann[idx.img])
+    monkeypatch.setattr(xc, "subspace_index", lambda p, n: mutant)
+    assert _check_fails()
+
+
+def test_swapped_dual_object_action_is_caught(monkeypatch):
+    real = xc.object_actions
+
+    def swapped(cc, idx):
+        e_obj, et_obj = real(cc, idx)
+        et_obj = et_obj.copy()
+        et_obj[[1, 2]] = et_obj[[2, 1]]   # two lines: inclusion and covering still hold
+        return e_obj, et_obj
+
+    monkeypatch.setattr(xc, "object_actions", swapped)
+    assert _check_fails()
+
+
+def test_forward_restriction_through_the_transpose_is_caught(monkeypatch):
+    monkeypatch.setattr(xc.CrossConnection, "primal_restrictions",
+                        lambda self, a: self._restrictions(a, self.eps_t, self.eps_inv))
+    assert _check_fails()

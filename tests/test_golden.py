@@ -2,8 +2,15 @@
 recorded before the Sing table moved to the integer-coded kernel; the next
 four before verify-all's checks were made exhaustive and deduplicated; the
 (5,2) cones digest before the cone table was filled once per component; the
-last four, the remaining sing-tables points, before associativity moved to
-Light's test and Green's relations to bit-packed ideal rows."""
+next four, the remaining sing-tables points, before associativity moved to
+Light's test and Green's relations to bit-packed ideal rows.
+
+The last three are verify-all at (2,3), (5,2) and (7,2).  The Subspace-object
+cross-connection check took minutes to an hour there, so they were first
+recorded with the index decision; test_crossconn pins that decision to the
+Subspace-object oracles.  (2,3) passes every check, and the report carries
+no (p, n), so its digest is the one of (2,2).  At (5,2) and (7,2) only
+bundle-amalgam fails, refused by the endomorphism guard."""
 
 import hashlib
 import io
@@ -41,6 +48,9 @@ GOLDEN = [
     ("green --field 2 --dim 3 --format dot", 0, "6827a987aab561f2cc37d15702a45d4d4a97dd7605249a96935dfcb20823f1a5"),
     ("enumerate --field 7 --dim 2 --format json", 0, "3cfbac822892b2bcce49bbfa4faeea9f1318a82a15ace61010c62e8929d38968"),
     ("green --field 7 --dim 2 --format json", 0, "98d174d585664a30e22c08b61c862b18a4c9d6b72f278101b274c85023ef1522"),
+    ("verify-all --field 2 --dim 3 --format json", 0, "a60e2df95ead945c2201f21117e5b874587e4466b78c9e4fa619892974663e37"),
+    ("verify-all --field 5 --dim 2 --format json", 1, "7d4d2d8755f3d2051968e9d74c214ef3117e889cae24380675177283e855f4f5"),
+    ("verify-all --field 7 --dim 2 --format json", 1, "a6ff1ec3520299316b785816d0df76c6e956cfde9e4a17aa27c3a6c11333370b"),
 ]
 
 

