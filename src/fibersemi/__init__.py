@@ -32,7 +32,6 @@ from .semigroups import (
     NotAssociative,
     SemigroupMorphism,
     amalgam_to_json,
-    build_left_ideal_category,
     eggbox_export,
     from_multiplication,
     from_table,
@@ -52,12 +51,10 @@ from .subspace_category import (
     cone_compose,
     cone_star,
     enumerate_normal_cones,
-    identity_cone,
     m_set,
     normal_factorization,
     principal_cone,
     retraction,
-    validate_cone,
 )
 from .annihilators import (
     AnnihilatorCategory,
@@ -65,7 +62,6 @@ from .annihilators import (
     build_annihilator_category,
     build_ta_semigroup,
     iso_to_dual_subspace_category,
-    normal_dual_object,
 )
 from .crossconn import (
     CrossConnection,

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from . import gf
 from . import semigroups as sg
 from . import subspace_category as sc
-from .gf import Endo, Subspace
+from .gf import Subspace
 
 
 @dataclass(frozen=True)
@@ -101,18 +101,6 @@ def iso_to_dual_subspace_category(acat: AnnihilatorCategory) -> DualIsoReport:
             if forward != backward:
                 reversal = False
     return DualIsoReport(pairs, counts, double, reversal)
-
-
-def normal_dual_object(cat: sc.SubspaceCategory, cone: sc.Cone) -> DualObjectTag:
-    """The kernel of an idempotent cone's endomorphism with its annihilator;
-    the concrete face of the cone's hom-functor."""
-    if sc.cone_compose(cat, cone, cone) != cone:
-        raise ValueError("normal dual object requires an idempotent cone")
-    e = sc.cone_to_endo(cat, cone)
-    if e is None:
-        raise ValueError("cone has no inducing endomorphism")
-    kernel = e.kernel()
-    return DualObjectTag(kernel, gf.annihilator(kernel))
 
 
 @dataclass(frozen=True)

@@ -1,9 +1,9 @@
 """Finite semigroups given by Cayley tables.
 
 Elements are opaque hashable labels; the table maps index pairs to the index
-of the product.  Green's relations, ideal categories, morphism checks and the
-amalgam data type all work at this level, so the same code serves matrix
-semigroups, cone semigroups and hand-built fixtures alike.
+of the product.  Green's relations, morphism checks and the amalgam data
+type all work at this level, so the same code serves matrix semigroups,
+cone semigroups and hand-built fixtures alike.
 """
 
 from __future__ import annotations
@@ -394,51 +394,6 @@ def null_semigroup_fixture() -> Amalgam:
         mapping = tuple(branch.index((tag, x[1])) for x in core.elements)
         embeddings.append(SemigroupMorphism(core, branch, mapping))
     return Amalgam(core, (s1, s2), tuple(embeddings))
-
-
-# ---------------------------------------------------------------------------
-# the category of principal left ideals
-
-@dataclass(frozen=True)
-class IdealCategoryData:
-    objects: tuple       # frozensets of element indices, one per distinct Se
-    representatives: tuple  # for each object, the least idempotent generating it
-    homs: dict           # (i, j) -> tuple of translation maps; each map is a
-                         # tuple of (source index, image index) pairs
-    inclusions: dict     # (i, j) -> True where object i is a subset of object j
-
-
-def build_left_ideal_category(s: FiniteSemigroup) -> IdealCategoryData:
-    """Objects are the distinct ideals Se over idempotents e; morphisms are
-    the right translations x -> xu for u in eSf, deduplicated extensionally."""
-    if not is_regular(s):
-        raise ValueError("ideal category requires a regular semigroup")
-    rn = range(s.order)
-    seen = {}
-    for e in idempotents(s):
-        ideal = frozenset(s.table[x][e] for x in rn)
-        if ideal not in seen:
-            seen[ideal] = e
-    objects = tuple(sorted(seen, key=lambda c: (len(c), sorted(c))))
-    reps = tuple(seen[obj] for obj in objects)
-    homs = {}
-    inclusions = {}
-    for i, src in enumerate(objects):
-        e = reps[i]
-        src_sorted = tuple(sorted(src))
-        for j, dst in enumerate(objects):
-            f = reps[j]
-            translations = set()
-            for x in rn:
-                u = s.table[s.table[e][x]][f]
-                tr = tuple((a, s.table[a][u]) for a in src_sorted)
-                if any(img not in dst for _, img in tr):
-                    raise AssertionError("right translation left the target ideal")
-                translations.add(tr)
-            homs[(i, j)] = tuple(sorted(translations))
-            if src <= dst:
-                inclusions[(i, j)] = True
-    return IdealCategoryData(objects, reps, homs, inclusions)
 
 
 # ---------------------------------------------------------------------------

@@ -13,6 +13,8 @@ import itertools
 import json
 from dataclasses import dataclass
 
+import numpy as np
+
 from . import gf
 from . import semigroups as sg
 from .gf import Endo, LinearMap, Subspace
@@ -122,80 +124,6 @@ class Cone:
         }
 
 
-@dataclass(frozen=True)
-class ConeReport:
-    typing_ok: bool
-    restriction_compatible: bool
-    globally_linear: bool
-    is_normal: bool
-    iso_objects: tuple
-    witness: tuple | None
-
-    @property
-    def well_formed(self):
-        return self.typing_ok and self.restriction_compatible and self.globally_linear
-
-
-def cone_to_endo(cat: SubspaceCategory, cone: Cone):
-    """The endomorphism whose restrictions give the components, or None.
-
-    Components on the coordinate lines pin down a candidate matrix; the cone
-    is coherent exactly when every component is a restriction of it.  For
-    n >= 3 restriction-compatibility already forces this; at n = 2 the lines
-    share no proper superspace, so the check is a real constraint.
-    """
-    p, n = cat.p, cat.n
-    if n == 1:
-        candidate = gf.zero_endo(p, n)
-    else:
-        rows = []
-        for k in range(n):
-            ek = tuple(1 if i == k else 0 for i in range(n))
-            line = gf.subspace_span([ek], n, p)
-            comp = cone.components[cat.index(line)]
-            rows.append(comp.apply(ek))
-        candidate = Endo(p, n, tuple(rows))
-    for obj, comp in zip(cat.objects, cone.components):
-        for v in obj.basis:
-            if comp.apply(v) != candidate.apply(v):
-                return None
-    return candidate
-
-
-def validate_cone(cat: SubspaceCategory, cone: Cone) -> ConeReport:
-    """Typing, restriction compatibility, global coherence, normality."""
-    witness = None
-    typing_ok = len(cone.components) == len(cat.objects) and cone.vertex in cat
-    if typing_ok:
-        for obj, comp in zip(cat.objects, cone.components):
-            if comp.dom != obj or comp.cod != cone.vertex:
-                typing_ok = False
-                witness = ("typing", obj)
-                break
-    restriction_ok = typing_ok
-    if typing_ok:
-        for i, j in cat.inclusion_pairs:
-            if i == j:
-                continue
-            small, big = cat.objects[i], cat.objects[j]
-            incl = gf.inclusion_map(small, big)
-            if incl.compose(cone.components[j]) != cone.components[i]:
-                restriction_ok = False
-                witness = ("restriction", small, big)
-                break
-    globally_linear = bool(restriction_ok and cone_to_endo(cat, cone) is not None)
-    if restriction_ok and not globally_linear and witness is None:
-        witness = ("not-globally-linear",)
-    iso_objects = tuple(
-        obj for obj, comp in zip(cat.objects, cone.components)
-        if typing_ok and comp.is_iso()
-    )
-    return ConeReport(
-        typing_ok, restriction_ok, globally_linear,
-        bool(iso_objects), iso_objects, witness,
-    )
-
-
 def principal_cone(cat: SubspaceCategory, alpha: Endo) -> Cone:
     """Cone with vertex Im(alpha) whose component at A restricts alpha to A."""
     if alpha.is_invertible():
@@ -229,30 +157,177 @@ def cone_compose(cat: SubspaceCategory, g1: Cone, g2: Cone) -> Cone:
     return cone_star(cat, g1, epi)
 
 
-def _assignment_space(cat: SubspaceCategory, vertex: Subspace):
-    per_object = [list(gf.all_linear_maps(obj, vertex)) for obj in cat.objects]
-    for combo in itertools.product(*per_object):
-        yield Cone(vertex, combo)
-
+# ---------------------------------------------------------------------------
+# the cone semigroup on integer code rows
 
 EXHAUSTIVE_CONE_LIMIT = 1 << 16
+
+
+def _base_p(mats, p):
+    """Base-p number of the row-major entries of each matrix in a stack."""
+    flat = mats.reshape(len(mats), -1)
+    return flat @ p ** np.arange(flat.shape[1] - 1, -1, -1, dtype=np.int64)
+
+
+class _ConeCode:
+    """A cone as one row: the matrix R stacking its components over the
+    objects' canonical bases, in object order.  R has D = sum of the object
+    dimensions rows, holds each row's coordinates in the vertex basis, and is
+    padded with zero columns to n - 1, the largest vertex dimension.  The
+    code vertex * p^(D(n-1)) + (R read in base p) is one int64 per cone."""
+
+    def __init__(self, cat: SubspaceCategory):
+        p, n = cat.p, cat.n
+        self.p = p
+        self.dims = [obj.dim for obj in cat.objects]
+        self.offsets = [0, *itertools.accumulate(self.dims)]
+        self.depth, self.width = self.offsets[-1], n - 1
+        self.stride = p ** (self.depth * self.width)
+        if len(cat.objects) * self.stride > np.iinfo(np.int64).max:
+            raise AssertionError(f"cone codes of GF({p})^{n} do not fit in 63 bits")
+        self.stacked = np.array(
+            [row for obj in cat.objects for row in obj.basis], dtype=np.int64
+        ).reshape(self.depth, n)
+        # vertex bases padded to width rows, for ambient()
+        self.bases = np.zeros((len(cat.objects), self.width, n), dtype=np.int64)
+        for k, obj in enumerate(cat.objects):
+            self.bases[k, :obj.dim] = np.array(obj.basis, dtype=np.int64).reshape(obj.dim, n)
+
+    def codes(self, vertex, rows):
+        return vertex * self.stride + _base_p(rows, self.p)
+
+    def ambient(self, vertex, rows):
+        """Every component's values on its object's basis, in GF(p)^n."""
+        return rows @ self.bases[vertex] % self.p
+
+    def block(self, rows, k):
+        """Every row's component at object k."""
+        return rows[:, self.offsets[k]:self.offsets[k + 1]]
+
+
+def _principal_rows(cat: SubspaceCategory, code: _ConeCode):
+    """(vertex, rows) of the principal cone of every singular endomorphism.
+
+    B @ alpha pushes every object's basis through alpha.  Objects come in
+    order of dimension, so the first one containing alpha's rows is its
+    image: the vertex.  Components are read at the vertex's pivot columns
+    and multiplied back to check the reading.
+    """
+    p, n = cat.p, cat.n
+    alphas = np.array([a.rows for a in gf.enumerate_endos(p, n, singular_only=True)], dtype=np.int64)
+    images = code.stacked @ alphas % p
+    vertex = np.full(len(alphas), -1)
+    rows = np.zeros((len(alphas), code.depth, code.width), dtype=np.int64)
+    for k, obj in enumerate(cat.objects):
+        basis, pivots = code.bases[k, :obj.dim], list(obj.pivots)
+        inside = (alphas[:, :, pivots] @ basis % p == alphas).all(axis=(1, 2))
+        here = np.flatnonzero(inside & (vertex < 0))
+        comps = images[here][:, :, pivots]
+        if not (comps @ basis % p == images[here]).all():
+            raise AssertionError("principal cone component outside its vertex")
+        vertex[here] = k
+        rows[here, :, :obj.dim] = comps
+    return vertex, rows
+
+
+def _assignments(cat: SubspaceCategory, code: _ConeCode):
+    """(vertex, rows) of every assignment of a morphism into each vertex,
+    vertex by vertex in the order of itertools.product over the objects'
+    hom-sets, each lexicographic by matrix entries."""
+    p = cat.p
+    vertices, blocks = [], []
+    for k, v in enumerate(code.dims):
+        places = code.depth * v
+        count = p ** places
+        weights = p ** np.arange(places - 1, -1, -1, dtype=np.int64)
+        digits = np.arange(count, dtype=np.int64)[:, None] // weights % p
+        rows = np.zeros((count, code.depth, code.width), dtype=np.int64)
+        rows[:, :, :v] = digits.reshape(count, code.depth, v)
+        vertices.append(np.full(count, k))
+        blocks.append(rows)
+    return np.concatenate(vertices), np.concatenate(blocks)
+
+
+def _admissible(cat: SubspaceCategory, code: _ConeCode, vertex, rows):
+    """(endos, ok): the endomorphism read off the coordinate lines of each
+    row, and where the row is a well-formed normal cone.
+
+    Restriction compatibility is decided over cat.inclusion_pairs with the
+    inclusion matrices; global linearity by checking that every component is
+    the restriction of the endomorphism; normality by some component between
+    equal dimensions having its code in GL_d(p).
+    """
+    p, n = cat.p, cat.n
+    ok = np.ones(len(rows), dtype=bool)
+    for i, j in cat.inclusion_pairs:
+        if i != j:
+            incl = np.array(gf.inclusion_map(cat.objects[i], cat.objects[j]).matrix, dtype=np.int64)
+            incl = incl.reshape(code.dims[i], code.dims[j])
+            ok &= (incl @ code.block(rows, j) % p == code.block(rows, i)).all(axis=(1, 2))
+    ambient = code.ambient(vertex, rows)
+    if n == 1:
+        endos = np.zeros((len(rows), 1, 1), dtype=np.int64)
+    else:
+        # the coordinate line through e_i has basis e_i, so its row is e_i's image
+        lines = [code.offsets[cat.index(gf.subspace_span([e], n, p))] for e in gf.identity_matrix(n)]
+        endos = ambient[:, lines]
+    ok &= (code.stacked @ endos % p == ambient).all(axis=(1, 2))
+    vdim = np.array(code.dims)[vertex]
+    normal = vdim == 0  # into the zero vertex the zero object's component is invertible
+    for d in set(code.dims) - {0}:
+        autos = np.array([a.rows for a in gf.enumerate_automorphisms(p, d)], dtype=np.int64)
+        invertible = np.zeros(p ** (d * d), dtype=bool)
+        invertible[_base_p(autos, p)] = True
+        at = np.flatnonzero(vdim == d)
+        for k in (k for k, dk in enumerate(code.dims) if dk == d):
+            normal[at] |= invertible[_base_p(code.block(rows[at], k)[:, :, :d], p)]
+    return endos, ok & normal
+
+
+def _push(rows, epi: LinearMap, p):
+    """cone_star on code rows: every component of every row, all into the
+    vertex epi.dom, composed with epi."""
+    e = np.zeros((epi.dom.dim, rows.shape[2]), dtype=np.int64)
+    e[:, :epi.cod.dim] = np.array(epi.matrix, dtype=np.int64).reshape(epi.dom.dim, epi.cod.dim)
+    return rows[:, :, :epi.dom.dim] @ e % p
+
+
+def _matrix(block):
+    return tuple(map(tuple, block))
+
+
+def _cones(cat: SubspaceCategory, code: _ConeCode, vertex, rows):
+    """The Cone of each code row."""
+    spans = list(zip(cat.objects, code.offsets, code.offsets[1:]))
+    cones = []
+    for k, r in zip(vertex.tolist(), rows.tolist()):
+        v, d = cat.objects[k], code.dims[k]
+        cones.append(Cone(v, tuple(
+            LinearMap(obj, v, _matrix(row[:d] for row in r[lo:hi])) for obj, lo, hi in spans
+        )))
+    return tuple(cones)
 
 
 def enumerate_normal_cones(cat: SubspaceCategory):
     """The cone semigroup, with the map back to inducing endomorphisms.
 
     The closed-form order of Sing(GF(p)^n), which the cone semigroup has, is
-    checked against the associativity guard before any cone is built.  Small
-    categories are then swept assignment by assignment and filtered through
-    validate_cone; larger ones take the principal cones of every singular
-    endomorphism and verify closure instead.
+    checked against the associativity guard, and the code width against
+    int64, before any cone is built.  Cones are code rows (_ConeCode).
+    Small categories are swept exhaustively: every assignment of a morphism
+    into each vertex is a row, kept when it is a well-formed normal cone.
+    Larger ones take the principal cones of every singular endomorphism, and
+    each of them must pass the same test.
 
     Either way every cell of the Cayley table is a cone composition, never a
-    matrix shortcut, filled once per (row cone, component) pair:
-    cone_compose(g1, g2) reads g2 only through its component at the vertex
-    of g1, so all columns that share that component share the product.  Each
-    distinct component is factored once, and each row pushes g1 along each
-    distinct epimorphic part once; the product must be an enumerated cone.
+    matrix shortcut, filled one vertex object at a time:
+    cone_compose(g1, g2) reads g2 only through the epimorphic part of its
+    component at the vertex of g1, and normal_factorization reads that
+    component only through its values in GF(p)^n, so all columns whose
+    components there agree as maps share the product.  Each such component
+    is factored once, every row with that vertex is pushed along its
+    epimorphic part in one product, and the products are looked up by code;
+    each must be an enumerated cone.
 
     Returns (semigroup, cones, endos) with parallel indexing; labels are the
     matrices of the inducing endomorphisms.
@@ -264,71 +339,43 @@ def enumerate_normal_cones(cat: SubspaceCategory):
             f"the cone semigroup of GF({p})^{n} has order {size}, "
             f"beyond the associativity guard {gf.ASSOC_GUARD}"
         )
-    space = sum(
-        _count_assignments(cat, v) for v in cat.objects
-    )
-    if space <= EXHAUSTIVE_CONE_LIMIT:
-        cones = []
-        for vertex in cat.objects:
-            for cone in _assignment_space(cat, vertex):
-                rep = validate_cone(cat, cone)
-                if rep.well_formed and rep.is_normal:
-                    cones.append(cone)
-    else:
-        cones = [principal_cone(cat, a) for a in gf.enumerate_endos(p, n, singular_only=True)]
-    endos = [cone_to_endo(cat, c) for c in cones]
-    if any(e is None for e in endos):
-        raise AssertionError("normal cone without an inducing endomorphism")
-    order = sorted(range(len(cones)), key=lambda i: endos[i].rows)
-    cones = [cones[i] for i in order]
-    endos = [endos[i] for i in order]
-    if not all(is_normal_cone(c) for c in cones):
-        raise ValueError("cone composition requires normal cones")
-    index = {c: i for i, c in enumerate(cones)}
-    # per object k: (epimorphic part of a component at k, columns having it)
-    columns = []
+    code = _ConeCode(cat)
+    exhaustive = sum(p ** (code.depth * d) for d in code.dims) <= EXHAUSTIVE_CONE_LIMIT
+    vertex, rows = (_assignments if exhaustive else _principal_rows)(cat, code)
+    endos, ok = _admissible(cat, code, vertex, rows)
+    if not (exhaustive or ok.all()):
+        raise AssertionError("a principal cone is not a well-formed normal cone")
+    # in order of the endomorphisms' codes, by a slot per matrix rather than
+    # np.argsort, whose sort kernels add to peak RSS
+    slot = np.full(p ** (n * n), -1)
+    slot[_base_p(endos[ok], p)] = np.flatnonzero(ok)
+    by_endo = slot[slot >= 0]
+    if len(by_endo) != ok.sum():
+        raise AssertionError("two normal cones with one inducing endomorphism")
+    vertex, rows, endos = vertex[by_endo], rows[by_endo], endos[by_endo]
+    index = {c: i for i, c in enumerate(code.codes(vertex, rows).tolist())}
+    order = len(rows)
+    table = np.empty((order, order), dtype=np.int32)
+    cones = _cones(cat, code, vertex, rows)
+    ambient = code.ambient(vertex, rows)
     for k in range(len(cat.objects)):
-        by_component = {}
-        for j, c in enumerate(cones):
-            by_component.setdefault(c.components[k], []).append(j)
-        columns.append([
-            (normal_factorization(through).epi, cols)
-            for through, cols in by_component.items()
-        ])
-    table = []
-    for g1 in cones:
-        row = [None] * len(cones)
-        for epi, cols in columns[cat.index(g1.vertex)]:
-            prod = index.get(cone_star(cat, g1, epi))
-            if prod is None:
+        left = np.flatnonzero(vertex == k)
+        if not len(left):
+            continue
+        columns = {}
+        for j, key in enumerate(code.block(ambient, k)):
+            columns.setdefault(key.tobytes(), []).append(j)
+        for cols in columns.values():
+            epi = normal_factorization(cones[cols[0]].components[k]).epi
+            prod = code.codes(cat.index(epi.cod), _push(rows[left], epi, p))
+            found = [index.get(c, -1) for c in prod.tolist()]
+            if -1 in found:
                 raise AssertionError("cone composition left the enumerated set")
-            for j in cols:
-                row[j] = prod
-        table.append(tuple(row))
-    semigroup = sg.from_table(tuple(e.rows for e in endos), table)
-    return semigroup, tuple(cones), tuple(endos)
-
-
-def _count_assignments(cat, vertex):
-    total = 1
-    for obj in cat.objects:
-        total *= cat.p ** (obj.dim * vertex.dim)
-    return total
-
-
-def identity_cone(cat: SubspaceCategory, obj: Subspace) -> Cone:
-    """A normal cone with the given vertex whose component there is the
-    identity: the principal cone of the projection onto obj."""
-    if obj.dim == 0:
-        e = gf.zero_endo(cat.p, cat.n)
-    else:
-        proj = retraction(gf.full_space(cat.p, cat.n), obj)
-        rows = []
-        for k in range(cat.n):
-            ek = tuple(1 if i == k else 0 for i in range(cat.n))
-            rows.append(proj.apply(ek))
-        e = Endo(cat.p, cat.n, tuple(rows))
-    return principal_cone(cat, e)
+            table[np.ix_(left, cols)] = np.array(found)[:, None]
+    labels = tuple(_matrix(e) for e in endos.tolist())
+    ints = tuple(range(order))  # one int object per index, shared by every row
+    semigroup = sg.from_table(labels, (tuple(map(ints.__getitem__, row)) for row in table.tolist()))
+    return semigroup, cones, tuple(Endo(p, n, e) for e in labels)
 
 
 def m_set(cat: SubspaceCategory, cone: Cone):

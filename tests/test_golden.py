@@ -10,7 +10,12 @@ cross-connection check took minutes to an hour there, so they were first
 recorded with the index decision; test_crossconn pins that decision to the
 Subspace-object oracles.  (2,3) passes every check, and the report carries
 no (p, n), so its digest is the one of (2,2).  At (5,2) and (7,2) only
-bundle-amalgam fails, refused by the endomorphism guard."""
+bundle-amalgam fails, refused by the endomorphism guard.
+
+The last three are cones at (7,2) and (2,3) as JSON and at (3,2) as the
+table summary, which runs is_regular; they were recorded before the cone
+semigroup moved to integer code rows.  The (2,3) and (7,2) points take the
+principal-cone path and (3,2) the exhaustive sweep."""
 
 import hashlib
 import io
@@ -51,6 +56,9 @@ GOLDEN = [
     ("verify-all --field 2 --dim 3 --format json", 0, "a60e2df95ead945c2201f21117e5b874587e4466b78c9e4fa619892974663e37"),
     ("verify-all --field 5 --dim 2 --format json", 1, "7d4d2d8755f3d2051968e9d74c214ef3117e889cae24380675177283e855f4f5"),
     ("verify-all --field 7 --dim 2 --format json", 1, "a6ff1ec3520299316b785816d0df76c6e956cfde9e4a17aa27c3a6c11333370b"),
+    ("cones --field 7 --dim 2 --format json", 0, "73b10616280339cfec556b00ecec2bee4146b8d7e1357d90674612cde2f05669"),
+    ("cones --field 2 --dim 3 --format json", 0, "d9bc240fc84579f6fa659f54b453264a4d1e822571f67834e05ad56b5337862f"),
+    ("cones --field 3 --dim 2", 0, "60cd374e64472c43c6f0610d8c3310cec975d8140bf5caf09044971996b35322"),
 ]
 
 

@@ -1,9 +1,13 @@
 """Subspace category, normal factorization, cones and the cone semigroup."""
 
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import cone_oracle as oracle
 from fibersemi import gf
 from fibersemi import semigroups as sg
 from fibersemi import subspace_category as sc
@@ -113,7 +117,7 @@ def test_principal_cone_of_projection(cat22):
     assert rho.component_at(cat22, l10) == gf.identity_map(l10)
     assert rho.component_at(cat22, l01).is_zero()
     assert rho.component_at(cat22, l11).apply((1, 1)) == (1, 0)
-    rep = sc.validate_cone(cat22, rho)
+    rep = oracle.validate_cone(cat22, rho)
     assert rep.well_formed and rep.is_normal
     assert set(rep.iso_objects) == {l10, l11}
 
@@ -121,7 +125,7 @@ def test_principal_cone_of_zero(cat22):
     rho = sc.principal_cone(cat22, gf.zero_endo(2, 2))
     assert rho.vertex.dim == 0
     assert all(c.is_zero() for c in rho.components)
-    rep = sc.validate_cone(cat22, rho)
+    rep = oracle.validate_cone(cat22, rho)
     assert rep.well_formed and rep.is_normal
     assert rep.iso_objects == (gf.zero_subspace(2, 2),)
 
@@ -131,7 +135,7 @@ def test_principal_cone_rejects_invertible(cat22):
 
 def test_all_principal_cones_are_normal(cat22, sing22):
     for a in sing22:
-        rep = sc.validate_cone(cat22, sc.principal_cone(cat22, a))
+        rep = oracle.validate_cone(cat22, sc.principal_cone(cat22, a))
         assert rep.well_formed and rep.is_normal
 
 def test_ill_typed_cone_is_flagged(cat22):
@@ -142,7 +146,7 @@ def test_ill_typed_cone_is_flagged(cat22):
         gf.zero_map(gf.zero_subspace(2, 2), l01) if obj.dim == 0 else c
         for obj, c in zip(cat22.objects, rho.components)
     )
-    rep = sc.validate_cone(cat22, sc.Cone(rho.vertex, bad_comps))
+    rep = oracle.validate_cone(cat22, sc.Cone(rho.vertex, bad_comps))
     assert not rep.typing_ok and not rep.well_formed
     assert rep.witness[0] == "typing"
 
@@ -154,7 +158,7 @@ def test_restriction_violation_is_flagged(cat23):
     vertex = rho.vertex
     comps = list(rho.components)
     comps[cat23.index(line)] = gf.zero_map(line, vertex)
-    rep = sc.validate_cone(cat23, sc.Cone(vertex, tuple(comps)))
+    rep = oracle.validate_cone(cat23, sc.Cone(vertex, tuple(comps)))
     assert rep.typing_ok
     assert not rep.restriction_compatible
     assert rep.witness[0] == "restriction"
@@ -165,8 +169,8 @@ def test_literal_reading_overcounts_at_dim_2(cat22, sing22):
     the coherence requirement brings the count back to the singular maps."""
     literal = adopted = 0
     for vertex in cat22.objects:
-        for cone in sc._assignment_space(cat22, vertex):
-            rep = sc.validate_cone(cat22, cone)
+        for cone in oracle._assignment_space(cat22, vertex):
+            rep = oracle.validate_cone(cat22, cone)
             if rep.typing_ok and rep.restriction_compatible and rep.is_normal:
                 literal += 1
             if rep.well_formed and rep.is_normal:
@@ -206,7 +210,7 @@ def test_star_preserves_normality(cat22, sing22):
                 if f.is_epi():
                     out = sc.cone_star(cat22, rho, f)
                     assert sc.is_normal_cone(out)
-                    assert sc.validate_cone(cat22, out).well_formed
+                    assert oracle.validate_cone(cat22, out).well_formed
 
 def test_compose_idempotent(cat22):
     for e in gf.enumerate_endos(2, 2, singular_only=True):
@@ -287,8 +291,9 @@ def cell_by_cell_rows(cat, cones, rows):
 @pytest.mark.parametrize("build", [
     lambda: sc.build_category(2, 2),
     lambda: sc.build_category(3, 2),
+    lambda: sc.build_category(5, 2),
     lambda: build_annihilator_category(2, 2).dual_category,
-], ids=["2-2", "3-2", "annihilator-dual-2-2"])
+], ids=["2-2", "3-2", "5-2", "annihilator-dual-2-2"])
 def test_grouped_fill_matches_cell_by_cell_composition(build):
     cat = build()
     smg, cones, _ = sc.enumerate_normal_cones(cat)
@@ -303,34 +308,101 @@ def test_grouped_fill_on_the_principal_path_2_3(cat23):
     rows = [next(i for i, c in enumerate(cones) if c.vertex == v) for v in cat23.objects]
     assert [list(smg.table[i]) for i in rows] == cell_by_cell_rows(cat23, cones, rows)
 
+CODED_POINTS = pytest.mark.parametrize("build", [
+    lambda: sc.build_category(2, 2),
+    lambda: sc.build_category(3, 2),
+    lambda: build_annihilator_category(2, 2).dual_category,
+], ids=["2-2", "3-2", "annihilator-dual-2-2"])
+
+@CODED_POINTS
+def test_coded_sweep_accepts_exactly_what_validate_cone_accepts(build):
+    cat = build()
+    code = sc._ConeCode(cat)
+    vertex, rows = sc._assignments(cat, code)
+    _, ok = sc._admissible(cat, code, vertex, rows)
+    swept = [cone for v in cat.objects for cone in oracle._assignment_space(cat, v)]
+    assert list(sc._cones(cat, code, vertex, rows)) == swept
+    for cone, accepted in zip(swept, ok.tolist()):
+        rep = oracle.validate_cone(cat, cone)
+        assert accepted == (rep.well_formed and rep.is_normal)
+    assert ok.sum() == gf.singular_count(cat.p, cat.n)
+
+@CODED_POINTS
+def test_code_is_injective_on_the_assignment_space(build):
+    cat = build()
+    code = sc._ConeCode(cat)
+    vertex, rows = sc._assignments(cat, code)
+    assert len(set(code.codes(vertex, rows).tolist())) == len(rows)
+
+def test_cone_codes_fit_in_int64_up_to_2_3(cat23):
+    assert (len(cat23.objects) * sc._ConeCode(cat23).stride).bit_length() == 46
+    with pytest.raises(AssertionError, match="do not fit in 63 bits"):
+        sc._ConeCode(sc.build_category(3, 3))
+
+def test_inducing_endos_match_cone_to_endo(cat22, cat23):
+    for cat in (cat22, sc.build_category(5, 2), cat23):
+        _, cones, endos = sc.enumerate_normal_cones(cat)
+        assert list(endos) == [oracle.cone_to_endo(cat, c) for c in cones]
+        assert list(endos) == list(gf.enumerate_endos(cat.p, cat.n, singular_only=True))
+
+def test_principal_rows_are_the_principal_cones(cat23):
+    code = sc._ConeCode(cat23)
+    vertex, rows = sc._principal_rows(cat23, code)
+    sing = gf.enumerate_endos(2, 3, singular_only=True)
+    assert list(sc._cones(cat23, code, vertex, rows)) == [sc.principal_cone(cat23, a) for a in sing]
+    assert len(set(code.codes(vertex, rows).tolist())) == len(sing)
+
+def test_cones_leave_numpy_ma_unimported():
+    # np.unique imports numpy.ma, about 1.6 MB of resident memory per process
+    src = Path(sc.__file__).resolve().parents[1]
+    code = ("import sys; from fibersemi import subspace_category as sc; "
+            "sc.enumerate_normal_cones(sc.build_category(5, 2)); "
+            "sc.enumerate_normal_cones(sc.build_category(3, 2)); "
+            "print('numpy.ma' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code], cwd=src, env={"PYTHONPATH": str(src)},
+                         capture_output=True, text=True, check=True).stdout
+    assert out.strip() == "False"
+
 def test_product_outside_the_enumerated_set_raises(monkeypatch, cat22):
-    star = sc.cone_star
-    def flattened_star(cat, cone, f):
-        out = star(cat, cone, f)
-        if out.vertex.dim == 0:
-            return out
-        return sc.Cone(out.vertex, tuple(gf.zero_map(o, out.vertex) for o in cat.objects))
-    monkeypatch.setattr(sc, "cone_star", flattened_star)
+    push = sc._push
+    def flattened_push(rows, epi, p):
+        out = push(rows, epi, p)
+        return out if epi.cod.dim == 0 else 0 * out
+    monkeypatch.setattr(sc, "_push", flattened_push)
     with pytest.raises(AssertionError, match="left the enumerated set"):
         sc.enumerate_normal_cones(cat22)
 
 def test_cone_guard_refuses_before_building_a_cone(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("built a cone before the guard refused")
-    monkeypatch.setattr(sc, "principal_cone", refuse)
-    monkeypatch.setattr(sc, "_assignment_space", refuse)
+    monkeypatch.setattr(sc, "_principal_rows", refuse)
+    monkeypatch.setattr(sc, "_assignments", refuse)
     with pytest.raises(gf.GuardExceeded, match="order 8451, beyond the associativity guard 1500"):
         sc.enumerate_normal_cones(sc.build_category(3, 3))
     with pytest.raises(gf.GuardExceeded, match="order 45376, beyond the associativity guard 1500"):
         sc.enumerate_normal_cones(sc.build_category(2, 4))
 
+def identity_cone(cat, obj):
+    """A normal cone with the given vertex whose component there is the
+    identity: the principal cone of the projection onto obj."""
+    if obj.dim == 0:
+        e = gf.zero_endo(cat.p, cat.n)
+    else:
+        proj = sc.retraction(gf.full_space(cat.p, cat.n), obj)
+        rows = []
+        for k in range(cat.n):
+            ek = tuple(1 if i == k else 0 for i in range(cat.n))
+            rows.append(proj.apply(ek))
+        e = gf.Endo(cat.p, cat.n, tuple(rows))
+    return sc.principal_cone(cat, e)
+
 def test_unit_cones_exist_at_every_vertex(cat22, cat23):
     for cat in (cat22, cat23):
         for obj in cat.objects:
-            cone = sc.identity_cone(cat, obj)
+            cone = identity_cone(cat, obj)
             assert cone.vertex == obj
             assert cone.component_at(cat, obj) == gf.identity_map(obj)
-            rep = sc.validate_cone(cat, cone)
+            rep = oracle.validate_cone(cat, cone)
             assert rep.well_formed and rep.is_normal
 
 
