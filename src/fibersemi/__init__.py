@@ -8,7 +8,6 @@ from .gf import (
     LinearMap,
     Subspace,
     annihilator,
-    complement,
     complement_in,
     endo,
     enumerate_automorphisms,
@@ -32,7 +31,6 @@ from .semigroups import (
     NotAssociative,
     SemigroupMorphism,
     amalgam_to_json,
-    eggbox_export,
     from_multiplication,
     from_table,
     green_relations,

@@ -43,9 +43,6 @@ class AnnihilatorCategory:
     def objects(self):
         return self.dual_category.objects
 
-    def tag_for_dual(self, y: Subspace) -> DualObjectTag:
-        return self.tags[self.dual_category.index(y)]
-
 
 def build_annihilator_category(p, n) -> AnnihilatorCategory:
     """Index the annihilators A° of all nonzero A and check they are exactly

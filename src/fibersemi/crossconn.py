@@ -22,7 +22,7 @@ import numpy as np
 
 from . import gf
 from . import semigroups as sg
-from .gf import Endo, LinearMap, Subspace
+from .gf import Endo, Subspace
 
 
 @dataclass(frozen=True)
@@ -58,26 +58,13 @@ class CrossConnection:
         back = gf.linear_map(fx, x, [back_map.apply(v) for v in fx.basis])
         return back, gf.linear_map(x, fx, images)
 
-    # -- action on the annihilator side (dual coordinates) ------------------
-    def dual_object_image(self, y: Subspace) -> Subspace:
-        return gf.subspace_span([self.eps_t.apply(f) for f in y.basis], self.n, self.p)
-
     def dual_restrictions(self, y: Subspace):
+        """The action on the annihilator side (dual coordinates)."""
         return self._restrictions(y, self.eps_t, self.eps_inv_t)
 
-    def dual_morphism_image(self, m: LinearMap) -> LinearMap:
-        """Conjugate a map of dual subspaces: transpose-inverse, m, transpose."""
-        return self.dual_restrictions(m.dom)[0].compose(m).compose(self.dual_restrictions(m.cod)[1])
-
-    # -- action on the subspace side ----------------------------------------
-    def primal_object_image(self, a: Subspace) -> Subspace:
-        return gf.subspace_span([self.eps.apply(v) for v in a.basis], self.n, self.p)
-
     def primal_restrictions(self, a: Subspace):
+        """The action on the subspace side."""
         return self._restrictions(a, self.eps, self.eps_inv)
-
-    def primal_morphism_image(self, f: LinearMap) -> LinearMap:
-        return self.primal_restrictions(f.dom)[0].compose(f).compose(self.primal_restrictions(f.cod)[1])
 
     def conjugate(self, alpha: Endo) -> Endo:
         return self.eps_inv * alpha * self.eps

@@ -178,11 +178,6 @@ class Subspace:
                 w[j] = (w[j] + coeff * x) % self.p
         return tuple(w)
 
-    def vectors(self):
-        """All p^dim vectors, in lexicographic coefficient order."""
-        for c in itertools.product(range(self.p), repeat=self.dim):
-            yield self.from_coords(c)
-
     def contains_subspace(self, other: "Subspace") -> bool:
         return all(self.contains(v) for v in other.basis)
 
@@ -214,26 +209,10 @@ def full_space(p, n) -> Subspace:
     return Subspace(p, n, identity_matrix(n))
 
 
-def complement(a: Subspace) -> Subspace:
-    """Deterministic complement in the full space.
-
-    Extends the RREF basis of a with the standard basis vectors at the
-    non-pivot positions, in increasing index order.
-    """
-    piv = set(a.pivots)
-    rows = tuple(
-        tuple(1 if j == i else 0 for j in range(a.n))
-        for i in range(a.n) if i not in piv
-    )
-    return Subspace(a.p, a.n, rows)
-
-
 def complement_in(a: Subspace, b: Subspace) -> Subspace:
-    """Deterministic complement of a inside b (requires a <= b).
-
-    Applies the pivot-completion rule in b-coordinates, so for b the full
-    space this is exactly complement(a).
-    """
+    """Deterministic complement of a inside b (requires a <= b): the rows of
+    b's basis at the non-pivot columns of a's coordinates over it, so for b
+    the full space the standard basis vectors outside a's pivots."""
     coords = []
     for v in a.basis:
         c = b.coords(v)
@@ -525,34 +504,6 @@ class LinearMap:
     def is_epi(self) -> bool:
         return self.rank == self.cod.dim
 
-    def is_zero(self) -> bool:
-        return all(x == 0 for row in self.matrix for x in row)
-
-    def inverse(self) -> "LinearMap":
-        inv = mat_inverse(self.matrix, self.p)
-        if inv is None or self.dom.dim != self.cod.dim:
-            raise ValueError("linear map is not an isomorphism")
-        return LinearMap(self.cod, self.dom, inv)
-
-    def image_subspace(self) -> Subspace:
-        vecs = [self.cod.from_coords(row) for row in self.matrix]
-        return subspace_span(vecs, self.cod.n, self.p)
-
-    def kernel_subspace(self) -> Subspace:
-        coords = solve_homogeneous(mat_transpose(self.matrix), self.dom.dim, self.p) \
-            if self.matrix else ()
-        vecs = [self.dom.from_coords(c) for c in coords]
-        if self.cod.dim == 0:
-            vecs = list(self.dom.basis)
-        return subspace_span(vecs, self.dom.n, self.p)
-
-    def to_json(self):
-        return {
-            "dom": self.dom.to_json(),
-            "cod": self.cod.to_json(),
-            "matrix": [list(r) for r in self.matrix],
-        }
-
 
 def linear_map(dom: Subspace, cod: Subspace, images) -> LinearMap:
     """Map sending the canonical basis of dom to the given ambient vectors."""
@@ -579,15 +530,3 @@ def inclusion_map(a: Subspace, b: Subspace) -> LinearMap:
 def identity_map(a: Subspace) -> LinearMap:
     return LinearMap(a, a, identity_matrix(a.dim))
 
-
-def zero_map(a: Subspace, b: Subspace) -> LinearMap:
-    return LinearMap(a, b, zero_matrix(a.dim, b.dim))
-
-
-def all_linear_maps(dom: Subspace, cod: Subspace):
-    """Every linear map dom -> cod, lexicographic by matrix entries."""
-    p = dom.p
-    size = dom.dim * cod.dim
-    for entries in itertools.product(range(p), repeat=size):
-        m = tuple(entries[i * cod.dim:(i + 1) * cod.dim] for i in range(dom.dim))
-        yield LinearMap(dom, cod, m)

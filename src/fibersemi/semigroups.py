@@ -8,7 +8,6 @@ cone semigroups and hand-built fixtures alike.
 
 from __future__ import annotations
 
-import json
 from collections import defaultdict
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -41,9 +40,6 @@ class FiniteSemigroup:
 
     def index(self, label) -> int:
         return self._index[label]
-
-    def mul(self, i: int, j: int) -> int:
-        return self.table[i][j]
 
     def mul_labels(self, a, b):
         return self.elements[self.table[self._index[a]][self._index[b]]]
@@ -281,9 +277,6 @@ class SemigroupMorphism:
     target: FiniteSemigroup
     mapping: tuple  # source index -> target index
 
-    def apply_label(self, a):
-        return self.target.elements[self.mapping[self.source.index(a)]]
-
 
 @dataclass(frozen=True)
 class MorphismReport:
@@ -428,10 +421,3 @@ def eggbox_dot(s: FiniteSemigroup, g: GreenStructure) -> str:
         lines.append("  }")
     lines.append("}")
     return "\n".join(lines) + "\n"
-
-
-def eggbox_export(s: FiniteSemigroup, g: GreenStructure):
-    """(DOT document, JSON document) for the Green structure."""
-    dot = eggbox_dot(s, g)
-    doc = json.dumps(g.to_json(), sort_keys=True, separators=(",", ":")) + "\n"
-    return dot, doc

@@ -12,6 +12,8 @@ from __future__ import annotations
 import itertools
 import json
 from dataclasses import dataclass
+from functools import lru_cache
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -43,11 +45,6 @@ class SubspaceCategory:
 
     def lines(self):
         return [obj for obj in self.objects if obj.dim == 1]
-
-    def all_morphisms(self):
-        for a in self.objects:
-            for b in self.objects:
-                yield from gf.all_linear_maps(a, b)
 
 
 def build_category(p, n) -> SubspaceCategory:
@@ -86,20 +83,115 @@ class NormalFactorization:
         return self.q.compose(self.u).compose(self.j)
 
 
-def normal_factorization(f: LinearMap) -> NormalFactorization:
-    """Split f as retraction, isomorphism, inclusion (f = q.u.j).
+def _span_in(obj: Subspace, coords) -> Subspace:
+    """The subspace of obj spanned by X.B, X = coords in RREF, B obj's basis.
+    X.B is in RREF (row i leads where B's row at X's pivot i does, and its
+    column at B's pivot k is X's column k), so it is the canonical basis."""
+    return Subspace(obj.p, obj.n, tuple(obj.from_coords(c) for c in coords))
 
-    The retraction projects onto the deterministic complement of ker f in
-    the domain, along ker f itself; that makes q.u agree with f everywhere,
-    not only on the complement.
-    """
-    ker = f.kernel_subspace()
-    cprime = gf.complement_in(ker, f.dom)
-    img = f.image_subspace()
-    q = projection_along(f.dom, cprime, ker)
-    u = gf.linear_map(cprime, img, [f.apply(v) for v in cprime.basis])
-    j = gf.inclusion_map(img, f.cod)
-    return NormalFactorization(q, u, j, q.compose(u))
+
+def _rref_stack(a, p):
+    """gf.rref of every matrix of a stack (count, m, w) at once: the reduced
+    matrices with their zero rows last, a mask of pivot columns, the ranks."""
+    a, inverse = a % p, np.array([0] + [pow(x, -1, p) for x in range(1, p)])
+    rank, pivot = np.zeros(len(a), dtype=np.int64), np.zeros((len(a), a.shape[2]), dtype=bool)
+    for c in range(a.shape[2]):
+        free = (a[:, :, c] != 0) & (np.arange(a.shape[1]) >= rank[:, None])
+        at = np.flatnonzero(free.any(axis=1))
+        if len(at):
+            top, src = rank[at], free[at].argmax(axis=1)
+            lead = a[at, src] * inverse[a[at, src, c]][:, None] % p
+            a[at, src] = a[at, top]
+            a[at] = (a[at] - a[at, :, c][:, :, None] * lead[:, None]) % p
+            a[at, top], pivot[at, c] = lead, True
+            rank[at] += 1
+    return a, pivot, rank
+
+
+SWEEP_LIMIT = 1 << 16  # rows of one batched sweep: matrices of a hom-set shape, or cone assignments
+
+
+@lru_cache(maxsize=None)
+def shape_factors(p, da, db) -> SimpleNamespace:
+    """The normal factorization of every da x db matrix M over GF(p), as
+    arrays indexed by M's base-p code and padded to da rows or columns; r =
+    rank[i].  One batched rref of [M | I] gives image = RREF(M) (rows ..r)
+    and the RREF basis of K = {x : xM = 0} (kernel, rows r..).  complement
+    holds the unit rows E_J (rows ..r) of the deterministic complement C of
+    K, J the non-pivots of K; q (columns ..r) projects onto C along K, over
+    E_J; u = M[J] at the pivot columns of image (leading r x r block); epi =
+    q.u; matrices holds M.  For every x, x.M = q(x).M[J] = q(x).u.image."""
+    count, slots = p ** (da * db), np.arange(da)
+    if count > SWEEP_LIMIT:
+        raise gf.GuardExceeded(f"p^(da*db) = {count} matrices of shape {da}x{db} exceed limit {SWEEP_LIMIT}")
+    mats = (np.arange(count)[:, None] // p ** np.arange(da * db - 1, -1, -1) % p).reshape(count, da, db)
+    eye = np.broadcast_to(np.eye(da, dtype=np.int64), (count, da, da))
+    red, pivot, _ = _rref_stack(np.concatenate([mats, eye], axis=2), p)
+    rank, lead = pivot[:, :db].sum(axis=1), pivot[:, db:]
+    kernel = np.where(slots[:, None] >= rank[:, None, None], red[:, :, db:], 0)
+    # e_t - (the row of K leading at t) for each pivot t of K, e_t elsewhere
+    proj = eye - (lead[:, None, :] & (kernel != 0)).astype(np.int64).transpose(0, 2, 1) @ kernel
+    complement = (((np.cumsum(~lead, axis=1) - 1)[:, None] == slots[:, None]) & ~lead[:, None]).astype(np.int64)
+    at_pivots = ((np.cumsum(pivot[:, :db], axis=1) - 1)[:, :, None] == slots) & pivot[:, :db, None]
+    q, u = proj @ complement.transpose(0, 2, 1) % p, complement @ mats @ at_pivots
+    factors = SimpleNamespace(matrices=mats, rank=rank, kernel=kernel, complement=complement,
+                              q=q, u=u, image=red[:, :, :db], epi=q @ u % p)
+    for a in vars(factors).values():
+        a.flags.writeable = False  # shared by every caller
+    return factors
+
+
+def normal_factorization(f: LinearMap) -> NormalFactorization:
+    """Split f as retraction, isomorphism, inclusion (f = q.u.j), read from
+    shape_factors at f's matrix.  The retraction projects onto the
+    deterministic complement of ker f in the domain along ker f itself, so
+    q.u agrees with f everywhere, not only on the complement."""
+    a, b, p = f.dom, f.cod, f.p
+    fac = shape_factors(p, a.dim, b.dim)
+    i = _base_p(np.array(f.matrix, dtype=np.int64).reshape(1, -1) % p, p)[0]
+    r = fac.rank[i]
+    cprime, img = _span_in(a, fac.complement[i, :r].tolist()), _span_in(b, fac.image[i, :r].tolist())
+    q, u, j, epi = (_matrix(m.tolist())
+                    for m in (fac.q[i, :, :r], fac.u[i, :r, :r], fac.image[i, :r], fac.epi[i, :, :r]))
+    return NormalFactorization(LinearMap(a, cprime, q), LinearMap(cprime, img, u),
+                               LinearMap(img, b, j), LinearMap(a, img, epi))
+
+
+def factorization_witness(cat: SubspaceCategory):
+    """None if normal_factorization splits every morphism of cat, else a
+    witness.  It reads f: a -> b's matrices at f's matrix M alone, so one
+    pass per shape decides q.u.image = M and rank u = rank M for all.  The
+    objects enter by one translation per coordinate subspace: at a,
+    _span_in(a, E_J) is complement_in(K.B_a, a) and projection_along onto it
+    along K.B_a has q's matrix; at b, _span_in(b, R) is the canonical span
+    of R.B_b.  So q is that retraction and j the image's inclusion."""
+    p, n, dims = cat.p, cat.n, sorted({obj.dim for obj in cat.objects})
+    kernels, images = {}, {}
+    for da, db in itertools.product(dims, dims):
+        fac = shape_factors(p, da, db)
+        ok = (fac.q @ fac.u @ fac.image % p == fac.matrices).all(axis=(1, 2))
+        bad = np.flatnonzero(~ok | (_rref_stack(fac.u, p)[2] != fac.rank))
+        if len(bad):
+            return {"failure": "factorization identity", "shape": [da, db],
+                    "matrix": fac.matrices[bad[0]].tolist()}
+        for i, r in enumerate(fac.rank.tolist()):
+            kernels[da, r, fac.kernel[i].tobytes(), fac.complement[i].tobytes(), fac.q[i].tobytes()] = fac, i
+            images[db, r, fac.image[i, :r].tobytes()] = fac, i
+    for obj in cat.objects:
+        def span(rows):
+            return gf.subspace_span([obj.from_coords(c) for c in rows], n, p)
+        for (d, r, *_), (fac, i) in kernels.items():
+            if d != obj.dim:
+                continue
+            ker, cprime = span(fac.kernel[i, r:].tolist()), _span_in(obj, fac.complement[i, :r].tolist())
+            if (gf.complement_in(ker, obj) != cprime
+                    or projection_along(obj, cprime, ker).matrix != _matrix(fac.q[i, :, :r].tolist())):
+                return {"failure": "retraction translation", "object": obj.to_json()}
+        for (d, r, _), (fac, i) in images.items():
+            rows = fac.image[i, :r].tolist()
+            if d == obj.dim and _span_in(obj, rows) != span(rows):
+                return {"failure": "image translation", "object": obj.to_json()}
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -110,9 +202,6 @@ class Cone:
     """Vertex plus one component per category object, in object order."""
     vertex: Subspace
     components: tuple  # LinearMap per object, aligned with cat.objects
-
-    def component_at(self, cat: SubspaceCategory, obj: Subspace) -> LinearMap:
-        return self.components[cat.index(obj)]
 
     def to_json(self, cat: SubspaceCategory):
         return {
@@ -159,9 +248,6 @@ def cone_compose(cat: SubspaceCategory, g1: Cone, g2: Cone) -> Cone:
 
 # ---------------------------------------------------------------------------
 # the cone semigroup on integer code rows
-
-EXHAUSTIVE_CONE_LIMIT = 1 << 16
-
 
 def _base_p(mats, p):
     """Base-p number of the row-major entries of each matrix in a stack."""
@@ -255,7 +341,7 @@ def _admissible(cat: SubspaceCategory, code: _ConeCode, vertex, rows):
     Restriction compatibility is decided over cat.inclusion_pairs with the
     inclusion matrices; global linearity by checking that every component is
     the restriction of the endomorphism; normality by some component between
-    equal dimensions having its code in GL_d(p).
+    equal dimensions having full rank in shape_factors.
     """
     p, n = cat.p, cat.n
     ok = np.ones(len(rows), dtype=bool)
@@ -272,24 +358,20 @@ def _admissible(cat: SubspaceCategory, code: _ConeCode, vertex, rows):
         lines = [code.offsets[cat.index(gf.subspace_span([e], n, p))] for e in gf.identity_matrix(n)]
         endos = ambient[:, lines]
     ok &= (code.stacked @ endos % p == ambient).all(axis=(1, 2))
-    vdim = np.array(code.dims)[vertex]
-    normal = vdim == 0  # into the zero vertex the zero object's component is invertible
-    for d in set(code.dims) - {0}:
-        autos = np.array([a.rows for a in gf.enumerate_automorphisms(p, d)], dtype=np.int64)
-        invertible = np.zeros(p ** (d * d), dtype=bool)
-        invertible[_base_p(autos, p)] = True
+    vdim, normal = np.array(code.dims)[vertex], np.zeros(len(rows), dtype=bool)
+    for k, d in enumerate(code.dims):
         at = np.flatnonzero(vdim == d)
-        for k in (k for k, dk in enumerate(code.dims) if dk == d):
-            normal[at] |= invertible[_base_p(code.block(rows[at], k)[:, :, :d], p)]
+        normal[at] |= shape_factors(p, d, d).rank[_base_p(code.block(rows[at], k)[:, :, :d], p)] == d
     return endos, ok & normal
 
 
-def _push(rows, epi: LinearMap, p):
-    """cone_star on code rows: every component of every row, all into the
-    vertex epi.dom, composed with epi."""
-    e = np.zeros((epi.dom.dim, rows.shape[2]), dtype=np.int64)
-    e[:, :epi.cod.dim] = np.array(epi.matrix, dtype=np.int64).reshape(epi.dom.dim, epi.cod.dim)
-    return rows[:, :, :epi.dom.dim] @ e % p
+def _push(rows, epi, p):
+    """cone_star on code rows: every component of every row, all into a
+    vertex of dimension len(epi), composed with the epimorphism whose matrix
+    is epi."""
+    e = np.zeros((len(epi), rows.shape[2]), dtype=np.int64)
+    e[:, :epi.shape[1]] = epi
+    return rows[:, :, :len(epi)] @ e % p
 
 
 def _matrix(block):
@@ -308,6 +390,12 @@ def _cones(cat: SubspaceCategory, code: _ConeCode, vertex, rows):
     return tuple(cones)
 
 
+def principal_cones(cat: SubspaceCategory):
+    """principal_cone of every singular endomorphism, in Sing order."""
+    code = _ConeCode(cat)
+    return _cones(cat, code, *_principal_rows(cat, code))
+
+
 def enumerate_normal_cones(cat: SubspaceCategory):
     """The cone semigroup, with the map back to inducing endomorphisms.
 
@@ -322,12 +410,12 @@ def enumerate_normal_cones(cat: SubspaceCategory):
     Either way every cell of the Cayley table is a cone composition, never a
     matrix shortcut, filled one vertex object at a time:
     cone_compose(g1, g2) reads g2 only through the epimorphic part of its
-    component at the vertex of g1, and normal_factorization reads that
-    component only through its values in GF(p)^n, so all columns whose
-    components there agree as maps share the product.  Each such component
-    is factored once, every row with that vertex is pushed along its
-    epimorphic part in one product, and the products are looked up by code;
-    each must be an enumerated cone.
+    component at the vertex of g1, which depends only on that component's
+    values in GF(p)^n, so all columns whose components there agree as maps
+    share the product.  Each such component's epimorphic part and image are
+    read from shape_factors once, as in normal_factorization, every row with
+    that vertex is pushed along it in one product, and the products are
+    looked up by code; each must be an enumerated cone.
 
     Returns (semigroup, cones, endos) with parallel indexing; labels are the
     matrices of the inducing endomorphisms.
@@ -340,7 +428,7 @@ def enumerate_normal_cones(cat: SubspaceCategory):
             f"beyond the associativity guard {gf.ASSOC_GUARD}"
         )
     code = _ConeCode(cat)
-    exhaustive = sum(p ** (code.depth * d) for d in code.dims) <= EXHAUSTIVE_CONE_LIMIT
+    exhaustive = sum(p ** (code.depth * d) for d in code.dims) <= SWEEP_LIMIT
     vertex, rows = (_assignments if exhaustive else _principal_rows)(cat, code)
     endos, ok = _admissible(cat, code, vertex, rows)
     if not (exhaustive or ok.all()):
@@ -366,8 +454,11 @@ def enumerate_normal_cones(cat: SubspaceCategory):
         for j, key in enumerate(code.block(ambient, k)):
             columns.setdefault(key.tobytes(), []).append(j)
         for cols in columns.values():
-            epi = normal_factorization(cones[cols[0]].components[k]).epi
-            prod = code.codes(cat.index(epi.cod), _push(rows[left], epi, p))
+            v = cat.objects[vertex[cols[0]]]
+            fac = shape_factors(p, code.dims[k], v.dim)
+            i = _base_p(code.block(rows[cols[:1]], k)[:, :, :v.dim], p)[0]
+            img = _span_in(v, fac.image[i, :fac.rank[i]].tolist())
+            prod = code.codes(cat.index(img), _push(rows[left], fac.epi[i, :, :fac.rank[i]], p))
             found = [index.get(c, -1) for c in prod.tolist()]
             if -1 in found:
                 raise AssertionError("cone composition left the enumerated set")

@@ -8,6 +8,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
+from factorization_oracle import all_linear_maps
 from fibersemi import gf
 from fibersemi.gf import Endo, Subspace
 from fibersemi.subspace_category import Cone, SubspaceCategory
@@ -88,7 +89,7 @@ def validate_cone(cat: SubspaceCategory, cone: Cone) -> ConeReport:
 
 
 def _assignment_space(cat: SubspaceCategory, vertex: Subspace):
-    per_object = [list(gf.all_linear_maps(obj, vertex)) for obj in cat.objects]
+    per_object = [list(all_linear_maps(obj, vertex)) for obj in cat.objects]
     for combo in itertools.product(*per_object):
         yield Cone(vertex, combo)
 

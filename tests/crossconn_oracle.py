@@ -7,10 +7,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from factorization_oracle import all_linear_maps
 from fibersemi import gf
 from fibersemi import subspace_category as sc
 from fibersemi.crossconn import CrossConnection
-from fibersemi.gf import Endo, Subspace
+from fibersemi.gf import Endo, LinearMap, Subspace
 
 #: membership readings for the bifunctor sets: the second condition either
 #: constrains the annihilator of the kernel ("kernel", the reading under
@@ -20,27 +21,44 @@ MEMBERSHIP_MODES = ("kernel", "image")
 DEFAULT_MODE = "kernel"
 
 
+def dual_object_image(cc: CrossConnection, y: Subspace) -> Subspace:
+    return gf.subspace_span([cc.eps_t.apply(f) for f in y.basis], cc.n, cc.p)
+
+
+def dual_morphism_image(cc: CrossConnection, m: LinearMap) -> LinearMap:
+    """Conjugate a map of dual subspaces: transpose-inverse, m, transpose."""
+    return cc.dual_restrictions(m.dom)[0].compose(m).compose(cc.dual_restrictions(m.cod)[1])
+
+
+def primal_object_image(cc: CrossConnection, a: Subspace) -> Subspace:
+    return gf.subspace_span([cc.eps.apply(v) for v in a.basis], cc.n, cc.p)
+
+
+def primal_morphism_image(cc: CrossConnection, f: LinearMap) -> LinearMap:
+    return cc.primal_restrictions(f.dom)[0].compose(f).compose(cc.primal_restrictions(f.cod)[1])
+
+
 def check_functorial(cc: CrossConnection):
     """Raise unless both actions preserve identities and composition, checked
     exhaustively over the proper subspaces and every composable pair."""
     cat = sc.build_category(cc.p, cc.n)
     for obj in cat.objects:
-        y = cc.dual_object_image(obj)
-        if cc.dual_morphism_image(gf.identity_map(obj)) != gf.identity_map(y):
+        y = dual_object_image(cc, obj)
+        if dual_morphism_image(cc, gf.identity_map(obj)) != gf.identity_map(y):
             raise AssertionError("dual action does not preserve identities")
-        a = cc.primal_object_image(obj)
-        if cc.primal_morphism_image(gf.identity_map(obj)) != gf.identity_map(a):
+        a = primal_object_image(cc, obj)
+        if primal_morphism_image(cc, gf.identity_map(obj)) != gf.identity_map(a):
             raise AssertionError("primal action does not preserve identities")
     for x in cat.objects:
         for y in cat.objects:
-            for f in gf.all_linear_maps(x, y):
+            for f in all_linear_maps(x, y):
                 for z in cat.objects:
-                    for g in gf.all_linear_maps(y, z):
-                        if cc.dual_morphism_image(f.compose(g)) != \
-                                cc.dual_morphism_image(f).compose(cc.dual_morphism_image(g)):
+                    for g in all_linear_maps(y, z):
+                        if dual_morphism_image(cc, f.compose(g)) != \
+                                dual_morphism_image(cc, f).compose(dual_morphism_image(cc, g)):
                             raise AssertionError("dual action does not preserve composition")
-                        if cc.primal_morphism_image(f.compose(g)) != \
-                                cc.primal_morphism_image(f).compose(cc.primal_morphism_image(g)):
+                        if primal_morphism_image(cc, f.compose(g)) != \
+                                primal_morphism_image(cc, f).compose(primal_morphism_image(cc, g)):
                             raise AssertionError("primal action does not preserve composition")
 
 
@@ -63,7 +81,7 @@ class CoveringReport:
 def functor_m_set(cc: CrossConnection, cat: sc.SubspaceCategory, y: Subspace):
     """M-set of the connection at a dual object: complements of the subspace
     annihilated by the transported functionals."""
-    pre = gf.annihilator(cc.dual_object_image(y))
+    pre = gf.annihilator(dual_object_image(cc, y))
     return tuple(a for a in cat.objects if gf.is_direct_sum(a, pre)), pre
 
 
@@ -91,12 +109,12 @@ def verify_cross_connection(cc: CrossConnection) -> CoveringReport:
     for y in cat.objects:
         for z in cat.objects:
             if z.contains_subspace(y):
-                if not cc.dual_object_image(z).contains_subspace(cc.dual_object_image(y)):
+                if not dual_object_image(cc, z).contains_subspace(dual_object_image(cc, y)):
                     inclusion_ok = False
     hom_injective = True
     for y in cat.objects:
         for z in cat.objects:
-            images = [cc.dual_morphism_image(m) for m in gf.all_linear_maps(y, z)]
+            images = [dual_morphism_image(cc, m) for m in all_linear_maps(y, z)]
             if len(set(images)) != len(images):
                 hom_injective = False
     return CoveringReport(covering, tuple(witnesses), inclusion_ok, hom_injective)
@@ -108,7 +126,7 @@ def verify_cross_connection(cc: CrossConnection) -> CoveringReport:
 def _first_member(cc, alpha: Endo, a: Subspace, y: Subspace, mode) -> bool:
     if not a.contains_subspace(alpha.image()):
         return False
-    target = cc.dual_object_image(y)
+    target = dual_object_image(cc, y)
     if mode == "kernel":
         constrained = gf.annihilator(alpha.kernel())
     elif mode == "image":
@@ -125,7 +143,7 @@ def _second_member(cc, beta: Endo, a: Subspace, y: Subspace, mode) -> bool:
     bt = gf.transpose(beta)
     if not y.contains_subspace(bt.image()):
         return False
-    target = cc.primal_object_image(a)
+    target = primal_object_image(cc, a)
     if mode == "kernel":
         constrained = gf.annihilator(bt.kernel())
     elif mode == "image":

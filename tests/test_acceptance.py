@@ -3,11 +3,11 @@ runtime budget.  Run with -s to see one PASS line per criterion."""
 
 import io
 import json
-import random
 import time
 from contextlib import contextmanager, redirect_stdout
 
 import crossconn_oracle as oracle
+import factorization_oracle as fo
 from fibersemi import annihilators as ann
 from fibersemi import bundles as bn
 from fibersemi import cli
@@ -72,21 +72,17 @@ def test_criterion_3_green_structure():
 
 
 def test_criterion_4_normal_factorization():
-    with criterion(4, "f = q.u.j exhaustively at (2,2) and on 10^4 samples at (2,3)", 30):
+    with criterion(4, "f = q.u.j on every morphism at (2,2) and at (2,3)", 30):
         cat = sc.build_category(2, 2)
-        for f in cat.all_morphisms():
+        for f in fo.all_morphisms(cat):
             nf = sc.normal_factorization(f)
             assert nf.recomposed() == f and nf.u.is_iso()
         for i, j in cat.inclusion_pairs:
             a, b = cat.objects[i], cat.objects[j]
             assert gf.inclusion_map(a, b).compose(sc.retraction(b, a)) == gf.identity_map(a)
-        cat3 = sc.build_category(2, 3)
-        rng = random.Random(0)
-        for _ in range(10_000):
-            a = rng.choice(cat3.objects)
-            b = rng.choice(cat3.objects)
-            m = tuple(tuple(rng.randrange(2) for _ in range(b.dim)) for _ in range(a.dim))
-            f = gf.LinearMap(a, b, m)
+        morphisms = list(fo.all_morphisms(sc.build_category(2, 3)))
+        assert len(morphisms) == 1303
+        for f in morphisms:
             nf = sc.normal_factorization(f)
             assert nf.recomposed() == f and nf.u.is_iso()
 

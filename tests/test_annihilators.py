@@ -33,11 +33,11 @@ def test_objects_are_annihilators_of_nonzero_subspaces(acat22):
 
 def test_tag_lookup_example(acat22):
     line = gf.subspace_span([(1, 0)], 2, 2)
-    t = acat22.tag_for_dual(gf.subspace_span([(0, 1)], 2, 2))
+    t = acat22.tags[acat22.dual_category.index(gf.subspace_span([(0, 1)], 2, 2))]
     assert t.primal == line
 
 def test_full_space_maps_to_zero_object(acat22):
-    t = acat22.tag_for_dual(gf.zero_subspace(2, 2))
+    t = acat22.tags[acat22.dual_category.index(gf.zero_subspace(2, 2))]
     assert t.primal == gf.full_space(2, 2)
 
 

@@ -423,10 +423,15 @@ def test_ideal_category_rejects_non_regular():
 # ---------------------------------------------------------------------------
 # eggbox export
 
+def eggbox_export(s, g):
+    """(DOT document, JSON document) for the Green structure."""
+    dot = sg.eggbox_dot(s, g)
+    return dot, json.dumps(g.to_json(), sort_keys=True, separators=(",", ":")) + "\n"
+
 def test_eggbox_dot_structure():
     s = sing_semigroup(2, 2)
     g = sg.green_relations(s)
-    dot, doc = sg.eggbox_export(s, g)
+    dot, doc = eggbox_export(s, g)
     assert dot.count("subgraph cluster_") == 2
     big = max(dot.split("subgraph")[1:], key=len)
     assert big.count("<TR>") == 3
@@ -435,14 +440,14 @@ def test_eggbox_dot_structure():
 def test_eggbox_group_is_single_cell():
     z3 = sg.from_multiplication(range(3), lambda a, b: (a + b) % 3)
     g = sg.green_relations(z3)
-    dot, _ = sg.eggbox_export(z3, g)
+    dot, _ = eggbox_export(z3, g)
     assert dot.count("subgraph cluster_") == 1
     assert dot.count("<TR>") == 1
 
 def test_green_json_round_trip():
     s = sing_semigroup(2, 2)
     g = sg.green_relations(s)
-    _, doc = sg.eggbox_export(s, g)
+    _, doc = eggbox_export(s, g)
     assert sg.GreenStructure.from_json(json.loads(doc)) == g
 
 def test_cayley_json_round_trip():

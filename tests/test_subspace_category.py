@@ -1,13 +1,18 @@
 """Subspace category, normal factorization, cones and the cone semigroup."""
 
+import itertools
 import random
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
 import cone_oracle as oracle
+import factorization_oracle as fo
+from fibersemi import cli
 from fibersemi import gf
 from fibersemi import semigroups as sg
 from fibersemi import subspace_category as sc
@@ -25,6 +30,13 @@ def cat23():
 @pytest.fixture(scope="module")
 def sing22():
     return gf.enumerate_endos(2, 2, singular_only=True)
+
+
+def zero_map(a, b):
+    return gf.LinearMap(a, b, gf.zero_matrix(a.dim, b.dim))
+
+def is_zero(f):
+    return all(x == 0 for row in f.matrix for x in row)
 
 
 # ---------------------------------------------------------------------------
@@ -56,7 +68,7 @@ def test_every_inclusion_splits(cat22, cat23):
             assert gf.inclusion_map(a, b).compose(q) == gf.identity_map(a)
 
 def test_factorization_exhaustive_2_2(cat22):
-    for f in cat22.all_morphisms():
+    for f in fo.all_morphisms(cat22):
         nf = sc.normal_factorization(f)
         assert nf.recomposed() == f
         assert nf.u.is_iso()
@@ -65,16 +77,85 @@ def test_factorization_exhaustive_2_2(cat22):
         # the retraction splits the inclusion of its codomain
         assert gf.inclusion_map(nf.q.cod, f.dom).compose(nf.q) == gf.identity_map(nf.q.cod)
 
-def test_factorization_sampled_2_3(cat23):
-    rng = random.Random(7)
-    for _ in range(10_000):
-        a = rng.choice(cat23.objects)
-        b = rng.choice(cat23.objects)
-        m = tuple(tuple(rng.randrange(2) for _ in range(b.dim)) for _ in range(a.dim))
-        f = gf.LinearMap(a, b, m)
+def test_factorization_exhaustive_2_3(cat23):
+    count = 0
+    for f in fo.all_morphisms(cat23):
         nf = sc.normal_factorization(f)
         assert nf.recomposed() == f
         assert nf.u.is_iso()
+        count += 1
+    assert count == 1303
+
+@pytest.mark.parametrize("p, n", [(2, 2), (3, 2), (2, 3), (5, 2)])
+def test_factorization_matches_the_oracle(p, n):
+    """q, u, j and epi read from the shape arrays equal the rref-per-morphism
+    oracle's on every morphism, the zero-dimensional hom-sets included."""
+    cat = sc.build_category(p, n)
+    shapes = set()
+    for f in fo.all_morphisms(cat):
+        assert sc.normal_factorization(f) == fo.normal_factorization(f)
+        shapes.add((f.dom.dim, f.cod.dim))
+    assert {(0, 0), (0, 1), (1, 0)} <= shapes
+
+@pytest.mark.parametrize("p, m, w", [(2, 3, 4), (3, 2, 3), (5, 2, 2), (7, 1, 3)])
+def test_rref_stack_matches_gf_rref(p, m, w):
+    mats = np.array(list(itertools.product(range(p), repeat=m * w))).reshape(-1, m, w)
+    red, pivot, rank = sc._rref_stack(mats, p)
+    for a, r, piv, k in zip(mats.tolist(), red.tolist(), pivot.tolist(), rank.tolist()):
+        basis, pivots = gf.rref(a, w, p)
+        assert tuple(map(tuple, r[:k])) == basis and not any(map(any, r[k:]))
+        assert tuple(c for c in range(w) if piv[c]) == pivots
+
+def test_shape_factors_are_read_only():
+    fac = sc.shape_factors(2, 2, 2)
+    assert len(fac.rank) == 16 and list(fac.rank[:2]) == [0, 1]
+    with pytest.raises(ValueError):
+        fac.q[0, 0, 0] = 1
+
+def test_shape_factors_refuse_beyond_the_sweep_limit():
+    with pytest.raises(gf.GuardExceeded, match="1048576 matrices of shape 4x5 exceed limit 65536"):
+        sc.shape_factors(2, 4, 5)
+
+def perturbed(changes):
+    """shape_factors with entries changed: {(p, da, db): [(field, index, value)]}."""
+    shape_factors = sc.shape_factors
+    def changed(p, da, db):
+        fac = shape_factors(p, da, db)
+        for field, index, value in changes.get((p, da, db), ()):
+            arr = getattr(fac, field).copy()
+            arr[index] = value
+            fac = SimpleNamespace(**{**vars(fac), field: arr})
+        return fac
+    return changed
+
+def test_factorization_check_fails_on_a_perturbed_retraction(monkeypatch):
+    # M = [[0, 1], [0, 1]] has kernel <(1, 1)>, so q = [[1], [1]]
+    monkeypatch.setattr(sc, "shape_factors", perturbed({(2, 2, 2): [("q", (5, 1, 0), 0)]}))
+    ok, witness = cli._check_factorization(2, 2)
+    assert not ok
+    assert witness == {"failure": "factorization identity", "shape": [2, 2], "matrix": [[0, 1], [0, 1]]}
+
+def test_factorization_check_fails_on_a_rescaled_retraction(monkeypatch):
+    # over GF(3), q = u = [[2]] still give q.u.image = M = [[1]], so only the
+    # translation at each line sees that q is no retraction
+    monkeypatch.setattr(sc, "shape_factors", perturbed(
+        {(3, 1, 1): [("q", (1, 0, 0), 2), ("u", (1, 0, 0), 2)]}))
+    line = sc.build_category(3, 2).objects[1]
+    assert cli._check_factorization(3, 2) == (
+        False, {"failure": "retraction translation", "object": line.to_json()})
+
+def test_factorization_check_fails_on_a_perturbed_image_basis(monkeypatch):
+    # image = T.RREF(M) with T = [[2]] and u = [[2]] = u.T^-1: q.u.image is
+    # still M = [[1]], but the image basis is no longer canonical at a line
+    monkeypatch.setattr(sc, "shape_factors", perturbed(
+        {(3, 1, 1): [("image", (1, 0, 0), 2), ("u", (1, 0, 0), 2)]}))
+    line = sc.build_category(3, 2).objects[1]
+    assert cli._check_factorization(3, 2) == (
+        False, {"failure": "image translation", "object": line.to_json()})
+
+@pytest.mark.parametrize("p, n", [(2, 4), (3, 3)])
+def test_factorization_check_finishes_beyond_the_sing_guard(p, n):
+    assert cli._check_factorization(p, n) == (True, None)
 
 def test_factorization_hand_example():
     a = gf.subspace_span([(1, 0, 0), (0, 1, 0)], 3, 2)
@@ -98,7 +179,7 @@ def test_factorization_of_isomorphism():
 def test_factorization_of_zero_map():
     a = gf.subspace_span([(1, 0, 0), (0, 1, 0)], 3, 2)
     b = gf.subspace_span([(0, 0, 1)], 3, 2)
-    nf = sc.normal_factorization(gf.zero_map(a, b))
+    nf = sc.normal_factorization(zero_map(a, b))
     assert nf.q.cod.dim == 0
     assert nf.u.dom.dim == 0 and nf.u.cod.dim == 0
     assert nf.j.dom.dim == 0 and nf.j.cod == b
@@ -114,9 +195,9 @@ def test_principal_cone_of_projection(cat22):
     l10 = gf.subspace_span([(1, 0)], 2, 2)
     l01 = gf.subspace_span([(0, 1)], 2, 2)
     l11 = gf.subspace_span([(1, 1)], 2, 2)
-    assert rho.component_at(cat22, l10) == gf.identity_map(l10)
-    assert rho.component_at(cat22, l01).is_zero()
-    assert rho.component_at(cat22, l11).apply((1, 1)) == (1, 0)
+    assert rho.components[cat22.index(l10)] == gf.identity_map(l10)
+    assert is_zero(rho.components[cat22.index(l01)])
+    assert rho.components[cat22.index(l11)].apply((1, 1)) == (1, 0)
     rep = oracle.validate_cone(cat22, rho)
     assert rep.well_formed and rep.is_normal
     assert set(rep.iso_objects) == {l10, l11}
@@ -124,7 +205,7 @@ def test_principal_cone_of_projection(cat22):
 def test_principal_cone_of_zero(cat22):
     rho = sc.principal_cone(cat22, gf.zero_endo(2, 2))
     assert rho.vertex.dim == 0
-    assert all(c.is_zero() for c in rho.components)
+    assert all(is_zero(c) for c in rho.components)
     rep = oracle.validate_cone(cat22, rho)
     assert rep.well_formed and rep.is_normal
     assert rep.iso_objects == (gf.zero_subspace(2, 2),)
@@ -143,7 +224,7 @@ def test_ill_typed_cone_is_flagged(cat22):
     rho = sc.principal_cone(cat22, e)
     l01 = gf.subspace_span([(0, 1)], 2, 2)
     bad_comps = tuple(
-        gf.zero_map(gf.zero_subspace(2, 2), l01) if obj.dim == 0 else c
+        zero_map(gf.zero_subspace(2, 2), l01) if obj.dim == 0 else c
         for obj, c in zip(cat22.objects, rho.components)
     )
     rep = oracle.validate_cone(cat22, sc.Cone(rho.vertex, bad_comps))
@@ -157,7 +238,7 @@ def test_restriction_violation_is_flagged(cat23):
     line = gf.subspace_span([(1, 0, 0)], 3, 2)
     vertex = rho.vertex
     comps = list(rho.components)
-    comps[cat23.index(line)] = gf.zero_map(line, vertex)
+    comps[cat23.index(line)] = zero_map(line, vertex)
     rep = oracle.validate_cone(cat23, sc.Cone(vertex, tuple(comps)))
     assert rep.typing_ok
     assert not rep.restriction_compatible
@@ -197,7 +278,7 @@ def test_star_requires_epi_from_vertex(cat22):
     rho = sc.principal_cone(cat22, gf.endo([[1, 0], [0, 0]], 2))
     l10 = gf.subspace_span([(1, 0)], 2, 2)
     with pytest.raises(ValueError):
-        sc.cone_star(cat22, rho, gf.zero_map(l10, l10))
+        sc.cone_star(cat22, rho, zero_map(l10, l10))
     other = gf.subspace_span([(0, 1)], 2, 2)
     with pytest.raises(ValueError):
         sc.cone_star(cat22, rho, gf.identity_map(other))
@@ -206,7 +287,7 @@ def test_star_preserves_normality(cat22, sing22):
     for a in sing22:
         rho = sc.principal_cone(cat22, a)
         for obj in cat22.objects:
-            for f in gf.all_linear_maps(rho.vertex, obj):
+            for f in fo.all_linear_maps(rho.vertex, obj):
                 if f.is_epi():
                     out = sc.cone_star(cat22, rho, f)
                     assert sc.is_normal_cone(out)
@@ -253,7 +334,7 @@ def test_compose_associative_exhaustive_2_2(cat22, sing22):
 def test_compose_requires_normal_inputs(cat22):
     rho = sc.principal_cone(cat22, gf.endo([[1, 0], [0, 0]], 2))
     line = rho.vertex
-    flat = sc.Cone(line, tuple(gf.zero_map(o, line) for o in cat22.objects))
+    flat = sc.Cone(line, tuple(zero_map(o, line) for o in cat22.objects))
     with pytest.raises(ValueError):
         sc.cone_compose(cat22, rho, flat)
 
@@ -345,11 +426,13 @@ def test_inducing_endos_match_cone_to_endo(cat22, cat23):
         assert list(endos) == [oracle.cone_to_endo(cat, c) for c in cones]
         assert list(endos) == list(gf.enumerate_endos(cat.p, cat.n, singular_only=True))
 
-def test_principal_rows_are_the_principal_cones(cat23):
-    code = sc._ConeCode(cat23)
-    vertex, rows = sc._principal_rows(cat23, code)
-    sing = gf.enumerate_endos(2, 3, singular_only=True)
-    assert list(sc._cones(cat23, code, vertex, rows)) == [sc.principal_cone(cat23, a) for a in sing]
+@pytest.mark.parametrize("p, n", [(2, 2), (3, 2), (5, 2), (7, 2), (2, 3)])
+def test_principal_rows_are_the_principal_cones(p, n):
+    cat = sc.build_category(p, n)
+    code = sc._ConeCode(cat)
+    vertex, rows = sc._principal_rows(cat, code)
+    sing = gf.enumerate_endos(p, n, singular_only=True)
+    assert sc.principal_cones(cat) == tuple(sc.principal_cone(cat, a) for a in sing)
     assert len(set(code.codes(vertex, rows).tolist())) == len(sing)
 
 def test_cones_leave_numpy_ma_unimported():
@@ -367,7 +450,7 @@ def test_product_outside_the_enumerated_set_raises(monkeypatch, cat22):
     push = sc._push
     def flattened_push(rows, epi, p):
         out = push(rows, epi, p)
-        return out if epi.cod.dim == 0 else 0 * out
+        return out if epi.shape[1] == 0 else 0 * out
     monkeypatch.setattr(sc, "_push", flattened_push)
     with pytest.raises(AssertionError, match="left the enumerated set"):
         sc.enumerate_normal_cones(cat22)
@@ -401,7 +484,7 @@ def test_unit_cones_exist_at_every_vertex(cat22, cat23):
         for obj in cat.objects:
             cone = identity_cone(cat, obj)
             assert cone.vertex == obj
-            assert cone.component_at(cat, obj) == gf.identity_map(obj)
+            assert cone.components[cat.index(obj)] == gf.identity_map(obj)
             rep = oracle.validate_cone(cat, cone)
             assert rep.well_formed and rep.is_normal
 
