@@ -52,11 +52,9 @@ def build_annihilator_category(p, n) -> AnnihilatorCategory:
     dual_category = sc.build_category(p, n)
     if set(duals) != set(dual_category.objects):
         raise AssertionError("annihilators of nonzero subspaces must be the proper dual subspaces")
-    for a in nonzero:
-        for b in nonzero:
-            if b.contains_subspace(a):
-                if not gf.annihilator(a).contains_subspace(gf.annihilator(b)):
-                    raise AssertionError("annihilator failed to reverse containment")
+    if any(b.contains_subspace(a) and not gf.annihilator(a).contains_subspace(gf.annihilator(b))
+           for a in nonzero for b in nonzero):
+        raise AssertionError("annihilator failed to reverse containment")
     tags = tuple(DualObjectTag(duals[y], y) for y in dual_category.objects)
     return AnnihilatorCategory(p, n, tags, dual_category)
 
@@ -90,13 +88,8 @@ def iso_to_dual_subspace_category(acat: AnnihilatorCategory) -> DualIsoReport:
         and len({t.primal for t in acat.tags}) == len(acat.tags)
     )
     double = all(gf.annihilator(t.dual) == t.primal for t in acat.tags)
-    reversal = True
-    for s in acat.tags:
-        for t in acat.tags:
-            forward = t.primal.contains_subspace(s.primal)
-            backward = s.dual.contains_subspace(t.dual)
-            if forward != backward:
-                reversal = False
+    reversal = all(t.primal.contains_subspace(s.primal) == s.dual.contains_subspace(t.dual)
+                   for s in acat.tags for t in acat.tags)
     return DualIsoReport(pairs, counts, double, reversal)
 
 
@@ -117,10 +110,10 @@ def build_ta_semigroup(p, n) -> DualConeSemigroupReport:
     which is exactly (alpha^T).(beta^T) = (beta.alpha)^T for every pair.
     """
     acat = build_annihilator_category(p, n)
-    ta, cones, endos = sc.enumerate_normal_cones(acat.dual_category)
+    ta = sc.coded_normal_cones(acat.dual_category)[0]
     sing = sg.sing_semigroup(p, n)
     # the opposite of an associative table is associative
-    opposite = sg.FiniteSemigroup(sing.elements, tuple(zip(*sing.table)))
+    opposite = sg.FiniteSemigroup(sing.elements, sing.table.T)
     mapping = tuple(ta.index(gf.transpose(a).rows) for a in opposite.elements)
     report = sg.verify_morphism(sg.SemigroupMorphism(opposite, ta, mapping))
     return DualConeSemigroupReport(ta, report)

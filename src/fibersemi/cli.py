@@ -113,14 +113,14 @@ def _check_factorization(p, n):
 
 def _check_cone_semigroup(p, n):
     # The table is built by cone_compose and its cones are exactly the
-    # principal ones, so the morphism check below decides
-    # cone(a).cone(b) = cone(ab) for every pair.
+    # principal ones (both code arrays are in order of the inducing
+    # endomorphisms), so the morphism check decides cone(a).cone(b) = cone(ab).
     cat = sc.build_category(p, n)
-    cone_sg, cones, endos = sc.enumerate_normal_cones(cat)
+    cone_sg, code, vertex, rows = sc.coded_normal_cones(cat)
     sing_elems = gf.enumerate_endos(p, n, singular_only=True)
     if cone_sg.order != len(sing_elems):
         return False, {"cones": cone_sg.order, "singular": len(sing_elems)}
-    if set(cones) != set(sc.principal_cones(cat)):
+    if code.codes(vertex, rows).tolist() != sc.principal_codes(cat, code).tolist():
         return False, {"failure": "non-principal normal cone found"}
     sing = sg.sing_semigroup(p, n)
     mapping = tuple(cone_sg.index(a.rows) for a in sing.elements)

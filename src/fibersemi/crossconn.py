@@ -207,7 +207,7 @@ class CrossConnSemigroup:
                  "second": [list(r) for r in pr.second.rows]}
                 for pr in self.pairs
             ],
-            "table": [list(r) for r in self.semigroup.table],
+            "table": self.semigroup.table.tolist(),
         }
 
 
@@ -246,9 +246,8 @@ def build_cross_conn_semigroup(eps: Endo) -> CrossConnSemigroup:
     """
     cc = cross_connection(eps)
     sing = sg.sing_semigroup(eps.p, eps.n)
-    _, _, table = gf.sing_table(eps.p, eps.n)
     perm = gf.sing_conjugation(cc.eps_inv, eps)
-    check_conjugation_law(table, perm)
+    check_conjugation_law(sing.table, perm)
     pairs = tuple(LinkedPair(x, sing.elements[k]) for x, k in zip(sing.elements, perm.tolist()))
     labels = tuple((pr.first.rows, pr.second.rows) for pr in pairs)
     return CrossConnSemigroup(eps, pairs, sg.FiniteSemigroup(labels, sing.table))

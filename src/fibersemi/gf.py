@@ -37,9 +37,13 @@ def check_dim(n: int) -> int:
     return n
 
 
-def _check_endo_guard(p, n):
+def _endo_count(p, n):
+    """p^(n^2), the number of n x n matrices, once p, n and the guard pass."""
+    check_field(p)
+    check_dim(n)
     if p ** (n * n) > ENDO_ENUM_LIMIT:
         raise GuardExceeded(f"p^(n^2) = {p ** (n * n)} exceeds endomorphism guard {ENDO_ENUM_LIMIT}")
+    return p ** (n * n)
 
 
 # ---------------------------------------------------------------------------
@@ -94,6 +98,24 @@ def rref(rows, width, p):
 
 def mat_rank(rows, width, p):
     return len(rref(rows, width, p)[0])
+
+
+def rref_stack(a, p):
+    """rref of every matrix of a stack (count, m, w) at once: the reduced
+    matrices with their zero rows last, a mask of pivot columns, the ranks."""
+    a, inverse = a % p, np.array([0] + [pow(x, -1, p) for x in range(1, p)])
+    rank, pivot = np.zeros(len(a), dtype=np.int64), np.zeros((len(a), a.shape[2]), dtype=bool)
+    for c in range(a.shape[2]):
+        free = (a[:, :, c] != 0) & (np.arange(a.shape[1]) >= rank[:, None])
+        at = np.flatnonzero(free.any(axis=1))
+        if len(at):
+            top, src = rank[at], free[at].argmax(axis=1)
+            lead = a[at, src] * inverse[a[at, src, c]][:, None] % p
+            a[at, src] = a[at, top]
+            a[at] = (a[at] - a[at, :, c][:, :, None] * lead[:, None]) % p
+            a[at, top], pivot[at, c] = lead, True
+            rank[at] += 1
+    return a, pivot, rank
 
 
 def mat_inverse(a, p):
@@ -373,24 +395,17 @@ def transpose(alpha: Endo) -> Endo:
 
 @lru_cache(maxsize=None)
 def enumerate_endos(p, n, singular_only=False):
-    """All n x n matrices over GF(p), lexicographic by entries."""
-    check_field(p)
-    check_dim(n)
-    _check_endo_guard(p, n)
-    out = []
-    for entries in itertools.product(range(p), repeat=n * n):
-        rows = tuple(entries[i * n:(i + 1) * n] for i in range(n))
-        e = Endo(p, n, rows)
-        if singular_only and e.rank == n:
-            continue
-        out.append(e)
-    return tuple(out)
+    """All n x n matrices over GF(p), lexicographic by entries; singular_only
+    keeps those of rank below n."""
+    mats = _sing_matrices(p, n) if singular_only else from_base_p(np.arange(_endo_count(p, n)), p, n, n)
+    return tuple(Endo(p, n, tuple(map(tuple, m))) for m in mats.tolist())
 
 
 @lru_cache(maxsize=None)
 def enumerate_automorphisms(p, n):
     """All invertible n x n matrices over GF(p), lexicographic by entries."""
-    return tuple(e for e in enumerate_endos(p, n) if e.rank == n)
+    mats = from_base_p(np.flatnonzero(_ranks(p, n) == n), p, n, n)
+    return tuple(Endo(p, n, tuple(map(tuple, m))) for m in mats.tolist())
 
 
 def singular_count(p, n):
@@ -405,17 +420,36 @@ def singular_count(p, n):
 # integer-coded kernel: an n x n matrix is the base-p number of its row-major
 # entries, which is exactly the lexicographic order of enumerate_endos
 
-TABLE_BLOCK_CELLS = 1 << 15  # matrix entries per block of table rows (256 KB as int64)
+TABLE_BLOCK_CELLS = 1 << 15  # table cells per block of rows (256 KB of int64 codes)
 
 
-def _codes(mats, p):
-    """Base-p codes of a stack of matrices (..., n, n)."""
-    flat = mats.reshape(*mats.shape[:-2], -1)
-    return (flat * p ** np.arange(flat.shape[-1] - 1, -1, -1)).sum(axis=-1)
+def base_p(mats, p):
+    """The base-p number of the row-major entries of each matrix in a stack."""
+    flat = mats.reshape(len(mats), -1)
+    return flat @ p ** np.arange(flat.shape[1] - 1, -1, -1, dtype=np.int64)
 
 
-def _as_array(elems):
-    return np.array([e.rows for e in elems], dtype=np.int64)
+def from_base_p(codes, p, m, w):
+    """The m x w matrices with the given base-p codes, as an int64 stack."""
+    return (codes[:, None] // p ** np.arange(m * w - 1, -1, -1) % p).reshape(len(codes), m, w)
+
+
+@lru_cache(maxsize=None)
+def _ranks(p, n):
+    """The rank of every n x n matrix over GF(p), indexed by its code: one
+    batched elimination over all p^(n^2) of them."""
+    ranks = rref_stack(from_base_p(np.arange(_endo_count(p, n)), p, n, n), p)[2]
+    ranks.flags.writeable = False
+    return ranks
+
+
+@lru_cache(maxsize=None)
+def _sing_matrices(p, n):
+    """The singular n x n matrices in code order, as one read-only
+    (order, n, n) array: the sing_table elements."""
+    mats = from_base_p(np.flatnonzero(_ranks(p, n) < n), p, n, n)
+    mats.flags.writeable = False
+    return mats
 
 
 @lru_cache(maxsize=None)
@@ -425,34 +459,32 @@ def sing_table(p, n):
     The Endos are in enumerate_endos order; decode maps a matrix code to its
     index there, -1 for invertible matrices; table[i, j] is the index of
     elems[i] * elems[j] as an int32 array.  Both guards are checked before
-    anything is enumerated, and the table is built a block of rows at a
-    time so no intermediate exceeds a few MB.
+    anything is enumerated.
+
+    Each cell is the product of the two matrices, read by row codes: row r
+    of A.B is A[r].B, so code(A.B) = sum_r code(A[r].B) p^(n(n-1-r)), with
+    code(v.B_j) looked up in rowprod[v, j] for each of the p^n row vectors v.
+    Blocks of rows keep every intermediate to a few MB.
     """
-    check_field(p)
-    check_dim(n)
-    _check_endo_guard(p, n)
-    order = singular_count(p, n)
+    count, order = _endo_count(p, n), singular_count(p, n)
     if order > ASSOC_GUARD:
         raise GuardExceeded(f"Sing(GF({p})^{n}) has order {order}, beyond the associativity guard {ASSOC_GUARD}")
-    elems = enumerate_endos(p, n, singular_only=True)
-    mats = _as_array(elems)
-    decode = np.full(p ** (n * n), -1, dtype=np.int32)
-    decode[_codes(mats, p)] = np.arange(order, dtype=np.int32)
+    mats, decode = _sing_matrices(p, n), np.full(count, -1, dtype=np.int32)
+    decode[_ranks(p, n) < n] = np.arange(order, dtype=np.int32)
+    digits = p ** np.arange(n - 1, -1, -1)
+    vectors = np.arange(p ** n)[:, None] // digits % p
+    rows = mats @ digits                                  # rows[i, r] = code(A_i[r])
+    rowprod = (vectors @ mats % p @ digits).T             # rowprod[v, j] = code(v.B_j)
+    weighted = rowprod * p ** (n * np.arange(n - 1, -1, -1))[:, None, None]
     table = np.empty((order, order), dtype=np.int32)
-    block = max(1, TABLE_BLOCK_CELLS // (order * n * n))
+    block = max(1, TABLE_BLOCK_CELLS // order)
     for lo in range(0, order, block):
-        prod = np.matmul(mats[lo:lo + block, None], mats[None]) % p
-        table[lo:lo + block] = decode[_codes(prod, p)]
+        acc = weighted[0][rows[lo:lo + block, 0]]
+        for r in range(1, n):
+            acc += weighted[r][rows[lo:lo + block, r]]
+        table[lo:lo + block] = decode[acc]
     decode.flags.writeable = table.flags.writeable = False  # shared by every caller
-    return elems, decode, table
-
-
-@lru_cache(maxsize=None)
-def _sing_matrices(p, n):
-    """The sing_table elements as one read-only (order, n, n) array."""
-    mats = _as_array(sing_table(p, n)[0])
-    mats.flags.writeable = False
-    return mats
+    return enumerate_endos(p, n, singular_only=True), decode, table
 
 
 def sing_conjugation(left: Endo, right: Endo):
@@ -461,7 +493,7 @@ def sing_conjugation(left: Endo, right: Endo):
     p, n = right.p, right.n
     _, decode, _ = sing_table(p, n)
     conj = np.array(left.rows) @ _sing_matrices(p, n) % p @ np.array(right.rows) % p
-    return decode[_codes(conj, p)]
+    return decode[base_p(conj, p)]
 
 
 # ---------------------------------------------------------------------------

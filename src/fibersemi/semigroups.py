@@ -9,7 +9,7 @@ cone semigroups and hand-built fixtures alike.
 from __future__ import annotations
 
 from collections import defaultdict
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from functools import lru_cache
 from itertools import chain
 
@@ -25,14 +25,21 @@ class NotAssociative(ValueError):
         super().__init__(f"operation not associative at triple {witness}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FiniteSemigroup:
+    """Labels and a read-only (order, order) int32 table of product indices.
+    Equal when the labels and the table contents are; not hashable."""
     elements: tuple
-    table: tuple
-    _index: dict = field(default=None, compare=False, repr=False)
+    table: np.ndarray
+    _index: dict = field(default=None, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "_index", {x: i for i, x in enumerate(self.elements)})
+
+    def __eq__(self, other):
+        if not isinstance(other, FiniteSemigroup):
+            return NotImplemented
+        return self.elements == other.elements and np.array_equal(self.table, other.table)
 
     @property
     def order(self) -> int:
@@ -42,12 +49,12 @@ class FiniteSemigroup:
         return self._index[label]
 
     def mul_labels(self, a, b):
-        return self.elements[self.table[self._index[a]][self._index[b]]]
+        return self.elements[self.table[self._index[a], self._index[b]]]
 
     def to_json(self):
         return {
             "elements": [_label_to_json(x) for x in self.elements],
-            "table": [list(r) for r in self.table],
+            "table": self.table.tolist(),
         }
 
 
@@ -115,11 +122,39 @@ def _associativity_witness(t):
     return None
 
 
+def _table_array(table, n):
+    """table as a read-only (n, n) int32 array, or ValueError.  An array
+    needs an integer dtype; a list of rows, int entries, checked in one
+    C-level pass (bool is not int)."""
+    if isinstance(table, np.ndarray):
+        if table.dtype.kind not in "iu" or table.shape != (n, n):
+            raise ValueError(f"table must be an integer array of shape {(n, n)}, not {table.dtype} {table.shape}")
+    elif len(table) != n or any(len(r) != n for r in table):
+        raise ValueError("table must be square of the same order as the element list")
+    elif set(map(type, chain.from_iterable(table))) <= {int}:
+        try:
+            table = np.array(table, dtype=np.int64).reshape(n, n)
+        except OverflowError:  # beyond int64, so beyond any order the guard admits
+            pass
+    if not isinstance(table, np.ndarray):
+        x = next(x for x in chain.from_iterable(table) if type(x) is not int or not 0 <= x < n)
+        raise ValueError(f"table entry {x!r} is not an index below {n}")
+    bad = (table < 0) | (table >= n)
+    if bad.any():
+        raise ValueError(f"table entry {table[bad][0].item()!r} is not an index below {n}")
+    if table.dtype != np.int32 or table.flags.writeable:
+        table = table.astype(np.int32)
+        table.flags.writeable = False
+    return table
+
+
 def from_table(elements, table) -> FiniteSemigroup:
     """Validate closure and associativity, then wrap.
 
-    Raises NotAssociative with a witness triple of labels, ValueError on a
-    malformed table, GuardExceeded past the desk-scale order limit.
+    table is an integer array or a list of rows of ints; a read-only int32
+    array becomes the semigroup's table as it is, anything else a read-only
+    copy.  Raises NotAssociative with a witness triple of labels, ValueError
+    on a malformed table, GuardExceeded past the desk-scale order limit.
     """
     elements = tuple(elements)
     n = len(elements)
@@ -127,32 +162,21 @@ def from_table(elements, table) -> FiniteSemigroup:
         raise GuardExceeded(f"order {n} exceeds associativity guard {ASSOC_GUARD}")
     if len(set(elements)) != n:
         raise ValueError("duplicate element labels")
-    table = tuple(tuple(r) for r in table)
-    if len(table) != n or any(len(r) != n for r in table):
-        raise ValueError("table must be square of the same order as the element list")
-    t = None
-    if set(map(type, chain.from_iterable(table))) <= {int}:  # one C-level pass; bool is not int
-        try:
-            t = np.array(table, dtype=np.int32).reshape(n, n)
-        except OverflowError:  # beyond int32, so beyond any order the guard admits
-            pass
-    if t is None or (n and not 0 <= t.min() <= t.max() < n):
-        x = next(x for x in chain.from_iterable(table) if type(x) is not int or not 0 <= x < n)
-        raise ValueError(f"table entry {x!r} is not an index below {n}")
+    t = _table_array(table, n)
     if n:
         w = _associativity_witness(t)
         if w is not None:
             raise NotAssociative(tuple(elements[i] for i in w))
-    return FiniteSemigroup(elements, table)
+    return FiniteSemigroup(elements, t)
 
 
 @lru_cache(maxsize=None)
 def sing_semigroup(p, n) -> FiniteSemigroup:
-    """Sing(GF(p)^n) over its singular Endos in enumeration order, from the
-    integer-coded table; associativity is decided once per (p, n)."""
+    """Sing(GF(p)^n) over its singular Endos in enumeration order, on the
+    kernel's read-only table itself; associativity is decided once per
+    (p, n)."""
     elems, _, table = gf.sing_table(p, n)
-    ints = tuple(range(len(elems)))  # one int object per index, shared by every row
-    return from_table(elems, (tuple(map(ints.__getitem__, row.tolist())) for row in table))
+    return from_table(elems, table)
 
 
 def semigroup_from_json(d) -> FiniteSemigroup:
@@ -178,7 +202,7 @@ def from_multiplication(elements, op) -> FiniteSemigroup:
             if c not in idx:
                 raise ValueError(f"operation not closed: {a} * {b} = {c}")
             row.append(idx[c])
-        table.append(tuple(row))
+        table.append(row)
     return from_table(elements, table)
 
 
@@ -186,12 +210,13 @@ def from_multiplication(elements, op) -> FiniteSemigroup:
 # idempotents, regularity, ideals, Green's relations
 
 def idempotents(s: FiniteSemigroup):
-    return tuple(i for i in range(s.order) if s.table[i][i] == i)
+    return tuple(np.flatnonzero(s.table.diagonal() == np.arange(s.order)).tolist())
 
 
 def is_regular(s: FiniteSemigroup) -> bool:
-    rn = range(s.order)
-    return all(any(s.table[s.table[a][x]][a] == a for x in rn) for a in rn)
+    """Whether every a has some x with (a.x).a = a, the cell [a, x] below."""
+    idx = np.arange(s.order)
+    return bool((s.table[s.table, idx[:, None]] == idx[:, None]).any(axis=1).all())
 
 
 @dataclass(frozen=True)
@@ -202,19 +227,11 @@ class GreenStructure:
     d_classes: tuple
 
     def to_json(self):
-        return {
-            "l_classes": [list(c) for c in self.l_classes],
-            "r_classes": [list(c) for c in self.r_classes],
-            "h_classes": [list(c) for c in self.h_classes],
-            "d_classes": [list(c) for c in self.d_classes],
-        }
+        return {f.name: [list(c) for c in getattr(self, f.name)] for f in fields(self)}
 
     @staticmethod
     def from_json(d):
-        return GreenStructure(*(
-            tuple(tuple(c) for c in d[k])
-            for k in ("l_classes", "r_classes", "h_classes", "d_classes")
-        ))
+        return GreenStructure(*(tuple(map(tuple, d[f.name])) for f in fields(GreenStructure)))
 
 
 def _partition(keys):
@@ -231,8 +248,7 @@ def green_relations(s: FiniteSemigroup) -> GreenStructure:
 
     The completion keeps L and R reflexive on non-regular semigroups.
     """
-    n = s.order
-    t = np.array(s.table, dtype=np.int32).reshape(n, n)
+    n, t = s.order, s.table
     idx = np.arange(n)
 
     def keys(rows):  # a bit-packed membership row per element, as bytes
@@ -246,25 +262,11 @@ def green_relations(s: FiniteSemigroup) -> GreenStructure:
     l_classes = _partition(lkeys)
     r_classes = _partition(rkeys)
     h_classes = _partition(list(zip(lkeys, rkeys)))
-    # D = join of L and R: connected components under either relation
-    parent = list(range(n))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    def union(x, y):
-        rx, ry = find(x), find(y)
-        if rx != ry:
-            parent[max(rx, ry)] = min(rx, ry)
-
-    for classes in (l_classes, r_classes):
-        for cls in classes:
-            for x in cls[1:]:
-                union(cls[0], x)
-    d_classes = _partition([find(i) for i in range(n)])
+    # D = L.R, since L and R commute: a's D-class is the union of the
+    # R-classes that meet its L-class
+    r_of = {i: k for k, cls in enumerate(r_classes) for i in cls}
+    d_key = {i: frozenset(r_of[x] for x in cls) for cls in l_classes for i in cls}
+    d_classes = _partition([d_key[i] for i in range(n)])
     return GreenStructure(l_classes, r_classes, h_classes, d_classes)
 
 
@@ -290,28 +292,23 @@ class MorphismReport:
 
 
 def verify_morphism(f: SemigroupMorphism) -> MorphismReport:
-    """Exhaustive homomorphism and injectivity check with witnesses."""
+    """Exhaustive homomorphism and injectivity check with witnesses; the hom
+    witness is the first failing pair in row-major order."""
     s, t, m = f.source, f.target, f.mapping
     if len(m) != s.order or any(not (0 <= x < t.order) for x in m):
         raise ValueError("mapping is not a total function into the target")
     witnesses = {}
-    is_hom = True
-    for i in range(s.order):
-        for j in range(s.order):
-            if m[s.table[i][j]] != t.table[m[i]][m[j]]:
-                is_hom = False
-                witnesses["hom"] = (s.elements[i], s.elements[j])
-                break
-        if not is_hom:
-            break
+    img = np.array(m, dtype=np.intp)
+    bad = img[s.table] != t.table[np.ix_(img, img)]   # [i, j]: m(ij) vs m(i)m(j)
+    is_hom = not bad.any()
+    if not is_hom:
+        i, j = divmod(int(np.argmax(bad)), s.order)
+        witnesses["hom"] = (s.elements[i], s.elements[j])
     is_injective = len(set(m)) == s.order
     if not is_injective:
-        seen = {}
-        for i, x in enumerate(m):
-            if x in seen:
-                witnesses["injective"] = (s.elements[seen[x]], s.elements[i])
-                break
-            seen[x] = i
+        first = {}
+        i = next(i for i, x in enumerate(m) if first.setdefault(x, i) != i)
+        witnesses["injective"] = (s.elements[first[m[i]]], s.elements[i])
     return MorphismReport(is_hom, is_injective, witnesses)
 
 

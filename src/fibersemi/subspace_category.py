@@ -43,9 +43,6 @@ class SubspaceCategory:
     def __contains__(self, obj):
         return obj in self._index
 
-    def lines(self):
-        return [obj for obj in self.objects if obj.dim == 1]
-
 
 def build_category(p, n) -> SubspaceCategory:
     return SubspaceCategory(p, n, gf.enumerate_subspaces(p, n, proper_only=True))
@@ -90,24 +87,6 @@ def _span_in(obj: Subspace, coords) -> Subspace:
     return Subspace(obj.p, obj.n, tuple(obj.from_coords(c) for c in coords))
 
 
-def _rref_stack(a, p):
-    """gf.rref of every matrix of a stack (count, m, w) at once: the reduced
-    matrices with their zero rows last, a mask of pivot columns, the ranks."""
-    a, inverse = a % p, np.array([0] + [pow(x, -1, p) for x in range(1, p)])
-    rank, pivot = np.zeros(len(a), dtype=np.int64), np.zeros((len(a), a.shape[2]), dtype=bool)
-    for c in range(a.shape[2]):
-        free = (a[:, :, c] != 0) & (np.arange(a.shape[1]) >= rank[:, None])
-        at = np.flatnonzero(free.any(axis=1))
-        if len(at):
-            top, src = rank[at], free[at].argmax(axis=1)
-            lead = a[at, src] * inverse[a[at, src, c]][:, None] % p
-            a[at, src] = a[at, top]
-            a[at] = (a[at] - a[at, :, c][:, :, None] * lead[:, None]) % p
-            a[at, top], pivot[at, c] = lead, True
-            rank[at] += 1
-    return a, pivot, rank
-
-
 SWEEP_LIMIT = 1 << 16  # rows of one batched sweep: matrices of a hom-set shape, or cone assignments
 
 
@@ -124,9 +103,9 @@ def shape_factors(p, da, db) -> SimpleNamespace:
     count, slots = p ** (da * db), np.arange(da)
     if count > SWEEP_LIMIT:
         raise gf.GuardExceeded(f"p^(da*db) = {count} matrices of shape {da}x{db} exceed limit {SWEEP_LIMIT}")
-    mats = (np.arange(count)[:, None] // p ** np.arange(da * db - 1, -1, -1) % p).reshape(count, da, db)
+    mats = gf.from_base_p(np.arange(count), p, da, db)
     eye = np.broadcast_to(np.eye(da, dtype=np.int64), (count, da, da))
-    red, pivot, _ = _rref_stack(np.concatenate([mats, eye], axis=2), p)
+    red, pivot, _ = gf.rref_stack(np.concatenate([mats, eye], axis=2), p)
     rank, lead = pivot[:, :db].sum(axis=1), pivot[:, db:]
     kernel = np.where(slots[:, None] >= rank[:, None, None], red[:, :, db:], 0)
     # e_t - (the row of K leading at t) for each pivot t of K, e_t elsewhere
@@ -148,7 +127,7 @@ def normal_factorization(f: LinearMap) -> NormalFactorization:
     q.u agrees with f everywhere, not only on the complement."""
     a, b, p = f.dom, f.cod, f.p
     fac = shape_factors(p, a.dim, b.dim)
-    i = _base_p(np.array(f.matrix, dtype=np.int64).reshape(1, -1) % p, p)[0]
+    i = gf.base_p(np.array(f.matrix, dtype=np.int64).reshape(1, -1) % p, p)[0]
     r = fac.rank[i]
     cprime, img = _span_in(a, fac.complement[i, :r].tolist()), _span_in(b, fac.image[i, :r].tolist())
     q, u, j, epi = (_matrix(m.tolist())
@@ -170,7 +149,7 @@ def factorization_witness(cat: SubspaceCategory):
     for da, db in itertools.product(dims, dims):
         fac = shape_factors(p, da, db)
         ok = (fac.q @ fac.u @ fac.image % p == fac.matrices).all(axis=(1, 2))
-        bad = np.flatnonzero(~ok | (_rref_stack(fac.u, p)[2] != fac.rank))
+        bad = np.flatnonzero(~ok | (gf.rref_stack(fac.u, p)[2] != fac.rank))
         if len(bad):
             return {"failure": "factorization identity", "shape": [da, db],
                     "matrix": fac.matrices[bad[0]].tolist()}
@@ -249,12 +228,6 @@ def cone_compose(cat: SubspaceCategory, g1: Cone, g2: Cone) -> Cone:
 # ---------------------------------------------------------------------------
 # the cone semigroup on integer code rows
 
-def _base_p(mats, p):
-    """Base-p number of the row-major entries of each matrix in a stack."""
-    flat = mats.reshape(len(mats), -1)
-    return flat @ p ** np.arange(flat.shape[1] - 1, -1, -1, dtype=np.int64)
-
-
 class _ConeCode:
     """A cone as one row: the matrix R stacking its components over the
     objects' canonical bases, in object order.  R has D = sum of the object
@@ -280,7 +253,7 @@ class _ConeCode:
             self.bases[k, :obj.dim] = np.array(obj.basis, dtype=np.int64).reshape(obj.dim, n)
 
     def codes(self, vertex, rows):
-        return vertex * self.stride + _base_p(rows, self.p)
+        return vertex * self.stride + gf.base_p(rows, self.p)
 
     def ambient(self, vertex, rows):
         """Every component's values on its object's basis, in GF(p)^n."""
@@ -361,7 +334,7 @@ def _admissible(cat: SubspaceCategory, code: _ConeCode, vertex, rows):
     vdim, normal = np.array(code.dims)[vertex], np.zeros(len(rows), dtype=bool)
     for k, d in enumerate(code.dims):
         at = np.flatnonzero(vdim == d)
-        normal[at] |= shape_factors(p, d, d).rank[_base_p(code.block(rows[at], k)[:, :, :d], p)] == d
+        normal[at] |= shape_factors(p, d, d).rank[gf.base_p(code.block(rows[at], k)[:, :, :d], p)] == d
     return endos, ok & normal
 
 
@@ -390,14 +363,14 @@ def _cones(cat: SubspaceCategory, code: _ConeCode, vertex, rows):
     return tuple(cones)
 
 
-def principal_cones(cat: SubspaceCategory):
-    """principal_cone of every singular endomorphism, in Sing order."""
-    code = _ConeCode(cat)
-    return _cones(cat, code, *_principal_rows(cat, code))
+def principal_codes(cat: SubspaceCategory, code: _ConeCode):
+    """The code of the principal cone of every singular endomorphism, in Sing order."""
+    return code.codes(*_principal_rows(cat, code))
 
 
-def enumerate_normal_cones(cat: SubspaceCategory):
-    """The cone semigroup, with the map back to inducing endomorphisms.
+def coded_normal_cones(cat: SubspaceCategory):
+    """The cone semigroup on code rows: (semigroup, code, vertex, rows), the
+    cone of element i being the row (vertex[i], rows[i]) of code.
 
     The closed-form order of Sing(GF(p)^n), which the cone semigroup has, is
     checked against the associativity guard, and the code width against
@@ -417,8 +390,8 @@ def enumerate_normal_cones(cat: SubspaceCategory):
     that vertex is pushed along it in one product, and the products are
     looked up by code; each must be an enumerated cone.
 
-    Returns (semigroup, cones, endos) with parallel indexing; labels are the
-    matrices of the inducing endomorphisms.
+    Elements are in order of the inducing endomorphisms' codes, labelled by
+    their matrices.
     """
     p, n = cat.p, cat.n
     size = gf.singular_count(p, n)
@@ -436,7 +409,7 @@ def enumerate_normal_cones(cat: SubspaceCategory):
     # in order of the endomorphisms' codes, by a slot per matrix rather than
     # np.argsort, whose sort kernels add to peak RSS
     slot = np.full(p ** (n * n), -1)
-    slot[_base_p(endos[ok], p)] = np.flatnonzero(ok)
+    slot[gf.base_p(endos[ok], p)] = np.flatnonzero(ok)
     by_endo = slot[slot >= 0]
     if len(by_endo) != ok.sum():
         raise AssertionError("two normal cones with one inducing endomorphism")
@@ -444,7 +417,6 @@ def enumerate_normal_cones(cat: SubspaceCategory):
     index = {c: i for i, c in enumerate(code.codes(vertex, rows).tolist())}
     order = len(rows)
     table = np.empty((order, order), dtype=np.int32)
-    cones = _cones(cat, code, vertex, rows)
     ambient = code.ambient(vertex, rows)
     for k in range(len(cat.objects)):
         left = np.flatnonzero(vertex == k)
@@ -456,7 +428,7 @@ def enumerate_normal_cones(cat: SubspaceCategory):
         for cols in columns.values():
             v = cat.objects[vertex[cols[0]]]
             fac = shape_factors(p, code.dims[k], v.dim)
-            i = _base_p(code.block(rows[cols[:1]], k)[:, :, :v.dim], p)[0]
+            i = gf.base_p(code.block(rows[cols[:1]], k)[:, :, :v.dim], p)[0]
             img = _span_in(v, fac.image[i, :fac.rank[i]].tolist())
             prod = code.codes(cat.index(img), _push(rows[left], fac.epi[i, :, :fac.rank[i]], p))
             found = [index.get(c, -1) for c in prod.tolist()]
@@ -464,9 +436,15 @@ def enumerate_normal_cones(cat: SubspaceCategory):
                 raise AssertionError("cone composition left the enumerated set")
             table[np.ix_(left, cols)] = np.array(found)[:, None]
     labels = tuple(_matrix(e) for e in endos.tolist())
-    ints = tuple(range(order))  # one int object per index, shared by every row
-    semigroup = sg.from_table(labels, (tuple(map(ints.__getitem__, row)) for row in table.tolist()))
-    return semigroup, cones, tuple(Endo(p, n, e) for e in labels)
+    table.flags.writeable = False  # so from_table keeps it rather than a copy
+    return sg.from_table(labels, table), code, vertex, rows
+
+
+def enumerate_normal_cones(cat: SubspaceCategory):
+    """(semigroup, cones, endos) with parallel indexing: coded_normal_cones with
+    each code row as a Cone, and the map back to inducing endomorphisms."""
+    semigroup, code, vertex, rows = coded_normal_cones(cat)
+    return semigroup, _cones(cat, code, vertex, rows), tuple(Endo(cat.p, cat.n, e) for e in semigroup.elements)
 
 
 def m_set(cat: SubspaceCategory, cone: Cone):
@@ -486,7 +464,7 @@ def cone_semigroup_json(cat: SubspaceCategory, semigroup, cones):
         "p": cat.p,
         "n": cat.n,
         "elements": [list(map(list, e)) for e in semigroup.elements],
-        "table": [list(r) for r in semigroup.table],
+        "table": semigroup.table.tolist(),
         "cones": [c.to_json(cat) for c in cones],
     }
     return json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"

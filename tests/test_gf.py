@@ -4,9 +4,11 @@ brute-force oracles computed inside this module."""
 import dataclasses
 import itertools
 
+import numpy as np
 import pytest
 
 import factorization_oracle as fo
+import sing_oracle
 from fibersemi import gf
 
 
@@ -309,12 +311,42 @@ def test_sing_table_guards_refuse_before_enumerating(monkeypatch):
     def enumerate_endos(*args, **kwargs):
         raise AssertionError("enumerated before the guard refused")
     monkeypatch.setattr(gf, "enumerate_endos", enumerate_endos)
+    monkeypatch.setattr(gf, "_ranks", enumerate_endos)
     with pytest.raises(gf.GuardExceeded, match="order 45376, beyond the associativity guard 1500"):
         gf.sing_table(2, 4)
     with pytest.raises(gf.GuardExceeded, match="order 8451, beyond the associativity guard 1500"):
         gf.sing_table(3, 3)
     with pytest.raises(gf.GuardExceeded, match="endomorphism guard"):
         gf.sing_table(2, 9)
+
+@pytest.mark.parametrize("p,n", KERNEL_POINTS)
+def test_sing_table_matches_the_block_matmul_oracle(p, n):
+    elems, _, table = gf.sing_table(p, n)
+    want_elems, want = sing_oracle.matmul_table(p, n)
+    assert elems == want_elems
+    assert np.array_equal(table, want)
+    assert gf._sing_matrices(p, n).tolist() == [list(map(list, e.rows)) for e in elems]
+
+ENUMERATION_POINTS = [(p, n) for p in gf.SUPPORTED_PRIMES for n in (1, 2)] + [(2, 3), (3, 3)]
+
+@pytest.mark.parametrize("p,n", ENUMERATION_POINTS)
+def test_batched_ranks_match_the_per_matrix_rank_filter(p, n):
+    assert gf.enumerate_endos(p, n, singular_only=True) == sing_oracle.singular_endos(p, n)
+    assert gf.enumerate_automorphisms(p, n) == sing_oracle.automorphisms(p, n)
+    assert gf.enumerate_endos(p, n) == sing_oracle.endos(p, n)
+
+def test_singular_count_at_2_4():
+    assert len(gf.enumerate_endos(2, 4, singular_only=True)) == gf.singular_count(2, 4) == 45376
+    assert len(gf.enumerate_automorphisms(2, 4)) == 2 ** 16 - 45376
+
+def test_enumeration_makes_no_rref_call(monkeypatch):
+    def rref(*args):
+        raise AssertionError("rref called")
+    for cached in (gf._ranks, gf._sing_matrices, gf.enumerate_endos, gf.enumerate_automorphisms):
+        cached.cache_clear()
+    monkeypatch.setattr(gf, "rref", rref)
+    assert len(gf.enumerate_endos(5, 2, singular_only=True)) == gf.singular_count(5, 2)
+    assert len(gf.enumerate_automorphisms(5, 2)) == 480
 
 def test_dimension_must_be_positive():
     for n in (0, -1):

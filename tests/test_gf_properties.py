@@ -95,3 +95,12 @@ def test_complement_in_gives_a_direct_sum(case):
     assert a.dim + c.dim == b.dim
     assert gf.subspace_intersection(a, c).dim == 0
     assert gf.subspace_sum(a, c) == b
+
+
+@PROPERTY
+@given(st.sampled_from([(2, 2), (3, 2), (5, 2), (7, 2), (2, 3)]), st.data())
+def test_sing_table_cell_is_the_matrix_product(point, data):
+    p, n = point
+    elems, _, table = gf.sing_table(p, n)
+    i, j = (data.draw(st.integers(0, len(elems) - 1)) for _ in range(2))
+    assert elems[table[i, j]].rows == gf.mat_mul(elems[i].rows, elems[j].rows, p)

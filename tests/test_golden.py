@@ -19,6 +19,9 @@ principal-cone path and (3,2) the exhaustive sweep."""
 
 import hashlib
 import io
+import itertools
+import json
+import random
 from contextlib import redirect_stdout
 
 import pytest
@@ -68,4 +71,52 @@ def test_output_is_byte_identical(command, code, digest):
     with redirect_stdout(buf):
         got = cli.main(command.split())
     assert got == code
+    assert hashlib.sha256(buf.getvalue().encode()).hexdigest() == digest
+
+
+# verify-all with --table: a relabelled Sing(GF(2)^3) table that passes, and
+# the same table with one cell changed, which fails with a witness triple.
+# Both were recorded before semigroup tables became int32 arrays.
+
+def _mat_mul(a, b):
+    return tuple(tuple(sum(a[i][k] * b[k][j] for k in range(3)) % 2 for j in range(3))
+                 for i in range(3))
+
+
+def _det(m):
+    return (m[0][0] * (m[1][1] * m[2][2] - m[1][2] * m[2][1])
+            - m[0][1] * (m[1][0] * m[2][2] - m[1][2] * m[2][0])
+            + m[0][2] * (m[1][0] * m[2][1] - m[1][1] * m[2][0])) % 2
+
+
+def relabelled_sing23(seed, corrupt=False):
+    """Sing(GF(2)^3) as a table document, its elements in a seeded random
+    order, computed without fibersemi; corrupt changes cell (0, 0)."""
+    mats = [m for m in (tuple(e[3 * i:3 * i + 3] for i in range(3))
+                        for e in itertools.product(range(2), repeat=9)) if not _det(m)]
+    order = list(range(len(mats)))
+    random.Random(seed).shuffle(order)
+    new = {mats[old]: k for k, old in enumerate(order)}
+    table = [[new[_mat_mul(mats[a], mats[b])] for b in order] for a in order]
+    if corrupt:
+        table[0][0] = (table[0][0] + 1) % len(mats)
+    return {"elements": [[list(r) for r in mats[old]] for old in order], "table": table}
+
+
+TABLE_GOLDEN = [
+    (False, 0, "c3c1a5a16059c2a030a567ab5abc7bbc46a55e03eb8ff7ad53c888c1d2fa8d11"),
+    (True, 1, "dd2fbafef14a87e481c060e20bb5047e2208a9eb768cff2b76a8b726663204f7"),
+]
+
+
+@pytest.mark.parametrize("corrupt,code,digest", TABLE_GOLDEN, ids=["sing23", "sing23 corrupted"])
+def test_table_output_is_byte_identical(tmp_path, corrupt, code, digest):
+    path = tmp_path / "T.json"
+    path.write_text(json.dumps(relabelled_sing23(11, corrupt)))
+    buf = io.StringIO()
+    with redirect_stdout(buf):
+        got = cli.main(["verify-all", "--field", "2", "--dim", "2", "--format", "json", "--table", str(path)])
+    assert got == code
+    last = json.loads(buf.getvalue())[-1]
+    assert last["check"] == "table-associativity" and ("triple" in (last["witness"] or {})) == corrupt
     assert hashlib.sha256(buf.getvalue().encode()).hexdigest() == digest

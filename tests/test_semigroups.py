@@ -13,6 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import sing_oracle
 from fibersemi import gf
 from fibersemi import semigroups as sg
 
@@ -93,6 +94,49 @@ def test_table_shape_validation():
     for bad in (-1, True, 2 ** 70, -2 ** 70, 1.0):
         with pytest.raises(ValueError, match="not an index below 2"):
             sg.from_table(["a", "b"], [[0, 0], [0, bad]])
+
+@pytest.mark.parametrize("bad", [
+    np.zeros((2, 3), dtype=np.int32),
+    np.zeros((3, 3), dtype=np.int32),
+    np.zeros(4, dtype=np.int32),
+    np.array([[0, 0], [0, -1]]),
+    np.array([[0, 0], [0, 2]], dtype=np.int8),
+    np.array([[0, 0], [0, 2 ** 40]]),
+    np.zeros((2, 2), dtype=bool),
+    np.zeros((2, 2)),
+], ids=["wide", "too-big", "flat", "negative", "int8-out-of-range", "huge", "bool", "float"])
+def test_array_table_validation(bad):
+    with pytest.raises(ValueError):
+        sg.from_table(["a", "b"], bad)
+
+def test_array_table_entry_message_matches_the_list_path():
+    for bad in (-1, 2):
+        with pytest.raises(ValueError, match=f"table entry {bad} is not an index below 2"):
+            sg.from_table(["a", "b"], np.array([[0, 0], [0, bad]]))
+
+def test_non_associative_array_witness():
+    with pytest.raises(sg.NotAssociative) as exc:
+        sg.from_table(["a", "b"], np.array([[1, 0], [0, 0]], dtype=np.int32))
+    assert exc.value.witness == ("a", "a", "b")
+
+def test_stored_table_is_a_read_only_int32_array():
+    rows = [[3] * 4] * 4
+    given = np.array(rows, dtype=np.int64)
+    for table in (rows, given):
+        u = sg.from_table("uvwz", table)
+        assert u.table.dtype == np.int32 and u.table.shape == (4, 4)
+        with pytest.raises(ValueError):
+            u.table[0, 0] = 0
+    assert given.flags.writeable  # the caller's array is copied, not frozen
+    sing = sg.sing_semigroup(2, 2)
+    assert sing.table is gf.sing_table(2, 2)[2]
+
+def test_lists_and_array_give_equal_semigroups():
+    s = sg.sing_semigroup(3, 2)
+    from_lists = sg.from_table(s.elements, s.table.tolist())
+    from_array = sg.from_table(s.elements, s.table.astype(np.int64))
+    assert from_lists == from_array == s
+    assert from_lists != sg.from_table(s.elements[::-1], s.table.tolist())
 
 def test_order_guard():
     n = sg.ASSOC_GUARD + 1
@@ -277,6 +321,31 @@ def test_hom_witness_is_genuine():
     i, j = r.witnesses["hom"]
     assert f.mapping[z2.table[i][j]] != z2.table[f.mapping[i]][f.mapping[j]]
 
+@pytest.mark.parametrize("builder", [
+    lambda: sg.sing_semigroup(2, 2),
+    lambda: sg.sing_semigroup(3, 2),
+    lambda: sg.null_semigroup_fixture().core,
+    lambda: sg.null_semigroup_fixture().branches[0],
+    lambda: sg.from_multiplication(range(4), lambda a, b: (a + b) % 4),
+    lambda: sg.from_multiplication(range(3), lambda a, b: 0 if 0 in (a, b) else 2),
+], ids=["sing 2,2", "sing 3,2", "null core", "null branch 0", "Z4", "zero and idempotent"])
+def test_is_regular_matches_the_loop_oracle(builder):
+    s = builder()
+    assert sg.is_regular(s) == sing_oracle.is_regular(s)
+
+def test_verify_morphism_matches_the_loop_oracle_on_mutated_maps():
+    s = sg.sing_semigroup(3, 2)
+    swap = gf.endo([[0, 1], [1, 0]], 3)
+    conj = [s.index(swap.inverse() * x * swap) for x in s.elements]
+    seen = set()
+    for k, v in itertools.product(range(s.order), range(0, s.order, 4)):
+        mapping = tuple(conj[:k] + [v] + conj[k + 1:])
+        f = sg.SemigroupMorphism(s, s, mapping)
+        rep, want = sg.verify_morphism(f), sing_oracle.hom_witness(f)
+        assert rep.is_hom == (want is None) and rep.witnesses.get("hom") == want
+        seen.add(rep.is_hom)
+    assert seen == {True, False}
+
 def test_composition_of_homs_is_hom():
     s = sing_semigroup(2, 2)
     swap = gf.endo([[0, 1], [1, 0]], 2)
@@ -455,7 +524,7 @@ def test_cayley_json_round_trip():
     doc = am.core.to_json()
     back = sg.semigroup_from_json(json.loads(json.dumps(doc)))
     assert back.elements == am.core.elements
-    assert back.table == am.core.table
+    assert np.array_equal(back.table, am.core.table) and back == am.core
 
 
 # ---------------------------------------------------------------------------
@@ -465,7 +534,7 @@ def test_cayley_json_round_trip():
 def test_cached_sing_semigroup_matches_oracle(p, n):
     s = sg.sing_semigroup(p, n)
     oracle = sing_semigroup(p, n)
-    assert s.elements == oracle.elements and s.table == oracle.table
+    assert s.elements == oracle.elements and np.array_equal(s.table, oracle.table)
     assert sg.sing_semigroup(p, n) is s
 
 
@@ -501,7 +570,7 @@ def test_light_catches_every_single_cell_mutation_of_sing_2_2():
     for i, j in itertools.product(range(s.order), repeat=2):
         for v in range(s.order):
             if v != s.table[i][j]:
-                table = [list(r) for r in s.table]
+                table = s.table.tolist()
                 table[i][j] = v
                 caught += assert_decided_like_the_sweep(table)
     assert caught == 100 * 9   # every one of them breaks associativity
@@ -533,7 +602,7 @@ def right_closure_walk(table):
 ], ids=["2,3", "7,2", "5,2", "3,2", "relabelled 2,3"])
 def test_generators_reach_every_element(builder):
     s = builder()
-    gens = sg._generators(np.array(s.table, dtype=np.int32))
+    gens = sg._generators(s.table)
     want, closure = right_closure_walk(s.table)
     assert gens == want
     assert closure == set(range(s.order))

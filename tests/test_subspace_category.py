@@ -100,7 +100,7 @@ def test_factorization_matches_the_oracle(p, n):
 @pytest.mark.parametrize("p, m, w", [(2, 3, 4), (3, 2, 3), (5, 2, 2), (7, 1, 3)])
 def test_rref_stack_matches_gf_rref(p, m, w):
     mats = np.array(list(itertools.product(range(p), repeat=m * w))).reshape(-1, m, w)
-    red, pivot, rank = sc._rref_stack(mats, p)
+    red, pivot, rank = gf.rref_stack(mats, p)
     for a, r, piv, k in zip(mats.tolist(), red.tolist(), pivot.tolist(), rank.tolist()):
         basis, pivots = gf.rref(a, w, p)
         assert tuple(map(tuple, r[:k])) == basis and not any(map(any, r[k:]))
@@ -152,6 +152,23 @@ def test_factorization_check_fails_on_a_perturbed_image_basis(monkeypatch):
     line = sc.build_category(3, 2).objects[1]
     assert cli._check_factorization(3, 2) == (
         False, {"failure": "image translation", "object": line.to_json()})
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_cone_check_fails_on_a_planted_non_principal_cone(monkeypatch, p):
+    # at (p, 2) the cones come from the exhaustive sweep, so the comparison
+    # with the principal codes is a real check
+    assert cli._check_cone_semigroup(p, 2) == (True, None)
+    coded = sc.coded_normal_cones
+
+    def planted(cat):
+        semigroup, code, vertex, rows = coded(cat)
+        rows = rows.copy()
+        rows[-1, -1, 0] = (rows[-1, -1, 0] + 1) % p   # the last cone, at the last line
+        assert code.codes(vertex, rows)[-1] not in sc.principal_codes(cat, code).tolist()
+        return semigroup, code, vertex, rows
+
+    monkeypatch.setattr(sc, "coded_normal_cones", planted)
+    assert cli._check_cone_semigroup(p, 2) == (False, {"failure": "non-principal normal cone found"})
 
 @pytest.mark.parametrize("p, n", [(2, 4), (3, 3)])
 def test_factorization_check_finishes_beyond_the_sing_guard(p, n):
@@ -378,16 +395,16 @@ def cell_by_cell_rows(cat, cones, rows):
 def test_grouped_fill_matches_cell_by_cell_composition(build):
     cat = build()
     smg, cones, _ = sc.enumerate_normal_cones(cat)
-    assert [list(r) for r in smg.table] == cell_by_cell_rows(cat, cones, range(len(cones)))
+    assert smg.table.tolist() == cell_by_cell_rows(cat, cones, range(len(cones)))
 
 def test_grouped_fill_on_the_principal_path_2_3(cat23):
     smg, cones, _ = sc.enumerate_normal_cones(cat23)
     # every cell against Sing's matrix products; one row per vertex, so every
     # column grouping, against cell-by-cell composition (the whole table
     # that way is 118k compositions)
-    assert smg.table == sg.sing_semigroup(2, 3).table
+    assert np.array_equal(smg.table, sg.sing_semigroup(2, 3).table)
     rows = [next(i for i, c in enumerate(cones) if c.vertex == v) for v in cat23.objects]
-    assert [list(smg.table[i]) for i in rows] == cell_by_cell_rows(cat23, cones, rows)
+    assert smg.table[rows].tolist() == cell_by_cell_rows(cat23, cones, rows)
 
 CODED_POINTS = pytest.mark.parametrize("build", [
     lambda: sc.build_category(2, 2),
@@ -432,7 +449,8 @@ def test_principal_rows_are_the_principal_cones(p, n):
     code = sc._ConeCode(cat)
     vertex, rows = sc._principal_rows(cat, code)
     sing = gf.enumerate_endos(p, n, singular_only=True)
-    assert sc.principal_cones(cat) == tuple(sc.principal_cone(cat, a) for a in sing)
+    assert sc._cones(cat, code, vertex, rows) == tuple(sc.principal_cone(cat, a) for a in sing)
+    assert sc.principal_codes(cat, code).tolist() == code.codes(vertex, rows).tolist()
     assert len(set(code.codes(vertex, rows).tolist())) == len(sing)
 
 def test_cones_leave_numpy_ma_unimported():
