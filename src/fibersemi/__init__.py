@@ -13,15 +13,11 @@ from .gf import (
     enumerate_automorphisms,
     enumerate_endos,
     enumerate_subspaces,
-    gaussian_binomial,
     identity_endo,
     is_direct_sum,
     singular_count,
-    subspace_intersection,
     subspace_span,
-    subspace_sum,
     transpose,
-    zero_endo,
     zero_subspace,
 )
 from .semigroups import (

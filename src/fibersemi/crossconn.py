@@ -10,7 +10,7 @@ first projection.
 The claims about a connection (functoriality, covering, inclusion and the
 linking bijection) are decided on integer arrays: every subspace of GF(p)^n
 gets a position once per (p, n), and each Sing element is read through the
-positions of four subspaces it determines.
+positions of its image and of its transpose's image.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ import numpy as np
 
 from . import gf
 from . import semigroups as sg
-from .gf import Endo, Subspace
+from .gf import Endo
 
 
 @dataclass(frozen=True)
@@ -40,31 +40,6 @@ class CrossConnection:
     @cached_property
     def eps_inv(self) -> Endo:
         return self.eps.inverse()
-
-    @cached_property
-    def eps_t(self) -> Endo:
-        return gf.transpose(self.eps)
-
-    @cached_property
-    def eps_inv_t(self) -> Endo:
-        return gf.transpose(self.eps_inv)
-
-    def _restrictions(self, x: Subspace, fwd_map: Endo, back_map: Endo):
-        """(back_x, fwd_x) at object x: fwd_x is fwd_map restricted to
-        x -> F(x), F(x) being its image, and back_x is back_map restricted to
-        F(x) -> x.  Both actions on morphisms are back . f . fwd."""
-        images = [fwd_map.apply(v) for v in x.basis]
-        fx = gf.subspace_span(images, self.n, self.p)
-        back = gf.linear_map(fx, x, [back_map.apply(v) for v in fx.basis])
-        return back, gf.linear_map(x, fx, images)
-
-    def dual_restrictions(self, y: Subspace):
-        """The action on the annihilator side (dual coordinates)."""
-        return self._restrictions(y, self.eps_t, self.eps_inv_t)
-
-    def primal_restrictions(self, a: Subspace):
-        """The action on the subspace side."""
-        return self._restrictions(a, self.eps, self.eps_inv)
 
     def conjugate(self, alpha: Endo) -> Endo:
         return self.eps_inv * alpha * self.eps
@@ -84,68 +59,81 @@ def cross_connection(eps: Endo) -> CrossConnection:
 @dataclass(frozen=True)
 class SubspaceIndex:
     """Every subspace of GF(p)^n at its position in enumerate_subspaces
-    order, with the relations the cross-connection claims read.  The four
-    per-element arrays follow sing_table order."""
+    order, with the relations the cross-connection claims read.  The two
+    per-element arrays follow sing_table order; for x acting on row vectors
+    ann(ker x) = im(x^T), so they also give both annihilators of kernels."""
     subspaces: tuple
-    position: dict          # Subspace -> position
+    position: np.ndarray    # base-p code of an RREF basis padded to n x n -> position, -1 elsewhere
     objects: np.ndarray     # positions of the proper subspaces, the category's objects
+    bases: np.ndarray       # the objects' padded RREF bases, (objects, n, n)
     contains: np.ndarray    # contains[u, v]: v is a subspace of u
     direct_sum: np.ndarray  # direct_sum[u, v]: u (+) v is the whole space
     ann: np.ndarray         # position of the annihilator
-    img: np.ndarray         # image of x
-    annker: np.ndarray      # ann(ker x)
-    timg: np.ndarray        # image of the transpose of x
-    tannker: np.ndarray     # ann(ker) of the transpose of x
+    img: np.ndarray         # image of x, which is ann(ker) of its transpose
+    timg: np.ndarray        # image of the transpose of x, which is ann(ker x)
+
+
+def _row_spaces(position, mats, p):
+    """The position of the row space of each matrix of a stack: its RREF,
+    zero rows last, coded in base p and looked up."""
+    return position[gf.base_p(gf.rref_stack(mats, p)[0], p)]
 
 
 @lru_cache(maxsize=None)
 def subspace_index(p, n) -> SubspaceIndex:
     """The index for (p, n), built once.  Sing's table comes first, so its
     order guard refuses before any subspace is enumerated."""
-    elems, _, _ = gf.sing_table(p, n)
+    gf.sing_table(p, n)
     subspaces = gf.enumerate_subspaces(p, n)
-    position = {s: i for i, s in enumerate(subspaces)}
 
-    def at(spaces):
-        return np.array([position[s] for s in spaces], dtype=np.intp)
+    def padded(spaces):
+        return np.array([s.basis + ((0,) * n,) * (n - s.dim) for s in spaces], dtype=np.int64)
 
-    transposes = [gf.transpose(x) for x in elems]
+    bases, position = padded(subspaces), np.full(p ** (n * n), -1, dtype=np.intp)
+    position[gf.base_p(bases, p)] = np.arange(len(subspaces))
+    objects = np.flatnonzero([s.dim < n for s in subspaces])
+    mats = gf._sing_matrices(p, n)
+    img, timg = _row_spaces(position, np.concatenate([mats, mats.transpose(0, 2, 1)]), p).reshape(2, -1)
     return SubspaceIndex(
-        subspaces, position,
-        objects=at(gf.enumerate_subspaces(p, n, proper_only=True)),
+        subspaces, position, objects, bases[objects],
         contains=np.array([[u.contains_subspace(v) for v in subspaces] for u in subspaces]),
         direct_sum=np.array([[gf.is_direct_sum(u, v) for v in subspaces] for u in subspaces]),
-        ann=at(map(gf.annihilator, subspaces)),
-        img=at(x.image() for x in elems),
-        annker=at(gf.annihilator(x.kernel()) for x in elems),
-        timg=at(t.image() for t in transposes),
-        tannker=at(gf.annihilator(t.kernel()) for t in transposes),
+        ann=_row_spaces(position, padded(map(gf.annihilator, subspaces)), p),
+        img=img, timg=timg,
     )
 
 
 def object_actions(cc: CrossConnection, idx: SubspaceIndex):
-    """(e_obj, et_obj), the positions of eps.x and eps_t.x for each object x,
-    or None unless both actions are functors.
+    """(e_obj, et_obj), the positions of eps.x and eps_t.x for each object x
+    (eps_t the transpose of eps), or None unless both actions are functors.
 
-    Each action sends f: x -> y to F(f) = back_x . f . fwd_y (maps compose
-    left to right), with back and fwd from _restrictions.  Suppose
-    fwd_x . back_x = id_x and back_x . fwd_x = id_F(x) at every object x,
-    which is what is checked here.  Then for f: x -> y and g: y -> z
-    F(f)F(g) = back_x f (fwd_y back_y) g fwd_z = back_x f g fwd_z = F(fg),
-    and F(id_x) = back_x fwd_x = id_F(x), so F is a functor.  Also
+    The primal action sends f: x -> y to F(f) = back_x . f . fwd_y (maps
+    compose left to right), fwd_x being eps restricted to x -> F(x) = x.eps
+    and back_x eps^-1 restricted to F(x) -> x; the dual action is the same
+    with eps_t and (eps^-1)^T.  Suppose fwd_x . back_x = id_x and
+    back_x . fwd_x = id_F(x) at every object x.  Then for f: x -> y and
+    g: y -> z F(f)F(g) = back_x f (fwd_y back_y) g fwd_z = back_x f g fwd_z
+    = F(fg), and F(id_x) = back_x fwd_x = id_F(x), so F is a functor.  Also
     f = (fwd_x back_x) f (fwd_y back_y) = fwd_x F(f) back_y, so F is
     injective on every hom-set.
+
+    Both identities follow from eps.eps^-1 = I, the one thing checked here.
+    For v in x, v.eps.eps^-1 = v, which is fwd_x . back_x = id_x and shows
+    that eps^-1 maps F(x) into x, so back_x is defined.  For square
+    matrices eps.eps^-1 = I also gives eps^-1.eps = I, so w.eps^-1.eps = w
+    for w in F(x), which is back_x . fwd_x = id_F(x).  Transposing the two
+    identities gives eps_t.(eps^-1)^T = (eps^-1.eps)^T = I and
+    (eps^-1)^T.eps_t = (eps.eps^-1)^T = I, the same on the dual side.
+
+    The objects' bases times eps and times eps_t are reduced in one batched
+    rref and looked up by code.
     """
-    e_obj, et_obj = [], []
-    for i in idx.objects:
-        x = idx.subspaces[i]
-        for restrictions, out in ((cc.primal_restrictions, e_obj), (cc.dual_restrictions, et_obj)):
-            back, fwd = restrictions(x)
-            if (fwd.compose(back) != gf.identity_map(x)
-                    or back.compose(fwd) != gf.identity_map(fwd.cod)):
-                return None
-            out.append(idx.position[fwd.cod])
-    return np.array(e_obj, dtype=np.intp), np.array(et_obj, dtype=np.intp)
+    p, eps = cc.p, np.array(cc.eps.rows)
+    if not np.array_equal(eps @ np.array(cc.eps_inv.rows) % p, np.eye(cc.n, dtype=eps.dtype)):
+        return None
+    moved = np.concatenate([idx.bases @ eps, idx.bases @ eps.T])
+    e_obj, et_obj = _row_spaces(idx.position, moved, p).reshape(2, -1)
+    return e_obj, et_obj
 
 
 def covers(idx: SubspaceIndex, et_obj) -> bool:
@@ -163,16 +151,16 @@ def link_failure(idx: SubspaceIndex, perm, e_obj, et_obj):
     from the first bifunctor set onto the second, or None.
 
     Sing element i is in the first set at (a, y) when its image lies in a
-    and ann(ker x_i) in eps_t.y; j is in the second set when the image of
-    its transpose lies in y and that transpose's ann(ker) in eps.a.  perm
-    must be a permutation (check_conjugation_law decides that); it sends
-    the first set onto the second exactly when i is in the first set iff
-    perm[i] is in the second.
+    and ann(ker x_i) = im(x_i^T) in eps_t.y; j is in the second set when
+    the image of its transpose lies in y and that transpose's ann(ker),
+    which is im(x_j), in eps.a.  perm must be a permutation
+    (check_conjugation_law decides that); it sends the first set onto the
+    second exactly when i is in the first set iff perm[i] is in the second.
     """
     c = idx.contains
     objc = c[idx.objects]
-    first = objc[:, None, idx.img] & c[et_obj][None, :, idx.annker]
-    second = objc[None, :, idx.timg] & c[e_obj][:, None, idx.tannker]
+    first = objc[:, None, idx.img] & c[et_obj][None, :, idx.timg]
+    second = objc[None, :, idx.timg] & c[e_obj][:, None, idx.img]
     bad = (first != second[:, :, perm]).any(axis=2)
     if not bad.any():
         return None

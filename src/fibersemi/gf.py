@@ -227,9 +227,6 @@ def subspace_span(vectors, ambient_dim, p) -> Subspace:
 def zero_subspace(p, n) -> Subspace:
     return Subspace(p, n, ())
 
-def full_space(p, n) -> Subspace:
-    return Subspace(p, n, identity_matrix(n))
-
 
 def complement_in(a: Subspace, b: Subspace) -> Subspace:
     """Deterministic complement of a inside b (requires a <= b): the rows of
@@ -256,19 +253,6 @@ def annihilator(a: Subspace) -> Subspace:
     """
     basis = solve_homogeneous(a.basis, a.n, a.p)
     return Subspace(a.p, a.n, basis)
-
-
-def subspace_sum(a: Subspace, b: Subspace) -> Subspace:
-    return subspace_span(a.basis + b.basis, a.n, a.p)
-
-
-def subspace_intersection(a: Subspace, b: Subspace) -> Subspace:
-    """Exact intersection via the left kernel of the stacked bases."""
-    stacked = a.basis + b.basis
-    if not stacked:
-        return zero_subspace(a.p, a.n)
-    kern = solve_homogeneous(mat_transpose(stacked), len(stacked), a.p)
-    return subspace_span([a.from_coords(k[: a.dim]) for k in kern], a.n, a.p)
 
 
 def is_direct_sum(a: Subspace, b: Subspace) -> bool:
@@ -307,15 +291,6 @@ def enumerate_subspaces(p, n, proper_only=False):
                 out.append(Subspace(p, n, tuple(tuple(r) for r in rows)))
     out.sort(key=Subspace.sort_key)
     return tuple(out)
-
-
-def gaussian_binomial(n, k, p):
-    """Number of k-dimensional subspaces of GF(p)^n."""
-    num = den = 1
-    for i in range(k):
-        num *= p ** n - p ** i
-        den *= p ** k - p ** i
-    return num // den
 
 
 # ---------------------------------------------------------------------------
@@ -383,9 +358,6 @@ def endo(rows, p) -> Endo:
 
 def identity_endo(p, n) -> Endo:
     return Endo(p, n, identity_matrix(n))
-
-def zero_endo(p, n) -> Endo:
-    return Endo(p, n, zero_matrix(n, n))
 
 
 def transpose(alpha: Endo) -> Endo:

@@ -76,9 +76,6 @@ class NormalFactorization:
     j: LinearMap    # inclusion image -> cod
     epi: LinearMap  # q then u, the epimorphic component
 
-    def recomposed(self) -> LinearMap:
-        return self.q.compose(self.u).compose(self.j)
-
 
 def _span_in(obj: Subspace, coords) -> Subspace:
     """The subspace of obj spanned by X.B, X = coords in RREF, B obj's basis.

@@ -9,6 +9,7 @@ import itertools
 from dataclasses import dataclass
 
 from factorization_oracle import all_linear_maps
+import gf_helpers as gh
 from fibersemi import gf
 from fibersemi.gf import Endo, Subspace
 from fibersemi.subspace_category import Cone, SubspaceCategory
@@ -38,7 +39,7 @@ def cone_to_endo(cat: SubspaceCategory, cone: Cone):
     """
     p, n = cat.p, cat.n
     if n == 1:
-        candidate = gf.zero_endo(p, n)
+        candidate = gh.zero_endo(p, n)
     else:
         rows = []
         for k in range(n):

@@ -1,7 +1,8 @@
 """Test oracles for the cross-connection check: the Subspace-object and
 full-table forms that `verify-all` decided with before it moved to subspace
-index arrays and the generator reduction.  They are kept here, unchanged, so
-the tests can compare the two verdict for verdict."""
+index arrays and the generator reduction, and the LinearMap restrictions of
+eps and eps^-1 that the functor actions are built from.  They are kept here
+so the tests can compare the two verdict for verdict."""
 
 from dataclasses import dataclass
 
@@ -21,13 +22,41 @@ MEMBERSHIP_MODES = ("kernel", "image")
 DEFAULT_MODE = "kernel"
 
 
+def eps_t(cc: CrossConnection) -> Endo:
+    return gf.transpose(cc.eps)
+
+
+def eps_inv_t(cc: CrossConnection) -> Endo:
+    return gf.transpose(cc.eps_inv)
+
+
+def restrictions(cc: CrossConnection, x: Subspace, fwd_map: Endo, back_map: Endo):
+    """(back_x, fwd_x) at object x: fwd_x is fwd_map restricted to
+    x -> F(x), F(x) being its image, and back_x is back_map restricted to
+    F(x) -> x.  Both actions on morphisms are back . f . fwd."""
+    images = [fwd_map.apply(v) for v in x.basis]
+    fx = gf.subspace_span(images, cc.n, cc.p)
+    back = gf.linear_map(fx, x, [back_map.apply(v) for v in fx.basis])
+    return back, gf.linear_map(x, fx, images)
+
+
+def dual_restrictions(cc: CrossConnection, y: Subspace):
+    """The action on the annihilator side (dual coordinates)."""
+    return restrictions(cc, y, eps_t(cc), eps_inv_t(cc))
+
+
+def primal_restrictions(cc: CrossConnection, a: Subspace):
+    """The action on the subspace side."""
+    return restrictions(cc, a, cc.eps, cc.eps_inv)
+
+
 def dual_object_image(cc: CrossConnection, y: Subspace) -> Subspace:
-    return gf.subspace_span([cc.eps_t.apply(f) for f in y.basis], cc.n, cc.p)
+    return gf.subspace_span([eps_t(cc).apply(f) for f in y.basis], cc.n, cc.p)
 
 
 def dual_morphism_image(cc: CrossConnection, m: LinearMap) -> LinearMap:
     """Conjugate a map of dual subspaces: transpose-inverse, m, transpose."""
-    return cc.dual_restrictions(m.dom)[0].compose(m).compose(cc.dual_restrictions(m.cod)[1])
+    return dual_restrictions(cc, m.dom)[0].compose(m).compose(dual_restrictions(cc, m.cod)[1])
 
 
 def primal_object_image(cc: CrossConnection, a: Subspace) -> Subspace:
@@ -35,7 +64,7 @@ def primal_object_image(cc: CrossConnection, a: Subspace) -> Subspace:
 
 
 def primal_morphism_image(cc: CrossConnection, f: LinearMap) -> LinearMap:
-    return cc.primal_restrictions(f.dom)[0].compose(f).compose(cc.primal_restrictions(f.cod)[1])
+    return primal_restrictions(cc, f.dom)[0].compose(f).compose(primal_restrictions(cc, f.cod)[1])
 
 
 def check_functorial(cc: CrossConnection):

@@ -51,3 +51,8 @@ def normal_factorization(f: LinearMap) -> NormalFactorization:
     u = gf.linear_map(cprime, img, [f.apply(v) for v in cprime.basis])
     j = gf.inclusion_map(img, f.cod)
     return NormalFactorization(q, u, j, q.compose(u))
+
+
+def recomposed(nf: NormalFactorization) -> LinearMap:
+    """q then u then j, which must give back the factored morphism."""
+    return nf.q.compose(nf.u).compose(nf.j)

@@ -76,7 +76,7 @@ def test_criterion_4_normal_factorization():
         cat = sc.build_category(2, 2)
         for f in fo.all_morphisms(cat):
             nf = sc.normal_factorization(f)
-            assert nf.recomposed() == f and nf.u.is_iso()
+            assert fo.recomposed(nf) == f and nf.u.is_iso()
         for i, j in cat.inclusion_pairs:
             a, b = cat.objects[i], cat.objects[j]
             assert gf.inclusion_map(a, b).compose(sc.retraction(b, a)) == gf.identity_map(a)
@@ -84,7 +84,7 @@ def test_criterion_4_normal_factorization():
         assert len(morphisms) == 1303
         for f in morphisms:
             nf = sc.normal_factorization(f)
-            assert nf.recomposed() == f and nf.u.is_iso()
+            assert fo.recomposed(nf) == f and nf.u.is_iso()
 
 
 def test_criterion_5_cone_semigroup_isomorphism():

@@ -4,6 +4,7 @@ semigroup realized through transposes."""
 import pytest
 
 import cone_oracle as oracle
+import gf_helpers as gh
 from fibersemi import annihilators as ann
 from fibersemi import gf
 from fibersemi import semigroups as sg
@@ -38,7 +39,7 @@ def test_tag_lookup_example(acat22):
 
 def test_full_space_maps_to_zero_object(acat22):
     t = acat22.tags[acat22.dual_category.index(gf.zero_subspace(2, 2))]
-    assert t.primal == gf.full_space(2, 2)
+    assert t.primal == gh.full_space(2, 2)
 
 
 def test_dual_iso_report(acat22):
@@ -70,8 +71,8 @@ def test_normal_dual_object_examples(cat22):
     tag = normal_dual_object(cat22, sc.principal_cone(cat22, e))
     assert tag.primal == gf.subspace_span([(0, 1)], 2, 2)
     assert tag.dual == gf.subspace_span([(1, 0)], 2, 2)
-    z = normal_dual_object(cat22, sc.principal_cone(cat22, gf.zero_endo(2, 2)))
-    assert z.primal == gf.full_space(2, 2) and z.dual.dim == 0
+    z = normal_dual_object(cat22, sc.principal_cone(cat22, gh.zero_endo(2, 2)))
+    assert z.primal == gh.full_space(2, 2) and z.dual.dim == 0
 
 def test_normal_dual_object_requires_idempotent(cat22):
     nilpotent = sc.principal_cone(cat22, gf.endo([[0, 1], [0, 0]], 2))

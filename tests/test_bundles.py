@@ -107,6 +107,29 @@ def test_nonidentity_fiber_automorphisms():
     for branch, e in zip(am.branches, eps):
         assert branch.eps == e
 
+def test_corrupted_embedding_is_caught_naming_fiber_and_witness(monkeypatch):
+    real = bn.build_embedding
+
+    def corrupted(core, spec, i, branch, branch_tagged):
+        phi = real(core, spec, i, branch, branch_tagged)
+        if i == 1:
+            mapping = list(phi.mapping)
+            mapping[1], mapping[2] = mapping[2], mapping[1]
+            phi = sg.SemigroupMorphism(phi.source, phi.target, tuple(mapping))
+        return phi
+
+    monkeypatch.setattr(bn, "build_embedding", corrupted)
+    with pytest.raises(AssertionError, match=r"embedding into fiber 1 failed verification: \{'hom'"):
+        bn.assemble_amalgam(bn.fiber_family(2, 3, (2, 2, 3)))
+
+def test_each_embedding_verified_once(monkeypatch):
+    calls = []
+    real = sg.verify_morphism
+    monkeypatch.setattr(sg, "verify_morphism", lambda phi: calls.append(phi) or real(phi))
+    am = bn.assemble_amalgam(bn.fiber_family(2, 3, (2, 2, 3)))
+    assert len(calls) == len(am.report.embedding_reports) == 3
+    assert all(rep.ok for rep in am.report.embedding_reports)
+
 def test_shared_verification_path_with_null_fixture():
     assert sg.verify_amalgam(sg.null_semigroup_fixture()).ok
     am = bn.assemble_amalgam(bn.fiber_family(2, 2, (2, 2)))

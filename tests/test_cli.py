@@ -53,6 +53,13 @@ def test_cross_connections_check_refuses_before_any_automorphism(p, n):
         cli._check_cross_connections(p, n)
     assert time.perf_counter() - start < 1.0
 
+def test_cardinalities_builds_no_endo(monkeypatch):
+    def forbidden(self, *args):
+        raise AssertionError("an Endo was built only to be counted")
+
+    monkeypatch.setattr(gf.Endo, "__init__", forbidden)
+    assert cli._check_cardinalities(2, 4) == (True, None)
+
 @pytest.mark.parametrize("dim", ["0", "-1"])
 def test_nonpositive_dim_exit(capsys, dim):
     start = time.perf_counter()
@@ -105,6 +112,13 @@ def test_crossconn_rejects_singular_eps(capsys):
     code, _, err = run(capsys, "crossconn", "--field", "2", "--dim", "2",
                        "--eps", "[[1,0],[0,0]]")
     assert code == 2 and "singular" in err
+
+@pytest.mark.parametrize("eps", ["5", "null", '{"a":1}', '[[1,"a"],[0,1]]',
+                                 "[[1.5,0],[0,1]]", "[[true,0],[0,true]]"])
+def test_crossconn_rejects_malformed_eps(capsys, eps):
+    code, out, err = run(capsys, "crossconn", "--field", "2", "--dim", "2", "--eps", eps)
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "Traceback" not in err
 
 
 def test_amalgam_json(capsys):

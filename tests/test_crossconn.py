@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import crossconn_oracle as oracle
+import gf_helpers as gh
 from fibersemi import cli
 from fibersemi import crossconn as xc
 from fibersemi import gf
@@ -88,7 +89,7 @@ def test_covering_witness_example(cat22):
 def test_zero_subspace_witnessed_by_zero_dual(cat22):
     cc = xc.cross_connection(gf.identity_endo(2, 2))
     mset, pre = oracle.functor_m_set(cc, cat22, gf.zero_subspace(2, 2))
-    assert pre == gf.full_space(2, 2)
+    assert pre == gh.full_space(2, 2)
     assert mset == (gf.zero_subspace(2, 2),)
 
 def test_covering_sampled_at_2_3():
@@ -128,14 +129,14 @@ def test_zero_object_first_set_is_zero_map(cat22):
     zero = gf.zero_subspace(2, 2)
     for y in cat22.objects:
         first, _ = oracle.bifunctor_sets(cc, zero, y)
-        assert first == (gf.zero_endo(2, 2),)
+        assert first == (gh.zero_endo(2, 2),)
 
 def test_zero_map_membership(cat22):
     cc = xc.cross_connection(gf.identity_endo(2, 2))
     full_dual = max(cat22.objects, key=lambda o: o.dim)
     for a in cat22.objects:
         first, _ = oracle.bifunctor_sets(cc, a, full_dual)
-        assert gf.zero_endo(2, 2) in first
+        assert gh.zero_endo(2, 2) in first
 
 def test_set_sizes_match_under_kernel_mode(cat22, all_eps):
     for eps in all_eps:
@@ -294,8 +295,6 @@ def test_linked_pairs_share_the_sing_table(all_eps):
 def test_inverse_computed_once_per_connection():
     cc = xc.cross_connection(SWAP)
     assert cc.eps_inv is cc.eps_inv
-    assert cc.eps_inv_t is cc.eps_inv_t
-    assert cc.eps_inv_t == gf.transpose(cc.eps_inv)
 
 
 # ---------------------------------------------------------------------------
@@ -333,21 +332,58 @@ def test_index_decision_agrees_with_oracle(eps):
     assert _index_verdicts(eps) == _oracle_verdicts(eps) == (True, True, True)
 
 
-def test_index_bifunctor_sets_match_oracle(cat22, all_eps):
-    idx = xc.subspace_index(2, 2)
-    elems = gf.sing_table(2, 2)[0]
-    for eps in all_eps:
+def _index_sets(idx, e_obj, et_obj, ai, yi):
+    """The bifunctor sets at objects (ai, yi) as link_failure reads them,
+    as masks over sing_table order."""
+    c = idx.contains
+    first = c[idx.objects[ai], idx.img] & c[et_obj[yi], idx.timg]
+    second = c[idx.objects[yi], idx.timg] & c[e_obj[ai], idx.img]
+    return first, second
+
+
+def _sets_match_oracle(idx, eps):
+    """Whether the index's bifunctor sets at every object pair are the
+    oracle's, element for element."""
+    elems = gf.sing_table(eps.p, eps.n)[0]
+    cc = xc.cross_connection(eps)
+    e_obj, et_obj = xc.object_actions(cc, idx)
+    for ai, a in enumerate(idx.subspaces[i] for i in idx.objects):
+        for yi, y in enumerate(idx.subspaces[i] for i in idx.objects):
+            got = _index_sets(idx, e_obj, et_obj, ai, yi)
+            want = oracle.bifunctor_sets(cc, a, y)
+            if tuple(tuple(elems[i] for i in np.flatnonzero(m)) for m in got) != want:
+                return False
+    return True
+
+
+def test_index_bifunctor_sets_match_oracle():
+    for p, n in [(2, 2), (3, 2)]:
+        idx = xc.subspace_index(p, n)
+        for eps in gf.enumerate_automorphisms(p, n):
+            assert _sets_match_oracle(idx, eps), eps
+
+
+@pytest.mark.parametrize("p,n,step", [(2, 2, 1), (3, 2, 1), (5, 2, 1), (2, 3, 41), (7, 2, 401)])
+def test_object_actions_match_oracle_object_images(p, n, step):
+    idx = xc.subspace_index(p, n)
+    objects = [idx.subspaces[i] for i in idx.objects]
+    for eps in gf.enumerate_automorphisms(p, n)[::step]:
         cc = xc.cross_connection(eps)
         e_obj, et_obj = xc.object_actions(cc, idx)
-        c = idx.contains
-        for ai, a in enumerate(cat22.objects):
-            for yi, y in enumerate(cat22.objects):
-                first, second = oracle.bifunctor_sets(cc, a, y)
-                pa, py = idx.position[a], idx.position[y]
-                got_first = c[pa, idx.img] & c[et_obj[yi], idx.annker]
-                got_second = c[py, idx.timg] & c[e_obj[ai], idx.tannker]
-                assert tuple(elems[i] for i in np.flatnonzero(got_first)) == first
-                assert tuple(elems[i] for i in np.flatnonzero(got_second)) == second
+        assert [idx.subspaces[i] for i in e_obj] == [oracle.primal_object_image(cc, x) for x in objects]
+        assert [idx.subspaces[i] for i in et_obj] == [oracle.dual_object_image(cc, x) for x in objects]
+
+
+@pytest.mark.parametrize("p,n", [(2, 2), (3, 2), (5, 2), (7, 2), (2, 3)])
+def test_annihilator_of_kernel_is_image_of_transpose(p, n):
+    """ann(ker x) = im(x^T) for x acting on row vectors, which lets the
+    index keep two per-element arrays; both are checked against Subspace
+    objects."""
+    idx = xc.subspace_index(p, n)
+    for i, x in enumerate(gf.sing_table(p, n)[0]):
+        t_image = gf.transpose(x).image()
+        assert gf.annihilator(x.kernel()) == t_image == idx.subspaces[idx.timg[i]]
+        assert x.image() == idx.subspaces[idx.img[i]]
 
 
 @pytest.mark.parametrize("eps", gf.enumerate_automorphisms(2, 2) + AUTOS_3_2[::9], ids=str)
@@ -397,11 +433,21 @@ def _check_fails(p=2, n=2):
     return not ok
 
 
-def test_image_reading_of_annker_is_caught(monkeypatch):
+def test_image_reading_of_annker_is_caught():
+    # Reading ann(ker x) as ann(im x) in the index: the runtime check alone
+    # cannot see it, because the mutant is consistent with itself on both
+    # sides of the link, but the bifunctor sets no longer match the oracle.
     idx = xc.subspace_index(2, 2)
-    mutant = dataclasses.replace(idx, annker=idx.ann[idx.img])
+    mutant = dataclasses.replace(idx, timg=idx.ann[idx.img])
+    assert not all(_sets_match_oracle(mutant, eps) for eps in gf.enumerate_automorphisms(2, 2))
+
+
+@pytest.mark.parametrize("p,n", [(2, 2), (3, 2), (5, 2)])
+def test_transpose_image_read_as_image_is_caught(monkeypatch, p, n):
+    idx = xc.subspace_index(p, n)
+    mutant = dataclasses.replace(idx, timg=idx.img)
     monkeypatch.setattr(xc, "subspace_index", lambda p, n: mutant)
-    assert _check_fails()
+    assert _check_fails(p, n)
 
 
 def test_swapped_dual_object_action_is_caught(monkeypatch):
@@ -417,7 +463,36 @@ def test_swapped_dual_object_action_is_caught(monkeypatch):
     assert _check_fails()
 
 
-def test_forward_restriction_through_the_transpose_is_caught(monkeypatch):
-    monkeypatch.setattr(xc.CrossConnection, "primal_restrictions",
-                        lambda self, a: self._restrictions(a, self.eps_t, self.eps_inv))
-    assert _check_fails()
+@pytest.mark.parametrize("p,n", [(2, 2), (3, 2)])
+def test_primal_action_through_the_transpose_is_caught(monkeypatch, p, n):
+    real = xc.object_actions
+
+    def through_transpose(cc, idx):
+        _, et_obj = real(cc, idx)
+        return et_obj, et_obj   # x.eps_t in place of x.eps
+
+    monkeypatch.setattr(xc, "object_actions", through_transpose)
+    assert _check_fails(p, n)
+
+
+def test_wrong_inverse_fails_functoriality(monkeypatch):
+    # eps in place of eps^-1 is right only for the involutions
+    monkeypatch.setattr(xc.CrossConnection, "eps_inv", property(lambda self: self.eps))
+    ok, witness = cli._check_cross_connections(2, 2)
+    assert not ok and witness["failure"] == "functoriality"
+    eps = gf.Endo.from_json(witness["eps"])
+    assert eps * eps != gf.identity_endo(2, 2)
+
+
+def test_cross_connections_build_no_linear_map(monkeypatch):
+    """The check reads the subspace index only: no LinearMap and no
+    subspace span per object, so the per-object restrictions cannot come
+    back unnoticed."""
+    xc.subspace_index(3, 2)
+
+    def forbidden(*args):
+        raise AssertionError("the cross-connection check built a subspace or a linear map")
+
+    monkeypatch.setattr(gf, "linear_map", forbidden)
+    monkeypatch.setattr(gf, "subspace_span", forbidden)
+    assert cli._check_cross_connections(3, 2) == (True, None)

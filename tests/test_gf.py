@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import factorization_oracle as fo
+import gf_helpers as gh
 import sing_oracle
 from fibersemi import gf
 
@@ -23,7 +24,7 @@ def all_vectors(a):
 
 def full_complement(a):
     """The deterministic complement of a in the full space."""
-    return gf.complement_in(a, gf.full_space(a.p, a.n))
+    return gf.complement_in(a, gh.full_space(a.p, a.n))
 
 
 def brute_span(vectors, n, p):
@@ -64,7 +65,7 @@ def brute_annihilator(a):
 
 def test_span_full_space():
     s = gf.subspace_span([(1, 0), (0, 1)], 2, 2)
-    assert s == gf.full_space(2, 2)
+    assert s == gh.full_space(2, 2)
     assert s.dim == 2
 
 def test_span_canonicalizes():
@@ -93,8 +94,8 @@ def test_span_matches_brute_force():
 def test_complement_examples():
     a = gf.subspace_span([(0, 1)], 2, 2)
     assert full_complement(a).basis == ((1, 0),)
-    assert full_complement(gf.zero_subspace(2, 2)) == gf.full_space(2, 2)
-    assert full_complement(gf.full_space(2, 2)) == gf.zero_subspace(2, 2)
+    assert full_complement(gf.zero_subspace(2, 2)) == gh.full_space(2, 2)
+    assert full_complement(gh.full_space(2, 2)) == gf.zero_subspace(2, 2)
 
 def test_complement_is_deterministic_direct_sum():
     for p, n in [(2, 2), (3, 2), (2, 3), (5, 2)]:
@@ -117,7 +118,7 @@ def test_complement_in_respects_ambient():
 
 def test_annihilator_examples():
     assert gf.annihilator(gf.subspace_span([(1, 1)], 2, 2)).basis == ((1, 1),)
-    assert gf.annihilator(gf.zero_subspace(2, 2)) == gf.full_space(2, 2)
+    assert gf.annihilator(gf.zero_subspace(2, 2)) == gh.full_space(2, 2)
     assert gf.annihilator(gf.subspace_span([(1, 0, 0)], 3, 2)).basis == ((0, 1, 0), (0, 0, 1))
 
 def test_annihilator_matches_brute_force():
@@ -138,11 +139,11 @@ def test_annihilator_antitone_and_de_morgan():
             for b in subs:
                 if b.contains_subspace(a):
                     assert gf.annihilator(a).contains_subspace(gf.annihilator(b))
-                lhs = gf.annihilator(gf.subspace_intersection(a, b))
-                rhs = gf.subspace_sum(gf.annihilator(a), gf.annihilator(b))
+                lhs = gf.annihilator(gh.subspace_intersection(a, b))
+                rhs = gh.subspace_sum(gf.annihilator(a), gf.annihilator(b))
                 assert lhs == rhs
-                lhs2 = gf.annihilator(gf.subspace_sum(a, b))
-                rhs2 = gf.subspace_intersection(gf.annihilator(a), gf.annihilator(b))
+                lhs2 = gf.annihilator(gh.subspace_sum(a, b))
+                rhs2 = gh.subspace_intersection(gf.annihilator(a), gf.annihilator(b))
                 assert lhs2 == rhs2
 
 
@@ -150,7 +151,7 @@ def test_intersection_matches_brute_force():
     subs = gf.enumerate_subspaces(2, 3)
     for a in subs:
         for b in subs:
-            got = set(all_vectors(gf.subspace_intersection(a, b)))
+            got = set(all_vectors(gh.subspace_intersection(a, b)))
             want = set(all_vectors(a)) & set(all_vectors(b))
             assert got == want
 
@@ -166,7 +167,7 @@ def test_subspace_counts_match_gaussian_binomials():
         subs = gf.enumerate_subspaces(p, n)
         assert len(subs) == len(set(subs))
         for k in range(n + 1):
-            assert sum(1 for s in subs if s.dim == k) == gf.gaussian_binomial(n, k, p)
+            assert sum(1 for s in subs if s.dim == k) == gh.gaussian_binomial(n, k, p)
 
 def test_subspace_enumeration_matches_brute_force():
     for p, n in [(2, 2), (3, 2), (2, 3)]:
@@ -210,8 +211,8 @@ def test_unsupported_prime():
 def test_image_and_kernel_examples():
     a = gf.endo([[1, 0], [0, 0]], 2)
     assert a.image().basis == ((1, 0),) and a.kernel().basis == ((0, 1),)
-    z = gf.zero_endo(2, 2)
-    assert z.image().dim == 0 and z.kernel() == gf.full_space(2, 2)
+    z = gh.zero_endo(2, 2)
+    assert z.image().dim == 0 and z.kernel() == gh.full_space(2, 2)
     a = gf.endo([[0, 0], [1, 0]], 2)
     assert a.image().basis == ((1, 0),) and a.kernel().basis == ((1, 0),)
 

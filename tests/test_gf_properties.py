@@ -9,6 +9,7 @@ import itertools
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import gf_helpers as gh
 from fibersemi import gf
 
 PROPERTY = settings(max_examples=60, deadline=None, derandomize=True, database=None)
@@ -69,8 +70,8 @@ def test_coords_round_trip(case, data):
 @given(spanned(count=2))
 def test_dimension_of_sum_and_intersection(case):
     _, _, _, (a, b) = case
-    total = gf.subspace_sum(a, b)
-    meet = gf.subspace_intersection(a, b)
+    total = gh.subspace_sum(a, b)
+    meet = gh.subspace_intersection(a, b)
     assert total.dim + meet.dim == a.dim + b.dim
     assert total.contains_subspace(a) and total.contains_subspace(b)
     assert a.contains_subspace(meet) and b.contains_subspace(meet)
@@ -89,12 +90,12 @@ def test_double_annihilator(case):
 @given(spanned(count=2))
 def test_complement_in_gives_a_direct_sum(case):
     _, _, _, (a, extra) = case
-    b = gf.subspace_sum(a, extra)
+    b = gh.subspace_sum(a, extra)
     c = gf.complement_in(a, b)
     assert b.contains_subspace(c)
     assert a.dim + c.dim == b.dim
-    assert gf.subspace_intersection(a, c).dim == 0
-    assert gf.subspace_sum(a, c) == b
+    assert gh.subspace_intersection(a, c).dim == 0
+    assert gh.subspace_sum(a, c) == b
 
 
 @PROPERTY

@@ -13,6 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import gf_helpers as gh
 import sing_oracle
 from fibersemi import gf
 from fibersemi import semigroups as sg
@@ -154,7 +155,7 @@ def test_sing_idempotents_and_regularity():
     assert sg.is_regular(s)
     # independent construction: the zero map plus one projection per
     # (image line, complementary kernel line) pair
-    projections = {gf.zero_endo(2, 2)}
+    projections = {gh.zero_endo(2, 2)}
     lines = [a for a in gf.enumerate_subspaces(2, 2, proper_only=True) if a.dim == 1]
     for img in lines:
         for ker in lines:
@@ -201,7 +202,7 @@ def test_idempotent_in_own_left_ideal():
 
 def test_zero_matrix_ideal():
     s = sing_semigroup(2, 2)
-    z = s.index(gf.zero_endo(2, 2))
+    z = s.index(gh.zero_endo(2, 2))
     left, right, two = principal_ideals(s, z)
     assert left == right == two == frozenset({z})
 
@@ -308,7 +309,7 @@ def test_identity_morphism_verifies():
 
 def test_constant_morphism_to_idempotent():
     s = sing_semigroup(2, 2)
-    z = s.index(gf.zero_endo(2, 2))
+    z = s.index(gh.zero_endo(2, 2))
     r = sg.verify_morphism(sg.SemigroupMorphism(s, s, (z,) * s.order))
     assert r.is_hom and not r.is_injective
     assert "injective" in r.witnesses

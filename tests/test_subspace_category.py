@@ -12,6 +12,7 @@ import pytest
 
 import cone_oracle as oracle
 import factorization_oracle as fo
+import gf_helpers as gh
 from fibersemi import cli
 from fibersemi import gf
 from fibersemi import semigroups as sg
@@ -54,7 +55,7 @@ def test_zero_subspace_is_initial(cat22):
                for j in range(len(cat22.objects)))
 
 def test_full_space_is_not_an_object(cat22):
-    assert gf.full_space(2, 2) not in cat22
+    assert gh.full_space(2, 2) not in cat22
 
 
 # ---------------------------------------------------------------------------
@@ -70,7 +71,7 @@ def test_every_inclusion_splits(cat22, cat23):
 def test_factorization_exhaustive_2_2(cat22):
     for f in fo.all_morphisms(cat22):
         nf = sc.normal_factorization(f)
-        assert nf.recomposed() == f
+        assert fo.recomposed(nf) == f
         assert nf.u.is_iso()
         assert nf.epi == nf.q.compose(nf.u)
         assert nf.epi.is_epi()
@@ -81,7 +82,7 @@ def test_factorization_exhaustive_2_3(cat23):
     count = 0
     for f in fo.all_morphisms(cat23):
         nf = sc.normal_factorization(f)
-        assert nf.recomposed() == f
+        assert fo.recomposed(nf) == f
         assert nf.u.is_iso()
         count += 1
     assert count == 1303
@@ -220,7 +221,7 @@ def test_principal_cone_of_projection(cat22):
     assert set(rep.iso_objects) == {l10, l11}
 
 def test_principal_cone_of_zero(cat22):
-    rho = sc.principal_cone(cat22, gf.zero_endo(2, 2))
+    rho = sc.principal_cone(cat22, gh.zero_endo(2, 2))
     assert rho.vertex.dim == 0
     assert all(is_zero(c) for c in rho.components)
     rep = oracle.validate_cone(cat22, rho)
@@ -320,7 +321,7 @@ def test_compose_hand_example(cat22):
     a = gf.endo([[1, 0], [0, 0]], 2)
     b = gf.endo([[0, 0], [1, 0]], 2)
     out = sc.cone_compose(cat22, sc.principal_cone(cat22, a), sc.principal_cone(cat22, b))
-    assert out == sc.principal_cone(cat22, gf.zero_endo(2, 2))
+    assert out == sc.principal_cone(cat22, gh.zero_endo(2, 2))
 
 def test_compose_is_homomorphic_exhaustive_2_2(cat22, sing22):
     for a in sing22:
@@ -487,9 +488,9 @@ def identity_cone(cat, obj):
     """A normal cone with the given vertex whose component there is the
     identity: the principal cone of the projection onto obj."""
     if obj.dim == 0:
-        e = gf.zero_endo(cat.p, cat.n)
+        e = gh.zero_endo(cat.p, cat.n)
     else:
-        proj = sc.retraction(gf.full_space(cat.p, cat.n), obj)
+        proj = sc.retraction(gh.full_space(cat.p, cat.n), obj)
         rows = []
         for k in range(cat.n):
             ek = tuple(1 if i == k else 0 for i in range(cat.n))
@@ -519,7 +520,7 @@ def test_m_set_examples(cat22):
     e = gf.endo([[1, 0], [0, 0]], 2)
     got = set(sc.m_set(cat22, sc.principal_cone(cat22, e)))
     assert got == {gf.subspace_span([(1, 0)], 2, 2), gf.subspace_span([(1, 1)], 2, 2)}
-    z = sc.principal_cone(cat22, gf.zero_endo(2, 2))
+    z = sc.principal_cone(cat22, gh.zero_endo(2, 2))
     assert sc.m_set(cat22, z) == (gf.zero_subspace(2, 2),)
 
 def test_m_set_double_characterization(cat22):
