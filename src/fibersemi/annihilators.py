@@ -8,16 +8,13 @@ opposite of the singular endomorphism semigroup through transposition.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from . import gf
 from . import semigroups as sg
 from . import subspace_category as sc
-from .gf import Subspace
+from .gf import Record, Subspace
 
 
-@dataclass(frozen=True)
-class DualObjectTag:
+class DualObjectTag(Record):
     """A nonzero subspace paired with its annihilator in dual coordinates."""
     primal: Subspace
     dual: Subspace
@@ -59,8 +56,7 @@ def build_annihilator_category(p, n) -> AnnihilatorCategory:
     return AnnihilatorCategory(p, n, tags, dual_category)
 
 
-@dataclass(frozen=True)
-class DualIsoReport:
+class DualIsoReport(Record):
     object_pairs: tuple      # (annihilator object, dual-space object), identical sets
     counts_match: bool
     double_annihilator_ok: bool
@@ -93,8 +89,7 @@ def iso_to_dual_subspace_category(acat: AnnihilatorCategory) -> DualIsoReport:
     return DualIsoReport(pairs, counts, double, reversal)
 
 
-@dataclass(frozen=True)
-class DualConeSemigroupReport:
+class DualConeSemigroupReport(Record):
     semigroup: sg.FiniteSemigroup
     anti_isomorphism: sg.MorphismReport
 

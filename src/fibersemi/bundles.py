@@ -10,16 +10,14 @@ disjoint.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 
 from . import crossconn as xc
 from . import gf
 from . import semigroups as sg
-from .gf import Endo
+from .gf import Endo, Record
 
 
-@dataclass(frozen=True)
-class FiberFamilySpec:
+class FiberFamilySpec(Record):
     p: int
     k: int
     dims: tuple
@@ -54,8 +52,7 @@ def _tag_semigroup(s: sg.FiniteSemigroup, tag) -> sg.FiniteSemigroup:
     return sg.FiniteSemigroup(tuple((tag, x) for x in s.elements), s.table)
 
 
-@dataclass(frozen=True)
-class CoreSpec:
+class CoreSpec(Record):
     m: int
     eps_w: Endo
     cross: xc.CrossConnSemigroup
@@ -105,8 +102,7 @@ def build_embedding(core: CoreSpec, spec: FiberFamilySpec, i: int,
     return sg.SemigroupMorphism(core.semigroup, branch_tagged, mapping)
 
 
-@dataclass(frozen=True)
-class BundleAmalgam:
+class BundleAmalgam(Record):
     spec: FiberFamilySpec
     core: CoreSpec
     branches: tuple          # CrossConnSemigroup per fiber

@@ -333,7 +333,10 @@ def cmd_cones(args):
 
 
 def _parse_eps(text, p, n):
-    rows = json.loads(text)
+    try:
+        rows = json.loads(text)
+    except json.JSONDecodeError:
+        rows = None
     if not (isinstance(rows, list) and len(rows) == n
             and all(isinstance(r, list) and len(r) == n for r in rows)
             and all(type(x) is int for r in rows for x in r)):  # bool is not int

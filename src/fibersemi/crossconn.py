@@ -15,18 +15,16 @@ positions of its image and of its transpose's image.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 import numpy as np
 
 from . import gf
 from . import semigroups as sg
-from .gf import Endo
+from .gf import Endo, Record
 
 
-@dataclass(frozen=True)
-class CrossConnection:
+class CrossConnection(Record):
     eps: Endo
 
     @property
@@ -56,8 +54,7 @@ def cross_connection(eps: Endo) -> CrossConnection:
 # ---------------------------------------------------------------------------
 # the claims about a connection, decided on subspace positions
 
-@dataclass(frozen=True)
-class SubspaceIndex:
+class SubspaceIndex(Record):
     """Every subspace of GF(p)^n at its position in enumerate_subspaces
     order, with the relations the cross-connection claims read.  The two
     per-element arrays follow sing_table order; for x acting on row vectors
@@ -171,14 +168,12 @@ def link_failure(idx: SubspaceIndex, perm, e_obj, et_obj):
 # ---------------------------------------------------------------------------
 # the linked-pair semigroup
 
-@dataclass(frozen=True)
-class LinkedPair:
+class LinkedPair(Record):
     first: Endo
     second: Endo
 
 
-@dataclass(frozen=True)
-class CrossConnSemigroup:
+class CrossConnSemigroup(Record):
     eps: Endo
     pairs: tuple
     semigroup: sg.FiniteSemigroup

@@ -9,8 +9,8 @@ and set membership exact.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from operator import attrgetter
 
 import numpy as np
 
@@ -23,6 +23,50 @@ ASSOC_GUARD = 1500          # largest order of a Cayley table checked for associ
 
 class GuardExceeded(ValueError):
     """Requested enumeration is beyond the desk-scale guard."""
+
+
+class Record:
+    """Base of the immutable value types.  The fields are the names a
+    subclass annotates in its own body, in order.  Instances are built by
+    position or keyword, equal only to instances of the same class with
+    equal fields, hash as the tuple of their fields and print as
+    Name(field=value, ...).  One attrgetter per class reads the fields;
+    nothing is compiled per class, which keeps the package's import cheap."""
+    _fields = ()
+
+    def __init_subclass__(cls):
+        super().__init_subclass__()
+        cls._fields = names = tuple(cls.__dict__.get("__annotations__", {}))
+        key = attrgetter(*names)
+        cls._key = staticmethod(key if len(names) > 1 else lambda x: (key(x),))
+
+    def __init__(self, *args, **kwargs):
+        names = self._fields
+        if kwargs or len(args) != len(names):
+            values = {**dict(zip(names, args)), **kwargs}
+            if len(args) + len(kwargs) != len(names) or values.keys() != set(names):
+                raise TypeError(f"{type(self).__name__} takes the fields {names}, "
+                                f"not {len(args)} positional and {sorted(kwargs)}")
+            args = [values[k] for k in names]
+        for k, v in zip(names, args):  # in field order, so instances share dict keys
+            object.__setattr__(self, k, v)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key(self) == other._key(other)
+
+    def __hash__(self):
+        return hash(self._key(self))
+
+    def __repr__(self):
+        return f"{type(self).__qualname__}({', '.join(f'{k}={getattr(self, k)!r}' for k in self._fields)})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to {name!r} of an immutable {type(self).__name__}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete {name!r} of an immutable {type(self).__name__}")
 
 
 def check_field(p: int) -> int:
@@ -162,8 +206,7 @@ def express_in_basis(v, rows, p):
 # ---------------------------------------------------------------------------
 # subspaces
 
-@dataclass(frozen=True)
-class Subspace:
+class Subspace(Record):
     """A subspace of GF(p)^n held as its canonical RREF basis."""
     p: int
     n: int
@@ -296,8 +339,7 @@ def enumerate_subspaces(p, n, proper_only=False):
 # ---------------------------------------------------------------------------
 # endomorphisms
 
-@dataclass(frozen=True)
-class Endo:
+class Endo(Record):
     """An n x n matrix over GF(p) acting on row vectors on the right."""
     p: int
     n: int
@@ -471,8 +513,7 @@ def sing_conjugation(left: Endo, right: Endo):
 # ---------------------------------------------------------------------------
 # linear maps between subspaces
 
-@dataclass(frozen=True)
-class LinearMap:
+class LinearMap(Record):
     """A linear map dom -> cod, stored over the canonical bases."""
     dom: Subspace
     cod: Subspace

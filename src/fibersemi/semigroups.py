@@ -8,15 +8,15 @@ cone semigroups and hand-built fixtures alike.
 
 from __future__ import annotations
 
+import weakref
 from collections import defaultdict
-from dataclasses import dataclass, field, fields
 from functools import lru_cache
 from itertools import chain
 
 import numpy as np
 
 from . import gf
-from .gf import ASSOC_GUARD, GuardExceeded
+from .gf import ASSOC_GUARD, GuardExceeded, Record
 
 
 class NotAssociative(ValueError):
@@ -25,16 +25,15 @@ class NotAssociative(ValueError):
         super().__init__(f"operation not associative at triple {witness}")
 
 
-@dataclass(frozen=True, eq=False)
-class FiniteSemigroup:
+class FiniteSemigroup(Record):
     """Labels and a read-only (order, order) int32 table of product indices.
     Equal when the labels and the table contents are; not hashable."""
     elements: tuple
     table: np.ndarray
-    _index: dict = field(default=None, repr=False)
 
-    def __post_init__(self):
-        object.__setattr__(self, "_index", {x: i for i, x in enumerate(self.elements)})
+    def __init__(self, elements, table):
+        super().__init__(elements, table)
+        object.__setattr__(self, "_index", {x: i for i, x in enumerate(elements)})
 
     def __eq__(self, other):
         if not isinstance(other, FiniteSemigroup):
@@ -91,30 +90,33 @@ def _generators(t):
     return gens
 
 
-_TABLE_GENERATORS = {}  # id(t) -> (t, generators) for read-only tables
+_TABLE_GENERATORS = {}  # id(t) -> generators, for read-only tables still alive
 
 
 def table_generators(t):
     """_generators(t) as an int array, computed once per read-only table (such
-    as the shared Sing tables).  Holding t in its entry keeps its id from
-    being reused; a writeable table is walked again on every call."""
+    as the shared Sing tables, and every table from_table validates).  An
+    entry is dropped when its table is freed, before its id can be reused;
+    a writeable table is walked again on every call."""
     if t.flags.writeable:
         return np.array(_generators(t), dtype=np.intp)
     if id(t) not in _TABLE_GENERATORS:
-        _TABLE_GENERATORS[id(t)] = (t, np.array(_generators(t), dtype=np.intp))
-    return _TABLE_GENERATORS[id(t)][1]
+        _TABLE_GENERATORS[id(t)] = np.array(_generators(t), dtype=np.intp)
+        weakref.finalize(t, _TABLE_GENERATORS.pop, id(t)).atexit = False
+    return _TABLE_GENERATORS[id(t)]
 
 
 def _associativity_witness(t):
     """A triple (x, g, y) with (xg)y != x(gy), or None if t is associative.
 
-    Light's test over the generating set of ``_generators``.  It is sound for
+    Light's test over the generating set of ``table_generators``, so a
+    read-only table's walk is shared with later callers.  It is sound for
     any magma: A = {a : (xa)y = x(ay) for all x, y} is closed under the
     product, since (x(ab))y = ((xa)b)y = (xa)(by) = x(a(by)) = x((ab)y).  The
     closure of G under right multiplication lies in the submagma G generates,
     which lies in A once G does; so closure = S means A = S.
     """
-    for g in _generators(t):
+    for g in table_generators(t).tolist():
         bad = t[t[:, g]] != t[:, t[g]]   # [x, y]: (xg)y vs x(gy)
         if bad.any():
             x, y = divmod(int(np.argmax(bad)), len(t))
@@ -219,19 +221,18 @@ def is_regular(s: FiniteSemigroup) -> bool:
     return bool((s.table[s.table, idx[:, None]] == idx[:, None]).any(axis=1).all())
 
 
-@dataclass(frozen=True)
-class GreenStructure:
+class GreenStructure(Record):
     l_classes: tuple
     r_classes: tuple
     h_classes: tuple
     d_classes: tuple
 
     def to_json(self):
-        return {f.name: [list(c) for c in getattr(self, f.name)] for f in fields(self)}
+        return {k: [list(c) for c in getattr(self, k)] for k in self._fields}
 
     @staticmethod
     def from_json(d):
-        return GreenStructure(*(tuple(map(tuple, d[f.name])) for f in fields(GreenStructure)))
+        return GreenStructure(*(tuple(map(tuple, d[k])) for k in GreenStructure._fields))
 
 
 def _partition(keys):
@@ -273,15 +274,13 @@ def green_relations(s: FiniteSemigroup) -> GreenStructure:
 # ---------------------------------------------------------------------------
 # morphisms and amalgams
 
-@dataclass(frozen=True)
-class SemigroupMorphism:
+class SemigroupMorphism(Record):
     source: FiniteSemigroup
     target: FiniteSemigroup
     mapping: tuple  # source index -> target index
 
 
-@dataclass(frozen=True)
-class MorphismReport:
+class MorphismReport(Record):
     is_hom: bool
     is_injective: bool
     witnesses: dict
@@ -312,15 +311,13 @@ def verify_morphism(f: SemigroupMorphism) -> MorphismReport:
     return MorphismReport(is_hom, is_injective, witnesses)
 
 
-@dataclass(frozen=True)
-class Amalgam:
+class Amalgam(Record):
     core: FiniteSemigroup
     branches: tuple
     embeddings: tuple  # SemigroupMorphism core -> branch, one per branch
 
 
-@dataclass(frozen=True)
-class AmalgamReport:
+class AmalgamReport(Record):
     disjoint: bool
     embedding_reports: tuple
     witnesses: dict

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import itertools
 import json
-from dataclasses import dataclass
 from functools import lru_cache
 from types import SimpleNamespace
 
@@ -19,7 +18,7 @@ import numpy as np
 
 from . import gf
 from . import semigroups as sg
-from .gf import Endo, LinearMap, Subspace
+from .gf import Endo, LinearMap, Record, Subspace
 
 
 class SubspaceCategory:
@@ -69,8 +68,7 @@ def retraction(b: Subspace, a: Subspace) -> LinearMap:
     return projection_along(b, a, gf.complement_in(a, b))
 
 
-@dataclass(frozen=True)
-class NormalFactorization:
+class NormalFactorization(Record):
     q: LinearMap    # retraction dom -> c', c' the complement of ker f in dom
     u: LinearMap    # isomorphism c' -> image
     j: LinearMap    # inclusion image -> cod
@@ -173,8 +171,7 @@ def factorization_witness(cat: SubspaceCategory):
 # ---------------------------------------------------------------------------
 # cones
 
-@dataclass(frozen=True)
-class Cone:
+class Cone(Record):
     """Vertex plus one component per category object, in object order."""
     vertex: Subspace
     components: tuple  # LinearMap per object, aligned with cat.objects

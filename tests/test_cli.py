@@ -120,6 +120,12 @@ def test_crossconn_rejects_malformed_eps(capsys, eps):
     assert code == 2 and out == ""
     assert err.startswith("error:") and "Traceback" not in err
 
+@pytest.mark.parametrize("eps", ["xx", "[[1,0]"])
+def test_crossconn_eps_that_is_not_json_names_the_option(capsys, eps):
+    code, out, err = run(capsys, "crossconn", "--field", "2", "--dim", "2", "--eps", eps)
+    assert code == 2 and out == ""
+    assert err == "error: --eps must be a JSON list of 2 lists of 2 integers\n"
+
 
 def test_amalgam_json(capsys):
     code, out, _ = run(capsys, "amalgam", "--field", "2", "--dims", "2,2,3", "--format", "json")

@@ -1,8 +1,10 @@
 """Field-level linear algebra: examples checked against independent
 brute-force oracles computed inside this module."""
 
-import dataclasses
 import itertools
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,6 +13,7 @@ import factorization_oracle as fo
 import gf_helpers as gh
 import sing_oracle
 from fibersemi import gf
+from fibersemi import semigroups as sg
 
 
 # ---------------------------------------------------------------------------
@@ -177,10 +180,10 @@ def test_subspace_enumeration_matches_brute_force():
 
 @pytest.mark.parametrize("p", gf.SUPPORTED_PRIMES)
 def test_cached_pivots_are_the_rref_pivots(p):
-    assert "pivots" not in {f.name for f in dataclasses.fields(gf.Subspace)}
+    assert gf.Subspace._fields == ("p", "n", "basis")
     for n in (1, 2, 3):
         for s in gf.enumerate_subspaces(p, n):
-            assert s.pivots == gf.rref(s.basis, n, p)[1]
+            assert s.pivots == gf.rref(s.basis, n, p)[1] and s.pivots is s.pivots
             fresh = gf.Subspace(p, n, s.basis)
             assert fresh == s and hash(fresh) == hash(s) and fresh.to_json() == s.to_json()
 
@@ -357,3 +360,64 @@ def test_dimension_must_be_positive():
             gf.enumerate_endos(2, n)
         with pytest.raises(ValueError, match="dimension must be at least 1"):
             gf.enumerate_subspaces(2, n)
+
+
+# ---------------------------------------------------------------------------
+# the Record value types
+
+def test_record_hash_is_the_hash_of_the_field_tuple():
+    e = gf.identity_endo(2, 2)
+    s = gf.Subspace(2, 2, e.rows)
+    f = gf.LinearMap(s, s, e.rows)
+    assert hash(e) == hash((e.p, e.n, e.rows))
+    assert hash(s) == hash((s.p, s.n, s.basis))
+    assert hash(f) == hash((f.dom, f.cod, f.matrix))
+
+def test_record_equality_needs_the_same_class():
+    rows = gf.identity_matrix(2)
+    assert gf.Subspace(2, 2, rows) == gf.Subspace(2, 2, rows)
+    assert gf.Subspace(2, 2, rows) != gf.Endo(2, 2, rows)
+    assert gf.Endo(2, 2, rows) != (2, 2, rows)
+
+def test_record_repr_and_keyword_construction():
+    e = gf.Endo(p=2, n=2, rows=((1, 0), (0, 0)))
+    assert e == gf.Endo(2, 2, ((1, 0), (0, 0))) == gf.Endo(2, n=2, rows=((1, 0), (0, 0)))
+    assert repr(e) == "Endo(p=2, n=2, rows=((1, 0), (0, 0)))"
+    assert repr(gf.Subspace(2, 1, ((1,),))) == "Subspace(p=2, n=1, basis=((1,),))"
+
+@pytest.mark.parametrize("args,kwargs", [
+    ((2, 2), {}),                                  # missing
+    ((2, 2, ((1,),), 0), {}),                      # extra positional
+    ((2, 2), {"basis": ((1,),), "dim": 1}),        # unknown keyword
+    ((2, 2, ((1,),)), {"n": 2}),                   # repeated
+    ((), {"p": 2, "basis": ((1,),)}),              # missing by keyword
+    ((2,), {"p": 2, "basis": ((1,),)}),            # repeated, and so one missing
+], ids=["missing", "extra", "unknown", "repeated", "missing-keyword", "repeated-missing"])
+def test_record_rejects_a_wrong_field_set(args, kwargs):
+    with pytest.raises(TypeError):
+        gf.Subspace(*args, **kwargs)
+
+def test_record_is_immutable():
+    e = gf.identity_endo(2, 2)
+    with pytest.raises(AttributeError):
+        e.rows = ()
+    with pytest.raises(AttributeError):
+        e.other = 1
+    with pytest.raises(AttributeError):
+        del e.rows
+    assert e.rows == gf.identity_matrix(2)
+
+def test_finite_semigroup_is_not_hashable():
+    s = sg.from_table("ab", [[0, 0], [0, 0]])
+    assert s._fields == ("elements", "table") and s.index("b") == 1
+    with pytest.raises(TypeError):
+        hash(s)
+
+def test_cli_import_leaves_dataclasses_unimported():
+    # a dataclass compiles its methods from source at every import, which
+    # every CLI process would pay for; the value types are Records instead
+    src = Path(gf.__file__).resolve().parents[1]
+    code = "import sys, fibersemi.cli; print('dataclasses' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], cwd=src, env={"PYTHONPATH": str(src)},
+                         capture_output=True, text=True, check=True).stdout
+    assert out.strip() == "False"

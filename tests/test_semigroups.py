@@ -120,6 +120,30 @@ def test_non_associative_array_witness():
         sg.from_table(["a", "b"], np.array([[1, 0], [0, 0]], dtype=np.int32))
     assert exc.value.witness == ("a", "a", "b")
 
+def test_light_test_and_table_generators_share_one_walk(monkeypatch):
+    elems, _, sing = gf.sing_table(2, 3)
+    table = sing.copy()
+    table.flags.writeable = False   # read-only, and not walked yet
+    walk, calls = sg._generators, []
+    monkeypatch.setattr(sg, "_generators", lambda t: calls.append(t) or walk(t))
+    s = sg.from_table(elems, table)
+    assert s.table is table
+    assert sg.table_generators(table).tolist() == walk(table)
+    assert len(calls) == 1
+
+def test_mutated_writeable_table_keeps_its_witness():
+    # the witness is the first failing (x, y) of the first failing generator
+    # in walk order; this table's generators are 0..5 and 3 is the first to fail
+    table = gf.sing_table(2, 2)[2].copy()
+    table[3, 5] = 2
+    assert table.flags.writeable and sg._generators(table) == [0, 1, 2, 3, 4, 5]
+    with pytest.raises(sg.NotAssociative) as exc:
+        sg.from_table(range(10), table)
+    x, g, y = exc.value.witness
+    assert (x, g, y) == (4, 3, 5)
+    assert table[table[x, g], y] != table[x, table[g, y]]
+    assert sg._associativity_witness(table) == (4, 3, 5)
+
 def test_stored_table_is_a_read_only_int32_array():
     rows = [[3] * 4] * 4
     given = np.array(rows, dtype=np.int64)
