@@ -115,6 +115,10 @@ def _check_cone_semigroup(p, n):
     # The table is built by cone_compose and its cones are exactly the
     # principal ones (both code arrays are in order of the inducing
     # endomorphisms), so the morphism check decides cone(a).cone(b) = cone(ab).
+    # The guards refuse before the category is built: the subspace
+    # enumeration raises what build_category would, then the order guard.
+    gf.enumerate_subspaces(p, n, proper_only=True)
+    sc.check_cone_order(p, n)
     cat = sc.build_category(p, n)
     cone_sg, code, vertex, rows = sc.coded_normal_cones(cat)
     sing_elems = gf.enumerate_endos(p, n, singular_only=True)
@@ -131,6 +135,10 @@ def _check_cone_semigroup(p, n):
 
 
 def _check_m_sets(p, n):
+    # refuse before the category is built, with the guards that the build
+    # and then enumerate_endos would raise
+    gf.enumerate_subspaces(p, n, proper_only=True)
+    gf._endo_count(p, n)
     cat = sc.build_category(p, n)
     for e in gf.enumerate_endos(p, n, singular_only=True):
         if e * e != e:
@@ -442,5 +450,23 @@ def main(argv=None):
         return 2
 
 
+def run():
+    """Process entry point of ``python -m fibersemi.cli`` and the ``fibersemi``
+    script: main() on sys.argv, then exit with its status.
+
+    Once main() returns, every live object moves to the collector's
+    permanent generation, which the full collections of interpreter
+    finalization skip: the heap is about to be discarded, and those passes
+    over numpy's and the package's objects are a measurable share of a short
+    command.  atexit handlers, the flushing of stdout and stderr and the
+    exit status are unchanged; a usage error or an uncaught exception leaves
+    before the freeze.  main() leaves the collector alone, for in-process
+    callers."""
+    code = main()
+    import gc  # not at the top: importing or freezing before main() raised its peak RSS
+    gc.freeze()
+    sys.exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

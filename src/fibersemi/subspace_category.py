@@ -362,6 +362,17 @@ def principal_codes(cat: SubspaceCategory, code: _ConeCode):
     return code.codes(*_principal_rows(cat, code))
 
 
+def check_cone_order(p, n):
+    """Refuse the cone semigroup of GF(p)^n when its order, that of
+    Sing(GF(p)^n) in closed form, is beyond the associativity guard."""
+    size = gf.singular_count(p, n)
+    if size > gf.ASSOC_GUARD:
+        raise gf.GuardExceeded(
+            f"the cone semigroup of GF({p})^{n} has order {size}, "
+            f"beyond the associativity guard {gf.ASSOC_GUARD}"
+        )
+
+
 def coded_normal_cones(cat: SubspaceCategory):
     """The cone semigroup on code rows: (semigroup, code, vertex, rows), the
     cone of element i being the row (vertex[i], rows[i]) of code.
@@ -388,12 +399,7 @@ def coded_normal_cones(cat: SubspaceCategory):
     their matrices.
     """
     p, n = cat.p, cat.n
-    size = gf.singular_count(p, n)
-    if size > gf.ASSOC_GUARD:
-        raise gf.GuardExceeded(
-            f"the cone semigroup of GF({p})^{n} has order {size}, "
-            f"beyond the associativity guard {gf.ASSOC_GUARD}"
-        )
+    check_cone_order(p, n)
     code = _ConeCode(cat)
     exhaustive = sum(p ** (code.depth * d) for d in code.dims) <= SWEEP_LIMIT
     vertex, rows = (_assignments if exhaustive else _principal_rows)(cat, code)

@@ -1,12 +1,19 @@
 """Command-line behavior: output formats, exit codes, guards, determinism."""
 
+import gc
 import json
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
 from fibersemi import cli
 from fibersemi import gf
+from fibersemi import subspace_category as sc
+
+SRC = Path(cli.__file__).resolve().parents[1]
 
 
 def run(capsys, *argv):
@@ -240,3 +247,84 @@ def test_raising_check_fails_and_the_run_goes_on(monkeypatch, capsys):
     assert failed == {"cross-connections", "bundle-amalgam"}
     for name in failed:
         assert report[name]["witness"] == {"error": "conjugation law broken"}
+
+
+@pytest.mark.parametrize("check,witness", [
+    (cli._check_cone_semigroup,
+     "the cone semigroup of GF(2)^5 has order 23555072, beyond the associativity guard 1500"),
+    (cli._check_m_sets, "p^(n^2) = 33554432 exceeds endomorphism guard 1048576"),
+], ids=["cone-semigroup", "m-sets"])
+def test_check_refuses_before_the_category_is_built(monkeypatch, check, witness):
+    def forbidden(p, n):
+        raise AssertionError("the category was built before the guard refused")
+
+    monkeypatch.setattr(sc, "build_category", forbidden)
+    with pytest.raises(gf.GuardExceeded) as exc:
+        check(2, 5)
+    assert str(exc.value) == witness
+
+
+# ---------------------------------------------------------------------------
+# the process path: python -m fibersemi.cli and the fibersemi script
+
+def process(*argv):
+    """``python -m fibersemi.cli argv`` in a fresh interpreter: (status, stdout, stderr)."""
+    done = subprocess.run([sys.executable, "-m", "fibersemi.cli", *argv], cwd=SRC,
+                          env={"PYTHONPATH": str(SRC)}, capture_output=True, timeout=120)
+    return done.returncode, done.stdout, done.stderr
+
+
+def in_process(capsys, *argv):
+    try:
+        code = cli.main(list(argv))
+    except SystemExit as exc:  # argparse's usage errors
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out.encode(), captured.err.encode()
+
+
+@pytest.mark.parametrize("argv,status", [
+    (("enumerate", "--field", "2", "--dim", "2"), 0),
+    (("green", "--field", "2", "--dim", "2", "--format", "dot"), 0),
+    (("verify-all", "--field", "2", "--dim", "2", "--format", "json"), 0),
+    (("verify-all", "--field", "3", "--dim", "2"), 1),  # bundle-amalgam refused by a guard
+    (("enumerate", "--field", "2", "--dim", "9"), 2),
+    (("enumerate", "--field", "x"), 2),
+], ids=["enumerate", "green-dot", "verify-all-json", "verify-all-fails", "guard", "usage"])
+def test_process_output_and_status_match_main(capsys, argv, status):
+    want = in_process(capsys, *argv)
+    assert want[0] == status
+    assert process(*argv) == want
+
+
+def test_process_writes_out_file_in_full(tmp_path, capsys):
+    argv = ("green", "--field", "2", "--dim", "3", "--format", "dot")
+    _, want, _ = in_process(capsys, *argv)
+    target = tmp_path / "eggbox.dot"
+    assert process(*argv, "--out", str(target)) == (0, b"", b"")
+    assert target.read_bytes() == want
+
+
+def test_process_exit_freezes_the_heap_after_main_and_runs_atexit():
+    # runs the module as python -m does, with an atexit handler that reports
+    # whether the heap was frozen by the time the interpreter shuts down
+    code = ("import atexit, gc, runpy, sys\n"
+            "atexit.register(lambda: print('frozen', gc.get_freeze_count() > 0, file=sys.stderr))\n"
+            "sys.argv = ['fibersemi', 'enumerate']\n"
+            "runpy.run_module('fibersemi.cli', run_name='__main__', alter_sys=True)\n")
+    done = subprocess.run([sys.executable, "-c", code], cwd=SRC, env={"PYTHONPATH": str(SRC)},
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0
+    assert "singular_endomorphisms: 10" in done.stdout
+    assert done.stderr == "frozen True\n"
+
+
+def test_main_leaves_the_collector_alone(capsys):
+    before = gc.get_freeze_count()
+    assert cli.main(["enumerate", "--field", "2", "--dim", "2"]) == 0
+    assert gc.get_freeze_count() == before
+
+
+def test_console_script_exits_through_the_process_entry_point():
+    lines = (SRC.parent / "pyproject.toml").read_text().splitlines()
+    assert 'fibersemi = "fibersemi.cli:run"' in lines
