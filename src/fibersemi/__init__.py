@@ -27,7 +27,6 @@ from .semigroups import (
     NotAssociative,
     SemigroupMorphism,
     amalgam_to_json,
-    from_multiplication,
     from_table,
     green_relations,
     idempotents,
@@ -38,16 +37,10 @@ from .semigroups import (
     verify_morphism,
 )
 from .subspace_category import (
-    Cone,
     NormalFactorization,
     SubspaceCategory,
     build_category,
-    cone_compose,
-    cone_star,
-    enumerate_normal_cones,
-    m_set,
     normal_factorization,
-    principal_cone,
     retraction,
 )
 from .annihilators import (
@@ -68,7 +61,6 @@ from .bundles import (
     BundleAmalgam,
     FiberFamilySpec,
     assemble_amalgam,
-    block_embed,
     build_core,
     fiber_family,
 )

@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import json
 
+import numpy as np
+
 from . import crossconn as xc
 from . import gf
 from . import semigroups as sg
@@ -74,32 +76,26 @@ def build_core(spec: FiberFamilySpec, m=None, eps_w=None) -> CoreSpec:
     return CoreSpec(m, eps_w, cross, _tag_semigroup(cross.semigroup, "core"))
 
 
-def block_embed(alpha: Endo, d: int) -> Endo:
-    """Extend an m x m matrix to d x d by acting on the leading m coordinates
-    and killing the rest: v -> ((v.proj).alpha).include."""
-    m = alpha.n
-    rows = []
-    for i in range(d):
-        if i < m:
-            rows.append(tuple(alpha.rows[i]) + (0,) * (d - m))
-        else:
-            rows.append((0,) * d)
-    return Endo(alpha.p, d, tuple(rows))
-
-
 def build_embedding(core: CoreSpec, spec: FiberFamilySpec, i: int,
-                    branch: xc.CrossConnSemigroup,
                     branch_tagged: sg.FiniteSemigroup) -> sg.SemigroupMorphism:
     """Map from the core into branch i via the block embedding on first
-    coordinates; assemble_amalgam verifies it once, exhaustively.  The
-    second coordinates are conjugates by construction
-    (build_cross_conn_semigroup), so the map is decided on the tables."""
-    d = spec.dims[i]
-    if core.m > d:
+    coordinates: an m x m matrix acts on the leading m of d coordinates and
+    kills the rest, v -> ((v.proj).alpha).include, so it is zero-padded to
+    d x d.  Core and branch list their first coordinates in Sing order, so
+    each index is read from sing_table's decode array at the padded code.
+    assemble_amalgam verifies the map once, exhaustively.  The second
+    coordinates are conjugates by construction (build_cross_conn_semigroup),
+    so the map is decided on the tables."""
+    p, d, m = spec.p, spec.dims[i], core.m
+    if m > d:
         raise ValueError("core dimension exceeds fiber dimension")
-    branch_index = {pr.first.rows: j for j, pr in enumerate(branch.pairs)}
-    mapping = tuple(branch_index[block_embed(pr.first, d).rows] for pr in core.cross.pairs)
-    return sg.SemigroupMorphism(core.semigroup, branch_tagged, mapping)
+    core_mats = gf._sing_matrices(p, m)
+    padded = np.zeros((len(core_mats), d, d), dtype=np.int64)
+    padded[:, :m, :m] = core_mats
+    mapping = gf.sing_table(p, d)[1][gf.base_p(padded, p)]
+    if (mapping < 0).any():
+        raise AssertionError(f"a block-embedded core element is invertible in fiber {i}")
+    return sg.SemigroupMorphism(core.semigroup, branch_tagged, tuple(mapping.tolist()))
 
 
 class BundleAmalgam(Record):
@@ -135,7 +131,7 @@ def assemble_amalgam(spec: FiberFamilySpec, m=None, eps_w=None) -> BundleAmalgam
             built[eps] = xc.build_cross_conn_semigroup(eps)
         branch = built[eps]
         branch_tagged = _tag_semigroup(branch.semigroup, ("fiber", i))
-        embeddings.append(build_embedding(core, spec, i, branch, branch_tagged))
+        embeddings.append(build_embedding(core, spec, i, branch_tagged))
         branches.append(branch)
         tagged.append(branch_tagged)
     amalgam = sg.Amalgam(core.semigroup, tuple(tagged), tuple(embeddings))

@@ -66,11 +66,11 @@ def _check_regularity(p, n):
 
 
 def _check_green(p, n):
-    sing = sg.sing_semigroup(p, n)
-    elems = sing.elements
-    green = sg.green_relations(sing)
-    images = [e.image() for e in elems]
-    kernels = [e.kernel() for e in elems]
+    # Subspaces by position: ann(ker x) = im(x^T) and ann is a bijection, so
+    # the positions of the transposes' images partition Sing as kernels do.
+    green = sg.green_relations(sg.sing_semigroup(p, n))
+    idx = xc.subspace_index(p, n)
+    images, kernels = idx.img.tolist(), idx.timg.tolist()
     for cls in green.l_classes:
         if len({images[i] for i in cls}) != 1:
             return False, {"failure": "L class with mixed images"}
@@ -112,7 +112,7 @@ def _check_factorization(p, n):
 
 
 def _check_cone_semigroup(p, n):
-    # The table is built by cone_compose and its cones are exactly the
+    # The table is built by cone composition and its cones are exactly the
     # principal ones (both code arrays are in order of the inducing
     # endomorphisms), so the morphism check decides cone(a).cone(b) = cone(ab).
     # The guards refuse before the category is built: the subspace
@@ -121,9 +121,9 @@ def _check_cone_semigroup(p, n):
     sc.check_cone_order(p, n)
     cat = sc.build_category(p, n)
     cone_sg, code, vertex, rows = sc.coded_normal_cones(cat)
-    sing_elems = gf.enumerate_endos(p, n, singular_only=True)
-    if cone_sg.order != len(sing_elems):
-        return False, {"cones": cone_sg.order, "singular": len(sing_elems)}
+    singular = len(gf._sing_matrices(p, n))
+    if cone_sg.order != singular:
+        return False, {"cones": cone_sg.order, "singular": singular}
     if code.codes(vertex, rows).tolist() != sc.principal_codes(cat, code).tolist():
         return False, {"failure": "non-principal normal cone found"}
     sing = sg.sing_semigroup(p, n)
@@ -135,18 +135,14 @@ def _check_cone_semigroup(p, n):
 
 
 def _check_m_sets(p, n):
-    # refuse before the category is built, with the guards that the build
-    # and then enumerate_endos would raise
-    gf.enumerate_subspaces(p, n, proper_only=True)
-    gf._endo_count(p, n)
-    cat = sc.build_category(p, n)
-    for e in gf.enumerate_endos(p, n, singular_only=True):
-        if e * e != e:
-            continue
-        from_iso = set(sc.m_set(cat, sc.principal_cone(cat, e)))
-        from_sum = {a for a in cat.objects if gf.is_direct_sum(a, e.kernel())}
-        if from_iso != from_sum:
-            return False, {"idempotent": e.to_json()}
+    # the M-set of each idempotent's principal cone, by iso components and by
+    # complements of its kernel (sc.m_sets); the first idempotent at which
+    # they differ is the witness
+    idem, by_iso, by_sum = sc.m_sets(p, n)
+    bad = (by_iso != by_sum).any(axis=1)
+    if bad.any():
+        rows = tuple(map(tuple, idem[bad.argmax()].tolist()))
+        return False, {"idempotent": gf.Endo(p, n, rows).to_json()}
     return True, None
 
 
@@ -159,6 +155,8 @@ def _check_dual_category(p, n):
         acat3 = ann.build_annihilator_category(2, 3)
         if len(acat3.objects) != 15:
             return False, {"objects_2_3": len(acat3.objects)}
+        if not ann.iso_to_dual_subspace_category(acat3).ok:
+            return False, {"failure": "dual category identification"}
         ta = ann.build_ta_semigroup(2, 2)
         if not (ta.semigroup.order == 10 and ta.anti_isomorphism.ok):
             return False, {"failure": "dual cone semigroup"}
@@ -214,10 +212,10 @@ def _check_bundle_amalgam(p, n, dims=(2, 2, 3), m=2):
     spec = bn.fiber_family(p, max(dims), dims)
     bundle = bn.assemble_amalgam(spec, m=m)
     orders = [b.order for b in bundle.branches]
-    want = [len(gf.enumerate_endos(p, d, singular_only=True)) for d in dims]
+    want = [len(gf._sing_matrices(p, d)) for d in dims]
     if orders != want:
         return False, {"orders": orders, "expected": want}
-    if bundle.core.semigroup.order != len(gf.enumerate_endos(p, m, singular_only=True)):
+    if bundle.core.semigroup.order != len(gf._sing_matrices(p, m)):
         return False, {"core_order": bundle.core.semigroup.order}
     return True, None
 
@@ -327,9 +325,9 @@ def cmd_green(args):
 def cmd_cones(args):
     p, n = args.field, args.dim
     cat = sc.build_category(p, n)
-    smg, cones, _ = sc.enumerate_normal_cones(cat)
+    smg, code, vertex, rows = sc.coded_normal_cones(cat)
     if args.format == "json":
-        _emit(sc.cone_semigroup_json(cat, smg, cones), args.out)
+        _emit(sc.cone_semigroup_json(cat, smg, code, vertex, rows), args.out)
     else:
         _emit(
             f"objects: {len(cat.objects)}\n"

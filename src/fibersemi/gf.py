@@ -561,11 +561,6 @@ def linear_map(dom: Subspace, cod: Subspace, images) -> LinearMap:
     return LinearMap(dom, cod, tuple(rows))
 
 
-def restriction(alpha: Endo, dom: Subspace, cod: Subspace) -> LinearMap:
-    """alpha restricted to dom, landing in cod."""
-    return linear_map(dom, cod, [alpha.apply(v) for v in dom.basis])
-
-
 def inclusion_map(a: Subspace, b: Subspace) -> LinearMap:
     if not b.contains_subspace(a):
         raise ValueError("inclusion requires containment")

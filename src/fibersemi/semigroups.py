@@ -192,22 +192,6 @@ def semigroup_from_json(d) -> FiniteSemigroup:
     return from_table([_label_from_json(x) for x in elements], table)
 
 
-def from_multiplication(elements, op) -> FiniteSemigroup:
-    """Build a table from a closed binary operation on the labels."""
-    elements = tuple(elements)
-    idx = {x: i for i, x in enumerate(elements)}
-    table = []
-    for a in elements:
-        row = []
-        for b in elements:
-            c = op(a, b)
-            if c not in idx:
-                raise ValueError(f"operation not closed: {a} * {b} = {c}")
-            row.append(idx[c])
-        table.append(row)
-    return from_table(elements, table)
-
-
 # ---------------------------------------------------------------------------
 # idempotents, regularity, ideals, Green's relations
 
@@ -368,10 +352,8 @@ def null_semigroup_fixture() -> Amalgam:
     """
     def build(tag, extra, special):
         names = ["u", "v", "w", "z"] + ([extra] if extra else [])
-        labels = [(tag, x) for x in names]
-        def op(a, b):
-            return (tag, special.get((a[1], b[1]), "z"))
-        return from_multiplication(labels, op)
+        table = [[names.index(special.get((a, b), "z")) for b in names] for a in names]
+        return from_table([(tag, x) for x in names], table)
 
     core = build("U", None, {})
     s1 = build("S1", "a", {("a", "u"): "v", ("u", "a"): "v"})

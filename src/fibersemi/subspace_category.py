@@ -4,7 +4,7 @@ Objects are the proper subspaces (zero included), morphisms all linear maps,
 inclusions the containment order.  Cones assign a morphism into a fixed
 vertex to every object, compatibly with restriction; composing normal cones
 through epimorphic components makes them a semigroup isomorphic to the
-singular endomorphisms.
+singular endomorphisms.  A cone is held as one integer code row (_ConeCode).
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ import numpy as np
 
 from . import gf
 from . import semigroups as sg
-from .gf import Endo, LinearMap, Record, Subspace
+from .gf import LinearMap, Record, Subspace
 
 
 class SubspaceCategory:
@@ -169,57 +169,6 @@ def factorization_witness(cat: SubspaceCategory):
 
 
 # ---------------------------------------------------------------------------
-# cones
-
-class Cone(Record):
-    """Vertex plus one component per category object, in object order."""
-    vertex: Subspace
-    components: tuple  # LinearMap per object, aligned with cat.objects
-
-    def to_json(self, cat: SubspaceCategory):
-        return {
-            "vertex": self.vertex.to_json(),
-            "components": [
-                {"object": obj.to_json(), "matrix": [list(r) for r in m.matrix]}
-                for obj, m in zip(cat.objects, self.components)
-            ],
-        }
-
-
-def principal_cone(cat: SubspaceCategory, alpha: Endo) -> Cone:
-    """Cone with vertex Im(alpha) whose component at A restricts alpha to A."""
-    if alpha.is_invertible():
-        raise ValueError("principal cone requires a singular endomorphism")
-    vertex = alpha.image()
-    comps = tuple(gf.restriction(alpha, obj, vertex) for obj in cat.objects)
-    return Cone(vertex, comps)
-
-
-def cone_star(cat: SubspaceCategory, cone: Cone, f: LinearMap) -> Cone:
-    """Push a cone along an epimorphism out of its vertex."""
-    if f.dom != cone.vertex:
-        raise ValueError("map must start at the cone vertex")
-    if not f.is_epi():
-        raise ValueError("map must be an epimorphism")
-    if f.cod not in cat:
-        raise ValueError("codomain must be an object of the category")
-    return Cone(f.cod, tuple(c.compose(f) for c in cone.components))
-
-
-def is_normal_cone(cone: Cone) -> bool:
-    return any(c.is_iso() for c in cone.components)
-
-
-def cone_compose(cat: SubspaceCategory, g1: Cone, g2: Cone) -> Cone:
-    """g1 . g2 = g1 * (epimorphic component of g2 at the vertex of g1)."""
-    if not (is_normal_cone(g1) and is_normal_cone(g2)):
-        raise ValueError("cone composition requires normal cones")
-    through = g2.components[cat.index(g1.vertex)]
-    epi = normal_factorization(through).epi
-    return cone_star(cat, g1, epi)
-
-
-# ---------------------------------------------------------------------------
 # the cone semigroup on integer code rows
 
 class _ConeCode:
@@ -267,7 +216,7 @@ def _principal_rows(cat: SubspaceCategory, code: _ConeCode):
     and multiplied back to check the reading.
     """
     p, n = cat.p, cat.n
-    alphas = np.array([a.rows for a in gf.enumerate_endos(p, n, singular_only=True)], dtype=np.int64)
+    alphas = gf._sing_matrices(p, n)
     images = code.stacked @ alphas % p
     vertex = np.full(len(alphas), -1)
     rows = np.zeros((len(alphas), code.depth, code.width), dtype=np.int64)
@@ -333,9 +282,9 @@ def _admissible(cat: SubspaceCategory, code: _ConeCode, vertex, rows):
 
 
 def _push(rows, epi, p):
-    """cone_star on code rows: every component of every row, all into a
-    vertex of dimension len(epi), composed with the epimorphism whose matrix
-    is epi."""
+    """Push cones along an epimorphism out of their vertex, on code rows:
+    every component of every row, all into a vertex of dimension len(epi),
+    composed with the epimorphism whose matrix is epi."""
     e = np.zeros((len(epi), rows.shape[2]), dtype=np.int64)
     e[:, :epi.shape[1]] = epi
     return rows[:, :, :len(epi)] @ e % p
@@ -343,18 +292,6 @@ def _push(rows, epi, p):
 
 def _matrix(block):
     return tuple(map(tuple, block))
-
-
-def _cones(cat: SubspaceCategory, code: _ConeCode, vertex, rows):
-    """The Cone of each code row."""
-    spans = list(zip(cat.objects, code.offsets, code.offsets[1:]))
-    cones = []
-    for k, r in zip(vertex.tolist(), rows.tolist()):
-        v, d = cat.objects[k], code.dims[k]
-        cones.append(Cone(v, tuple(
-            LinearMap(obj, v, _matrix(row[:d] for row in r[lo:hi])) for obj, lo, hi in spans
-        )))
-    return tuple(cones)
 
 
 def principal_codes(cat: SubspaceCategory, code: _ConeCode):
@@ -386,9 +323,9 @@ def coded_normal_cones(cat: SubspaceCategory):
     each of them must pass the same test.
 
     Either way every cell of the Cayley table is a cone composition, never a
-    matrix shortcut, filled one vertex object at a time:
-    cone_compose(g1, g2) reads g2 only through the epimorphic part of its
-    component at the vertex of g1, which depends only on that component's
+    matrix shortcut, filled one vertex object at a time: g1.g2 pushes g1
+    along the epimorphic part of g2's component at the vertex of g1, so it
+    reads g2 only through that component, which depends only on its
     values in GF(p)^n, so all columns whose components there agree as maps
     share the product.  Each such component's epimorphic part and image are
     read from shape_factors once, as in normal_factorization, every row with
@@ -440,31 +377,52 @@ def coded_normal_cones(cat: SubspaceCategory):
     return sg.from_table(labels, table), code, vertex, rows
 
 
-def enumerate_normal_cones(cat: SubspaceCategory):
-    """(semigroup, cones, endos) with parallel indexing: coded_normal_cones with
-    each code row as a Cone, and the map back to inducing endomorphisms."""
-    semigroup, code, vertex, rows = coded_normal_cones(cat)
-    return semigroup, _cones(cat, code, vertex, rows), tuple(Endo(cat.p, cat.n, e) for e in semigroup.elements)
-
-
-def m_set(cat: SubspaceCategory, cone: Cone):
-    """Objects where an idempotent cone's component is an isomorphism.
-
-    Idempotency is decided by composing the cone with itself.
-    """
-    if cone_compose(cat, cone, cone) != cone:
-        raise ValueError("m-set requires a cone idempotent under composition")
-    return tuple(
-        obj for obj, comp in zip(cat.objects, cone.components) if comp.is_iso()
-    )
-
-
-def cone_semigroup_json(cat: SubspaceCategory, semigroup, cones):
+def cone_semigroup_json(cat: SubspaceCategory, semigroup, code: _ConeCode, vertex, rows):
+    """The cone semigroup as JSON, each cone written from its code row: its
+    vertex, and at each object the component's matrix over the canonical
+    bases, dim(object) rows of dim(vertex) coordinates."""
+    objects = [obj.to_json() for obj in cat.objects]
+    spans = list(zip(objects, code.offsets, code.offsets[1:]))
+    cones = [
+        {"vertex": objects[k],
+         "components": [{"object": obj, "matrix": [row[:code.dims[k]] for row in r[lo:hi]]}
+                        for obj, lo, hi in spans]}
+        for k, r in zip(vertex.tolist(), rows.tolist())
+    ]
     doc = {
         "p": cat.p,
         "n": cat.n,
         "elements": [list(map(list, e)) for e in semigroup.elements],
         "table": semigroup.table.tolist(),
-        "cones": [c.to_json(cat) for c in cones],
+        "cones": cones,
     }
     return json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
+
+
+def m_sets(p, n):
+    """The M-set of the principal cone of every idempotent e in
+    Sing(GF(p)^n), read two ways: (idempotents, by_iso, by_sum), the
+    idempotents in code order and two boolean arrays over them and the proper
+    subspaces a in enumerate_subspaces order.
+
+    by_iso[i, a]: the cone's component at a, e restricted to a into Im e, is
+    an isomorphism, that is dim a = rank e and rank(B_a.e) = dim a.
+    by_sum[i, a]: a (+) ker e = V, that is dim a + dim ker e = n and
+    rank [B_a; I - e] = n, since ker e = Im(I - e) for an idempotent e.  B_a
+    is a's basis padded with zero rows.  The ranks of the pairs of matching
+    dimensions come from one batched rref per side; no category or cone is
+    built."""
+    objects = gf.enumerate_subspaces(p, n, proper_only=True)
+    mats = gf._sing_matrices(p, n)
+    idem = mats[(mats @ mats % p == mats).all(axis=(1, 2))]
+    bases = np.zeros((len(objects), n, n), dtype=np.int64)
+    for k, a in enumerate(objects):
+        bases[k, :a.dim] = np.reshape(a.basis, (a.dim, n))
+    dims, ranks = np.array([a.dim for a in objects]), gf._ranks(p, n)
+    complement = (np.eye(n, dtype=np.int64) - idem) % p
+    by_iso, by_sum = np.zeros((2, len(idem), len(objects)), dtype=bool)
+    i, a = np.nonzero(dims == ranks[gf.base_p(idem, p)][:, None])
+    by_iso[i, a] = gf.rref_stack(bases[a] @ idem[i] % p, p)[2] == dims[a]
+    i, a = np.nonzero(dims + ranks[gf.base_p(complement, p)][:, None] == n)
+    by_sum[i, a] = gf.rref_stack(np.concatenate([bases[a], complement[i]], axis=1), p)[2] == n
+    return idem, by_iso, by_sum

@@ -1,7 +1,10 @@
-"""Test oracles for the cone semigroup: the LinearMap-level cone validation
-and assignment sweep that enumerate_normal_cones decided with before cones
-became integer code rows.  They are kept here, unchanged, so the tests can
-compare the coded sweep with them assignment for assignment."""
+"""Test oracles for the cone semigroup: the Cone object API, a vertex and one
+LinearMap component per object, with principal cones, pushing along an
+epimorphism, composition and M-sets; the view of code rows as Cones; and the
+LinearMap-level cone validation and assignment sweep that the cone semigroup
+was decided with before cones became integer code rows.  They are kept here,
+unchanged, so the tests can compare the code rows, the cone JSON and the
+batched M-sets with them."""
 
 from __future__ import annotations
 
@@ -11,8 +14,93 @@ from dataclasses import dataclass
 from factorization_oracle import all_linear_maps
 import gf_helpers as gh
 from fibersemi import gf
-from fibersemi.gf import Endo, Subspace
-from fibersemi.subspace_category import Cone, SubspaceCategory
+from fibersemi import subspace_category as sc
+from fibersemi.gf import Endo, LinearMap, Record, Subspace
+from fibersemi.subspace_category import SubspaceCategory, _ConeCode
+
+
+def restriction(alpha: Endo, dom: Subspace, cod: Subspace) -> LinearMap:
+    """alpha restricted to dom, landing in cod."""
+    return gf.linear_map(dom, cod, [alpha.apply(v) for v in dom.basis])
+
+
+class Cone(Record):
+    """Vertex plus one component per category object, in object order."""
+    vertex: Subspace
+    components: tuple  # LinearMap per object, aligned with cat.objects
+
+    def to_json(self, cat: SubspaceCategory):
+        return {
+            "vertex": self.vertex.to_json(),
+            "components": [
+                {"object": obj.to_json(), "matrix": [list(r) for r in m.matrix]}
+                for obj, m in zip(cat.objects, self.components)
+            ],
+        }
+
+
+def principal_cone(cat: SubspaceCategory, alpha: Endo) -> Cone:
+    """Cone with vertex Im(alpha) whose component at A restricts alpha to A."""
+    if alpha.is_invertible():
+        raise ValueError("principal cone requires a singular endomorphism")
+    vertex = alpha.image()
+    comps = tuple(restriction(alpha, obj, vertex) for obj in cat.objects)
+    return Cone(vertex, comps)
+
+
+def cone_star(cat: SubspaceCategory, cone: Cone, f: LinearMap) -> Cone:
+    """Push a cone along an epimorphism out of its vertex."""
+    if f.dom != cone.vertex:
+        raise ValueError("map must start at the cone vertex")
+    if not f.is_epi():
+        raise ValueError("map must be an epimorphism")
+    if f.cod not in cat:
+        raise ValueError("codomain must be an object of the category")
+    return Cone(f.cod, tuple(c.compose(f) for c in cone.components))
+
+
+def is_normal_cone(cone: Cone) -> bool:
+    return any(c.is_iso() for c in cone.components)
+
+
+def cone_compose(cat: SubspaceCategory, g1: Cone, g2: Cone) -> Cone:
+    """g1 . g2 = g1 * (epimorphic component of g2 at the vertex of g1)."""
+    if not (is_normal_cone(g1) and is_normal_cone(g2)):
+        raise ValueError("cone composition requires normal cones")
+    through = g2.components[cat.index(g1.vertex)]
+    epi = sc.normal_factorization(through).epi
+    return cone_star(cat, g1, epi)
+
+
+def _cones(cat: SubspaceCategory, code: _ConeCode, vertex, rows):
+    """The Cone of each code row."""
+    spans = list(zip(cat.objects, code.offsets, code.offsets[1:]))
+    cones = []
+    for k, r in zip(vertex.tolist(), rows.tolist()):
+        v, d = cat.objects[k], code.dims[k]
+        cones.append(Cone(v, tuple(
+            LinearMap(obj, v, sc._matrix(row[:d] for row in r[lo:hi])) for obj, lo, hi in spans
+        )))
+    return tuple(cones)
+
+
+def enumerate_normal_cones(cat: SubspaceCategory):
+    """(semigroup, cones, endos) with parallel indexing: coded_normal_cones with
+    each code row as a Cone, and the map back to inducing endomorphisms."""
+    semigroup, code, vertex, rows = sc.coded_normal_cones(cat)
+    return semigroup, _cones(cat, code, vertex, rows), tuple(Endo(cat.p, cat.n, e) for e in semigroup.elements)
+
+
+def m_set(cat: SubspaceCategory, cone: Cone):
+    """Objects where an idempotent cone's component is an isomorphism.
+
+    Idempotency is decided by composing the cone with itself.
+    """
+    if cone_compose(cat, cone, cone) != cone:
+        raise ValueError("m-set requires a cone idempotent under composition")
+    return tuple(
+        obj for obj, comp in zip(cat.objects, cone.components) if comp.is_iso()
+    )
 
 
 @dataclass(frozen=True)

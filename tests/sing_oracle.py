@@ -1,8 +1,9 @@
 """Test oracles for the Sing kernel and the table-level semigroup checks: the
 per-matrix rank filter and the block-matmul table build that gf computed
 Sing(GF(p)^n) with before it moved to batched ranks and row-code lookup,
-and the pure-Python loops that is_regular and verify_morphism ran before
-they read the int32 table as an array."""
+the pure-Python loops that is_regular and verify_morphism ran before
+they read the int32 table as an array, and from_multiplication, a table
+built one call of a labelled operation per cell."""
 
 from __future__ import annotations
 
@@ -12,6 +13,22 @@ import numpy as np
 
 from fibersemi import gf
 from fibersemi import semigroups as sg
+
+
+def from_multiplication(elements, op) -> sg.FiniteSemigroup:
+    """Build a table from a closed binary operation on the labels."""
+    elements = tuple(elements)
+    idx = {x: i for i, x in enumerate(elements)}
+    table = []
+    for a in elements:
+        row = []
+        for b in elements:
+            c = op(a, b)
+            if c not in idx:
+                raise ValueError(f"operation not closed: {a} * {b} = {c}")
+            row.append(idx[c])
+        table.append(row)
+    return sg.from_table(elements, table)
 
 
 def endos(p, n, keep=lambda e: True):

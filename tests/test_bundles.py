@@ -4,8 +4,24 @@ bundle amalgams."""
 import pytest
 
 from fibersemi import bundles as bn
+from fibersemi import crossconn as xc
 from fibersemi import gf
 from fibersemi import semigroups as sg
+from fibersemi.gf import Endo
+
+
+def block_embed(alpha: Endo, d: int) -> Endo:
+    """Extend an m x m matrix to d x d by acting on the leading m coordinates
+    and killing the rest: v -> ((v.proj).alpha).include.  The Endo-level
+    oracle of build_embedding's zero-padding."""
+    m = alpha.n
+    rows = []
+    for i in range(d):
+        if i < m:
+            rows.append(tuple(alpha.rows[i]) + (0,) * (d - m))
+        else:
+            rows.append((0,) * d)
+    return Endo(alpha.p, d, tuple(rows))
 
 
 @pytest.fixture(scope="module")
@@ -55,21 +71,21 @@ def test_core_elements_are_tagged():
 
 def test_block_embed_example():
     a = gf.endo([[1, 0], [0, 0]], 2)
-    assert bn.block_embed(a, 3).rows == ((1, 0, 0), (0, 0, 0), (0, 0, 0))
+    assert block_embed(a, 3).rows == ((1, 0, 0), (0, 0, 0), (0, 0, 0))
 
 def test_block_embed_is_multiplicative_and_rank_preserving():
     sing = gf.enumerate_endos(2, 2, singular_only=True)
     for a in sing:
-        ea = bn.block_embed(a, 3)
+        ea = block_embed(a, 3)
         assert ea.rank == a.rank
         assert ea.rank < 3
         for b in sing:
-            assert bn.block_embed(a, 3) * bn.block_embed(b, 3) == bn.block_embed(a * b, 3)
+            assert block_embed(a, 3) * block_embed(b, 3) == block_embed(a * b, 3)
 
 def test_block_embed_round_trips_through_projection():
     # include then project is the identity on the small space
     for a in gf.enumerate_endos(2, 2, singular_only=True):
-        big = bn.block_embed(a, 4)
+        big = block_embed(a, 4)
         shrunk = tuple(row[:2] for row in big.rows[:2])
         assert shrunk == a.rows
 
@@ -110,8 +126,8 @@ def test_nonidentity_fiber_automorphisms():
 def test_corrupted_embedding_is_caught_naming_fiber_and_witness(monkeypatch):
     real = bn.build_embedding
 
-    def corrupted(core, spec, i, branch, branch_tagged):
-        phi = real(core, spec, i, branch, branch_tagged)
+    def corrupted(core, spec, i, branch_tagged):
+        phi = real(core, spec, i, branch_tagged)
         if i == 1:
             mapping = list(phi.mapping)
             mapping[1], mapping[2] = mapping[2], mapping[1]
@@ -121,6 +137,24 @@ def test_corrupted_embedding_is_caught_naming_fiber_and_witness(monkeypatch):
     monkeypatch.setattr(bn, "build_embedding", corrupted)
     with pytest.raises(AssertionError, match=r"embedding into fiber 1 failed verification: \{'hom'"):
         bn.assemble_amalgam(bn.fiber_family(2, 3, (2, 2, 3)))
+
+def test_embedding_refuses_an_invertible_image(monkeypatch):
+    # the decode array marks invertible codes -1; plant that at the zero matrix
+    spec = bn.fiber_family(2, 3, (2, 3))
+    core = bn.build_core(spec)
+    branch = xc.build_cross_conn_semigroup(gf.identity_endo(2, 3))
+    elems, decode, table = gf.sing_table(2, 3)
+    decode = decode.copy()
+    decode[0] = -1
+    monkeypatch.setattr(gf, "sing_table", lambda p, n: (elems, decode, table))
+    with pytest.raises(AssertionError, match="invertible in fiber 1"):
+        bn.build_embedding(core, spec, 1, branch.semigroup)
+
+def test_embedding_matches_the_block_embedded_endos(reference_amalgam):
+    core = reference_amalgam.core
+    for phi, branch in zip(reference_amalgam.amalgam.embeddings, reference_amalgam.branches):
+        d = branch.eps.n
+        assert [branch.pairs[j].first for j in phi.mapping] == [block_embed(pr.first, d) for pr in core.cross.pairs]
 
 def test_each_embedding_verified_once(monkeypatch):
     calls = []

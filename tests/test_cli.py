@@ -9,8 +9,10 @@ from pathlib import Path
 
 import pytest
 
+from fibersemi import annihilators as ann
 from fibersemi import cli
 from fibersemi import gf
+from fibersemi import semigroups as sg
 from fibersemi import subspace_category as sc
 
 SRC = Path(cli.__file__).resolve().parents[1]
@@ -262,6 +264,59 @@ def test_check_refuses_before_the_category_is_built(monkeypatch, check, witness)
     with pytest.raises(gf.GuardExceeded) as exc:
         check(2, 5)
     assert str(exc.value) == witness
+
+
+@pytest.mark.parametrize("field,how,failure", [
+    ("l_classes", "merge", "L class with mixed images"),
+    ("l_classes", "split", "L classes do not match image partition"),
+    ("r_classes", "merge", "R class with mixed kernels"),
+    ("r_classes", "split", "R classes do not match kernel partition"),
+])
+def test_green_check_fails_on_planted_classes(monkeypatch, field, how, failure):
+    # the same four plants gave these witnesses when the check read an
+    # image and a kernel rref per element
+    assert cli._check_green(3, 2) == (True, None)
+    green_relations = sg.green_relations
+
+    def planted(s):
+        g = green_relations(s)
+        classes = list(getattr(g, field))
+        if how == "merge":
+            classes[0:2] = [tuple(sorted(classes[0] + classes[1]))]
+        else:
+            i = next(i for i, c in enumerate(classes) if len(c) > 1)
+            classes[i:i + 1] = [classes[i][:1], classes[i][1:]]
+        return sg.GreenStructure(**{**{f: getattr(g, f) for f in g._fields}, field: tuple(classes)})
+
+    monkeypatch.setattr(sg, "green_relations", planted)
+    assert cli._check_green(3, 2) == (False, {"failure": failure})
+
+
+def test_m_sets_and_green_take_no_per_element_subspaces(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a subspace was computed per element")
+
+    monkeypatch.setattr(gf.Endo, "image", refuse)
+    monkeypatch.setattr(gf.Endo, "kernel", refuse)
+    monkeypatch.setattr(gf, "restriction", refuse, raising=False)
+    assert cli._check_m_sets(2, 4) == (True, None)
+    assert cli._check_green(7, 2) == (True, None)
+
+
+def test_dual_category_check_decides_the_2_3_identification(monkeypatch):
+    iso = ann.iso_to_dual_subspace_category
+    seen = []
+
+    def planted(acat):
+        rep = iso(acat)
+        seen.append((acat.n, rep.ok))
+        if acat.n == 2:
+            return rep
+        return ann.DualIsoReport(rep.object_pairs, rep.counts_match, rep.double_annihilator_ok, False)
+
+    monkeypatch.setattr(ann, "iso_to_dual_subspace_category", planted)
+    assert cli._check_dual_category(2, 2) == (False, {"failure": "dual category identification"})
+    assert seen == [(2, True), (3, True)]
 
 
 # ---------------------------------------------------------------------------

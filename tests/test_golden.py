@@ -15,7 +15,10 @@ bundle-amalgam fails, refused by the endomorphism guard.
 The last three are cones at (7,2) and (2,3) as JSON and at (3,2) as the
 table summary, which runs is_regular; they were recorded before the cone
 semigroup moved to integer code rows.  The (2,3) and (7,2) points take the
-principal-cone path and (3,2) the exhaustive sweep."""
+principal-cone path and (3,2) the exhaustive sweep.
+
+The last two are verify-all at (3,3) and (2,4), recorded before m-sets moved
+from LinearMap cones to batched ranks; both exit 1 on guard refusals only."""
 
 import hashlib
 import io
@@ -62,6 +65,8 @@ GOLDEN = [
     ("cones --field 7 --dim 2 --format json", 0, "73b10616280339cfec556b00ecec2bee4146b8d7e1357d90674612cde2f05669"),
     ("cones --field 2 --dim 3 --format json", 0, "d9bc240fc84579f6fa659f54b453264a4d1e822571f67834e05ad56b5337862f"),
     ("cones --field 3 --dim 2", 0, "60cd374e64472c43c6f0610d8c3310cec975d8140bf5caf09044971996b35322"),
+    ("verify-all --field 3 --dim 3 --format json", 1, "55c3a4884ac055be8add3f6d9ca69541d23c9f1aaf70fef02dc1ee9f8325b3c6"),
+    ("verify-all --field 2 --dim 4 --format json", 1, "c935265da6284daaa13e3219454d6ac1fc920e7e857994e66eb2aa2eff21c148"),
 ]
 
 

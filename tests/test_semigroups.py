@@ -21,7 +21,7 @@ from fibersemi import semigroups as sg
 
 def sing_semigroup(p, n):
     elems = gf.enumerate_endos(p, n, singular_only=True)
-    return sg.from_multiplication(elems, lambda a, b: a * b)
+    return sing_oracle.from_multiplication(elems, lambda a, b: a * b)
 
 
 def principal_ideals(s, a):
@@ -203,7 +203,7 @@ def test_null_semigroup_not_regular():
     assert [u.elements[i] for i in sg.idempotents(u)] == [("U", "z")]
 
 def test_group_is_regular_with_identity_idempotent():
-    z3 = sg.from_multiplication(range(3), lambda a, b: (a + b) % 3)
+    z3 = sing_oracle.from_multiplication(range(3), lambda a, b: (a + b) % 3)
     assert sg.is_regular(z3)
     assert sg.idempotents(z3) == (0,)
 
@@ -249,7 +249,7 @@ def test_green_of_sing_2_2():
 @pytest.mark.parametrize("p,n", [(2, 2), (3, 2), (2, 3)])
 def test_green_matches_image_kernel_partition(p, n):
     elems = gf.enumerate_endos(p, n, singular_only=True)
-    s = sg.from_multiplication(elems, lambda a, b: a * b)
+    s = sing_oracle.from_multiplication(elems, lambda a, b: a * b)
     g = sg.green_relations(s)
     images = [e.image() for e in elems]
     kernels = [e.kernel() for e in elems]
@@ -269,7 +269,7 @@ def test_specific_l_related_pair():
     assert not any(a in c and b in c for c in g.r_classes)
 
 def test_group_is_single_d_class():
-    z2 = sg.from_multiplication(range(2), lambda a, b: (a + b) % 2)
+    z2 = sing_oracle.from_multiplication(range(2), lambda a, b: (a + b) % 2)
     g = sg.green_relations(z2)
     assert g.d_classes == ((0, 1),)
 
@@ -282,7 +282,7 @@ def _is_partition(classes, n):
     lambda: sing_semigroup(3, 2),
     lambda: sg.null_semigroup_fixture().core,
     lambda: sg.null_semigroup_fixture().branches[0],
-    lambda: sg.from_multiplication(range(4), lambda a, b: (a + b) % 4),
+    lambda: sing_oracle.from_multiplication(range(4), lambda a, b: (a + b) % 4),
 ])
 def test_green_axioms(builder):
     s = builder()
@@ -339,7 +339,7 @@ def test_constant_morphism_to_idempotent():
     assert "injective" in r.witnesses
 
 def test_hom_witness_is_genuine():
-    z2 = sg.from_multiplication(range(2), lambda a, b: (a + b) % 2)
+    z2 = sing_oracle.from_multiplication(range(2), lambda a, b: (a + b) % 2)
     f = sg.SemigroupMorphism(z2, z2, (1, 1))
     r = sg.verify_morphism(f)
     assert not r.is_hom
@@ -351,8 +351,8 @@ def test_hom_witness_is_genuine():
     lambda: sg.sing_semigroup(3, 2),
     lambda: sg.null_semigroup_fixture().core,
     lambda: sg.null_semigroup_fixture().branches[0],
-    lambda: sg.from_multiplication(range(4), lambda a, b: (a + b) % 4),
-    lambda: sg.from_multiplication(range(3), lambda a, b: 0 if 0 in (a, b) else 2),
+    lambda: sing_oracle.from_multiplication(range(4), lambda a, b: (a + b) % 4),
+    lambda: sing_oracle.from_multiplication(range(3), lambda a, b: 0 if 0 in (a, b) else 2),
 ], ids=["sing 2,2", "sing 3,2", "null core", "null branch 0", "Z4", "zero and idempotent"])
 def test_is_regular_matches_the_loop_oracle(builder):
     s = builder()
@@ -406,6 +406,15 @@ def test_null_fixture_defining_products():
     assert s2.mul_labels(("S2", "v"), ("S2", "b")) == ("S2", "w")
     assert s2.mul_labels(("S2", "b"), ("S2", "b")) == ("S2", "z")
     assert brute_assoc_holds(s1.table) and brute_assoc_holds(s2.table)
+
+def test_null_fixture_matches_the_operation_oracle():
+    am = sg.null_semigroup_fixture()
+    special = {"U": {}, "S1": {("a", "u"): "v", ("u", "a"): "v"}, "S2": {("b", "v"): "w", ("v", "b"): "w"}}
+    for s in (am.core, *am.branches):
+        tag = s.elements[0][0]
+        want = sing_oracle.from_multiplication(
+            s.elements, lambda a, b: (tag, special[tag].get((a[1], b[1]), "z")))
+        assert s == want
 
 def test_amalgam_with_non_injective_embedding_is_flagged():
     am = sg.null_semigroup_fixture()
@@ -532,7 +541,7 @@ def test_eggbox_dot_structure():
     assert big.count("<TD>") == 9
 
 def test_eggbox_group_is_single_cell():
-    z3 = sg.from_multiplication(range(3), lambda a, b: (a + b) % 3)
+    z3 = sing_oracle.from_multiplication(range(3), lambda a, b: (a + b) % 3)
     g = sg.green_relations(z3)
     dot, _ = eggbox_export(z3, g)
     assert dot.count("subgraph cluster_") == 1

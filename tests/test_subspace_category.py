@@ -1,6 +1,7 @@
 """Subspace category, normal factorization, cones and the cone semigroup."""
 
 import itertools
+import json
 import random
 import subprocess
 import sys
@@ -13,6 +14,7 @@ import pytest
 import cone_oracle as oracle
 import factorization_oracle as fo
 import gf_helpers as gh
+import sing_oracle
 from fibersemi import cli
 from fibersemi import gf
 from fibersemi import semigroups as sg
@@ -208,7 +210,7 @@ def test_factorization_of_zero_map():
 
 def test_principal_cone_of_projection(cat22):
     e = gf.endo([[1, 0], [0, 0]], 2)
-    rho = sc.principal_cone(cat22, e)
+    rho = oracle.principal_cone(cat22, e)
     assert rho.vertex == gf.subspace_span([(1, 0)], 2, 2)
     l10 = gf.subspace_span([(1, 0)], 2, 2)
     l01 = gf.subspace_span([(0, 1)], 2, 2)
@@ -221,7 +223,7 @@ def test_principal_cone_of_projection(cat22):
     assert set(rep.iso_objects) == {l10, l11}
 
 def test_principal_cone_of_zero(cat22):
-    rho = sc.principal_cone(cat22, gh.zero_endo(2, 2))
+    rho = oracle.principal_cone(cat22, gh.zero_endo(2, 2))
     assert rho.vertex.dim == 0
     assert all(is_zero(c) for c in rho.components)
     rep = oracle.validate_cone(cat22, rho)
@@ -230,34 +232,34 @@ def test_principal_cone_of_zero(cat22):
 
 def test_principal_cone_rejects_invertible(cat22):
     with pytest.raises(ValueError):
-        sc.principal_cone(cat22, gf.identity_endo(2, 2))
+        oracle.principal_cone(cat22, gf.identity_endo(2, 2))
 
 def test_all_principal_cones_are_normal(cat22, sing22):
     for a in sing22:
-        rep = oracle.validate_cone(cat22, sc.principal_cone(cat22, a))
+        rep = oracle.validate_cone(cat22, oracle.principal_cone(cat22, a))
         assert rep.well_formed and rep.is_normal
 
 def test_ill_typed_cone_is_flagged(cat22):
     e = gf.endo([[1, 0], [0, 0]], 2)
-    rho = sc.principal_cone(cat22, e)
+    rho = oracle.principal_cone(cat22, e)
     l01 = gf.subspace_span([(0, 1)], 2, 2)
     bad_comps = tuple(
         zero_map(gf.zero_subspace(2, 2), l01) if obj.dim == 0 else c
         for obj, c in zip(cat22.objects, rho.components)
     )
-    rep = oracle.validate_cone(cat22, sc.Cone(rho.vertex, bad_comps))
+    rep = oracle.validate_cone(cat22, oracle.Cone(rho.vertex, bad_comps))
     assert not rep.typing_ok and not rep.well_formed
     assert rep.witness[0] == "typing"
 
 def test_restriction_violation_is_flagged(cat23):
     # plane component maps a line one way, line component another
     alpha = gf.endo([[0, 0, 1], [0, 0, 0], [0, 0, 0]], 2)
-    rho = sc.principal_cone(cat23, alpha)
+    rho = oracle.principal_cone(cat23, alpha)
     line = gf.subspace_span([(1, 0, 0)], 3, 2)
     vertex = rho.vertex
     comps = list(rho.components)
     comps[cat23.index(line)] = zero_map(line, vertex)
-    rep = oracle.validate_cone(cat23, sc.Cone(vertex, tuple(comps)))
+    rep = oracle.validate_cone(cat23, oracle.Cone(vertex, tuple(comps)))
     assert rep.typing_ok
     assert not rep.restriction_compatible
     assert rep.witness[0] == "restriction"
@@ -283,100 +285,100 @@ def test_literal_reading_overcounts_at_dim_2(cat22, sing22):
 
 def test_star_with_identity_is_identity(cat22, sing22):
     for a in sing22:
-        rho = sc.principal_cone(cat22, a)
-        assert sc.cone_star(cat22, rho, gf.identity_map(rho.vertex)) == rho
+        rho = oracle.principal_cone(cat22, a)
+        assert oracle.cone_star(cat22, rho, gf.identity_map(rho.vertex)) == rho
 
 def test_star_hand_example(cat22):
-    rho = sc.principal_cone(cat22, gf.endo([[1, 0], [0, 0]], 2))
+    rho = oracle.principal_cone(cat22, gf.endo([[1, 0], [0, 0]], 2))
     f = gf.linear_map(gf.subspace_span([(1, 0)], 2, 2),
                       gf.subspace_span([(0, 1)], 2, 2), [(0, 1)])
-    assert sc.cone_star(cat22, rho, f) == sc.principal_cone(cat22, gf.endo([[0, 1], [0, 0]], 2))
+    assert oracle.cone_star(cat22, rho, f) == oracle.principal_cone(cat22, gf.endo([[0, 1], [0, 0]], 2))
 
 def test_star_requires_epi_from_vertex(cat22):
-    rho = sc.principal_cone(cat22, gf.endo([[1, 0], [0, 0]], 2))
+    rho = oracle.principal_cone(cat22, gf.endo([[1, 0], [0, 0]], 2))
     l10 = gf.subspace_span([(1, 0)], 2, 2)
     with pytest.raises(ValueError):
-        sc.cone_star(cat22, rho, zero_map(l10, l10))
+        oracle.cone_star(cat22, rho, zero_map(l10, l10))
     other = gf.subspace_span([(0, 1)], 2, 2)
     with pytest.raises(ValueError):
-        sc.cone_star(cat22, rho, gf.identity_map(other))
+        oracle.cone_star(cat22, rho, gf.identity_map(other))
 
 def test_star_preserves_normality(cat22, sing22):
     for a in sing22:
-        rho = sc.principal_cone(cat22, a)
+        rho = oracle.principal_cone(cat22, a)
         for obj in cat22.objects:
             for f in fo.all_linear_maps(rho.vertex, obj):
                 if f.is_epi():
-                    out = sc.cone_star(cat22, rho, f)
-                    assert sc.is_normal_cone(out)
+                    out = oracle.cone_star(cat22, rho, f)
+                    assert oracle.is_normal_cone(out)
                     assert oracle.validate_cone(cat22, out).well_formed
 
 def test_compose_idempotent(cat22):
     for e in gf.enumerate_endos(2, 2, singular_only=True):
         if e * e == e:
-            rho = sc.principal_cone(cat22, e)
-            assert sc.cone_compose(cat22, rho, rho) == rho
+            rho = oracle.principal_cone(cat22, e)
+            assert oracle.cone_compose(cat22, rho, rho) == rho
 
 def test_compose_hand_example(cat22):
     a = gf.endo([[1, 0], [0, 0]], 2)
     b = gf.endo([[0, 0], [1, 0]], 2)
-    out = sc.cone_compose(cat22, sc.principal_cone(cat22, a), sc.principal_cone(cat22, b))
-    assert out == sc.principal_cone(cat22, gh.zero_endo(2, 2))
+    out = oracle.cone_compose(cat22, oracle.principal_cone(cat22, a), oracle.principal_cone(cat22, b))
+    assert out == oracle.principal_cone(cat22, gh.zero_endo(2, 2))
 
 def test_compose_is_homomorphic_exhaustive_2_2(cat22, sing22):
     for a in sing22:
         for b in sing22:
-            lhs = sc.cone_compose(cat22, sc.principal_cone(cat22, a),
-                                  sc.principal_cone(cat22, b))
-            assert lhs == sc.principal_cone(cat22, a * b)
+            lhs = oracle.cone_compose(cat22, oracle.principal_cone(cat22, a),
+                                      oracle.principal_cone(cat22, b))
+            assert lhs == oracle.principal_cone(cat22, a * b)
 
 def test_compose_is_homomorphic_sampled_2_3(cat23):
     sing3 = gf.enumerate_endos(2, 3, singular_only=True)
+    cones = {a: oracle.principal_cone(cat23, a) for a in sing3}  # each built once
     rng = random.Random(11)
     for _ in range(10_000):
         a = rng.choice(sing3)
         b = rng.choice(sing3)
-        lhs = sc.cone_compose(cat23, sc.principal_cone(cat23, a),
-                              sc.principal_cone(cat23, b))
-        assert lhs == sc.principal_cone(cat23, a * b)
+        lhs = oracle.cone_compose(cat23, cones[a], cones[b])
+        assert lhs == cones[a * b]
 
 def test_compose_associative_exhaustive_2_2(cat22, sing22):
-    cones = [sc.principal_cone(cat22, a) for a in sing22]
+    cones = [oracle.principal_cone(cat22, a) for a in sing22]
     for x in cones:
         for y in cones:
-            xy = sc.cone_compose(cat22, x, y)
+            xy = oracle.cone_compose(cat22, x, y)
             for z in cones:
-                assert sc.cone_compose(cat22, xy, z) == \
-                    sc.cone_compose(cat22, x, sc.cone_compose(cat22, y, z))
+                assert oracle.cone_compose(cat22, xy, z) == \
+                    oracle.cone_compose(cat22, x, oracle.cone_compose(cat22, y, z))
 
 def test_compose_requires_normal_inputs(cat22):
-    rho = sc.principal_cone(cat22, gf.endo([[1, 0], [0, 0]], 2))
+    rho = oracle.principal_cone(cat22, gf.endo([[1, 0], [0, 0]], 2))
     line = rho.vertex
-    flat = sc.Cone(line, tuple(zero_map(o, line) for o in cat22.objects))
+    flat = oracle.Cone(line, tuple(zero_map(o, line) for o in cat22.objects))
     with pytest.raises(ValueError):
-        sc.cone_compose(cat22, rho, flat)
+        oracle.cone_compose(cat22, rho, flat)
 
 
 # ---------------------------------------------------------------------------
 # the cone semigroup
 
 def test_exhaustive_enumeration_is_exactly_principal(cat22, sing22):
-    smg, cones, endos = sc.enumerate_normal_cones(cat22)
+    smg, cones, endos = oracle.enumerate_normal_cones(cat22)
     assert smg.order == 10
-    assert set(cones) == {sc.principal_cone(cat22, a) for a in sing22}
+    assert set(cones) == {oracle.principal_cone(cat22, a) for a in sing22}
     assert set(endos) == set(sing22)
     assert sg.is_regular(smg)
 
 def test_exhaustive_enumeration_at_3_2():
     cat = sc.build_category(3, 2)
-    smg, cones, _ = sc.enumerate_normal_cones(cat)
+    smg, cones, _ = oracle.enumerate_normal_cones(cat)
     sing = gf.enumerate_endos(3, 2, singular_only=True)
     assert smg.order == len(sing) == 33
-    assert set(cones) == {sc.principal_cone(cat, a) for a in sing}
+    assert set(cones) == {oracle.principal_cone(cat, a) for a in sing}
 
 def test_cone_semigroup_isomorphic_to_singular_endos(cat22, sing22):
-    smg, _, _ = sc.enumerate_normal_cones(cat22)
-    sing = sg.from_multiplication(sing22, lambda a, b: a * b)
+    smg, _, _ = oracle.enumerate_normal_cones(cat22)
+    sing = sing_oracle.from_multiplication(sing22, lambda a, b: a * b)
     mapping = tuple(smg.index(a.rows) for a in sing.elements)
     rep = sg.verify_morphism(sg.SemigroupMorphism(sing, smg, mapping))
     assert rep.is_hom and rep.is_injective
@@ -385,7 +387,7 @@ def test_cone_semigroup_isomorphic_to_singular_endos(cat22, sing22):
 def cell_by_cell_rows(cat, cones, rows):
     """Oracle: table rows filled one cone_compose per cell."""
     index = {c: i for i, c in enumerate(cones)}
-    return [[index[sc.cone_compose(cat, cones[i], g2)] for g2 in cones] for i in rows]
+    return [[index[oracle.cone_compose(cat, cones[i], g2)] for g2 in cones] for i in rows]
 
 @pytest.mark.parametrize("build", [
     lambda: sc.build_category(2, 2),
@@ -395,11 +397,11 @@ def cell_by_cell_rows(cat, cones, rows):
 ], ids=["2-2", "3-2", "5-2", "annihilator-dual-2-2"])
 def test_grouped_fill_matches_cell_by_cell_composition(build):
     cat = build()
-    smg, cones, _ = sc.enumerate_normal_cones(cat)
+    smg, cones, _ = oracle.enumerate_normal_cones(cat)
     assert smg.table.tolist() == cell_by_cell_rows(cat, cones, range(len(cones)))
 
 def test_grouped_fill_on_the_principal_path_2_3(cat23):
-    smg, cones, _ = sc.enumerate_normal_cones(cat23)
+    smg, cones, _ = oracle.enumerate_normal_cones(cat23)
     # every cell against Sing's matrix products; one row per vertex, so every
     # column grouping, against cell-by-cell composition (the whole table
     # that way is 118k compositions)
@@ -420,7 +422,7 @@ def test_coded_sweep_accepts_exactly_what_validate_cone_accepts(build):
     vertex, rows = sc._assignments(cat, code)
     _, ok = sc._admissible(cat, code, vertex, rows)
     swept = [cone for v in cat.objects for cone in oracle._assignment_space(cat, v)]
-    assert list(sc._cones(cat, code, vertex, rows)) == swept
+    assert list(oracle._cones(cat, code, vertex, rows)) == swept
     for cone, accepted in zip(swept, ok.tolist()):
         rep = oracle.validate_cone(cat, cone)
         assert accepted == (rep.well_formed and rep.is_normal)
@@ -440,7 +442,7 @@ def test_cone_codes_fit_in_int64_up_to_2_3(cat23):
 
 def test_inducing_endos_match_cone_to_endo(cat22, cat23):
     for cat in (cat22, sc.build_category(5, 2), cat23):
-        _, cones, endos = sc.enumerate_normal_cones(cat)
+        _, cones, endos = oracle.enumerate_normal_cones(cat)
         assert list(endos) == [oracle.cone_to_endo(cat, c) for c in cones]
         assert list(endos) == list(gf.enumerate_endos(cat.p, cat.n, singular_only=True))
 
@@ -450,7 +452,7 @@ def test_principal_rows_are_the_principal_cones(p, n):
     code = sc._ConeCode(cat)
     vertex, rows = sc._principal_rows(cat, code)
     sing = gf.enumerate_endos(p, n, singular_only=True)
-    assert sc._cones(cat, code, vertex, rows) == tuple(sc.principal_cone(cat, a) for a in sing)
+    assert oracle._cones(cat, code, vertex, rows) == tuple(oracle.principal_cone(cat, a) for a in sing)
     assert sc.principal_codes(cat, code).tolist() == code.codes(vertex, rows).tolist()
     assert len(set(code.codes(vertex, rows).tolist())) == len(sing)
 
@@ -458,8 +460,9 @@ def test_cones_leave_numpy_ma_unimported():
     # np.unique imports numpy.ma, about 1.6 MB of resident memory per process
     src = Path(sc.__file__).resolve().parents[1]
     code = ("import sys; from fibersemi import subspace_category as sc; "
-            "sc.enumerate_normal_cones(sc.build_category(5, 2)); "
-            "sc.enumerate_normal_cones(sc.build_category(3, 2)); "
+            "sc.coded_normal_cones(sc.build_category(5, 2)); "
+            "sc.coded_normal_cones(sc.build_category(3, 2)); "
+            "sc.m_sets(5, 2); "
             "print('numpy.ma' in sys.modules)")
     out = subprocess.run([sys.executable, "-c", code], cwd=src, env={"PYTHONPATH": str(src)},
                          capture_output=True, text=True, check=True).stdout
@@ -472,7 +475,7 @@ def test_product_outside_the_enumerated_set_raises(monkeypatch, cat22):
         return out if epi.shape[1] == 0 else 0 * out
     monkeypatch.setattr(sc, "_push", flattened_push)
     with pytest.raises(AssertionError, match="left the enumerated set"):
-        sc.enumerate_normal_cones(cat22)
+        sc.coded_normal_cones(cat22)
 
 def test_cone_guard_refuses_before_building_a_cone(monkeypatch):
     def refuse(*args, **kwargs):
@@ -480,9 +483,9 @@ def test_cone_guard_refuses_before_building_a_cone(monkeypatch):
     monkeypatch.setattr(sc, "_principal_rows", refuse)
     monkeypatch.setattr(sc, "_assignments", refuse)
     with pytest.raises(gf.GuardExceeded, match="order 8451, beyond the associativity guard 1500"):
-        sc.enumerate_normal_cones(sc.build_category(3, 3))
+        sc.coded_normal_cones(sc.build_category(3, 3))
     with pytest.raises(gf.GuardExceeded, match="order 45376, beyond the associativity guard 1500"):
-        sc.enumerate_normal_cones(sc.build_category(2, 4))
+        sc.coded_normal_cones(sc.build_category(2, 4))
 
 def identity_cone(cat, obj):
     """A normal cone with the given vertex whose component there is the
@@ -496,7 +499,7 @@ def identity_cone(cat, obj):
             ek = tuple(1 if i == k else 0 for i in range(cat.n))
             rows.append(proj.apply(ek))
         e = gf.Endo(cat.p, cat.n, tuple(rows))
-    return sc.principal_cone(cat, e)
+    return oracle.principal_cone(cat, e)
 
 def test_unit_cones_exist_at_every_vertex(cat22, cat23):
     for cat in (cat22, cat23):
@@ -512,31 +515,82 @@ def test_unit_cones_exist_at_every_vertex(cat22, cat23):
 # m-sets
 
 def test_m_set_requires_idempotent(cat22):
-    rho = sc.principal_cone(cat22, gf.endo([[0, 1], [0, 0]], 2))
+    rho = oracle.principal_cone(cat22, gf.endo([[0, 1], [0, 0]], 2))
     with pytest.raises(ValueError):
-        sc.m_set(cat22, rho)
+        oracle.m_set(cat22, rho)
 
 def test_m_set_examples(cat22):
     e = gf.endo([[1, 0], [0, 0]], 2)
-    got = set(sc.m_set(cat22, sc.principal_cone(cat22, e)))
+    got = set(oracle.m_set(cat22, oracle.principal_cone(cat22, e)))
     assert got == {gf.subspace_span([(1, 0)], 2, 2), gf.subspace_span([(1, 1)], 2, 2)}
-    z = sc.principal_cone(cat22, gh.zero_endo(2, 2))
-    assert sc.m_set(cat22, z) == (gf.zero_subspace(2, 2),)
+    z = oracle.principal_cone(cat22, gh.zero_endo(2, 2))
+    assert oracle.m_set(cat22, z) == (gf.zero_subspace(2, 2),)
 
 def test_m_set_double_characterization(cat22):
     for e in gf.enumerate_endos(2, 2, singular_only=True):
         if e * e != e:
             continue
-        by_iso = set(sc.m_set(cat22, sc.principal_cone(cat22, e)))
+        by_iso = set(oracle.m_set(cat22, oracle.principal_cone(cat22, e)))
         by_sum = {a for a in cat22.objects if gf.is_direct_sum(a, e.kernel())}
         assert by_iso == by_sum
+
+
+@pytest.mark.parametrize("p, n", [(2, 2), (3, 2), (5, 2), (2, 3)])
+def test_batched_m_sets_match_the_cone_oracle(p, n):
+    """Idempotent by idempotent: by_iso is the oracle's m_set of the principal
+    Cone, by_sum the objects complementing the kernel rref'd per Endo."""
+    cat = sc.build_category(p, n)
+    idem, by_iso, by_sum = sc.m_sets(p, n)
+    want = [e for e in gf.enumerate_endos(p, n, singular_only=True) if e * e == e]
+    assert [gf.Endo(p, n, sc._matrix(e)) for e in idem.tolist()] == want
+    assert len(want) == sum(p ** (a.dim * (n - a.dim)) for a in cat.objects)
+    for e, iso, dsum in zip(want, by_iso.tolist(), by_sum.tolist()):
+        assert {a for a, x in zip(cat.objects, iso) if x} == set(oracle.m_set(cat, oracle.principal_cone(cat, e)))
+        assert {a for a, x in zip(cat.objects, dsum) if x} == \
+            {a for a in cat.objects if gf.is_direct_sum(a, e.kernel())}
+
+@pytest.mark.parametrize("p, n, first, rows", [
+    (2, 2, 4, [[1, 0], [0, 0]]),
+    (3, 2, 5, [[0, 2], [0, 1]]),
+    (2, 3, 20, [[0, 0, 1], [1, 1, 1], [0, 0, 1]]),
+])
+def test_m_sets_check_names_the_first_failing_idempotent(monkeypatch, p, n, first, rows):
+    # from idempotent `first` on, the complement side reads rank 0, so those
+    # M-sets by complements are empty and the first of them is the witness;
+    # rows is what the check reported on Cones with every kernel from that
+    # idempotent on planted as the zero subspace
+    assert cli._check_m_sets(p, n) == (True, None)
+    idem, rref_stack = sc.m_sets(p, n)[0], gf.rref_stack
+    late = set(gf.base_p((np.eye(n, dtype=np.int64) - idem[first:]) % p, p).tolist())
+
+    def planted(a, q):
+        red, pivot, rank = rref_stack(a, q)
+        if a.shape[1] == 2 * n:  # the [B_a; I - e] stack
+            rank = np.array([0 if c in late else r for c, r in zip(gf.base_p(a[:, n:], q).tolist(), rank)])
+        return red, pivot, rank
+
+    monkeypatch.setattr(gf, "rref_stack", planted)
+    assert cli._check_m_sets(p, n) == (False, {"idempotent": {"p": p, "n": n, "rows": rows}})
 
 
 # ---------------------------------------------------------------------------
 # serialization
 
 def test_cone_json_lists_objects_in_order(cat22):
-    rho = sc.principal_cone(cat22, gf.endo([[1, 0], [0, 0]], 2))
+    rho = oracle.principal_cone(cat22, gf.endo([[1, 0], [0, 0]], 2))
     doc = rho.to_json(cat22)
     assert [c["object"] for c in doc["components"]] == [o.to_json() for o in cat22.objects]
     assert doc["vertex"] == rho.vertex.to_json()
+
+@pytest.mark.parametrize("p, n", [(2, 2), (3, 2), (2, 3)])
+def test_cone_json_from_code_rows_matches_the_oracle_cones(p, n):
+    """Byte for byte against the document written from the Cones, and those
+    Cones are the principal ones."""
+    cat = sc.build_category(p, n)
+    smg, code, vertex, rows = sc.coded_normal_cones(cat)
+    cones = oracle._cones(cat, code, vertex, rows)
+    assert cones == tuple(oracle.principal_cone(cat, gf.Endo(p, n, e)) for e in smg.elements)
+    doc = {"p": p, "n": n, "elements": [list(map(list, e)) for e in smg.elements],
+           "table": smg.table.tolist(), "cones": [c.to_json(cat) for c in cones]}
+    want = json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
+    assert sc.cone_semigroup_json(cat, smg, code, vertex, rows) == want
