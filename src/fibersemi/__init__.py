@@ -7,15 +7,13 @@ from .gf import (
     GuardExceeded,
     LinearMap,
     Subspace,
-    annihilator,
-    complement_in,
     endo,
     enumerate_automorphisms,
     enumerate_endos,
     enumerate_subspaces,
     identity_endo,
-    is_direct_sum,
     singular_count,
+    subspace_lattice,
     subspace_span,
     transpose,
     zero_subspace,
@@ -41,7 +39,6 @@ from .subspace_category import (
     SubspaceCategory,
     build_category,
     normal_factorization,
-    retraction,
 )
 from .annihilators import (
     AnnihilatorCategory,

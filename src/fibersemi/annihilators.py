@@ -8,6 +8,8 @@ opposite of the singular endomorphism semigroup through transposition.
 
 from __future__ import annotations
 
+import numpy as np
+
 from . import gf
 from . import semigroups as sg
 from . import subspace_category as sc
@@ -42,15 +44,19 @@ class AnnihilatorCategory:
 
 
 def build_annihilator_category(p, n) -> AnnihilatorCategory:
-    """Index the annihilators A° of all nonzero A and check they are exactly
-    the proper subspaces of the dual; iso_to_dual_subspace_category decides
-    that annihilation reverses containment."""
-    nonzero = [a for a in gf.enumerate_subspaces(p, n) if a.dim > 0]
-    duals = {gf.annihilator(a): a for a in nonzero}
+    """Index the annihilators A° of all nonzero A, read from the subspace
+    lattice, and check they are exactly the proper subspaces of the dual;
+    iso_to_dual_subspace_category decides that annihilation reverses
+    containment."""
+    lattice = gf.subspace_lattice(p, n)
+    nonzero = np.flatnonzero(lattice.dims > 0)
     dual_category = sc.build_category(p, n)
-    if set(duals) != set(dual_category.objects):
+    # proper subspaces take the positions before the full space's
+    if not np.array_equal(np.sort(lattice.ann[nonzero]), np.arange(len(dual_category.objects))):
         raise AssertionError("annihilators of nonzero subspaces must be the proper dual subspaces")
-    tags = tuple(DualObjectTag(duals[y], y) for y in dual_category.objects)
+    primal = np.empty(len(nonzero), dtype=np.intp)
+    primal[lattice.ann[nonzero]] = nonzero
+    tags = tuple(DualObjectTag(lattice.subspaces[a], y) for a, y in zip(primal.tolist(), dual_category.objects))
     return AnnihilatorCategory(p, n, tags, dual_category)
 
 
@@ -76,16 +82,19 @@ def iso_to_dual_subspace_category(acat: AnnihilatorCategory) -> DualIsoReport:
     annihilation is an order-reversing bijection with (A°)° = A; the dual
     side's containment is read from the dual category's inclusion pairs.
     """
-    dcat = acat.dual_category
+    dcat, lattice = acat.dual_category, gf.subspace_lattice(acat.p, acat.n)
     pairs = tuple((t.dual, obj) for t, obj in zip(acat.tags, dcat.objects))
     counts = (
         len(acat.tags) == len(dcat.objects)
         and len({t.primal for t in acat.tags}) == len(acat.tags)
     )
-    double = all(gf.annihilator(t.dual) == t.primal for t in acat.tags)
-    incl, at = set(dcat.inclusion_pairs), [dcat.index(t.dual) for t in acat.tags]
-    reversal = all(t.primal.contains_subspace(s.primal) == ((at[j], at[i]) in incl)
-                   for i, s in enumerate(acat.tags) for j, t in enumerate(acat.tags))
+    primal = np.array([lattice.index[t.primal] for t in acat.tags], dtype=np.intp)
+    at = np.array([dcat.index(t.dual) for t in acat.tags], dtype=np.intp)
+    double = bool((lattice.ann[at] == primal).all())
+    incl = np.zeros((len(dcat.objects),) * 2, dtype=bool)
+    incl[tuple(np.array(dcat.inclusion_pairs, dtype=np.intp).reshape(-1, 2).T)] = True
+    # primal[j] contains primal[i] iff dual object at[j] lies in at[i]
+    reversal = bool((lattice.contains[np.ix_(primal, primal)] == incl[np.ix_(at, at)]).all())
     return DualIsoReport(pairs, counts, double, reversal)
 
 

@@ -78,26 +78,18 @@ def _row_spaces(position, mats, p):
 
 @lru_cache(maxsize=None)
 def subspace_index(p, n) -> SubspaceIndex:
-    """The index for (p, n), built once.  Sing's table comes first, so its
-    order guard refuses before any subspace is enumerated."""
+    """The index for (p, n), built once from the subspace lattice.  Sing's
+    table comes first, so its order guard refuses before any subspace is
+    enumerated."""
     gf.sing_table(p, n)
-    subspaces = gf.enumerate_subspaces(p, n)
-
-    def padded(spaces):
-        return np.array([s.basis + ((0,) * n,) * (n - s.dim) for s in spaces], dtype=np.int64)
-
-    bases, position = padded(subspaces), np.full(p ** (n * n), -1, dtype=np.intp)
-    position[gf.base_p(bases, p)] = np.arange(len(subspaces))
-    objects = np.flatnonzero([s.dim < n for s in subspaces])
+    lattice = gf.subspace_lattice(p, n)
+    position = np.full(p ** (n * n), -1, dtype=np.intp)
+    position[gf.base_p(lattice.bases, p)] = np.arange(len(lattice.subspaces))
+    objects = np.flatnonzero(lattice.dims < n)
     mats = gf._sing_matrices(p, n)
     img, timg = _row_spaces(position, np.concatenate([mats, mats.transpose(0, 2, 1)]), p).reshape(2, -1)
-    return SubspaceIndex(
-        subspaces, position, objects, bases[objects],
-        contains=np.array([[u.contains_subspace(v) for v in subspaces] for u in subspaces]),
-        direct_sum=np.array([[gf.is_direct_sum(u, v) for v in subspaces] for u in subspaces]),
-        ann=_row_spaces(position, padded(map(gf.annihilator, subspaces)), p),
-        img=img, timg=timg,
-    )
+    return SubspaceIndex(lattice.subspaces, position, objects, lattice.bases[objects], lattice.contains,
+                         lattice.direct_sum, lattice.ann, img, timg)
 
 
 def object_actions(cc: CrossConnection, idx: SubspaceIndex):

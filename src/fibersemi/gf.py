@@ -16,7 +16,7 @@ import numpy as np
 
 SUPPORTED_PRIMES = (2, 3, 5, 7)
 
-SUBSPACE_ENUM_LIMIT = 4096  # max p**n
+SUBSPACE_ENUM_LIMIT = 4096  # max number of subspaces of GF(p)^n
 ENDO_ENUM_LIMIT = 1 << 20   # max p**(n*n)
 ASSOC_GUARD = 1500          # largest order of a Cayley table checked for associativity
 
@@ -81,12 +81,19 @@ def check_dim(n: int) -> int:
     return n
 
 
+def count_text(x):
+    """A count for a guard's message: its digits, or a power of two it
+    reaches once it passes 64 bits (Python refuses to convert an int of
+    more than 4300 digits to text)."""
+    return str(x) if x.bit_length() <= 64 else f"at least 2^{x.bit_length() - 1}"
+
+
 def _endo_count(p, n):
     """p^(n^2), the number of n x n matrices, once p, n and the guard pass."""
     check_field(p)
     check_dim(n)
     if p ** (n * n) > ENDO_ENUM_LIMIT:
-        raise GuardExceeded(f"p^(n^2) = {p ** (n * n)} exceeds endomorphism guard {ENDO_ENUM_LIMIT}")
+        raise GuardExceeded(f"p^(n^2) = {count_text(p ** (n * n))} exceeds endomorphism guard {ENDO_ENUM_LIMIT}")
     return p ** (n * n)
 
 
@@ -188,21 +195,6 @@ def solve_homogeneous(rows, width, p):
     return rref(basis, width, p)[0]
 
 
-def express_in_basis(v, rows, p):
-    """Coefficients t with t . rows = v, or None if v is outside the span."""
-    if not rows:
-        return () if all(x % p == 0 for x in v) else None
-    width = len(v)
-    aug = [list(col) + [x] for col, x in zip(zip(*rows), v)]
-    red, pivots = rref(aug, len(rows) + 1, p)
-    if len(rows) in pivots:
-        return None
-    t = [0] * len(rows)
-    for i, c in enumerate(pivots):
-        t[c] = red[i][-1]
-    return tuple(t)
-
-
 # ---------------------------------------------------------------------------
 # subspaces
 
@@ -271,38 +263,19 @@ def zero_subspace(p, n) -> Subspace:
     return Subspace(p, n, ())
 
 
-def complement_in(a: Subspace, b: Subspace) -> Subspace:
-    """Deterministic complement of a inside b (requires a <= b): the rows of
-    b's basis at the non-pivot columns of a's coordinates over it, so for b
-    the full space the standard basis vectors outside a's pivots."""
-    coords = []
-    for v in a.basis:
-        c = b.coords(v)
-        if c is None:
-            raise ValueError("complement_in: first subspace not contained in second")
-        coords.append(c)
-    red, pivots = rref(coords, b.dim, a.p)
-    piv = set(pivots)
-    rows = [b.basis[j] for j in range(b.dim) if j not in piv]
-    basis, _ = rref(rows, a.n, a.p)
-    return Subspace(a.p, a.n, basis)
-
-
-def annihilator(a: Subspace) -> Subspace:
-    """Functionals vanishing on a, as a subspace in dual-basis coordinates.
-
-    The same computation sends a subspace of the dual back into V, which is
-    the double-dual identification.
-    """
-    basis = solve_homogeneous(a.basis, a.n, a.p)
-    return Subspace(a.p, a.n, basis)
-
-
-def is_direct_sum(a: Subspace, b: Subspace) -> bool:
-    """Whether a + b = V with a and b meeting only in 0."""
-    if a.dim + b.dim != a.n:
-        return False
-    return mat_rank(a.basis + b.basis, a.n, a.p) == a.n
+def subspace_count(p, n):
+    """The number of subspaces of GF(p)^n, the sum over k of the Gaussian
+    binomials [n, k]_p, once p, n and the subspace guard pass."""
+    check_field(p)
+    check_dim(n)
+    count = term = 1
+    for k in range(n):  # [n, k + 1] = [n, k] (p^(n - k) - 1) / (p^(k + 1) - 1)
+        term = term * (p ** (n - k) - 1) // (p ** (k + 1) - 1)
+        count += term
+    if count > SUBSPACE_ENUM_LIMIT:
+        raise GuardExceeded(f"GF({p})^{n} has {count_text(count)} subspaces, "
+                            f"beyond the subspace guard {SUBSPACE_ENUM_LIMIT}")
+    return count
 
 
 @lru_cache(maxsize=None)
@@ -311,10 +284,7 @@ def enumerate_subspaces(p, n, proper_only=False):
 
     proper_only drops the full space but keeps the zero subspace.
     """
-    check_field(p)
-    check_dim(n)
-    if p ** n > SUBSPACE_ENUM_LIMIT:
-        raise GuardExceeded(f"p^n = {p ** n} exceeds subspace guard {SUBSPACE_ENUM_LIMIT}")
+    subspace_count(p, n)
     out = []
     top = n if proper_only else n + 1
     for k in range(0, top):
@@ -511,6 +481,78 @@ def sing_conjugation(left: Endo, right: Endo):
 
 
 # ---------------------------------------------------------------------------
+# the subspace lattice: every subspace at its enumerate_subspaces position
+
+LATTICE_BLOCK_CELLS = 1 << 20  # vector-by-row products per block of the lattice build (8 MB of int64)
+
+
+class SubspaceLattice(Record):
+    """Every subspace of GF(p)^n at its position in enumerate_subspaces order
+    (the full space last), with containment and annihilators as read-only
+    arrays; S subspaces."""
+    subspaces: tuple
+    index: dict             # subspace -> position
+    bases: np.ndarray       # (S, n, n) RREF bases, zero rows last
+    dims: np.ndarray        # (S,)
+    pivots: np.ndarray      # (S, n) each basis's pivot columns in order, then its other columns
+    contains: np.ndarray    # (S, S) contains[u, v]: v is a subspace of u
+    ann: np.ndarray         # position of the annihilator
+
+    @cached_property
+    def direct_sum(self):
+        """direct_sum[u, v]: u (+) v is the whole space, that is dim u +
+        dim v = n and no line lies in both; built on first use."""
+        lines = self.contains[:, self.dims == 1].astype(np.int64)
+        both = (self.dims[:, None] + self.dims == self.bases.shape[1]) & (lines @ lines.T == 0)
+        both.flags.writeable = False
+        return both
+
+
+@lru_cache(maxsize=None)
+def subspace_lattice(p, n) -> SubspaceLattice:
+    """The lattice of GF(p)^n, built once from enumerate_subspaces, so its
+    guard refuses first.
+
+    ann(u) = {x : x.B_u^T = 0}, and u = ann(ann(u)).  B_u kept at its pivot
+    columns, which are unit columns of an RREF basis, is P_u with
+    P_u[i, pivot i] = 1, so the rows of A_u = I - B_u^T.P_u are e_f - sum_i
+    B_u[i, f] e_(pivot i) at each non-pivot column f and zero at the
+    pivots: a spanning set of ann(u).  So a vector x lies in u iff
+    x.A_u^T = 0, and in ann(u) iff x.B_u^T = 0.  One product of every
+    vector of GF(p)^n, coded in base p, by every A_u and B_u, in blocks
+    (LATTICE_BLOCK_CELLS), gives both tables.  Then v <= u iff every row of
+    B_v lies in u, which is B_v.A_u^T = 0 read row by row, and likewise
+    v <= ann(u); ann(u) is the one such v of dimension n - dim u.  No basis
+    is reduced.
+    """
+    subspaces = enumerate_subspaces(p, n)
+    size, zero = len(subspaces), (0,) * n
+    bases = np.array([s.basis + (zero,) * (n - s.dim) for s in subspaces], dtype=np.int64).reshape(size, n, n)
+    nonzero, dims = bases != 0, np.array([s.dim for s in subspaces])
+    pivot = (nonzero & (nonzero.cumsum(axis=2) == 1)).any(axis=1)  # each row's first nonzero column
+    spans = np.concatenate([np.eye(n, dtype=np.int64) - bases.transpose(0, 2, 1) @ (bases * pivot[:, None]), bases])
+    vectors = from_base_p(np.arange(p ** n), p, 1, n).reshape(-1, n)
+    perp = np.empty((len(vectors), 2 * size), dtype=bool)  # perp[x, k]: x.spans[k]^T = 0, for A_u then B_u
+    block = max(1, LATTICE_BLOCK_CELLS // (len(vectors) * n))
+    for lo in range(0, 2 * size, block):
+        flat = spans[lo:lo + block].reshape(-1, n)
+        perp[:, lo:lo + block] = ~(vectors @ flat.T % p).reshape(len(vectors), -1, n).any(axis=2)
+    rows = bases @ p ** np.arange(n - 1, -1, -1)  # the code of every basis row, 0 on padding
+    inside = perp[rows[:, 0]]                     # inside[v, k]: B_v.spans[k]^T = 0
+    for r in range(1, n):
+        inside &= perp[rows[:, r]]
+    annulled = inside[:, size:] & (dims[:, None] + dims == n)  # [v, u]: v = ann(u)
+    lattice = SubspaceLattice(
+        subspaces, {s: k for k, s in enumerate(subspaces)}, bases, dims,
+        np.argsort(~pivot, axis=1, kind="stable"), inside[:, :size].T,
+        np.where(annulled.sum(axis=0) == 1, annulled.argmax(axis=0), -1),
+    )
+    for k in SubspaceLattice._fields[2:]:
+        getattr(lattice, k).flags.writeable = False  # shared by every caller
+    return lattice
+
+
+# ---------------------------------------------------------------------------
 # linear maps between subspaces
 
 class LinearMap(Record):
@@ -559,14 +601,3 @@ def linear_map(dom: Subspace, cod: Subspace, images) -> LinearMap:
             raise ValueError(f"image vector {img} not contained in codomain")
         rows.append(c)
     return LinearMap(dom, cod, tuple(rows))
-
-
-def inclusion_map(a: Subspace, b: Subspace) -> LinearMap:
-    if not b.contains_subspace(a):
-        raise ValueError("inclusion requires containment")
-    return linear_map(a, b, list(a.basis))
-
-
-def identity_map(a: Subspace) -> LinearMap:
-    return LinearMap(a, a, identity_matrix(a.dim))
-

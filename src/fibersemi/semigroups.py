@@ -115,10 +115,18 @@ def _associativity_witness(t):
     product, since (x(ab))y = ((xa)b)y = (xa)(by) = x(a(by)) = x((ab)y).  The
     closure of G under right multiplication lies in the submagma G generates,
     which lies in A once G does; so closure = S means A = S.
+
+    Every generator's pass is written into the same three buffers: fresh
+    (n, n) temporaries per pass cost more than the comparison itself, in
+    allocation and page faults.  The table's entries are indices below n
+    (from_table checks them), so mode="clip" never clips; it only spares
+    take() a buffered copy.
     """
+    left, right, bad = np.empty_like(t), np.empty_like(t), np.empty(t.shape, dtype=bool)
     for g in table_generators(t).tolist():
-        bad = t[t[:, g]] != t[:, t[g]]   # [x, y]: (xg)y vs x(gy)
-        if bad.any():
+        np.take(t, t[:, g], axis=0, out=left, mode="clip")   # [x, y]: (xg)y
+        np.take(t, t[g], axis=1, out=right, mode="clip")     # [x, y]: x(gy)
+        if np.not_equal(left, right, out=bad).any():
             x, y = divmod(int(np.argmax(bad)), len(t))
             return (x, g, y)
     return None

@@ -22,19 +22,17 @@ from .gf import LinearMap, Record, Subspace
 
 
 class SubspaceCategory:
-    """Proper subspaces of GF(p)^n with all linear maps as morphisms."""
+    """Proper subspaces of GF(p)^n with all linear maps as morphisms, at
+    their positions in gf.subspace_lattice (the full space comes last)."""
 
-    def __init__(self, p, n, objects):
+    def __init__(self, p, n):
+        lattice = gf.subspace_lattice(p, n)
         self.p = p
         self.n = n
-        self.objects = objects
-        self._index = {obj: i for i, obj in enumerate(objects)}
-        self.inclusion_pairs = tuple(
-            (i, j)
-            for i, a in enumerate(objects)
-            for j, b in enumerate(objects)
-            if b.contains_subspace(a)
-        )
+        self.objects = lattice.subspaces[:-1]
+        self._index = {obj: i for i, obj in enumerate(self.objects)}
+        # (i, j) with objects[i] inside objects[j], by i then j
+        self.inclusion_pairs = tuple(map(tuple, np.argwhere(lattice.contains[:-1, :-1].T).tolist()))
 
     def index(self, obj: Subspace) -> int:
         return self._index[obj]
@@ -44,28 +42,50 @@ class SubspaceCategory:
 
 
 def build_category(p, n) -> SubspaceCategory:
-    return SubspaceCategory(p, n, gf.enumerate_subspaces(p, n, proper_only=True))
+    return SubspaceCategory(p, n)
 
 
 # ---------------------------------------------------------------------------
 # retractions and normal factorization
 
-def projection_along(b: Subspace, a: Subspace, kernel: Subspace) -> LinearMap:
-    """The map b -> a splitting b = a (+) kernel, identity on a, zero on kernel."""
-    stacked = a.basis + kernel.basis
-    images = []
-    for v in b.basis:
-        t = gf.express_in_basis(v, stacked, b.p)
-        if t is None:
-            raise ValueError("projection requires b = a + kernel")
-        images.append(a.from_coords(t[: a.dim]))
-    return gf.linear_map(b, a, images)
+def complement_rows(pivot):
+    """E_J for each mask of a stack of pivot masks (count, w): the unit rows
+    at the non-pivot columns J in increasing order, then zero rows, as
+    (count, w, w).  For an RREF matrix with those pivots they span the
+    deterministic complement of its row space."""
+    slots = np.arange(pivot.shape[1])
+    return (((np.cumsum(~pivot, axis=1) - 1)[:, None] == slots[:, None]) & ~pivot[:, None]).astype(np.int64)
 
 
-def retraction(b: Subspace, a: Subspace) -> LinearMap:
-    """Projection b -> a along the deterministic complement of a inside b,
-    so the inclusion a -> b followed by it is the identity on a."""
-    return projection_along(b, a, gf.complement_in(a, b))
+def retraction_law(cat: SubspaceCategory):
+    """Whether the inclusion a -> b then the retraction b -> a is the
+    identity on a, for every (a, b) of cat.inclusion_pairs, in that order.
+    The retraction projects b onto a along the deterministic complement of
+    a in b, the span of E_J.B_b, J the non-pivot columns of rref(A), where
+    A, a's basis at b's pivot columns, is the inclusion's matrix (B_a =
+    A.B_b, which is checked, since those columns of B_b are unit columns).
+
+    The law holds iff rank [A; E_J] = d_b.  Proof: x -> x.B_b is an
+    isomorphism GF(p)^d_b -> b, so everything may be read in b's
+    coordinates, where a is the row space of A, of dimension d_a since
+    B_a's rows are independent, and the complement is span(E_J), of
+    dimension d_b - d_a.  If rank [A; E_J] = d_b the d_b rows of [A; E_J]
+    are a basis, the projection onto row A along span(E_J) exists, and it
+    fixes each row of A, so inclusion then retraction is I.  Otherwise
+    a + complement is not all of b: some vector of b has no component in
+    a, no projection along the complement exists, and the law fails.
+
+    Every pair is decided in one batch, with one rref_stack of the A and
+    one of the [A; E_J]: each A is zero-padded to n x n, which changes
+    neither its rref's pivots nor a rank, and E_J's unit rows at the
+    padding columns are zeroed."""
+    lattice, p = gf.subspace_lattice(cat.p, cat.n), cat.p
+    a, b = np.array(cat.inclusion_pairs, dtype=np.intp).reshape(-1, 2).T
+    inside = np.arange(cat.n) < lattice.dims[b, None]  # the columns of b's coordinates
+    coords = np.take_along_axis(lattice.bases[a], lattice.pivots[b, None], axis=2) * inside[:, None]
+    pivot = gf.rref_stack(coords, p)[1]
+    rank = gf.rref_stack(np.concatenate([coords, complement_rows(pivot) * inside[:, None]], axis=1), p)[2]
+    return (coords @ lattice.bases[b] % p == lattice.bases[a]).all(axis=(1, 2)) & (rank == lattice.dims[b])
 
 
 class NormalFactorization(Record):
@@ -105,7 +125,7 @@ def shape_factors(p, da, db) -> SimpleNamespace:
     kernel = np.where(slots[:, None] >= rank[:, None, None], red[:, :, db:], 0)
     # e_t - (the row of K leading at t) for each pivot t of K, e_t elsewhere
     proj = eye - (lead[:, None, :] & (kernel != 0)).astype(np.int64).transpose(0, 2, 1) @ kernel
-    complement = (((np.cumsum(~lead, axis=1) - 1)[:, None] == slots[:, None]) & ~lead[:, None]).astype(np.int64)
+    complement = complement_rows(lead)
     at_pivots = ((np.cumsum(pivot[:, :db], axis=1) - 1)[:, :, None] == slots) & pivot[:, :db, None]
     q, u = proj @ complement.transpose(0, 2, 1) % p, complement @ mats @ at_pivots
     factors = SimpleNamespace(matrices=mats, rank=rank, kernel=kernel, complement=complement,
@@ -133,38 +153,51 @@ def normal_factorization(f: LinearMap) -> NormalFactorization:
 
 def factorization_witness(cat: SubspaceCategory):
     """None if normal_factorization splits every morphism of cat, else a
-    witness.  It reads f: a -> b's matrices at f's matrix M alone, so one
-    pass per shape decides q.u.image = M and rank u = rank M for all.  The
-    objects enter by one translation per coordinate subspace: at a,
-    _span_in(a, E_J) is complement_in(K.B_a, a) and projection_along onto it
-    along K.B_a has q's matrix; at b, _span_in(b, R) is the canonical span
-    of R.B_b.  So q is that retraction and j the image's inclusion."""
-    p, n, dims = cat.p, cat.n, sorted({obj.dim for obj in cat.objects})
-    kernels, images = {}, {}
+    witness.  It reads f: a -> b's arrays at f's matrix M alone, so one
+    pass per shape decides q.u.image = M and rank u = rank M for all.
+
+    The objects enter through their bases only, and x -> x.B_a is an
+    isomorphism GF(p)^d -> a that keeps RREF (X.B_a is in RREF iff X is,
+    and X.B_a at a's pivot columns is X).  So at every object a of
+    dimension d, with K the kernel rows and E_J the complement rows:
+    _span_in(a, E_J) is the deterministic complement of K.B_a in a iff E_J
+    is complement_rows of rref(K) with d - rank K = rank M rows; the
+    projection onto it along K.B_a has q's matrix iff E_J.q = I and K.q = 0,
+    since [E_J; K] is then a basis; and at b, _span_in(b, R) is the
+    canonical span of R.B_b iff the image rows R are in RREF.  None of this
+    depends on the object, so each is decided once per shape on the
+    arrays, and the witness names the first object of the smallest
+    dimension that fails, the retraction first, as a sweep over the
+    objects in order would."""
+    p, dims = cat.p, sorted({obj.dim for obj in cat.objects})
+    failing = {"retraction": set(), "image": set()}
     for da, db in itertools.product(dims, dims):
-        fac = shape_factors(p, da, db)
+        fac, count, width = shape_factors(p, da, db), p ** (da * db), max(da, db)
+        kept = np.arange(da) < fac.rank[:, None]  # the first rank M rows or columns
+        image = fac.image * kept[:, :, None]
+        # u, the kernel rows and the image rows in one rref_stack, padded by
+        # zero columns to a common width, which changes no pivot or rank
+        stack = np.zeros((3, count, da, width), dtype=np.int64)
+        stack[0, :, :, :da], stack[1, :, :, :da], stack[2, :, :, :db] = fac.u, fac.kernel, image
+        red, lead, rank = (x.reshape(3, count, *x.shape[1:])
+                           for x in gf.rref_stack(stack.reshape(3 * count, da, width), p))
         ok = (fac.q @ fac.u @ fac.image % p == fac.matrices).all(axis=(1, 2))
-        bad = np.flatnonzero(~ok | (gf.rref_stack(fac.u, p)[2] != fac.rank))
+        bad = np.flatnonzero(~ok | (rank[0] != fac.rank))
         if len(bad):
             return {"failure": "factorization identity", "shape": [da, db],
                     "matrix": fac.matrices[bad[0]].tolist()}
-        for i, r in enumerate(fac.rank.tolist()):
-            kernels[da, r, fac.kernel[i].tobytes(), fac.complement[i].tobytes(), fac.q[i].tobytes()] = fac, i
-            images[db, r, fac.image[i, :r].tobytes()] = fac, i
-    for obj in cat.objects:
-        def span(rows):
-            return gf.subspace_span([obj.from_coords(c) for c in rows], n, p)
-        for (d, r, *_), (fac, i) in kernels.items():
-            if d != obj.dim:
-                continue
-            ker, cprime = span(fac.kernel[i, r:].tolist()), _span_in(obj, fac.complement[i, :r].tolist())
-            if (gf.complement_in(ker, obj) != cprime
-                    or projection_along(obj, cprime, ker).matrix != _matrix(fac.q[i, :, :r].tolist())):
-                return {"failure": "retraction translation", "object": obj.to_json()}
-        for (d, r, _), (fac, i) in images.items():
-            rows = fac.image[i, :r].tolist()
-            if d == obj.dim and _span_in(obj, rows) != span(rows):
-                return {"failure": "image translation", "object": obj.to_json()}
+        complement, q = fac.complement * kept[:, :, None], fac.q * kept[:, None]
+        if not ((rank[1] + fac.rank == da) & (complement == complement_rows(lead[1, :, :da])).all(axis=(1, 2))
+                & (complement @ q % p == kept[:, :, None] * np.eye(da, dtype=bool)).all(axis=(1, 2))
+                & ~(fac.kernel @ q % p).any(axis=(1, 2))).all():
+            failing["retraction"].add(da)
+        if not ((rank[2] == fac.rank) & (red[2, :, :, :db] == image).all(axis=(1, 2))).all():
+            failing["image"].add(db)
+    for d in dims:
+        for kind in ("retraction", "image"):
+            if d in failing[kind]:
+                return {"failure": f"{kind} translation",
+                        "object": next(obj for obj in cat.objects if obj.dim == d).to_json()}
     return None
 
 
@@ -187,13 +220,10 @@ class _ConeCode:
         self.stride = p ** (self.depth * self.width)
         if len(cat.objects) * self.stride > np.iinfo(np.int64).max:
             raise AssertionError(f"cone codes of GF({p})^{n} do not fit in 63 bits")
-        self.stacked = np.array(
-            [row for obj in cat.objects for row in obj.basis], dtype=np.int64
-        ).reshape(self.depth, n)
-        # vertex bases padded to width rows, for ambient()
-        self.bases = np.zeros((len(cat.objects), self.width, n), dtype=np.int64)
-        for k, obj in enumerate(cat.objects):
-            self.bases[k, :obj.dim] = np.array(obj.basis, dtype=np.int64).reshape(obj.dim, n)
+        lattice = gf.subspace_lattice(p, n)
+        bases = lattice.bases[:-1]
+        self.stacked = bases[np.arange(n) < lattice.dims[:-1, None]]  # every object's basis rows
+        self.bases = bases[:, :self.width]  # vertex bases padded to width rows, for ambient()
 
     def codes(self, vertex, rows):
         return vertex * self.stride + gf.base_p(rows, self.p)
@@ -255,16 +285,17 @@ def _admissible(cat: SubspaceCategory, code: _ConeCode, vertex, rows):
     row, and where the row is a well-formed normal cone.
 
     Restriction compatibility is decided over cat.inclusion_pairs with the
-    inclusion matrices; global linearity by checking that every component is
-    the restriction of the endomorphism; normality by some component between
-    equal dimensions having full rank in shape_factors.
+    inclusion matrices, read from the lattice as in retraction_law; global
+    linearity by checking that every component is the restriction of the
+    endomorphism; normality by some component between equal dimensions
+    having full rank in shape_factors.
     """
     p, n = cat.p, cat.n
+    lattice = gf.subspace_lattice(p, n)
     ok = np.ones(len(rows), dtype=bool)
     for i, j in cat.inclusion_pairs:
-        if i != j:
-            incl = np.array(gf.inclusion_map(cat.objects[i], cat.objects[j]).matrix, dtype=np.int64)
-            incl = incl.reshape(code.dims[i], code.dims[j])
+        if i != j:  # the inclusion's matrix: objects[i]'s basis at objects[j]'s pivot columns
+            incl = lattice.bases[i, :code.dims[i]][:, lattice.pivots[j, :code.dims[j]]]
             ok &= (incl @ code.block(rows, j) % p == code.block(rows, i)).all(axis=(1, 2))
     ambient = code.ambient(vertex, rows)
     if n == 1:
@@ -300,12 +331,15 @@ def principal_codes(cat: SubspaceCategory, code: _ConeCode):
 
 
 def check_cone_order(p, n):
-    """Refuse the cone semigroup of GF(p)^n when its order, that of
-    Sing(GF(p)^n) in closed form, is beyond the associativity guard."""
+    """Refuse the cone semigroup of GF(p)^n as build_category would (a bad
+    field or dimension, or too many subspaces), then when its order, that
+    of Sing(GF(p)^n) in closed form, is beyond the associativity guard;
+    nothing is enumerated."""
+    gf.subspace_count(p, n)
     size = gf.singular_count(p, n)
     if size > gf.ASSOC_GUARD:
         raise gf.GuardExceeded(
-            f"the cone semigroup of GF({p})^{n} has order {size}, "
+            f"the cone semigroup of GF({p})^{n} has order {gf.count_text(size)}, "
             f"beyond the associativity guard {gf.ASSOC_GUARD}"
         )
 
@@ -412,15 +446,12 @@ def m_sets(p, n):
     is a's basis padded with zero rows.  The ranks of the pairs of matching
     dimensions come from one batched rref per side; no category or cone is
     built."""
-    objects = gf.enumerate_subspaces(p, n, proper_only=True)
-    mats = gf._sing_matrices(p, n)
+    lattice = gf.subspace_lattice(p, n)
+    bases, dims = lattice.bases[:-1], lattice.dims[:-1]
+    mats, ranks = gf._sing_matrices(p, n), gf._ranks(p, n)
     idem = mats[(mats @ mats % p == mats).all(axis=(1, 2))]
-    bases = np.zeros((len(objects), n, n), dtype=np.int64)
-    for k, a in enumerate(objects):
-        bases[k, :a.dim] = np.reshape(a.basis, (a.dim, n))
-    dims, ranks = np.array([a.dim for a in objects]), gf._ranks(p, n)
     complement = (np.eye(n, dtype=np.int64) - idem) % p
-    by_iso, by_sum = np.zeros((2, len(idem), len(objects)), dtype=bool)
+    by_iso, by_sum = np.zeros((2, len(idem), len(dims)), dtype=bool)
     i, a = np.nonzero(dims == ranks[gf.base_p(idem, p)][:, None])
     by_iso[i, a] = gf.rref_stack(bases[a] @ idem[i] % p, p)[2] == dims[a]
     i, a = np.nonzero(dims + ranks[gf.base_p(complement, p)][:, None] == n)

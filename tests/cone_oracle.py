@@ -159,7 +159,7 @@ def validate_cone(cat: SubspaceCategory, cone: Cone) -> ConeReport:
             if i == j:
                 continue
             small, big = cat.objects[i], cat.objects[j]
-            incl = gf.inclusion_map(small, big)
+            incl = gh.inclusion_map(small, big)
             if incl.compose(cone.components[j]) != cone.components[i]:
                 restriction_ok = False
                 witness = ("restriction", small, big)

@@ -9,6 +9,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from factorization_oracle import all_linear_maps
+import gf_helpers as gh
 from fibersemi import gf
 from fibersemi import subspace_category as sc
 from fibersemi.crossconn import CrossConnection
@@ -73,10 +74,10 @@ def check_functorial(cc: CrossConnection):
     cat = sc.build_category(cc.p, cc.n)
     for obj in cat.objects:
         y = dual_object_image(cc, obj)
-        if dual_morphism_image(cc, gf.identity_map(obj)) != gf.identity_map(y):
+        if dual_morphism_image(cc, gh.identity_map(obj)) != gh.identity_map(y):
             raise AssertionError("dual action does not preserve identities")
         a = primal_object_image(cc, obj)
-        if primal_morphism_image(cc, gf.identity_map(obj)) != gf.identity_map(a):
+        if primal_morphism_image(cc, gh.identity_map(obj)) != gh.identity_map(a):
             raise AssertionError("primal action does not preserve identities")
     for x in cat.objects:
         for y in cat.objects:
@@ -110,8 +111,8 @@ class CoveringReport:
 def functor_m_set(cc: CrossConnection, cat: sc.SubspaceCategory, y: Subspace):
     """M-set of the connection at a dual object: complements of the subspace
     annihilated by the transported functionals."""
-    pre = gf.annihilator(dual_object_image(cc, y))
-    return tuple(a for a in cat.objects if gf.is_direct_sum(a, pre)), pre
+    pre = gh.annihilator(dual_object_image(cc, y))
+    return tuple(a for a in cat.objects if gh.is_direct_sum(a, pre)), pre
 
 
 def verify_cross_connection(cc: CrossConnection) -> CoveringReport:
@@ -157,10 +158,10 @@ def _first_member(cc, alpha: Endo, a: Subspace, y: Subspace, mode) -> bool:
         return False
     target = dual_object_image(cc, y)
     if mode == "kernel":
-        constrained = gf.annihilator(alpha.kernel())
+        constrained = gh.annihilator(alpha.kernel())
     elif mode == "image":
         image_of_a = gf.subspace_span([alpha.apply(v) for v in a.basis], cc.n, cc.p)
-        constrained = gf.annihilator(image_of_a)
+        constrained = gh.annihilator(image_of_a)
     else:
         raise ValueError(f"unknown membership mode {mode!r}")
     return target.contains_subspace(constrained)
@@ -174,10 +175,10 @@ def _second_member(cc, beta: Endo, a: Subspace, y: Subspace, mode) -> bool:
         return False
     target = primal_object_image(cc, a)
     if mode == "kernel":
-        constrained = gf.annihilator(bt.kernel())
+        constrained = gh.annihilator(bt.kernel())
     elif mode == "image":
         image_of_y = gf.subspace_span([bt.apply(f) for f in y.basis], cc.n, cc.p)
-        constrained = gf.annihilator(image_of_y)
+        constrained = gh.annihilator(image_of_y)
     else:
         raise ValueError(f"unknown membership mode {mode!r}")
     return target.contains_subspace(constrained)

@@ -2,15 +2,51 @@
 subspace_category.normal_factorization computed each morphism with before
 it read the per-shape arrays, with the kernel, image and hom-set
 enumerations it used, kept here so the tests can compare the two morphism
-for morphism."""
+for morphism; and the retraction of every inclusion as a LinearMap, with
+the per-pair loop that subspace_category.retraction_law is compared
+against."""
 
 from __future__ import annotations
 
 import itertools
 
+import gf_helpers as gh
 from fibersemi import gf
 from fibersemi.gf import LinearMap, Subspace
-from fibersemi.subspace_category import NormalFactorization, SubspaceCategory, projection_along
+from fibersemi.subspace_category import NormalFactorization, SubspaceCategory
+
+
+def projection_along(b: Subspace, a: Subspace, kernel: Subspace) -> LinearMap:
+    """The map b -> a splitting b = a (+) kernel, identity on a, zero on kernel."""
+    stacked = a.basis + kernel.basis
+    images = []
+    for v in b.basis:
+        t = gh.express_in_basis(v, stacked, b.p)
+        if t is None:
+            raise ValueError("projection requires b = a + kernel")
+        images.append(a.from_coords(t[: a.dim]))
+    return gf.linear_map(b, a, images)
+
+
+def retraction(b: Subspace, a: Subspace, complement=gh.complement_in) -> LinearMap:
+    """Projection b -> a along the deterministic complement of a inside b,
+    so the inclusion a -> b followed by it is the identity on a."""
+    return projection_along(b, a, complement(a, b))
+
+
+def retraction_law(cat: SubspaceCategory, complement=gh.complement_in):
+    """Per inclusion pair of cat, in order: whether the inclusion a -> b then
+    the retraction b -> a along the complement is the identity of a.  A
+    pair with no projection along the complement (projection_along
+    raises: a and the complement do not span b) breaks the law."""
+    verdicts = []
+    for i, j in cat.inclusion_pairs:
+        a, b = cat.objects[i], cat.objects[j]
+        try:
+            verdicts.append(gh.inclusion_map(a, b).compose(retraction(b, a, complement)) == gh.identity_map(a))
+        except ValueError:
+            verdicts.append(False)
+    return verdicts
 
 
 def all_linear_maps(dom: Subspace, cod: Subspace):
@@ -45,11 +81,11 @@ def normal_factorization(f: LinearMap) -> NormalFactorization:
     """Split f as retraction, isomorphism, inclusion (f = q.u.j), one
     morphism at a time through rref."""
     ker = kernel_subspace(f)
-    cprime = gf.complement_in(ker, f.dom)
+    cprime = gh.complement_in(ker, f.dom)
     img = image_subspace(f)
     q = projection_along(f.dom, cprime, ker)
     u = gf.linear_map(cprime, img, [f.apply(v) for v in cprime.basis])
-    j = gf.inclusion_map(img, f.cod)
+    j = gh.inclusion_map(img, f.cod)
     return NormalFactorization(q, u, j, q.compose(u))
 
 

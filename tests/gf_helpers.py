@@ -1,6 +1,10 @@
 """GF(p) constructions the tests use and the program does not: the full
-space, the zero map, sums and intersections of subspaces, and the Gaussian
-binomial that counts subspaces of each dimension."""
+space, the zero map, sums and intersections of subspaces, the inclusion and
+identity maps, and the Gaussian binomial that counts subspaces of each
+dimension; and the one-subspace-at-a-
+time forms of what gf.subspace_lattice reads from arrays (annihilators,
+direct sums, complements and coordinates over a spanning set), which the
+lattice is compared against."""
 
 from __future__ import annotations
 
@@ -36,3 +40,61 @@ def gaussian_binomial(n, k, p):
         num *= p ** n - p ** i
         den *= p ** k - p ** i
     return num // den
+
+
+def express_in_basis(v, rows, p):
+    """Coefficients t with t . rows = v, or None if v is outside the span."""
+    if not rows:
+        return () if all(x % p == 0 for x in v) else None
+    aug = [list(col) + [x] for col, x in zip(zip(*rows), v)]
+    red, pivots = gf.rref(aug, len(rows) + 1, p)
+    if len(rows) in pivots:
+        return None
+    t = [0] * len(rows)
+    for i, c in enumerate(pivots):
+        t[c] = red[i][-1]
+    return tuple(t)
+
+
+def complement_in(a: Subspace, b: Subspace) -> Subspace:
+    """Deterministic complement of a inside b (requires a <= b): the rows of
+    b's basis at the non-pivot columns of a's coordinates over it, so for b
+    the full space the standard basis vectors outside a's pivots."""
+    coords = []
+    for v in a.basis:
+        c = b.coords(v)
+        if c is None:
+            raise ValueError("complement_in: first subspace not contained in second")
+        coords.append(c)
+    red, pivots = gf.rref(coords, b.dim, a.p)
+    piv = set(pivots)
+    rows = [b.basis[j] for j in range(b.dim) if j not in piv]
+    basis, _ = gf.rref(rows, a.n, a.p)
+    return Subspace(a.p, a.n, basis)
+
+
+def annihilator(a: Subspace) -> Subspace:
+    """Functionals vanishing on a, as a subspace in dual-basis coordinates.
+
+    The same computation sends a subspace of the dual back into V, which is
+    the double-dual identification.
+    """
+    basis = gf.solve_homogeneous(a.basis, a.n, a.p)
+    return Subspace(a.p, a.n, basis)
+
+
+def is_direct_sum(a: Subspace, b: Subspace) -> bool:
+    """Whether a + b = V with a and b meeting only in 0."""
+    if a.dim + b.dim != a.n:
+        return False
+    return gf.mat_rank(a.basis + b.basis, a.n, a.p) == a.n
+
+
+def inclusion_map(a: Subspace, b: Subspace) -> gf.LinearMap:
+    if not b.contains_subspace(a):
+        raise ValueError("inclusion requires containment")
+    return gf.linear_map(a, b, list(a.basis))
+
+
+def identity_map(a: Subspace) -> gf.LinearMap:
+    return gf.LinearMap(a, a, gf.identity_matrix(a.dim))

@@ -29,7 +29,7 @@ def test_objects_are_annihilators_of_nonzero_subspaces(acat22):
     nonzero = {a for a in gf.enumerate_subspaces(2, 2) if a.dim > 0}
     assert primals == nonzero
     for t in acat22.tags:
-        assert gf.annihilator(t.primal) == t.dual
+        assert gh.annihilator(t.primal) == t.dual
         assert t.primal.dim + t.dual.dim == 2
 
 def test_tag_lookup_example(acat22):
@@ -74,7 +74,7 @@ def normal_dual_object(cat: sc.SubspaceCategory, cone: oracle.Cone) -> ann.DualO
     if e is None:
         raise ValueError("cone has no inducing endomorphism")
     kernel = e.kernel()
-    return ann.DualObjectTag(kernel, gf.annihilator(kernel))
+    return ann.DualObjectTag(kernel, gh.annihilator(kernel))
 
 
 def test_normal_dual_object_examples(cat22):
@@ -108,7 +108,7 @@ def test_m_set_matches_dual_tag(cat22):
             continue
         cone = oracle.principal_cone(cat22, e)
         tag = normal_dual_object(cat22, cone)
-        by_tag = {a for a in cat22.objects if gf.is_direct_sum(a, tag.primal)}
+        by_tag = {a for a in cat22.objects if gh.is_direct_sum(a, tag.primal)}
         assert set(oracle.m_set(cat22, cone)) == by_tag
 
 

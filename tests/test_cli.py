@@ -383,3 +383,72 @@ def test_main_leaves_the_collector_alone(capsys):
 def test_console_script_exits_through_the_process_entry_point():
     lines = (SRC.parent / "pyproject.toml").read_text().splitlines()
     assert 'fibersemi = "fibersemi.cli:run"' in lines
+
+
+def test_import_fills_no_cache():
+    # every lru_cache of the computing modules is empty after the CLI's
+    # import, so no lattice, table or index is built at import time
+    code = ("import json, fibersemi.cli\n"
+            "from fibersemi import crossconn, gf, subspace_category\n"
+            "print(json.dumps({f'{m.__name__}.{k}': f.cache_info().currsize\n"
+            "                  for m in (gf, subspace_category, crossconn)\n"
+            "                  for k, f in vars(m).items() if hasattr(f, 'cache_info')}))\n")
+    done = subprocess.run([sys.executable, "-c", code], cwd=SRC, env={"PYTHONPATH": str(SRC)},
+                          capture_output=True, text=True, timeout=120)
+    sizes = json.loads(done.stdout)
+    assert {"fibersemi.gf.subspace_lattice", "fibersemi.subspace_category.shape_factors",
+            "fibersemi.crossconn.subspace_index"} <= set(sizes)
+    assert set(sizes.values()) == {0}
+
+
+# ---------------------------------------------------------------------------
+# guards that refuse by a closed-form count before enumerating
+
+@pytest.mark.parametrize("p,n,autos,order", [(2, 3, 168, 344), (5, 2, 480, 145), (7, 2, 2016, 385), (2, 4, 20160, 45376)])
+def test_crossconn_all_eps_refuses_by_its_output_size(monkeypatch, capsys, p, n, autos, order):
+    def forbidden(*args):
+        raise AssertionError("an automorphism was enumerated before the guard refused")
+
+    monkeypatch.setattr(gf, "enumerate_automorphisms", forbidden)
+    start = time.perf_counter()
+    code, out, err = run(capsys, "crossconn", "--field", str(p), "--dim", str(n), "--all-eps", "--format", "json")
+    assert time.perf_counter() - start < 1.0
+    assert (code, out) == (2, "")
+    assert err == (f"error: crossconn --all-eps at GF({p})^{n} would write {autos} tables of order {order}, "
+                   f"{autos * order ** 2} cells in all, beyond the output limit of {cli.ALL_EPS_CELL_LIMIT} cells\n")
+
+
+@pytest.mark.parametrize("p,n", [(2, 2), (3, 2)])
+def test_crossconn_all_eps_runs_under_the_output_limit(p, n):
+    cells = len(gf.enumerate_automorphisms(p, n)) * gf.singular_count(p, n) ** 2
+    assert cells <= cli.ALL_EPS_CELL_LIMIT
+    cli._check_all_eps_output(p, n)
+
+
+@pytest.mark.parametrize("n,message", [
+    (6, "the cone semigroup of GF(2)^6 has order 48560766976, beyond the associativity guard 1500"),
+    (7, "GF(2)^7 has 29212 subspaces, beyond the subspace guard 4096"),
+])
+def test_cones_refuses_before_the_category_is_built(monkeypatch, capsys, n, message):
+    def forbidden(p, n):
+        raise AssertionError("the category was built before the guard refused")
+
+    monkeypatch.setattr(sc, "build_category", forbidden)
+    start = time.perf_counter()
+    assert run(capsys, "cones", "--field", "2", "--dim", str(n)) == (2, "", f"error: {message}\n")
+    assert time.perf_counter() - start < 1.0
+
+
+@pytest.mark.parametrize("argv,message", [
+    (("enumerate", "--field", "7", "--dim", "80"), "p^(n^2) = at least 2^17967 exceeds endomorphism guard 1048576"),
+    (("cones", "--field", "2", "--dim", "300"), "GF(2)^300 has at least 2^22502 subspaces, beyond the subspace guard 4096"),
+    (("crossconn", "--field", "7", "--dim", "45", "--all-eps"),
+     "crossconn --all-eps at GF(7)^45 would write at least 2^5684 tables of order at least 2^5682, "
+     "at least 2^17049 cells in all, beyond the output limit of 1048576 cells"),
+])
+def test_guards_name_counts_too_long_to_print(capsys, argv, message):
+    # past 4300 digits Python refuses to write an int out, so these counts
+    # are named by a power of two they reach
+    start = time.perf_counter()
+    assert run(capsys, *argv) == (2, "", f"error: {message}\n")
+    assert time.perf_counter() - start < 1.0

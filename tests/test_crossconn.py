@@ -36,7 +36,7 @@ def test_identity_acts_trivially(cat22):
     for obj in cat22.objects:
         assert oracle.dual_object_image(cc, obj) == obj
         assert oracle.primal_object_image(cc, obj) == obj
-        assert oracle.dual_morphism_image(cc, gf.identity_map(obj)) == gf.identity_map(obj)
+        assert oracle.dual_morphism_image(cc, gh.identity_map(obj)) == gh.identity_map(obj)
 
 def test_swap_object_maps():
     cc = xc.cross_connection(SWAP)
@@ -83,7 +83,7 @@ def test_covering_witness_example(cat22):
     a = gf.subspace_span([(1, 0)], 2, 2)
     y = witness[a]
     _, pre = oracle.functor_m_set(cc, cat22, y)
-    assert gf.is_direct_sum(a, pre)
+    assert gh.is_direct_sum(a, pre)
 
 def test_zero_subspace_witnessed_by_zero_dual(cat22):
     cc = xc.cross_connection(gf.identity_endo(2, 2))
@@ -116,8 +116,8 @@ def test_functoriality_sampled_at_2_3():
             oracle.dual_morphism_image(cc, f).compose(oracle.dual_morphism_image(cc, g))
         assert oracle.primal_morphism_image(cc, f.compose(g)) == \
             oracle.primal_morphism_image(cc, f).compose(oracle.primal_morphism_image(cc, g))
-        assert oracle.dual_morphism_image(cc, gf.identity_map(x)) == \
-            gf.identity_map(oracle.dual_object_image(cc, x))
+        assert oracle.dual_morphism_image(cc, gh.identity_map(x)) == \
+            gh.identity_map(oracle.dual_object_image(cc, x))
 
 
 # ---------------------------------------------------------------------------
@@ -381,7 +381,7 @@ def test_annihilator_of_kernel_is_image_of_transpose(p, n):
     idx = xc.subspace_index(p, n)
     for i, x in enumerate(gf.sing_table(p, n)[0]):
         t_image = gf.transpose(x).image()
-        assert gf.annihilator(x.kernel()) == t_image == idx.subspaces[idx.timg[i]]
+        assert gh.annihilator(x.kernel()) == t_image == idx.subspaces[idx.timg[i]]
         assert x.image() == idx.subspaces[idx.img[i]]
 
 

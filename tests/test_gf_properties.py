@@ -81,9 +81,9 @@ def test_dimension_of_sum_and_intersection(case):
 @given(spanned())
 def test_double_annihilator(case):
     _, n, _, (a,) = case
-    dual = gf.annihilator(a)
+    dual = gh.annihilator(a)
     assert dual.dim == n - a.dim
-    assert gf.annihilator(dual) == a
+    assert gh.annihilator(dual) == a
 
 
 @PROPERTY
@@ -91,7 +91,7 @@ def test_double_annihilator(case):
 def test_complement_in_gives_a_direct_sum(case):
     _, _, _, (a, extra) = case
     b = gh.subspace_sum(a, extra)
-    c = gf.complement_in(a, b)
+    c = gh.complement_in(a, b)
     assert b.contains_subspace(c)
     assert a.dim + c.dim == b.dim
     assert gh.subspace_intersection(a, c).dim == 0

@@ -18,7 +18,11 @@ semigroup moved to integer code rows.  The (2,3) and (7,2) points take the
 principal-cone path and (3,2) the exhaustive sweep.
 
 The last two are verify-all at (3,3) and (2,4), recorded before m-sets moved
-from LinearMap cones to batched ranks; both exit 1 on guard refusals only."""
+from LinearMap cones to batched ranks; both exit 1 on guard refusals only.
+
+The last one is verify-all at (2,5), recorded before the subspace orders
+and the retraction law were read from one subspace lattice per (p, n); it
+exits 1 on guard refusals only."""
 
 import hashlib
 import io
@@ -67,6 +71,7 @@ GOLDEN = [
     ("cones --field 3 --dim 2", 0, "60cd374e64472c43c6f0610d8c3310cec975d8140bf5caf09044971996b35322"),
     ("verify-all --field 3 --dim 3 --format json", 1, "55c3a4884ac055be8add3f6d9ca69541d23c9f1aaf70fef02dc1ee9f8325b3c6"),
     ("verify-all --field 2 --dim 4 --format json", 1, "c935265da6284daaa13e3219454d6ac1fc920e7e857994e66eb2aa2eff21c148"),
+    ("verify-all --field 2 --dim 5 --format json", 1, "deecc0876d6083bf709665ab85dd3bc89e321fe7eda02c7e567cc8f5006ee683"),
 ]
 
 

@@ -1,0 +1,76 @@
+"""The subspace lattice against the per-subspace and per-pair sweeps it
+replaced: its arrays, the subspace category's inclusion pairs and the
+retraction law."""
+
+import re
+
+import pytest
+
+import factorization_oracle as fo
+import gf_helpers as gh
+import lattice_oracle as lo
+from fibersemi import gf
+from fibersemi import subspace_category as sc
+
+GRID = [(2, 2), (3, 2), (5, 2), (7, 2), (2, 3), (3, 3), (2, 4)]
+
+
+@pytest.mark.parametrize("p, n", GRID)
+def test_lattice_arrays_match_the_subspace_sweeps(p, n):
+    lattice, subspaces = gf.subspace_lattice(p, n), gf.enumerate_subspaces(p, n)
+    assert lattice.subspaces == subspaces and subspaces[-1].dim == n
+    assert lattice.index == {s: k for k, s in enumerate(subspaces)}
+    assert lattice.dims.tolist() == [s.dim for s in subspaces]
+    for k, s in enumerate(subspaces):
+        assert tuple(map(tuple, lattice.bases[k, :s.dim].tolist())) == s.basis
+        assert not lattice.bases[k, s.dim:].any()
+        assert tuple(lattice.pivots[k, :s.dim].tolist()) == s.pivots
+        assert sorted(lattice.pivots[k].tolist()) == list(range(n))
+    assert lattice.contains.tolist() == lo.containment(subspaces)
+    assert lattice.ann.tolist() == lo.annihilators(subspaces)
+    assert lattice.direct_sum.tolist() == lo.direct_sums(subspaces)
+
+
+@pytest.mark.parametrize("p, n", GRID)
+def test_inclusion_pairs_match_the_sweep_in_order(p, n):
+    cat = sc.build_category(p, n)
+    assert cat.objects == gf.enumerate_subspaces(p, n, proper_only=True)
+    assert cat.inclusion_pairs == lo.inclusion_pairs(cat.objects)
+
+
+@pytest.mark.parametrize("p, n", GRID)
+def test_retraction_law_matches_the_linear_map_loop(p, n):
+    cat = sc.build_category(p, n)
+    law = sc.retraction_law(cat)
+    assert law.tolist() == fo.retraction_law(cat)
+    assert len(law) == len(cat.inclusion_pairs) and law.all()
+
+
+def test_lattice_is_cached_and_read_only():
+    lattice = gf.subspace_lattice(3, 2)
+    assert gf.subspace_lattice(3, 2) is lattice
+    for name in (*lattice._fields[2:], "direct_sum"):
+        with pytest.raises(ValueError):
+            getattr(lattice, name)[0] = 0
+
+
+@pytest.mark.parametrize("p, n, count", [(2, 6, 2825), (3, 5, 2664), (5, 4, 1120), (7, 4, 3652)])
+def test_subspace_guard_admits_by_count(p, n, count):
+    assert gf.subspace_count(p, n) == count == sum(gh.gaussian_binomial(n, k, p) for k in range(n + 1))
+
+
+@pytest.mark.parametrize("p, n", GRID)
+def test_subspace_count_is_the_enumerated_count(p, n):
+    assert gf.subspace_count(p, n) == len(gf.enumerate_subspaces(p, n)) == len(gf.subspace_lattice(p, n).subspaces)
+
+
+@pytest.mark.parametrize("p, n, count", [(2, 7, 29212), (3, 6, 56632), (5, 5, 42176), (7, 5, 285704), (2, 12, 488176700923)])
+def test_subspace_guard_refuses_by_count_before_enumerating(monkeypatch, p, n, count):
+    def forbidden(*args):
+        raise AssertionError("a subspace was enumerated before the guard refused")
+
+    monkeypatch.setattr(gf, "Subspace", forbidden)
+    message = f"GF({p})^{n} has {count} subspaces, beyond the subspace guard 4096"
+    for build in (gf.enumerate_subspaces, gf.subspace_lattice, sc.build_category):
+        with pytest.raises(gf.GuardExceeded, match=re.escape(message)):
+            build(p, n)

@@ -183,11 +183,11 @@ def test_sing_idempotents_and_regularity():
     lines = [a for a in gf.enumerate_subspaces(2, 2, proper_only=True) if a.dim == 1]
     for img in lines:
         for ker in lines:
-            if gf.is_direct_sum(img, ker):
+            if gh.is_direct_sum(img, ker):
                 rows = []
                 for k in range(2):
                     ek = tuple(1 if i == k else 0 for i in range(2))
-                    t = gf.express_in_basis(ek, img.basis + ker.basis, 2)
+                    t = gh.express_in_basis(ek, img.basis + ker.basis, 2)
                     v = [0] * 2
                     for c, row in zip(t[:1], img.basis):
                         for j, x in enumerate(row):

@@ -67,8 +67,8 @@ def test_every_inclusion_splits(cat22, cat23):
     for cat in (cat22, cat23):
         for i, j in cat.inclusion_pairs:
             a, b = cat.objects[i], cat.objects[j]
-            q = sc.retraction(b, a)
-            assert gf.inclusion_map(a, b).compose(q) == gf.identity_map(a)
+            q = fo.retraction(b, a)
+            assert gh.inclusion_map(a, b).compose(q) == gh.identity_map(a)
 
 def test_factorization_exhaustive_2_2(cat22):
     for f in fo.all_morphisms(cat22):
@@ -78,7 +78,7 @@ def test_factorization_exhaustive_2_2(cat22):
         assert nf.epi == nf.q.compose(nf.u)
         assert nf.epi.is_epi()
         # the retraction splits the inclusion of its codomain
-        assert gf.inclusion_map(nf.q.cod, f.dom).compose(nf.q) == gf.identity_map(nf.q.cod)
+        assert gh.inclusion_map(nf.q.cod, f.dom).compose(nf.q) == gh.identity_map(nf.q.cod)
 
 def test_factorization_exhaustive_2_3(cat23):
     count = 0
@@ -156,6 +156,29 @@ def test_factorization_check_fails_on_a_perturbed_image_basis(monkeypatch):
     assert cli._check_factorization(3, 2) == (
         False, {"failure": "image translation", "object": line.to_json()})
 
+def _pivot_complement(a, b):
+    """complement_in with b's basis rows at the pivot columns of a's
+    coordinates in place of the others, for nonzero a."""
+    pivots = set(gf.rref([b.coords(v) for v in a.basis], b.dim, b.p)[1])
+    return gf.subspace_span([row for j, row in enumerate(b.basis) if (j in pivots) == bool(pivots)], b.n, b.p)
+
+def test_retraction_law_fails_on_a_corrupted_complement(monkeypatch):
+    # the complement at a's pivots rather than its other columns: the
+    # batched law and the LinearMap loop fail at the same inclusion pairs,
+    # and the check names the first of them
+    assert cli._check_factorization(2, 2) == (True, None)
+    complement_rows = sc.complement_rows
+    monkeypatch.setattr(sc, "complement_rows",
+                        lambda pivot: complement_rows(np.where(pivot.any(axis=1)[:, None], ~pivot, pivot)))
+    monkeypatch.setattr(sc, "factorization_witness", lambda cat: None)  # it reads complement_rows too
+    cat = sc.build_category(2, 3)
+    want = fo.retraction_law(cat, _pivot_complement)
+    assert sc.retraction_law(cat).tolist() == want and not all(want)
+    assert sc.retraction_law(sc.build_category(2, 2)).all()
+    sub = cat.objects[cat.inclusion_pairs[want.index(False)][0]]
+    assert sub == gf.subspace_span([(0, 0, 1)], 3, 2)
+    assert cli._check_factorization(2, 2) == (False, {"failure": "retraction law", "sub": sub.to_json()})
+
 @pytest.mark.parametrize("p", [2, 3])
 def test_cone_check_fails_on_a_planted_non_principal_cone(monkeypatch, p):
     # at (p, 2) the cones come from the exhaustive sweep, so the comparison
@@ -185,15 +208,15 @@ def test_factorization_hand_example():
     assert nf.q.cod == gf.subspace_span([(1, 0, 0)], 3, 2)
     assert nf.q.apply((0, 1, 0)) == (0, 0, 0)
     assert nf.u.apply((1, 0, 0)) == (0, 0, 1)
-    assert nf.j == gf.identity_map(b)
+    assert nf.j == gh.identity_map(b)
 
 def test_factorization_of_isomorphism():
     a = gf.subspace_span([(0, 0, 1)], 3, 2)
     b = gf.subspace_span([(1, 0, 0)], 3, 2)
     f = gf.linear_map(a, b, [(1, 0, 0)])
     nf = sc.normal_factorization(f)
-    assert nf.q == gf.identity_map(a)
-    assert nf.j == gf.identity_map(b)
+    assert nf.q == gh.identity_map(a)
+    assert nf.j == gh.identity_map(b)
     assert nf.epi == f
 
 def test_factorization_of_zero_map():
@@ -215,7 +238,7 @@ def test_principal_cone_of_projection(cat22):
     l10 = gf.subspace_span([(1, 0)], 2, 2)
     l01 = gf.subspace_span([(0, 1)], 2, 2)
     l11 = gf.subspace_span([(1, 1)], 2, 2)
-    assert rho.components[cat22.index(l10)] == gf.identity_map(l10)
+    assert rho.components[cat22.index(l10)] == gh.identity_map(l10)
     assert is_zero(rho.components[cat22.index(l01)])
     assert rho.components[cat22.index(l11)].apply((1, 1)) == (1, 0)
     rep = oracle.validate_cone(cat22, rho)
@@ -286,7 +309,7 @@ def test_literal_reading_overcounts_at_dim_2(cat22, sing22):
 def test_star_with_identity_is_identity(cat22, sing22):
     for a in sing22:
         rho = oracle.principal_cone(cat22, a)
-        assert oracle.cone_star(cat22, rho, gf.identity_map(rho.vertex)) == rho
+        assert oracle.cone_star(cat22, rho, gh.identity_map(rho.vertex)) == rho
 
 def test_star_hand_example(cat22):
     rho = oracle.principal_cone(cat22, gf.endo([[1, 0], [0, 0]], 2))
@@ -301,7 +324,7 @@ def test_star_requires_epi_from_vertex(cat22):
         oracle.cone_star(cat22, rho, zero_map(l10, l10))
     other = gf.subspace_span([(0, 1)], 2, 2)
     with pytest.raises(ValueError):
-        oracle.cone_star(cat22, rho, gf.identity_map(other))
+        oracle.cone_star(cat22, rho, gh.identity_map(other))
 
 def test_star_preserves_normality(cat22, sing22):
     for a in sing22:
@@ -493,7 +516,7 @@ def identity_cone(cat, obj):
     if obj.dim == 0:
         e = gh.zero_endo(cat.p, cat.n)
     else:
-        proj = sc.retraction(gh.full_space(cat.p, cat.n), obj)
+        proj = fo.retraction(gh.full_space(cat.p, cat.n), obj)
         rows = []
         for k in range(cat.n):
             ek = tuple(1 if i == k else 0 for i in range(cat.n))
@@ -506,7 +529,7 @@ def test_unit_cones_exist_at_every_vertex(cat22, cat23):
         for obj in cat.objects:
             cone = identity_cone(cat, obj)
             assert cone.vertex == obj
-            assert cone.components[cat.index(obj)] == gf.identity_map(obj)
+            assert cone.components[cat.index(obj)] == gh.identity_map(obj)
             rep = oracle.validate_cone(cat, cone)
             assert rep.well_formed and rep.is_normal
 
@@ -531,7 +554,7 @@ def test_m_set_double_characterization(cat22):
         if e * e != e:
             continue
         by_iso = set(oracle.m_set(cat22, oracle.principal_cone(cat22, e)))
-        by_sum = {a for a in cat22.objects if gf.is_direct_sum(a, e.kernel())}
+        by_sum = {a for a in cat22.objects if gh.is_direct_sum(a, e.kernel())}
         assert by_iso == by_sum
 
 
@@ -547,7 +570,7 @@ def test_batched_m_sets_match_the_cone_oracle(p, n):
     for e, iso, dsum in zip(want, by_iso.tolist(), by_sum.tolist()):
         assert {a for a, x in zip(cat.objects, iso) if x} == set(oracle.m_set(cat, oracle.principal_cone(cat, e)))
         assert {a for a, x in zip(cat.objects, dsum) if x} == \
-            {a for a in cat.objects if gf.is_direct_sum(a, e.kernel())}
+            {a for a in cat.objects if gh.is_direct_sum(a, e.kernel())}
 
 @pytest.mark.parametrize("p, n, first, rows", [
     (2, 2, 4, [[1, 0], [0, 0]]),
