@@ -167,25 +167,34 @@ def _check_cross_connections(p, n):
     # refuses by Sing's order before any automorphism is enumerated.  The
     # linked-pair semigroup shares Sing's table with labels in Sing order,
     # so its order, its first projection and its regularity hold by
-    # construction; only its conjugation law is checked here.  object_actions
-    # also decides that the actions are injective on hom-sets.
+    # construction; only its conjugation law is checked here.  Functoriality
+    # is eps.eps^-1 = I (xc.object_actions states why); object_actions also
+    # decides that the actions are injective on hom-sets.
     idx = xc.subspace_index(p, n)
     _, _, table = gf.sing_table(p, n)
-    for eps in gf.enumerate_automorphisms(p, n):
-        cc = xc.cross_connection(eps)
-        actions = xc.object_actions(cc, idx)
-        if actions is None:
-            return False, {"eps": eps.to_json(), "failure": "functoriality"}
-        e_obj, et_obj = actions
+    autos = gf.enumerate_automorphisms(p, n)
+    conj = xc.conjugations(p, n, autos)
+    witness, law_upto = None, len(autos)
+    for i, eps in enumerate(autos):
+        if not conj.inverts[i]:
+            witness, law_upto = {"eps": eps.to_json(), "failure": "functoriality"}, i
+            break
+        e_obj, et_obj = xc.object_actions(idx, conj.eps[i], p)
         if not xc.covers(idx, et_obj):
-            return False, {"eps": eps.to_json(), "failure": "covering"}
-        perm = gf.sing_conjugation(cc.eps_inv, eps)
-        xc.check_conjugation_law(table, perm)  # raises unless perm is a permutation
-        pair = xc.link_failure(idx, perm, e_obj, et_obj)
+            witness, law_upto = {"eps": eps.to_json(), "failure": "covering"}, i
+            break
+        pair = xc.link_failure(idx, conj.perms[i], e_obj, et_obj)
         if pair is not None:
             a, y = pair
-            return False, {"eps": eps.to_json(), "a": a.to_json(), "y": y.to_json()}
-    return True, None
+            witness, law_upto = {"eps": eps.to_json(), "a": a.to_json(), "y": y.to_json()}, i + 1
+            break
+    # At each automorphism the law comes after covering and before linking.
+    # So it is decided, in one batch, for the automorphisms the loop passed
+    # (and for the one that failed linking): a law failure there comes
+    # first.  It also decides that each perm is a permutation, which
+    # link_failure assumes.
+    xc.check_conjugation_law(table, conj.perms[:law_upto])
+    return witness is None, witness
 
 
 def _check_null_amalgam(p, n):
@@ -381,11 +390,11 @@ def cmd_crossconn(args):
         eps_list = [_parse_eps(args.eps, p, n)]
     else:
         eps_list = [gf.identity_endo(p, n)]
-    built = [xc.build_cross_conn_semigroup(e) for e in eps_list]
+    conj = xc.linked_pairs(p, n, eps_list)
     if args.format == "json":
-        _emit(_dump([s.to_json() for s in built]), args.out)
+        _emit(xc.linked_pairs_json(conj), args.out)
     else:
-        lines = [f"eps={s.eps.rows} order={s.order}" for s in built]
+        lines = [f"eps={e.rows} order={conj.perms.shape[1]}" for e in eps_list]
         _emit("\n".join(lines) + "\n", args.out)
     return 0
 
@@ -444,8 +453,9 @@ def build_parser():
 
     spx = sub.add_parser("crossconn", help="linked-pair semigroups per automorphism")
     common(spx)
-    spx.add_argument("--eps", default=None, help="automorphism as a JSON matrix literal")
-    spx.add_argument("--all-eps", action="store_true", help="sweep every automorphism")
+    which = spx.add_mutually_exclusive_group()
+    which.add_argument("--eps", default=None, help="automorphism as a JSON matrix literal")
+    which.add_argument("--all-eps", action="store_true", help="sweep every automorphism")
     spx.set_defaults(fn=cmd_crossconn)
 
     spa = sub.add_parser("amalgam", help="bundle-fiber amalgam")

@@ -10,11 +10,14 @@ first projection.
 The claims about a connection (functoriality, covering, inclusion and the
 linking bijection) are decided on integer arrays: every subspace of GF(p)^n
 gets a position once per (p, n), and each Sing element is read through the
-positions of its image and of its transpose's image.
+positions of its image and of its transpose's image.  The inverses, the
+conjugation permutations and the conjugation law are computed for a whole
+stack of automorphisms at once (conjugations, check_conjugation_law).
 """
 
 from __future__ import annotations
 
+import json
 from functools import cached_property, lru_cache
 
 import numpy as np
@@ -92,34 +95,32 @@ def subspace_index(p, n) -> SubspaceIndex:
                          lattice.direct_sum, lattice.ann, img, timg)
 
 
-def object_actions(cc: CrossConnection, idx: SubspaceIndex):
+def object_actions(idx: SubspaceIndex, eps, p):
     """(e_obj, et_obj), the positions of eps.x and eps_t.x for each object x
-    (eps_t the transpose of eps), or None unless both actions are functors.
+    (eps an n x n array over GF(p), eps_t its transpose).
 
-    The primal action sends f: x -> y to F(f) = back_x . f . fwd_y (maps
-    compose left to right), fwd_x being eps restricted to x -> F(x) = x.eps
-    and back_x eps^-1 restricted to F(x) -> x; the dual action is the same
-    with eps_t and (eps^-1)^T.  Suppose fwd_x . back_x = id_x and
-    back_x . fwd_x = id_F(x) at every object x.  Then for f: x -> y and
-    g: y -> z F(f)F(g) = back_x f (fwd_y back_y) g fwd_z = back_x f g fwd_z
-    = F(fg), and F(id_x) = back_x fwd_x = id_F(x), so F is a functor.  Also
-    f = (fwd_x back_x) f (fwd_y back_y) = fwd_x F(f) back_y, so F is
-    injective on every hom-set.
+    Both actions are functors once eps.eps^-1 = I, which conjugations
+    checks (Conjugations.inverts).  The primal action sends f: x -> y to
+    F(f) = back_x . f . fwd_y (maps compose left to right), fwd_x being eps
+    restricted to x -> F(x) = x.eps and back_x eps^-1 restricted to
+    F(x) -> x; the dual action is the same with eps_t and (eps^-1)^T.
+    Suppose fwd_x . back_x = id_x and back_x . fwd_x = id_F(x) at every
+    object x.  Then for f: x -> y and g: y -> z F(f)F(g) = back_x f
+    (fwd_y back_y) g fwd_z = back_x f g fwd_z = F(fg), and F(id_x) =
+    back_x fwd_x = id_F(x), so F is a functor.  Also f = (fwd_x back_x) f
+    (fwd_y back_y) = fwd_x F(f) back_y, so F is injective on every hom-set.
 
-    Both identities follow from eps.eps^-1 = I, the one thing checked here.
-    For v in x, v.eps.eps^-1 = v, which is fwd_x . back_x = id_x and shows
-    that eps^-1 maps F(x) into x, so back_x is defined.  For square
-    matrices eps.eps^-1 = I also gives eps^-1.eps = I, so w.eps^-1.eps = w
-    for w in F(x), which is back_x . fwd_x = id_F(x).  Transposing the two
+    Both identities follow from eps.eps^-1 = I.  For v in x,
+    v.eps.eps^-1 = v, which is fwd_x . back_x = id_x and shows that eps^-1
+    maps F(x) into x, so back_x is defined.  For square matrices
+    eps.eps^-1 = I also gives eps^-1.eps = I, so w.eps^-1.eps = w for w in
+    F(x), which is back_x . fwd_x = id_F(x).  Transposing the two
     identities gives eps_t.(eps^-1)^T = (eps^-1.eps)^T = I and
     (eps^-1)^T.eps_t = (eps.eps^-1)^T = I, the same on the dual side.
 
     The objects' bases times eps and times eps_t are reduced in one batched
     rref and looked up by code.
     """
-    p, eps = cc.p, np.array(cc.eps.rows)
-    if not np.array_equal(eps @ np.array(cc.eps_inv.rows) % p, np.eye(cc.n, dtype=eps.dtype)):
-        return None
     moved = np.concatenate([idx.bases @ eps, idx.bases @ eps.T])
     e_obj, et_obj = _row_spaces(idx.position, moved, p).reshape(2, -1)
     return e_obj, et_obj
@@ -158,7 +159,108 @@ def link_failure(idx: SubspaceIndex, perm, e_obj, et_obj):
 
 
 # ---------------------------------------------------------------------------
-# the linked-pair semigroup
+# the linked-pair semigroups of a stack of automorphisms
+
+class Conjugations(Record):
+    """Automorphisms eps_1..eps_k of GF(p)^n with what their linked-pair
+    semigroups are built from.  Every one of those semigroups lies on Sing's
+    table: the pairs of the e-th are (x_i, x_perms[e, i]) over the elements
+    x_i of sing_table."""
+    p: int
+    n: int
+    eps: np.ndarray      # (k, n, n)
+    inv: np.ndarray      # (k, n, n) the right half of the rref of [eps | I]
+    inverts: np.ndarray  # (k,) eps.inv = I, so inv is eps^-1
+    perms: np.ndarray    # (k, N) index of inv.x_i.eps, -1 where it is invertible
+
+
+def conjugations(p, n, eps) -> Conjugations:
+    """The Conjugations of a sequence of Endos of GF(p)^n, computed for all
+    of them at once; nothing is raised here.  The inverses come from one
+    batched rref, E.E^-1 = I from one batched product, and the conjugates of
+    every Sing element from broadcast products, in chunks of about
+    TABLE_BLOCK_CELLS entries, read by code from sing_table's decode
+    array."""
+    _, decode, _ = gf.sing_table(p, n)
+    sing = gf._sing_matrices(p, n)
+    mats = np.array([e.rows for e in eps], dtype=np.int64).reshape(-1, n, n)
+    inv = gf.inverse_stack(mats, p)
+    inverts = (mats @ inv % p == np.eye(n, dtype=np.int64)).all(axis=(1, 2))
+    perms = np.empty((len(mats), len(sing)), dtype=np.int32)
+    block = max(1, gf.TABLE_BLOCK_CELLS // (len(sing) * n * n))
+    for lo in range(0, len(mats), block):
+        conj = inv[lo:lo + block, None] @ sing % p @ mats[lo:lo + block, None] % p
+        perms[lo:lo + block] = decode[gf.base_p(conj.reshape(-1, n, n), p)].reshape(-1, len(sing))
+    return Conjugations(p, n, mats, inv, inverts, perms)
+
+
+def _first_false(mask) -> int:
+    """The index of the first False of a boolean array, or its length."""
+    return len(mask) if mask.all() else int(mask.argmin())
+
+
+def check_conjugation_law(table, perms):
+    """Raise unless, for each row perm of perms, the second coordinates
+    multiply like the first ones; the error is the one of the first row in
+    order that fails.
+
+    perm[i] is the index of eps^-1.alpha_i.eps; the linked-pair product of
+    (a, perm[a]) and (b, perm[b]) has second coordinate perm[ab], which must
+    equal perm[a].perm[b].  After checking that perm is a permutation, that
+    is tested for every a but only for b in the table's generating set G.
+    This is sound on an associative table, as Light's test is: the set
+    B = {b : perm[ab] = perm[a]perm[b] for all a} is closed under products,
+    since for b, c in B
+    perm[a(bc)] = perm[(ab)c] = perm[ab]perm[c] = (perm[a]perm[b])perm[c]
+    = perm[a](perm[b]perm[c]) = perm[a]perm[bc].  So B holds the submagma
+    G generates, which is the whole table.
+
+    The rows are decided in chunks of about TABLE_BLOCK_CELLS cells.
+    """
+    order, gens = len(table), sg.table_generators(table)
+    products, cells = table[:, gens], table.ravel()   # products[a, k] = a g_k
+    block = max(1, gf.TABLE_BLOCK_CELLS // (order * len(gens)))
+    for lo in range(0, len(perms), block):
+        chunk = perms[lo:lo + block].astype(np.intp)  # int32 index arithmetic cost 128 KB of peak RSS
+        good = chunk[:_first_false((np.sort(chunk, axis=1) == np.arange(order)).all(axis=1))]
+        # [e, a, k]: perm[a g_k] against perm[a]perm[g_k], read from the flat table
+        bad = good[:, products] != cells[(good * order)[:, :, None] + good[:, None, gens]]
+        failed = bad.any(axis=(1, 2))
+        if failed.any():
+            a, k = divmod(int(bad[failed.argmax()].argmax()), len(gens))
+            raise AssertionError(f"linked-pair product broke the conjugation law at pair {(a, int(gens[k]))}")
+        if len(good) < len(chunk):
+            raise ValueError("not a permutation of the element indices")
+
+
+def linked_pairs(p, n, eps) -> Conjugations:
+    """conjugations(p, n, eps), raising for the first automorphism in order
+    that fails, at each one first eps.eps^-1 = I and then the conjugation
+    law on Sing's table, whose associativity sing_semigroup decides."""
+    conj = conjugations(p, n, eps)
+    stop = _first_false(conj.inverts)
+    check_conjugation_law(sg.sing_semigroup(p, n).table, conj.perms[:stop])
+    if stop < len(eps):
+        raise ValueError("cross-connections require an invertible endomorphism")
+    return conj
+
+
+def linked_pairs_json(conj: Conjugations) -> str:
+    """The crossconn --format json document of a batch, byte for byte as
+    json.dumps(sort_keys=True, separators=(",", ":")) writes the list of
+    {"elements": [{"first", "second"}...], "eps", "table"} objects.  Sing's
+    table and each element matrix are encoded once."""
+    p, n = conj.p, conj.n
+    mats = [json.dumps(m, separators=(",", ":")) for m in gf._sing_matrices(p, n).tolist()]
+    table = json.dumps(gf.sing_table(p, n)[2].tolist(), separators=(",", ":"))
+    firsts = [f'{{"first":{m},"second":' for m in mats]
+    docs = []
+    for rows, perm in zip(conj.eps.tolist(), conj.perms.tolist()):
+        elements = ",".join([f"{first}{mats[k]}}}" for first, k in zip(firsts, perm)])
+        eps = json.dumps(rows, separators=(",", ":"))
+        docs.append(f'{{"elements":[{elements}],"eps":{{"n":{n},"p":{p},"rows":{eps}}},"table":{table}}}')
+    return f"[{','.join(docs)}]\n"
+
 
 class LinkedPair(Record):
     first: Endo
@@ -174,43 +276,10 @@ class CrossConnSemigroup(Record):
     def order(self):
         return self.semigroup.order
 
-    def to_json(self):
-        return {
-            "eps": self.eps.to_json(),
-            "elements": [
-                {"first": [list(r) for r in pr.first.rows],
-                 "second": [list(r) for r in pr.second.rows]}
-                for pr in self.pairs
-            ],
-            "table": self.semigroup.table.tolist(),
-        }
-
-
-def check_conjugation_law(table, perm):
-    """Raise unless the second coordinates multiply like the first ones.
-
-    perm[i] is the index of eps^-1.alpha_i.eps; the linked-pair product of
-    (a, perm[a]) and (b, perm[b]) has second coordinate perm[ab], which must
-    equal perm[a].perm[b].  After checking that perm is a permutation, that
-    is tested for every a but only for b in the table's generating set G.
-    This is sound on an associative table, as Light's test is: the set
-    B = {b : perm[ab] = perm[a]perm[b] for all a} is closed under products,
-    since for b, c in B
-    perm[a(bc)] = perm[(ab)c] = perm[ab]perm[c] = (perm[a]perm[b])perm[c]
-    = perm[a](perm[b]perm[c]) = perm[a]perm[bc].  So B holds the submagma
-    G generates, which is the whole table.
-    """
-    if not np.array_equal(np.sort(perm), np.arange(len(table))):
-        raise ValueError("not a permutation of the element indices")
-    gens = sg.table_generators(table)
-    bad = perm[table[:, gens]] != table[np.ix_(perm, perm[gens])]   # [a, k]: perm[a g_k] vs perm[a]perm[g_k]
-    if bad.any():
-        a, k = divmod(int(np.argmax(bad)), len(gens))
-        raise AssertionError(f"linked-pair product broke the conjugation law at pair {(a, int(gens[k]))}")
-
 
 def build_cross_conn_semigroup(eps: Endo) -> CrossConnSemigroup:
-    """Linked pairs (alpha, eps^-1.alpha.eps) over all singular alpha.
+    """Linked pairs (alpha, eps^-1.alpha.eps) over all singular alpha, as a
+    batch of one (linked_pairs).
 
     The product is componentwise; on second coordinates that is the opposite
     of the dual-side cone composition, and the convention-independent check
@@ -219,10 +288,8 @@ def build_cross_conn_semigroup(eps: Endo) -> CrossConnSemigroup:
     order and share the verified Sing table, since the first projection is
     an isomorphism by construction.
     """
-    cc = cross_connection(eps)
+    perm = linked_pairs(eps.p, eps.n, [eps]).perms[0]
     sing = sg.sing_semigroup(eps.p, eps.n)
-    perm = gf.sing_conjugation(cc.eps_inv, eps)
-    check_conjugation_law(sing.table, perm)
     pairs = tuple(LinkedPair(x, sing.elements[k]) for x, k in zip(sing.elements, perm.tolist()))
     labels = tuple((pr.first.rows, pr.second.rows) for pr in pairs)
     return CrossConnSemigroup(eps, pairs, sg.FiniteSemigroup(labels, sing.table))

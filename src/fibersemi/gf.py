@@ -169,6 +169,15 @@ def rref_stack(a, p):
     return a, pivot, rank
 
 
+def inverse_stack(mats, p):
+    """The right half of the rref of [E | I] for each matrix E of a stack
+    (count, n, n), from one batched elimination: E^-1 where E is invertible
+    and meaningless where it is not, so callers check E.E^-1 = I."""
+    n = mats.shape[1]
+    eye = np.broadcast_to(np.eye(n, dtype=np.int64), mats.shape)
+    return rref_stack(np.concatenate([mats, eye], axis=2), p)[0][:, :, n:]
+
+
 def mat_inverse(a, p):
     """Inverse of a square matrix over GF(p), or None if singular."""
     n = len(a)
@@ -469,15 +478,6 @@ def sing_table(p, n):
         table[lo:lo + block] = decode[acc]
     decode.flags.writeable = table.flags.writeable = False  # shared by every caller
     return enumerate_endos(p, n, singular_only=True), decode, table
-
-
-def sing_conjugation(left: Endo, right: Endo):
-    """perm[i] = index of left . elems[i] . right in sing_table order (-1
-    where that product is invertible)."""
-    p, n = right.p, right.n
-    _, decode, _ = sing_table(p, n)
-    conj = np.array(left.rows) @ _sing_matrices(p, n) % p @ np.array(right.rows) % p
-    return decode[base_p(conj, p)]
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,10 @@
 """Test oracles for the cross-connection check: the Subspace-object and
 full-table forms that `verify-all` decided with before it moved to subspace
-index arrays and the generator reduction, and the LinearMap restrictions of
-eps and eps^-1 that the functor actions are built from.  They are kept here
-so the tests can compare the two verdict for verdict."""
+index arrays and the generator reduction, the LinearMap restrictions of
+eps and eps^-1 that the functor actions are built from, and the
+per-automorphism forms of the batched inverses, conjugation permutations
+and conjugation law.  They are kept here so the tests can compare the two
+verdict for verdict."""
 
 from dataclasses import dataclass
 
@@ -11,6 +13,7 @@ import numpy as np
 from factorization_oracle import all_linear_maps
 import gf_helpers as gh
 from fibersemi import gf
+from fibersemi import semigroups as sg
 from fibersemi import subspace_category as sc
 from fibersemi.crossconn import CrossConnection
 from fibersemi.gf import Endo, LinearMap, Subspace
@@ -246,4 +249,35 @@ def automorphism_witness(table, perm):
         bad = perm[table[i]] != table[perm[i], perm]   # row i of perm[T] vs T[perm][:, perm]
         if bad.any():
             return (i, int(np.argmax(bad)))
+    return None
+
+
+# ---------------------------------------------------------------------------
+# one automorphism at a time: the forms of crossconn.conjugations and
+# crossconn.check_conjugation_law
+
+def sing_conjugation(left: Endo, right: Endo):
+    """perm[i] = index of left . elems[i] . right in sing_table order (-1
+    where that product is invertible)."""
+    p, n = right.p, right.n
+    _, decode, _ = gf.sing_table(p, n)
+    conj = np.array(left.rows) @ gf._sing_matrices(p, n) % p @ np.array(right.rows) % p
+    return decode[gf.base_p(conj, p)]
+
+
+def conjugation_perm(eps: Endo):
+    """The conjugation permutation of eps, its inverse from Endo.inverse."""
+    return sing_conjugation(eps.inverse(), eps)
+
+
+def conjugation_law_error(table, perm):
+    """The error the law check raises for the single permutation perm, or
+    None: the same test on generators, one permutation at a time."""
+    if not np.array_equal(np.sort(perm), np.arange(len(table))):
+        return ValueError("not a permutation of the element indices")
+    gens = sg.table_generators(table)
+    bad = perm[table[:, gens]] != table[np.ix_(perm, perm[gens])]   # [a, k]: perm[a g_k] vs perm[a]perm[g_k]
+    if bad.any():
+        a, k = divmod(int(np.argmax(bad)), len(gens))
+        return AssertionError(f"linked-pair product broke the conjugation law at pair {(a, int(gens[k]))}")
     return None

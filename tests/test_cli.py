@@ -129,6 +129,14 @@ def test_crossconn_rejects_malformed_eps(capsys, eps):
     assert code == 2 and out == ""
     assert err.startswith("error:") and "Traceback" not in err
 
+def test_crossconn_eps_and_all_eps_exclude_each_other(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["crossconn", "--field", "2", "--dim", "2", "--eps", "[[0,1],[1,0]]", "--all-eps"])
+    captured = capsys.readouterr()
+    assert exc.value.code == 2 and captured.out == ""
+    assert captured.err.startswith("usage: fibersemi crossconn ")
+    assert captured.err.endswith("error: argument --all-eps: not allowed with argument --eps\n")
+
 @pytest.mark.parametrize("eps", ["xx", "[[1,0]"])
 def test_crossconn_eps_that_is_not_json_names_the_option(capsys, eps):
     code, out, err = run(capsys, "crossconn", "--field", "2", "--dim", "2", "--eps", eps)

@@ -3,6 +3,9 @@ bifunctor sets, the linking bijection and the linked-pair semigroup.  The
 claims are checked through the oracles of crossconn_oracle, and the index
 decision that verify-all uses is compared with them verdict for verdict."""
 
+import json
+import re
+
 import numpy as np
 import pytest
 
@@ -245,44 +248,140 @@ def test_linked_pair_semigroup_is_regular_with_matching_green(all_eps):
         assert shape(sg.green_relations(s.semigroup)) == shape(ref)
 
 def test_crossconn_json_shape():
-    s = xc.build_cross_conn_semigroup(SWAP)
-    doc = s.to_json()
+    [doc] = json.loads(xc.linked_pairs_json(xc.linked_pairs(2, 2, [SWAP])))
     assert doc["eps"]["rows"] == [[0, 1], [1, 0]]
     assert len(doc["elements"]) == 10 and len(doc["table"]) == 10
     assert doc["elements"][0].keys() == {"first", "second"}
 
 
 # ---------------------------------------------------------------------------
-# the conjugation permutation of the integer-coded kernel
+# the conjugation permutations of the integer-coded kernel
 
-def _perm_agrees_with_conjugate(eps):
-    cc = xc.cross_connection(eps)
-    elems, _, _ = gf.sing_table(eps.p, eps.n)
-    perm = gf.sing_conjugation(cc.eps_inv, eps)
-    assert [elems[k] for k in perm.tolist()] == [cc.conjugate(a) for a in elems]
+def _perms_agree_with_conjugate(autos):
+    elems, _, _ = gf.sing_table(autos[0].p, autos[0].n)
+    perms = xc.conjugations(autos[0].p, autos[0].n, autos).perms
+    for eps, perm in zip(autos, perms):
+        cc = xc.cross_connection(eps)
+        assert [elems[k] for k in perm.tolist()] == [cc.conjugate(a) for a in elems]
 
 @pytest.mark.parametrize("p,n", [(2, 2), (3, 2)])
 def test_conjugation_perm_matches_conjugate_everywhere(p, n):
-    for eps in gf.enumerate_automorphisms(p, n):
-        _perm_agrees_with_conjugate(eps)
+    _perms_agree_with_conjugate(gf.enumerate_automorphisms(p, n))
 
 def test_conjugation_perm_matches_conjugate_at_2_3():
     autos = gf.enumerate_automorphisms(2, 3)
-    for eps in (autos[0], autos[1], autos[len(autos) // 2], autos[-1]):
-        _perm_agrees_with_conjugate(eps)
+    _perms_agree_with_conjugate((autos[0], autos[1], autos[len(autos) // 2], autos[-1]))
 
 def test_conjugation_law_check_is_live():
     _, _, table = gf.sing_table(2, 3)
     eps = gf.enumerate_automorphisms(2, 3)[-1]
-    perm = gf.sing_conjugation(eps.inverse(), eps)
-    xc.check_conjugation_law(table, perm)
+    perm = oracle.conjugation_perm(eps)
+    xc.check_conjugation_law(table, perm[None])
     # index 0 is the zero map, which every automorphism fixes
     broken = perm.copy()
     broken[[0, 1]] = broken[[1, 0]]
     with pytest.raises(AssertionError, match="conjugation law"):
-        xc.check_conjugation_law(table, broken)
+        xc.check_conjugation_law(table, broken[None])
     with pytest.raises(ValueError, match="not a permutation"):
-        xc.check_conjugation_law(table, perm * 0)
+        xc.check_conjugation_law(table, perm[None] * 0)
+
+# ---------------------------------------------------------------------------
+# the batch of automorphisms against the per-automorphism forms
+
+def _law_error(table, perms):
+    """What check_conjugation_law raises for the stack, as (type, message)."""
+    try:
+        xc.check_conjugation_law(table, perms)
+    except (AssertionError, ValueError) as exc:
+        return type(exc), str(exc)
+    return None
+
+
+def _per_eps_law_error(table, perms):
+    """The same from the per-automorphism loop: the first row's error."""
+    for perm in perms:
+        exc = oracle.conjugation_law_error(table, perm)
+        if exc is not None:
+            return type(exc), str(exc)
+    return None
+
+
+def _break(perm, i, j):
+    broken = perm.copy()
+    broken[[i, j]] = broken[[j, i]]
+    return broken
+
+
+@pytest.mark.parametrize("p,n", [(2, 2), (3, 2), (5, 2), (2, 3)])
+def test_batch_matches_the_per_eps_forms(p, n):
+    autos = gf.enumerate_automorphisms(p, n)
+    _, _, table = gf.sing_table(p, n)
+    conj = xc.conjugations(p, n, autos)
+    assert conj.inverts.all()
+    assert [tuple(map(tuple, m)) for m in conj.inv.tolist()] == [eps.inverse().rows for eps in autos]
+    assert np.array_equal(conj.perms, [oracle.conjugation_perm(eps) for eps in autos])
+    assert _law_error(table, conj.perms) is None is _per_eps_law_error(table, conj.perms)
+    # one broken permutation per automorphism, decided alone and in the stack
+    broken = np.array([_break(perm, 1, 2) for perm in conj.perms])
+    for perm in broken:
+        want = _per_eps_law_error(table, perm[None])
+        assert want is not None and _law_error(table, perm[None]) == want
+    assert _law_error(table, broken) == _per_eps_law_error(table, broken)
+
+
+def _mutant_stacks(p, n):
+    """(k, later, stack): the conjugation permutations with the law broken,
+    or no permutation left, at the k-th automorphism and at a later one,
+    the two in one chunk or in chunks of their own; then with one broken
+    row only (later None), at each of the first 12 and at the last."""
+    perms = xc.conjugations(p, n, gf.enumerate_automorphisms(p, n)).perms
+    out = []
+    for k, later in [(3, 4), (3, 40), (0, len(perms) - 1)]:
+        for how in ("law", "law-then-perm", "perm-then-law"):
+            stack = perms.copy()
+            stack[k] = stack[k] * 0 if how == "perm-then-law" else _break(stack[k], 1, 2)
+            stack[later] = stack[later] * 0 if how == "law-then-perm" else _break(stack[later], 3, 5)
+            out.append((k, later, stack))
+    for k in [*range(12), len(perms) - 1]:
+        for broken in (_break(perms[k], 1, 2), perms[k] * 0):
+            stack = perms.copy()
+            stack[k] = broken
+            out.append((k, None, stack))
+    return out
+
+
+@pytest.mark.parametrize("p,n", [(3, 2), (2, 3)])
+def test_law_error_names_the_first_failing_automorphism(p, n):
+    _, _, table = gf.sing_table(p, n)
+    for k, later, stack in _mutant_stacks(p, n):
+        got = _law_error(table, stack)
+        assert got == _per_eps_law_error(table, stack) == _law_error(table, stack[k:k + 1])
+        if later is not None:
+            assert _law_error(table, stack[later:later + 1]) not in (None, got)
+
+
+@pytest.mark.parametrize("p,n", [(3, 2), (2, 3)])
+def test_one_automorphism_per_chunk_changes_nothing(monkeypatch, p, n):
+    autos = gf.enumerate_automorphisms(p, n)
+    _, _, table = gf.sing_table(p, n)
+    want = xc.conjugations(p, n, autos)
+    errors = [_law_error(table, stack) for _, _, stack in _mutant_stacks(p, n)]
+    monkeypatch.setattr(gf, "TABLE_BLOCK_CELLS", 1)
+    got = xc.conjugations(p, n, autos)
+    for k in ("eps", "inv", "inverts", "perms"):
+        assert np.array_equal(getattr(got, k), getattr(want, k)), k
+    assert [_law_error(table, stack) for _, _, stack in _mutant_stacks(p, n)] == errors
+    assert _law_error(table, got.perms) is None
+
+
+def test_linked_pairs_refuse_a_singular_eps():
+    singular = gf.endo([[1, 0], [0, 0]], 2)
+    for eps in ([singular], [SWAP, singular], [singular, SWAP]):
+        with pytest.raises(ValueError, match="^cross-connections require an invertible endomorphism$"):
+            xc.linked_pairs(2, 2, eps)
+    with pytest.raises(ValueError, match="^cross-connections require an invertible endomorphism$"):
+        xc.build_cross_conn_semigroup(singular)
+
 
 def test_linked_pairs_share_the_sing_table(all_eps):
     sing = sg.sing_semigroup(2, 2)
@@ -307,13 +406,11 @@ def _index_verdicts(eps):
     """(functorial, covering and inclusion, linking bijective) as verify-all
     decides them."""
     idx = xc.subspace_index(eps.p, eps.n)
-    cc = xc.cross_connection(eps)
-    actions = xc.object_actions(cc, idx)
-    if actions is None:
+    conj = xc.conjugations(eps.p, eps.n, [eps])
+    if not conj.inverts[0]:
         return False, None, None
-    e_obj, et_obj = actions
-    perm = gf.sing_conjugation(cc.eps_inv, eps)
-    return True, xc.covers(idx, et_obj), xc.link_failure(idx, perm, e_obj, et_obj) is None
+    e_obj, et_obj = xc.object_actions(idx, conj.eps[0], eps.p)
+    return True, xc.covers(idx, et_obj), xc.link_failure(idx, conj.perms[0], e_obj, et_obj) is None
 
 
 def _oracle_verdicts(eps):
@@ -345,7 +442,7 @@ def _sets_match_oracle(idx, eps):
     oracle's, element for element."""
     elems = gf.sing_table(eps.p, eps.n)[0]
     cc = xc.cross_connection(eps)
-    e_obj, et_obj = xc.object_actions(cc, idx)
+    e_obj, et_obj = xc.object_actions(idx, np.array(eps.rows), eps.p)
     for ai, a in enumerate(idx.subspaces[i] for i in idx.objects):
         for yi, y in enumerate(idx.subspaces[i] for i in idx.objects):
             got = _index_sets(idx, e_obj, et_obj, ai, yi)
@@ -368,7 +465,7 @@ def test_object_actions_match_oracle_object_images(p, n, step):
     objects = [idx.subspaces[i] for i in idx.objects]
     for eps in gf.enumerate_automorphisms(p, n)[::step]:
         cc = xc.cross_connection(eps)
-        e_obj, et_obj = xc.object_actions(cc, idx)
+        e_obj, et_obj = xc.object_actions(idx, np.array(eps.rows), p)
         assert [idx.subspaces[i] for i in e_obj] == [oracle.primal_object_image(cc, x) for x in objects]
         assert [idx.subspaces[i] for i in et_obj] == [oracle.dual_object_image(cc, x) for x in objects]
 
@@ -388,30 +485,30 @@ def test_annihilator_of_kernel_is_image_of_transpose(p, n):
 @pytest.mark.parametrize("eps", gf.enumerate_automorphisms(2, 2) + AUTOS_3_2[::9], ids=str)
 def test_functoriality_by_restriction_inverses_agrees_with_oracle(eps):
     oracle.check_functorial(xc.cross_connection(eps))
-    assert xc.object_actions(xc.cross_connection(eps), xc.subspace_index(eps.p, eps.n)) is not None
+    assert xc.conjugations(eps.p, eps.n, [eps]).inverts.tolist() == [True]
 
 
 @pytest.mark.parametrize("p,n", [(2, 2), (3, 2)])
 def test_generator_conjugation_law_agrees_with_full_table(p, n):
     _, _, table = gf.sing_table(p, n)
     assert len(sg.table_generators(table)) < len(table)
-    for eps in gf.enumerate_automorphisms(p, n):
-        perm = gf.sing_conjugation(eps.inverse(), eps)
+    perms = xc.conjugations(p, n, gf.enumerate_automorphisms(p, n)).perms
+    for perm in perms:
         assert oracle.automorphism_witness(table, perm) is None
-        xc.check_conjugation_law(table, perm)
+    xc.check_conjugation_law(table, perms)
 
 
 def test_generator_conjugation_law_rejects_every_transposition(all_eps):
     _, _, table = gf.sing_table(2, 2)
     for eps in all_eps:
-        perm = gf.sing_conjugation(eps.inverse(), eps)
+        perm = oracle.conjugation_perm(eps)
         for i in range(len(perm)):
             for j in range(i + 1, len(perm)):
                 broken = perm.copy()
                 broken[[i, j]] = broken[[j, i]]
                 assert oracle.automorphism_witness(table, broken) is not None
                 with pytest.raises(AssertionError, match="conjugation law"):
-                    xc.check_conjugation_law(table, broken)
+                    xc.check_conjugation_law(table, broken[None])
 
 
 def test_table_generators_computed_once_per_read_only_table():
@@ -423,6 +520,67 @@ def test_table_generators_computed_once_per_read_only_table():
 
 
 # mutations of the decision, each of which the check must catch
+
+BROKEN_AT = 3
+
+
+def _plant(monkeypatch, inverts_at=None, covers_at=None, links_at=None):
+    """verify-all's cross-connection check at (3,2) with the law broken at
+    the automorphism BROKEN_AT and, if given, functoriality, covering or
+    linking failing at the automorphism of the given index."""
+    real = xc.conjugations
+
+    def conjugations(p, n, eps):
+        conj = real(p, n, eps)
+        perms, inverts = conj.perms.copy(), conj.inverts.copy()
+        perms[BROKEN_AT] = _break(perms[BROKEN_AT], 1, 2)
+        if inverts_at is not None:
+            inverts[inverts_at] = False
+        return xc.Conjugations(conj.p, conj.n, conj.eps, conj.inv, inverts, perms)
+
+    def failing_at(at, fn, failed):
+        calls = []
+
+        def planted(*args):
+            calls.append(None)
+            return failed if len(calls) == at + 1 else fn(*args)
+        return planted
+
+    monkeypatch.setattr(xc, "conjugations", conjugations)
+    if covers_at is not None:
+        monkeypatch.setattr(xc, "covers", failing_at(covers_at, xc.covers, False))
+    idx = xc.subspace_index(3, 2)
+    pair = idx.subspaces[idx.objects[1]], idx.subspaces[idx.objects[2]]
+    if links_at is not None:
+        monkeypatch.setattr(xc, "link_failure", failing_at(links_at, lambda *args: None, pair))
+    return pair
+
+
+@pytest.mark.parametrize("planted,witness", [
+    ({}, None),
+    ({"links_at": BROKEN_AT}, None),
+    ({"covers_at": BROKEN_AT + 2}, None),
+    ({"covers_at": 1}, (1, "covering")),
+    ({"covers_at": BROKEN_AT}, (BROKEN_AT, "covering")),
+    ({"inverts_at": BROKEN_AT}, (BROKEN_AT, "functoriality")),
+    ({"links_at": 2}, (2, "link")),
+], ids=["law", "law-before-linking", "law-before-later-covering", "earlier-covering",
+        "covering-before-law", "functoriality-before-law", "earlier-linking"])
+def test_cross_connection_failures_come_in_loop_order(monkeypatch, planted, witness):
+    # At each automorphism: functoriality, covering, the law, linking; the
+    # first failure in that order is the check's verdict.
+    autos = gf.enumerate_automorphisms(3, 2)
+    want = _law_error(gf.sing_table(3, 2)[2], _break(xc.conjugations(3, 2, autos).perms[BROKEN_AT], 1, 2)[None])
+    a, y = _plant(monkeypatch, **planted)
+    if witness is None:
+        with pytest.raises(want[0], match=f"^{re.escape(want[1])}$"):
+            cli._check_cross_connections(3, 2)
+        return
+    at, failure = witness
+    eps = autos[at].to_json()
+    expected = {"eps": eps, "a": a.to_json(), "y": y.to_json()} if failure == "link" else {"eps": eps, "failure": failure}
+    assert cli._check_cross_connections(3, 2) == (False, expected)
+
 
 def _check_fails(p=2, n=2):
     try:
@@ -457,8 +615,8 @@ def test_transpose_image_read_as_image_is_caught(monkeypatch, p, n):
 def test_swapped_dual_object_action_is_caught(monkeypatch):
     real = xc.object_actions
 
-    def swapped(cc, idx):
-        e_obj, et_obj = real(cc, idx)
+    def swapped(idx, eps, p):
+        e_obj, et_obj = real(idx, eps, p)
         et_obj = et_obj.copy()
         et_obj[[1, 2]] = et_obj[[2, 1]]   # two lines: inclusion and covering still hold
         return e_obj, et_obj
@@ -471,8 +629,8 @@ def test_swapped_dual_object_action_is_caught(monkeypatch):
 def test_primal_action_through_the_transpose_is_caught(monkeypatch, p, n):
     real = xc.object_actions
 
-    def through_transpose(cc, idx):
-        _, et_obj = real(cc, idx)
+    def through_transpose(idx, eps, p):
+        _, et_obj = real(idx, eps, p)
         return et_obj, et_obj   # x.eps_t in place of x.eps
 
     monkeypatch.setattr(xc, "object_actions", through_transpose)
@@ -481,7 +639,7 @@ def test_primal_action_through_the_transpose_is_caught(monkeypatch, p, n):
 
 def test_wrong_inverse_fails_functoriality(monkeypatch):
     # eps in place of eps^-1 is right only for the involutions
-    monkeypatch.setattr(xc.CrossConnection, "eps_inv", property(lambda self: self.eps))
+    monkeypatch.setattr(gf, "inverse_stack", lambda mats, p: mats)
     ok, witness = cli._check_cross_connections(2, 2)
     assert not ok and witness["failure"] == "functoriality"
     eps = gf.Endo.from_json(witness["eps"])

@@ -20,9 +20,14 @@ principal-cone path and (3,2) the exhaustive sweep.
 The last two are verify-all at (3,3) and (2,4), recorded before m-sets moved
 from LinearMap cones to batched ranks; both exit 1 on guard refusals only.
 
-The last one is verify-all at (2,5), recorded before the subspace orders
+The next one is verify-all at (2,5), recorded before the subspace orders
 and the retraction law were read from one subspace lattice per (p, n); it
-exits 1 on guard refusals only."""
+exits 1 on guard refusals only.
+
+The last three are crossconn with one explicit automorphism, in the table
+format, and at the identity of GF(2)^3 (order 344), recorded before the
+linked-pair semigroups were built for a whole stack of automorphisms at
+once and written by their own JSON writer."""
 
 import hashlib
 import io
@@ -72,6 +77,9 @@ GOLDEN = [
     ("verify-all --field 3 --dim 3 --format json", 1, "55c3a4884ac055be8add3f6d9ca69541d23c9f1aaf70fef02dc1ee9f8325b3c6"),
     ("verify-all --field 2 --dim 4 --format json", 1, "c935265da6284daaa13e3219454d6ac1fc920e7e857994e66eb2aa2eff21c148"),
     ("verify-all --field 2 --dim 5 --format json", 1, "deecc0876d6083bf709665ab85dd3bc89e321fe7eda02c7e567cc8f5006ee683"),
+    ("crossconn --field 3 --dim 2 --eps [[0,1],[1,0]] --format json", 0, "d6478e8a573974ea0f12eb21854283a85c17fe183c722c08ca80dce7f4b6491c"),
+    ("crossconn --field 3 --dim 2 --all-eps", 0, "78b925264040880c6233ca61711df8d27e9c9d6171a183fe76812b59bc5ba3ab"),
+    ("crossconn --field 2 --dim 3 --format json", 0, "6351011c2cf11b8212ecb1572a92e8c19e985a2e7d9ffebfc9272ffa47645a9a"),
 ]
 
 
