@@ -5,7 +5,6 @@ semigroups and the amalgams attached to bundle fibers."""
 from .gf import (
     Endo,
     GuardExceeded,
-    LinearMap,
     Subspace,
     endo,
     enumerate_automorphisms,
@@ -16,7 +15,6 @@ from .gf import (
     subspace_lattice,
     subspace_span,
     transpose,
-    zero_subspace,
 )
 from .semigroups import (
     Amalgam,
@@ -24,7 +22,6 @@ from .semigroups import (
     GreenStructure,
     NotAssociative,
     SemigroupMorphism,
-    amalgam_to_json,
     from_table,
     green_relations,
     idempotents,
@@ -35,10 +32,8 @@ from .semigroups import (
     verify_morphism,
 )
 from .subspace_category import (
-    NormalFactorization,
     SubspaceCategory,
     build_category,
-    normal_factorization,
 )
 from .annihilators import (
     AnnihilatorCategory,
@@ -46,13 +41,6 @@ from .annihilators import (
     build_annihilator_category,
     build_ta_semigroup,
     iso_to_dual_subspace_category,
-)
-from .crossconn import (
-    CrossConnection,
-    CrossConnSemigroup,
-    LinkedPair,
-    build_cross_conn_semigroup,
-    cross_connection,
 )
 from .bundles import (
     BundleAmalgam,

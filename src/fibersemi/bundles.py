@@ -1,10 +1,13 @@
 """Semigroup amalgams built from the fibers of a vector bundle.
 
 Fibers are modeled purely as finite-dimensional spaces over GF(p).  Each
-fiber contributes the linked-pair semigroup of its dimension; a core of
-dimension at most the smallest fiber embeds into every branch through the
-leading-coordinate block embedding, and tagging keeps all element sets
-disjoint.
+fiber contributes the linked-pair semigroup of its dimension and
+automorphism; a core of dimension at most the smallest fiber embeds into
+every branch through the leading-coordinate block embedding.  Every one of
+these semigroups lies on the Sing table of its dimension, so the amalgam is
+held as index arrays: a conjugation permutation per part and an index array
+per embedding.  Labels, tagged apart by owner, exist only in the JSON
+document.
 """
 
 from __future__ import annotations
@@ -50,20 +53,14 @@ def fiber_family(p, k, dims, eps=None) -> FiberFamilySpec:
     return FiberFamilySpec(p, k, dims, eps)
 
 
-def _tag_semigroup(s: sg.FiniteSemigroup, tag) -> sg.FiniteSemigroup:
-    return sg.FiniteSemigroup(tuple((tag, x) for x in s.elements), s.table)
-
-
 class CoreSpec(Record):
     m: int
     eps_w: Endo
-    cross: xc.CrossConnSemigroup
-    semigroup: sg.FiniteSemigroup  # tagged copy
 
 
 def build_core(spec: FiberFamilySpec, m=None, eps_w=None) -> CoreSpec:
-    """Core semigroup on a spanned space of dimension m (default the smallest
-    fiber dimension), with elements tagged apart from every branch."""
+    """The core's dimension m (default the smallest fiber dimension) and
+    automorphism (default the identity), validated."""
     if m is None:
         m = min(spec.dims)
     if not (1 <= m <= min(spec.dims)):
@@ -72,21 +69,20 @@ def build_core(spec: FiberFamilySpec, m=None, eps_w=None) -> CoreSpec:
         eps_w = gf.identity_endo(spec.p, m)
     elif eps_w.n != m or not eps_w.is_invertible():
         raise ValueError("core automorphism must be invertible of the core dimension")
-    cross = xc.build_cross_conn_semigroup(eps_w)
-    return CoreSpec(m, eps_w, cross, _tag_semigroup(cross.semigroup, "core"))
+    return CoreSpec(m, eps_w)
 
 
-def build_embedding(core: CoreSpec, spec: FiberFamilySpec, i: int,
-                    branch_tagged: sg.FiniteSemigroup) -> sg.SemigroupMorphism:
-    """Map from the core into branch i via the block embedding on first
-    coordinates: an m x m matrix acts on the leading m of d coordinates and
-    kills the rest, v -> ((v.proj).alpha).include, so it is zero-padded to
-    d x d.  Core and branch list their first coordinates in Sing order, so
-    each index is read from sing_table's decode array at the padded code.
-    assemble_amalgam verifies the map once, exhaustively.  The second
-    coordinates are conjugates by construction (build_cross_conn_semigroup),
-    so the map is decided on the tables."""
-    p, d, m = spec.p, spec.dims[i], core.m
+def build_embedding(spec: FiberFamilySpec, i: int, m: int) -> np.ndarray:
+    """The map from the core into branch i via the block embedding on first
+    coordinates, as the branch index of each core element: an m x m matrix
+    acts on the leading m of d coordinates and kills the rest,
+    v -> ((v.proj).alpha).include, so it is zero-padded to d x d.  Core and
+    branch list their first coordinates in Sing order, so each index is read
+    from sing_table's decode array at the padded code.  assemble_amalgam
+    verifies the map once, exhaustively.  The second coordinates are
+    conjugates by construction (linked_pairs), so the map is decided on the
+    Sing tables."""
+    p, d = spec.p, spec.dims[i]
     if m > d:
         raise ValueError("core dimension exceeds fiber dimension")
     core_mats = gf._sing_matrices(p, m)
@@ -95,65 +91,75 @@ def build_embedding(core: CoreSpec, spec: FiberFamilySpec, i: int,
     mapping = gf.sing_table(p, d)[1][gf.base_p(padded, p)]
     if (mapping < 0).any():
         raise AssertionError(f"a block-embedded core element is invertible in fiber {i}")
-    return sg.SemigroupMorphism(core.semigroup, branch_tagged, tuple(mapping.tolist()))
+    return mapping
 
 
 class BundleAmalgam(Record):
     spec: FiberFamilySpec
     core: CoreSpec
-    branches: tuple          # CrossConnSemigroup per fiber
-    amalgam: sg.Amalgam      # tagged semigroups and embeddings
-    report: sg.AmalgamReport
+    perms: tuple       # the core's conjugation permutation, then each fiber's
+    embeddings: tuple  # per fiber, the branch index of each core element
 
-    def to_json(self):
-        doc = sg.amalgam_to_json(self.amalgam)
-        doc.update({
-            "p": self.spec.p,
-            "m": self.core.m,
-            "fiber_dims": list(self.spec.dims),
-        })
-        return doc
+    @property
+    def orders(self):
+        """The core's order, then each branch's."""
+        return [len(perm) for perm in self.perms]
 
 
 def assemble_amalgam(spec: FiberFamilySpec, m=None, eps_w=None) -> BundleAmalgam:
     """Core, branches and verified embeddings for the whole fiber family.
 
-    Fibers (and the core) with the same automorphism share one linked-pair
-    semigroup; each branch still gets its own tagged copy.
+    One linked_pairs call per dimension builds the linked-pair semigroups
+    of its distinct automorphisms, the core's dimension first and then the
+    fibers' in order, so the first guard to refuse is the one of the first
+    part that needs it.  Each embedding is decided on the Sing tables of
+    the core and of its branch (sg.morphism_witnesses).
     """
-    core = build_core(spec, m, eps_w)
-    built = {core.eps_w: core.cross}  # one linked-pair semigroup per distinct eps
-    branches = []
-    tagged = []
+    p, core = spec.p, build_core(spec, m, eps_w)
+    parts = ((core.m, core.eps_w),) + tuple(zip(spec.dims, spec.eps))
+    stacks = {}  # dimension -> {automorphism: its row in that dimension's batch}
+    for d, eps in parts:
+        rows = stacks.setdefault(d, {})
+        rows.setdefault(eps, len(rows))
+    perms = {d: xc.linked_pairs(p, d, list(rows)).perms for d, rows in stacks.items()}
     embeddings = []
-    for i, eps in enumerate(spec.eps):
-        if eps not in built:
-            built[eps] = xc.build_cross_conn_semigroup(eps)
-        branch = built[eps]
-        branch_tagged = _tag_semigroup(branch.semigroup, ("fiber", i))
-        embeddings.append(build_embedding(core, spec, i, branch_tagged))
-        branches.append(branch)
-        tagged.append(branch_tagged)
-    amalgam = sg.Amalgam(core.semigroup, tuple(tagged), tuple(embeddings))
-    report = sg.verify_amalgam(amalgam)
-    for i, rep in enumerate(report.embedding_reports):
-        if not rep.ok:
-            raise AssertionError(f"embedding into fiber {i} failed verification: {rep.witnesses}")
-    if not report.ok:
-        raise AssertionError(f"amalgam verification failed: {report.witnesses}")
-    return BundleAmalgam(spec, core, tuple(branches), amalgam, report)
+    for i, d in enumerate(spec.dims):
+        phi = build_embedding(spec, i, core.m)
+        witnesses = sg.morphism_witnesses(gf.sing_table(p, core.m)[2], gf.sing_table(p, d)[2], phi)
+        if witnesses:
+            raise AssertionError(f"embedding into fiber {i} failed verification: {witnesses}")
+        embeddings.append(phi)
+    return BundleAmalgam(spec, core, tuple(perms[d][stacks[d][eps]] for d, eps in parts), tuple(embeddings))
 
 
 def amalgam_json(b: BundleAmalgam) -> str:
-    return json.dumps(b.to_json(), sort_keys=True, separators=(",", ":")) + "\n"
+    """The amalgam --format json document, byte for byte as
+    json.dumps(sort_keys=True, separators=(",", ":")) writes {"branches",
+    "core", "embeddings", "fiber_dims", "m", "p"}.  Each part is an
+    {"elements", "table"} object on its Sing table, element k labelled
+    [tag, [x_k, x_perm[k]]] with tag "core" or ["fiber", i]; each embedding
+    is its list of [core index, branch index] pairs.  Each Sing table and
+    each matrix is encoded once."""
+    p, m, dims = b.spec.p, b.core.m, b.spec.dims
+    encoded = {d: xc.sing_json(p, d) for d in (m,) + dims}
+    tags = ['"core"'] + [f'["fiber",{i}]' for i in range(len(dims))]
+    parts = []
+    for d, tag, perm in zip((m,) + dims, tags, b.perms):
+        mats, table = encoded[d]
+        elements = ",".join([f"[{tag},[{mats[k]},{mats[j]}]]" for k, j in enumerate(perm.tolist())])
+        parts.append(f'{{"elements":[{elements}],"table":{table}}}')
+    embeddings = json.dumps([list(enumerate(phi.tolist())) for phi in b.embeddings], separators=(",", ":"))
+    return (f'{{"branches":[{",".join(parts[1:])}],"core":{parts[0]},"embeddings":{embeddings},'
+            f'"fiber_dims":[{",".join(map(str, dims))}],"m":{m},"p":{p}}}\n')
 
 
 def amalgam_dot(b: BundleAmalgam) -> str:
     """Core-to-branch embedding diagram."""
+    orders = b.orders
     lines = ["digraph amalgam {", "  rankdir=LR;"]
-    lines.append(f'  core [shape=box, label="core U (dim {b.core.m}, order {b.core.semigroup.order})"];')
-    for i, (d, branch) in enumerate(zip(b.spec.dims, b.branches)):
-        lines.append(f'  fiber{i} [shape=box, label="fiber {i} (dim {d}, order {branch.order})"];')
+    lines.append(f'  core [shape=box, label="core U (dim {b.core.m}, order {orders[0]})"];')
+    for i, (d, order) in enumerate(zip(b.spec.dims, orders[1:])):
+        lines.append(f'  fiber{i} [shape=box, label="fiber {i} (dim {d}, order {order})"];')
         lines.append(f'  core -> fiber{i} [label="phi{i}"];')
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -28,6 +28,7 @@ from .gf import Endo, Record
 
 
 class CrossConnection(Record):
+    # only caller: perfbench/tracer.py's instrument, which wraps conjugate
     eps: Endo
 
     @property
@@ -44,14 +45,6 @@ class CrossConnection(Record):
 
     def conjugate(self, alpha: Endo) -> Endo:
         return self.eps_inv * alpha * self.eps
-
-
-def cross_connection(eps: Endo) -> CrossConnection:
-    """The connection induced by an automorphism; object_actions decides that
-    its two actions are functors."""
-    if not eps.is_invertible():
-        raise ValueError("cross-connections require an invertible endomorphism")
-    return CrossConnection(eps)
 
 
 # ---------------------------------------------------------------------------
@@ -245,14 +238,20 @@ def linked_pairs(p, n, eps) -> Conjugations:
     return conj
 
 
+def sing_json(p, n):
+    """(matrices, table): the JSON text of each Sing(GF(p)^n) element's
+    matrix, in Sing order, and of Sing's table, as json.dumps writes them
+    with separators (",", ":").  The document writers encode each once."""
+    mats = [json.dumps(m, separators=(",", ":")) for m in gf._sing_matrices(p, n).tolist()]
+    return mats, json.dumps(gf.sing_table(p, n)[2].tolist(), separators=(",", ":"))
+
+
 def linked_pairs_json(conj: Conjugations) -> str:
     """The crossconn --format json document of a batch, byte for byte as
     json.dumps(sort_keys=True, separators=(",", ":")) writes the list of
-    {"elements": [{"first", "second"}...], "eps", "table"} objects.  Sing's
-    table and each element matrix are encoded once."""
+    {"elements": [{"first", "second"}...], "eps", "table"} objects."""
     p, n = conj.p, conj.n
-    mats = [json.dumps(m, separators=(",", ":")) for m in gf._sing_matrices(p, n).tolist()]
-    table = json.dumps(gf.sing_table(p, n)[2].tolist(), separators=(",", ":"))
+    mats, table = sing_json(p, n)
     firsts = [f'{{"first":{m},"second":' for m in mats]
     docs = []
     for rows, perm in zip(conj.eps.tolist(), conj.perms.tolist()):
@@ -260,36 +259,3 @@ def linked_pairs_json(conj: Conjugations) -> str:
         eps = json.dumps(rows, separators=(",", ":"))
         docs.append(f'{{"elements":[{elements}],"eps":{{"n":{n},"p":{p},"rows":{eps}}},"table":{table}}}')
     return f"[{','.join(docs)}]\n"
-
-
-class LinkedPair(Record):
-    first: Endo
-    second: Endo
-
-
-class CrossConnSemigroup(Record):
-    eps: Endo
-    pairs: tuple
-    semigroup: sg.FiniteSemigroup
-
-    @property
-    def order(self):
-        return self.semigroup.order
-
-
-def build_cross_conn_semigroup(eps: Endo) -> CrossConnSemigroup:
-    """Linked pairs (alpha, eps^-1.alpha.eps) over all singular alpha, as a
-    batch of one (linked_pairs).
-
-    The product is componentwise; on second coordinates that is the opposite
-    of the dual-side cone composition, and the convention-independent check
-    is that the product's second coordinate is the conjugate of the product
-    of the first coordinates, verified on every pair.  The pairs are in Sing
-    order and share the verified Sing table, since the first projection is
-    an isomorphism by construction.
-    """
-    perm = linked_pairs(eps.p, eps.n, [eps]).perms[0]
-    sing = sg.sing_semigroup(eps.p, eps.n)
-    pairs = tuple(LinkedPair(x, sing.elements[k]) for x, k in zip(sing.elements, perm.tolist()))
-    labels = tuple((pr.first.rows, pr.second.rows) for pr in pairs)
-    return CrossConnSemigroup(eps, pairs, sg.FiniteSemigroup(labels, sing.table))

@@ -111,15 +111,8 @@ def mat_mul(a, b, p):
 def mat_transpose(a):
     return tuple(zip(*a))
 
-def vec_mat(v, a, p):
-    """Row vector times matrix over GF(p)."""
-    return tuple(sum(x * y for x, y in zip(v, col)) % p for col in zip(*a))
-
 def identity_matrix(n):
     return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
-
-def zero_matrix(m, n):
-    return tuple((0,) * n for _ in range(m))
 
 
 def rref(rows, width, p):
@@ -223,9 +216,6 @@ class Subspace(Record):
         out of the fields so equality, hashing and JSON ignore it."""
         return tuple(next(j for j, x in enumerate(row) if x) for row in self.basis)
 
-    def contains(self, v) -> bool:
-        return self.coords(v) is not None
-
     def coords(self, v):
         """Coefficients of v over the canonical basis, or None.
 
@@ -243,9 +233,6 @@ class Subspace(Record):
             for j, x in enumerate(row):
                 w[j] = (w[j] + coeff * x) % self.p
         return tuple(w)
-
-    def contains_subspace(self, other: "Subspace") -> bool:
-        return all(self.contains(v) for v in other.basis)
 
     def sort_key(self):
         return (self.dim, self.basis)
@@ -266,10 +253,6 @@ def subspace_span(vectors, ambient_dim, p) -> Subspace:
             raise ValueError(f"vector {v} has length {len(v)}, expected {ambient_dim}")
     basis, _ = rref(vectors, ambient_dim, p)
     return Subspace(p, ambient_dim, basis)
-
-
-def zero_subspace(p, n) -> Subspace:
-    return Subspace(p, n, ())
 
 
 def subspace_count(p, n):
@@ -326,9 +309,6 @@ class Endo(Record):
 
     def __str__(self):
         return "/".join("".join(str(x) for x in row) for row in self.rows)
-
-    def apply(self, v):
-        return vec_mat(v, self.rows, self.p)
 
     def compose(self, other: "Endo") -> "Endo":
         """self then other; the matrix product rows(self) . rows(other)."""
@@ -550,54 +530,3 @@ def subspace_lattice(p, n) -> SubspaceLattice:
     for k in SubspaceLattice._fields[2:]:
         getattr(lattice, k).flags.writeable = False  # shared by every caller
     return lattice
-
-
-# ---------------------------------------------------------------------------
-# linear maps between subspaces
-
-class LinearMap(Record):
-    """A linear map dom -> cod, stored over the canonical bases."""
-    dom: Subspace
-    cod: Subspace
-    matrix: tuple  # dim(dom) x dim(cod)
-
-    @property
-    def p(self):
-        return self.dom.p
-
-    def apply(self, v):
-        c = self.dom.coords(v)
-        if c is None:
-            raise ValueError(f"vector {v} not in domain")
-        return self.cod.from_coords(vec_mat(c, self.matrix, self.p) if self.matrix else ())
-
-    def compose(self, other: "LinearMap") -> "LinearMap":
-        """self then other (domains must chain)."""
-        if self.cod != other.dom:
-            raise ValueError("maps do not compose: codomain != next domain")
-        if self.cod.dim == 0:
-            m = zero_matrix(self.dom.dim, other.cod.dim)
-        else:
-            m = mat_mul(self.matrix, other.matrix, self.p)
-        return LinearMap(self.dom, other.cod, m)
-
-    @property
-    def rank(self):
-        return mat_rank(self.matrix, self.cod.dim, self.p)
-
-    def is_iso(self) -> bool:
-        return self.dom.dim == self.cod.dim and self.rank == self.dom.dim
-
-    def is_epi(self) -> bool:
-        return self.rank == self.cod.dim
-
-
-def linear_map(dom: Subspace, cod: Subspace, images) -> LinearMap:
-    """Map sending the canonical basis of dom to the given ambient vectors."""
-    rows = []
-    for img in images:
-        c = cod.coords(img)
-        if c is None:
-            raise ValueError(f"image vector {img} not contained in codomain")
-        rows.append(c)
-    return LinearMap(dom, cod, tuple(rows))

@@ -282,25 +282,34 @@ class MorphismReport(Record):
         return self.is_hom and self.is_injective
 
 
+def morphism_witnesses(source, target, img):
+    """{"hom": (i, j)} for the first pair in row-major order with
+    img[ij] != img[i]img[j], and {"injective": (i, k)} for the first index k
+    whose image an earlier index i already has; empty for an injective
+    homomorphism.  source and target are tables, img an index array into
+    target."""
+    witnesses = {}
+    bad = img[source] != target[np.ix_(img, img)]   # [i, j]: img(ij) vs img(i)img(j)
+    if bad.any():
+        witnesses["hom"] = divmod(int(np.argmax(bad)), len(source))
+    values, first = np.unique(img, return_index=True)
+    if len(values) < len(img):
+        repeat = np.ones(len(img), dtype=bool)
+        repeat[first] = False
+        k = int(repeat.argmax())
+        witnesses["injective"] = (int(first[np.searchsorted(values, img[k])]), k)
+    return witnesses
+
+
 def verify_morphism(f: SemigroupMorphism) -> MorphismReport:
-    """Exhaustive homomorphism and injectivity check with witnesses; the hom
-    witness is the first failing pair in row-major order."""
+    """Exhaustive homomorphism and injectivity check (morphism_witnesses),
+    with the witnesses as labels."""
     s, t, m = f.source, f.target, f.mapping
     if len(m) != s.order or any(not (0 <= x < t.order) for x in m):
         raise ValueError("mapping is not a total function into the target")
-    witnesses = {}
-    img = np.array(m, dtype=np.intp)
-    bad = img[s.table] != t.table[np.ix_(img, img)]   # [i, j]: m(ij) vs m(i)m(j)
-    is_hom = not bad.any()
-    if not is_hom:
-        i, j = divmod(int(np.argmax(bad)), s.order)
-        witnesses["hom"] = (s.elements[i], s.elements[j])
-    is_injective = len(set(m)) == s.order
-    if not is_injective:
-        first = {}
-        i = next(i for i, x in enumerate(m) if first.setdefault(x, i) != i)
-        witnesses["injective"] = (s.elements[first[m[i]]], s.elements[i])
-    return MorphismReport(is_hom, is_injective, witnesses)
+    found = morphism_witnesses(s.table, t.table, np.array(m, dtype=np.intp))
+    witnesses = {k: (s.elements[i], s.elements[j]) for k, (i, j) in found.items()}
+    return MorphismReport("hom" not in found, "injective" not in found, witnesses)
 
 
 class Amalgam(Record):
@@ -339,16 +348,6 @@ def verify_amalgam(a: Amalgam) -> AmalgamReport:
             raise ValueError(f"embedding {i} does not land in branch {i}")
         reports.append(verify_morphism(phi))
     return AmalgamReport(disjoint, tuple(reports), witnesses)
-
-
-def amalgam_to_json(a: Amalgam):
-    return {
-        "core": a.core.to_json(),
-        "branches": [b.to_json() for b in a.branches],
-        "embeddings": [
-            [[i, j] for i, j in enumerate(phi.mapping)] for phi in a.embeddings
-        ],
-    }
 
 
 def null_semigroup_fixture() -> Amalgam:

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import gf
 from . import semigroups as sg
-from .gf import LinearMap, Record, Subspace
+from .gf import Subspace
 
 
 class SubspaceCategory:
@@ -88,13 +88,6 @@ def retraction_law(cat: SubspaceCategory):
     return (coords @ lattice.bases[b] % p == lattice.bases[a]).all(axis=(1, 2)) & (rank == lattice.dims[b])
 
 
-class NormalFactorization(Record):
-    q: LinearMap    # retraction dom -> c', c' the complement of ker f in dom
-    u: LinearMap    # isomorphism c' -> image
-    j: LinearMap    # inclusion image -> cod
-    epi: LinearMap  # q then u, the epimorphic component
-
-
 def _span_in(obj: Subspace, coords) -> Subspace:
     """The subspace of obj spanned by X.B, X = coords in RREF, B obj's basis.
     X.B is in RREF (row i leads where B's row at X's pivot i does, and its
@@ -135,26 +128,12 @@ def shape_factors(p, da, db) -> SimpleNamespace:
     return factors
 
 
-def normal_factorization(f: LinearMap) -> NormalFactorization:
-    """Split f as retraction, isomorphism, inclusion (f = q.u.j), read from
-    shape_factors at f's matrix.  The retraction projects onto the
-    deterministic complement of ker f in the domain along ker f itself, so
-    q.u agrees with f everywhere, not only on the complement."""
-    a, b, p = f.dom, f.cod, f.p
-    fac = shape_factors(p, a.dim, b.dim)
-    i = gf.base_p(np.array(f.matrix, dtype=np.int64).reshape(1, -1) % p, p)[0]
-    r = fac.rank[i]
-    cprime, img = _span_in(a, fac.complement[i, :r].tolist()), _span_in(b, fac.image[i, :r].tolist())
-    q, u, j, epi = (_matrix(m.tolist())
-                    for m in (fac.q[i, :, :r], fac.u[i, :r, :r], fac.image[i, :r], fac.epi[i, :, :r]))
-    return NormalFactorization(LinearMap(a, cprime, q), LinearMap(cprime, img, u),
-                               LinearMap(img, b, j), LinearMap(a, img, epi))
-
-
 def factorization_witness(cat: SubspaceCategory):
-    """None if normal_factorization splits every morphism of cat, else a
-    witness.  It reads f: a -> b's arrays at f's matrix M alone, so one
-    pass per shape decides q.u.image = M and rank u = rank M for all.
+    """None if shape_factors' normal factorization (f = q.u.j: retraction
+    onto the complement of ker f along ker f, isomorphism, inclusion of the
+    image) splits every morphism of cat, else a witness.  It reads
+    f: a -> b's arrays at f's matrix M alone, so one pass per shape decides
+    q.u.image = M and rank u = rank M for all.
 
     The objects enter through their bases only, and x -> x.B_a is an
     isomorphism GF(p)^d -> a that keeps RREF (X.B_a is in RREF iff X is,
@@ -362,7 +341,7 @@ def coded_normal_cones(cat: SubspaceCategory):
     reads g2 only through that component, which depends only on its
     values in GF(p)^n, so all columns whose components there agree as maps
     share the product.  Each such component's epimorphic part and image are
-    read from shape_factors once, as in normal_factorization, every row with
+    read from shape_factors once, every row with
     that vertex is pushed along it in one product, and the products are
     looked up by code; each must be an enumerated cone.
 

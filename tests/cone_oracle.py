@@ -11,17 +11,19 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
+import factorization_oracle as fo
 from factorization_oracle import all_linear_maps
 import gf_helpers as gh
 from fibersemi import gf
 from fibersemi import subspace_category as sc
-from fibersemi.gf import Endo, LinearMap, Record, Subspace
+from fibersemi.gf import Endo, Record, Subspace
+from gf_helpers import LinearMap
 from fibersemi.subspace_category import SubspaceCategory, _ConeCode
 
 
 def restriction(alpha: Endo, dom: Subspace, cod: Subspace) -> LinearMap:
     """alpha restricted to dom, landing in cod."""
-    return gf.linear_map(dom, cod, [alpha.apply(v) for v in dom.basis])
+    return gh.linear_map(dom, cod, [gh.apply(alpha, v) for v in dom.basis])
 
 
 class Cone(Record):
@@ -68,7 +70,7 @@ def cone_compose(cat: SubspaceCategory, g1: Cone, g2: Cone) -> Cone:
     if not (is_normal_cone(g1) and is_normal_cone(g2)):
         raise ValueError("cone composition requires normal cones")
     through = g2.components[cat.index(g1.vertex)]
-    epi = sc.normal_factorization(through).epi
+    epi = fo.from_shape_factors(through).epi
     return cone_star(cat, g1, epi)
 
 
@@ -138,7 +140,7 @@ def cone_to_endo(cat: SubspaceCategory, cone: Cone):
         candidate = Endo(p, n, tuple(rows))
     for obj, comp in zip(cat.objects, cone.components):
         for v in obj.basis:
-            if comp.apply(v) != candidate.apply(v):
+            if comp.apply(v) != gh.apply(candidate, v):
                 return None
     return candidate
 

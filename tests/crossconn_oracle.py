@@ -4,7 +4,10 @@ index arrays and the generator reduction, the LinearMap restrictions of
 eps and eps^-1 that the functor actions are built from, and the
 per-automorphism forms of the batched inverses, conjugation permutations
 and conjugation law.  They are kept here so the tests can compare the two
-verdict for verdict."""
+verdict for verdict.  The Endo-level connection (cross_connection) and the
+label-level linked-pair semigroup (LinkedPair records, labels of first and
+second coordinates) are kept here too: the program holds a linked-pair
+semigroup as a conjugation permutation over Sing's table."""
 
 from dataclasses import dataclass
 
@@ -12,11 +15,13 @@ import numpy as np
 
 from factorization_oracle import all_linear_maps
 import gf_helpers as gh
+from fibersemi import crossconn as xc
 from fibersemi import gf
 from fibersemi import semigroups as sg
 from fibersemi import subspace_category as sc
 from fibersemi.crossconn import CrossConnection
-from fibersemi.gf import Endo, LinearMap, Subspace
+from fibersemi.gf import Endo, Record, Subspace
+from gf_helpers import LinearMap
 
 #: membership readings for the bifunctor sets: the second condition either
 #: constrains the annihilator of the kernel ("kernel", the reading under
@@ -24,6 +29,13 @@ from fibersemi.gf import Endo, LinearMap, Subspace
 #: argument ("image", the literal transcription, kept for comparison).
 MEMBERSHIP_MODES = ("kernel", "image")
 DEFAULT_MODE = "kernel"
+
+
+def cross_connection(eps: Endo) -> CrossConnection:
+    """The connection induced by an automorphism."""
+    if not eps.is_invertible():
+        raise ValueError("cross-connections require an invertible endomorphism")
+    return CrossConnection(eps)
 
 
 def eps_t(cc: CrossConnection) -> Endo:
@@ -38,10 +50,10 @@ def restrictions(cc: CrossConnection, x: Subspace, fwd_map: Endo, back_map: Endo
     """(back_x, fwd_x) at object x: fwd_x is fwd_map restricted to
     x -> F(x), F(x) being its image, and back_x is back_map restricted to
     F(x) -> x.  Both actions on morphisms are back . f . fwd."""
-    images = [fwd_map.apply(v) for v in x.basis]
+    images = [gh.apply(fwd_map, v) for v in x.basis]
     fx = gf.subspace_span(images, cc.n, cc.p)
-    back = gf.linear_map(fx, x, [back_map.apply(v) for v in fx.basis])
-    return back, gf.linear_map(x, fx, images)
+    back = gh.linear_map(fx, x, [gh.apply(back_map, v) for v in fx.basis])
+    return back, gh.linear_map(x, fx, images)
 
 
 def dual_restrictions(cc: CrossConnection, y: Subspace):
@@ -55,7 +67,7 @@ def primal_restrictions(cc: CrossConnection, a: Subspace):
 
 
 def dual_object_image(cc: CrossConnection, y: Subspace) -> Subspace:
-    return gf.subspace_span([eps_t(cc).apply(f) for f in y.basis], cc.n, cc.p)
+    return gf.subspace_span([gh.apply(eps_t(cc), f) for f in y.basis], cc.n, cc.p)
 
 
 def dual_morphism_image(cc: CrossConnection, m: LinearMap) -> LinearMap:
@@ -64,7 +76,7 @@ def dual_morphism_image(cc: CrossConnection, m: LinearMap) -> LinearMap:
 
 
 def primal_object_image(cc: CrossConnection, a: Subspace) -> Subspace:
-    return gf.subspace_span([cc.eps.apply(v) for v in a.basis], cc.n, cc.p)
+    return gf.subspace_span([gh.apply(cc.eps, v) for v in a.basis], cc.n, cc.p)
 
 
 def primal_morphism_image(cc: CrossConnection, f: LinearMap) -> LinearMap:
@@ -141,8 +153,8 @@ def verify_cross_connection(cc: CrossConnection) -> CoveringReport:
     inclusion_ok = True
     for y in cat.objects:
         for z in cat.objects:
-            if z.contains_subspace(y):
-                if not dual_object_image(cc, z).contains_subspace(dual_object_image(cc, y)):
+            if gh.contains_subspace(z, y):
+                if not gh.contains_subspace(dual_object_image(cc, z), dual_object_image(cc, y)):
                     inclusion_ok = False
     hom_injective = True
     for y in cat.objects:
@@ -157,34 +169,34 @@ def verify_cross_connection(cc: CrossConnection) -> CoveringReport:
 # bifunctor sets and the linking bijection
 
 def _first_member(cc, alpha: Endo, a: Subspace, y: Subspace, mode) -> bool:
-    if not a.contains_subspace(alpha.image()):
+    if not gh.contains_subspace(a, alpha.image()):
         return False
     target = dual_object_image(cc, y)
     if mode == "kernel":
         constrained = gh.annihilator(alpha.kernel())
     elif mode == "image":
-        image_of_a = gf.subspace_span([alpha.apply(v) for v in a.basis], cc.n, cc.p)
+        image_of_a = gf.subspace_span([gh.apply(alpha, v) for v in a.basis], cc.n, cc.p)
         constrained = gh.annihilator(image_of_a)
     else:
         raise ValueError(f"unknown membership mode {mode!r}")
-    return target.contains_subspace(constrained)
+    return gh.contains_subspace(target, constrained)
 
 
 def _second_member(cc, beta: Endo, a: Subspace, y: Subspace, mode) -> bool:
     """Mirror conditions on the dual side, written in terms of the transpose
     action and pulled back to primal matrices."""
     bt = gf.transpose(beta)
-    if not y.contains_subspace(bt.image()):
+    if not gh.contains_subspace(y, bt.image()):
         return False
     target = primal_object_image(cc, a)
     if mode == "kernel":
         constrained = gh.annihilator(bt.kernel())
     elif mode == "image":
-        image_of_y = gf.subspace_span([bt.apply(f) for f in y.basis], cc.n, cc.p)
+        image_of_y = gf.subspace_span([gh.apply(bt, f) for f in y.basis], cc.n, cc.p)
         constrained = gh.annihilator(image_of_y)
     else:
         raise ValueError(f"unknown membership mode {mode!r}")
-    return target.contains_subspace(constrained)
+    return gh.contains_subspace(target, constrained)
 
 
 def bifunctor_sets(cc: CrossConnection, a: Subspace, y: Subspace, mode=DEFAULT_MODE):
@@ -281,3 +293,33 @@ def conjugation_law_error(table, perm):
         a, k = divmod(int(np.argmax(bad)), len(gens))
         return AssertionError(f"linked-pair product broke the conjugation law at pair {(a, int(gens[k]))}")
     return None
+
+
+# ---------------------------------------------------------------------------
+# the linked-pair semigroup as labelled records
+
+class LinkedPair(Record):
+    first: Endo
+    second: Endo
+
+
+class CrossConnSemigroup(Record):
+    eps: Endo
+    pairs: tuple
+    semigroup: sg.FiniteSemigroup
+
+    @property
+    def order(self):
+        return self.semigroup.order
+
+
+def build_cross_conn_semigroup(eps: Endo) -> CrossConnSemigroup:
+    """Linked pairs (alpha, eps^-1.alpha.eps) over all singular alpha, as a
+    batch of one (linked_pairs), labelled by the rows of both coordinates.
+    The pairs are in Sing order and share the verified Sing table, since the
+    first projection is an isomorphism by construction."""
+    perm = xc.linked_pairs(eps.p, eps.n, [eps]).perms[0]
+    sing = sg.sing_semigroup(eps.p, eps.n)
+    pairs = tuple(LinkedPair(x, sing.elements[k]) for x, k in zip(sing.elements, perm.tolist()))
+    labels = tuple((pr.first.rows, pr.second.rows) for pr in pairs)
+    return CrossConnSemigroup(eps, pairs, sg.FiniteSemigroup(labels, sing.table))

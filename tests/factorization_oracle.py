@@ -1,7 +1,8 @@
 """Test oracle for normal factorization: the LinearMap-level body that
-subspace_category.normal_factorization computed each morphism with before
-it read the per-shape arrays, with the kernel, image and hom-set
-enumerations it used, kept here so the tests can compare the two morphism
+normal factorization computed each morphism with before it read the
+per-shape arrays, with the kernel, image and hom-set enumerations it used,
+and the same factorization read from subspace_category.shape_factors
+(from_shape_factors), kept here so the tests can compare the two morphism
 for morphism; and the retraction of every inclusion as a LinearMap, with
 the per-pair loop that subspace_category.retraction_law is compared
 against."""
@@ -10,10 +11,21 @@ from __future__ import annotations
 
 import itertools
 
+import numpy as np
+
 import gf_helpers as gh
 from fibersemi import gf
-from fibersemi.gf import LinearMap, Subspace
-from fibersemi.subspace_category import NormalFactorization, SubspaceCategory
+from fibersemi import subspace_category as sc
+from fibersemi.gf import Record, Subspace
+from fibersemi.subspace_category import SubspaceCategory
+from gf_helpers import LinearMap
+
+
+class NormalFactorization(Record):
+    q: LinearMap    # retraction dom -> c', c' the complement of ker f in dom
+    u: LinearMap    # isomorphism c' -> image
+    j: LinearMap    # inclusion image -> cod
+    epi: LinearMap  # q then u, the epimorphic component
 
 
 def projection_along(b: Subspace, a: Subspace, kernel: Subspace) -> LinearMap:
@@ -25,7 +37,7 @@ def projection_along(b: Subspace, a: Subspace, kernel: Subspace) -> LinearMap:
         if t is None:
             raise ValueError("projection requires b = a + kernel")
         images.append(a.from_coords(t[: a.dim]))
-    return gf.linear_map(b, a, images)
+    return gh.linear_map(b, a, images)
 
 
 def retraction(b: Subspace, a: Subspace, complement=gh.complement_in) -> LinearMap:
@@ -84,7 +96,7 @@ def normal_factorization(f: LinearMap) -> NormalFactorization:
     cprime = gh.complement_in(ker, f.dom)
     img = image_subspace(f)
     q = projection_along(f.dom, cprime, ker)
-    u = gf.linear_map(cprime, img, [f.apply(v) for v in cprime.basis])
+    u = gh.linear_map(cprime, img, [f.apply(v) for v in cprime.basis])
     j = gh.inclusion_map(img, f.cod)
     return NormalFactorization(q, u, j, q.compose(u))
 
@@ -92,3 +104,19 @@ def normal_factorization(f: LinearMap) -> NormalFactorization:
 def recomposed(nf: NormalFactorization) -> LinearMap:
     """q then u then j, which must give back the factored morphism."""
     return nf.q.compose(nf.u).compose(nf.j)
+
+
+def from_shape_factors(f: LinearMap) -> NormalFactorization:
+    """Split f as retraction, isomorphism, inclusion (f = q.u.j), read from
+    sc.shape_factors at f's matrix.  The retraction projects onto the
+    deterministic complement of ker f in the domain along ker f itself, so
+    q.u agrees with f everywhere, not only on the complement."""
+    a, b, p = f.dom, f.cod, f.p
+    fac = sc.shape_factors(p, a.dim, b.dim)
+    i = gf.base_p(np.array(f.matrix, dtype=np.int64).reshape(1, -1) % p, p)[0]
+    r = fac.rank[i]
+    cprime, img = sc._span_in(a, fac.complement[i, :r].tolist()), sc._span_in(b, fac.image[i, :r].tolist())
+    q, u, j, epi = (sc._matrix(m.tolist())
+                    for m in (fac.q[i, :, :r], fac.u[i, :r, :r], fac.image[i, :r], fac.epi[i, :, :r]))
+    return NormalFactorization(LinearMap(a, cprime, q), LinearMap(cprime, img, u),
+                               LinearMap(img, b, j), LinearMap(a, img, epi))

@@ -1,15 +1,88 @@
 """GF(p) constructions the tests use and the program does not: the full
-space, the zero map, sums and intersections of subspaces, the inclusion and
-identity maps, and the Gaussian binomial that counts subspaces of each
-dimension; and the one-subspace-at-a-
-time forms of what gf.subspace_lattice reads from arrays (annihilators,
-direct sums, complements and coordinates over a spanning set), which the
-lattice is compared against."""
+and zero spaces, the zero matrix and map, an Endo's action on a row
+vector, sums and intersections of subspaces,
+containment of subspaces, linear maps between subspaces (LinearMap, with
+the inclusion and identity maps), and the Gaussian binomial that counts
+subspaces of each dimension; and the one-subspace-at-a-time forms of what
+gf.subspace_lattice reads from arrays (annihilators, direct sums,
+complements and coordinates over a spanning set), which the lattice is
+compared against."""
 
 from __future__ import annotations
 
 from fibersemi import gf
-from fibersemi.gf import Endo, Subspace
+from fibersemi.gf import Endo, Record, Subspace
+
+
+def zero_matrix(m, n):
+    return tuple((0,) * n for _ in range(m))
+
+
+def vec_mat(v, a, p):
+    """Row vector times matrix over GF(p)."""
+    return tuple(sum(x * y for x, y in zip(v, col)) % p for col in zip(*a))
+
+
+def apply(alpha: Endo, v):
+    """The row vector v.alpha."""
+    return vec_mat(v, alpha.rows, alpha.p)
+
+
+def zero_subspace(p, n) -> Subspace:
+    return Subspace(p, n, ())
+
+
+def contains_subspace(a: Subspace, b: Subspace) -> bool:
+    """Whether b is a subspace of a."""
+    return all(a.coords(v) is not None for v in b.basis)
+
+
+class LinearMap(Record):
+    """A linear map dom -> cod, stored over the canonical bases."""
+    dom: Subspace
+    cod: Subspace
+    matrix: tuple  # dim(dom) x dim(cod)
+
+    @property
+    def p(self):
+        return self.dom.p
+
+    def apply(self, v):
+        c = self.dom.coords(v)
+        if c is None:
+            raise ValueError(f"vector {v} not in domain")
+        return self.cod.from_coords(vec_mat(c, self.matrix, self.p) if self.matrix else ())
+
+    def compose(self, other: "LinearMap") -> "LinearMap":
+        """self then other (domains must chain)."""
+        if self.cod != other.dom:
+            raise ValueError("maps do not compose: codomain != next domain")
+        if self.cod.dim == 0:
+            m = zero_matrix(self.dom.dim, other.cod.dim)
+        else:
+            m = gf.mat_mul(self.matrix, other.matrix, self.p)
+        return LinearMap(self.dom, other.cod, m)
+
+    @property
+    def rank(self):
+        return gf.mat_rank(self.matrix, self.cod.dim, self.p)
+
+    def is_iso(self) -> bool:
+        return self.dom.dim == self.cod.dim and self.rank == self.dom.dim
+
+    def is_epi(self) -> bool:
+        return self.rank == self.cod.dim
+
+
+def linear_map(dom: Subspace, cod: Subspace, images) -> LinearMap:
+    """Map sending the canonical basis of dom to the given ambient vectors."""
+    rows = []
+    for img in images:
+        c = cod.coords(img)
+        if c is None:
+            raise ValueError(f"image vector {img} not contained in codomain")
+        rows.append(c)
+    return LinearMap(dom, cod, tuple(rows))
 
 
 def full_space(p, n) -> Subspace:
@@ -17,7 +90,7 @@ def full_space(p, n) -> Subspace:
 
 
 def zero_endo(p, n) -> Endo:
-    return Endo(p, n, gf.zero_matrix(n, n))
+    return Endo(p, n, zero_matrix(n, n))
 
 
 def subspace_sum(a: Subspace, b: Subspace) -> Subspace:
@@ -28,7 +101,7 @@ def subspace_intersection(a: Subspace, b: Subspace) -> Subspace:
     """Exact intersection via the left kernel of the stacked bases."""
     stacked = a.basis + b.basis
     if not stacked:
-        return gf.zero_subspace(a.p, a.n)
+        return zero_subspace(a.p, a.n)
     kern = gf.solve_homogeneous(gf.mat_transpose(stacked), len(stacked), a.p)
     return gf.subspace_span([a.from_coords(k[: a.dim]) for k in kern], a.n, a.p)
 
@@ -90,11 +163,11 @@ def is_direct_sum(a: Subspace, b: Subspace) -> bool:
     return gf.mat_rank(a.basis + b.basis, a.n, a.p) == a.n
 
 
-def inclusion_map(a: Subspace, b: Subspace) -> gf.LinearMap:
-    if not b.contains_subspace(a):
+def inclusion_map(a: Subspace, b: Subspace) -> LinearMap:
+    if not contains_subspace(b, a):
         raise ValueError("inclusion requires containment")
-    return gf.linear_map(a, b, list(a.basis))
+    return linear_map(a, b, list(a.basis))
 
 
-def identity_map(a: Subspace) -> gf.LinearMap:
-    return gf.LinearMap(a, a, gf.identity_matrix(a.dim))
+def identity_map(a: Subspace) -> LinearMap:
+    return LinearMap(a, a, gf.identity_matrix(a.dim))

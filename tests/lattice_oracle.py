@@ -10,7 +10,7 @@ import gf_helpers as gh
 
 def containment(subspaces):
     """contains[u][v]: v is a subspace of u, one contains_subspace per pair."""
-    return [[u.contains_subspace(v) for v in subspaces] for u in subspaces]
+    return [[gh.contains_subspace(u, v) for v in subspaces] for u in subspaces]
 
 
 def direct_sums(subspaces):
@@ -26,4 +26,4 @@ def annihilators(subspaces):
 def inclusion_pairs(objects):
     """(i, j) with objects[i] inside objects[j], by i then j."""
     return tuple((i, j) for i, a in enumerate(objects) for j, b in enumerate(objects)
-                 if b.contains_subspace(a))
+                 if gh.contains_subspace(b, a))

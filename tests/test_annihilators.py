@@ -38,7 +38,7 @@ def test_tag_lookup_example(acat22):
     assert t.primal == line
 
 def test_full_space_maps_to_zero_object(acat22):
-    t = acat22.tags[acat22.dual_category.index(gf.zero_subspace(2, 2))]
+    t = acat22.tags[acat22.dual_category.index(gh.zero_subspace(2, 2))]
     assert t.primal == gh.full_space(2, 2)
 
 

@@ -1,32 +1,37 @@
 """Fiber families, core construction, block embeddings and assembled
-bundle amalgams."""
+bundle amalgams.  The array path is compared with the label-level oracle
+(bundle_oracle) embedding for embedding, verdict for verdict and byte for
+byte."""
 
+import json
+
+import numpy as np
 import pytest
 
+import bundle_oracle
+from bundle_oracle import block_embed
+from crossconn_oracle import conjugation_perm
 from fibersemi import bundles as bn
 from fibersemi import crossconn as xc
 from fibersemi import gf
 from fibersemi import semigroups as sg
-from fibersemi.gf import Endo
 
 
-def block_embed(alpha: Endo, d: int) -> Endo:
-    """Extend an m x m matrix to d x d by acting on the leading m coordinates
-    and killing the rest: v -> ((v.proj).alpha).include.  The Endo-level
-    oracle of build_embedding's zero-padding."""
-    m = alpha.n
-    rows = []
-    for i in range(d):
-        if i < m:
-            rows.append(tuple(alpha.rows[i]) + (0,) * (d - m))
-        else:
-            rows.append((0,) * d)
-    return Endo(alpha.p, d, tuple(rows))
+SWAP = gf.endo([[0, 1], [1, 0]], 2)
+SHEAR = gf.endo([[1, 1], [0, 1]], 2)
+CYCLE = gf.endo([[0, 1, 0], [0, 0, 1], [1, 0, 0]], 2)
 
 
 @pytest.fixture(scope="module")
 def reference_amalgam():
     return bn.assemble_amalgam(bn.fiber_family(2, 3, (2, 2, 3)))
+
+
+def labels(doc):
+    """The element labels of an amalgam_json document, core first, each as
+    its JSON text so that they can be put in sets."""
+    parts = [doc["core"]] + doc["branches"]
+    return [[json.dumps(x) for x in part["elements"]] for part in parts]
 
 
 def test_fiber_family_validation():
@@ -46,27 +51,31 @@ def test_fiber_family_validation():
 
 def test_one_dimensional_fiber_has_singleton_branch():
     am = bn.assemble_amalgam(bn.fiber_family(2, 3, (1,)))
-    assert am.amalgam.branches[0].order == 1
-    assert am.core.semigroup.order == 1
-    assert am.report.ok
+    assert am.orders == [1, 1]
+    assert [phi.tolist() for phi in am.embeddings] == [[0]]
 
 
 def test_core_orders():
     spec = bn.fiber_family(2, 3, (2, 2, 3))
     assert bn.build_core(spec).m == 2
-    assert bn.build_core(spec).semigroup.order == 10
-    assert bn.build_core(spec, m=1).semigroup.order == 1
+    assert bn.assemble_amalgam(spec).orders[0] == 10
+    assert bn.assemble_amalgam(spec, m=1).orders[0] == 1
     with pytest.raises(ValueError):
         bn.build_core(spec, m=3)
 
 def test_core_order_depends_only_on_p_and_m():
+    # the core is (m, eps_w) whatever the fibers; its linked pairs are built
+    # at (p, m) alone
     a = bn.build_core(bn.fiber_family(2, 3, (2, 3)), m=2)
     b = bn.build_core(bn.fiber_family(2, 4, (2, 2, 4)), m=2)
-    assert a.semigroup.order == b.semigroup.order == 10
+    assert a == b == bn.CoreSpec(2, gf.identity_endo(2, 2))
+    assert bn.assemble_amalgam(bn.fiber_family(2, 3, (2, 3)), m=2).orders[0] == 10
 
 def test_core_elements_are_tagged():
-    core = bn.build_core(bn.fiber_family(2, 2, (2,)))
-    assert all(lbl[0] == "core" for lbl in core.semigroup.elements)
+    am = bn.assemble_amalgam(bn.fiber_family(2, 2, (2,)))
+    doc = json.loads(bn.amalgam_json(am))
+    assert all(lbl[0] == "core" for lbl in doc["core"]["elements"])
+    assert all(lbl[0] == ["fiber", 0] for lbl in doc["branches"][0]["elements"])
 
 
 def test_block_embed_example():
@@ -92,46 +101,38 @@ def test_block_embed_round_trips_through_projection():
 
 def test_assemble_reference_family(reference_amalgam):
     am = reference_amalgam
-    assert [b.order for b in am.branches] == [10, 10, 344]
-    assert am.core.semigroup.order == 10
-    assert am.report.ok
-    for rep in am.report.embedding_reports:
-        assert rep.is_hom and rep.is_injective
-    for phi in am.amalgam.embeddings:
-        assert len(set(phi.mapping)) == am.amalgam.core.order
+    assert am.orders == [10, 10, 10, 344]
+    core_table = gf.sing_table(2, 2)[2]
+    for phi, d in zip(am.embeddings, (2, 2, 3)):
+        assert sg.morphism_witnesses(core_table, gf.sing_table(2, d)[2], phi) == {}
+        assert len(set(phi.tolist())) == am.orders[0]
 
 def test_assembled_tags_are_pairwise_disjoint(reference_amalgam):
-    am = reference_amalgam
-    seen = set(am.amalgam.core.elements)
-    for b in am.amalgam.branches:
-        labels = set(b.elements)
-        assert not (seen & labels)
-        seen |= labels
+    seen = set()
+    for part in labels(json.loads(bn.amalgam_json(reference_amalgam))):
+        assert not (seen & set(part))
+        seen |= set(part)
 
 def test_single_fiber_degenerates_to_isomorphic_core():
     am = bn.assemble_amalgam(bn.fiber_family(2, 2, (2,)))
-    assert am.core.semigroup.order == am.amalgam.branches[0].order == 10
-    rep = am.report.embedding_reports[0]
-    assert rep.is_hom and rep.is_injective
+    assert am.orders == [10, 10]
     # bijective embedding: core is isomorphic to the branch
-    assert len(set(am.amalgam.embeddings[0].mapping)) == am.amalgam.branches[0].order
+    assert sorted(am.embeddings[0].tolist()) == list(range(10))
 
 def test_nonidentity_fiber_automorphisms():
-    eps = (gf.endo([[0, 1], [1, 0]], 2), gf.endo([[1, 1], [0, 1]], 2))
+    eps = (SWAP, SHEAR)
     am = bn.assemble_amalgam(bn.fiber_family(2, 2, (2, 2), eps=eps))
-    assert am.report.ok
-    for branch, e in zip(am.branches, eps):
-        assert branch.eps == e
+    assert am.orders == [10, 10, 10]
+    for perm, e in zip(am.perms[1:], eps):
+        assert perm.tolist() == conjugation_perm(e).tolist()
 
 def test_corrupted_embedding_is_caught_naming_fiber_and_witness(monkeypatch):
     real = bn.build_embedding
 
-    def corrupted(core, spec, i, branch_tagged):
-        phi = real(core, spec, i, branch_tagged)
+    def corrupted(spec, i, m):
+        phi = real(spec, i, m)
         if i == 1:
-            mapping = list(phi.mapping)
-            mapping[1], mapping[2] = mapping[2], mapping[1]
-            phi = sg.SemigroupMorphism(phi.source, phi.target, tuple(mapping))
+            phi[[1, 2]] = phi[[2, 1]]
         return phi
 
     monkeypatch.setattr(bn, "build_embedding", corrupted)
@@ -139,40 +140,46 @@ def test_corrupted_embedding_is_caught_naming_fiber_and_witness(monkeypatch):
         bn.assemble_amalgam(bn.fiber_family(2, 3, (2, 2, 3)))
 
 def test_embedding_refuses_an_invertible_image(monkeypatch):
-    # the decode array marks invertible codes -1; plant that at the zero matrix
-    spec = bn.fiber_family(2, 3, (2, 3))
-    core = bn.build_core(spec)
-    branch = xc.build_cross_conn_semigroup(gf.identity_endo(2, 3))
-    elems, decode, table = gf.sing_table(2, 3)
+    # the decode array marks invertible codes -1; plant that at the zero
+    # matrix, the block embedding of the core's zero
+    real = gf.sing_table
+    elems, decode, table = real(2, 3)
     decode = decode.copy()
     decode[0] = -1
-    monkeypatch.setattr(gf, "sing_table", lambda p, n: (elems, decode, table))
-    with pytest.raises(AssertionError, match="invertible in fiber 1"):
-        bn.build_embedding(core, spec, 1, branch.semigroup)
+    monkeypatch.setattr(gf, "sing_table", lambda p, n: (elems, decode, table) if n == 3 else real(p, n))
+    for fiber, dims in ((0, (3, 3)), (1, (2, 3))):
+        with pytest.raises(AssertionError, match=rf"^a block-embedded core element is invertible in fiber {fiber}$"):
+            bn.build_embedding(bn.fiber_family(2, 3, dims), fiber, 2)
 
 def test_embedding_matches_the_block_embedded_endos(reference_amalgam):
-    core = reference_amalgam.core
-    for phi, branch in zip(reference_amalgam.amalgam.embeddings, reference_amalgam.branches):
-        d = branch.eps.n
-        assert [branch.pairs[j].first for j in phi.mapping] == [block_embed(pr.first, d) for pr in core.cross.pairs]
+    core = gf.sing_table(2, 2)[0]
+    for phi, d in zip(reference_amalgam.embeddings, (2, 2, 3)):
+        branch = gf.sing_table(2, d)[0]
+        assert [branch[j] for j in phi.tolist()] == [block_embed(x, d) for x in core]
 
 def test_each_embedding_verified_once(monkeypatch):
     calls = []
-    real = sg.verify_morphism
-    monkeypatch.setattr(sg, "verify_morphism", lambda phi: calls.append(phi) or real(phi))
+    real = sg.morphism_witnesses
+    monkeypatch.setattr(sg, "morphism_witnesses", lambda *a: calls.append(real(*a)) or calls[-1])
     am = bn.assemble_amalgam(bn.fiber_family(2, 3, (2, 2, 3)))
-    assert len(calls) == len(am.report.embedding_reports) == 3
-    assert all(rep.ok for rep in am.report.embedding_reports)
+    assert len(calls) == len(am.embeddings) == 3
+    assert calls == [{}, {}, {}]
 
-def test_shared_verification_path_with_null_fixture():
+def test_shared_verification_path_with_null_fixture(monkeypatch):
+    # the bundle and the fixture's verify_amalgam decide morphisms by the
+    # same array check
+    calls = []
+    real = sg.morphism_witnesses
+    monkeypatch.setattr(sg, "morphism_witnesses", lambda *a: calls.append(real(*a)) or calls[-1])
     assert sg.verify_amalgam(sg.null_semigroup_fixture()).ok
-    am = bn.assemble_amalgam(bn.fiber_family(2, 2, (2, 2)))
-    assert sg.verify_amalgam(am.amalgam).ok
+    assert calls == [{}, {}]
+    bn.assemble_amalgam(bn.fiber_family(2, 2, (2, 2)))
+    assert calls == [{}, {}, {}, {}]
 
 
 def test_amalgam_json_and_dot():
     am = bn.assemble_amalgam(bn.fiber_family(2, 3, (2, 3)))
-    doc = am.to_json()
+    doc = json.loads(bn.amalgam_json(am))
     assert doc["p"] == 2 and doc["m"] == 2 and doc["fiber_dims"] == [2, 3]
     assert len(doc["branches"]) == 2
     assert len(doc["embeddings"]) == 2
@@ -180,10 +187,83 @@ def test_amalgam_json_and_dot():
     dot = bn.amalgam_dot(am)
     assert dot.count("core -> fiber") == 2
 
-def test_each_distinct_branch_built_once(reference_amalgam):
-    # core and both dim-2 fibers use the identity on GF(2)^2
-    core, (b0, b1, b2) = reference_amalgam.core, reference_amalgam.branches
-    assert b0 is core.cross and b1 is core.cross
-    assert b2.eps == gf.identity_endo(2, 3)
-    tagged = reference_amalgam.amalgam.branches
-    assert tagged[0].elements[0][0] == ("fiber", 0) and tagged[1].elements[0][0] == ("fiber", 1)
+def test_each_distinct_branch_built_once(monkeypatch):
+    # core and both dim-2 fibers use the identity on GF(2)^2: one batch per
+    # dimension, the core's first, each automorphism once
+    calls = []
+    real = xc.linked_pairs
+    monkeypatch.setattr(xc, "linked_pairs", lambda p, n, eps: calls.append((p, n, list(eps))) or real(p, n, eps))
+    am = bn.assemble_amalgam(bn.fiber_family(2, 3, (2, 2, 3)))
+    assert calls == [(2, 2, [gf.identity_endo(2, 2)]), (2, 3, [gf.identity_endo(2, 3)])]
+    assert np.shares_memory(am.perms[0], am.perms[1]) and np.shares_memory(am.perms[0], am.perms[2])
+    doc = json.loads(bn.amalgam_json(am))
+    assert doc["branches"][0]["elements"][0][0] == ["fiber", 0]
+    assert doc["branches"][1]["elements"][0][0] == ["fiber", 1]
+
+def test_automorphisms_are_batched_per_dimension_in_order(monkeypatch):
+    calls = []
+    real = xc.linked_pairs
+    monkeypatch.setattr(xc, "linked_pairs", lambda p, n, eps: calls.append((n, list(eps))) or real(p, n, eps))
+    spec = bn.fiber_family(2, 3, (3, 2, 2, 3), eps=(CYCLE, SWAP, SHEAR, CYCLE))
+    am = bn.assemble_amalgam(spec, eps_w=SWAP)
+    assert calls == [(2, [SWAP, SHEAR]), (3, [CYCLE])]
+    for perm, e in zip(am.perms, (SWAP,) + spec.eps):
+        assert perm.tolist() == conjugation_perm(e).tolist()
+
+
+# ---------------------------------------------------------------------------
+# the array path against the label-level oracle
+
+FAMILIES = {
+    "2;2,2,3": (2, 3, (2, 2, 3), None, {}),
+    "2;3,3": (2, 3, (3, 3), None, {}),
+    "2;1,2,3 m=1": (2, 3, (1, 2, 3), None, {"m": 1}),
+    "3;2,2": (3, 2, (2, 2), None, {}),
+    "2;2,2 swap,shear": (2, 2, (2, 2), (SWAP, SHEAR), {}),
+    "2;2,3 cycle, core swap": (2, 3, (2, 3), (gf.identity_endo(2, 2), CYCLE), {"eps_w": SWAP}),
+}
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_array_path_matches_the_label_oracle(family):
+    p, k, dims, eps, kwargs = FAMILIES[family]
+    spec = bn.fiber_family(p, k, dims, eps)
+    am = bn.assemble_amalgam(spec, **kwargs)
+    ref = bundle_oracle.assemble(spec, **kwargs)
+    assert ref.report.ok and ref.report.disjoint
+    assert [phi.tolist() for phi in am.embeddings] == [list(phi.mapping) for phi in ref.amalgam.embeddings]
+    assert am.orders == [ref.core.order] + [b.order for b in ref.branches]
+    assert bn.amalgam_json(am) == bundle_oracle.amalgam_json(ref)
+
+
+def _swap(phi):
+    phi = phi.copy()
+    phi[[1, 2]] = phi[[2, 1]]
+    return phi
+
+
+def _duplicate(phi):
+    phi = phi.copy()
+    phi[1] = phi[0]
+    return phi
+
+
+@pytest.mark.parametrize("fiber", [1, 2])
+@pytest.mark.parametrize("mutate,key", [(_swap, "hom"), (_duplicate, "injective")], ids=["swap", "duplicate"])
+def test_mutated_embedding_is_caught_by_both_paths(monkeypatch, mutate, key, fiber):
+    spec = bn.fiber_family(2, 3, (2, 2, 3))
+    ref = bundle_oracle.assemble(spec)
+    real = bn.build_embedding
+    monkeypatch.setattr(bn, "build_embedding",
+                        lambda spec, i, m: mutate(real(spec, i, m)) if i == fiber else real(spec, i, m))
+    with pytest.raises(AssertionError, match=rf"^embedding into fiber {fiber} failed verification: ") as err:
+        bn.assemble_amalgam(spec)
+    mappings = [np.array(phi.mapping) for phi in ref.amalgam.embeddings]
+    mappings[fiber] = mutate(mappings[fiber])
+    rep = bundle_oracle.with_mappings(ref, mappings)
+    assert [r.ok for r in rep.embedding_reports] == [i != fiber for i in range(3)]
+    # the same witnesses, as core indices on the array path and as labels in the oracle
+    core = ref.amalgam.core
+    found = {k: tuple(core.index(x) for x in pair) for k, pair in rep.embedding_reports[fiber].witnesses.items()}
+    assert key in found
+    assert str(err.value) == f"embedding into fiber {fiber} failed verification: {found}"

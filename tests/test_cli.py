@@ -157,6 +157,14 @@ def test_amalgam_dot(capsys):
     assert code == 0
     assert out.count("core -> fiber") == 2
 
+@pytest.mark.parametrize("argv,err", [
+    ("amalgam --field 3", "error: Sing(GF(3)^3) has order 8451, beyond the associativity guard 1500\n"),
+    ("amalgam --field 5", "error: p^(n^2) = 1953125 exceeds endomorphism guard 1048576\n"),
+    ("amalgam --dims 2,3 --core-dim 3", "error: core dimension 3 must lie in 1..2\n"),
+])
+def test_amalgam_refusals_exit_2_with_their_message(capsys, argv, err):
+    assert run(capsys, *argv.split()) == (2, "", err)
+
 
 @pytest.fixture(scope="module")
 def verify_report():

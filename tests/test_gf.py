@@ -97,8 +97,8 @@ def test_span_matches_brute_force():
 def test_complement_examples():
     a = gf.subspace_span([(0, 1)], 2, 2)
     assert full_complement(a).basis == ((1, 0),)
-    assert full_complement(gf.zero_subspace(2, 2)) == gh.full_space(2, 2)
-    assert full_complement(gh.full_space(2, 2)) == gf.zero_subspace(2, 2)
+    assert full_complement(gh.zero_subspace(2, 2)) == gh.full_space(2, 2)
+    assert full_complement(gh.full_space(2, 2)) == gh.zero_subspace(2, 2)
 
 def test_complement_is_deterministic_direct_sum():
     for p, n in [(2, 2), (3, 2), (2, 3), (5, 2)]:
@@ -113,7 +113,7 @@ def test_complement_in_respects_ambient():
     small = gf.subspace_span([(0, 1, 0)], 3, 2)
     c = gh.complement_in(small, big)
     assert c.basis == ((1, 0, 0),)
-    assert big.contains_subspace(c)
+    assert gh.contains_subspace(big, c)
 
 
 # ---------------------------------------------------------------------------
@@ -121,7 +121,7 @@ def test_complement_in_respects_ambient():
 
 def test_annihilator_examples():
     assert gh.annihilator(gf.subspace_span([(1, 1)], 2, 2)).basis == ((1, 1),)
-    assert gh.annihilator(gf.zero_subspace(2, 2)) == gh.full_space(2, 2)
+    assert gh.annihilator(gh.zero_subspace(2, 2)) == gh.full_space(2, 2)
     assert gh.annihilator(gf.subspace_span([(1, 0, 0)], 3, 2)).basis == ((0, 1, 0), (0, 0, 1))
 
 def test_annihilator_matches_brute_force():
@@ -140,8 +140,8 @@ def test_annihilator_antitone_and_de_morgan():
         subs = gf.enumerate_subspaces(p, n)
         for a in subs:
             for b in subs:
-                if b.contains_subspace(a):
-                    assert gh.annihilator(a).contains_subspace(gh.annihilator(b))
+                if gh.contains_subspace(b, a):
+                    assert gh.contains_subspace(gh.annihilator(a), gh.annihilator(b))
                 lhs = gh.annihilator(gh.subspace_intersection(a, b))
                 rhs = gh.subspace_sum(gh.annihilator(a), gh.annihilator(b))
                 assert lhs == rhs
@@ -227,7 +227,7 @@ def test_rank_nullity():
 def test_kernel_is_left_kernel():
     for e in gf.enumerate_endos(2, 3, singular_only=True)[:64]:
         for v in all_vectors(e.kernel()):
-            assert e.apply(v) == (0, 0, 0)
+            assert gh.apply(e, v) == (0, 0, 0)
 
 def test_transpose_examples():
     ident = gf.identity_endo(2, 2)
@@ -249,7 +249,7 @@ def test_transpose_reverses_products():
 def test_linear_map_apply_and_compose():
     a = gf.subspace_span([(1, 0, 0), (0, 1, 0)], 3, 2)
     b = gf.subspace_span([(0, 0, 1)], 3, 2)
-    f = gf.linear_map(a, b, [(0, 0, 1), (0, 0, 0)])
+    f = gh.linear_map(a, b, [(0, 0, 1), (0, 0, 0)])
     assert f.apply((1, 1, 0)) == (0, 0, 1)
     assert fo.image_subspace(f) == b
     assert fo.kernel_subspace(f).basis == ((0, 1, 0),)
@@ -259,7 +259,7 @@ def test_linear_map_rejects_escaping_images():
     a = gf.subspace_span([(1, 0)], 2, 2)
     b = gf.subspace_span([(0, 1)], 2, 2)
     with pytest.raises(ValueError):
-        gf.linear_map(a, b, [(1, 0)])
+        gh.linear_map(a, b, [(1, 0)])
 
 def test_inclusion_requires_containment():
     a = gf.subspace_span([(1, 0)], 2, 2)
@@ -368,7 +368,7 @@ def test_dimension_must_be_positive():
 def test_record_hash_is_the_hash_of_the_field_tuple():
     e = gf.identity_endo(2, 2)
     s = gf.Subspace(2, 2, e.rows)
-    f = gf.LinearMap(s, s, e.rows)
+    f = gh.LinearMap(s, s, e.rows)
     assert hash(e) == hash((e.p, e.n, e.rows))
     assert hash(s) == hash((s.p, s.n, s.basis))
     assert hash(f) == hash((f.dom, f.cod, f.matrix))

@@ -27,7 +27,14 @@ exits 1 on guard refusals only.
 The last three are crossconn with one explicit automorphism, in the table
 format, and at the identity of GF(2)^3 (order 344), recorded before the
 linked-pair semigroups were built for a whole stack of automorphisms at
-once and written by their own JSON writer."""
+once and written by their own JSON writer.
+
+The last four are amalgam commands, recorded before the bundle amalgam was
+held as index arrays and its labels were built only by its JSON writer: the
+table format at (2; 2,2,3), which prints the orders and the verdict; the
+non-degenerate dims (3,3), two order-344 branches that share one
+automorphism; (3; 2,2) as JSON; and dims (1,2,3) with a one-dimensional core
+as dot."""
 
 import hashlib
 import io
@@ -80,6 +87,10 @@ GOLDEN = [
     ("crossconn --field 3 --dim 2 --eps [[0,1],[1,0]] --format json", 0, "d6478e8a573974ea0f12eb21854283a85c17fe183c722c08ca80dce7f4b6491c"),
     ("crossconn --field 3 --dim 2 --all-eps", 0, "78b925264040880c6233ca61711df8d27e9c9d6171a183fe76812b59bc5ba3ab"),
     ("crossconn --field 2 --dim 3 --format json", 0, "6351011c2cf11b8212ecb1572a92e8c19e985a2e7d9ffebfc9272ffa47645a9a"),
+    ("amalgam --field 2", 0, "5f205aa23e44dffc3d6c4ba8695e6bca8605d8048e0cc5033378f67a25f00664"),
+    ("amalgam --field 2 --dims 3,3 --format json", 0, "7eeec8d375c91333efa8c2787165ec76e0f6974c8c162a2fc1eb6d553dfc6fae"),
+    ("amalgam --field 3 --dims 2,2 --format json", 0, "cd1b04f03fe68f656c40f60508b9144e133608d16bcde61320c771128cd4ffb6"),
+    ("amalgam --field 2 --dims 1,2,3 --core-dim 1 --format dot", 0, "c82321b490783531686150aac12835ba14e899a78997a8cf4891f6a01cdb1bc6"),
 ]
 
 

@@ -490,7 +490,7 @@ def test_ideal_category_of_sing_2_2():
     for obj, e in zip(cat.objects, cat.representatives):
         im = s.elements[e].image()
         expected = frozenset(
-            i for i, x in enumerate(s.elements) if im.contains_subspace(x.image())
+            i for i, x in enumerate(s.elements) if gh.contains_subspace(im, x.image())
         )
         assert obj == expected
 
