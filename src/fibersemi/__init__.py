@@ -17,27 +17,21 @@ from .gf import (
     transpose,
 )
 from .semigroups import (
-    Amalgam,
     FiniteSemigroup,
     GreenStructure,
     NotAssociative,
-    SemigroupMorphism,
     from_table,
     green_relations,
     idempotents,
     is_regular,
     null_semigroup_fixture,
     semigroup_from_json,
-    verify_amalgam,
-    verify_morphism,
 )
 from .subspace_category import (
     SubspaceCategory,
     build_category,
 )
 from .annihilators import (
-    AnnihilatorCategory,
-    DualObjectTag,
     build_annihilator_category,
     build_ta_semigroup,
     iso_to_dual_subspace_category,

@@ -3,7 +3,10 @@ subspace category of the dual space.
 
 Objects are the annihilators of nonzero subspaces, which are exactly the
 proper subspaces of the dual (zero included); its cone semigroup realizes the
-opposite of the singular endomorphism semigroup through transposition.
+opposite of the singular endomorphism semigroup through transposition.  All
+of it is read from gf.subspace_lattice, whose positions serve both sides:
+the dual category is the subspace category of the dual space, so its
+objects are the proper subspaces at their lattice positions.
 """
 
 from __future__ import annotations
@@ -11,113 +14,60 @@ from __future__ import annotations
 import numpy as np
 
 from . import gf
-from . import semigroups as sg
 from . import subspace_category as sc
-from .gf import Record, Subspace
 
 
-class DualObjectTag(Record):
-    """A nonzero subspace paired with its annihilator in dual coordinates."""
-    primal: Subspace
-    dual: Subspace
-
-    def to_json(self):
-        return {"primal": self.primal.to_json(), "dual": self.dual.to_json()}
-
-
-class AnnihilatorCategory:
-    """Annihilators of nonzero subspaces, with all linear maps between them.
-
-    dual_category is the subspace category of the dual space; tags align its
-    objects with their primal partners.
-    """
-
-    def __init__(self, p, n, tags, dual_category):
-        self.p = p
-        self.n = n
-        self.tags = tags
-        self.dual_category = dual_category
-
-    @property
-    def objects(self):
-        return self.dual_category.objects
-
-
-def build_annihilator_category(p, n) -> AnnihilatorCategory:
-    """Index the annihilators A° of all nonzero A, read from the subspace
-    lattice, and check they are exactly the proper subspaces of the dual;
-    iso_to_dual_subspace_category decides that annihilation reverses
-    containment."""
+def build_annihilator_category(p, n):
+    """The primal partner of every dual object: primal[k] is the lattice
+    position of the nonzero subspace whose annihilator is the proper
+    subspace at position k.  Checks first that annihilation maps the
+    nonzero subspaces onto the proper ones; iso_to_dual_subspace_category
+    decides that it reverses containment."""
     lattice = gf.subspace_lattice(p, n)
     nonzero = np.flatnonzero(lattice.dims > 0)
-    dual_category = sc.build_category(p, n)
     # proper subspaces take the positions before the full space's
-    if not np.array_equal(np.sort(lattice.ann[nonzero]), np.arange(len(dual_category.objects))):
+    if not np.array_equal(np.sort(lattice.ann[nonzero]), np.arange(len(lattice.subspaces) - 1)):
         raise AssertionError("annihilators of nonzero subspaces must be the proper dual subspaces")
     primal = np.empty(len(nonzero), dtype=np.intp)
     primal[lattice.ann[nonzero]] = nonzero
-    tags = tuple(DualObjectTag(lattice.subspaces[a], y) for a, y in zip(primal.tolist(), dual_category.objects))
-    return AnnihilatorCategory(p, n, tags, dual_category)
+    return primal
 
 
-class DualIsoReport(Record):
-    object_pairs: tuple      # (annihilator object, dual-space object), identical sets
-    counts_match: bool
-    double_annihilator_ok: bool
-    order_reversal_ok: bool
+def iso_to_dual_subspace_category(p, n):
+    """None if A -> A° identifies the annihilator category with the subspace
+    category of the dual, else a witness.
 
-    @property
-    def ok(self):
-        return self.counts_match and self.double_annihilator_ok and self.order_reversal_ok
-
-
-def iso_to_dual_subspace_category(acat: AnnihilatorCategory) -> DualIsoReport:
-    """Exhibit the identification with the subspace category of the dual.
-
-    Annihilator objects are realized as canonical subspaces of the dual, so
-    the object bijection is A -> A° against the dual category's own list and
-    the morphism bijection is the identity on linear maps; composition is
-    then preserved by construction, and so are the hom-sets.  What is
-    checked: the two object lists coincide with matching counts, and
-    annihilation is an order-reversing bijection with (A°)° = A; the dual
-    side's containment is read from the dual category's inclusion pairs.
-    """
-    dcat, lattice = acat.dual_category, gf.subspace_lattice(acat.p, acat.n)
-    pairs = tuple((t.dual, obj) for t, obj in zip(acat.tags, dcat.objects))
-    counts = (
-        len(acat.tags) == len(dcat.objects)
-        and len({t.primal for t in acat.tags}) == len(acat.tags)
-    )
-    primal = np.array([lattice.index[t.primal] for t in acat.tags], dtype=np.intp)
-    at = np.array([dcat.index(t.dual) for t in acat.tags], dtype=np.intp)
-    double = bool((lattice.ann[at] == primal).all())
-    incl = np.zeros((len(dcat.objects),) * 2, dtype=bool)
-    incl[tuple(np.array(dcat.inclusion_pairs, dtype=np.intp).reshape(-1, 2).T)] = True
-    # primal[j] contains primal[i] iff dual object at[j] lies in at[i]
-    reversal = bool((lattice.contains[np.ix_(primal, primal)] == incl[np.ix_(at, at)]).all())
-    return DualIsoReport(pairs, counts, double, reversal)
+    Dual object k is the annihilator of primal[k] (build_annihilator_category)
+    and the morphisms on both sides are all linear maps between the same
+    subspaces, so the identification is the identity on hom-sets and
+    composition is kept.  What is decided, on the lattice's ann and contains
+    arrays: (A°)° = A, that is the annihilator of dual object k is primal[k];
+    and order reversal, A ⊆ B iff B° ⊆ A°, for every pair of objects.  The
+    containment of mutually annihilating B ⊂ A = B° is read on both sides
+    alike, so it rests on the lattice's own build."""
+    lattice = gf.subspace_lattice(p, n)
+    primal = build_annihilator_category(p, n)
+    double = lattice.ann[:-1] != primal
+    if double.any():
+        k = int(double.argmax())
+        return {"failure": "double annihilator", "object": lattice.subspaces[k].to_json()}
+    # [i, j]: primal[j] ⊆ primal[i], against dual object i inside dual object j
+    reversal = lattice.contains[np.ix_(primal, primal)] != lattice.contains[:-1, :-1].T
+    if reversal.any():
+        i, j = divmod(int(reversal.argmax()), len(primal))
+        return {"failure": "order reversal",
+                "objects": [lattice.subspaces[i].to_json(), lattice.subspaces[j].to_json()]}
+    return None
 
 
-class DualConeSemigroupReport(Record):
-    semigroup: sg.FiniteSemigroup
-    anti_isomorphism: sg.MorphismReport
-
-
-def build_ta_semigroup(p, n) -> DualConeSemigroupReport:
-    """The cone semigroup of the annihilator category via the dual-space
-    identification, plus the transpose anti-isomorphism from the primal side.
-
-    The returned semigroup is the cone semigroup over the dual space; its
-    labels are matrices acting on dual coordinates.  Transposition is checked
-    to reverse products: the map sends alpha to the dual cone of alpha^T, and
-    the verified morphism is alpha -> that image over the opposite table,
-    which is exactly (alpha^T).(beta^T) = (beta.alpha)^T for every pair.
-    """
-    acat = build_annihilator_category(p, n)
-    ta = sc.coded_normal_cones(acat.dual_category)[0]
-    sing = sg.sing_semigroup(p, n)
-    # the opposite of an associative table is associative
-    opposite = sg.FiniteSemigroup(sing.elements, sing.table.T)
-    mapping = tuple(ta.index(gf.transpose(a).rows) for a in opposite.elements)
-    report = sg.verify_morphism(sg.SemigroupMorphism(opposite, ta, mapping))
-    return DualConeSemigroupReport(ta, report)
+def build_ta_semigroup(p, n):
+    """(semigroup, witnesses): the cone semigroup of the annihilator
+    category, which is the cone semigroup over the dual space with matrices
+    acting on dual coordinates as labels, and the morphism witnesses
+    (sc.cone_map_witnesses) of alpha -> the dual cone of alpha^T from the
+    opposite of Sing's table.  Empty witnesses say that transposition is an
+    anti-isomorphism, (alpha^T).(beta^T) = (beta.alpha)^T for every pair;
+    the opposite of an associative table is associative."""
+    ta = sc.coded_normal_cones(sc.build_category(p, n))[0]
+    transposed = gf._sing_matrices(p, n).transpose(0, 2, 1)
+    return ta, sc.cone_map_witnesses(ta, gf.sing_table(p, n)[2].T, transposed, p)

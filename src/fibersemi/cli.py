@@ -112,11 +112,20 @@ def _check_factorization(p, n):
     return True, None
 
 
+def _sing_pairs(p, n, found):
+    """Morphism witnesses over Sing(GF(p)^n) with each index written as its
+    element's {"n", "p", "rows"} document."""
+    elems = gf.sing_table(p, n)[0]
+    return {k: [elems[i].to_json() for i in pair] for k, pair in found.items()}
+
+
 def _check_cone_semigroup(p, n):
     # The table is built by cone composition and its cones are exactly the
     # principal ones (both code arrays are in order of the inducing
-    # endomorphisms), so the morphism check decides cone(a).cone(b) = cone(ab).
-    # The guards refuse before the category is built.
+    # endomorphisms), so the morphism check, on the map that sends each Sing
+    # element to the cone its matrix labels, decides
+    # cone(a).cone(b) = cone(ab).  The guards refuse before the category is
+    # built.
     sc.check_cone_order(p, n)
     cat = sc.build_category(p, n)
     cone_sg, code, vertex, rows = sc.coded_normal_cones(cat)
@@ -125,11 +134,9 @@ def _check_cone_semigroup(p, n):
         return False, {"cones": cone_sg.order, "singular": singular}
     if code.codes(vertex, rows).tolist() != sc.principal_codes(cat, code).tolist():
         return False, {"failure": "non-principal normal cone found"}
-    sing = sg.sing_semigroup(p, n)
-    mapping = tuple(cone_sg.index(a.rows) for a in sing.elements)
-    rep = sg.verify_morphism(sg.SemigroupMorphism(sing, cone_sg, mapping))
-    if not rep.ok:
-        return False, {"failure": "cone map is not an isomorphism", **rep.witnesses}
+    found = sc.cone_map_witnesses(cone_sg, gf.sing_table(p, n)[2], gf._sing_matrices(p, n), p)
+    if found:
+        return False, {"failure": "cone map is not an isomorphism", **_sing_pairs(p, n, found)}
     return True, None
 
 
@@ -146,19 +153,25 @@ def _check_m_sets(p, n):
 
 
 def _check_dual_category(p, n):
-    acat = ann.build_annihilator_category(p, n)
-    rep = ann.iso_to_dual_subspace_category(acat)
-    if not rep.ok:
-        return False, {"failure": "dual category identification"}
+    # The dual side is read from the subspace lattice, where the dual
+    # category's objects are the proper subspaces at their own positions
+    # (ann.iso_to_dual_subspace_category states what that leaves to decide).
+    # At (2,2) the (2,3) identification and the dual cone semigroup of
+    # GF(2)^2 are decided too.
+    cases = [(p, n)]
     if (p, n) == (2, 2):
-        acat3 = ann.build_annihilator_category(2, 3)
-        if len(acat3.objects) != 15:
-            return False, {"objects_2_3": len(acat3.objects)}
-        if not ann.iso_to_dual_subspace_category(acat3).ok:
-            return False, {"failure": "dual category identification"}
-        ta = ann.build_ta_semigroup(2, 2)
-        if not (ta.semigroup.order == 10 and ta.anti_isomorphism.ok):
-            return False, {"failure": "dual cone semigroup"}
+        cases.append((2, 3))
+    for cp, cn in cases:
+        witness = ann.iso_to_dual_subspace_category(cp, cn)
+        if witness is not None:
+            return False, witness
+    if (p, n) == (2, 2):
+        objects = len(ann.build_annihilator_category(2, 3))
+        if objects != 15:
+            return False, {"objects_2_3": objects}
+        ta, found = ann.build_ta_semigroup(2, 2)
+        if ta.order != 10 or found:
+            return False, {"failure": "dual cone semigroup", "order": ta.order, **_sing_pairs(2, 2, found)}
     return True, None
 
 
@@ -198,20 +211,25 @@ def _check_cross_connections(p, n):
 
 
 def _check_null_amalgam(p, n):
-    am = sg.null_semigroup_fixture()
-    s1, s2 = am.branches
+    # each branch lists the core's elements first under its own tag, so the
+    # labels are disjoint by construction; each inclusion is decided
+    core, (s1, s2), inclusions = sg.null_semigroup_fixture()
     facts = [
         s1.mul_labels(("S1", "a"), ("S1", "u")) == ("S1", "v"),
         s1.mul_labels(("S1", "u"), ("S1", "a")) == ("S1", "v"),
         s1.mul_labels(("S1", "a"), ("S1", "a")) == ("S1", "z"),
         s2.mul_labels(("S2", "b"), ("S2", "v")) == ("S2", "w"),
         s2.mul_labels(("S2", "v"), ("S2", "b")) == ("S2", "w"),
-        am.core.mul_labels(("U", "u"), ("U", "v")) == ("U", "z"),
+        core.mul_labels(("U", "u"), ("U", "v")) == ("U", "z"),
     ]
     if not all(facts):
         return False, {"failure": "fixture products"}
-    rep = sg.verify_amalgam(am)
-    return rep.ok, None if rep.ok else {"witnesses": rep.witnesses}
+    for i, (branch, inclusion) in enumerate(zip((s1, s2), inclusions)):
+        found = sg.morphism_witnesses(core.table, branch.table, inclusion)
+        if found:
+            pairs = {k: [core.elements[x] for x in pair] for k, pair in found.items()}
+            return False, {"failure": "inclusion", "branch": i, **pairs}
+    return True, None
 
 
 def _check_bundle_amalgam(p, n, dims=(2, 2, 3), m=2):
@@ -475,6 +493,9 @@ def main(argv=None):
     except (ValueError, sg.NotAssociative) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except AssertionError as exc:  # a failed verification, not bad input
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
 
 
 def run():

@@ -183,20 +183,6 @@ def mat_inverse(a, p):
     return tuple(tuple(row[n:]) for row in red[:n])
 
 
-def solve_homogeneous(rows, width, p):
-    """Canonical basis of {x in GF(p)^width : rows . x^T = 0}."""
-    red, pivots = rref(rows, width, p)
-    free = [j for j in range(width) if j not in pivots]
-    basis = []
-    for f in free:
-        v = [0] * width
-        v[f] = 1
-        for i, c in enumerate(pivots):
-            v[c] = (-red[i][f]) % p
-        basis.append(tuple(v))
-    return rref(basis, width, p)[0]
-
-
 # ---------------------------------------------------------------------------
 # subspaces
 
@@ -329,14 +315,6 @@ class Endo(Record):
         if inv is None:
             raise ValueError("endomorphism is singular")
         return Endo(self.p, self.n, inv)
-
-    def image(self) -> Subspace:
-        return subspace_span(self.rows, self.n, self.p)
-
-    def kernel(self) -> Subspace:
-        """Left kernel {v : v.M = 0}."""
-        basis = solve_homogeneous(mat_transpose(self.rows), self.n, self.p)
-        return Subspace(self.p, self.n, basis)
 
     def sort_key(self):
         return self.rows

@@ -1,9 +1,9 @@
 """Finite semigroups given by Cayley tables.
 
 Elements are opaque hashable labels; the table maps index pairs to the index
-of the product.  Green's relations, morphism checks and the amalgam data
-type all work at this level, so the same code serves matrix semigroups,
-cone semigroups and hand-built fixtures alike.
+of the product.  Green's relations and the morphism check work at this
+level, the check on index arrays into the tables, so the same code serves
+matrix semigroups, cone semigroups and hand-built fixtures alike.
 """
 
 from __future__ import annotations
@@ -50,17 +50,6 @@ class FiniteSemigroup(Record):
     def mul_labels(self, a, b):
         return self.elements[self.table[self._index[a], self._index[b]]]
 
-    def to_json(self):
-        return {
-            "elements": [_label_to_json(x) for x in self.elements],
-            "table": self.table.tolist(),
-        }
-
-
-def _label_to_json(x):
-    if isinstance(x, tuple):
-        return [_label_to_json(y) for y in x]
-    return x
 
 def _label_from_json(x):
     if isinstance(x, list):
@@ -264,23 +253,7 @@ def green_relations(s: FiniteSemigroup) -> GreenStructure:
 
 
 # ---------------------------------------------------------------------------
-# morphisms and amalgams
-
-class SemigroupMorphism(Record):
-    source: FiniteSemigroup
-    target: FiniteSemigroup
-    mapping: tuple  # source index -> target index
-
-
-class MorphismReport(Record):
-    is_hom: bool
-    is_injective: bool
-    witnesses: dict
-
-    @property
-    def ok(self):
-        return self.is_hom and self.is_injective
-
+# morphisms and the null-semigroup fixture
 
 def morphism_witnesses(source, target, img):
     """{"hom": (i, j)} for the first pair in row-major order with
@@ -301,61 +274,14 @@ def morphism_witnesses(source, target, img):
     return witnesses
 
 
-def verify_morphism(f: SemigroupMorphism) -> MorphismReport:
-    """Exhaustive homomorphism and injectivity check (morphism_witnesses),
-    with the witnesses as labels."""
-    s, t, m = f.source, f.target, f.mapping
-    if len(m) != s.order or any(not (0 <= x < t.order) for x in m):
-        raise ValueError("mapping is not a total function into the target")
-    found = morphism_witnesses(s.table, t.table, np.array(m, dtype=np.intp))
-    witnesses = {k: (s.elements[i], s.elements[j]) for k, (i, j) in found.items()}
-    return MorphismReport("hom" not in found, "injective" not in found, witnesses)
-
-
-class Amalgam(Record):
-    core: FiniteSemigroup
-    branches: tuple
-    embeddings: tuple  # SemigroupMorphism core -> branch, one per branch
-
-
-class AmalgamReport(Record):
-    disjoint: bool
-    embedding_reports: tuple
-    witnesses: dict
-
-    @property
-    def ok(self):
-        return self.disjoint and all(r.ok for r in self.embedding_reports)
-
-
-def verify_amalgam(a: Amalgam) -> AmalgamReport:
-    """Pairwise disjointness of element labels plus one morphism report per embedding."""
-    witnesses = {}
-    families = [("core", set(a.core.elements))]
-    families += [(f"branch{i}", set(b.elements)) for i, b in enumerate(a.branches)]
-    disjoint = True
-    for i in range(len(families)):
-        for j in range(i + 1, len(families)):
-            common = families[i][1] & families[j][1]
-            if common:
-                disjoint = False
-                witnesses["disjoint"] = (families[i][0], families[j][0], sorted(common)[0])
-    reports = []
-    for i, (phi, branch) in enumerate(zip(a.embeddings, a.branches)):
-        if phi.source is not a.core and phi.source != a.core:
-            raise ValueError(f"embedding {i} does not start at the core")
-        if phi.target is not branch and phi.target != branch:
-            raise ValueError(f"embedding {i} does not land in branch {i}")
-        reports.append(verify_morphism(phi))
-    return AmalgamReport(disjoint, tuple(reports), witnesses)
-
-
-def null_semigroup_fixture() -> Amalgam:
-    """The four-element null semigroup with its two one-generator extensions.
+def null_semigroup_fixture():
+    """(core, (s1, s2), inclusions): the four-element null semigroup with
+    its two one-generator extensions.
 
     Core U = {u,v,w,z} with all products z.  Branch one adjoins a with
     au = ua = v; branch two adjoins b with bv = vb = w; every other product
-    is z.  Embeddings are the inclusions, with labels tagged by owner.
+    is z.  Labels are tagged by owner.  Each branch lists the core's four
+    elements first, so each inclusion is the index array 0..3.
     """
     def build(tag, extra, special):
         names = ["u", "v", "w", "z"] + ([extra] if extra else [])
@@ -365,11 +291,7 @@ def null_semigroup_fixture() -> Amalgam:
     core = build("U", None, {})
     s1 = build("S1", "a", {("a", "u"): "v", ("u", "a"): "v"})
     s2 = build("S2", "b", {("b", "v"): "w", ("v", "b"): "w"})
-    embeddings = []
-    for branch, tag in ((s1, "S1"), (s2, "S2")):
-        mapping = tuple(branch.index((tag, x[1])) for x in core.elements)
-        embeddings.append(SemigroupMorphism(core, branch, mapping))
-    return Amalgam(core, (s1, s2), tuple(embeddings))
+    return core, (s1, s2), (np.arange(core.order), np.arange(core.order))
 
 
 # ---------------------------------------------------------------------------

@@ -390,6 +390,19 @@ def coded_normal_cones(cat: SubspaceCategory):
     return sg.from_table(labels, table), code, vertex, rows
 
 
+def cone_map_witnesses(cones, source, mats, p):
+    """sg.morphism_witnesses of the map from the table source into the cone
+    semigroup cones that sends element i to the cone labelled by the matrix
+    mats[i], found by the matrices' base-p codes; {"no cone": (i,)} for the
+    first i whose matrix labels no cone, so no index is ever -1."""
+    slot = np.full(p ** mats[0].size, -1, dtype=np.intp)
+    slot[gf.base_p(np.array(cones.elements, dtype=np.int64).reshape(-1, *mats.shape[1:]), p)] = np.arange(cones.order)
+    img = slot[gf.base_p(mats, p)]
+    if (img < 0).any():
+        return {"no cone": (int(img.argmin()),)}
+    return sg.morphism_witnesses(source, cones.table, img)
+
+
 def cone_semigroup_json(cat: SubspaceCategory, semigroup, code: _ConeCode, vertex, rows):
     """The cone semigroup as JSON, each cone written from its code row: its
     vertex, and at each object the component's matrix over the canonical

@@ -4,9 +4,14 @@ Each linked-pair semigroup is built as labelled records
 (crossconn_oracle.build_cross_conn_semigroup), once per distinct
 automorphism; every label is tagged with its owner; each embedding is found
 by looking up the label of the Endo-level block embedding; and
-sg.verify_amalgam decides the embeddings and the disjointness of the tagged
+verify_amalgam decides the embeddings and the disjointness of the tagged
 sets.  amalgam_json writes the document with json.dumps.  The tests compare
-the array path with it embedding for embedding and byte for byte."""
+the array path with it embedding for embedding and byte for byte.
+
+Amalgam, AmalgamReport and verify_amalgam are the labelled amalgam record
+and its check that the semigroups module held before the null-semigroup
+fixture's inclusions became index arrays; null_amalgam wraps that fixture
+in the record."""
 
 from __future__ import annotations
 
@@ -16,6 +21,52 @@ from crossconn_oracle import build_cross_conn_semigroup
 from fibersemi import bundles as bn
 from fibersemi import semigroups as sg
 from fibersemi.gf import Endo, Record
+from sing_oracle import SemigroupMorphism, semigroup_to_json, verify_morphism
+
+
+class Amalgam(Record):
+    core: sg.FiniteSemigroup
+    branches: tuple
+    embeddings: tuple  # SemigroupMorphism core -> branch, one per branch
+
+
+class AmalgamReport(Record):
+    disjoint: bool
+    embedding_reports: tuple
+    witnesses: dict
+
+    @property
+    def ok(self):
+        return self.disjoint and all(r.ok for r in self.embedding_reports)
+
+
+def verify_amalgam(a: Amalgam) -> AmalgamReport:
+    """Pairwise disjointness of element labels plus one morphism report per embedding."""
+    witnesses = {}
+    families = [("core", set(a.core.elements))]
+    families += [(f"branch{i}", set(b.elements)) for i, b in enumerate(a.branches)]
+    disjoint = True
+    for i in range(len(families)):
+        for j in range(i + 1, len(families)):
+            common = families[i][1] & families[j][1]
+            if common:
+                disjoint = False
+                witnesses["disjoint"] = (families[i][0], families[j][0], sorted(common)[0])
+    reports = []
+    for i, (phi, branch) in enumerate(zip(a.embeddings, a.branches)):
+        if phi.source is not a.core and phi.source != a.core:
+            raise ValueError(f"embedding {i} does not start at the core")
+        if phi.target is not branch and phi.target != branch:
+            raise ValueError(f"embedding {i} does not land in branch {i}")
+        reports.append(verify_morphism(phi))
+    return AmalgamReport(disjoint, tuple(reports), witnesses)
+
+
+def null_amalgam() -> Amalgam:
+    """sg.null_semigroup_fixture as an Amalgam, its inclusions as morphisms."""
+    core, branches, inclusions = sg.null_semigroup_fixture()
+    embeddings = tuple(SemigroupMorphism(core, b, tuple(m.tolist())) for b, m in zip(branches, inclusions))
+    return Amalgam(core, branches, embeddings)
 
 
 def block_embed(alpha: Endo, d: int) -> Endo:
@@ -35,8 +86,8 @@ class OracleAmalgam(Record):
     m: int
     core: object       # CrossConnSemigroup of the core
     branches: tuple    # CrossConnSemigroup per fiber, one object per distinct automorphism
-    amalgam: sg.Amalgam
-    report: sg.AmalgamReport
+    amalgam: Amalgam
+    report: AmalgamReport
 
 
 def assemble(spec: bn.FiberFamilySpec, m=None, eps_w=None) -> OracleAmalgam:
@@ -56,22 +107,22 @@ def assemble(spec: bn.FiberFamilySpec, m=None, eps_w=None) -> OracleAmalgam:
         mapping = tuple(index[block_embed(pr.first, d)] for pr in core.pairs)
         branches.append(branch)
         tagged.append(branch_tagged)
-        embeddings.append(sg.SemigroupMorphism(core_tagged, branch_tagged, mapping))
-    amalgam = sg.Amalgam(core_tagged, tuple(tagged), tuple(embeddings))
-    return OracleAmalgam(spec, core_spec.m, core, tuple(branches), amalgam, sg.verify_amalgam(amalgam))
+        embeddings.append(SemigroupMorphism(core_tagged, branch_tagged, mapping))
+    amalgam = Amalgam(core_tagged, tuple(tagged), tuple(embeddings))
+    return OracleAmalgam(spec, core_spec.m, core, tuple(branches), amalgam, verify_amalgam(amalgam))
 
 
-def with_mappings(am: OracleAmalgam, mappings) -> sg.AmalgamReport:
+def with_mappings(am: OracleAmalgam, mappings) -> AmalgamReport:
     """verify_amalgam on am's core and branches with the given mappings."""
     a = am.amalgam
-    embeddings = tuple(sg.SemigroupMorphism(a.core, b, tuple(m)) for b, m in zip(a.branches, mappings))
-    return sg.verify_amalgam(sg.Amalgam(a.core, a.branches, embeddings))
+    embeddings = tuple(SemigroupMorphism(a.core, b, tuple(m)) for b, m in zip(a.branches, mappings))
+    return verify_amalgam(Amalgam(a.core, a.branches, embeddings))
 
 
-def amalgam_to_json(a: sg.Amalgam):
+def amalgam_to_json(a: Amalgam):
     return {
-        "core": a.core.to_json(),
-        "branches": [b.to_json() for b in a.branches],
+        "core": semigroup_to_json(a.core),
+        "branches": [semigroup_to_json(b) for b in a.branches],
         "embeddings": [
             [[i, j] for i, j in enumerate(phi.mapping)] for phi in a.embeddings
         ],

@@ -4,7 +4,8 @@ epimorphism, composition and M-sets; the view of code rows as Cones; and the
 LinearMap-level cone validation and assignment sweep that the cone semigroup
 was decided with before cones became integer code rows.  They are kept here,
 unchanged, so the tests can compare the code rows, the cone JSON and the
-batched M-sets with them."""
+batched M-sets with them.  swap_two_cone_labels plants a mutant cone
+semigroup for the checks that map Sing onto it."""
 
 from __future__ import annotations
 
@@ -15,6 +16,7 @@ import factorization_oracle as fo
 from factorization_oracle import all_linear_maps
 import gf_helpers as gh
 from fibersemi import gf
+from fibersemi import semigroups as sg
 from fibersemi import subspace_category as sc
 from fibersemi.gf import Endo, Record, Subspace
 from gf_helpers import LinearMap
@@ -45,7 +47,7 @@ def principal_cone(cat: SubspaceCategory, alpha: Endo) -> Cone:
     """Cone with vertex Im(alpha) whose component at A restricts alpha to A."""
     if alpha.is_invertible():
         raise ValueError("principal cone requires a singular endomorphism")
-    vertex = alpha.image()
+    vertex = gh.image(alpha)
     comps = tuple(restriction(alpha, obj, vertex) for obj in cat.objects)
     return Cone(vertex, comps)
 
@@ -184,3 +186,18 @@ def _assignment_space(cat: SubspaceCategory, vertex: Subspace):
     for combo in itertools.product(*per_object):
         yield Cone(vertex, combo)
 
+
+
+def swap_two_cone_labels(monkeypatch, i=1, j=2):
+    """Have sc.coded_normal_cones return its semigroup with the labels of
+    elements i and j exchanged, its table unchanged; (i, j)."""
+    real = sc.coded_normal_cones
+
+    def planted(cat):
+        smg, *rest = real(cat)
+        labels = list(smg.elements)
+        labels[i], labels[j] = labels[j], labels[i]
+        return (sg.FiniteSemigroup(tuple(labels), smg.table), *rest)
+
+    monkeypatch.setattr(sc, "coded_normal_cones", planted)
+    return i, j

@@ -169,11 +169,11 @@ def verify_cross_connection(cc: CrossConnection) -> CoveringReport:
 # bifunctor sets and the linking bijection
 
 def _first_member(cc, alpha: Endo, a: Subspace, y: Subspace, mode) -> bool:
-    if not gh.contains_subspace(a, alpha.image()):
+    if not gh.contains_subspace(a, gh.image(alpha)):
         return False
     target = dual_object_image(cc, y)
     if mode == "kernel":
-        constrained = gh.annihilator(alpha.kernel())
+        constrained = gh.annihilator(gh.kernel(alpha))
     elif mode == "image":
         image_of_a = gf.subspace_span([gh.apply(alpha, v) for v in a.basis], cc.n, cc.p)
         constrained = gh.annihilator(image_of_a)
@@ -186,11 +186,11 @@ def _second_member(cc, beta: Endo, a: Subspace, y: Subspace, mode) -> bool:
     """Mirror conditions on the dual side, written in terms of the transpose
     action and pulled back to primal matrices."""
     bt = gf.transpose(beta)
-    if not gh.contains_subspace(y, bt.image()):
+    if not gh.contains_subspace(y, gh.image(bt)):
         return False
     target = primal_object_image(cc, a)
     if mode == "kernel":
-        constrained = gh.annihilator(bt.kernel())
+        constrained = gh.annihilator(gh.kernel(bt))
     elif mode == "image":
         image_of_y = gf.subspace_span([gh.apply(bt, f) for f in y.basis], cc.n, cc.p)
         constrained = gh.annihilator(image_of_y)

@@ -81,7 +81,7 @@ def image_subspace(f: LinearMap) -> Subspace:
 
 
 def kernel_subspace(f: LinearMap) -> Subspace:
-    coords = gf.solve_homogeneous(gf.mat_transpose(f.matrix), f.dom.dim, f.p) \
+    coords = gh.solve_homogeneous(gf.mat_transpose(f.matrix), f.dom.dim, f.p) \
         if f.matrix else ()
     vecs = [f.dom.from_coords(c) for c in coords]
     if f.cod.dim == 0:

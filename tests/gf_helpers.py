@@ -1,6 +1,7 @@
 """GF(p) constructions the tests use and the program does not: the full
 and zero spaces, the zero matrix and map, an Endo's action on a row
-vector, sums and intersections of subspaces,
+vector, its image and kernel, the solution space of a homogeneous system,
+sums and intersections of subspaces,
 containment of subspaces, linear maps between subspaces (LinearMap, with
 the inclusion and identity maps), and the Gaussian binomial that counts
 subspaces of each dimension; and the one-subspace-at-a-time forms of what
@@ -26,6 +27,29 @@ def vec_mat(v, a, p):
 def apply(alpha: Endo, v):
     """The row vector v.alpha."""
     return vec_mat(v, alpha.rows, alpha.p)
+
+
+def solve_homogeneous(rows, width, p):
+    """Canonical basis of {x in GF(p)^width : rows . x^T = 0}."""
+    red, pivots = gf.rref(rows, width, p)
+    free = [j for j in range(width) if j not in pivots]
+    basis = []
+    for f in free:
+        v = [0] * width
+        v[f] = 1
+        for i, c in enumerate(pivots):
+            v[c] = (-red[i][f]) % p
+        basis.append(tuple(v))
+    return gf.rref(basis, width, p)[0]
+
+
+def image(alpha: Endo) -> Subspace:
+    return gf.subspace_span(alpha.rows, alpha.n, alpha.p)
+
+
+def kernel(alpha: Endo) -> Subspace:
+    """Left kernel {v : v.M = 0}."""
+    return Subspace(alpha.p, alpha.n, solve_homogeneous(gf.mat_transpose(alpha.rows), alpha.n, alpha.p))
 
 
 def zero_subspace(p, n) -> Subspace:
@@ -102,7 +126,7 @@ def subspace_intersection(a: Subspace, b: Subspace) -> Subspace:
     stacked = a.basis + b.basis
     if not stacked:
         return zero_subspace(a.p, a.n)
-    kern = gf.solve_homogeneous(gf.mat_transpose(stacked), len(stacked), a.p)
+    kern = solve_homogeneous(gf.mat_transpose(stacked), len(stacked), a.p)
     return gf.subspace_span([a.from_coords(k[: a.dim]) for k in kern], a.n, a.p)
 
 
@@ -152,7 +176,7 @@ def annihilator(a: Subspace) -> Subspace:
     The same computation sends a subspace of the dual back into V, which is
     the double-dual identification.
     """
-    basis = gf.solve_homogeneous(a.basis, a.n, a.p)
+    basis = solve_homogeneous(a.basis, a.n, a.p)
     return Subspace(a.p, a.n, basis)
 
 

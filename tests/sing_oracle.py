@@ -3,7 +3,13 @@ per-matrix rank filter and the block-matmul table build that gf computed
 Sing(GF(p)^n) with before it moved to batched ranks and row-code lookup,
 the pure-Python loops that is_regular and verify_morphism ran before
 they read the int32 table as an array, and from_multiplication, a table
-built one call of a labelled operation per cell."""
+built one call of a labelled operation per cell.
+
+The labelled morphism record (SemigroupMorphism, verify_morphism with its
+MorphismReport) and the table document writer (semigroup_to_json) are the
+semigroups API the program kept before it decided every morphism on index
+arrays (sg.morphism_witnesses) and wrote tables only through its own
+document writers; the tests use them to state claims over labels."""
 
 from __future__ import annotations
 
@@ -13,6 +19,7 @@ import numpy as np
 
 from fibersemi import gf
 from fibersemi import semigroups as sg
+from fibersemi.gf import Record
 
 
 def from_multiplication(elements, op) -> sg.FiniteSemigroup:
@@ -80,3 +87,41 @@ def hom_witness(f: sg.SemigroupMorphism):
             if m[s.table[i][j]] != t.table[m[i]][m[j]]:
                 return s.elements[i], s.elements[j]
     return None
+
+
+class SemigroupMorphism(Record):
+    source: sg.FiniteSemigroup
+    target: sg.FiniteSemigroup
+    mapping: tuple  # source index -> target index
+
+
+class MorphismReport(Record):
+    is_hom: bool
+    is_injective: bool
+    witnesses: dict
+
+    @property
+    def ok(self):
+        return self.is_hom and self.is_injective
+
+
+def verify_morphism(f: SemigroupMorphism) -> MorphismReport:
+    """Exhaustive homomorphism and injectivity check (sg.morphism_witnesses),
+    with the witnesses as labels."""
+    s, t, m = f.source, f.target, f.mapping
+    if len(m) != s.order or any(not (0 <= x < t.order) for x in m):
+        raise ValueError("mapping is not a total function into the target")
+    found = sg.morphism_witnesses(s.table, t.table, np.array(m, dtype=np.intp))
+    witnesses = {k: (s.elements[i], s.elements[j]) for k, (i, j) in found.items()}
+    return MorphismReport("hom" not in found, "injective" not in found, witnesses)
+
+
+def _label_to_json(x):
+    if isinstance(x, tuple):
+        return [_label_to_json(y) for y in x]
+    return x
+
+
+def semigroup_to_json(s: sg.FiniteSemigroup):
+    """The table document that sg.semigroup_from_json reads back."""
+    return {"elements": [_label_to_json(x) for x in s.elements], "table": s.table.tolist()}

@@ -12,6 +12,7 @@ import bundle_oracle
 from bundle_oracle import block_embed
 from crossconn_oracle import conjugation_perm
 from fibersemi import bundles as bn
+from fibersemi import cli
 from fibersemi import crossconn as xc
 from fibersemi import gf
 from fibersemi import semigroups as sg
@@ -166,12 +167,12 @@ def test_each_embedding_verified_once(monkeypatch):
     assert calls == [{}, {}, {}]
 
 def test_shared_verification_path_with_null_fixture(monkeypatch):
-    # the bundle and the fixture's verify_amalgam decide morphisms by the
-    # same array check
+    # the bundle and the null-amalgam check decide morphisms by the same
+    # array check
     calls = []
     real = sg.morphism_witnesses
     monkeypatch.setattr(sg, "morphism_witnesses", lambda *a: calls.append(real(*a)) or calls[-1])
-    assert sg.verify_amalgam(sg.null_semigroup_fixture()).ok
+    assert cli._check_null_amalgam(2, 2) == (True, None)
     assert calls == [{}, {}]
     bn.assemble_amalgam(bn.fiber_family(2, 2, (2, 2)))
     assert calls == [{}, {}, {}, {}]

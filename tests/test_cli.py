@@ -7,10 +7,16 @@ import sys
 import time
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+import cone_oracle as co
+import lattice_oracle as lo
+import sing_oracle
 from fibersemi import annihilators as ann
+from fibersemi import bundles as bn
 from fibersemi import cli
+from fibersemi import crossconn as xc
 from fibersemi import gf
 from fibersemi import semigroups as sg
 from fibersemi import subspace_category as sc
@@ -208,8 +214,7 @@ def test_verify_all_to_file(tmp_path, verify_report, capsys):
 def test_corrupted_table_reports_witness(tmp_path, capsys):
     # break associativity in the null semigroup core: u*v = u makes
     # (u*v)*v = u while u*(v*v) = z
-    from fibersemi import semigroups as sg
-    doc = sg.null_semigroup_fixture().core.to_json()
+    doc = sing_oracle.semigroup_to_json(sg.null_semigroup_fixture()[0])
     doc["table"][0][1] = 0
     path = tmp_path / "table.json"
     path.write_text(json.dumps(doc))
@@ -222,8 +227,7 @@ def test_corrupted_table_reports_witness(tmp_path, capsys):
     assert "triple" in entry["witness"]
 
 def test_intact_table_passes(tmp_path, capsys):
-    from fibersemi import semigroups as sg
-    doc = sg.null_semigroup_fixture().core.to_json()
+    doc = sing_oracle.semigroup_to_json(sg.null_semigroup_fixture()[0])
     path = tmp_path / "table.json"
     path.write_text(json.dumps(doc))
     code, out, _ = run(capsys, "verify-all", "--field", "2", "--dim", "2",
@@ -251,8 +255,6 @@ def test_malformed_table_fails_with_error(tmp_path, capsys, doc):
 
 
 def test_raising_check_fails_and_the_run_goes_on(monkeypatch, capsys):
-    from fibersemi import crossconn as xc
-
     def broken(table, perm):
         raise AssertionError("conjugation law broken")
 
@@ -312,27 +314,140 @@ def test_m_sets_and_green_take_no_per_element_subspaces(monkeypatch):
     def refuse(*args):
         raise AssertionError("a subspace was computed per element")
 
-    monkeypatch.setattr(gf.Endo, "image", refuse)
-    monkeypatch.setattr(gf.Endo, "kernel", refuse)
+    # Endo has had no image or kernel method since they moved to gf_helpers
+    monkeypatch.setattr(gf.Endo, "image", refuse, raising=False)
+    monkeypatch.setattr(gf.Endo, "kernel", refuse, raising=False)
     monkeypatch.setattr(gf, "restriction", refuse, raising=False)
     assert cli._check_m_sets(2, 4) == (True, None)
     assert cli._check_green(7, 2) == (True, None)
 
 
 def test_dual_category_check_decides_the_2_3_identification(monkeypatch):
+    # the (2,3) lattice with its first proper containment dropped, read by
+    # the check at (2,2) after its own point passes
     iso = ann.iso_to_dual_subspace_category
     seen = []
 
-    def planted(acat):
-        rep = iso(acat)
-        seen.append((acat.n, rep.ok))
-        if acat.n == 2:
-            return rep
-        return ann.DualIsoReport(rep.object_pairs, rep.counts_match, rep.double_annihilator_ok, False)
+    def recorded(p, n):
+        seen.append((p, n))
+        return iso(p, n)
 
-    monkeypatch.setattr(ann, "iso_to_dual_subspace_category", planted)
-    assert cli._check_dual_category(2, 2) == (False, {"failure": "dual category identification"})
-    assert seen == [(2, True), (3, True)]
+    monkeypatch.setattr(ann, "iso_to_dual_subspace_category", recorded)
+    u, v = lo.first_proper_containment(2, 3)
+    lo.plant(monkeypatch, lo.mutated(2, 3, drop=(u, v)))
+    subspaces = gf.subspace_lattice(2, 3).subspaces
+    assert cli._check_dual_category(2, 2) == (False, {
+        "failure": "order reversal", "objects": [subspaces[v].to_json(), subspaces[u].to_json()]})
+    assert seen == [(2, 2), (2, 3)]
+
+
+def verify_all(capsys, fmt, p=2, n=2):
+    """(status, {check: (status, witness)}) of verify-all in the given
+    format; the table format's witnesses are parsed back from JSON."""
+    code, out, err = run(capsys, "verify-all", "--field", str(p), "--dim", str(n), "--format", fmt)
+    assert err == ""
+    if fmt == "json":
+        return code, {r["check"]: (r["status"], r["witness"]) for r in json.loads(out)}
+    lines = out.splitlines()
+    failed = [name for name, _ in cli.CHECKS if f"FAIL {name}" in out]
+    assert lines[-1] == ("failed: " + ", ".join(failed) if failed else "all checks passed")
+    report = {}
+    for line in lines[:-1]:
+        status, name, *rest = line.split(" ", 2)
+        report[name] = (status.lower(), json.loads(rest[0][len("witness="):]) if rest else None)
+    return code, report
+
+
+@pytest.mark.parametrize("fmt", ["json", "table"])
+def test_cone_map_failure_names_the_pair_as_documents(monkeypatch, capsys, fmt):
+    # two cone labels swapped: the map from Sing by code lookup is a
+    # transposition, no homomorphism; the witness is the loop oracle's pair
+    i, j = co.swap_two_cone_labels(monkeypatch)
+    sing = sg.sing_semigroup(2, 2)
+    cones = sc.coded_normal_cones(sc.build_category(2, 2))[0]
+    mapping = tuple(cones.index(a.rows) for a in sing.elements)
+    pair = sing_oracle.hom_witness(sing_oracle.SemigroupMorphism(sing, cones, mapping))
+    code, report = verify_all(capsys, fmt)
+    assert code == 1
+    assert report["cone-semigroup"] == ("fail", {
+        "failure": "cone map is not an isomorphism", "hom": [a.to_json() for a in pair]})
+    # the dual cone semigroup is built by the same function and fails too
+    status, witness = report["dual-category"]
+    assert status == "fail" and witness["failure"] == "dual cone semigroup" and "hom" in witness
+    assert {k for k, (st, _) in report.items() if st == "fail"} == {"cone-semigroup", "dual-category"}
+
+
+@pytest.mark.parametrize("p,n", [(2, 2), (3, 2), (2, 3)])
+def test_cone_map_failures_at_each_point(monkeypatch, p, n):
+    co.swap_two_cone_labels(monkeypatch)
+    ok, witness = cli._check_cone_semigroup(p, n)
+    assert not ok and witness["failure"] == "cone map is not an isomorphism" and list(witness)[1:] == ["hom"]
+    assert all(set(doc) == {"n", "p", "rows"} and (doc["p"], doc["n"]) == (p, n) for doc in witness["hom"])
+    monkeypatch.undo()
+    # a repeated label leaves one Sing element with no cone, which is
+    # reported and never looked up at index -1
+    real = sc.coded_normal_cones
+
+    def repeated(cat):
+        smg, *rest = real(cat)
+        return (sg.FiniteSemigroup(smg.elements[:1] * 2 + smg.elements[2:], smg.table), *rest)
+
+    monkeypatch.setattr(sc, "coded_normal_cones", repeated)
+    witness_calls = []
+    monkeypatch.setattr(sg, "morphism_witnesses", lambda *a: witness_calls.append(a))
+    assert cli._check_cone_semigroup(p, n) == (False, {
+        "failure": "cone map is not an isomorphism", "no cone": [sg.sing_semigroup(p, n).elements[1].to_json()]})
+    assert witness_calls == []
+
+
+@pytest.mark.parametrize("fmt", ["json", "table"])
+@pytest.mark.parametrize("branch,inclusion,found", [
+    (0, [0, 0, 0, 0], {"hom": [["U", "u"], ["U", "u"]], "injective": [["U", "u"], ["U", "v"]]}),
+    (1, [0, 1, 2, 2], {"hom": [["U", "u"], ["U", "u"]], "injective": [["U", "w"], ["U", "z"]]}),
+    (1, [3, 3, 3, 3], {"injective": [["U", "u"], ["U", "v"]]}),
+], ids=["constant-u", "repeat", "constant-z"])
+def test_null_amalgam_failure_names_branch_and_pair(monkeypatch, capsys, fmt, branch, inclusion, found):
+    core, branches, inclusions = sg.null_semigroup_fixture()
+    planted = list(inclusions)
+    planted[branch] = np.array(inclusion)
+    monkeypatch.setattr(sg, "null_semigroup_fixture", lambda: (core, branches, tuple(planted)))
+    # the loop oracle agrees on the homomorphism pair
+    want = sing_oracle.verify_morphism(sing_oracle.SemigroupMorphism(core, branches[branch], tuple(inclusion)))
+    assert json.loads(json.dumps(want.witnesses)) == found
+    code, report = verify_all(capsys, fmt)
+    assert code == 1
+    assert report["null-amalgam"] == ("fail", {"failure": "inclusion", "branch": branch, **found})
+    assert [k for k, (st, _) in report.items() if st == "fail"] == ["null-amalgam"]
+
+
+def test_failed_amalgam_embedding_exits_1_with_its_message(monkeypatch, capsys):
+    real = bn.build_embedding
+
+    def swapped(spec, i, m):
+        phi = real(spec, i, m).copy()
+        if i == 1:
+            phi[[1, 2]] = phi[[2, 1]]
+        return phi
+
+    monkeypatch.setattr(bn, "build_embedding", swapped)
+    code, out, err = run(capsys, "amalgam", "--field", "2")
+    assert (code, out) == (1, "")
+    assert err.startswith("error: embedding into fiber 1 failed verification: {'hom': ")
+
+
+def test_broken_conjugation_law_exits_1_with_its_message(monkeypatch, capsys):
+    real = xc.conjugations
+
+    def swapped(p, n, eps):
+        conj = real(p, n, eps)
+        perms = conj.perms.copy()
+        perms[:, [1, 2]] = perms[:, [2, 1]]
+        return xc.Conjugations(conj.p, conj.n, conj.eps, conj.inv, conj.inverts, perms)
+
+    monkeypatch.setattr(xc, "conjugations", swapped)
+    code, out, err = run(capsys, "crossconn", "--field", "2", "--dim", "2")
+    assert (code, out) == (1, "")
+    assert err.startswith("error: linked-pair product broke the conjugation law at pair (")
 
 
 # ---------------------------------------------------------------------------

@@ -67,7 +67,7 @@ def test_conjugation_is_table_automorphism(all_eps):
     for eps in all_eps:
         cc = oracle.cross_connection(eps)
         mapping = tuple(sing.index(cc.conjugate(x)) for x in elems)
-        rep = sg.verify_morphism(sg.SemigroupMorphism(sing, sing, mapping))
+        rep = sing_oracle.verify_morphism(sing_oracle.SemigroupMorphism(sing, sing, mapping))
         assert rep.is_hom and rep.is_injective
 
 
@@ -224,7 +224,7 @@ def test_first_projection_is_isomorphism(all_eps):
     for eps in all_eps:
         s = oracle.build_cross_conn_semigroup(eps)
         mapping = tuple(sing.index(gf.Endo(2, 2, lbl[0])) for lbl in s.semigroup.elements)
-        rep = sg.verify_morphism(sg.SemigroupMorphism(s.semigroup, sing, mapping))
+        rep = sing_oracle.verify_morphism(sing_oracle.SemigroupMorphism(s.semigroup, sing, mapping))
         assert rep.is_hom and rep.is_injective
 
 def test_linked_pair_semigroup_is_regular_with_matching_green(all_eps):
@@ -477,9 +477,9 @@ def test_annihilator_of_kernel_is_image_of_transpose(p, n):
     objects."""
     idx = xc.subspace_index(p, n)
     for i, x in enumerate(gf.sing_table(p, n)[0]):
-        t_image = gf.transpose(x).image()
-        assert gh.annihilator(x.kernel()) == t_image == idx.subspaces[idx.timg[i]]
-        assert x.image() == idx.subspaces[idx.img[i]]
+        t_image = gh.image(gf.transpose(x))
+        assert gh.annihilator(gh.kernel(x)) == t_image == idx.subspaces[idx.timg[i]]
+        assert gh.image(x) == idx.subspaces[idx.img[i]]
 
 
 @pytest.mark.parametrize("eps", gf.enumerate_automorphisms(2, 2) + AUTOS_3_2[::9], ids=str)

@@ -213,20 +213,20 @@ def test_unsupported_prime():
 
 def test_image_and_kernel_examples():
     a = gf.endo([[1, 0], [0, 0]], 2)
-    assert a.image().basis == ((1, 0),) and a.kernel().basis == ((0, 1),)
+    assert gh.image(a).basis == ((1, 0),) and gh.kernel(a).basis == ((0, 1),)
     z = gh.zero_endo(2, 2)
-    assert z.image().dim == 0 and z.kernel() == gh.full_space(2, 2)
+    assert gh.image(z).dim == 0 and gh.kernel(z) == gh.full_space(2, 2)
     a = gf.endo([[0, 0], [1, 0]], 2)
-    assert a.image().basis == ((1, 0),) and a.kernel().basis == ((1, 0),)
+    assert gh.image(a).basis == ((1, 0),) and gh.kernel(a).basis == ((1, 0),)
 
 def test_rank_nullity():
     for p, n in [(2, 2), (3, 2), (2, 3)]:
         for e in gf.enumerate_endos(p, n):
-            assert e.rank + e.kernel().dim == n
+            assert e.rank + gh.kernel(e).dim == n
 
 def test_kernel_is_left_kernel():
     for e in gf.enumerate_endos(2, 3, singular_only=True)[:64]:
-        for v in all_vectors(e.kernel()):
+        for v in all_vectors(gh.kernel(e)):
             assert gh.apply(e, v) == (0, 0, 0)
 
 def test_transpose_examples():

@@ -34,7 +34,13 @@ held as index arrays and its labels were built only by its JSON writer: the
 table format at (2; 2,2,3), which prints the orders and the verdict; the
 non-degenerate dims (3,3), two order-344 branches that share one
 automorphism; (3; 2,2) as JSON; and dims (1,2,3) with a one-dimensional core
-as dot."""
+as dot.
+
+The last two are verify-all at n = 1, where the dual category has a single
+object, as JSON at p = 2 and in the table format at p = 3, recorded before
+the dual category and the semigroup isomorphisms were decided on arrays
+alone.  (2,1) passes every check, so its digest is the one of (2,2); at
+(3,1) only bundle-amalgam fails, refused by the associativity guard."""
 
 import hashlib
 import io
@@ -91,6 +97,8 @@ GOLDEN = [
     ("amalgam --field 2 --dims 3,3 --format json", 0, "7eeec8d375c91333efa8c2787165ec76e0f6974c8c162a2fc1eb6d553dfc6fae"),
     ("amalgam --field 3 --dims 2,2 --format json", 0, "cd1b04f03fe68f656c40f60508b9144e133608d16bcde61320c771128cd4ffb6"),
     ("amalgam --field 2 --dims 1,2,3 --core-dim 1 --format dot", 0, "c82321b490783531686150aac12835ba14e899a78997a8cf4891f6a01cdb1bc6"),
+    ("verify-all --field 2 --dim 1 --format json", 0, "a60e2df95ead945c2201f21117e5b874587e4466b78c9e4fa619892974663e37"),
+    ("verify-all --field 3 --dim 1", 1, "856f25c78fdf58ced420624aef694d304fbcd86e9f916aaaf889e78ac1a94c53"),
 ]
 
 

@@ -13,6 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import bundle_oracle
 import gf_helpers as gh
 import sing_oracle
 from fibersemi import gf
@@ -197,8 +198,7 @@ def test_sing_idempotents_and_regularity():
     assert {s.elements[i] for i in idem} == projections
 
 def test_null_semigroup_not_regular():
-    am = sg.null_semigroup_fixture()
-    u = am.core
+    u = sg.null_semigroup_fixture()[0]
     assert not sg.is_regular(u)
     assert [u.elements[i] for i in sg.idempotents(u)] == [("U", "z")]
 
@@ -212,8 +212,7 @@ def test_group_is_regular_with_identity_idempotent():
 # principal ideals
 
 def test_null_semigroup_ideals():
-    am = sg.null_semigroup_fixture()
-    u = am.core
+    u = sg.null_semigroup_fixture()[0]
     left, right, two = principal_ideals(u, u.index(("U", "u")))
     z = u.index(("U", "z"))
     assert left == right == two == frozenset({z})
@@ -251,8 +250,8 @@ def test_green_matches_image_kernel_partition(p, n):
     elems = gf.enumerate_endos(p, n, singular_only=True)
     s = sing_oracle.from_multiplication(elems, lambda a, b: a * b)
     g = sg.green_relations(s)
-    images = [e.image() for e in elems]
-    kernels = [e.kernel() for e in elems]
+    images = [gh.image(e) for e in elems]
+    kernels = [gh.kernel(e) for e in elems]
     assert len(g.l_classes) == len(set(images))
     for cls in g.l_classes:
         assert len({images[i] for i in cls}) == 1
@@ -280,8 +279,8 @@ def _is_partition(classes, n):
 @pytest.mark.parametrize("builder", [
     lambda: sing_semigroup(2, 2),
     lambda: sing_semigroup(3, 2),
-    lambda: sg.null_semigroup_fixture().core,
-    lambda: sg.null_semigroup_fixture().branches[0],
+    lambda: sg.null_semigroup_fixture()[0],
+    lambda: sg.null_semigroup_fixture()[1][0],
     lambda: sing_oracle.from_multiplication(range(4), lambda a, b: (a + b) % 4),
 ])
 def test_green_axioms(builder):
@@ -314,8 +313,7 @@ def test_green_axioms(builder):
 
 def test_reflexivity_needs_monoid_completion():
     # in the null extension, a*S misses a, so literal ideals would split it
-    am = sg.null_semigroup_fixture()
-    s1 = am.branches[0]
+    s1 = sg.null_semigroup_fixture()[1][0]
     a = s1.index(("S1", "a"))
     left, right, _ = principal_ideals(s1, a)
     assert a not in left and a not in right
@@ -328,20 +326,20 @@ def test_reflexivity_needs_monoid_completion():
 
 def test_identity_morphism_verifies():
     s = sing_semigroup(2, 2)
-    r = sg.verify_morphism(sg.SemigroupMorphism(s, s, tuple(range(s.order))))
+    r = sing_oracle.verify_morphism(sing_oracle.SemigroupMorphism(s, s, tuple(range(s.order))))
     assert r.is_hom and r.is_injective and r.ok
 
 def test_constant_morphism_to_idempotent():
     s = sing_semigroup(2, 2)
     z = s.index(gh.zero_endo(2, 2))
-    r = sg.verify_morphism(sg.SemigroupMorphism(s, s, (z,) * s.order))
+    r = sing_oracle.verify_morphism(sing_oracle.SemigroupMorphism(s, s, (z,) * s.order))
     assert r.is_hom and not r.is_injective
     assert "injective" in r.witnesses
 
 def test_hom_witness_is_genuine():
     z2 = sing_oracle.from_multiplication(range(2), lambda a, b: (a + b) % 2)
-    f = sg.SemigroupMorphism(z2, z2, (1, 1))
-    r = sg.verify_morphism(f)
+    f = sing_oracle.SemigroupMorphism(z2, z2, (1, 1))
+    r = sing_oracle.verify_morphism(f)
     assert not r.is_hom
     i, j = r.witnesses["hom"]
     assert f.mapping[z2.table[i][j]] != z2.table[f.mapping[i]][f.mapping[j]]
@@ -349,8 +347,8 @@ def test_hom_witness_is_genuine():
 @pytest.mark.parametrize("builder", [
     lambda: sg.sing_semigroup(2, 2),
     lambda: sg.sing_semigroup(3, 2),
-    lambda: sg.null_semigroup_fixture().core,
-    lambda: sg.null_semigroup_fixture().branches[0],
+    lambda: sg.null_semigroup_fixture()[0],
+    lambda: sg.null_semigroup_fixture()[1][0],
     lambda: sing_oracle.from_multiplication(range(4), lambda a, b: (a + b) % 4),
     lambda: sing_oracle.from_multiplication(range(3), lambda a, b: 0 if 0 in (a, b) else 2),
 ], ids=["sing 2,2", "sing 3,2", "null core", "null branch 0", "Z4", "zero and idempotent"])
@@ -365,8 +363,8 @@ def test_verify_morphism_matches_the_loop_oracle_on_mutated_maps():
     seen = set()
     for k, v in itertools.product(range(s.order), range(0, s.order, 4)):
         mapping = tuple(conj[:k] + [v] + conj[k + 1:])
-        f = sg.SemigroupMorphism(s, s, mapping)
-        rep, want = sg.verify_morphism(f), sing_oracle.hom_witness(f)
+        f = sing_oracle.SemigroupMorphism(s, s, mapping)
+        rep, want = sing_oracle.verify_morphism(f), sing_oracle.hom_witness(f)
         assert rep.is_hom == (want is None) and rep.witnesses.get("hom") == want
         seen.add(rep.is_hom)
     assert seen == {True, False}
@@ -375,29 +373,32 @@ def test_composition_of_homs_is_hom():
     s = sing_semigroup(2, 2)
     swap = gf.endo([[0, 1], [1, 0]], 2)
     conj = tuple(s.index(swap.inverse() * x * swap) for x in s.elements)
-    f = sg.SemigroupMorphism(s, s, conj)
-    assert sg.verify_morphism(f).ok
+    f = sing_oracle.SemigroupMorphism(s, s, conj)
+    assert sing_oracle.verify_morphism(f).ok
     comp = tuple(conj[i] for i in conj)
-    assert sg.verify_morphism(sg.SemigroupMorphism(s, s, comp)).ok
+    assert sing_oracle.verify_morphism(sing_oracle.SemigroupMorphism(s, s, comp)).ok
 
 
 # ---------------------------------------------------------------------------
 # amalgams
 
 def test_null_fixture_is_valid_amalgam():
-    am = sg.null_semigroup_fixture()
-    rep = sg.verify_amalgam(am)
+    core, branches, inclusions = sg.null_semigroup_fixture()
+    for branch, inclusion in zip(branches, inclusions):
+        assert sg.morphism_witnesses(core.table, branch.table, inclusion) == {}
+        # each inclusion sends every core element to its namesake
+        assert [branch.elements[k][1] for k in inclusion.tolist()] == [x[1] for x in core.elements]
+    rep = bundle_oracle.verify_amalgam(bundle_oracle.null_amalgam())
     assert rep.ok
     assert rep.disjoint
     for r in rep.embedding_reports:
         assert r.is_hom and r.is_injective
     # embedding images preserve core size
-    for phi in am.embeddings:
-        assert len(set(phi.mapping)) == am.core.order
+    for inclusion in inclusions:
+        assert len(set(inclusion.tolist())) == core.order
 
 def test_null_fixture_defining_products():
-    am = sg.null_semigroup_fixture()
-    s1, s2 = am.branches
+    _, (s1, s2), _ = sg.null_semigroup_fixture()
     assert s1.mul_labels(("S1", "a"), ("S1", "u")) == ("S1", "v")
     assert s1.mul_labels(("S1", "u"), ("S1", "a")) == ("S1", "v")
     assert s1.mul_labels(("S1", "a"), ("S1", "a")) == ("S1", "z")
@@ -408,31 +409,34 @@ def test_null_fixture_defining_products():
     assert brute_assoc_holds(s1.table) and brute_assoc_holds(s2.table)
 
 def test_null_fixture_matches_the_operation_oracle():
-    am = sg.null_semigroup_fixture()
+    core, branches, _ = sg.null_semigroup_fixture()
     special = {"U": {}, "S1": {("a", "u"): "v", ("u", "a"): "v"}, "S2": {("b", "v"): "w", ("v", "b"): "w"}}
-    for s in (am.core, *am.branches):
+    for s in (core, *branches):
         tag = s.elements[0][0]
         want = sing_oracle.from_multiplication(
             s.elements, lambda a, b: (tag, special[tag].get((a[1], b[1]), "z")))
         assert s == want
 
 def test_amalgam_with_non_injective_embedding_is_flagged():
-    am = sg.null_semigroup_fixture()
+    am = bundle_oracle.null_amalgam()
     s1 = am.branches[0]
     z = s1.index(("S1", "z"))
-    bad = sg.SemigroupMorphism(am.core, s1, (z,) * am.core.order)
-    broken = sg.Amalgam(am.core, am.branches, (bad, am.embeddings[1]))
-    rep = sg.verify_amalgam(broken)
+    bad = sing_oracle.SemigroupMorphism(am.core, s1, (z,) * am.core.order)
+    broken = bundle_oracle.Amalgam(am.core, am.branches, (bad, am.embeddings[1]))
+    rep = bundle_oracle.verify_amalgam(broken)
     assert not rep.ok
     assert not rep.embedding_reports[0].is_injective
     assert rep.embedding_reports[1].ok
+    # the same map as an index array, which the program's check reads
+    constant = np.full(am.core.order, z)
+    assert sg.morphism_witnesses(am.core.table, s1.table, constant) == {"injective": (0, 1)}
 
 def test_amalgam_disjointness_violation():
-    am = sg.null_semigroup_fixture()
-    clash = sg.Amalgam(am.core, (am.core, am.branches[1]),
-                       (sg.SemigroupMorphism(am.core, am.core, tuple(range(4))),
-                        am.embeddings[1]))
-    rep = sg.verify_amalgam(clash)
+    am = bundle_oracle.null_amalgam()
+    clash = bundle_oracle.Amalgam(am.core, (am.core, am.branches[1]),
+                                  (sing_oracle.SemigroupMorphism(am.core, am.core, tuple(range(4))),
+                                   am.embeddings[1]))
+    rep = bundle_oracle.verify_amalgam(clash)
     assert not rep.disjoint and "disjoint" in rep.witnesses
 
 
@@ -488,9 +492,9 @@ def test_ideal_category_of_sing_2_2():
     assert sorted(len(o) for o in cat.objects) == [1, 4, 4, 4]
     # ideals are determined by the image of the idempotent
     for obj, e in zip(cat.objects, cat.representatives):
-        im = s.elements[e].image()
+        im = gh.image(s.elements[e])
         expected = frozenset(
-            i for i, x in enumerate(s.elements) if gh.contains_subspace(im, x.image())
+            i for i, x in enumerate(s.elements) if gh.contains_subspace(im, gh.image(x))
         )
         assert obj == expected
 
@@ -518,7 +522,7 @@ def test_ideal_category_hom_counts_match_dedup_oracle():
         assert len(cat.homs[(i, j)]) == len(translations)
 
 def test_ideal_category_rejects_non_regular():
-    u = sg.null_semigroup_fixture().core
+    u = sg.null_semigroup_fixture()[0]
     with pytest.raises(ValueError):
         build_left_ideal_category(u)
 
@@ -554,11 +558,11 @@ def test_green_json_round_trip():
     assert sg.GreenStructure.from_json(json.loads(doc)) == g
 
 def test_cayley_json_round_trip():
-    am = sg.null_semigroup_fixture()
-    doc = am.core.to_json()
+    core = sg.null_semigroup_fixture()[0]
+    doc = sing_oracle.semigroup_to_json(core)
     back = sg.semigroup_from_json(json.loads(json.dumps(doc)))
-    assert back.elements == am.core.elements
-    assert np.array_equal(back.table, am.core.table) and back == am.core
+    assert back.elements == core.elements
+    assert np.array_equal(back.table, core.table) and back == core
 
 
 # ---------------------------------------------------------------------------
@@ -669,9 +673,9 @@ def green_oracle(s):
 
 @pytest.mark.parametrize("builder", [
     *(lambda p=p, n=n: sg.sing_semigroup(p, n) for p, n in [(2, 2), (3, 2), (5, 2), (7, 2), (2, 3)]),
-    lambda: sg.null_semigroup_fixture().core,
-    lambda: sg.null_semigroup_fixture().branches[0],
-    lambda: sg.null_semigroup_fixture().branches[1],
+    lambda: sg.null_semigroup_fixture()[0],
+    lambda: sg.null_semigroup_fixture()[1][0],
+    lambda: sg.null_semigroup_fixture()[1][1],
     lambda: relabelled(sg.sing_semigroup(3, 2), 2),
 ], ids=["2,2", "3,2", "5,2", "7,2", "2,3", "null core", "null branch 0", "null branch 1",
         "relabelled 3,2"])
