@@ -223,7 +223,7 @@ def check_conjugation_law(table, perms):
             a, k = divmod(int(bad[failed.argmax()].argmax()), len(gens))
             raise AssertionError(f"linked-pair product broke the conjugation law at pair {(a, int(gens[k]))}")
         if len(good) < len(chunk):
-            raise ValueError("not a permutation of the element indices")
+            raise AssertionError("not a permutation of the element indices")
 
 
 def linked_pairs(p, n, eps) -> Conjugations:

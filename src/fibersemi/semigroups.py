@@ -8,6 +8,8 @@ matrix semigroups, cone semigroups and hand-built fixtures alike.
 
 from __future__ import annotations
 
+import json
+import re
 import weakref
 from collections import defaultdict
 from functools import lru_cache
@@ -187,6 +189,116 @@ def semigroup_from_json(d) -> FiniteSemigroup:
             and all(isinstance(r, list) for r in table)):
         raise ValueError("a table document needs an element list and a list of rows")
     return from_table([_label_from_json(x) for x in elements], table)
+
+
+# The common table document, {"elements": [...], "table": [[...], ...]} in
+# that key order with any JSON whitespace, framed by these patterns.  They
+# are compiled on first use, through re's cache, so importing stays as fast.
+_WS = "[ \t\n\r]*"
+_DOC_HEAD = _WS + r'\{' + _WS + '"elements"' + _WS + ":" + _WS
+_TABLE_KEY = _WS + "," + _WS + '"table"' + _WS + ":" + _WS + r"(?=\[)"
+_DOC_TAIL = r"\]" + _WS + r"\}" + _WS
+_BRACKETS_AS_SPACE = bytes.maketrans(b"[]", b"  ")
+# Each byte of a table as a left class in its low four bits and a right
+# class in its high four, so that two neighbours share a bit exactly when
+# they are digit "[", "]" digit, or one of "[" and "," before one of ","
+# and "]": a digit outside a row, or an empty slot.
+_PAIR_CLASS = bytes.maketrans(b"0123456789[],", b"\x21" * 10 + b"\x14\x42\x44")
+
+
+def _digit_runs(data):
+    """The number of runs of ASCII digits in data that a byte ends."""
+    a = np.frombuffer(data, dtype=np.uint8)
+    digit = (a >= 48) & (a <= 57)
+    return int(np.count_nonzero(digit[:-1] & ~digit[1:]))
+
+
+def _is_table_shape(dense, n):
+    """Whether dense, bytes of digits, commas and brackets, is n rows of n
+    slots, each slot one digit run: the delimiters form the exact skeleton,
+    and no two neighbours share a _PAIR_CLASS bit.  The pairs are taken in
+    blocks of gf.TABLE_BLOCK_CELLS bytes, which bounds the scratch memory."""
+    row = b"[" + b"," * (n - 1) + b"]"
+    if dense.translate(None, b"0123456789") != b"[" + b",".join([row] * n) + b"]":
+        return False
+    for lo in range(0, len(dense) - 1, gf.TABLE_BLOCK_CELLS):
+        code = np.frombuffer(dense[lo:lo + gf.TABLE_BLOCK_CELLS + 1].translate(_PAIR_CLASS), dtype=np.uint8)
+        right = np.right_shift(code[1:], 4)
+        if np.bitwise_and(right, code[:-1], out=right).any():
+            return False
+    return True
+
+
+def _table_cells(data, n):
+    """The bytes of a JSON array of n arrays of n non-negative integer
+    literals as a read-only (n, n) int32 array, or None for any other bytes.
+
+    C-level scans decide the shape: no whitespace inside a literal, and
+    _is_table_shape, whose skeleton admits no byte but digits, commas and
+    brackets.  One np.fromstring then reads the n*n literals that the shape
+    holds; it is told that count, and would fill a short read silently.  It
+    also wraps silently past int32, so every value must have as many digits
+    as its literal, a negative value counting one.  That rules out leading
+    zeros too, since a wrapped value below 10**9 has fewer digits than the
+    ten or more of its literal.  Each buffer is dropped once the next is
+    made, which keeps the peak near two copies of the input.
+    """
+    dense = data
+    if data.translate(None, b"0123456789,[]"):  # JSON whitespace, or a byte the skeleton refuses
+        dense = data.translate(None, b" \t\n\r")
+        if _digit_runs(data) != _digit_runs(dense):
+            return None
+    del data
+    if not _is_table_shape(dense, n):
+        return None
+    digits = len(dense) - (n + 1) ** 2
+    spaced = dense.translate(_BRACKETS_AS_SPACE)
+    del dense
+    cells = np.fromstring(spaced, dtype=np.int32, count=n * n, sep=",")
+    del spaced
+    top = int(cells.max())
+    if top >= 10 ** 9 or digits != cells.size + sum(
+            int(np.count_nonzero(cells >= 10 ** k)) for k in range(1, len(str(top)))):
+        return None
+    cells = cells.reshape(n, n)
+    cells.flags.writeable = False
+    return cells
+
+
+def _table_document(text):
+    """(elements, table) of text in the common table document form, as
+    json.loads reads the elements and _table_cells the table; None for any
+    other text."""
+    head = re.compile(_DOC_HEAD).match(text)
+    if head is None:
+        return None
+    elements, end = json.JSONDecoder().raw_decode(text, head.end())
+    key = re.compile(_TABLE_KEY).match(text, end)
+    stop = text.rfind("]")
+    if not (isinstance(elements, list) and len(elements) <= ASSOC_GUARD
+            and key and re.compile(_DOC_TAIL).fullmatch(text, stop)):
+        return None
+    cells = _table_cells(text[key.end():stop + 1].encode("ascii"), len(elements))
+    return None if cells is None else (elements, cells)
+
+
+def semigroup_from_text(text) -> FiniteSemigroup:
+    """semigroup_from_json(json.loads(text)), with the same result and the
+    same exceptions.  A document of the common form has its table read
+    straight into the int32 array that from_table adopts, with no Python
+    int or list per cell; any other text, and any error before from_table,
+    goes through json.loads and semigroup_from_json, which alone word the
+    errors."""
+    try:
+        doc = _table_document(text)
+        if doc is not None:
+            labels = [_label_from_json(x) for x in doc[0]]
+    except (ValueError, RecursionError):  # raw_decode, encode, fromstring or a label
+        doc = None
+    if doc is None:
+        return semigroup_from_json(json.loads(text))
+    del text  # the caller passes the only reference: free it before Light's test
+    return from_table(labels, doc[1])
 
 
 # ---------------------------------------------------------------------------

@@ -286,7 +286,7 @@ def conjugation_law_error(table, perm):
     """The error the law check raises for the single permutation perm, or
     None: the same test on generators, one permutation at a time."""
     if not np.array_equal(np.sort(perm), np.arange(len(table))):
-        return ValueError("not a permutation of the element indices")
+        return AssertionError("not a permutation of the element indices")
     gens = sg.table_generators(table)
     bad = perm[table[:, gens]] != table[np.ix_(perm, perm[gens])]   # [a, k]: perm[a g_k] vs perm[a]perm[g_k]
     if bad.any():

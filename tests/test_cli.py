@@ -237,21 +237,70 @@ def test_intact_table_passes(tmp_path, capsys):
     entry = next(r for r in report if r["check"] == "table-associativity")
     assert entry["status"] == "pass"
 
-@pytest.mark.parametrize("doc", [
-    [1, 2],
-    {"elements": [{"a": 1}], "table": [[0]]},
-    {"elements": ["z"], "table": [[False]]},
-    {"elements": ["z"], "table": [[2 ** 70]]},
-], ids=["top-level-array", "object-label", "boolean-entry", "huge-entry"])
-def test_malformed_table_fails_with_error(tmp_path, capsys, doc):
+def _json_path_error(text):
+    """The message semigroup_from_json raises on json.loads(text)."""
+    try:
+        sg.semigroup_from_json(json.loads(text))
+    except ValueError as exc:
+        return str(exc)
+    raise AssertionError("the document is a valid table")
+
+
+TWO = '{"elements": ["a", "b"], "table": %s}'
+
+@pytest.mark.parametrize("text", [
+    "[1, 2]",
+    '{"elements": [{"a": 1}], "table": [[0]]}',
+    '{"elements": ["z"], "table": [[false]]}',
+    '{"elements": ["z"], "table": [[%d]]}' % 2 ** 70,
+    TWO % "[[0, 1], [1]]",
+    TWO % "[[0, 1, 1], [0]]",
+    TWO % "[[0, 1.0], [1, 0]]",
+    TWO % "[[0, -1], [1, 0]]",
+    TWO % "[[0, 01], [1, 0]]",
+    TWO % "[[0, 1 1], [1, 0]]",
+    TWO % "[[0,,1], [1, 0]]",
+    TWO % "[[0, ,1], [1, 0]]",
+    TWO % "[[0,1],5[,0]]",
+    TWO % "[[0, 2], [1, 0]]",
+    '{"elements": ["a"], "table": [[0]]} x',
+    '{"elements": ["a"], "table": [[0]], "table": [[1]]}',
+    '{"table": [[1]], "elements": ["a"]}',
+    '{"elements": ["a"], "table": [[1]], "note": 0}',
+    '{"elements": ["\u00e9", "\u00fc"], "table": [[0, 1], [1, 2]]}',
+    '{"elements": ["a", "a"], "table": [[0, 1], [1, 0]]}',
+    '{"elements": %s, "table": [[0]]}' % json.dumps(list(range(gf.ASSOC_GUARD + 1))),
+], ids=["top-level-array", "object-label", "boolean-entry", "huge-entry", "ragged", "ragged-same-count",
+        "float-entry", "negative-entry", "leading-zero", "split-number", "empty-slot",
+        "blank-slot", "digit-outside-row", "out-of-range", "trailing-garbage",
+        "duplicate-table-key", "reordered-keys", "extra-member", "non-ascii-label",
+        "duplicate-labels", "order-above-guard"])
+def test_malformed_table_fails_with_error(tmp_path, capsys, text):
     path = tmp_path / "table.json"
-    path.write_text(json.dumps(doc))
+    path.write_text(text, encoding="utf-8")
     code, out, _ = run(capsys, "verify-all", "--field", "2", "--dim", "2",
                        "--format", "json", "--table", str(path))
     assert code == 1
     entry = json.loads(out)[-1]
     assert entry["check"] == "table-associativity"
-    assert entry["status"] == "fail" and "error" in entry["witness"]
+    assert entry["status"] == "fail"
+    assert entry["witness"] == {"error": _json_path_error(text)}
+
+
+@pytest.mark.parametrize("depth", [900, 5000], ids=["label-depth", "json-depth"])
+def test_deeply_nested_label_fails_its_check_only(tmp_path, capsys, depth):
+    # about 900 levels pass json but exhaust the label conversion; about
+    # 5000 exhaust json itself
+    path = tmp_path / "table.json"
+    path.write_text('{"elements": [%s%s], "table": [[0]]}' % ("[" * depth, "]" * depth))
+    code, out, _ = run(capsys, "verify-all", "--field", "2", "--dim", "2",
+                       "--format", "json", "--table", str(path))
+    assert code == 1
+    report = json.loads(out)
+    assert [r["check"] for r in report] == [name for name, _ in cli.CHECKS] + ["table-associativity"]
+    assert all(r["status"] == "pass" for r in report[:-1])
+    assert report[-1]["status"] == "fail"
+    assert report[-1]["witness"]["error"].startswith("maximum recursion depth exceeded")
 
 
 def test_raising_check_fails_and_the_run_goes_on(monkeypatch, capsys):
@@ -435,19 +484,36 @@ def test_failed_amalgam_embedding_exits_1_with_its_message(monkeypatch, capsys):
     assert err.startswith("error: embedding into fiber 1 failed verification: {'hom': ")
 
 
-def test_broken_conjugation_law_exits_1_with_its_message(monkeypatch, capsys):
+def _edit_perms(monkeypatch, edit):
+    """Make xc.conjugations hand back its permutations after edit(perms)."""
     real = xc.conjugations
 
-    def swapped(p, n, eps):
+    def edited(p, n, eps):
         conj = real(p, n, eps)
         perms = conj.perms.copy()
-        perms[:, [1, 2]] = perms[:, [2, 1]]
+        edit(perms)
         return xc.Conjugations(conj.p, conj.n, conj.eps, conj.inv, conj.inverts, perms)
 
-    monkeypatch.setattr(xc, "conjugations", swapped)
+    monkeypatch.setattr(xc, "conjugations", edited)
+
+
+def test_broken_conjugation_law_exits_1_with_its_message(monkeypatch, capsys):
+    def swap(perms):
+        perms[:, [1, 2]] = perms[:, [2, 1]]
+
+    _edit_perms(monkeypatch, swap)
     code, out, err = run(capsys, "crossconn", "--field", "2", "--dim", "2")
     assert (code, out) == (1, "")
     assert err.startswith("error: linked-pair product broke the conjugation law at pair (")
+
+
+def test_non_permutation_exits_1_as_a_failed_verification(monkeypatch, capsys):
+    def copy(perms):
+        perms[:, 2] = perms[:, 1]
+
+    _edit_perms(monkeypatch, copy)
+    code, out, err = run(capsys, "crossconn", "--field", "2", "--dim", "2")
+    assert (code, out, err) == (1, "", "error: not a permutation of the element indices\n")
 
 
 # ---------------------------------------------------------------------------

@@ -12,6 +12,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import bundle_oracle
 import gf_helpers as gh
@@ -563,6 +565,92 @@ def test_cayley_json_round_trip():
     back = sg.semigroup_from_json(json.loads(json.dumps(doc)))
     assert back.elements == core.elements
     assert np.array_equal(back.table, core.table) and back == core
+
+
+# ---------------------------------------------------------------------------
+# the table document reader against json.loads
+
+READER = settings(max_examples=300, deadline=None, derandomize=True, database=None)
+JSON_WS = st.text(alphabet=" \t\n\r", max_size=2)
+LABELS = st.recursive(st.integers(0, 3) | st.text("ab", max_size=2),
+                      lambda inner: st.lists(inner, max_size=2), max_leaves=4)
+# every byte the reader treats apart, and some that only json.loads knows
+MUTATION_BYTES = list('0123456789,[]{} \t\n\r"-.eE:+x') + ["\u00e9"]
+
+
+@st.composite
+def table_documents(draw, big=()):
+    """A table document of order 1 to 4 with random JSON whitespace; its
+    entries are below n + 2, or drawn from big."""
+    n = draw(st.integers(1, 4))
+    labels = draw(st.lists(LABELS, min_size=n, max_size=n))
+    entry = st.integers(0, n + 1) | st.sampled_from(big) if big else st.integers(0, n + 1)
+    rows = [draw(st.lists(entry, min_size=n, max_size=n)) for _ in range(n)]
+
+    def ws():
+        return draw(JSON_WS)
+
+    table = ",".join(ws() + "[" + ",".join(ws() + str(v) + ws() for v in row) + "]" + ws() for row in rows)
+    return (ws() + "{" + ws() + '"elements"' + ws() + ":" + ws() + json.dumps(labels) + ws() + ","
+            + ws() + '"table"' + ws() + ":" + ws() + "[" + table + "]" + ws() + "}" + ws())
+
+
+@st.composite
+def mutated_documents(draw):
+    """A table document with one to three bytes inserted, deleted or replaced."""
+    text = draw(table_documents(big=[2 ** 31 - 1, 2 ** 31, 2 ** 32 + 1, 5294967296, 10 ** 9, 10 ** 20]))
+    for _ in range(draw(st.integers(1, 3))):
+        i = draw(st.integers(0, len(text)))
+        byte = draw(st.sampled_from(MUTATION_BYTES))
+        how = draw(st.sampled_from(["insert", "delete", "replace"]))
+        text = text[:i] + (byte if how != "delete" else "") + text[i + (how != "insert"):]
+    return text
+
+
+def reads_as_json(text):
+    """Whether sg._table_document declines text or reads exactly what
+    json.loads reads: the element list and the table's rows."""
+    try:
+        got = sg._table_document(text)
+    except ValueError:  # raw_decode's errors; semigroup_from_text declines on them
+        return True
+    if got is None:
+        return True
+    elements, table = got
+    doc = json.loads(text)
+    return (list(doc) == ["elements", "table"] and elements == doc["elements"]
+            and table.dtype == np.int32 and not table.flags.writeable
+            and table.tolist() == doc["table"])
+
+
+@READER
+@given(table_documents())
+def test_table_reader_reads_every_well_formed_document(text):
+    assert sg._table_document(text) is not None
+    assert reads_as_json(text)
+
+
+@READER
+@given(mutated_documents())
+@example('{"elements": ["a", "b"], "table": [[0, ,1], [1, 0]]}')  # a blank field reads as 0
+@example('{"elements": ["a", "b"], "table": [[0, 4294967297], [1, 0]]}')  # int32 wraps to 1
+@example('{"elements": ["a", "b"], "table": [[0,1],5[,0]]}')  # a digit outside a row
+@example('{"elements": ["a", "b"], "table": [[0, 5294967296], [1, 0]]}')  # wraps to 10**9
+@example('{"elements": ["a", "b"], "table": [[0, 1, 1], [0]]}')  # ragged, n*n cells
+@example('{"elements": ["a"], "table": [[[0]]]}')  # nested a level deeper
+@example('{"elements": ["a"], "table": [[-0]]}')
+def test_table_reader_declines_or_agrees_with_json(text):
+    assert reads_as_json(text)
+
+
+def test_text_and_json_paths_build_the_same_semigroup():
+    # Z_6 under multiplication, each residue labelled with its parity
+    s = sing_oracle.from_multiplication([(a, (a % 2,)) for a in range(6)],
+                                        lambda x, y: (x[0] * y[0] % 6, (x[0] * y[0] % 2,)))
+    doc = sing_oracle.semigroup_to_json(s)
+    for text in (json.dumps(doc), json.dumps(doc, indent=2), json.dumps(doc, separators=(",", ":"))):
+        assert sg._table_document(text) is not None
+        assert sg.semigroup_from_text(text) == sg.semigroup_from_json(json.loads(text)) == s
 
 
 # ---------------------------------------------------------------------------
