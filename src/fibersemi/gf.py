@@ -403,6 +403,24 @@ def _sing_matrices(p, n):
     return mats
 
 
+def idempotent_matrices(p, n):
+    """The idempotents of Sing(GF(p)^n) in code order, from one batched
+    e.e = e over _sing_matrices."""
+    mats = _sing_matrices(p, n)
+    return mats[(mats @ mats % p == mats).all(axis=(1, 2))]
+
+
+def endo_text(mats):
+    """str(Endo) of each matrix of a stack (count, n, n) with entries below
+    10, written from the array: each row's digits, the rows joined by "/"."""
+    count, n = mats.shape[:2]
+    text = np.full((count, n, n + 1), ord("/"), dtype=np.uint8)
+    text[:, :, :n] = mats + ord("0")
+    width = n * (n + 1) - 1
+    flat = text.reshape(count, -1)[:, :width].tobytes().decode("ascii")
+    return [flat[i:i + width] for i in range(0, len(flat), width)]
+
+
 @lru_cache(maxsize=None)
 def sing_table(p, n):
     """(singular Endos, decode, table) for Sing(GF(p)^n).

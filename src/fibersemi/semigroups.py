@@ -3,7 +3,9 @@
 Elements are opaque hashable labels; the table maps index pairs to the index
 of the product.  Green's relations and the morphism check work at this
 level, the check on index arrays into the tables, so the same code serves
-matrix semigroups, cone semigroups and hand-built fixtures alike.
+matrix semigroups, cone semigroups and hand-built fixtures alike.  The
+Green's relations of Sing(GF(p)^n) are also decided without a table, from
+verified matrix witnesses (sing_green).
 """
 
 from __future__ import annotations
@@ -53,9 +55,18 @@ class FiniteSemigroup(Record):
         return self.elements[self.table[self._index[a], self._index[b]]]
 
 
+_NESTED = {list, dict}
+
+
 def _label_from_json(x):
+    """x, as json.loads made it, with every array in it a tuple; an object
+    raises ValueError.  Only arrays and objects take a call: an array of
+    scalars becomes a tuple at once, and the scalar members of any other
+    array are kept as they are.  So a list of labels converts in one call."""
     if isinstance(x, list):
-        return tuple(_label_from_json(y) for y in x)
+        if _NESTED.isdisjoint(map(type, x)):
+            return tuple(x)
+        return tuple([_label_from_json(y) if type(y) in _NESTED else y for y in x])
     if isinstance(x, dict):
         raise ValueError(f"element label {x} is a JSON object")
     return x
@@ -188,7 +199,7 @@ def semigroup_from_json(d) -> FiniteSemigroup:
     if not (isinstance(elements, list) and isinstance(table, list)
             and all(isinstance(r, list) for r in table)):
         raise ValueError("a table document needs an element list and a list of rows")
-    return from_table([_label_from_json(x) for x in elements], table)
+    return from_table(_label_from_json(elements), table)
 
 
 # The common table document, {"elements": [...], "table": [[...], ...]} in
@@ -292,7 +303,7 @@ def semigroup_from_text(text) -> FiniteSemigroup:
     try:
         doc = _table_document(text)
         if doc is not None:
-            labels = [_label_from_json(x) for x in doc[0]]
+            labels = _label_from_json(doc[0])
     except (ValueError, RecursionError):  # raw_decode, encode, fromstring or a label
         doc = None
     if doc is None:
@@ -364,6 +375,85 @@ def green_relations(s: FiniteSemigroup) -> GreenStructure:
     return GreenStructure(l_classes, r_classes, h_classes, d_classes)
 
 
+def _class_of(classes, size):
+    """The position in classes of each of the size elements' class."""
+    of = np.empty(size, dtype=np.intp)
+    for k, c in enumerate(classes):
+        of[list(c)] = k
+    return of
+
+
+def sing_green(p, n) -> GreenStructure:
+    """Green's relations of Sing(GF(p)^n) from verified matrix witnesses:
+    green_relations of Sing's table, classes in the same order, with no table
+    built.  Maps act on row vectors, so the image of x is its row space.
+
+    Regularity.  The rref of [x | I] is [R | E] with E invertible and
+    E.x = R.  Let y0 select R's pivot columns, y0[c_j, j] = 1; then
+    R.y0.R = R, so x+ = y0.E gives x.x+.x = E^-1.R.y0.R = x, and
+    rank x+ <= rank x < n.  One batched rref gives every x+.
+
+    L and R.  If im x = im r then x = w.r for some w, so (x.r+).r = x, and
+    likewise (r.x+).x = r: x L r.  If ker x = ker r then x = r.w, so
+    r.(r+.x) = x and x.(x+.r) = r: x R r.  Each element is checked against
+    the first element r of its image class and of its kernel class, in one
+    batched product per identity, and every multiplier, x+ included, is
+    checked singular through gf._ranks, so the witnesses lie in Sing.  The
+    converses need no witness: im(u.x) is in im x and ker(x.u) contains
+    ker x for every u, so elements with different images are never
+    L-related and elements with different kernels never R-related.  So the
+    L-classes are the image classes and the R-classes the kernel classes,
+    keyed by the row space of x^T, which is ann(ker x).  H is the meet of
+    L and R, and D = L.R, the union of the R-classes that meet an L-class.
+
+    No Light's test is needed: no table is built, and Sing's associativity
+    is that of matrix multiplication.  The first element whose witness
+    fails raises AssertionError naming it.
+    """
+    mats, ranks = gf._sing_matrices(p, n), gf._ranks(p, n)
+    eye = np.broadcast_to(np.eye(n, dtype=np.int64), mats.shape)
+    red, pivot, _ = gf.rref_stack(np.concatenate([mats, eye], axis=2), p)
+    pivot = pivot[:, :n]
+    at, col = np.nonzero(pivot)
+    plus = np.zeros_like(mats)
+    plus[at, col] = red[at, pivot.cumsum(axis=1)[at, col] - 1, n:]   # row j of E to row c_j
+    images = gf.base_p(red[:, :, :n], p).tolist()
+    kernels = gf.base_p(gf.rref_stack(mats.transpose(0, 2, 1), p)[0], p).tolist()
+    l_classes, r_classes = _partition(images), _partition(kernels)
+    l_of, r_of = _class_of(l_classes, len(mats)), _class_of(r_classes, len(mats))
+
+    def mul(a, b):
+        return a @ b % p
+
+    def equal(a, b):
+        return (a == b).all(axis=(1, 2))
+
+    def singular(a):
+        return ranks[gf.base_p(a, p)] < n
+
+    first_l = np.array([c[0] for c in l_classes])[l_of]
+    first_r = np.array([c[0] for c in r_classes])[r_of]
+    x, lead, rep = mats, mats[first_l], mats[first_r]
+    u, v = mul(x, plus[first_l]), mul(lead, plus)   # x = u.lead, lead = v.x
+    s, t = mul(plus[first_r], x), mul(plus, rep)    # x = rep.s, rep = x.t
+    claims = {
+        "regularity": equal(mul(mul(x, plus), x), x) & singular(plus),
+        "L": equal(mul(u, lead), x) & equal(mul(v, x), lead) & singular(u) & singular(v),
+        "R": equal(mul(rep, s), x) & equal(mul(x, t), rep) & singular(s) & singular(t),
+    }
+    held = claims["regularity"] & claims["L"] & claims["R"]
+    if not held.all():
+        i = int(held.argmin())
+        failed = " and ".join(name for name, ok in claims.items() if not ok[i])
+        raise AssertionError(f"element {i} of Sing(GF({p})^{n}), {mats[i].tolist()}, "
+                             f"fails its {failed} witness check")
+    meets = np.zeros((len(l_classes), len(r_classes)), dtype=bool)
+    meets[l_of, r_of] = True
+    d_keys = [row.tobytes() for row in meets]
+    return GreenStructure(l_classes, r_classes, _partition(list(zip(images, kernels))),
+                          _partition([d_keys[k] for k in l_of.tolist()]))
+
+
 # ---------------------------------------------------------------------------
 # morphisms and the null-semigroup fixture
 
@@ -409,15 +499,10 @@ def null_semigroup_fixture():
 # ---------------------------------------------------------------------------
 # eggbox export
 
-def _label_str(x):
-    if isinstance(x, tuple):
-        return "(" + ",".join(_label_str(y) for y in x) + ")"
-    return str(x)
-
-
-def eggbox_dot(s: FiniteSemigroup, g: GreenStructure) -> str:
+def eggbox_dot(labels, g: GreenStructure) -> str:
     """Graphviz rendering: one cluster per D-class, an HTML grid of H-cells
-    with rows the R-classes and columns the L-classes."""
+    with rows the R-classes and columns the L-classes; labels[i] is the
+    text of element i."""
     lines = ["digraph eggbox {", '  graph [fontname="monospace"];']
     for d_i, dcls in enumerate(g.d_classes):
         dset = set(dcls)
@@ -428,7 +513,7 @@ def eggbox_dot(s: FiniteSemigroup, g: GreenStructure) -> str:
             row_cells = []
             for l in cols:
                 h = sorted(set(r) & set(l))
-                text = "<BR/>".join(_label_str(s.elements[i]) for i in h)
+                text = "<BR/>".join(labels[i] for i in h)
                 row_cells.append(f"<TD>{text}</TD>")
             cells.append("<TR>" + "".join(row_cells) + "</TR>")
         table = '<TABLE BORDER="0" CELLBORDER="1" CELLSPACING="0">' + "".join(cells) + "</TABLE>"

@@ -440,8 +440,7 @@ def m_sets(p, n):
     built."""
     lattice = gf.subspace_lattice(p, n)
     bases, dims = lattice.bases[:-1], lattice.dims[:-1]
-    mats, ranks = gf._sing_matrices(p, n), gf._ranks(p, n)
-    idem = mats[(mats @ mats % p == mats).all(axis=(1, 2))]
+    ranks, idem = gf._ranks(p, n), gf.idempotent_matrices(p, n)
     complement = (np.eye(n, dtype=np.int64) - idem) % p
     by_iso, by_sum = np.zeros((2, len(idem), len(dims)), dtype=bool)
     i, a = np.nonzero(dims == ranks[gf.base_p(idem, p)][:, None])

@@ -49,8 +49,8 @@ def test_enumerate_guard_exit(capsys):
     assert "guard" in err
 
 @pytest.mark.parametrize("argv", [
-    ("enumerate", "--field", "2", "--dim", "4"),
-    ("enumerate", "--field", "3", "--dim", "3"),
+    ("crossconn", "--field", "3", "--dim", "3"),
+    ("crossconn", "--field", "2", "--dim", "4"),
     ("cones", "--field", "3", "--dim", "3"),
     ("cones", "--field", "2", "--dim", "4"),
 ])
@@ -60,6 +60,36 @@ def test_sing_guard_refuses_fast(capsys, argv):
     assert time.perf_counter() - start < 1.0
     assert code == 2
     assert "associativity guard 1500" in err
+
+# enumerate and green build no table, so they answer past the table guard.
+# The counts are the closed forms p^(n^2) - |GL_n(p)| for the order and
+# sum_k G(n, k) p^(k(n - k)) for the idempotents; L and R have a class per
+# proper subspace, H sum_k G(n, k)^2, D one per rank.
+@pytest.mark.parametrize("argv,want", [
+    (("enumerate", "--field", "3", "--dim", "3"),
+     "field: 3\ndim: 3\nsingular_endomorphisms: 8451\nclosed_form: 8451\nidempotents: 235\n"
+     "proper_subspaces: 27\nsubspaces: 28\n"),
+    (("enumerate", "--field", "2", "--dim", "4"),
+     "field: 2\ndim: 4\nsingular_endomorphisms: 45376\nclosed_form: 45376\nidempotents: 801\n"
+     "proper_subspaces: 66\nsubspaces: 67\n"),
+    (("green", "--field", "3", "--dim", "3"),
+     "order: 8451\nL classes: 27\nR classes: 27\nH classes: 339\nD classes: 3\n"),
+    (("green", "--field", "2", "--dim", "4"),
+     "order: 45376\nL classes: 66\nR classes: 66\nH classes: 1676\nD classes: 4\n"),
+], ids=["enumerate-3-3", "enumerate-2-4", "green-3-3", "green-2-4"])
+def test_enumerate_and_green_answer_past_the_table_guard(capsys, argv, want):
+    start = time.perf_counter()
+    assert run(capsys, *argv) == (0, want, "")
+    assert time.perf_counter() - start < 1.5
+
+@pytest.mark.parametrize("argv,count", [
+    (("green", "--field", "5", "--dim", "3"), 5 ** 9),
+    (("enumerate", "--field", "2", "--dim", "5"), 2 ** 25),
+], ids=["green-5-3", "enumerate-2-5"])
+def test_endomorphism_guard_refuses_green_and_enumerate_fast(capsys, argv, count):
+    start = time.perf_counter()
+    assert run(capsys, *argv) == (2, "", f"error: p^(n^2) = {count} exceeds endomorphism guard 1048576\n")
+    assert time.perf_counter() - start < 1.0
 
 @pytest.mark.parametrize("p,n", [(2, 4), (3, 3)])
 def test_cross_connections_check_refuses_before_any_automorphism(p, n):
@@ -333,20 +363,19 @@ def test_check_refuses_before_the_category_is_built(monkeypatch, check, witness)
     assert str(exc.value) == witness
 
 
-@pytest.mark.parametrize("field,how,failure", [
-    ("l_classes", "merge", "L class with mixed images"),
-    ("l_classes", "split", "L classes do not match image partition"),
-    ("r_classes", "merge", "R class with mixed kernels"),
-    ("r_classes", "split", "R classes do not match kernel partition"),
+@pytest.mark.parametrize("field,how,path", [
+    (field, how, path) for path in ("table", "witnesses")
+    for field in ("l_classes", "r_classes") for how in ("merge", "split")
 ])
-def test_green_check_fails_on_planted_classes(monkeypatch, field, how, failure):
-    # the same four plants gave these witnesses when the check read an
-    # image and a kernel rref per element
+def test_green_check_fails_on_planted_classes(monkeypatch, field, how, path):
+    # a class merged with the next or split in two, planted into the
+    # table's classes or into the witnesses'
     assert cli._check_green(3, 2) == (True, None)
-    green_relations = sg.green_relations
+    name = "green_relations" if path == "table" else "sing_green"
+    honest = getattr(sg, name)
 
-    def planted(s):
-        g = green_relations(s)
+    def planted(*args):
+        g = honest(*args)
         classes = list(getattr(g, field))
         if how == "merge":
             classes[0:2] = [tuple(sorted(classes[0] + classes[1]))]
@@ -355,8 +384,40 @@ def test_green_check_fails_on_planted_classes(monkeypatch, field, how, failure):
             classes[i:i + 1] = [classes[i][:1], classes[i][1:]]
         return sg.GreenStructure(**{**{f: getattr(g, f) for f in g._fields}, field: tuple(classes)})
 
-    monkeypatch.setattr(sg, "green_relations", planted)
-    assert cli._check_green(3, 2) == (False, {"failure": failure})
+    monkeypatch.setattr(sg, name, planted)
+    assert cli._check_green(3, 2) == (False, {"failure": "table and witness classes differ", "relation": field})
+
+
+def _corrupt_witness(monkeypatch, p, n):
+    """Make one element's regularity witness wrong, through the rref of
+    [x | I] that sing_green reads: entry (0, 0) of E, the row x+ takes at
+    x's first pivot, is moved by one.  x.x+.x then differs from x by E^-1
+    times x's first row, so the element is one whose first row is nonzero.
+    Returns the message that names it."""
+    mats = gf._sing_matrices(p, n)
+    k = int(np.flatnonzero(mats[:, 0].any(axis=1))[2])
+    rref_stack = gf.rref_stack
+
+    def corrupted(a, q):
+        red, pivot, rank = rref_stack(a, q)
+        if a.shape == (len(mats), n, 2 * n) and np.array_equal(a[:, :, :n], mats):
+            red[k, 0, n] = (red[k, 0, n] + 1) % q
+        return red, pivot, rank
+
+    monkeypatch.setattr(gf, "rref_stack", corrupted)
+    return f"element {k} of Sing(GF({p})^{n}), {mats[k].tolist()}, fails its regularity"
+
+
+@pytest.mark.parametrize("p,n", [(3, 2), (2, 3)])
+def test_a_corrupted_witness_fails_green_and_its_check(monkeypatch, capsys, p, n):
+    message = _corrupt_witness(monkeypatch, p, n)
+    with pytest.raises(AssertionError) as exc:
+        sg.sing_green(p, n)
+    assert str(exc.value).startswith(message)
+    assert run(capsys, "green", "--field", str(p), "--dim", str(n)) == (1, "", f"error: {exc.value}\n")
+    entry = cli._run_check("green-eggbox", cli._check_green, p, n)
+    assert json.loads(json.dumps(entry)) == {
+        "check": "green-eggbox", "status": "fail", "witness": {"error": str(exc.value)}}
 
 
 def test_m_sets_and_green_take_no_per_element_subspaces(monkeypatch):

@@ -339,6 +339,11 @@ def test_batched_ranks_match_the_per_matrix_rank_filter(p, n):
     assert gf.enumerate_automorphisms(p, n) == sing_oracle.automorphisms(p, n)
     assert gf.enumerate_endos(p, n) == sing_oracle.endos(p, n)
 
+@pytest.mark.parametrize("p,n", ENUMERATION_POINTS)
+def test_endo_text_is_the_str_of_each_singular_endo(p, n):
+    want = [str(e) for e in gf.enumerate_endos(p, n, singular_only=True)]
+    assert gf.endo_text(gf._sing_matrices(p, n)) == want
+
 def test_singular_count_at_2_4():
     assert len(gf.enumerate_endos(2, 4, singular_only=True)) == gf.singular_count(2, 4) == 45376
     assert len(gf.enumerate_automorphisms(2, 4)) == 2 ** 16 - 45376

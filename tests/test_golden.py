@@ -40,7 +40,13 @@ The last two are verify-all at n = 1, where the dual category has a single
 object, as JSON at p = 2 and in the table format at p = 3, recorded before
 the dual category and the semigroup isomorphisms were decided on arrays
 alone.  (2,1) passes every check, so its digest is the one of (2,2); at
-(3,1) only bundle-amalgam fails, refused by the associativity guard."""
+(3,1) only bundle-amalgam fails, refused by the associativity guard.
+
+The last six are green and enumerate outputs at (2,3) and (7,2) that no
+earlier digest covered, recorded before both commands moved from Sing's
+Cayley table to verified matrix witnesses: green as JSON and as the table
+summary at (2,3), as DOT and as the summary at (7,2), and enumerate's
+table format at both points."""
 
 import hashlib
 import io
@@ -52,6 +58,8 @@ from contextlib import redirect_stdout
 import pytest
 
 from fibersemi import cli
+from fibersemi import gf
+from fibersemi import semigroups as sg
 
 GOLDEN = [
     ("enumerate --field 2 --dim 2", 0, "d258a35b5002af9fe79fbfb6d3516d5ccb0222bec3ccb0969f7f8f93108f6bee"),
@@ -99,6 +107,12 @@ GOLDEN = [
     ("amalgam --field 2 --dims 1,2,3 --core-dim 1 --format dot", 0, "c82321b490783531686150aac12835ba14e899a78997a8cf4891f6a01cdb1bc6"),
     ("verify-all --field 2 --dim 1 --format json", 0, "a60e2df95ead945c2201f21117e5b874587e4466b78c9e4fa619892974663e37"),
     ("verify-all --field 3 --dim 1", 1, "856f25c78fdf58ced420624aef694d304fbcd86e9f916aaaf889e78ac1a94c53"),
+    ("green --field 2 --dim 3 --format json", 0, "bf95a63937bcbaa088a0865f6c0319460f260219619c406302de2527d72bc9ab"),
+    ("green --field 2 --dim 3", 0, "9d1c75b443da9e51870edc145eb526af443b5b42eec1bf92458746060222cca0"),
+    ("green --field 7 --dim 2 --format dot", 0, "6f3743855aa58dae3b3c94c791e0cb35b278852faa49c2b3ef0bca87e0f17555"),
+    ("green --field 7 --dim 2", 0, "30be9bfde33ee17934f20494ff52e96f13869184b72714064ef0d32d536ed33c"),
+    ("enumerate --field 2 --dim 3", 0, "c76091d1c79fa7c20027fa342035b0f1ea9fd1c93bd594833cb2a764cea56127"),
+    ("enumerate --field 7 --dim 2", 0, "49867f98df053efe963dc400c1598dee2754e65dbb80ab2bf399b91d697fa57b"),
 ]
 
 
@@ -109,6 +123,23 @@ def test_output_is_byte_identical(command, code, digest):
         got = cli.main(command.split())
     assert got == code
     assert hashlib.sha256(buf.getvalue().encode()).hexdigest() == digest
+
+
+NO_TABLE = [g for g in GOLDEN if g[0].split()[0] in ("enumerate", "green")
+            and any(f"--field {p} --dim {n}" in g[0] for p, n in [(2, 3), (7, 2)])]
+
+
+@pytest.mark.parametrize("command,code,digest", NO_TABLE, ids=[c for c, _, _ in NO_TABLE])
+def test_green_and_enumerate_build_no_table(monkeypatch, command, code, digest):
+    # no Cayley table, no Light's test and no Endo per element, on a cold
+    # or a warm cache alike
+    def forbidden(*args, **kwargs):
+        raise RuntimeError("a Sing table, Light's test or an Endo was built")
+
+    for owner, name in [(gf, "sing_table"), (sg, "from_table"), (sg, "sing_semigroup"),
+                        (sg, "_associativity_witness"), (gf.Endo, "__init__")]:
+        monkeypatch.setattr(owner, name, forbidden)
+    test_output_is_byte_identical(command, code, digest)
 
 
 # verify-all with --table: a relabelled Sing(GF(2)^3) table that passes, and

@@ -534,7 +534,7 @@ def test_ideal_category_rejects_non_regular():
 
 def eggbox_export(s, g):
     """(DOT document, JSON document) for the Green structure."""
-    dot = sg.eggbox_dot(s, g)
+    dot = sg.eggbox_dot([str(x) for x in s.elements], g)
     return dot, json.dumps(g.to_json(), sort_keys=True, separators=(",", ":")) + "\n"
 
 def test_eggbox_dot_structure():
@@ -772,12 +772,21 @@ def test_green_matches_frozenset_oracle(builder):
     assert sg.green_relations(s) == green_oracle(s)
 
 
+@pytest.mark.parametrize("p,n", [(2, 1), (3, 1), (2, 2), (3, 2), (5, 2), (7, 2), (2, 3)])
+def test_sing_green_and_idempotents_match_the_table(p, n):
+    table = sg.sing_semigroup(p, n)
+    assert sg.sing_green(p, n) == sg.green_relations(table)
+    idem = sg.idempotents(table)
+    assert len(gf.idempotent_matrices(p, n)) == len(idem)
+    assert np.array_equal(gf.idempotent_matrices(p, n), gf._sing_matrices(p, n)[list(idem)])
+
+
 def test_sing_and_green_leave_numpy_ma_unimported():
     # numpy.ma (pulled in by np.unique, for one) costs about 1 MB of
     # resident memory in every process
     src = Path(sg.__file__).resolve().parents[1]
     code = ("import sys; from fibersemi import semigroups as sg; "
-            "sg.green_relations(sg.sing_semigroup(2, 3)); "
+            "sg.green_relations(sg.sing_semigroup(2, 3)); sg.sing_green(2, 3); "
             "print('numpy.ma' in sys.modules)")
     out = subprocess.run([sys.executable, "-c", code], cwd=src, env={"PYTHONPATH": str(src)},
                          capture_output=True, text=True, check=True).stdout
