@@ -21,8 +21,6 @@ from .semigroups import (
     GreenStructure,
     NotAssociative,
     from_table,
-    green_relations,
-    idempotents,
     is_regular,
     null_semigroup_fixture,
     semigroup_from_json,

@@ -56,7 +56,7 @@ class SubspaceIndex(Record):
     per-element arrays follow sing_table order; for x acting on row vectors
     ann(ker x) = im(x^T), so they also give both annihilators of kernels."""
     subspaces: tuple
-    position: np.ndarray    # base-p code of an RREF basis padded to n x n -> position, -1 elsewhere
+    row_space: np.ndarray   # base-p code of an n x n matrix -> position of its row space
     objects: np.ndarray     # positions of the proper subspaces, the category's objects
     bases: np.ndarray       # the objects' padded RREF bases, (objects, n, n)
     contains: np.ndarray    # contains[u, v]: v is a subspace of u
@@ -66,25 +66,22 @@ class SubspaceIndex(Record):
     timg: np.ndarray        # image of the transpose of x, which is ann(ker x)
 
 
-def _row_spaces(position, mats, p):
-    """The position of the row space of each matrix of a stack: its RREF,
-    zero rows last, coded in base p and looked up."""
-    return position[gf.base_p(gf.rref_stack(mats, p)[0], p)]
-
-
 @lru_cache(maxsize=None)
 def subspace_index(p, n) -> SubspaceIndex:
     """The index for (p, n), built once from the subspace lattice.  Sing's
     table comes first, so its order guard refuses before any subspace is
-    enumerated."""
+    enumerated.  Every matrix's row space is read from its rref code
+    (gf._reduced), where each subspace sits at the code of its RREF basis
+    padded to n x n; no matrix is reduced here."""
     gf.sing_table(p, n)
     lattice = gf.subspace_lattice(p, n)
     position = np.full(p ** (n * n), -1, dtype=np.intp)
     position[gf.base_p(lattice.bases, p)] = np.arange(len(lattice.subspaces))
+    row_space = position[gf._reduced(p, n)[1]]
     objects = np.flatnonzero(lattice.dims < n)
     mats = gf._sing_matrices(p, n)
-    img, timg = _row_spaces(position, np.concatenate([mats, mats.transpose(0, 2, 1)]), p).reshape(2, -1)
-    return SubspaceIndex(lattice.subspaces, position, objects, lattice.bases[objects], lattice.contains,
+    img, timg = row_space[gf.base_p(np.concatenate([mats, mats.transpose(0, 2, 1)]), p)].reshape(2, -1)
+    return SubspaceIndex(lattice.subspaces, row_space, objects, lattice.bases[objects], lattice.contains,
                          lattice.direct_sum, lattice.ann, img, timg)
 
 
@@ -111,11 +108,11 @@ def object_actions(idx: SubspaceIndex, eps, p):
     identities gives eps_t.(eps^-1)^T = (eps^-1.eps)^T = I and
     (eps^-1)^T.eps_t = (eps.eps^-1)^T = I, the same on the dual side.
 
-    The objects' bases times eps and times eps_t are reduced in one batched
-    rref and looked up by code.
+    The objects' bases times eps and times eps_t are looked up by code in
+    the index's row spaces; nothing is reduced.
     """
-    moved = np.concatenate([idx.bases @ eps, idx.bases @ eps.T])
-    e_obj, et_obj = _row_spaces(idx.position, moved, p).reshape(2, -1)
+    moved = np.concatenate([idx.bases @ eps, idx.bases @ eps.T]) % p
+    e_obj, et_obj = idx.row_space[gf.base_p(moved, p)].reshape(2, -1)
     return e_obj, et_obj
 
 

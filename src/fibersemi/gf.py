@@ -386,12 +386,20 @@ def from_base_p(codes, p, m, w):
 
 
 @lru_cache(maxsize=None)
+def _reduced(p, n):
+    """(ranks, rref codes) of every n x n matrix over GF(p), both indexed by
+    its code, from one batched elimination over all p^(n^2) of them.  The
+    rref code is the code of the RREF with its zero rows last, so two
+    matrices share it exactly when they have the same row space."""
+    red, _, ranks = rref_stack(from_base_p(np.arange(_endo_count(p, n)), p, n, n), p)
+    codes = base_p(red, p)
+    ranks.flags.writeable = codes.flags.writeable = False
+    return ranks, codes
+
+
 def _ranks(p, n):
-    """The rank of every n x n matrix over GF(p), indexed by its code: one
-    batched elimination over all p^(n^2) of them."""
-    ranks = rref_stack(from_base_p(np.arange(_endo_count(p, n)), p, n, n), p)[2]
-    ranks.flags.writeable = False
-    return ranks
+    """The rank of every n x n matrix over GF(p), indexed by its code."""
+    return _reduced(p, n)[0]
 
 
 @lru_cache(maxsize=None)

@@ -1,10 +1,10 @@
 """Finite semigroups given by Cayley tables.
 
 Elements are opaque hashable labels; the table maps index pairs to the index
-of the product.  Green's relations and the morphism check work at this
-level, the check on index arrays into the tables, so the same code serves
-matrix semigroups, cone semigroups and hand-built fixtures alike.  The
-Green's relations of Sing(GF(p)^n) are also decided without a table, from
+of the product.  Regularity and the morphism check work at this level, the
+check on index arrays into the tables, so the same code serves matrix
+semigroups, cone semigroups and hand-built fixtures alike.  The regularity
+and Green's relations of Sing(GF(p)^n) are decided without a table, from
 verified matrix witnesses (sing_green).
 """
 
@@ -313,11 +313,7 @@ def semigroup_from_text(text) -> FiniteSemigroup:
 
 
 # ---------------------------------------------------------------------------
-# idempotents, regularity, ideals, Green's relations
-
-def idempotents(s: FiniteSemigroup):
-    return tuple(np.flatnonzero(s.table.diagonal() == np.arange(s.order)).tolist())
-
+# regularity and Green's relations
 
 def is_regular(s: FiniteSemigroup) -> bool:
     """Whether every a has some x with (a.x).a = a, the cell [a, x] below."""
@@ -348,33 +344,6 @@ def _partition(keys):
     return tuple(classes)
 
 
-def green_relations(s: FiniteSemigroup) -> GreenStructure:
-    """L, R, H, D via monoid-completed ideals S^1 a = Sa u {a}.
-
-    The completion keeps L and R reflexive on non-regular semigroups.
-    """
-    n, t = s.order, s.table
-    idx = np.arange(n)
-
-    def keys(rows):  # a bit-packed membership row per element, as bytes
-        member = np.zeros((n, n), dtype=bool)
-        member[rows, t] = True
-        member[idx, idx] = True
-        return [r.tobytes() for r in np.packbits(member, axis=1)]
-
-    lkeys = keys(idx)            # row a marks {xa : x} u {a}
-    rkeys = keys(idx[:, None])   # row a marks {ax : x} u {a}
-    l_classes = _partition(lkeys)
-    r_classes = _partition(rkeys)
-    h_classes = _partition(list(zip(lkeys, rkeys)))
-    # D = L.R, since L and R commute: a's D-class is the union of the
-    # R-classes that meet its L-class
-    r_of = {i: k for k, cls in enumerate(r_classes) for i in cls}
-    d_key = {i: frozenset(r_of[x] for x in cls) for cls in l_classes for i in cls}
-    d_classes = _partition([d_key[i] for i in range(n)])
-    return GreenStructure(l_classes, r_classes, h_classes, d_classes)
-
-
 def _class_of(classes, size):
     """The position in classes of each of the size elements' class."""
     of = np.empty(size, dtype=np.intp)
@@ -383,10 +352,12 @@ def _class_of(classes, size):
     return of
 
 
+@lru_cache(maxsize=None)
 def sing_green(p, n) -> GreenStructure:
-    """Green's relations of Sing(GF(p)^n) from verified matrix witnesses:
-    green_relations of Sing's table, classes in the same order, with no table
-    built.  Maps act on row vectors, so the image of x is its row space.
+    """Green's relations of Sing(GF(p)^n) from verified matrix witnesses,
+    with no table built, once per (p, n).  Each class lists its elements in
+    Sing order and the classes come in order of their first elements.  Maps
+    act on row vectors, so the image of x is its row space.
 
     Regularity.  The rref of [x | I] is [R | E] with E invertible and
     E.x = R.  Let y0 select R's pivot columns, y0[c_j, j] = 1; then
@@ -403,22 +374,23 @@ def sing_green(p, n) -> GreenStructure:
     ker x for every u, so elements with different images are never
     L-related and elements with different kernels never R-related.  So the
     L-classes are the image classes and the R-classes the kernel classes,
-    keyed by the row space of x^T, which is ann(ker x).  H is the meet of
-    L and R, and D = L.R, the union of the R-classes that meet an L-class.
+    keyed by the row space of x^T, which is ann(ker x); both row spaces are
+    read by code from gf._reduced.  H is the meet of L and R, and D = L.R,
+    the union of the R-classes that meet an L-class.
 
     No Light's test is needed: no table is built, and Sing's associativity
     is that of matrix multiplication.  The first element whose witness
     fails raises AssertionError naming it.
     """
-    mats, ranks = gf._sing_matrices(p, n), gf._ranks(p, n)
+    mats, (ranks, row_space) = gf._sing_matrices(p, n), gf._reduced(p, n)
     eye = np.broadcast_to(np.eye(n, dtype=np.int64), mats.shape)
     red, pivot, _ = gf.rref_stack(np.concatenate([mats, eye], axis=2), p)
     pivot = pivot[:, :n]
     at, col = np.nonzero(pivot)
     plus = np.zeros_like(mats)
     plus[at, col] = red[at, pivot.cumsum(axis=1)[at, col] - 1, n:]   # row j of E to row c_j
-    images = gf.base_p(red[:, :, :n], p).tolist()
-    kernels = gf.base_p(gf.rref_stack(mats.transpose(0, 2, 1), p)[0], p).tolist()
+    images = row_space[gf.base_p(mats, p)].tolist()
+    kernels = row_space[gf.base_p(mats.transpose(0, 2, 1), p)].tolist()
     l_classes, r_classes = _partition(images), _partition(kernels)
     l_of, r_of = _class_of(l_classes, len(mats)), _class_of(r_classes, len(mats))
 
@@ -501,22 +473,20 @@ def null_semigroup_fixture():
 
 def eggbox_dot(labels, g: GreenStructure) -> str:
     """Graphviz rendering: one cluster per D-class, an HTML grid of H-cells
-    with rows the R-classes and columns the L-classes; labels[i] is the
-    text of element i."""
+    with rows the R-classes and columns the L-classes, each in class order;
+    labels[i] is the text of element i.  One pass over the elements files
+    each label under its (R-class, L-class) cell, in element order."""
+    size = sum(map(len, g.d_classes))
+    r_of, l_of = _class_of(g.r_classes, size).tolist(), _class_of(g.l_classes, size).tolist()
+    cells = defaultdict(list)
+    for i, cell in enumerate(zip(r_of, l_of)):
+        cells[cell].append(labels[i])
     lines = ["digraph eggbox {", '  graph [fontname="monospace"];']
     for d_i, dcls in enumerate(g.d_classes):
-        dset = set(dcls)
-        rows = [r for r in g.r_classes if set(r) <= dset]
-        cols = [l for l in g.l_classes if set(l) <= dset]
-        cells = []
-        for r in rows:
-            row_cells = []
-            for l in cols:
-                h = sorted(set(r) & set(l))
-                text = "<BR/>".join(labels[i] for i in h)
-                row_cells.append(f"<TD>{text}</TD>")
-            cells.append("<TR>" + "".join(row_cells) + "</TR>")
-        table = '<TABLE BORDER="0" CELLBORDER="1" CELLSPACING="0">' + "".join(cells) + "</TABLE>"
+        rows, cols = sorted({r_of[i] for i in dcls}), sorted({l_of[i] for i in dcls})
+        grid = "".join("<TR>" + "".join(f"<TD>{'<BR/>'.join(cells[r, l])}</TD>" for l in cols) + "</TR>"
+                       for r in rows)
+        table = '<TABLE BORDER="0" CELLBORDER="1" CELLSPACING="0">' + grid + "</TABLE>"
         lines.append(f"  subgraph cluster_{d_i} {{")
         lines.append(f'    label="D{d_i}";')
         lines.append(f"    d{d_i} [shape=plaintext, label=<{table}>];")

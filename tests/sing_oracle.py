@@ -9,7 +9,12 @@ The labelled morphism record (SemigroupMorphism, verify_morphism with its
 MorphismReport) and the table document writer (semigroup_to_json) are the
 semigroups API the program kept before it decided every morphism on index
 arrays (sg.morphism_witnesses) and wrote tables only through its own
-document writers; the tests use them to state claims over labels."""
+document writers; the tests use them to state claims over labels.
+
+idempotents and green_relations are the table engine that decided Sing's
+idempotents and Green's relations in verify-all before both checks moved to
+the verified matrix witnesses (sg.sing_green, gf.idempotent_matrices); they
+work on any table and are the reference those witnesses are compared with."""
 
 from __future__ import annotations
 
@@ -125,3 +130,34 @@ def _label_to_json(x):
 def semigroup_to_json(s: sg.FiniteSemigroup):
     """The table document that sg.semigroup_from_json reads back."""
     return {"elements": [_label_to_json(x) for x in s.elements], "table": s.table.tolist()}
+
+
+def idempotents(s: sg.FiniteSemigroup):
+    return tuple(np.flatnonzero(s.table.diagonal() == np.arange(s.order)).tolist())
+
+
+def green_relations(s: sg.FiniteSemigroup) -> sg.GreenStructure:
+    """L, R, H, D via monoid-completed ideals S^1 a = Sa u {a}.
+
+    The completion keeps L and R reflexive on non-regular semigroups.
+    """
+    n, t = s.order, s.table
+    idx = np.arange(n)
+
+    def keys(rows):  # a bit-packed membership row per element, as bytes
+        member = np.zeros((n, n), dtype=bool)
+        member[rows, t] = True
+        member[idx, idx] = True
+        return [r.tobytes() for r in np.packbits(member, axis=1)]
+
+    lkeys = keys(idx)            # row a marks {xa : x} u {a}
+    rkeys = keys(idx[:, None])   # row a marks {ax : x} u {a}
+    l_classes = sg._partition(lkeys)
+    r_classes = sg._partition(rkeys)
+    h_classes = sg._partition(list(zip(lkeys, rkeys)))
+    # D = L.R, since L and R commute: a's D-class is the union of the
+    # R-classes that meet its L-class
+    r_of = {i: k for k, cls in enumerate(r_classes) for i in cls}
+    d_key = {i: frozenset(r_of[x] for x in cls) for cls in l_classes for i in cls}
+    d_classes = sg._partition([d_key[i] for i in range(n)])
+    return sg.GreenStructure(l_classes, r_classes, h_classes, d_classes)

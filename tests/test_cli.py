@@ -364,15 +364,14 @@ def test_check_refuses_before_the_category_is_built(monkeypatch, check, witness)
 
 
 @pytest.mark.parametrize("field,how,path", [
-    (field, how, path) for path in ("table", "witnesses")
-    for field in ("l_classes", "r_classes") for how in ("merge", "split")
+    (field, how, "witnesses") for field in ("l_classes", "r_classes") for how in ("merge", "split")
 ])
 def test_green_check_fails_on_planted_classes(monkeypatch, field, how, path):
     # a class merged with the next or split in two, planted into the
-    # table's classes or into the witnesses'
+    # witnesses' classes, changes that relation's class sizes; path names
+    # the one source of classes the check reads
     assert cli._check_green(3, 2) == (True, None)
-    name = "green_relations" if path == "table" else "sing_green"
-    honest = getattr(sg, name)
+    honest = sg.sing_green
 
     def planted(*args):
         g = honest(*args)
@@ -384,8 +383,47 @@ def test_green_check_fails_on_planted_classes(monkeypatch, field, how, path):
             classes[i:i + 1] = [classes[i][:1], classes[i][1:]]
         return sg.GreenStructure(**{**{f: getattr(g, f) for f in g._fields}, field: tuple(classes)})
 
-    monkeypatch.setattr(sg, name, planted)
-    assert cli._check_green(3, 2) == (False, {"failure": "table and witness classes differ", "relation": field})
+    monkeypatch.setattr(sg, "sing_green", planted)
+    assert cli._check_green(3, 2) == (
+        False, {"failure": "class sizes differ from the closed form", "relation": field})
+
+
+def test_regularity_check_fails_on_a_missing_idempotent(monkeypatch):
+    honest = gf.idempotent_matrices
+    monkeypatch.setattr(gf, "idempotent_matrices", lambda p, n: honest(p, n)[1:])
+    assert cli._check_regularity(3, 2) == (False, {"idempotents": 12, "expected": 13})
+
+
+@pytest.mark.parametrize("p,n", [(2, 3), (3, 3), (2, 4)])
+def test_regularity_and_green_checks_build_no_table(monkeypatch, p, n):
+    # both checks read only the witnesses, so they pass past the table guard
+    def forbidden(*args):
+        raise AssertionError("a Sing table was built")
+
+    for owner, name in [(gf, "sing_table"), (sg, "sing_semigroup"), (sg, "from_table")]:
+        monkeypatch.setattr(owner, name, forbidden)
+    assert cli._check_regularity(p, n) == (True, None)
+    assert cli._check_green(p, n) == (True, None)
+
+
+def test_verify_all_computes_the_witnesses_once():
+    sg.sing_green.cache_clear()
+    report = cli.run_checks(2, 2)
+    assert [r["status"] for r in report[1:3]] == ["pass", "pass"]
+    info = sg.sing_green.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
+
+
+def test_cross_connections_read_the_table_through_lights_test(monkeypatch):
+    # the conjugation law's generator test is sound on an associative table
+    # only, so the check reads Sing's table through Light's test
+    def refused(p, n):
+        raise sg.NotAssociative((0, 1, 2))
+
+    monkeypatch.setattr(sg, "sing_semigroup", refused)
+    entry = cli._run_check("cross-connections", cli._check_cross_connections, 2, 2)
+    assert entry == {"check": "cross-connections", "status": "fail",
+                     "witness": {"error": str(sg.NotAssociative((0, 1, 2)))}}
 
 
 def _corrupt_witness(monkeypatch, p, n):
@@ -393,7 +431,9 @@ def _corrupt_witness(monkeypatch, p, n):
     [x | I] that sing_green reads: entry (0, 0) of E, the row x+ takes at
     x's first pivot, is moved by one.  x.x+.x then differs from x by E^-1
     times x's first row, so the element is one whose first row is nonzero.
-    Returns the message that names it."""
+    Returns the message that names it.  sing_green's cache is cleared
+    first, so the corrupted elimination is the one it reads."""
+    sg.sing_green.cache_clear()
     mats = gf._sing_matrices(p, n)
     k = int(np.flatnonzero(mats[:, 0].any(axis=1))[2])
     rref_stack = gf.rref_stack

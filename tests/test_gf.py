@@ -351,7 +351,7 @@ def test_singular_count_at_2_4():
 def test_enumeration_makes_no_rref_call(monkeypatch):
     def rref(*args):
         raise AssertionError("rref called")
-    for cached in (gf._ranks, gf._sing_matrices, gf.enumerate_endos, gf.enumerate_automorphisms):
+    for cached in (gf._reduced, gf._sing_matrices, gf.enumerate_endos, gf.enumerate_automorphisms):
         cached.cache_clear()
     monkeypatch.setattr(gf, "rref", rref)
     assert len(gf.enumerate_endos(5, 2, singular_only=True)) == gf.singular_count(5, 2)

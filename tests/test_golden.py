@@ -19,6 +19,10 @@ principal-cone path and (3,2) the exhaustive sweep.
 
 The last two are verify-all at (3,3) and (2,4), recorded before m-sets moved
 from LinearMap cones to batched ranks; both exit 1 on guard refusals only.
+Their digests were recorded again when regularity-idempotents and
+green-eggbox moved from Sing's Cayley table to its verified matrix
+witnesses: the table guard refused both checks there, and both now pass,
+which is the only change in either report.
 
 The next one is verify-all at (2,5), recorded before the subspace orders
 and the retraction law were read from one subspace lattice per (p, n); it
@@ -95,8 +99,8 @@ GOLDEN = [
     ("cones --field 7 --dim 2 --format json", 0, "73b10616280339cfec556b00ecec2bee4146b8d7e1357d90674612cde2f05669"),
     ("cones --field 2 --dim 3 --format json", 0, "d9bc240fc84579f6fa659f54b453264a4d1e822571f67834e05ad56b5337862f"),
     ("cones --field 3 --dim 2", 0, "60cd374e64472c43c6f0610d8c3310cec975d8140bf5caf09044971996b35322"),
-    ("verify-all --field 3 --dim 3 --format json", 1, "55c3a4884ac055be8add3f6d9ca69541d23c9f1aaf70fef02dc1ee9f8325b3c6"),
-    ("verify-all --field 2 --dim 4 --format json", 1, "c935265da6284daaa13e3219454d6ac1fc920e7e857994e66eb2aa2eff21c148"),
+    ("verify-all --field 3 --dim 3 --format json", 1, "e72bcdde07ee44fc891a13d847e56055813753878110b6f52dd4d560de261e6b"),
+    ("verify-all --field 2 --dim 4 --format json", 1, "23304dedae846093652d56929fdb9614813e75fef16643a9a1320069058f8033"),
     ("verify-all --field 2 --dim 5 --format json", 1, "deecc0876d6083bf709665ab85dd3bc89e321fe7eda02c7e567cc8f5006ee683"),
     ("crossconn --field 3 --dim 2 --eps [[0,1],[1,0]] --format json", 0, "d6478e8a573974ea0f12eb21854283a85c17fe183c722c08ca80dce7f4b6491c"),
     ("crossconn --field 3 --dim 2 --all-eps", 0, "78b925264040880c6233ca61711df8d27e9c9d6171a183fe76812b59bc5ba3ab"),
