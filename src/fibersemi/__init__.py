@@ -8,7 +8,6 @@ from .gf import (
     Subspace,
     endo,
     enumerate_automorphisms,
-    enumerate_endos,
     enumerate_subspaces,
     identity_endo,
     singular_count,

@@ -70,4 +70,4 @@ def build_ta_semigroup(p, n):
     the opposite of an associative table is associative."""
     ta = sc.coded_normal_cones(sc.build_category(p, n))[0]
     transposed = gf._sing_matrices(p, n).transpose(0, 2, 1)
-    return ta, sc.cone_map_witnesses(ta, gf.sing_table(p, n)[2].T, transposed, p)
+    return ta, sc.cone_map_witnesses(ta, gf.sing_table(p, n).T, transposed, p)

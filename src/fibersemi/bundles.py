@@ -4,9 +4,9 @@ Fibers are modeled purely as finite-dimensional spaces over GF(p).  Each
 fiber contributes the linked-pair semigroup of its dimension and
 automorphism; a core of dimension at most the smallest fiber embeds into
 every branch through the leading-coordinate block embedding.  Every one of
-these semigroups lies on the Sing table of its dimension, so the amalgam is
-held as index arrays: a conjugation permutation per part and an index array
-per embedding.  Labels, tagged apart by owner, exist only in the JSON
+these semigroups lies on Sing of its dimension, in Sing order, so the
+amalgam is held as index arrays: a conjugation permutation per part and an
+index array per embedding.  Labels, tagged apart by owner, exist only in the JSON
 document.
 """
 
@@ -18,7 +18,6 @@ import numpy as np
 
 from . import crossconn as xc
 from . import gf
-from . import semigroups as sg
 from .gf import Endo, Record
 
 
@@ -78,17 +77,23 @@ def build_embedding(spec: FiberFamilySpec, i: int, m: int) -> np.ndarray:
     acts on the leading m of d coordinates and kills the rest,
     v -> ((v.proj).alpha).include, so it is zero-padded to d x d.  Core and
     branch list their first coordinates in Sing order, so each index is read
-    from sing_table's decode array at the padded code.  assemble_amalgam
-    verifies the map once, exhaustively.  The second coordinates are
-    conjugates by construction (linked_pairs), so the map is decided on the
-    Sing tables."""
+    from gf.sing_decode(p, d) at the padded code.
+
+    The map is an injective homomorphism by a reduction, not a search.
+    Block multiplication gives pad(a).pad(b) = pad(ab), since the product of
+    two matrices zero outside their leading m x m blocks is the product of
+    the blocks, zero-padded.  rank pad(a) = rank a, so a singular core
+    element stays singular, and pad is injective, since a is read back from
+    pad(a)'s leading block.  What is left to decide is that every padded
+    code is singular in the decode array (-1 marks an invertible one),
+    which is refused here.  Neither Sing table is built."""
     p, d = spec.p, spec.dims[i]
     if m > d:
         raise ValueError("core dimension exceeds fiber dimension")
     core_mats = gf._sing_matrices(p, m)
     padded = np.zeros((len(core_mats), d, d), dtype=np.int64)
     padded[:, :m, :m] = core_mats
-    mapping = gf.sing_table(p, d)[1][gf.base_p(padded, p)]
+    mapping = gf.sing_decode(p, d)[gf.base_p(padded, p)]
     if (mapping < 0).any():
         raise AssertionError(f"a block-embedded core element is invertible in fiber {i}")
     return mapping
@@ -107,13 +112,13 @@ class BundleAmalgam(Record):
 
 
 def assemble_amalgam(spec: FiberFamilySpec, m=None, eps_w=None) -> BundleAmalgam:
-    """Core, branches and verified embeddings for the whole fiber family.
+    """Core, branches and embeddings for the whole fiber family.
 
     One linked_pairs call per dimension builds the linked-pair semigroups
     of its distinct automorphisms, the core's dimension first and then the
     fibers' in order, so the first guard to refuse is the one of the first
-    part that needs it.  Each embedding is decided on the Sing tables of
-    the core and of its branch (sg.morphism_witnesses).
+    part that needs it.  Each embedding is an injective homomorphism by the
+    block reduction that build_embedding states.
     """
     p, core = spec.p, build_core(spec, m, eps_w)
     parts = ((core.m, core.eps_w),) + tuple(zip(spec.dims, spec.eps))
@@ -122,14 +127,8 @@ def assemble_amalgam(spec: FiberFamilySpec, m=None, eps_w=None) -> BundleAmalgam
         rows = stacks.setdefault(d, {})
         rows.setdefault(eps, len(rows))
     perms = {d: xc.linked_pairs(p, d, list(rows)).perms for d, rows in stacks.items()}
-    embeddings = []
-    for i, d in enumerate(spec.dims):
-        phi = build_embedding(spec, i, core.m)
-        witnesses = sg.morphism_witnesses(gf.sing_table(p, core.m)[2], gf.sing_table(p, d)[2], phi)
-        if witnesses:
-            raise AssertionError(f"embedding into fiber {i} failed verification: {witnesses}")
-        embeddings.append(phi)
-    return BundleAmalgam(spec, core, tuple(perms[d][stacks[d][eps]] for d, eps in parts), tuple(embeddings))
+    embeddings = tuple(build_embedding(spec, i, core.m) for i in range(len(spec.dims)))
+    return BundleAmalgam(spec, core, tuple(perms[d][stacks[d][eps]] for d, eps in parts), embeddings)
 
 
 def amalgam_json(b: BundleAmalgam) -> str:

@@ -115,8 +115,8 @@ def _check_factorization(p, n):
 def _sing_pairs(p, n, found):
     """Morphism witnesses over Sing(GF(p)^n) with each index written as its
     element's {"n", "p", "rows"} document."""
-    elems = gf.sing_table(p, n)[0]
-    return {k: [elems[i].to_json() for i in pair] for k, pair in found.items()}
+    mats = gf._sing_matrices(p, n)
+    return {k: [{"p": p, "n": n, "rows": mats[i].tolist()} for i in pair] for k, pair in found.items()}
 
 
 def _check_cone_semigroup(p, n):
@@ -134,7 +134,7 @@ def _check_cone_semigroup(p, n):
         return False, {"cones": cone_sg.order, "singular": singular}
     if code.codes(vertex, rows).tolist() != sc.principal_codes(cat, code).tolist():
         return False, {"failure": "non-principal normal cone found"}
-    found = sc.cone_map_witnesses(cone_sg, gf.sing_table(p, n)[2], gf._sing_matrices(p, n), p)
+    found = sc.cone_map_witnesses(cone_sg, gf.sing_table(p, n), gf._sing_matrices(p, n), p)
     if found:
         return False, {"failure": "cone map is not an isomorphism", **_sing_pairs(p, n, found)}
     return True, None
@@ -178,38 +178,30 @@ def _check_dual_category(p, n):
 def _check_cross_connections(p, n):
     # Decided on the subspace index (crossconn.subspace_index), whose build
     # refuses by Sing's order before any automorphism is enumerated.  The
-    # linked-pair semigroup shares Sing's table with labels in Sing order,
-    # so its order, its first projection and its regularity hold by
-    # construction; only its conjugation law is checked here, on the table
-    # whose associativity sing_semigroup decides, as the law's generator
-    # test needs.  Functoriality is eps.eps^-1 = I (xc.object_actions states
-    # why); object_actions also decides that the actions are injective on
-    # hom-sets.
+    # linked-pair semigroup lies on Sing with labels in Sing order, so its
+    # order, its first projection and its regularity hold by construction,
+    # and its conjugation law is a reduction once eps.eps^-1 = I
+    # (xc.conjugations states it).  Functoriality is eps.eps^-1 = I too
+    # (xc.object_actions states why); object_actions also decides that the
+    # actions are injective on hom-sets.  At each automorphism in order:
+    # functoriality, covering, that the conjugation is a permutation, which
+    # link_failure assumes, and linking.
     idx = xc.subspace_index(p, n)
-    table = sg.sing_semigroup(p, n).table
     autos = gf.enumerate_automorphisms(p, n)
     conj = xc.conjugations(p, n, autos)
-    witness, law_upto = None, len(autos)
     for i, eps in enumerate(autos):
         if not conj.inverts[i]:
-            witness, law_upto = {"eps": eps.to_json(), "failure": "functoriality"}, i
-            break
+            return False, {"eps": eps.to_json(), "failure": "functoriality"}
         e_obj, et_obj = xc.object_actions(idx, conj.eps[i], p)
         if not xc.covers(idx, et_obj):
-            witness, law_upto = {"eps": eps.to_json(), "failure": "covering"}, i
-            break
+            return False, {"eps": eps.to_json(), "failure": "covering"}
+        if not conj.permutes[i]:
+            raise AssertionError("not a permutation of the element indices")
         pair = xc.link_failure(idx, conj.perms[i], e_obj, et_obj)
         if pair is not None:
             a, y = pair
-            witness, law_upto = {"eps": eps.to_json(), "a": a.to_json(), "y": y.to_json()}, i + 1
-            break
-    # At each automorphism the law comes after covering and before linking.
-    # So it is decided, in one batch, for the automorphisms the loop passed
-    # (and for the one that failed linking): a law failure there comes
-    # first.  It also decides that each perm is a permutation, which
-    # link_failure assumes.
-    xc.check_conjugation_law(table, conj.perms[:law_upto])
-    return witness is None, witness
+            return False, {"eps": eps.to_json(), "a": a.to_json(), "y": y.to_json()}
+    return True, None
 
 
 def _check_null_amalgam(p, n):
@@ -234,15 +226,25 @@ def _check_null_amalgam(p, n):
     return True, None
 
 
-def _check_bundle_amalgam(p, n, dims=(2, 2, 3), m=2):
-    # assemble_amalgam raises unless every embedding is an injective
-    # homomorphism; each order is compared with the closed form.
-    bundle = bn.assemble_amalgam(bn.fiber_family(p, max(dims), dims), m=m)
+BUNDLE_DIMS, BUNDLE_CORE_DIM = (2, 2, 3), 2  # bundle-amalgam's fiber family, the same at every n
+
+
+def _check_bundle_amalgam(p, n):
+    # The fiber family and its core do not depend on n.  Each embedding is
+    # an injective homomorphism by the block reduction (bn.build_embedding),
+    # and each part's conjugation law holds by the conjugation reduction
+    # (xc.conjugations).  So what is left to decide is E.E^-1 = I and that
+    # each conjugation is a permutation (xc.linked_pairs raises otherwise),
+    # that no block-embedded core element is invertible (build_embedding
+    # raises), and the orders against the closed forms, compared here.  The
+    # embeddings are decided on first coordinates; the second coordinates,
+    # conjugates under each part's own automorphism, are not compared.
+    bundle = bn.assemble_amalgam(bn.fiber_family(p, max(BUNDLE_DIMS), BUNDLE_DIMS), m=BUNDLE_CORE_DIM)
     core_order, *orders = bundle.orders
-    want = [gf.singular_count(p, d) for d in dims]
+    want = [gf.singular_count(p, d) for d in BUNDLE_DIMS]
     if orders != want:
         return False, {"orders": orders, "expected": want}
-    if core_order != gf.singular_count(p, m):
+    if core_order != gf.singular_count(p, BUNDLE_CORE_DIM):
         return False, {"core_order": core_order}
     return True, None
 
@@ -406,6 +408,8 @@ def cmd_crossconn(args):
         eps_list = [_parse_eps(args.eps, p, n)]
     else:
         eps_list = [gf.identity_endo(p, n)]
+    if args.format == "json":  # the document writes Sing's table: refuse before any pair is built
+        gf.check_sing_order(p, n)
     conj = xc.linked_pairs(p, n, eps_list)
     if args.format == "json":
         _emit(xc.linked_pairs_json(conj), args.out)
@@ -419,6 +423,9 @@ def cmd_amalgam(args):
     p = args.field
     dims = tuple(int(x) for x in args.dims.split(","))
     spec = bn.fiber_family(p, max(dims), dims)
+    if args.format == "json":  # the document writes each part's Sing table: refuse before any is built
+        for d in (bn.build_core(spec, args.core_dim).m,) + dims:
+            gf.check_sing_order(p, d)
     bundle = bn.assemble_amalgam(spec, m=args.core_dim)
     if args.format == "dot":
         _emit(bn.amalgam_dot(bundle), args.out)

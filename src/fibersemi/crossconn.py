@@ -10,9 +10,10 @@ first projection.
 The claims about a connection (functoriality, covering, inclusion and the
 linking bijection) are decided on integer arrays: every subspace of GF(p)^n
 gets a position once per (p, n), and each Sing element is read through the
-positions of its image and of its transpose's image.  The inverses, the
-conjugation permutations and the conjugation law are computed for a whole
-stack of automorphisms at once (conjugations, check_conjugation_law).
+positions of its image and of its transpose's image.  The inverses and the
+conjugation permutations are computed for a whole stack of automorphisms at
+once (conjugations); the conjugation law is a reduction stated there, and
+no Cayley table is read.
 """
 
 from __future__ import annotations
@@ -23,7 +24,6 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from . import gf
-from . import semigroups as sg
 from .gf import Endo, Record
 
 
@@ -53,8 +53,9 @@ class CrossConnection(Record):
 class SubspaceIndex(Record):
     """Every subspace of GF(p)^n at its position in enumerate_subspaces
     order, with the relations the cross-connection claims read.  The two
-    per-element arrays follow sing_table order; for x acting on row vectors
-    ann(ker x) = im(x^T), so they also give both annihilators of kernels."""
+    per-element arrays follow Sing order (gf._sing_matrices); for x acting
+    on row vectors ann(ker x) = im(x^T), so they also give both
+    annihilators of kernels."""
     subspaces: tuple
     row_space: np.ndarray   # base-p code of an n x n matrix -> position of its row space
     objects: np.ndarray     # positions of the proper subspaces, the category's objects
@@ -69,11 +70,11 @@ class SubspaceIndex(Record):
 @lru_cache(maxsize=None)
 def subspace_index(p, n) -> SubspaceIndex:
     """The index for (p, n), built once from the subspace lattice.  Sing's
-    table comes first, so its order guard refuses before any subspace is
-    enumerated.  Every matrix's row space is read from its rref code
-    (gf._reduced), where each subspace sits at the code of its RREF basis
-    padded to n x n; no matrix is reduced here."""
-    gf.sing_table(p, n)
+    order guard (gf.check_sing_order) comes first, so it refuses before any
+    subspace is enumerated; no table is built.  Every matrix's row space is
+    read from its rref code (gf._reduced), where each subspace sits at the
+    code of its RREF basis padded to n x n; no matrix is reduced here."""
+    gf.check_sing_order(p, n)
     lattice = gf.subspace_lattice(p, n)
     position = np.full(p ** (n * n), -1, dtype=np.intp)
     position[gf.base_p(lattice.bases, p)] = np.arange(len(lattice.subspaces))
@@ -134,7 +135,7 @@ def link_failure(idx: SubspaceIndex, perm, e_obj, et_obj):
     and ann(ker x_i) = im(x_i^T) in eps_t.y; j is in the second set when
     the image of its transpose lies in y and that transpose's ann(ker),
     which is im(x_j), in eps.a.  perm must be a permutation
-    (check_conjugation_law decides that); it sends the first set onto the
+    (Conjugations.permutes decides that); it sends the first set onto the
     second exactly when i is in the first set iff perm[i] is in the second.
     """
     c = idx.contains
@@ -153,15 +154,16 @@ def link_failure(idx: SubspaceIndex, perm, e_obj, et_obj):
 
 class Conjugations(Record):
     """Automorphisms eps_1..eps_k of GF(p)^n with what their linked-pair
-    semigroups are built from.  Every one of those semigroups lies on Sing's
-    table: the pairs of the e-th are (x_i, x_perms[e, i]) over the elements
-    x_i of sing_table."""
+    semigroups are built from.  Every one of those semigroups lies on Sing:
+    the pairs of the e-th are (x_i, x_perms[e, i]) over the elements x_i of
+    gf._sing_matrices, and they multiply as their first coordinates do."""
     p: int
     n: int
     eps: np.ndarray      # (k, n, n)
     inv: np.ndarray      # (k, n, n) the right half of the rref of [eps | I]
     inverts: np.ndarray  # (k,) eps.inv = I, so inv is eps^-1
     perms: np.ndarray    # (k, N) index of inv.x_i.eps, -1 where it is invertible
+    permutes: np.ndarray # (k,) perms[e] is a permutation of 0..N-1
 
 
 def conjugations(p, n, eps) -> Conjugations:
@@ -169,69 +171,45 @@ def conjugations(p, n, eps) -> Conjugations:
     of them at once; nothing is raised here.  The inverses come from one
     batched rref, E.E^-1 = I from one batched product, and the conjugates of
     every Sing element from broadcast products, in chunks of about
-    TABLE_BLOCK_CELLS entries, read by code from sing_table's decode
-    array."""
-    _, decode, _ = gf.sing_table(p, n)
-    sing = gf._sing_matrices(p, n)
+    TABLE_BLOCK_CELLS entries, read by code from gf.sing_decode; one sort
+    per chunk decides which rows are permutations.
+
+    The conjugation law is a reduction, not a search.  Where inverts holds,
+    perm[i] is the index of E^-1.x_i.E with E.E^-1 = I, and Sing's product
+    is the matrix product, so
+    perm[ab] = E^-1.x_a.x_b.E = (E^-1.x_a.E)(E^-1.x_b.E) = perm[a].perm[b]:
+    conjugation keeps the rank, so each perm maps Sing into itself as an
+    endomorphism, and conjugation by E^-1 is its inverse, so it is an
+    automorphism.  The linked pairs (x_i, x_perm[i])
+    therefore multiply componentwise exactly as their first coordinates
+    do.  What is left to decide is E.E^-1 = I (inverts) and, for the
+    index arrays that link_failure reads, that each row is a permutation
+    (permutes).  No Cayley table is read."""
+    sing, decode = gf._sing_matrices(p, n), gf.sing_decode(p, n)
     mats = np.array([e.rows for e in eps], dtype=np.int64).reshape(-1, n, n)
     inv = gf.inverse_stack(mats, p)
     inverts = (mats @ inv % p == np.eye(n, dtype=np.int64)).all(axis=(1, 2))
     perms = np.empty((len(mats), len(sing)), dtype=np.int32)
+    permutes = np.empty(len(mats), dtype=bool)
     block = max(1, gf.TABLE_BLOCK_CELLS // (len(sing) * n * n))
     for lo in range(0, len(mats), block):
         conj = inv[lo:lo + block, None] @ sing % p @ mats[lo:lo + block, None] % p
         perms[lo:lo + block] = decode[gf.base_p(conj.reshape(-1, n, n), p)].reshape(-1, len(sing))
-    return Conjugations(p, n, mats, inv, inverts, perms)
-
-
-def _first_false(mask) -> int:
-    """The index of the first False of a boolean array, or its length."""
-    return len(mask) if mask.all() else int(mask.argmin())
-
-
-def check_conjugation_law(table, perms):
-    """Raise unless, for each row perm of perms, the second coordinates
-    multiply like the first ones; the error is the one of the first row in
-    order that fails.
-
-    perm[i] is the index of eps^-1.alpha_i.eps; the linked-pair product of
-    (a, perm[a]) and (b, perm[b]) has second coordinate perm[ab], which must
-    equal perm[a].perm[b].  After checking that perm is a permutation, that
-    is tested for every a but only for b in the table's generating set G.
-    This is sound on an associative table, as Light's test is: the set
-    B = {b : perm[ab] = perm[a]perm[b] for all a} is closed under products,
-    since for b, c in B
-    perm[a(bc)] = perm[(ab)c] = perm[ab]perm[c] = (perm[a]perm[b])perm[c]
-    = perm[a](perm[b]perm[c]) = perm[a]perm[bc].  So B holds the submagma
-    G generates, which is the whole table.
-
-    The rows are decided in chunks of about TABLE_BLOCK_CELLS cells.
-    """
-    order, gens = len(table), sg.table_generators(table)
-    products, cells = table[:, gens], table.ravel()   # products[a, k] = a g_k
-    block = max(1, gf.TABLE_BLOCK_CELLS // (order * len(gens)))
-    for lo in range(0, len(perms), block):
-        chunk = perms[lo:lo + block].astype(np.intp)  # int32 index arithmetic cost 128 KB of peak RSS
-        good = chunk[:_first_false((np.sort(chunk, axis=1) == np.arange(order)).all(axis=1))]
-        # [e, a, k]: perm[a g_k] against perm[a]perm[g_k], read from the flat table
-        bad = good[:, products] != cells[(good * order)[:, :, None] + good[:, None, gens]]
-        failed = bad.any(axis=(1, 2))
-        if failed.any():
-            a, k = divmod(int(bad[failed.argmax()].argmax()), len(gens))
-            raise AssertionError(f"linked-pair product broke the conjugation law at pair {(a, int(gens[k]))}")
-        if len(good) < len(chunk):
-            raise AssertionError("not a permutation of the element indices")
+        permutes[lo:lo + block] = (np.sort(perms[lo:lo + block], axis=1) == np.arange(len(sing))).all(axis=1)
+    return Conjugations(p, n, mats, inv, inverts, perms, permutes)
 
 
 def linked_pairs(p, n, eps) -> Conjugations:
     """conjugations(p, n, eps), raising for the first automorphism in order
-    that fails, at each one first eps.eps^-1 = I and then the conjugation
-    law on Sing's table, whose associativity sing_semigroup decides."""
+    that fails, at each one first eps.eps^-1 = I and then that its
+    conjugation is a permutation; the conjugation law then holds by the
+    reduction that conjugations states."""
     conj = conjugations(p, n, eps)
-    stop = _first_false(conj.inverts)
-    check_conjugation_law(sg.sing_semigroup(p, n).table, conj.perms[:stop])
-    if stop < len(eps):
-        raise ValueError("cross-connections require an invertible endomorphism")
+    held = conj.inverts & conj.permutes
+    if not held.all():
+        if not conj.inverts[held.argmin()]:
+            raise ValueError("cross-connections require an invertible endomorphism")
+        raise AssertionError("not a permutation of the element indices")
     return conj
 
 
@@ -240,7 +218,7 @@ def sing_json(p, n):
     matrix, in Sing order, and of Sing's table, as json.dumps writes them
     with separators (",", ":").  The document writers encode each once."""
     mats = [json.dumps(m, separators=(",", ":")) for m in gf._sing_matrices(p, n).tolist()]
-    return mats, json.dumps(gf.sing_table(p, n)[2].tolist(), separators=(",", ":"))
+    return mats, json.dumps(gf.sing_table(p, n).tolist(), separators=(",", ":"))
 
 
 def linked_pairs_json(conj: Conjugations) -> str:

@@ -345,14 +345,6 @@ def transpose(alpha: Endo) -> Endo:
 
 
 @lru_cache(maxsize=None)
-def enumerate_endos(p, n, singular_only=False):
-    """All n x n matrices over GF(p), lexicographic by entries; singular_only
-    keeps those of rank below n."""
-    mats = _sing_matrices(p, n) if singular_only else from_base_p(np.arange(_endo_count(p, n)), p, n, n)
-    return tuple(Endo(p, n, tuple(map(tuple, m))) for m in mats.tolist())
-
-
-@lru_cache(maxsize=None)
 def enumerate_automorphisms(p, n):
     """All invertible n x n matrices over GF(p), lexicographic by entries."""
     mats = from_base_p(np.flatnonzero(_ranks(p, n) == n), p, n, n)
@@ -369,7 +361,7 @@ def singular_count(p, n):
 
 # ---------------------------------------------------------------------------
 # integer-coded kernel: an n x n matrix is the base-p number of its row-major
-# entries, which is exactly the lexicographic order of enumerate_endos
+# entries, so code order is the lexicographic order of the entries
 
 TABLE_BLOCK_CELLS = 1 << 15  # table cells per block of rows (256 KB of int64 codes)
 
@@ -405,7 +397,8 @@ def _ranks(p, n):
 @lru_cache(maxsize=None)
 def _sing_matrices(p, n):
     """The singular n x n matrices in code order, as one read-only
-    (order, n, n) array: the sing_table elements."""
+    (order, n, n) array: the elements of Sing, at their sing_decode
+    indices."""
     mats = from_base_p(np.flatnonzero(_ranks(p, n) < n), p, n, n)
     mats.flags.writeable = False
     return mats
@@ -430,24 +423,44 @@ def endo_text(mats):
 
 
 @lru_cache(maxsize=None)
-def sing_table(p, n):
-    """(singular Endos, decode, table) for Sing(GF(p)^n).
+def sing_decode(p, n):
+    """The Sing index of every n x n matrix over GF(p), by its code: its
+    position in _sing_matrices, -1 for an invertible matrix.  A read-only
+    int32 array of p^(n^2) entries, from _ranks, so behind the endomorphism
+    guard only."""
+    singular = _ranks(p, n) < n
+    decode = np.full(len(singular), -1, dtype=np.int32)
+    decode[singular] = np.arange(np.count_nonzero(singular), dtype=np.int32)
+    decode.flags.writeable = False  # shared by every caller
+    return decode
 
-    The Endos are in enumerate_endos order; decode maps a matrix code to its
-    index there, -1 for invertible matrices; table[i, j] is the index of
-    elems[i] * elems[j] as an int32 array.  Both guards are checked before
-    anything is enumerated.
+
+def check_sing_order(p, n):
+    """Sing(GF(p)^n)'s order, in closed form, once the endomorphism guard
+    and the associativity guard pass.  sing_table refuses by it, and so do
+    the callers that must refuse where the table would, without building
+    it: crossconn.subspace_index and the crossconn and amalgam JSON
+    documents, before any linked pair is built."""
+    _endo_count(p, n)
+    order = singular_count(p, n)
+    if order > ASSOC_GUARD:
+        raise GuardExceeded(f"Sing(GF({p})^{n}) has order {order}, beyond the associativity guard {ASSOC_GUARD}")
+    return order
+
+
+@lru_cache(maxsize=None)
+def sing_table(p, n):
+    """Sing(GF(p)^n)'s Cayley table over _sing_matrices: table[i, j] is the
+    index of the product of matrices i and j, as a read-only int32 array.
+    Both guards are checked before anything is enumerated.
 
     Each cell is the product of the two matrices, read by row codes: row r
     of A.B is A[r].B, so code(A.B) = sum_r code(A[r].B) p^(n(n-1-r)), with
     code(v.B_j) looked up in rowprod[v, j] for each of the p^n row vectors v.
     Blocks of rows keep every intermediate to a few MB.
     """
-    count, order = _endo_count(p, n), singular_count(p, n)
-    if order > ASSOC_GUARD:
-        raise GuardExceeded(f"Sing(GF({p})^{n}) has order {order}, beyond the associativity guard {ASSOC_GUARD}")
-    mats, decode = _sing_matrices(p, n), np.full(count, -1, dtype=np.int32)
-    decode[_ranks(p, n) < n] = np.arange(order, dtype=np.int32)
+    order = check_sing_order(p, n)
+    mats, decode = _sing_matrices(p, n), sing_decode(p, n)
     digits = p ** np.arange(n - 1, -1, -1)
     vectors = np.arange(p ** n)[:, None] // digits % p
     rows = mats @ digits                                  # rows[i, r] = code(A_i[r])
@@ -460,8 +473,8 @@ def sing_table(p, n):
         for r in range(1, n):
             acc += weighted[r][rows[lo:lo + block, r]]
         table[lo:lo + block] = decode[acc]
-    decode.flags.writeable = table.flags.writeable = False  # shared by every caller
-    return enumerate_endos(p, n, singular_only=True), decode, table
+    table.flags.writeable = False  # shared by every caller
+    return table
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import json
 import re
-import weakref
 from collections import defaultdict
 from functools import lru_cache
 from itertools import chain
@@ -92,28 +91,11 @@ def _generators(t):
     return gens
 
 
-_TABLE_GENERATORS = {}  # id(t) -> generators, for read-only tables still alive
-
-
-def table_generators(t):
-    """_generators(t) as an int array, computed once per read-only table (such
-    as the shared Sing tables, and every table from_table validates).  An
-    entry is dropped when its table is freed, before its id can be reused;
-    a writeable table is walked again on every call."""
-    if t.flags.writeable:
-        return np.array(_generators(t), dtype=np.intp)
-    if id(t) not in _TABLE_GENERATORS:
-        _TABLE_GENERATORS[id(t)] = np.array(_generators(t), dtype=np.intp)
-        weakref.finalize(t, _TABLE_GENERATORS.pop, id(t)).atexit = False
-    return _TABLE_GENERATORS[id(t)]
-
-
 def _associativity_witness(t):
     """A triple (x, g, y) with (xg)y != x(gy), or None if t is associative.
 
-    Light's test over the generating set of ``table_generators``, so a
-    read-only table's walk is shared with later callers.  It is sound for
-    any magma: A = {a : (xa)y = x(ay) for all x, y} is closed under the
+    Light's test over the generating set of ``_generators``.  It is sound
+    for any magma: A = {a : (xa)y = x(ay) for all x, y} is closed under the
     product, since (x(ab))y = ((xa)b)y = (xa)(by) = x(a(by)) = x((ab)y).  The
     closure of G under right multiplication lies in the submagma G generates,
     which lies in A once G does; so closure = S means A = S.
@@ -125,7 +107,7 @@ def _associativity_witness(t):
     take() a buffered copy.
     """
     left, right, bad = np.empty_like(t), np.empty_like(t), np.empty(t.shape, dtype=bool)
-    for g in table_generators(t).tolist():
+    for g in _generators(t):
         np.take(t, t[:, g], axis=0, out=left, mode="clip")   # [x, y]: (xg)y
         np.take(t, t[g], axis=1, out=right, mode="clip")     # [x, y]: x(gy)
         if np.not_equal(left, right, out=bad).any():
@@ -180,15 +162,6 @@ def from_table(elements, table) -> FiniteSemigroup:
         if w is not None:
             raise NotAssociative(tuple(elements[i] for i in w))
     return FiniteSemigroup(elements, t)
-
-
-@lru_cache(maxsize=None)
-def sing_semigroup(p, n) -> FiniteSemigroup:
-    """Sing(GF(p)^n) over its singular Endos in enumeration order, on the
-    kernel's read-only table itself; associativity is decided once per
-    (p, n)."""
-    elems, _, table = gf.sing_table(p, n)
-    return from_table(elems, table)
 
 
 def semigroup_from_json(d) -> FiniteSemigroup:

@@ -11,7 +11,11 @@ the array path with it embedding for embedding and byte for byte.
 Amalgam, AmalgamReport and verify_amalgam are the labelled amalgam record
 and its check that the semigroups module held before the null-semigroup
 fixture's inclusions became index arrays; null_amalgam wraps that fixture
-in the record."""
+in the record.
+
+check_embeddings is the exhaustive check that assemble_amalgam ran on the
+Sing tables of the core and of each branch before the block embeddings
+became the reduction that bundles.build_embedding states."""
 
 from __future__ import annotations
 
@@ -19,6 +23,7 @@ import json
 
 from crossconn_oracle import build_cross_conn_semigroup
 from fibersemi import bundles as bn
+from fibersemi import gf
 from fibersemi import semigroups as sg
 from fibersemi.gf import Endo, Record
 from sing_oracle import SemigroupMorphism, semigroup_to_json, verify_morphism
@@ -60,6 +65,17 @@ def verify_amalgam(a: Amalgam) -> AmalgamReport:
             raise ValueError(f"embedding {i} does not land in branch {i}")
         reports.append(verify_morphism(phi))
     return AmalgamReport(disjoint, tuple(reports), witnesses)
+
+
+def check_embeddings(b: bn.BundleAmalgam):
+    """Raise unless every embedding of b is an injective homomorphism on
+    the Sing tables of the core and of its branch (sg.morphism_witnesses);
+    the error names the first fiber that fails and its witnesses."""
+    p, m = b.spec.p, b.core.m
+    for i, (d, phi) in enumerate(zip(b.spec.dims, b.embeddings)):
+        witnesses = sg.morphism_witnesses(gf.sing_table(p, m), gf.sing_table(p, d), phi)
+        if witnesses:
+            raise AssertionError(f"embedding into fiber {i} failed verification: {witnesses}")
 
 
 def null_amalgam() -> Amalgam:

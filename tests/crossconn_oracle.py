@@ -4,7 +4,9 @@ index arrays and the generator reduction, the LinearMap restrictions of
 eps and eps^-1 that the functor actions are built from, and the
 per-automorphism forms of the batched inverses, conjugation permutations
 and conjugation law.  They are kept here so the tests can compare the two
-verdict for verdict.  The Endo-level connection (cross_connection) and the
+verdict for verdict.  check_conjugation_law is the batched law on Sing's
+table that the program ran before the law became the reduction stated in
+crossconn.conjugations; the tests decide that reduction with it.  The Endo-level connection (cross_connection) and the
 label-level linked-pair semigroup (LinkedPair records, labels of first and
 second coordinates) are kept here too: the program holds a linked-pair
 semigroup as a conjugation permutation over Sing's table."""
@@ -15,6 +17,7 @@ import numpy as np
 
 from factorization_oracle import all_linear_maps
 import gf_helpers as gh
+from sing_oracle import enumerate_endos, sing_semigroup
 from fibersemi import crossconn as xc
 from fibersemi import gf
 from fibersemi import semigroups as sg
@@ -209,7 +212,7 @@ def bifunctor_sets(cc: CrossConnection, a: Subspace, y: Subspace, mode=DEFAULT_M
     """
     if mode not in MEMBERSHIP_MODES:
         raise ValueError(f"unknown membership mode {mode!r}")
-    sing = gf.enumerate_endos(cc.p, cc.n, singular_only=True)
+    sing = enumerate_endos(cc.p, cc.n, singular_only=True)
     first = tuple(x for x in sing if _first_member(cc, x, a, y, mode))
     second = tuple(x for x in sing if _second_member(cc, x, a, y, mode))
     return first, second
@@ -265,14 +268,56 @@ def automorphism_witness(table, perm):
 
 
 # ---------------------------------------------------------------------------
+# the conjugation law on Sing's table, batched
+
+def _first_false(mask) -> int:
+    """The index of the first False of a boolean array, or its length."""
+    return len(mask) if mask.all() else int(mask.argmin())
+
+
+def check_conjugation_law(table, perms):
+    """Raise unless, for each row perm of perms, the second coordinates
+    multiply like the first ones; the error is the one of the first row in
+    order that fails.
+
+    perm[i] is the index of eps^-1.alpha_i.eps; the linked-pair product of
+    (a, perm[a]) and (b, perm[b]) has second coordinate perm[ab], which must
+    equal perm[a].perm[b].  After checking that perm is a permutation, that
+    is tested for every a but only for b in the table's generating set G.
+    This is sound on an associative table, as Light's test is: the set
+    B = {b : perm[ab] = perm[a]perm[b] for all a} is closed under products,
+    since for b, c in B
+    perm[a(bc)] = perm[(ab)c] = perm[ab]perm[c] = (perm[a]perm[b])perm[c]
+    = perm[a](perm[b]perm[c]) = perm[a]perm[bc].  So B holds the submagma
+    G generates, which is the whole table.
+
+    The rows are decided in chunks of about TABLE_BLOCK_CELLS cells.
+    """
+    order, gens = len(table), np.array(sg._generators(table), dtype=np.intp)
+    products, cells = table[:, gens], table.ravel()   # products[a, k] = a g_k
+    block = max(1, gf.TABLE_BLOCK_CELLS // (order * len(gens)))
+    for lo in range(0, len(perms), block):
+        chunk = perms[lo:lo + block].astype(np.intp)
+        good = chunk[:_first_false((np.sort(chunk, axis=1) == np.arange(order)).all(axis=1))]
+        # [e, a, k]: perm[a g_k] against perm[a]perm[g_k], read from the flat table
+        bad = good[:, products] != cells[(good * order)[:, :, None] + good[:, None, gens]]
+        failed = bad.any(axis=(1, 2))
+        if failed.any():
+            a, k = divmod(int(bad[failed.argmax()].argmax()), len(gens))
+            raise AssertionError(f"linked-pair product broke the conjugation law at pair {(a, int(gens[k]))}")
+        if len(good) < len(chunk):
+            raise AssertionError("not a permutation of the element indices")
+
+
+# ---------------------------------------------------------------------------
 # one automorphism at a time: the forms of crossconn.conjugations and
-# crossconn.check_conjugation_law
+# check_conjugation_law
 
 def sing_conjugation(left: Endo, right: Endo):
-    """perm[i] = index of left . elems[i] . right in sing_table order (-1
-    where that product is invertible)."""
+    """perm[i] = index of left . elems[i] . right in Sing order (-1 where
+    that product is invertible)."""
     p, n = right.p, right.n
-    _, decode, _ = gf.sing_table(p, n)
+    decode = gf.sing_decode(p, n)
     conj = np.array(left.rows) @ gf._sing_matrices(p, n) % p @ np.array(right.rows) % p
     return decode[gf.base_p(conj, p)]
 
@@ -287,7 +332,7 @@ def conjugation_law_error(table, perm):
     None: the same test on generators, one permutation at a time."""
     if not np.array_equal(np.sort(perm), np.arange(len(table))):
         return AssertionError("not a permutation of the element indices")
-    gens = sg.table_generators(table)
+    gens = np.array(sg._generators(table), dtype=np.intp)
     bad = perm[table[:, gens]] != table[np.ix_(perm, perm[gens])]   # [a, k]: perm[a g_k] vs perm[a]perm[g_k]
     if bad.any():
         a, k = divmod(int(np.argmax(bad)), len(gens))
@@ -319,7 +364,7 @@ def build_cross_conn_semigroup(eps: Endo) -> CrossConnSemigroup:
     The pairs are in Sing order and share the verified Sing table, since the
     first projection is an isomorphism by construction."""
     perm = xc.linked_pairs(eps.p, eps.n, [eps]).perms[0]
-    sing = sg.sing_semigroup(eps.p, eps.n)
+    sing = sing_semigroup(eps.p, eps.n)
     pairs = tuple(LinkedPair(x, sing.elements[k]) for x, k in zip(sing.elements, perm.tolist()))
     labels = tuple((pr.first.rows, pr.second.rows) for pr in pairs)
     return CrossConnSemigroup(eps, pairs, sg.FiniteSemigroup(labels, sing.table))

@@ -14,11 +14,18 @@ document writers; the tests use them to state claims over labels.
 idempotents and green_relations are the table engine that decided Sing's
 idempotents and Green's relations in verify-all before both checks moved to
 the verified matrix witnesses (sg.sing_green, gf.idempotent_matrices); they
-work on any table and are the reference those witnesses are compared with."""
+work on any table and are the reference those witnesses are compared with.
+
+enumerate_endos (every matrix as an Endo record) and sing_semigroup (Sing's
+table under Light's test, labelled by those records) are what gf and
+semigroups built Sing from before the program read Sing's matrices and its
+decode array as arrays and took the conjugation law and the block
+embeddings as stated reductions; the tests state claims over them."""
 
 from __future__ import annotations
 
 import itertools
+from functools import lru_cache
 
 import numpy as np
 
@@ -41,6 +48,21 @@ def from_multiplication(elements, op) -> sg.FiniteSemigroup:
             row.append(idx[c])
         table.append(row)
     return sg.from_table(elements, table)
+
+
+@lru_cache(maxsize=None)
+def enumerate_endos(p, n, singular_only=False):
+    """All n x n matrices over GF(p) as Endos, lexicographic by entries;
+    singular_only keeps those of rank below n, which is Sing order."""
+    mats = gf._sing_matrices(p, n) if singular_only else gf.from_base_p(np.arange(gf._endo_count(p, n)), p, n, n)
+    return tuple(gf.Endo(p, n, tuple(map(tuple, m))) for m in mats.tolist())
+
+
+@lru_cache(maxsize=None)
+def sing_semigroup(p, n) -> sg.FiniteSemigroup:
+    """Sing(GF(p)^n) over its singular Endos in Sing order, on gf.sing_table
+    itself; associativity is decided once per (p, n), by Light's test."""
+    return sg.from_table(enumerate_endos(p, n, singular_only=True), gf.sing_table(p, n))
 
 
 def endos(p, n, keep=lambda e: True):

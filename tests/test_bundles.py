@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import bundle_oracle
+import sing_oracle
 from bundle_oracle import block_embed
 from crossconn_oracle import conjugation_perm
 from fibersemi import bundles as bn
@@ -84,7 +85,7 @@ def test_block_embed_example():
     assert block_embed(a, 3).rows == ((1, 0, 0), (0, 0, 0), (0, 0, 0))
 
 def test_block_embed_is_multiplicative_and_rank_preserving():
-    sing = gf.enumerate_endos(2, 2, singular_only=True)
+    sing = sing_oracle.enumerate_endos(2, 2, singular_only=True)
     for a in sing:
         ea = block_embed(a, 3)
         assert ea.rank == a.rank
@@ -94,7 +95,7 @@ def test_block_embed_is_multiplicative_and_rank_preserving():
 
 def test_block_embed_round_trips_through_projection():
     # include then project is the identity on the small space
-    for a in gf.enumerate_endos(2, 2, singular_only=True):
+    for a in sing_oracle.enumerate_endos(2, 2, singular_only=True):
         big = block_embed(a, 4)
         shrunk = tuple(row[:2] for row in big.rows[:2])
         assert shrunk == a.rows
@@ -103,9 +104,9 @@ def test_block_embed_round_trips_through_projection():
 def test_assemble_reference_family(reference_amalgam):
     am = reference_amalgam
     assert am.orders == [10, 10, 10, 344]
-    core_table = gf.sing_table(2, 2)[2]
+    core_table = gf.sing_table(2, 2)
     for phi, d in zip(am.embeddings, (2, 2, 3)):
-        assert sg.morphism_witnesses(core_table, gf.sing_table(2, d)[2], phi) == {}
+        assert sg.morphism_witnesses(core_table, gf.sing_table(2, d), phi) == {}
         assert len(set(phi.tolist())) == am.orders[0]
 
 def test_assembled_tags_are_pairwise_disjoint(reference_amalgam):
@@ -128,6 +129,8 @@ def test_nonidentity_fiber_automorphisms():
         assert perm.tolist() == conjugation_perm(e).tolist()
 
 def test_corrupted_embedding_is_caught_naming_fiber_and_witness(monkeypatch):
+    # the block reduction holds for build_embedding's own map only; a map
+    # planted in its place is caught by the table oracle
     real = bn.build_embedding
 
     def corrupted(spec, i, m):
@@ -137,45 +140,66 @@ def test_corrupted_embedding_is_caught_naming_fiber_and_witness(monkeypatch):
         return phi
 
     monkeypatch.setattr(bn, "build_embedding", corrupted)
+    am = bn.assemble_amalgam(bn.fiber_family(2, 3, (2, 2, 3)))
     with pytest.raises(AssertionError, match=r"embedding into fiber 1 failed verification: \{'hom'"):
-        bn.assemble_amalgam(bn.fiber_family(2, 3, (2, 2, 3)))
+        bundle_oracle.check_embeddings(am)
 
 def test_embedding_refuses_an_invertible_image(monkeypatch):
     # the decode array marks invertible codes -1; plant that at the zero
     # matrix, the block embedding of the core's zero
-    real = gf.sing_table
-    elems, decode, table = real(2, 3)
-    decode = decode.copy()
+    real = gf.sing_decode
+    decode = real(2, 3).copy()
     decode[0] = -1
-    monkeypatch.setattr(gf, "sing_table", lambda p, n: (elems, decode, table) if n == 3 else real(p, n))
+    monkeypatch.setattr(gf, "sing_decode", lambda p, n: decode if n == 3 else real(p, n))
     for fiber, dims in ((0, (3, 3)), (1, (2, 3))):
         with pytest.raises(AssertionError, match=rf"^a block-embedded core element is invertible in fiber {fiber}$"):
             bn.build_embedding(bn.fiber_family(2, 3, dims), fiber, 2)
 
 def test_embedding_matches_the_block_embedded_endos(reference_amalgam):
-    core = gf.sing_table(2, 2)[0]
+    core = sing_oracle.enumerate_endos(2, 2, singular_only=True)
     for phi, d in zip(reference_amalgam.embeddings, (2, 2, 3)):
-        branch = gf.sing_table(2, d)[0]
+        branch = sing_oracle.enumerate_endos(2, d, singular_only=True)
         assert [branch[j] for j in phi.tolist()] == [block_embed(x, d) for x in core]
 
 def test_each_embedding_verified_once(monkeypatch):
+    # each embedding is decided once, by its decode lookup; no table and no
+    # morphism check is read, since the block reduction decides the rest
+    def forbidden(*args):
+        raise AssertionError("a Sing table or a table morphism check was read")
+
     calls = []
-    real = sg.morphism_witnesses
-    monkeypatch.setattr(sg, "morphism_witnesses", lambda *a: calls.append(real(*a)) or calls[-1])
+    real = bn.build_embedding
+    monkeypatch.setattr(bn, "build_embedding", lambda spec, i, m: calls.append(i) or real(spec, i, m))
+    monkeypatch.setattr(sg, "morphism_witnesses", forbidden)
+    monkeypatch.setattr(gf, "sing_table", forbidden)
     am = bn.assemble_amalgam(bn.fiber_family(2, 3, (2, 2, 3)))
-    assert len(calls) == len(am.embeddings) == 3
-    assert calls == [{}, {}, {}]
+    assert calls == [0, 1, 2] and len(am.embeddings) == 3
 
 def test_shared_verification_path_with_null_fixture(monkeypatch):
-    # the bundle and the null-amalgam check decide morphisms by the same
-    # array check
+    # the bundle's table oracle and the null-amalgam check decide morphisms
+    # by the same array check
     calls = []
     real = sg.morphism_witnesses
     monkeypatch.setattr(sg, "morphism_witnesses", lambda *a: calls.append(real(*a)) or calls[-1])
     assert cli._check_null_amalgam(2, 2) == (True, None)
     assert calls == [{}, {}]
-    bn.assemble_amalgam(bn.fiber_family(2, 2, (2, 2)))
+    bundle_oracle.check_embeddings(bn.assemble_amalgam(bn.fiber_family(2, 2, (2, 2))))
     assert calls == [{}, {}, {}, {}]
+
+
+def test_block_embedding_is_a_homomorphism_at_p_3():
+    # Sing(GF(3)^3) is past the table guard, so the block reduction is
+    # checked on matrices: pad(a).pad(b) = pad(ab) for all 33^2 core pairs,
+    # with each pad(a) the zero-padded a, singular and distinct
+    am = bn.assemble_amalgam(bn.fiber_family(3, 3, (2, 2, 3)))
+    core = gf._sing_matrices(3, 2)
+    ab = gf.sing_decode(3, 2)[gf.base_p((core[:, None] @ core[None] % 3).reshape(-1, 2, 2), 3)]
+    for phi, d in zip(am.embeddings, (2, 2, 3)):
+        pads = gf._sing_matrices(3, d)[phi]
+        assert np.array_equal(pads[:, :2, :2], core) and not pads[:, 2:].any() and not pads[:, :, 2:].any()
+        assert len(set(phi.tolist())) == len(core) == 33
+        products = (pads[:, None] @ pads[None] % 3).reshape(-1, d, d)
+        assert np.array_equal(products, pads[ab])
 
 
 def test_amalgam_json_and_dot():
@@ -226,6 +250,12 @@ FAMILIES = {
 
 
 @pytest.mark.parametrize("family", FAMILIES)
+def test_embeddings_are_injective_homomorphisms_on_both_tables(family):
+    p, k, dims, eps, kwargs = FAMILIES[family]
+    bundle_oracle.check_embeddings(bn.assemble_amalgam(bn.fiber_family(p, k, dims, eps), **kwargs))
+
+
+@pytest.mark.parametrize("family", FAMILIES)
 def test_array_path_matches_the_label_oracle(family):
     p, k, dims, eps, kwargs = FAMILIES[family]
     spec = bn.fiber_family(p, k, dims, eps)
@@ -258,7 +288,7 @@ def test_mutated_embedding_is_caught_by_both_paths(monkeypatch, mutate, key, fib
     monkeypatch.setattr(bn, "build_embedding",
                         lambda spec, i, m: mutate(real(spec, i, m)) if i == fiber else real(spec, i, m))
     with pytest.raises(AssertionError, match=rf"^embedding into fiber {fiber} failed verification: ") as err:
-        bn.assemble_amalgam(spec)
+        bundle_oracle.check_embeddings(bn.assemble_amalgam(spec))
     mappings = [np.array(phi.mapping) for phi in ref.amalgam.embeddings]
     mappings[fiber] = mutate(mappings[fiber])
     rep = bundle_oracle.with_mappings(ref, mappings)

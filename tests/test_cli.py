@@ -49,8 +49,8 @@ def test_enumerate_guard_exit(capsys):
     assert "guard" in err
 
 @pytest.mark.parametrize("argv", [
-    ("crossconn", "--field", "3", "--dim", "3"),
-    ("crossconn", "--field", "2", "--dim", "4"),
+    ("crossconn", "--field", "3", "--dim", "3", "--format", "json"),
+    ("crossconn", "--field", "2", "--dim", "4", "--format", "json"),
     ("cones", "--field", "3", "--dim", "3"),
     ("cones", "--field", "2", "--dim", "4"),
 ])
@@ -194,12 +194,47 @@ def test_amalgam_dot(capsys):
     assert out.count("core -> fiber") == 2
 
 @pytest.mark.parametrize("argv,err", [
-    ("amalgam --field 3", "error: Sing(GF(3)^3) has order 8451, beyond the associativity guard 1500\n"),
+    ("amalgam --field 3 --format json", "error: Sing(GF(3)^3) has order 8451, beyond the associativity guard 1500\n"),
     ("amalgam --field 5", "error: p^(n^2) = 1953125 exceeds endomorphism guard 1048576\n"),
     ("amalgam --dims 2,3 --core-dim 3", "error: core dimension 3 must lie in 1..2\n"),
 ])
 def test_amalgam_refusals_exit_2_with_their_message(capsys, argv, err):
     assert run(capsys, *argv.split()) == (2, "", err)
+
+
+@pytest.mark.parametrize("argv,order", [
+    ("crossconn --field 3 --dim 3 --format json", 8451),
+    ("crossconn --field 2 --dim 4 --format json", 45376),
+    ("amalgam --field 3 --format json", 8451),
+])
+def test_json_output_refuses_before_any_pair_is_built(monkeypatch, capsys, argv, order):
+    # the JSON documents write Sing's table, so the table guard refuses
+    # before the linked pairs are built
+    def forbidden(*args):
+        raise AssertionError("linked pairs were built before the guard refused")
+
+    monkeypatch.setattr(xc, "conjugations", forbidden)
+    p, n = (3, 3) if "--field 3" in argv else (2, 4)
+    start = time.perf_counter()
+    assert run(capsys, *argv.split()) == (
+        2, "", f"error: Sing(GF({p})^{n}) has order {order}, beyond the associativity guard 1500\n")
+    assert time.perf_counter() - start < 1.0
+
+
+@pytest.mark.parametrize("argv,want", [
+    ("crossconn --field 3 --dim 3", "eps=((1, 0, 0), (0, 1, 0), (0, 0, 1)) order=8451\n"),
+    ("amalgam --field 3",
+     "core: dim 2, order 33\nfiber 0: dim 2, order 33\nfiber 1: dim 2, order 33\nfiber 2: dim 3, order 8451\n"
+     "verified: True\n"),
+    ("amalgam --field 3 --format dot", None),
+])
+def test_formats_without_a_table_answer_past_the_table_guard(capsys, argv, want):
+    code, out, err = run(capsys, *argv.split())
+    assert (code, err) == (0, "")
+    if want is None:
+        assert 'fiber2 [shape=box, label="fiber 2 (dim 3, order 8451)"];' in out
+    else:
+        assert out == want
 
 
 @pytest.fixture(scope="module")
@@ -334,10 +369,10 @@ def test_deeply_nested_label_fails_its_check_only(tmp_path, capsys, depth):
 
 
 def test_raising_check_fails_and_the_run_goes_on(monkeypatch, capsys):
-    def broken(table, perm):
+    def broken(p, n, eps):
         raise AssertionError("conjugation law broken")
 
-    monkeypatch.setattr(xc, "check_conjugation_law", broken)
+    monkeypatch.setattr(xc, "conjugations", broken)
     code, out, _ = run(capsys, "verify-all", "--field", "2", "--dim", "2", "--format", "json")
     assert code == 1
     report = {r["check"]: r for r in json.loads(out)}
@@ -400,7 +435,7 @@ def test_regularity_and_green_checks_build_no_table(monkeypatch, p, n):
     def forbidden(*args):
         raise AssertionError("a Sing table was built")
 
-    for owner, name in [(gf, "sing_table"), (sg, "sing_semigroup"), (sg, "from_table")]:
+    for owner, name in [(gf, "sing_table"), (sg, "from_table")]:
         monkeypatch.setattr(owner, name, forbidden)
     assert cli._check_regularity(p, n) == (True, None)
     assert cli._check_green(p, n) == (True, None)
@@ -414,16 +449,18 @@ def test_verify_all_computes_the_witnesses_once():
     assert (info.misses, info.hits) == (1, 1)
 
 
-def test_cross_connections_read_the_table_through_lights_test(monkeypatch):
-    # the conjugation law's generator test is sound on an associative table
-    # only, so the check reads Sing's table through Light's test
-    def refused(p, n):
-        raise sg.NotAssociative((0, 1, 2))
+def test_cross_connections_and_bundle_amalgam_build_no_table(monkeypatch):
+    # the conjugation law and the block embeddings are stated reductions, so
+    # neither check builds Sing's table or runs Light's test on one
+    def forbidden(*args):
+        raise AssertionError("a Sing table was built")
 
-    monkeypatch.setattr(sg, "sing_semigroup", refused)
-    entry = cli._run_check("cross-connections", cli._check_cross_connections, 2, 2)
-    assert entry == {"check": "cross-connections", "status": "fail",
-                     "witness": {"error": str(sg.NotAssociative((0, 1, 2)))}}
+    for owner, name in [(gf, "sing_table"), (sg, "from_table")]:
+        monkeypatch.setattr(owner, name, forbidden)
+    for p, n in [(2, 2), (3, 2), (2, 3)]:
+        assert cli._check_cross_connections(p, n) == (True, None)
+    for p, n in [(2, 2), (3, 2)]:
+        assert cli._check_bundle_amalgam(p, n) == (True, None)
 
 
 def _corrupt_witness(monkeypatch, p, n):
@@ -513,7 +550,7 @@ def test_cone_map_failure_names_the_pair_as_documents(monkeypatch, capsys, fmt):
     # two cone labels swapped: the map from Sing by code lookup is a
     # transposition, no homomorphism; the witness is the loop oracle's pair
     i, j = co.swap_two_cone_labels(monkeypatch)
-    sing = sg.sing_semigroup(2, 2)
+    sing = sing_oracle.sing_semigroup(2, 2)
     cones = sc.coded_normal_cones(sc.build_category(2, 2))[0]
     mapping = tuple(cones.index(a.rows) for a in sing.elements)
     pair = sing_oracle.hom_witness(sing_oracle.SemigroupMorphism(sing, cones, mapping))
@@ -546,7 +583,7 @@ def test_cone_map_failures_at_each_point(monkeypatch, p, n):
     witness_calls = []
     monkeypatch.setattr(sg, "morphism_witnesses", lambda *a: witness_calls.append(a))
     assert cli._check_cone_semigroup(p, n) == (False, {
-        "failure": "cone map is not an isomorphism", "no cone": [sg.sing_semigroup(p, n).elements[1].to_json()]})
+        "failure": "cone map is not an isomorphism", "no cone": [sing_oracle.sing_semigroup(p, n).elements[1].to_json()]})
     assert witness_calls == []
 
 
@@ -571,41 +608,35 @@ def test_null_amalgam_failure_names_branch_and_pair(monkeypatch, capsys, fmt, br
 
 
 def test_failed_amalgam_embedding_exits_1_with_its_message(monkeypatch, capsys):
-    real = bn.build_embedding
+    # the zero matrix, the block embedding of the core's zero, planted as
+    # invertible in the dim-3 decode array once the linked pairs are built:
+    # fiber 2 of the default dims
+    real_decode, real_embedding = gf.sing_decode, bn.build_embedding
+    decode = real_decode(2, 3).copy()
+    decode[0] = -1
 
-    def swapped(spec, i, m):
-        phi = real(spec, i, m).copy()
-        if i == 1:
-            phi[[1, 2]] = phi[[2, 1]]
-        return phi
+    def planted(spec, i, m):
+        monkeypatch.setattr(gf, "sing_decode", lambda p, n: decode if n == 3 else real_decode(p, n))
+        return real_embedding(spec, i, m)
 
-    monkeypatch.setattr(bn, "build_embedding", swapped)
+    monkeypatch.setattr(bn, "build_embedding", planted)
     code, out, err = run(capsys, "amalgam", "--field", "2")
-    assert (code, out) == (1, "")
-    assert err.startswith("error: embedding into fiber 1 failed verification: {'hom': ")
+    assert (code, out, err) == (1, "", "error: a block-embedded core element is invertible in fiber 2\n")
 
 
 def _edit_perms(monkeypatch, edit):
-    """Make xc.conjugations hand back its permutations after edit(perms)."""
+    """Make xc.conjugations hand back its permutations after edit(perms),
+    each row marked by whether it is still a permutation."""
     real = xc.conjugations
 
     def edited(p, n, eps):
         conj = real(p, n, eps)
         perms = conj.perms.copy()
         edit(perms)
-        return xc.Conjugations(conj.p, conj.n, conj.eps, conj.inv, conj.inverts, perms)
+        permutes = (np.sort(perms, axis=1) == np.arange(perms.shape[1])).all(axis=1)
+        return xc.Conjugations(conj.p, conj.n, conj.eps, conj.inv, conj.inverts, perms, permutes)
 
     monkeypatch.setattr(xc, "conjugations", edited)
-
-
-def test_broken_conjugation_law_exits_1_with_its_message(monkeypatch, capsys):
-    def swap(perms):
-        perms[:, [1, 2]] = perms[:, [2, 1]]
-
-    _edit_perms(monkeypatch, swap)
-    code, out, err = run(capsys, "crossconn", "--field", "2", "--dim", "2")
-    assert (code, out) == (1, "")
-    assert err.startswith("error: linked-pair product broke the conjugation law at pair (")
 
 
 def test_non_permutation_exits_1_as_a_failed_verification(monkeypatch, capsys):
@@ -640,7 +671,7 @@ def in_process(capsys, *argv):
     (("enumerate", "--field", "2", "--dim", "2"), 0),
     (("green", "--field", "2", "--dim", "2", "--format", "dot"), 0),
     (("verify-all", "--field", "2", "--dim", "2", "--format", "json"), 0),
-    (("verify-all", "--field", "3", "--dim", "2"), 1),  # bundle-amalgam refused by a guard
+    (("verify-all", "--field", "5", "--dim", "2"), 1),  # bundle-amalgam refused by a guard
     (("enumerate", "--field", "2", "--dim", "9"), 2),
     (("enumerate", "--field", "x"), 2),
 ], ids=["enumerate", "green-dot", "verify-all-json", "verify-all-fails", "guard", "usage"])

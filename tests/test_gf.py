@@ -192,16 +192,16 @@ def test_subspace_guard():
         gf.enumerate_subspaces(2, 13)
 
 def test_endo_counts():
-    assert len(gf.enumerate_endos(2, 2, singular_only=True)) == 10
-    assert len(gf.enumerate_endos(3, 2, singular_only=True)) == 33
-    assert len(gf.enumerate_endos(2, 3, singular_only=True)) == 344
+    assert len(sing_oracle.enumerate_endos(2, 2, singular_only=True)) == 10
+    assert len(sing_oracle.enumerate_endos(3, 2, singular_only=True)) == 33
+    assert len(sing_oracle.enumerate_endos(2, 3, singular_only=True)) == 344
     for p, n in [(2, 2), (3, 2), (2, 3)]:
-        assert len(gf.enumerate_endos(p, n, singular_only=True)) == gf.singular_count(p, n)
-        assert len(gf.enumerate_endos(p, n)) == p ** (n * n)
+        assert len(sing_oracle.enumerate_endos(p, n, singular_only=True)) == gf.singular_count(p, n)
+        assert len(sing_oracle.enumerate_endos(p, n)) == p ** (n * n)
 
 def test_endo_guard():
     with pytest.raises(gf.GuardExceeded):
-        gf.enumerate_endos(2, 9)
+        sing_oracle.enumerate_endos(2, 9)
 
 def test_unsupported_prime():
     with pytest.raises(ValueError):
@@ -221,11 +221,11 @@ def test_image_and_kernel_examples():
 
 def test_rank_nullity():
     for p, n in [(2, 2), (3, 2), (2, 3)]:
-        for e in gf.enumerate_endos(p, n):
+        for e in sing_oracle.enumerate_endos(p, n):
             assert e.rank + gh.kernel(e).dim == n
 
 def test_kernel_is_left_kernel():
-    for e in gf.enumerate_endos(2, 3, singular_only=True)[:64]:
+    for e in sing_oracle.enumerate_endos(2, 3, singular_only=True)[:64]:
         for v in all_vectors(gh.kernel(e)):
             assert gh.apply(e, v) == (0, 0, 0)
 
@@ -236,7 +236,7 @@ def test_transpose_examples():
     assert gf.transpose(sym) == sym
 
 def test_transpose_reverses_products():
-    sing = gf.enumerate_endos(2, 2, singular_only=True)
+    sing = sing_oracle.enumerate_endos(2, 2, singular_only=True)
     for a in sing:
         for b in sing:
             assert gf.transpose(a * b) == gf.transpose(b) * gf.transpose(a)
@@ -296,8 +296,8 @@ KERNEL_POINTS = [(2, 2), (3, 2), (5, 2), (7, 2), (2, 3)]
 
 @pytest.mark.parametrize("p,n", KERNEL_POINTS)
 def test_sing_table_matches_pure_python_products(p, n):
-    elems, decode, table = gf.sing_table(p, n)
-    assert elems == gf.enumerate_endos(p, n, singular_only=True)
+    elems, decode, table = sing_oracle.singular_endos(p, n), gf.sing_decode(p, n), gf.sing_table(p, n)
+    assert elems == sing_oracle.enumerate_endos(p, n, singular_only=True)
     index = {e.rows: i for i, e in enumerate(elems)}
     assert table.shape == (len(elems), len(elems)) and table.dtype.name == "int32"
     assert not table.flags.writeable and not decode.flags.writeable
@@ -306,26 +306,38 @@ def test_sing_table_matches_pure_python_products(p, n):
 
 @pytest.mark.parametrize("p,n", KERNEL_POINTS)
 def test_sing_decode_inverts_the_base_p_code(p, n):
-    elems, decode, _ = gf.sing_table(p, n)
+    elems, decode = sing_oracle.enumerate_endos(p, n, singular_only=True), gf.sing_decode(p, n)
+    assert decode.dtype.name == "int32" and len(decode) == p ** (n * n)
     sing = {e.rows: i for i, e in enumerate(elems)}
-    for code, e in enumerate(gf.enumerate_endos(p, n)):
+    for code, e in enumerate(sing_oracle.enumerate_endos(p, n)):
         assert decode[code] == sing.get(e.rows, -1)
 
 def test_sing_table_guards_refuse_before_enumerating(monkeypatch):
-    def enumerate_endos(*args, **kwargs):
+    def enumerated(*args, **kwargs):
         raise AssertionError("enumerated before the guard refused")
-    monkeypatch.setattr(gf, "enumerate_endos", enumerate_endos)
-    monkeypatch.setattr(gf, "_ranks", enumerate_endos)
-    with pytest.raises(gf.GuardExceeded, match="order 45376, beyond the associativity guard 1500"):
-        gf.sing_table(2, 4)
-    with pytest.raises(gf.GuardExceeded, match="order 8451, beyond the associativity guard 1500"):
-        gf.sing_table(3, 3)
+    for name in ("_ranks", "_reduced", "_sing_matrices", "sing_decode"):
+        monkeypatch.setattr(gf, name, enumerated)
+    for refuse in (gf.sing_table, gf.check_sing_order):
+        with pytest.raises(gf.GuardExceeded, match="order 45376, beyond the associativity guard 1500"):
+            refuse(2, 4)
+        with pytest.raises(gf.GuardExceeded, match="order 8451, beyond the associativity guard 1500"):
+            refuse(3, 3)
+        with pytest.raises(gf.GuardExceeded, match="endomorphism guard"):
+            refuse(2, 9)
+
+
+def test_sing_decode_answers_past_the_table_guard():
+    # the decode array is behind the endomorphism guard only
+    decode = gf.sing_decode(3, 3)
+    assert np.count_nonzero(decode >= 0) == gf.singular_count(3, 3) == 8451
+    assert decode[decode >= 0].tolist() == list(range(8451))
+    assert gf.sing_decode(3, 3) is decode and not decode.flags.writeable
     with pytest.raises(gf.GuardExceeded, match="endomorphism guard"):
-        gf.sing_table(2, 9)
+        gf.sing_decode(2, 5)
 
 @pytest.mark.parametrize("p,n", KERNEL_POINTS)
 def test_sing_table_matches_the_block_matmul_oracle(p, n):
-    elems, _, table = gf.sing_table(p, n)
+    elems, table = sing_oracle.enumerate_endos(p, n, singular_only=True), gf.sing_table(p, n)
     want_elems, want = sing_oracle.matmul_table(p, n)
     assert elems == want_elems
     assert np.array_equal(table, want)
@@ -335,26 +347,26 @@ ENUMERATION_POINTS = [(p, n) for p in gf.SUPPORTED_PRIMES for n in (1, 2)] + [(2
 
 @pytest.mark.parametrize("p,n", ENUMERATION_POINTS)
 def test_batched_ranks_match_the_per_matrix_rank_filter(p, n):
-    assert gf.enumerate_endos(p, n, singular_only=True) == sing_oracle.singular_endos(p, n)
+    assert sing_oracle.enumerate_endos(p, n, singular_only=True) == sing_oracle.singular_endos(p, n)
     assert gf.enumerate_automorphisms(p, n) == sing_oracle.automorphisms(p, n)
-    assert gf.enumerate_endos(p, n) == sing_oracle.endos(p, n)
+    assert sing_oracle.enumerate_endos(p, n) == sing_oracle.endos(p, n)
 
 @pytest.mark.parametrize("p,n", ENUMERATION_POINTS)
 def test_endo_text_is_the_str_of_each_singular_endo(p, n):
-    want = [str(e) for e in gf.enumerate_endos(p, n, singular_only=True)]
+    want = [str(e) for e in sing_oracle.enumerate_endos(p, n, singular_only=True)]
     assert gf.endo_text(gf._sing_matrices(p, n)) == want
 
 def test_singular_count_at_2_4():
-    assert len(gf.enumerate_endos(2, 4, singular_only=True)) == gf.singular_count(2, 4) == 45376
+    assert len(sing_oracle.enumerate_endos(2, 4, singular_only=True)) == gf.singular_count(2, 4) == 45376
     assert len(gf.enumerate_automorphisms(2, 4)) == 2 ** 16 - 45376
 
 def test_enumeration_makes_no_rref_call(monkeypatch):
     def rref(*args):
         raise AssertionError("rref called")
-    for cached in (gf._reduced, gf._sing_matrices, gf.enumerate_endos, gf.enumerate_automorphisms):
+    for cached in (gf._reduced, gf._sing_matrices, sing_oracle.enumerate_endos, gf.enumerate_automorphisms):
         cached.cache_clear()
     monkeypatch.setattr(gf, "rref", rref)
-    assert len(gf.enumerate_endos(5, 2, singular_only=True)) == gf.singular_count(5, 2)
+    assert len(sing_oracle.enumerate_endos(5, 2, singular_only=True)) == gf.singular_count(5, 2)
     assert len(gf.enumerate_automorphisms(5, 2)) == 480
 
 def test_dimension_must_be_positive():
@@ -362,7 +374,7 @@ def test_dimension_must_be_positive():
         with pytest.raises(ValueError, match="dimension must be at least 1"):
             gf.sing_table(2, n)
         with pytest.raises(ValueError, match="dimension must be at least 1"):
-            gf.enumerate_endos(2, n)
+            sing_oracle.enumerate_endos(2, n)
         with pytest.raises(ValueError, match="dimension must be at least 1"):
             gf.enumerate_subspaces(2, n)
 

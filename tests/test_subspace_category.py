@@ -32,7 +32,7 @@ def cat23():
 
 @pytest.fixture(scope="module")
 def sing22():
-    return gf.enumerate_endos(2, 2, singular_only=True)
+    return sing_oracle.enumerate_endos(2, 2, singular_only=True)
 
 
 def zero_map(a, b):
@@ -337,7 +337,7 @@ def test_star_preserves_normality(cat22, sing22):
                     assert oracle.validate_cone(cat22, out).well_formed
 
 def test_compose_idempotent(cat22):
-    for e in gf.enumerate_endos(2, 2, singular_only=True):
+    for e in sing_oracle.enumerate_endos(2, 2, singular_only=True):
         if e * e == e:
             rho = oracle.principal_cone(cat22, e)
             assert oracle.cone_compose(cat22, rho, rho) == rho
@@ -356,7 +356,7 @@ def test_compose_is_homomorphic_exhaustive_2_2(cat22, sing22):
             assert lhs == oracle.principal_cone(cat22, a * b)
 
 def test_compose_is_homomorphic_sampled_2_3(cat23):
-    sing3 = gf.enumerate_endos(2, 3, singular_only=True)
+    sing3 = sing_oracle.enumerate_endos(2, 3, singular_only=True)
     cones = {a: oracle.principal_cone(cat23, a) for a in sing3}  # each built once
     rng = random.Random(11)
     for _ in range(10_000):
@@ -395,7 +395,7 @@ def test_exhaustive_enumeration_is_exactly_principal(cat22, sing22):
 def test_exhaustive_enumeration_at_3_2():
     cat = sc.build_category(3, 2)
     smg, cones, _ = oracle.enumerate_normal_cones(cat)
-    sing = gf.enumerate_endos(3, 2, singular_only=True)
+    sing = sing_oracle.enumerate_endos(3, 2, singular_only=True)
     assert smg.order == len(sing) == 33
     assert set(cones) == {oracle.principal_cone(cat, a) for a in sing}
 
@@ -437,7 +437,7 @@ def test_grouped_fill_on_the_principal_path_2_3(cat23):
     # every cell against Sing's matrix products; one row per vertex, so every
     # column grouping, against cell-by-cell composition (the whole table
     # that way is 118k compositions)
-    assert np.array_equal(smg.table, sg.sing_semigroup(2, 3).table)
+    assert np.array_equal(smg.table, sing_oracle.sing_semigroup(2, 3).table)
     rows = [next(i for i, c in enumerate(cones) if c.vertex == v) for v in cat23.objects]
     assert smg.table[rows].tolist() == cell_by_cell_rows(cat23, cones, rows)
 
@@ -476,14 +476,14 @@ def test_inducing_endos_match_cone_to_endo(cat22, cat23):
     for cat in (cat22, sc.build_category(5, 2), cat23):
         _, cones, endos = oracle.enumerate_normal_cones(cat)
         assert list(endos) == [oracle.cone_to_endo(cat, c) for c in cones]
-        assert list(endos) == list(gf.enumerate_endos(cat.p, cat.n, singular_only=True))
+        assert list(endos) == list(sing_oracle.enumerate_endos(cat.p, cat.n, singular_only=True))
 
 @pytest.mark.parametrize("p, n", [(2, 2), (3, 2), (5, 2), (7, 2), (2, 3)])
 def test_principal_rows_are_the_principal_cones(p, n):
     cat = sc.build_category(p, n)
     code = sc._ConeCode(cat)
     vertex, rows = sc._principal_rows(cat, code)
-    sing = gf.enumerate_endos(p, n, singular_only=True)
+    sing = sing_oracle.enumerate_endos(p, n, singular_only=True)
     assert oracle._cones(cat, code, vertex, rows) == tuple(oracle.principal_cone(cat, a) for a in sing)
     assert sc.principal_codes(cat, code).tolist() == code.codes(vertex, rows).tolist()
     assert len(set(code.codes(vertex, rows).tolist())) == len(sing)
@@ -559,7 +559,7 @@ def test_m_set_examples(cat22):
     assert oracle.m_set(cat22, z) == (gh.zero_subspace(2, 2),)
 
 def test_m_set_double_characterization(cat22):
-    for e in gf.enumerate_endos(2, 2, singular_only=True):
+    for e in sing_oracle.enumerate_endos(2, 2, singular_only=True):
         if e * e != e:
             continue
         by_iso = set(oracle.m_set(cat22, oracle.principal_cone(cat22, e)))
@@ -573,7 +573,7 @@ def test_batched_m_sets_match_the_cone_oracle(p, n):
     Cone, by_sum the objects complementing the kernel rref'd per Endo."""
     cat = sc.build_category(p, n)
     idem, by_iso, by_sum = sc.m_sets(p, n)
-    want = [e for e in gf.enumerate_endos(p, n, singular_only=True) if e * e == e]
+    want = [e for e in sing_oracle.enumerate_endos(p, n, singular_only=True) if e * e == e]
     assert [gf.Endo(p, n, sc._matrix(e)) for e in idem.tolist()] == want
     assert len(want) == sum(p ** (a.dim * (n - a.dim)) for a in cat.objects)
     for e, iso, dsum in zip(want, by_iso.tolist(), by_sum.tolist()):
