@@ -13,7 +13,6 @@ from .gf import (
     singular_count,
     subspace_lattice,
     subspace_span,
-    transpose,
 )
 from .semigroups import (
     FiniteSemigroup,
@@ -23,10 +22,6 @@ from .semigroups import (
     is_regular,
     null_semigroup_fixture,
     semigroup_from_json,
-)
-from .subspace_category import (
-    SubspaceCategory,
-    build_category,
 )
 from .annihilators import (
     build_annihilator_category,

@@ -68,6 +68,6 @@ def build_ta_semigroup(p, n):
     opposite of Sing's table.  Empty witnesses say that transposition is an
     anti-isomorphism, (alpha^T).(beta^T) = (beta.alpha)^T for every pair;
     the opposite of an associative table is associative."""
-    ta = sc.coded_normal_cones(sc.build_category(p, n))[0]
+    ta = sc.coded_normal_cones(p, n)[0]
     transposed = gf._sing_matrices(p, n).transpose(0, 2, 1)
     return ta, sc.cone_map_witnesses(ta, gf.sing_table(p, n).T, transposed, p)

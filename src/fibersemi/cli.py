@@ -98,16 +98,16 @@ def _check_factorization(p, n):
     # Every morphism is decided through its hom-set shape, and the
     # retraction law of every inclusion pair from one batched rank
     # (sc.factorization_witness and sc.retraction_law state the reductions).
-    cats = [sc.build_category(p, n)]
+    cases = [(p, n)]
     if (p, n) == (2, 2):
-        cats.append(sc.build_category(2, 3))
-    for cat in cats:
-        witness = sc.factorization_witness(cat)
+        cases.append((2, 3))
+    for cp, cn in cases:
+        witness = sc.factorization_witness(cp, cn)
         if witness is not None:
             return False, witness
-        law = sc.retraction_law(cat)
+        law = sc.retraction_law(cp, cn)
         if not law.all():
-            sub = cat.objects[cat.inclusion_pairs[law.argmin()][0]]
+            sub = gf.subspace_lattice(cp, cn).subspaces[sc.inclusion_pairs(cp, cn)[law.argmin(), 0]]
             return False, {"failure": "retraction law", "sub": sub.to_json()}
     return True, None
 
@@ -124,15 +124,13 @@ def _check_cone_semigroup(p, n):
     # principal ones (both code arrays are in order of the inducing
     # endomorphisms), so the morphism check, on the map that sends each Sing
     # element to the cone its matrix labels, decides
-    # cone(a).cone(b) = cone(ab).  The guards refuse before the category is
-    # built.
-    sc.check_cone_order(p, n)
-    cat = sc.build_category(p, n)
-    cone_sg, code, vertex, rows = sc.coded_normal_cones(cat)
+    # cone(a).cone(b) = cone(ab).  coded_normal_cones' guards refuse before
+    # the lattice is built.
+    cone_sg, code, vertex, rows = sc.coded_normal_cones(p, n)
     singular = len(gf._sing_matrices(p, n))
     if cone_sg.order != singular:
         return False, {"cones": cone_sg.order, "singular": singular}
-    if code.codes(vertex, rows).tolist() != sc.principal_codes(cat, code).tolist():
+    if code.codes(vertex, rows).tolist() != sc.principal_codes(p, n, code).tolist():
         return False, {"failure": "non-principal normal cone found"}
     found = sc.cone_map_witnesses(cone_sg, gf.sing_table(p, n), gf._sing_matrices(p, n), p)
     if found:
@@ -176,9 +174,10 @@ def _check_dual_category(p, n):
 
 
 def _check_cross_connections(p, n):
-    # Decided on the subspace index (crossconn.subspace_index), whose build
-    # refuses by Sing's order before any automorphism is enumerated.  The
-    # linked-pair semigroup lies on Sing with labels in Sing order, so its
+    # Decided on the subspace lattice and gf.sing_images, once Sing's order
+    # guard (gf.check_sing_order) passes, so it refuses before any
+    # automorphism is enumerated.  The linked-pair semigroup lies on Sing
+    # with labels in Sing order, so its
     # order, its first projection and its regularity hold by construction,
     # and its conjugation law is a reduction once eps.eps^-1 = I
     # (xc.conjugations states it).  Functoriality is eps.eps^-1 = I too
@@ -186,18 +185,18 @@ def _check_cross_connections(p, n):
     # actions are injective on hom-sets.  At each automorphism in order:
     # functoriality, covering, that the conjugation is a permutation, which
     # link_failure assumes, and linking.
-    idx = xc.subspace_index(p, n)
+    gf.check_sing_order(p, n)
     autos = gf.enumerate_automorphisms(p, n)
     conj = xc.conjugations(p, n, autos)
     for i, eps in enumerate(autos):
         if not conj.inverts[i]:
             return False, {"eps": eps.to_json(), "failure": "functoriality"}
-        e_obj, et_obj = xc.object_actions(idx, conj.eps[i], p)
-        if not xc.covers(idx, et_obj):
+        e_obj, et_obj = xc.object_actions(p, n, conj.eps[i])
+        if not xc.covers(p, n, et_obj):
             return False, {"eps": eps.to_json(), "failure": "covering"}
         if not conj.permutes[i]:
             raise AssertionError("not a permutation of the element indices")
-        pair = xc.link_failure(idx, conj.perms[i], e_obj, et_obj)
+        pair = xc.link_failure(p, n, conj.perms[i], e_obj, et_obj)
         if pair is not None:
             a, y = pair
             return False, {"eps": eps.to_json(), "a": a.to_json(), "y": y.to_json()}
@@ -303,7 +302,7 @@ def cmd_enumerate(args):
         "singular_endomorphisms": len(gf._sing_matrices(p, n)),
         "closed_form": gf.singular_count(p, n),
         "idempotents": len(gf.idempotent_matrices(p, n)),
-        "proper_subspaces": len(gf.enumerate_subspaces(p, n, proper_only=True)),
+        "proper_subspaces": sum(s.dim < n for s in gf.enumerate_subspaces(p, n)),
         "subspaces": len(gf.enumerate_subspaces(p, n)),
     }
     if args.format == "json":
@@ -350,14 +349,12 @@ def cmd_green(args):
 
 def cmd_cones(args):
     p, n = args.field, args.dim
-    sc.check_cone_order(p, n)
-    cat = sc.build_category(p, n)
-    smg, code, vertex, rows = sc.coded_normal_cones(cat)
+    smg, code, vertex, rows = sc.coded_normal_cones(p, n)
     if args.format == "json":
-        _emit(sc.cone_semigroup_json(cat, smg, code, vertex, rows), args.out)
+        _emit(sc.cone_semigroup_json(p, n, smg, code, vertex, rows), args.out)
     else:
         _emit(
-            f"objects: {len(cat.objects)}\n"
+            f"objects: {len(code.dims)}\n"
             f"normal cones: {smg.order}\n"
             f"regular: {sg.is_regular(smg)}\n",
             args.out,

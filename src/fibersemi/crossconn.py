@@ -9,8 +9,9 @@ first projection.
 
 The claims about a connection (functoriality, covering, inclusion and the
 linking bijection) are decided on integer arrays: every subspace of GF(p)^n
-gets a position once per (p, n), and each Sing element is read through the
-positions of its image and of its transpose's image.  The inverses and the
+is its position in gf.subspace_lattice, a moved object is looked up by code
+in gf.row_spaces, and each Sing element is read through the positions of
+its image and of its transpose's image (gf.sing_images).  The inverses and the
 conjugation permutations are computed for a whole stack of automorphisms at
 once (conjugations); the conjugation law is a reduction stated there, and
 no Cayley table is read.
@@ -19,7 +20,7 @@ no Cayley table is read.
 from __future__ import annotations
 
 import json
-from functools import cached_property, lru_cache
+from functools import cached_property
 
 import numpy as np
 
@@ -50,45 +51,10 @@ class CrossConnection(Record):
 # ---------------------------------------------------------------------------
 # the claims about a connection, decided on subspace positions
 
-class SubspaceIndex(Record):
-    """Every subspace of GF(p)^n at its position in enumerate_subspaces
-    order, with the relations the cross-connection claims read.  The two
-    per-element arrays follow Sing order (gf._sing_matrices); for x acting
-    on row vectors ann(ker x) = im(x^T), so they also give both
-    annihilators of kernels."""
-    subspaces: tuple
-    row_space: np.ndarray   # base-p code of an n x n matrix -> position of its row space
-    objects: np.ndarray     # positions of the proper subspaces, the category's objects
-    bases: np.ndarray       # the objects' padded RREF bases, (objects, n, n)
-    contains: np.ndarray    # contains[u, v]: v is a subspace of u
-    direct_sum: np.ndarray  # direct_sum[u, v]: u (+) v is the whole space
-    ann: np.ndarray         # position of the annihilator
-    img: np.ndarray         # image of x, which is ann(ker) of its transpose
-    timg: np.ndarray        # image of the transpose of x, which is ann(ker x)
-
-
-@lru_cache(maxsize=None)
-def subspace_index(p, n) -> SubspaceIndex:
-    """The index for (p, n), built once from the subspace lattice.  Sing's
-    order guard (gf.check_sing_order) comes first, so it refuses before any
-    subspace is enumerated; no table is built.  Every matrix's row space is
-    read from its rref code (gf._reduced), where each subspace sits at the
-    code of its RREF basis padded to n x n; no matrix is reduced here."""
-    gf.check_sing_order(p, n)
-    lattice = gf.subspace_lattice(p, n)
-    position = np.full(p ** (n * n), -1, dtype=np.intp)
-    position[gf.base_p(lattice.bases, p)] = np.arange(len(lattice.subspaces))
-    row_space = position[gf._reduced(p, n)[1]]
-    objects = np.flatnonzero(lattice.dims < n)
-    mats = gf._sing_matrices(p, n)
-    img, timg = row_space[gf.base_p(np.concatenate([mats, mats.transpose(0, 2, 1)]), p)].reshape(2, -1)
-    return SubspaceIndex(lattice.subspaces, row_space, objects, lattice.bases[objects], lattice.contains,
-                         lattice.direct_sum, lattice.ann, img, timg)
-
-
-def object_actions(idx: SubspaceIndex, eps, p):
-    """(e_obj, et_obj), the positions of eps.x and eps_t.x for each object x
-    (eps an n x n array over GF(p), eps_t its transpose).
+def object_actions(p, n, eps):
+    """(e_obj, et_obj), the lattice positions of eps.x and eps_t.x for each
+    object x, a proper subspace (eps an n x n array over GF(p), eps_t its
+    transpose).
 
     Both actions are functors once eps.eps^-1 = I, which conjugations
     checks (Conjugations.inverts).  The primal action sends f: x -> y to
@@ -110,24 +76,26 @@ def object_actions(idx: SubspaceIndex, eps, p):
     (eps^-1)^T.eps_t = (eps.eps^-1)^T = I, the same on the dual side.
 
     The objects' bases times eps and times eps_t are looked up by code in
-    the index's row spaces; nothing is reduced.
+    gf.row_spaces; nothing is reduced.
     """
-    moved = np.concatenate([idx.bases @ eps, idx.bases @ eps.T]) % p
-    e_obj, et_obj = idx.row_space[gf.base_p(moved, p)].reshape(2, -1)
+    bases = gf.subspace_lattice(p, n).bases[:-1]
+    moved = np.concatenate([bases @ eps, bases @ eps.T]) % p
+    e_obj, et_obj = gf.row_spaces(p, n)[gf.base_p(moved, p)].reshape(2, -1)
     return e_obj, et_obj
 
 
-def covers(idx: SubspaceIndex, et_obj) -> bool:
+def covers(p, n, et_obj) -> bool:
     """Covering and inclusion.  Covering: every object a has a complement
     ann(eps_t.y) for some object y, that is a lies in the M-set of y.
     Inclusion: y <= z implies eps_t.y <= eps_t.z for objects y, z."""
-    objs, c = idx.objects, idx.contains
-    covering = idx.direct_sum[np.ix_(objs, idx.ann[et_obj])].any(axis=1).all()
-    inclusion = (c[np.ix_(et_obj, et_obj)] | ~c[np.ix_(objs, objs)]).all()
+    lattice = gf.subspace_lattice(p, n)
+    c = lattice.contains
+    covering = lattice.direct_sum[:-1, lattice.ann[et_obj]].any(axis=1).all()
+    inclusion = (c[np.ix_(et_obj, et_obj)] | ~c[:-1, :-1]).all()
     return bool(covering and inclusion)
 
 
-def link_failure(idx: SubspaceIndex, perm, e_obj, et_obj):
+def link_failure(p, n, perm, e_obj, et_obj):
     """The first object pair (a, y) at which conjugation is not a bijection
     from the first bifunctor set onto the second, or None.
 
@@ -137,16 +105,18 @@ def link_failure(idx: SubspaceIndex, perm, e_obj, et_obj):
     which is im(x_j), in eps.a.  perm must be a permutation
     (Conjugations.permutes decides that); it sends the first set onto the
     second exactly when i is in the first set iff perm[i] is in the second.
+    Both sets are read from gf.sing_images.
     """
-    c = idx.contains
-    objc = c[idx.objects]
-    first = objc[:, None, idx.img] & c[et_obj][None, :, idx.timg]
-    second = objc[None, :, idx.timg] & c[e_obj][:, None, idx.img]
+    lattice, (img, timg) = gf.subspace_lattice(p, n), gf.sing_images(p, n)
+    c = lattice.contains
+    objc = c[:-1]
+    first = objc[:, None, img] & c[et_obj][None, :, timg]
+    second = objc[None, :, timg] & c[e_obj][:, None, img]
     bad = (first != second[:, :, perm]).any(axis=2)
     if not bad.any():
         return None
     a, y = np.argwhere(bad)[0]
-    return idx.subspaces[idx.objects[a]], idx.subspaces[idx.objects[y]]
+    return lattice.subspaces[a], lattice.subspaces[y]
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,11 @@
 """Exact linear algebra over small prime fields GF(p).
 
 Vectors are row tuples and endomorphisms act on the right (v -> v.M), so
-composing maps left to right is plain matrix multiplication.  Subspaces are
-identified by their reduced row-echelon basis, which makes equality, hashing
-and set membership exact.
+composing maps left to right is plain matrix multiplication.  A Subspace
+record holds its reduced row-echelon basis, which makes equality exact; in
+computation a subspace is its position in subspace_lattice, and the one
+lookup row_spaces finds the position of any matrix's row space by the
+matrix's code.
 """
 
 from __future__ import annotations
@@ -108,9 +110,6 @@ def mat_mul(a, b, p):
         for row in a
     )
 
-def mat_transpose(a):
-    return tuple(zip(*a))
-
 def identity_matrix(n):
     return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
 
@@ -196,30 +195,6 @@ class Subspace(Record):
     def dim(self) -> int:
         return len(self.basis)
 
-    @cached_property
-    def pivots(self):
-        """Pivot column of each basis row; computed once per instance, kept
-        out of the fields so equality, hashing and JSON ignore it."""
-        return tuple(next(j for j, x in enumerate(row) if x) for row in self.basis)
-
-    def coords(self, v):
-        """Coefficients of v over the canonical basis, or None.
-
-        RREF pivot columns are unit columns, so candidate coefficients are
-        read off at the pivot positions and then checked.
-        """
-        if len(v) != self.n:
-            raise ValueError(f"vector length {len(v)} != ambient dim {self.n}")
-        c = tuple(v[j] % self.p for j in self.pivots)
-        return c if self.from_coords(c) == tuple(x % self.p for x in v) else None
-
-    def from_coords(self, c):
-        w = [0] * self.n
-        for coeff, row in zip(c, self.basis):
-            for j, x in enumerate(row):
-                w[j] = (w[j] + coeff * x) % self.p
-        return tuple(w)
-
     def sort_key(self):
         return (self.dim, self.basis)
 
@@ -257,15 +232,11 @@ def subspace_count(p, n):
 
 
 @lru_cache(maxsize=None)
-def enumerate_subspaces(p, n, proper_only=False):
-    """All subspaces of GF(p)^n in canonical order (dimension, then basis).
-
-    proper_only drops the full space but keeps the zero subspace.
-    """
+def enumerate_subspaces(p, n):
+    """All subspaces of GF(p)^n in canonical order (dimension, then basis)."""
     subspace_count(p, n)
     out = []
-    top = n if proper_only else n + 1
-    for k in range(0, top):
+    for k in range(n + 1):
         for pivots in itertools.combinations(range(n), k):
             free = [
                 (i, j)
@@ -316,9 +287,6 @@ class Endo(Record):
             raise ValueError("endomorphism is singular")
         return Endo(self.p, self.n, inv)
 
-    def sort_key(self):
-        return self.rows
-
     def to_json(self):
         return {"p": self.p, "n": self.n, "rows": [list(r) for r in self.rows]}
 
@@ -337,11 +305,6 @@ def endo(rows, p) -> Endo:
 
 def identity_endo(p, n) -> Endo:
     return Endo(p, n, identity_matrix(n))
-
-
-def transpose(alpha: Endo) -> Endo:
-    """The same matrix data read as an endomorphism of the dual space."""
-    return Endo(alpha.p, alpha.n, mat_transpose(alpha.rows))
 
 
 @lru_cache(maxsize=None)
@@ -488,7 +451,6 @@ class SubspaceLattice(Record):
     (the full space last), with containment and annihilators as read-only
     arrays; S subspaces."""
     subspaces: tuple
-    index: dict             # subspace -> position
     bases: np.ndarray       # (S, n, n) RREF bases, zero rows last
     dims: np.ndarray        # (S,)
     pivots: np.ndarray      # (S, n) each basis's pivot columns in order, then its other columns
@@ -540,10 +502,41 @@ def subspace_lattice(p, n) -> SubspaceLattice:
         inside &= perp[rows[:, r]]
     annulled = inside[:, size:] & (dims[:, None] + dims == n)  # [v, u]: v = ann(u)
     lattice = SubspaceLattice(
-        subspaces, {s: k for k, s in enumerate(subspaces)}, bases, dims,
+        subspaces, bases, dims,
         np.argsort(~pivot, axis=1, kind="stable"), inside[:, :size].T,
         np.where(annulled.sum(axis=0) == 1, annulled.argmax(axis=0), -1),
     )
-    for k in SubspaceLattice._fields[2:]:
+    for k in SubspaceLattice._fields[1:]:
         getattr(lattice, k).flags.writeable = False  # shared by every caller
     return lattice
+
+
+@lru_cache(maxsize=None)
+def row_spaces(p, n):
+    """The position in subspace_lattice(p, n) of the row space of every
+    n x n matrix over GF(p), by the matrix's code: the one answer to "which
+    subspace is this?" that the package computes with.  A read-only array
+    of p^(n^2) positions.  _reduced comes first, so the endomorphism guard
+    refuses before the lattice is built.  Two matrices share a row space
+    exactly when they share an rref code, and a subspace's RREF basis,
+    padded with zero rows, is a matrix whose rref code is its own code, so
+    each position is read through the rref code; nothing is reduced here."""
+    codes = _reduced(p, n)[1]
+    bases = subspace_lattice(p, n).bases
+    position = np.full(len(codes), -1, dtype=np.intp)
+    position[base_p(bases, p)] = np.arange(len(bases))
+    spaces = position[codes]
+    spaces.flags.writeable = False  # shared by every caller
+    return spaces
+
+
+@lru_cache(maxsize=None)
+def sing_images(p, n):
+    """(img, timg): the lattice positions of im x and of im x^T for every
+    element x of Sing(GF(p)^n), in Sing order, read from row_spaces.  Maps
+    act on row vectors, so im x is the row space of x, and im x^T is
+    ann(ker x).  Both arrays are read-only."""
+    mats = _sing_matrices(p, n)
+    img, timg = row_spaces(p, n)[base_p(np.concatenate([mats, mats.transpose(0, 2, 1)]), p)].reshape(2, -1)
+    img.flags.writeable = timg.flags.writeable = False  # shared by every caller
+    return img, timg

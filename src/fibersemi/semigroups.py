@@ -47,9 +47,6 @@ class FiniteSemigroup(Record):
     def order(self) -> int:
         return len(self.elements)
 
-    def index(self, label) -> int:
-        return self._index[label]
-
     def mul_labels(self, a, b):
         return self.elements[self.table[self._index[a], self._index[b]]]
 
@@ -347,23 +344,22 @@ def sing_green(p, n) -> GreenStructure:
     ker x for every u, so elements with different images are never
     L-related and elements with different kernels never R-related.  So the
     L-classes are the image classes and the R-classes the kernel classes,
-    keyed by the row space of x^T, which is ann(ker x); both row spaces are
-    read by code from gf._reduced.  H is the meet of L and R, and D = L.R,
+    keyed by the row space of x^T, which is ann(ker x); both are lattice
+    positions from gf.sing_images.  H is the meet of L and R, and D = L.R,
     the union of the R-classes that meet an L-class.
 
     No Light's test is needed: no table is built, and Sing's associativity
     is that of matrix multiplication.  The first element whose witness
     fails raises AssertionError naming it.
     """
-    mats, (ranks, row_space) = gf._sing_matrices(p, n), gf._reduced(p, n)
+    mats, ranks = gf._sing_matrices(p, n), gf._ranks(p, n)
     eye = np.broadcast_to(np.eye(n, dtype=np.int64), mats.shape)
     red, pivot, _ = gf.rref_stack(np.concatenate([mats, eye], axis=2), p)
     pivot = pivot[:, :n]
     at, col = np.nonzero(pivot)
     plus = np.zeros_like(mats)
     plus[at, col] = red[at, pivot.cumsum(axis=1)[at, col] - 1, n:]   # row j of E to row c_j
-    images = row_space[gf.base_p(mats, p)].tolist()
-    kernels = row_space[gf.base_p(mats.transpose(0, 2, 1), p)].tolist()
+    images, kernels = (a.tolist() for a in gf.sing_images(p, n))
     l_classes, r_classes = _partition(images), _partition(kernels)
     l_of, r_of = _class_of(l_classes, len(mats)), _class_of(r_classes, len(mats))
 

@@ -1,7 +1,9 @@
 """The category of proper subspaces of GF(p)^n and its cone semigroup.
 
-Objects are the proper subspaces (zero included), morphisms all linear maps,
-inclusions the containment order.  Cones assign a morphism into a fixed
+Objects are the proper subspaces (zero included), at their positions in
+gf.subspace_lattice (the full space comes last), morphisms all linear maps,
+inclusions the containment order.  Every function reads the category from
+the lattice of its (p, n).  Cones assign a morphism into a fixed
 vertex to every object, compatibly with restriction; composing normal cones
 through epimorphic components makes them a semigroup isomorphic to the
 singular endomorphisms.  A cone is held as one integer code row (_ConeCode).
@@ -18,31 +20,12 @@ import numpy as np
 
 from . import gf
 from . import semigroups as sg
-from .gf import Subspace
 
 
-class SubspaceCategory:
-    """Proper subspaces of GF(p)^n with all linear maps as morphisms, at
-    their positions in gf.subspace_lattice (the full space comes last)."""
-
-    def __init__(self, p, n):
-        lattice = gf.subspace_lattice(p, n)
-        self.p = p
-        self.n = n
-        self.objects = lattice.subspaces[:-1]
-        self._index = {obj: i for i, obj in enumerate(self.objects)}
-        # (i, j) with objects[i] inside objects[j], by i then j
-        self.inclusion_pairs = tuple(map(tuple, np.argwhere(lattice.contains[:-1, :-1].T).tolist()))
-
-    def index(self, obj: Subspace) -> int:
-        return self._index[obj]
-
-    def __contains__(self, obj):
-        return obj in self._index
-
-
-def build_category(p, n) -> SubspaceCategory:
-    return SubspaceCategory(p, n)
+def inclusion_pairs(p, n):
+    """(i, j) for every pair of objects with object i inside object j, by i
+    then j, as a (pairs, 2) array of lattice positions."""
+    return np.argwhere(gf.subspace_lattice(p, n).contains[:-1, :-1].T)
 
 
 # ---------------------------------------------------------------------------
@@ -57,9 +40,9 @@ def complement_rows(pivot):
     return (((np.cumsum(~pivot, axis=1) - 1)[:, None] == slots[:, None]) & ~pivot[:, None]).astype(np.int64)
 
 
-def retraction_law(cat: SubspaceCategory):
+def retraction_law(p, n):
     """Whether the inclusion a -> b then the retraction b -> a is the
-    identity on a, for every (a, b) of cat.inclusion_pairs, in that order.
+    identity on a, for every (a, b) of inclusion_pairs, in that order.
     The retraction projects b onto a along the deterministic complement of
     a in b, the span of E_J.B_b, J the non-pivot columns of rref(A), where
     A, a's basis at b's pivot columns, is the inclusion's matrix (B_a =
@@ -79,20 +62,13 @@ def retraction_law(cat: SubspaceCategory):
     one of the [A; E_J]: each A is zero-padded to n x n, which changes
     neither its rref's pivots nor a rank, and E_J's unit rows at the
     padding columns are zeroed."""
-    lattice, p = gf.subspace_lattice(cat.p, cat.n), cat.p
-    a, b = np.array(cat.inclusion_pairs, dtype=np.intp).reshape(-1, 2).T
-    inside = np.arange(cat.n) < lattice.dims[b, None]  # the columns of b's coordinates
+    lattice = gf.subspace_lattice(p, n)
+    a, b = inclusion_pairs(p, n).T
+    inside = np.arange(n) < lattice.dims[b, None]  # the columns of b's coordinates
     coords = np.take_along_axis(lattice.bases[a], lattice.pivots[b, None], axis=2) * inside[:, None]
     pivot = gf.rref_stack(coords, p)[1]
     rank = gf.rref_stack(np.concatenate([coords, complement_rows(pivot) * inside[:, None]], axis=1), p)[2]
     return (coords @ lattice.bases[b] % p == lattice.bases[a]).all(axis=(1, 2)) & (rank == lattice.dims[b])
-
-
-def _span_in(obj: Subspace, coords) -> Subspace:
-    """The subspace of obj spanned by X.B, X = coords in RREF, B obj's basis.
-    X.B is in RREF (row i leads where B's row at X's pivot i does, and its
-    column at B's pivot k is X's column k), so it is the canonical basis."""
-    return Subspace(obj.p, obj.n, tuple(obj.from_coords(c) for c in coords))
 
 
 SWEEP_LIMIT = 1 << 16  # rows of one batched sweep: matrices of a hom-set shape, or cone assignments
@@ -128,10 +104,10 @@ def shape_factors(p, da, db) -> SimpleNamespace:
     return factors
 
 
-def factorization_witness(cat: SubspaceCategory):
+def factorization_witness(p, n):
     """None if shape_factors' normal factorization (f = q.u.j: retraction
     onto the complement of ker f along ker f, isomorphism, inclusion of the
-    image) splits every morphism of cat, else a witness.  It reads
+    image) splits every morphism of the category, else a witness.  It reads
     f: a -> b's arrays at f's matrix M alone, so one pass per shape decides
     q.u.image = M and rank u = rank M for all.
 
@@ -139,16 +115,17 @@ def factorization_witness(cat: SubspaceCategory):
     isomorphism GF(p)^d -> a that keeps RREF (X.B_a is in RREF iff X is,
     and X.B_a at a's pivot columns is X).  So at every object a of
     dimension d, with K the kernel rows and E_J the complement rows:
-    _span_in(a, E_J) is the deterministic complement of K.B_a in a iff E_J
-    is complement_rows of rref(K) with d - rank K = rank M rows; the
+    E_J.B_a spans the deterministic complement of K.B_a in a iff E_J is
+    complement_rows of rref(K) with d - rank K = rank M rows; the
     projection onto it along K.B_a has q's matrix iff E_J.q = I and K.q = 0,
-    since [E_J; K] is then a basis; and at b, _span_in(b, R) is the
-    canonical span of R.B_b iff the image rows R are in RREF.  None of this
+    since [E_J; K] is then a basis; and at b, R.B_b is the canonical basis
+    of the image iff the image rows R are in RREF.  None of this
     depends on the object, so each is decided once per shape on the
     arrays, and the witness names the first object of the smallest
     dimension that fails, the retraction first, as a sweep over the
     objects in order would."""
-    p, dims = cat.p, sorted({obj.dim for obj in cat.objects})
+    lattice = gf.subspace_lattice(p, n)
+    dims = sorted(set(lattice.dims[:-1].tolist()))
     failing = {"retraction": set(), "image": set()}
     for da, db in itertools.product(dims, dims):
         fac, count, width = shape_factors(p, da, db), p ** (da * db), max(da, db)
@@ -176,7 +153,7 @@ def factorization_witness(cat: SubspaceCategory):
         for kind in ("retraction", "image"):
             if d in failing[kind]:
                 return {"failure": f"{kind} translation",
-                        "object": next(obj for obj in cat.objects if obj.dim == d).to_json()}
+                        "object": lattice.subspaces[int(np.argmax(lattice.dims == d))].to_json()}
     return None
 
 
@@ -190,16 +167,15 @@ class _ConeCode:
     padded with zero columns to n - 1, the largest vertex dimension.  The
     code vertex * p^(D(n-1)) + (R read in base p) is one int64 per cone."""
 
-    def __init__(self, cat: SubspaceCategory):
-        p, n = cat.p, cat.n
+    def __init__(self, p, n):
+        lattice = gf.subspace_lattice(p, n)
         self.p = p
-        self.dims = [obj.dim for obj in cat.objects]
+        self.dims = lattice.dims[:-1].tolist()
         self.offsets = [0, *itertools.accumulate(self.dims)]
         self.depth, self.width = self.offsets[-1], n - 1
         self.stride = p ** (self.depth * self.width)
-        if len(cat.objects) * self.stride > np.iinfo(np.int64).max:
+        if len(self.dims) * self.stride > np.iinfo(np.int64).max:
             raise AssertionError(f"cone codes of GF({p})^{n} do not fit in 63 bits")
-        lattice = gf.subspace_lattice(p, n)
         bases = lattice.bases[:-1]
         self.stacked = bases[np.arange(n) < lattice.dims[:-1, None]]  # every object's basis rows
         self.bases = bases[:, :self.width]  # vertex bases padded to width rows, for ambient()
@@ -216,36 +192,28 @@ class _ConeCode:
         return rows[:, self.offsets[k]:self.offsets[k + 1]]
 
 
-def _principal_rows(cat: SubspaceCategory, code: _ConeCode):
+def _principal_rows(p, n, code: _ConeCode):
     """(vertex, rows) of the principal cone of every singular endomorphism.
 
-    B @ alpha pushes every object's basis through alpha.  Objects come in
-    order of dimension, so the first one containing alpha's rows is its
-    image: the vertex.  Components are read at the vertex's pivot columns
-    and multiplied back to check the reading.
+    The vertex is alpha's image, read from gf.sing_images.  B @ alpha
+    pushes every object's basis through alpha; each component is read at
+    the vertex's pivot columns and multiplied back to check the reading.
     """
-    p, n = cat.p, cat.n
-    alphas = gf._sing_matrices(p, n)
+    lattice, alphas = gf.subspace_lattice(p, n), gf._sing_matrices(p, n)
+    vertex = gf.sing_images(p, n)[0]
     images = code.stacked @ alphas % p
-    vertex = np.full(len(alphas), -1)
-    rows = np.zeros((len(alphas), code.depth, code.width), dtype=np.int64)
-    for k, obj in enumerate(cat.objects):
-        basis, pivots = code.bases[k, :obj.dim], list(obj.pivots)
-        inside = (alphas[:, :, pivots] @ basis % p == alphas).all(axis=(1, 2))
-        here = np.flatnonzero(inside & (vertex < 0))
-        comps = images[here][:, :, pivots]
-        if not (comps @ basis % p == images[here]).all():
-            raise AssertionError("principal cone component outside its vertex")
-        vertex[here] = k
-        rows[here, :, :obj.dim] = comps
+    at_pivots = np.take_along_axis(images, lattice.pivots[vertex, None, :code.width], axis=2)
+    rows = at_pivots * (np.arange(code.width) < lattice.dims[vertex, None, None])
+    if not (rows @ code.bases[vertex] % p == images).all():
+        raise AssertionError("principal cone component outside its vertex")
     return vertex, rows
 
 
-def _assignments(cat: SubspaceCategory, code: _ConeCode):
+def _assignments(code: _ConeCode):
     """(vertex, rows) of every assignment of a morphism into each vertex,
     vertex by vertex in the order of itertools.product over the objects'
     hom-sets, each lexicographic by matrix entries."""
-    p = cat.p
+    p = code.p
     vertices, blocks = [], []
     for k, v in enumerate(code.dims):
         places = code.depth * v
@@ -259,20 +227,19 @@ def _assignments(cat: SubspaceCategory, code: _ConeCode):
     return np.concatenate(vertices), np.concatenate(blocks)
 
 
-def _admissible(cat: SubspaceCategory, code: _ConeCode, vertex, rows):
+def _admissible(p, n, code: _ConeCode, vertex, rows):
     """(endos, ok): the endomorphism read off the coordinate lines of each
     row, and where the row is a well-formed normal cone.
 
-    Restriction compatibility is decided over cat.inclusion_pairs with the
+    Restriction compatibility is decided over inclusion_pairs with the
     inclusion matrices, read from the lattice as in retraction_law; global
     linearity by checking that every component is the restriction of the
     endomorphism; normality by some component between equal dimensions
     having full rank in shape_factors.
     """
-    p, n = cat.p, cat.n
     lattice = gf.subspace_lattice(p, n)
     ok = np.ones(len(rows), dtype=bool)
-    for i, j in cat.inclusion_pairs:
+    for i, j in inclusion_pairs(p, n).tolist():
         if i != j:  # the inclusion's matrix: objects[i]'s basis at objects[j]'s pivot columns
             incl = lattice.bases[i, :code.dims[i]][:, lattice.pivots[j, :code.dims[j]]]
             ok &= (incl @ code.block(rows, j) % p == code.block(rows, i)).all(axis=(1, 2))
@@ -280,8 +247,10 @@ def _admissible(cat: SubspaceCategory, code: _ConeCode, vertex, rows):
     if n == 1:
         endos = np.zeros((len(rows), 1, 1), dtype=np.int64)
     else:
-        # the coordinate line through e_i has basis e_i, so its row is e_i's image
-        lines = [code.offsets[cat.index(gf.subspace_span([e], n, p))] for e in gf.identity_matrix(n)]
+        # the coordinate line through e_i has basis e_i, so its row is e_i's
+        # image; it is the row space of the matrix with first row e_i and
+        # zeros below, whose code is p^(n^2 - 1 - i)
+        lines = [code.offsets[k] for k in gf.row_spaces(p, n)[p ** (n * n - 1 - np.arange(n))].tolist()]
         endos = ambient[:, lines]
     ok &= (code.stacked @ endos % p == ambient).all(axis=(1, 2))
     vdim, normal = np.array(code.dims)[vertex], np.zeros(len(rows), dtype=bool)
@@ -304,32 +273,29 @@ def _matrix(block):
     return tuple(map(tuple, block))
 
 
-def principal_codes(cat: SubspaceCategory, code: _ConeCode):
+def _image_object(p, n, v, image):
+    """The position of the span of image.B_v, image a component's image
+    rows (zero past its rank) in the coordinates of object v, B_v its
+    basis; looked up by code in gf.row_spaces."""
+    basis = gf.subspace_lattice(p, n).bases[v]
+    rows = np.zeros((1, n, n), dtype=np.int64)
+    rows[0, :len(image)] = image @ basis[:image.shape[1]] % p
+    return gf.row_spaces(p, n)[gf.base_p(rows, p)[0]]
+
+
+def principal_codes(p, n, code: _ConeCode):
     """The code of the principal cone of every singular endomorphism, in Sing order."""
-    return code.codes(*_principal_rows(cat, code))
+    return code.codes(*_principal_rows(p, n, code))
 
 
-def check_cone_order(p, n):
-    """Refuse the cone semigroup of GF(p)^n as build_category would (a bad
-    field or dimension, or too many subspaces), then when its order, that
-    of Sing(GF(p)^n) in closed form, is beyond the associativity guard;
-    nothing is enumerated."""
-    gf.subspace_count(p, n)
-    size = gf.singular_count(p, n)
-    if size > gf.ASSOC_GUARD:
-        raise gf.GuardExceeded(
-            f"the cone semigroup of GF({p})^{n} has order {gf.count_text(size)}, "
-            f"beyond the associativity guard {gf.ASSOC_GUARD}"
-        )
-
-
-def coded_normal_cones(cat: SubspaceCategory):
+def coded_normal_cones(p, n):
     """The cone semigroup on code rows: (semigroup, code, vertex, rows), the
     cone of element i being the row (vertex[i], rows[i]) of code.
 
-    The closed-form order of Sing(GF(p)^n), which the cone semigroup has, is
-    checked against the associativity guard, and the code width against
-    int64, before any cone is built.  Cones are code rows (_ConeCode).
+    The subspace guard, then the closed-form order of Sing(GF(p)^n), which
+    the cone semigroup has, against the associativity guard, refuse before
+    the lattice is built, and the code width against int64 before any cone
+    is built.  Cones are code rows (_ConeCode).
     Small categories are swept exhaustively: every assignment of a morphism
     into each vertex is a row, kept when it is a well-formed normal cone.
     Larger ones take the principal cones of every singular endomorphism, and
@@ -341,19 +307,23 @@ def coded_normal_cones(cat: SubspaceCategory):
     reads g2 only through that component, which depends only on its
     values in GF(p)^n, so all columns whose components there agree as maps
     share the product.  Each such component's epimorphic part and image are
-    read from shape_factors once, every row with
-    that vertex is pushed along it in one product, and the products are
-    looked up by code; each must be an enumerated cone.
+    read from shape_factors once, the image's object is looked up by code
+    (_image_object), every row with that vertex is pushed along it in one
+    product, and the products are looked up by code; each must be an
+    enumerated cone.
 
     Elements are in order of the inducing endomorphisms' codes, labelled by
     their matrices.
     """
-    p, n = cat.p, cat.n
-    check_cone_order(p, n)
-    code = _ConeCode(cat)
+    gf.subspace_count(p, n)
+    size = gf.singular_count(p, n)
+    if size > gf.ASSOC_GUARD:
+        raise gf.GuardExceeded(f"the cone semigroup of GF({p})^{n} has order {gf.count_text(size)}, "
+                               f"beyond the associativity guard {gf.ASSOC_GUARD}")
+    code = _ConeCode(p, n)
     exhaustive = sum(p ** (code.depth * d) for d in code.dims) <= SWEEP_LIMIT
-    vertex, rows = (_assignments if exhaustive else _principal_rows)(cat, code)
-    endos, ok = _admissible(cat, code, vertex, rows)
+    vertex, rows = _assignments(code) if exhaustive else _principal_rows(p, n, code)
+    endos, ok = _admissible(p, n, code, vertex, rows)
     if not (exhaustive or ok.all()):
         raise AssertionError("a principal cone is not a well-formed normal cone")
     # in order of the endomorphisms' codes, by a slot per matrix rather than
@@ -368,7 +338,7 @@ def coded_normal_cones(cat: SubspaceCategory):
     order = len(rows)
     table = np.empty((order, order), dtype=np.int32)
     ambient = code.ambient(vertex, rows)
-    for k in range(len(cat.objects)):
+    for k in range(len(code.dims)):
         left = np.flatnonzero(vertex == k)
         if not len(left):
             continue
@@ -376,11 +346,11 @@ def coded_normal_cones(cat: SubspaceCategory):
         for j, key in enumerate(code.block(ambient, k)):
             columns.setdefault(key.tobytes(), []).append(j)
         for cols in columns.values():
-            v = cat.objects[vertex[cols[0]]]
-            fac = shape_factors(p, code.dims[k], v.dim)
-            i = gf.base_p(code.block(rows[cols[:1]], k)[:, :, :v.dim], p)[0]
-            img = _span_in(v, fac.image[i, :fac.rank[i]].tolist())
-            prod = code.codes(cat.index(img), _push(rows[left], fac.epi[i, :, :fac.rank[i]], p))
+            v = vertex[cols[0]]
+            fac = shape_factors(p, code.dims[k], code.dims[v])
+            i = gf.base_p(code.block(rows[cols[:1]], k)[:, :, :code.dims[v]], p)[0]
+            img = _image_object(p, n, v, fac.image[i])
+            prod = code.codes(img, _push(rows[left], fac.epi[i, :, :fac.rank[i]], p))
             found = [index.get(c, -1) for c in prod.tolist()]
             if -1 in found:
                 raise AssertionError("cone composition left the enumerated set")
@@ -403,11 +373,11 @@ def cone_map_witnesses(cones, source, mats, p):
     return sg.morphism_witnesses(source, cones.table, img)
 
 
-def cone_semigroup_json(cat: SubspaceCategory, semigroup, code: _ConeCode, vertex, rows):
+def cone_semigroup_json(p, n, semigroup, code: _ConeCode, vertex, rows):
     """The cone semigroup as JSON, each cone written from its code row: its
     vertex, and at each object the component's matrix over the canonical
     bases, dim(object) rows of dim(vertex) coordinates."""
-    objects = [obj.to_json() for obj in cat.objects]
+    objects = [obj.to_json() for obj in gf.subspace_lattice(p, n).subspaces[:-1]]
     spans = list(zip(objects, code.offsets, code.offsets[1:]))
     cones = [
         {"vertex": objects[k],
@@ -416,8 +386,8 @@ def cone_semigroup_json(cat: SubspaceCategory, semigroup, code: _ConeCode, verte
         for k, r in zip(vertex.tolist(), rows.tolist())
     ]
     doc = {
-        "p": cat.p,
-        "n": cat.n,
+        "p": p,
+        "n": n,
         "elements": [list(map(list, e)) for e in semigroup.elements],
         "table": semigroup.table.tolist(),
         "cones": cones,
@@ -438,9 +408,9 @@ def m_sets(p, n):
     is a's basis padded with zero rows.  The ranks of the pairs of matching
     dimensions come from one batched rref per side; no category or cone is
     built."""
+    ranks, idem = gf._ranks(p, n), gf.idempotent_matrices(p, n)  # the endomorphism guard first
     lattice = gf.subspace_lattice(p, n)
     bases, dims = lattice.bases[:-1], lattice.dims[:-1]
-    ranks, idem = gf._ranks(p, n), gf.idempotent_matrices(p, n)
     complement = (np.eye(n, dtype=np.int64) - idem) % p
     by_iso, by_sum = np.zeros((2, len(idem), len(dims)), dtype=bool)
     i, a = np.nonzero(dims == ranks[gf.base_p(idem, p)][:, None])

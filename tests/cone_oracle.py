@@ -4,8 +4,10 @@ epimorphism, composition and M-sets; the view of code rows as Cones; and the
 LinearMap-level cone validation and assignment sweep that the cone semigroup
 was decided with before cones became integer code rows.  They are kept here,
 unchanged, so the tests can compare the code rows, the cone JSON and the
-batched M-sets with them.  swap_two_cone_labels plants a mutant cone
-semigroup for the checks that map Sing onto it."""
+batched M-sets with them.  span_in is the Subspace the cone semigroup built
+for each product's vertex before it looked the vertex up by code.
+swap_two_cone_labels plants a mutant cone semigroup for the checks that map
+Sing onto it."""
 
 from __future__ import annotations
 
@@ -20,7 +22,15 @@ from fibersemi import semigroups as sg
 from fibersemi import subspace_category as sc
 from fibersemi.gf import Endo, Record, Subspace
 from gf_helpers import LinearMap
-from fibersemi.subspace_category import SubspaceCategory, _ConeCode
+from lattice_oracle import SubspaceCategory
+from fibersemi.subspace_category import _ConeCode
+
+
+def span_in(obj: Subspace, coords) -> Subspace:
+    """The subspace of obj spanned by X.B, X = coords in RREF, B obj's basis.
+    X.B is in RREF (row i leads where B's row at X's pivot i does, and its
+    column at B's pivot k is X's column k), so it is the canonical basis."""
+    return Subspace(obj.p, obj.n, tuple(gh.from_coords(obj, c) for c in coords))
 
 
 def restriction(alpha: Endo, dom: Subspace, cod: Subspace) -> LinearMap:
@@ -91,7 +101,7 @@ def _cones(cat: SubspaceCategory, code: _ConeCode, vertex, rows):
 def enumerate_normal_cones(cat: SubspaceCategory):
     """(semigroup, cones, endos) with parallel indexing: coded_normal_cones with
     each code row as a Cone, and the map back to inducing endomorphisms."""
-    semigroup, code, vertex, rows = sc.coded_normal_cones(cat)
+    semigroup, code, vertex, rows = sc.coded_normal_cones(cat.p, cat.n)
     return semigroup, _cones(cat, code, vertex, rows), tuple(Endo(cat.p, cat.n, e) for e in semigroup.elements)
 
 
@@ -193,8 +203,8 @@ def swap_two_cone_labels(monkeypatch, i=1, j=2):
     elements i and j exchanged, its table unchanged; (i, j)."""
     real = sc.coded_normal_cones
 
-    def planted(cat):
-        smg, *rest = real(cat)
+    def planted(p, n):
+        smg, *rest = real(p, n)
         labels = list(smg.elements)
         labels[i], labels[j] = labels[j], labels[i]
         return (sg.FiniteSemigroup(tuple(labels), smg.table), *rest)

@@ -17,11 +17,11 @@ import numpy as np
 
 from factorization_oracle import all_linear_maps
 import gf_helpers as gh
+import lattice_oracle as lo
 from sing_oracle import enumerate_endos, sing_semigroup
 from fibersemi import crossconn as xc
 from fibersemi import gf
 from fibersemi import semigroups as sg
-from fibersemi import subspace_category as sc
 from fibersemi.crossconn import CrossConnection
 from fibersemi.gf import Endo, Record, Subspace
 from gf_helpers import LinearMap
@@ -42,11 +42,11 @@ def cross_connection(eps: Endo) -> CrossConnection:
 
 
 def eps_t(cc: CrossConnection) -> Endo:
-    return gf.transpose(cc.eps)
+    return gh.transpose(cc.eps)
 
 
 def eps_inv_t(cc: CrossConnection) -> Endo:
-    return gf.transpose(cc.eps_inv)
+    return gh.transpose(cc.eps_inv)
 
 
 def restrictions(cc: CrossConnection, x: Subspace, fwd_map: Endo, back_map: Endo):
@@ -89,7 +89,7 @@ def primal_morphism_image(cc: CrossConnection, f: LinearMap) -> LinearMap:
 def check_functorial(cc: CrossConnection):
     """Raise unless both actions preserve identities and composition, checked
     exhaustively over the proper subspaces and every composable pair."""
-    cat = sc.build_category(cc.p, cc.n)
+    cat = lo.build_category(cc.p, cc.n)
     for obj in cat.objects:
         y = dual_object_image(cc, obj)
         if dual_morphism_image(cc, gh.identity_map(obj)) != gh.identity_map(y):
@@ -126,7 +126,7 @@ class CoveringReport:
         return self.covering_ok and self.inclusion_ok and self.hom_injective_ok
 
 
-def functor_m_set(cc: CrossConnection, cat: sc.SubspaceCategory, y: Subspace):
+def functor_m_set(cc: CrossConnection, cat: lo.SubspaceCategory, y: Subspace):
     """M-set of the connection at a dual object: complements of the subspace
     annihilated by the transported functionals."""
     pre = gh.annihilator(dual_object_image(cc, y))
@@ -140,7 +140,7 @@ def verify_cross_connection(cc: CrossConnection) -> CoveringReport:
     Local isomorphism is read as inclusion preservation on dual objects plus
     injectivity of the induced map on every hom-set.
     """
-    cat = sc.build_category(cc.p, cc.n)
+    cat = lo.build_category(cc.p, cc.n)
     witnesses = []
     covering = True
     for a in cat.objects:
@@ -188,7 +188,7 @@ def _first_member(cc, alpha: Endo, a: Subspace, y: Subspace, mode) -> bool:
 def _second_member(cc, beta: Endo, a: Subspace, y: Subspace, mode) -> bool:
     """Mirror conditions on the dual side, written in terms of the transpose
     action and pulled back to primal matrices."""
-    bt = gf.transpose(beta)
+    bt = gh.transpose(beta)
     if not gh.contains_subspace(y, gh.image(bt)):
         return False
     target = primal_object_image(cc, a)

@@ -17,8 +17,8 @@ import gf_helpers as gh
 from fibersemi import gf
 from fibersemi import subspace_category as sc
 from fibersemi.gf import Record, Subspace
-from fibersemi.subspace_category import SubspaceCategory
 from gf_helpers import LinearMap
+from lattice_oracle import SubspaceCategory
 
 
 class NormalFactorization(Record):
@@ -36,7 +36,7 @@ def projection_along(b: Subspace, a: Subspace, kernel: Subspace) -> LinearMap:
         t = gh.express_in_basis(v, stacked, b.p)
         if t is None:
             raise ValueError("projection requires b = a + kernel")
-        images.append(a.from_coords(t[: a.dim]))
+        images.append(gh.from_coords(a, t[: a.dim]))
     return gh.linear_map(b, a, images)
 
 
@@ -76,14 +76,14 @@ def all_morphisms(cat: SubspaceCategory):
 
 
 def image_subspace(f: LinearMap) -> Subspace:
-    vecs = [f.cod.from_coords(row) for row in f.matrix]
+    vecs = [gh.from_coords(f.cod, row) for row in f.matrix]
     return gf.subspace_span(vecs, f.cod.n, f.p)
 
 
 def kernel_subspace(f: LinearMap) -> Subspace:
-    coords = gh.solve_homogeneous(gf.mat_transpose(f.matrix), f.dom.dim, f.p) \
+    coords = gh.solve_homogeneous(gh.mat_transpose(f.matrix), f.dom.dim, f.p) \
         if f.matrix else ()
-    vecs = [f.dom.from_coords(c) for c in coords]
+    vecs = [gh.from_coords(f.dom, c) for c in coords]
     if f.cod.dim == 0:
         vecs = list(f.dom.basis)
     return gf.subspace_span(vecs, f.dom.n, f.p)
@@ -111,11 +111,13 @@ def from_shape_factors(f: LinearMap) -> NormalFactorization:
     sc.shape_factors at f's matrix.  The retraction projects onto the
     deterministic complement of ker f in the domain along ker f itself, so
     q.u agrees with f everywhere, not only on the complement."""
+    import cone_oracle  # not at the top: cone_oracle imports this module
     a, b, p = f.dom, f.cod, f.p
     fac = sc.shape_factors(p, a.dim, b.dim)
     i = gf.base_p(np.array(f.matrix, dtype=np.int64).reshape(1, -1) % p, p)[0]
     r = fac.rank[i]
-    cprime, img = sc._span_in(a, fac.complement[i, :r].tolist()), sc._span_in(b, fac.image[i, :r].tolist())
+    cprime, img = (cone_oracle.span_in(a, fac.complement[i, :r].tolist()),
+                   cone_oracle.span_in(b, fac.image[i, :r].tolist()))
     q, u, j, epi = (sc._matrix(m.tolist())
                     for m in (fac.q[i, :, :r], fac.u[i, :r, :r], fac.image[i, :r], fac.epi[i, :, :r]))
     return NormalFactorization(LinearMap(a, cprime, q), LinearMap(cprime, img, u),

@@ -1,7 +1,8 @@
 """GF(p) constructions the tests use and the program does not: the full
-and zero spaces, the zero matrix and map, an Endo's action on a row
-vector, its image and kernel, the solution space of a homogeneous system,
-sums and intersections of subspaces,
+and zero spaces, the zero matrix and map, the transpose of a matrix and of
+an Endo, an Endo's action on a row vector, its image and kernel, the
+solution space of a homogeneous system, a Subspace's pivot columns and the
+coordinates of a vector over its basis, sums and intersections of subspaces,
 containment of subspaces, linear maps between subspaces (LinearMap, with
 the inclusion and identity maps), and the Gaussian binomial that counts
 subspaces of each dimension; and the one-subspace-at-a-time forms of what
@@ -17,6 +18,41 @@ from fibersemi.gf import Endo, Record, Subspace
 
 def zero_matrix(m, n):
     return tuple((0,) * n for _ in range(m))
+
+
+def mat_transpose(a):
+    return tuple(zip(*a))
+
+
+def transpose(alpha: Endo) -> Endo:
+    """The same matrix data read as an endomorphism of the dual space."""
+    return Endo(alpha.p, alpha.n, mat_transpose(alpha.rows))
+
+
+def pivots(a: Subspace):
+    """The pivot column of each row of a's canonical basis."""
+    return tuple(next(j for j, x in enumerate(row) if x) for row in a.basis)
+
+
+def coords(a: Subspace, v):
+    """Coefficients of v over a's canonical basis, or None.
+
+    RREF pivot columns are unit columns, so candidate coefficients are
+    read off at the pivot positions and then checked.
+    """
+    if len(v) != a.n:
+        raise ValueError(f"vector length {len(v)} != ambient dim {a.n}")
+    c = tuple(v[j] % a.p for j in pivots(a))
+    return c if from_coords(a, c) == tuple(x % a.p for x in v) else None
+
+
+def from_coords(a: Subspace, c):
+    """The vector with coefficients c over a's canonical basis."""
+    w = [0] * a.n
+    for coeff, row in zip(c, a.basis):
+        for j, x in enumerate(row):
+            w[j] = (w[j] + coeff * x) % a.p
+    return tuple(w)
 
 
 def vec_mat(v, a, p):
@@ -49,7 +85,7 @@ def image(alpha: Endo) -> Subspace:
 
 def kernel(alpha: Endo) -> Subspace:
     """Left kernel {v : v.M = 0}."""
-    return Subspace(alpha.p, alpha.n, solve_homogeneous(gf.mat_transpose(alpha.rows), alpha.n, alpha.p))
+    return Subspace(alpha.p, alpha.n, solve_homogeneous(mat_transpose(alpha.rows), alpha.n, alpha.p))
 
 
 def zero_subspace(p, n) -> Subspace:
@@ -58,7 +94,7 @@ def zero_subspace(p, n) -> Subspace:
 
 def contains_subspace(a: Subspace, b: Subspace) -> bool:
     """Whether b is a subspace of a."""
-    return all(a.coords(v) is not None for v in b.basis)
+    return all(coords(a, v) is not None for v in b.basis)
 
 
 class LinearMap(Record):
@@ -72,10 +108,10 @@ class LinearMap(Record):
         return self.dom.p
 
     def apply(self, v):
-        c = self.dom.coords(v)
+        c = coords(self.dom, v)
         if c is None:
             raise ValueError(f"vector {v} not in domain")
-        return self.cod.from_coords(vec_mat(c, self.matrix, self.p) if self.matrix else ())
+        return from_coords(self.cod, vec_mat(c, self.matrix, self.p) if self.matrix else ())
 
     def compose(self, other: "LinearMap") -> "LinearMap":
         """self then other (domains must chain)."""
@@ -102,7 +138,7 @@ def linear_map(dom: Subspace, cod: Subspace, images) -> LinearMap:
     """Map sending the canonical basis of dom to the given ambient vectors."""
     rows = []
     for img in images:
-        c = cod.coords(img)
+        c = coords(cod, img)
         if c is None:
             raise ValueError(f"image vector {img} not contained in codomain")
         rows.append(c)
@@ -126,8 +162,8 @@ def subspace_intersection(a: Subspace, b: Subspace) -> Subspace:
     stacked = a.basis + b.basis
     if not stacked:
         return zero_subspace(a.p, a.n)
-    kern = solve_homogeneous(gf.mat_transpose(stacked), len(stacked), a.p)
-    return gf.subspace_span([a.from_coords(k[: a.dim]) for k in kern], a.n, a.p)
+    kern = solve_homogeneous(mat_transpose(stacked), len(stacked), a.p)
+    return gf.subspace_span([from_coords(a, k[: a.dim]) for k in kern], a.n, a.p)
 
 
 def gaussian_binomial(n, k, p):
@@ -157,13 +193,13 @@ def complement_in(a: Subspace, b: Subspace) -> Subspace:
     """Deterministic complement of a inside b (requires a <= b): the rows of
     b's basis at the non-pivot columns of a's coordinates over it, so for b
     the full space the standard basis vectors outside a's pivots."""
-    coords = []
+    in_b = []
     for v in a.basis:
-        c = b.coords(v)
+        c = coords(b, v)
         if c is None:
             raise ValueError("complement_in: first subspace not contained in second")
-        coords.append(c)
-    red, pivots = gf.rref(coords, b.dim, a.p)
+        in_b.append(c)
+    red, pivots = gf.rref(in_b, b.dim, a.p)
     piv = set(pivots)
     rows = [b.basis[j] for j in range(b.dim) if j not in piv]
     basis, _ = gf.rref(rows, a.n, a.p)

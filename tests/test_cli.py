@@ -82,10 +82,14 @@ def test_enumerate_and_green_answer_past_the_table_guard(capsys, argv, want):
     assert run(capsys, *argv) == (0, want, "")
     assert time.perf_counter() - start < 1.5
 
+# GF(7)^4's lattice, which the subspace guard admits, takes over a second
+# to build: the (7,4) rows pin that the endomorphism guard refuses first
 @pytest.mark.parametrize("argv,count", [
     (("green", "--field", "5", "--dim", "3"), 5 ** 9),
     (("enumerate", "--field", "2", "--dim", "5"), 2 ** 25),
-], ids=["green-5-3", "enumerate-2-5"])
+    (("green", "--field", "7", "--dim", "4"), 7 ** 16),
+    (("enumerate", "--field", "7", "--dim", "4"), 7 ** 16),
+], ids=["green-5-3", "enumerate-2-5", "green-7-4", "enumerate-7-4"])
 def test_endomorphism_guard_refuses_green_and_enumerate_fast(capsys, argv, count):
     start = time.perf_counter()
     assert run(capsys, *argv) == (2, "", f"error: p^(n^2) = {count} exceeds endomorphism guard 1048576\n")
@@ -392,7 +396,7 @@ def test_check_refuses_before_the_category_is_built(monkeypatch, check, witness)
     def forbidden(p, n):
         raise AssertionError("the category was built before the guard refused")
 
-    monkeypatch.setattr(sc, "build_category", forbidden)
+    monkeypatch.setattr(gf, "subspace_lattice", forbidden)
     with pytest.raises(gf.GuardExceeded) as exc:
         check(2, 5)
     assert str(exc.value) == witness
@@ -551,8 +555,8 @@ def test_cone_map_failure_names_the_pair_as_documents(monkeypatch, capsys, fmt):
     # transposition, no homomorphism; the witness is the loop oracle's pair
     i, j = co.swap_two_cone_labels(monkeypatch)
     sing = sing_oracle.sing_semigroup(2, 2)
-    cones = sc.coded_normal_cones(sc.build_category(2, 2))[0]
-    mapping = tuple(cones.index(a.rows) for a in sing.elements)
+    cones = sc.coded_normal_cones(2, 2)[0]
+    mapping = tuple(cones.elements.index(a.rows) for a in sing.elements)
     pair = sing_oracle.hom_witness(sing_oracle.SemigroupMorphism(sing, cones, mapping))
     code, report = verify_all(capsys, fmt)
     assert code == 1
@@ -575,8 +579,8 @@ def test_cone_map_failures_at_each_point(monkeypatch, p, n):
     # reported and never looked up at index -1
     real = sc.coded_normal_cones
 
-    def repeated(cat):
-        smg, *rest = real(cat)
+    def repeated(*args):
+        smg, *rest = real(*args)
         return (sg.FiniteSemigroup(smg.elements[:1] * 2 + smg.elements[2:], smg.table), *rest)
 
     monkeypatch.setattr(sc, "coded_normal_cones", repeated)
@@ -725,8 +729,8 @@ def test_import_fills_no_cache():
     done = subprocess.run([sys.executable, "-c", code], cwd=SRC, env={"PYTHONPATH": str(SRC)},
                           capture_output=True, text=True, timeout=120)
     sizes = json.loads(done.stdout)
-    assert {"fibersemi.gf.subspace_lattice", "fibersemi.subspace_category.shape_factors",
-            "fibersemi.crossconn.subspace_index"} <= set(sizes)
+    assert {"fibersemi.gf.subspace_lattice", "fibersemi.gf.row_spaces", "fibersemi.gf.sing_images",
+            "fibersemi.subspace_category.shape_factors"} <= set(sizes)
     assert set(sizes.values()) == {0}
 
 
@@ -762,7 +766,7 @@ def test_cones_refuses_before_the_category_is_built(monkeypatch, capsys, n, mess
     def forbidden(p, n):
         raise AssertionError("the category was built before the guard refused")
 
-    monkeypatch.setattr(sc, "build_category", forbidden)
+    monkeypatch.setattr(gf, "subspace_lattice", forbidden)
     start = time.perf_counter()
     assert run(capsys, "cones", "--field", "2", "--dim", str(n)) == (2, "", f"error: {message}\n")
     assert time.perf_counter() - start < 1.0

@@ -10,19 +10,19 @@ import pytest
 
 import crossconn_oracle as oracle
 import gf_helpers as gh
+import lattice_oracle as lo
 import sing_oracle
 from fibersemi import cli
 from fibersemi import crossconn as xc
 from fibersemi import gf
 from fibersemi import semigroups as sg
-from fibersemi import subspace_category as sc
 
 
 SWAP = gf.endo([[0, 1], [1, 0]], 2)
 
 @pytest.fixture(scope="module")
 def cat22():
-    return sc.build_category(2, 2)
+    return lo.build_category(2, 2)
 
 @pytest.fixture(scope="module")
 def all_eps():
@@ -65,7 +65,7 @@ def test_conjugation_is_table_automorphism(all_eps):
     sing = sing_oracle.from_multiplication(elems, lambda a, b: a * b)
     for eps in all_eps:
         cc = oracle.cross_connection(eps)
-        mapping = tuple(sing.index(cc.conjugate(x)) for x in elems)
+        mapping = tuple(sing.elements.index(cc.conjugate(x)) for x in elems)
         rep = sing_oracle.verify_morphism(sing_oracle.SemigroupMorphism(sing, sing, mapping))
         assert rep.is_hom and rep.is_injective
 
@@ -96,7 +96,7 @@ def test_zero_subspace_witnessed_by_zero_dual(cat22):
 def test_covering_sampled_at_2_3():
     eps = gf.endo([[0, 1, 0], [0, 0, 1], [1, 0, 0]], 2)
     cc = oracle.cross_connection(eps)
-    cat = sc.build_category(2, 3)
+    cat = lo.build_category(2, 3)
     for a in cat.objects:
         assert any(
             a in oracle.functor_m_set(cc, cat, y)[0] for y in cat.objects
@@ -106,7 +106,7 @@ def test_functoriality_sampled_at_2_3():
     import random
     eps = gf.endo([[1, 1, 0], [0, 1, 1], [0, 0, 1]], 2)
     cc = oracle.cross_connection(eps)
-    cat = sc.build_category(2, 3)
+    cat = lo.build_category(2, 3)
     rng = random.Random(3)
     for _ in range(300):
         x, y, z = (rng.choice(cat.objects) for _ in range(3))
@@ -211,8 +211,8 @@ def test_second_coordinates_follow_conjugation(all_eps):
         # product's second coordinate is the conjugate of the first product
         for pa in s.pairs:
             for pb in s.pairs:
-                k = s.semigroup.table[s.semigroup.index((pa.first.rows, pa.second.rows))][
-                    s.semigroup.index((pb.first.rows, pb.second.rows))]
+                k = s.semigroup.table[s.semigroup.elements.index((pa.first.rows, pa.second.rows))][
+                    s.semigroup.elements.index((pb.first.rows, pb.second.rows))]
                 first_rows, second_rows = s.semigroup.elements[k]
                 assert first_rows == (pa.first * pb.first).rows
                 assert second_rows == cc.conjugate(pa.first * pb.first).rows
@@ -222,7 +222,7 @@ def test_first_projection_is_isomorphism(all_eps):
     sing = sing_oracle.from_multiplication(elems, lambda a, b: a * b)
     for eps in all_eps:
         s = oracle.build_cross_conn_semigroup(eps)
-        mapping = tuple(sing.index(gf.Endo(2, 2, lbl[0])) for lbl in s.semigroup.elements)
+        mapping = tuple(sing.elements.index(gf.Endo(2, 2, lbl[0])) for lbl in s.semigroup.elements)
         rep = sing_oracle.verify_morphism(sing_oracle.SemigroupMorphism(s.semigroup, sing, mapping))
         assert rep.is_hom and rep.is_injective
 
@@ -406,17 +406,17 @@ AUTOS_2_3 = gf.enumerate_automorphisms(2, 3)
 def _index_verdicts(eps):
     """(functorial, covering and inclusion, linking bijective) as verify-all
     decides them."""
-    idx = xc.subspace_index(eps.p, eps.n)
-    conj = xc.conjugations(eps.p, eps.n, [eps])
+    p, n = eps.p, eps.n
+    conj = xc.conjugations(p, n, [eps])
     if not conj.inverts[0]:
         return False, None, None
-    e_obj, et_obj = xc.object_actions(idx, conj.eps[0], eps.p)
-    return True, xc.covers(idx, et_obj), xc.link_failure(idx, conj.perms[0], e_obj, et_obj) is None
+    e_obj, et_obj = xc.object_actions(p, n, conj.eps[0])
+    return True, xc.covers(p, n, et_obj), xc.link_failure(p, n, conj.perms[0], e_obj, et_obj) is None
 
 
 def _oracle_verdicts(eps):
     cc = oracle.cross_connection(eps)
-    cat = sc.build_category(eps.p, eps.n)
+    cat = lo.build_category(eps.p, eps.n)
     cov = oracle.verify_cross_connection(cc)
     linked = all(oracle.linking_bijection(cc, a, y).bijective
                  for a in cat.objects for y in cat.objects)
@@ -429,24 +429,27 @@ def test_index_decision_agrees_with_oracle(eps):
     assert _index_verdicts(eps) == _oracle_verdicts(eps) == (True, True, True)
 
 
-def _index_sets(idx, e_obj, et_obj, ai, yi):
+def _index_sets(p, n, images, e_obj, et_obj, ai, yi):
     """The bifunctor sets at objects (ai, yi) as link_failure reads them,
-    as masks over sing_table order."""
-    c = idx.contains
-    first = c[idx.objects[ai], idx.img] & c[et_obj[yi], idx.timg]
-    second = c[idx.objects[yi], idx.timg] & c[e_obj[ai], idx.img]
+    through images = (img, timg), as masks over Sing order."""
+    c, (img, timg) = gf.subspace_lattice(p, n).contains, images
+    first = c[ai, img] & c[et_obj[yi], timg]
+    second = c[yi, timg] & c[e_obj[ai], img]
     return first, second
 
 
-def _sets_match_oracle(idx, eps):
-    """Whether the index's bifunctor sets at every object pair are the
-    oracle's, element for element."""
-    elems = sing_oracle.enumerate_endos(eps.p, eps.n, singular_only=True)
+def _sets_match_oracle(eps, images=None):
+    """Whether the bifunctor sets at every object pair, read through images
+    (gf.sing_images by default), are the oracle's, element for element."""
+    p, n = eps.p, eps.n
+    images = gf.sing_images(p, n) if images is None else images
+    elems = sing_oracle.enumerate_endos(p, n, singular_only=True)
     cc = oracle.cross_connection(eps)
-    e_obj, et_obj = xc.object_actions(idx, np.array(eps.rows), eps.p)
-    for ai, a in enumerate(idx.subspaces[i] for i in idx.objects):
-        for yi, y in enumerate(idx.subspaces[i] for i in idx.objects):
-            got = _index_sets(idx, e_obj, et_obj, ai, yi)
+    e_obj, et_obj = xc.object_actions(p, n, np.array(eps.rows))
+    objects = lo.proper_subspaces(p, n)
+    for ai, a in enumerate(objects):
+        for yi, y in enumerate(objects):
+            got = _index_sets(p, n, images, e_obj, et_obj, ai, yi)
             want = oracle.bifunctor_sets(cc, a, y)
             if tuple(tuple(elems[i] for i in np.flatnonzero(m)) for m in got) != want:
                 return False
@@ -455,32 +458,31 @@ def _sets_match_oracle(idx, eps):
 
 def test_index_bifunctor_sets_match_oracle():
     for p, n in [(2, 2), (3, 2)]:
-        idx = xc.subspace_index(p, n)
         for eps in gf.enumerate_automorphisms(p, n):
-            assert _sets_match_oracle(idx, eps), eps
+            assert _sets_match_oracle(eps), eps
 
 
 @pytest.mark.parametrize("p,n,step", [(2, 2, 1), (3, 2, 1), (5, 2, 1), (2, 3, 41), (7, 2, 401)])
 def test_object_actions_match_oracle_object_images(p, n, step):
-    idx = xc.subspace_index(p, n)
-    objects = [idx.subspaces[i] for i in idx.objects]
+    subspaces = gf.subspace_lattice(p, n).subspaces
+    objects = subspaces[:-1]
     for eps in gf.enumerate_automorphisms(p, n)[::step]:
         cc = oracle.cross_connection(eps)
-        e_obj, et_obj = xc.object_actions(idx, np.array(eps.rows), p)
-        assert [idx.subspaces[i] for i in e_obj] == [oracle.primal_object_image(cc, x) for x in objects]
-        assert [idx.subspaces[i] for i in et_obj] == [oracle.dual_object_image(cc, x) for x in objects]
+        e_obj, et_obj = xc.object_actions(p, n, np.array(eps.rows))
+        assert [subspaces[i] for i in e_obj] == [oracle.primal_object_image(cc, x) for x in objects]
+        assert [subspaces[i] for i in et_obj] == [oracle.dual_object_image(cc, x) for x in objects]
 
 
 @pytest.mark.parametrize("p,n", [(2, 2), (3, 2), (5, 2), (7, 2), (2, 3)])
 def test_annihilator_of_kernel_is_image_of_transpose(p, n):
-    """ann(ker x) = im(x^T) for x acting on row vectors, which lets the
-    index keep two per-element arrays; both are checked against Subspace
-    objects."""
-    idx = xc.subspace_index(p, n)
+    """ann(ker x) = im(x^T) for x acting on row vectors, which lets
+    gf.sing_images keep two per-element arrays; both are checked against
+    Subspace objects."""
+    subspaces, (img, timg) = gf.subspace_lattice(p, n).subspaces, gf.sing_images(p, n)
     for i, x in enumerate(sing_oracle.enumerate_endos(p, n, singular_only=True)):
-        t_image = gh.image(gf.transpose(x))
-        assert gh.annihilator(gh.kernel(x)) == t_image == idx.subspaces[idx.timg[i]]
-        assert gh.image(x) == idx.subspaces[idx.img[i]]
+        t_image = gh.image(gh.transpose(x))
+        assert gh.annihilator(gh.kernel(x)) == t_image == subspaces[timg[i]]
+        assert gh.image(x) == subspaces[img[i]]
 
 
 @pytest.mark.parametrize("eps", gf.enumerate_automorphisms(2, 2) + AUTOS_3_2[::9], ids=str)
@@ -570,8 +572,8 @@ def _plant(monkeypatch, inverts_at=None, covers_at=None, links_at=None):
     monkeypatch.setattr(xc, "conjugations", conjugations)
     if covers_at is not None:
         monkeypatch.setattr(xc, "covers", failing_at(covers_at, xc.covers, False))
-    idx = xc.subspace_index(3, 2)
-    pair = idx.subspaces[idx.objects[1]], idx.subspaces[idx.objects[2]]
+    subspaces = gf.subspace_lattice(3, 2).subspaces
+    pair = subspaces[1], subspaces[2]
     if links_at is not None:
         monkeypatch.setattr(xc, "link_failure", failing_at(links_at, lambda *args: None, pair))
     return pair
@@ -612,33 +614,28 @@ def _check_fails(p=2, n=2):
     return not ok
 
 
-def _with_timg(idx, timg):
-    """A SubspaceIndex with idx's fields, timg replaced."""
-    return xc.SubspaceIndex(*(timg if k == "timg" else getattr(idx, k) for k in idx._fields))
-
-
 def test_image_reading_of_annker_is_caught():
-    # Reading ann(ker x) as ann(im x) in the index: the runtime check alone
-    # cannot see it, because the mutant is consistent with itself on both
-    # sides of the link, but the bifunctor sets no longer match the oracle.
-    idx = xc.subspace_index(2, 2)
-    mutant = _with_timg(idx, idx.ann[idx.img])
-    assert not all(_sets_match_oracle(mutant, eps) for eps in gf.enumerate_automorphisms(2, 2))
+    # Reading ann(ker x) as ann(im x) in gf.sing_images' timg: the runtime
+    # check alone cannot see it, because the mutant is consistent with
+    # itself on both sides of the link, but the bifunctor sets no longer
+    # match the oracle.
+    img, _ = gf.sing_images(2, 2)
+    mutant = img, gf.subspace_lattice(2, 2).ann[img]
+    assert not all(_sets_match_oracle(eps, mutant) for eps in gf.enumerate_automorphisms(2, 2))
 
 
 @pytest.mark.parametrize("p,n", [(2, 2), (3, 2), (5, 2)])
 def test_transpose_image_read_as_image_is_caught(monkeypatch, p, n):
-    idx = xc.subspace_index(p, n)
-    mutant = _with_timg(idx, idx.img)
-    monkeypatch.setattr(xc, "subspace_index", lambda p, n: mutant)
+    img, _ = gf.sing_images(p, n)
+    monkeypatch.setattr(gf, "sing_images", lambda p, n: (img, img))
     assert _check_fails(p, n)
 
 
 def test_swapped_dual_object_action_is_caught(monkeypatch):
     real = xc.object_actions
 
-    def swapped(idx, eps, p):
-        e_obj, et_obj = real(idx, eps, p)
+    def swapped(*args):
+        e_obj, et_obj = real(*args)
         et_obj = et_obj.copy()
         et_obj[[1, 2]] = et_obj[[2, 1]]   # two lines: inclusion and covering still hold
         return e_obj, et_obj
@@ -651,8 +648,8 @@ def test_swapped_dual_object_action_is_caught(monkeypatch):
 def test_primal_action_through_the_transpose_is_caught(monkeypatch, p, n):
     real = xc.object_actions
 
-    def through_transpose(idx, eps, p):
-        _, et_obj = real(idx, eps, p)
+    def through_transpose(*args):
+        _, et_obj = real(*args)
         return et_obj, et_obj   # x.eps_t in place of x.eps
 
     monkeypatch.setattr(xc, "object_actions", through_transpose)
@@ -669,10 +666,11 @@ def test_wrong_inverse_fails_functoriality(monkeypatch):
 
 
 def test_cross_connections_build_no_linear_map(monkeypatch):
-    """The check reads the subspace index only: no LinearMap (which lives
-    in the tests' gf_helpers, not in the package) and no subspace span per
-    object, so the per-object restrictions cannot come back unnoticed."""
-    xc.subspace_index(3, 2)
+    """The check reads the lattice and gf's lookups only: no LinearMap
+    (which lives in the tests' gf_helpers, not in the package) and no
+    subspace span per object, so the per-object restrictions cannot come
+    back unnoticed."""
+    gf.sing_images(3, 2)
 
     def forbidden(*args):
         raise AssertionError("the cross-connection check built a subspace")

@@ -4,6 +4,7 @@ retraction law."""
 
 import re
 
+import numpy as np
 import pytest
 
 import factorization_oracle as fo
@@ -19,12 +20,11 @@ GRID = [(2, 2), (3, 2), (5, 2), (7, 2), (2, 3), (3, 3), (2, 4)]
 def test_lattice_arrays_match_the_subspace_sweeps(p, n):
     lattice, subspaces = gf.subspace_lattice(p, n), gf.enumerate_subspaces(p, n)
     assert lattice.subspaces == subspaces and subspaces[-1].dim == n
-    assert lattice.index == {s: k for k, s in enumerate(subspaces)}
     assert lattice.dims.tolist() == [s.dim for s in subspaces]
     for k, s in enumerate(subspaces):
         assert tuple(map(tuple, lattice.bases[k, :s.dim].tolist())) == s.basis
         assert not lattice.bases[k, s.dim:].any()
-        assert tuple(lattice.pivots[k, :s.dim].tolist()) == s.pivots
+        assert tuple(lattice.pivots[k, :s.dim].tolist()) == gh.pivots(s)
         assert sorted(lattice.pivots[k].tolist()) == list(range(n))
     assert lattice.contains.tolist() == lo.containment(subspaces)
     assert lattice.ann.tolist() == lo.annihilators(subspaces)
@@ -33,23 +33,51 @@ def test_lattice_arrays_match_the_subspace_sweeps(p, n):
 
 @pytest.mark.parametrize("p, n", GRID)
 def test_inclusion_pairs_match_the_sweep_in_order(p, n):
-    cat = sc.build_category(p, n)
-    assert cat.objects == gf.enumerate_subspaces(p, n, proper_only=True)
-    assert cat.inclusion_pairs == lo.inclusion_pairs(cat.objects)
+    objects = lo.proper_subspaces(p, n)
+    assert all(s.dim < n for s in objects) and len(objects) == len(gf.subspace_lattice(p, n).subspaces) - 1
+    assert tuple(map(tuple, sc.inclusion_pairs(p, n).tolist())) == lo.inclusion_pairs(objects)
 
 
 @pytest.mark.parametrize("p, n", GRID)
 def test_retraction_law_matches_the_linear_map_loop(p, n):
-    cat = sc.build_category(p, n)
-    law = sc.retraction_law(cat)
+    cat = lo.build_category(p, n)
+    law = sc.retraction_law(p, n)
     assert law.tolist() == fo.retraction_law(cat)
     assert len(law) == len(cat.inclusion_pairs) and law.all()
+
+
+@pytest.mark.parametrize("p, n", [(2, 2), (3, 2), (2, 3)])
+def test_row_spaces_are_the_spans_of_every_matrix(p, n):
+    """The one lookup against gf.subspace_span at every n x n matrix, and
+    Sing's (img, timg) against the spans of each element and its transpose."""
+    positions, spaces = lo.positions(p, n), gf.row_spaces(p, n)
+    mats = gf.from_base_p(np.arange(p ** (n * n)), p, n, n).tolist()
+    assert spaces.tolist() == [positions[gf.subspace_span(m, n, p)] for m in mats]
+    img, timg = gf.sing_images(p, n)
+    sing = gf._sing_matrices(p, n).tolist()
+    assert img.tolist() == [positions[gf.subspace_span(m, n, p)] for m in sing]
+    assert timg.tolist() == [positions[gf.subspace_span(gh.mat_transpose(m), n, p)] for m in sing]
+    assert gf.row_spaces(p, n) is spaces and gf.sing_images(p, n)[0] is img
+    for a in (spaces, img, timg):
+        with pytest.raises(ValueError):
+            a[0] = 0
+
+
+def test_row_spaces_refuse_by_the_endomorphism_guard_before_the_lattice(monkeypatch):
+    # GF(7)^4's lattice passes the subspace guard and takes over a second
+    def forbidden(p, n):
+        raise AssertionError("the lattice was built before the guard refused")
+
+    monkeypatch.setattr(gf, "subspace_lattice", forbidden)
+    for lookup in (gf.row_spaces, gf.sing_images):
+        with pytest.raises(gf.GuardExceeded, match="exceeds endomorphism guard 1048576"):
+            lookup(7, 4)
 
 
 def test_lattice_is_cached_and_read_only():
     lattice = gf.subspace_lattice(3, 2)
     assert gf.subspace_lattice(3, 2) is lattice
-    for name in (*lattice._fields[2:], "direct_sum"):
+    for name in (*lattice._fields[1:], "direct_sum"):
         with pytest.raises(ValueError):
             getattr(lattice, name)[0] = 0
 
@@ -71,6 +99,6 @@ def test_subspace_guard_refuses_by_count_before_enumerating(monkeypatch, p, n, c
 
     monkeypatch.setattr(gf, "Subspace", forbidden)
     message = f"GF({p})^{n} has {count} subspaces, beyond the subspace guard 4096"
-    for build in (gf.enumerate_subspaces, gf.subspace_lattice, sc.build_category):
+    for build in (gf.enumerate_subspaces, gf.subspace_lattice, sc.retraction_law, sc.factorization_witness):
         with pytest.raises(gf.GuardExceeded, match=re.escape(message)):
             build(p, n)

@@ -1,13 +1,17 @@
 """Every public function, class and method of the package has a caller in
 the package.  Code that only the tests (or the package's exports) reach
 belongs in a test oracle, so the scan fails on it unless ALLOWED names it
-with a reason.  Names are matched by spelling, so a method that shares its
-name with any other attribute of the package counts as referenced: an
-export-only method named like a field or a module function (as Endo.image,
-Endo.kernel and FiniteSemigroup.to_json were before they moved to the test
-helpers) passes unseen.  So does code reached only from an allowed name:
-Endo.inverse and gf.mat_inverse have no caller in the package but
-CrossConnection.eps_inv, which only the tracer hook runs."""
+with a reason.  Names are matched by spelling, so a name that shares its
+spelling with any other name or attribute in the package counts as
+referenced, and passes unseen: so did Endo.image, Endo.kernel and
+FiniteSemigroup.to_json (named like fields or module functions),
+gf.transpose (like numpy's ndarray.transpose), Endo.sort_key (like
+Subspace.sort_key), FiniteSemigroup.index (like list.index) and
+Subspace.coords (like a local variable), before they moved to the test
+helpers.  So does code reached only from such a name or an allowed one:
+gf.mat_transpose was called only by gf.transpose, and Endo.inverse and
+gf.mat_inverse have no caller in the package but CrossConnection.eps_inv,
+which only the tracer hook runs."""
 
 import ast
 from pathlib import Path

@@ -14,6 +14,7 @@ import pytest
 import cone_oracle as oracle
 import factorization_oracle as fo
 import gf_helpers as gh
+import lattice_oracle as lo
 import sing_oracle
 from fibersemi import cli
 from fibersemi import gf
@@ -24,11 +25,11 @@ from fibersemi.annihilators import build_annihilator_category
 
 @pytest.fixture(scope="module")
 def cat22():
-    return sc.build_category(2, 2)
+    return lo.build_category(2, 2)
 
 @pytest.fixture(scope="module")
 def cat23():
-    return sc.build_category(2, 3)
+    return lo.build_category(2, 3)
 
 @pytest.fixture(scope="module")
 def sing22():
@@ -48,7 +49,7 @@ def is_zero(f):
 def test_object_counts(cat22, cat23):
     assert len(cat22.objects) == 4
     assert len(cat23.objects) == 15
-    assert len(sc.build_category(3, 2).objects) == 6 - 1
+    assert len(lo.build_category(3, 2).objects) == 6 - 1
 
 def test_zero_subspace_is_initial(cat22):
     zero = gh.zero_subspace(2, 2)
@@ -93,7 +94,7 @@ def test_factorization_exhaustive_2_3(cat23):
 def test_factorization_matches_the_oracle(p, n):
     """q, u, j and epi read from the shape arrays equal the rref-per-morphism
     oracle's on every morphism, the zero-dimensional hom-sets included."""
-    cat = sc.build_category(p, n)
+    cat = lo.build_category(p, n)
     shapes = set()
     for f in fo.all_morphisms(cat):
         assert fo.from_shape_factors(f) == fo.normal_factorization(f)
@@ -143,7 +144,7 @@ def test_factorization_check_fails_on_a_rescaled_retraction(monkeypatch):
     # translation at each line sees that q is no retraction
     monkeypatch.setattr(sc, "shape_factors", perturbed(
         {(3, 1, 1): [("q", (1, 0, 0), 2), ("u", (1, 0, 0), 2)]}))
-    line = sc.build_category(3, 2).objects[1]
+    line = lo.build_category(3, 2).objects[1]
     assert cli._check_factorization(3, 2) == (
         False, {"failure": "retraction translation", "object": line.to_json()})
 
@@ -152,14 +153,14 @@ def test_factorization_check_fails_on_a_perturbed_image_basis(monkeypatch):
     # still M = [[1]], but the image basis is no longer canonical at a line
     monkeypatch.setattr(sc, "shape_factors", perturbed(
         {(3, 1, 1): [("image", (1, 0, 0), 2), ("u", (1, 0, 0), 2)]}))
-    line = sc.build_category(3, 2).objects[1]
+    line = lo.build_category(3, 2).objects[1]
     assert cli._check_factorization(3, 2) == (
         False, {"failure": "image translation", "object": line.to_json()})
 
 def _pivot_complement(a, b):
     """complement_in with b's basis rows at the pivot columns of a's
     coordinates in place of the others, for nonzero a."""
-    pivots = set(gf.rref([b.coords(v) for v in a.basis], b.dim, b.p)[1])
+    pivots = set(gf.rref([gh.coords(b, v) for v in a.basis], b.dim, b.p)[1])
     return gf.subspace_span([row for j, row in enumerate(b.basis) if (j in pivots) == bool(pivots)], b.n, b.p)
 
 def test_retraction_law_fails_on_a_corrupted_complement(monkeypatch):
@@ -170,11 +171,11 @@ def test_retraction_law_fails_on_a_corrupted_complement(monkeypatch):
     complement_rows = sc.complement_rows
     monkeypatch.setattr(sc, "complement_rows",
                         lambda pivot: complement_rows(np.where(pivot.any(axis=1)[:, None], ~pivot, pivot)))
-    monkeypatch.setattr(sc, "factorization_witness", lambda cat: None)  # it reads complement_rows too
-    cat = sc.build_category(2, 3)
+    monkeypatch.setattr(sc, "factorization_witness", lambda p, n: None)  # it reads complement_rows too
+    cat = lo.build_category(2, 3)
     want = fo.retraction_law(cat, _pivot_complement)
-    assert sc.retraction_law(cat).tolist() == want and not all(want)
-    assert sc.retraction_law(sc.build_category(2, 2)).all()
+    assert sc.retraction_law(2, 3).tolist() == want and not all(want)
+    assert sc.retraction_law(2, 2).all()
     sub = cat.objects[cat.inclusion_pairs[want.index(False)][0]]
     assert sub == gf.subspace_span([(0, 0, 1)], 3, 2)
     assert cli._check_factorization(2, 2) == (False, {"failure": "retraction law", "sub": sub.to_json()})
@@ -186,11 +187,11 @@ def test_cone_check_fails_on_a_planted_non_principal_cone(monkeypatch, p):
     assert cli._check_cone_semigroup(p, 2) == (True, None)
     coded = sc.coded_normal_cones
 
-    def planted(cat):
-        semigroup, code, vertex, rows = coded(cat)
+    def planted(q, n):
+        semigroup, code, vertex, rows = coded(q, n)
         rows = rows.copy()
         rows[-1, -1, 0] = (rows[-1, -1, 0] + 1) % p   # the last cone, at the last line
-        assert code.codes(vertex, rows)[-1] not in sc.principal_codes(cat, code).tolist()
+        assert code.codes(vertex, rows)[-1] not in sc.principal_codes(q, n, code).tolist()
         return semigroup, code, vertex, rows
 
     monkeypatch.setattr(sc, "coded_normal_cones", planted)
@@ -393,7 +394,7 @@ def test_exhaustive_enumeration_is_exactly_principal(cat22, sing22):
     assert sg.is_regular(smg)
 
 def test_exhaustive_enumeration_at_3_2():
-    cat = sc.build_category(3, 2)
+    cat = lo.build_category(3, 2)
     smg, cones, _ = oracle.enumerate_normal_cones(cat)
     sing = sing_oracle.enumerate_endos(3, 2, singular_only=True)
     assert smg.order == len(sing) == 33
@@ -402,7 +403,7 @@ def test_exhaustive_enumeration_at_3_2():
 def test_cone_semigroup_isomorphic_to_singular_endos(cat22, sing22):
     smg, _, _ = oracle.enumerate_normal_cones(cat22)
     sing = sing_oracle.from_multiplication(sing22, lambda a, b: a * b)
-    mapping = tuple(smg.index(a.rows) for a in sing.elements)
+    mapping = tuple(smg.elements.index(a.rows) for a in sing.elements)
     rep = sing_oracle.verify_morphism(sing_oracle.SemigroupMorphism(sing, smg, mapping))
     assert rep.is_hom and rep.is_injective
     assert len(set(mapping)) == smg.order
@@ -410,9 +411,9 @@ def test_cone_semigroup_isomorphic_to_singular_endos(cat22, sing22):
 def annihilator_dual_category(p, n):
     """The annihilator category's own category: the annihilators of the
     nonzero subspaces, which build_annihilator_category places at the
-    positions of the proper subspaces of the dual, so it is build_category
+    positions of the proper subspaces of the dual, so it is the category
     over the dual space; checked here one annihilator at a time."""
-    cat, subspaces = sc.build_category(p, n), gf.subspace_lattice(p, n).subspaces
+    cat, subspaces = lo.build_category(p, n), gf.subspace_lattice(p, n).subspaces
     assert tuple(gh.annihilator(subspaces[a]) for a in build_annihilator_category(p, n)) == cat.objects
     return cat
 
@@ -422,9 +423,9 @@ def cell_by_cell_rows(cat, cones, rows):
     return [[index[oracle.cone_compose(cat, cones[i], g2)] for g2 in cones] for i in rows]
 
 @pytest.mark.parametrize("build", [
-    lambda: sc.build_category(2, 2),
-    lambda: sc.build_category(3, 2),
-    lambda: sc.build_category(5, 2),
+    lambda: lo.build_category(2, 2),
+    lambda: lo.build_category(3, 2),
+    lambda: lo.build_category(5, 2),
     lambda: annihilator_dual_category(2, 2),
 ], ids=["2-2", "3-2", "5-2", "annihilator-dual-2-2"])
 def test_grouped_fill_matches_cell_by_cell_composition(build):
@@ -442,17 +443,17 @@ def test_grouped_fill_on_the_principal_path_2_3(cat23):
     assert smg.table[rows].tolist() == cell_by_cell_rows(cat23, cones, rows)
 
 CODED_POINTS = pytest.mark.parametrize("build", [
-    lambda: sc.build_category(2, 2),
-    lambda: sc.build_category(3, 2),
+    lambda: lo.build_category(2, 2),
+    lambda: lo.build_category(3, 2),
     lambda: annihilator_dual_category(2, 2),
 ], ids=["2-2", "3-2", "annihilator-dual-2-2"])
 
 @CODED_POINTS
 def test_coded_sweep_accepts_exactly_what_validate_cone_accepts(build):
     cat = build()
-    code = sc._ConeCode(cat)
-    vertex, rows = sc._assignments(cat, code)
-    _, ok = sc._admissible(cat, code, vertex, rows)
+    code = sc._ConeCode(cat.p, cat.n)
+    vertex, rows = sc._assignments(code)
+    _, ok = sc._admissible(cat.p, cat.n, code, vertex, rows)
     swept = [cone for v in cat.objects for cone in oracle._assignment_space(cat, v)]
     assert list(oracle._cones(cat, code, vertex, rows)) == swept
     for cone, accepted in zip(swept, ok.tolist()):
@@ -463,37 +464,56 @@ def test_coded_sweep_accepts_exactly_what_validate_cone_accepts(build):
 @CODED_POINTS
 def test_code_is_injective_on_the_assignment_space(build):
     cat = build()
-    code = sc._ConeCode(cat)
-    vertex, rows = sc._assignments(cat, code)
+    code = sc._ConeCode(cat.p, cat.n)
+    vertex, rows = sc._assignments(code)
     assert len(set(code.codes(vertex, rows).tolist())) == len(rows)
 
 def test_cone_codes_fit_in_int64_up_to_2_3(cat23):
-    assert (len(cat23.objects) * sc._ConeCode(cat23).stride).bit_length() == 46
+    assert (len(cat23.objects) * sc._ConeCode(2, 3).stride).bit_length() == 46
     with pytest.raises(AssertionError, match="do not fit in 63 bits"):
-        sc._ConeCode(sc.build_category(3, 3))
+        sc._ConeCode(3, 3)
 
 def test_inducing_endos_match_cone_to_endo(cat22, cat23):
-    for cat in (cat22, sc.build_category(5, 2), cat23):
+    for cat in (cat22, lo.build_category(5, 2), cat23):
         _, cones, endos = oracle.enumerate_normal_cones(cat)
         assert list(endos) == [oracle.cone_to_endo(cat, c) for c in cones]
         assert list(endos) == list(sing_oracle.enumerate_endos(cat.p, cat.n, singular_only=True))
 
 @pytest.mark.parametrize("p, n", [(2, 2), (3, 2), (5, 2), (7, 2), (2, 3)])
 def test_principal_rows_are_the_principal_cones(p, n):
-    cat = sc.build_category(p, n)
-    code = sc._ConeCode(cat)
-    vertex, rows = sc._principal_rows(cat, code)
+    cat = lo.build_category(p, n)
+    code = sc._ConeCode(p, n)
+    vertex, rows = sc._principal_rows(p, n, code)
     sing = sing_oracle.enumerate_endos(p, n, singular_only=True)
     assert oracle._cones(cat, code, vertex, rows) == tuple(oracle.principal_cone(cat, a) for a in sing)
-    assert sc.principal_codes(cat, code).tolist() == code.codes(vertex, rows).tolist()
+    assert sc.principal_codes(p, n, code).tolist() == code.codes(vertex, rows).tolist()
     assert len(set(code.codes(vertex, rows).tolist())) == len(sing)
+
+@pytest.mark.parametrize("p, n", [(2, 2), (3, 2), (5, 2), (2, 3)])
+def test_image_lookup_agrees_with_the_span_in_the_vertex(monkeypatch, p, n):
+    """At every column group, the object that the product's vertex is
+    looked up as by code is the Subspace that span_in builds from the
+    image rows over the vertex's basis."""
+    subspaces, real, seen = gf.subspace_lattice(p, n).subspaces, sc._image_object, []
+
+    def spy(*args):
+        found = real(*args)
+        seen.append((args, found))
+        return found
+
+    monkeypatch.setattr(sc, "_image_object", spy)
+    sc.coded_normal_cones(p, n)
+    assert len({found for _, found in seen}) == len(subspaces) - 1  # every object is some product's vertex
+    for (_, _, v, image), found in seen:
+        rows = [row for row in image.tolist() if any(row)]  # the image rows, zero past the rank
+        assert subspaces[found] == oracle.span_in(subspaces[v], rows)
 
 def test_cones_leave_numpy_ma_unimported():
     # np.unique imports numpy.ma, about 1.6 MB of resident memory per process
     src = Path(sc.__file__).resolve().parents[1]
     code = ("import sys; from fibersemi import subspace_category as sc; "
-            "sc.coded_normal_cones(sc.build_category(5, 2)); "
-            "sc.coded_normal_cones(sc.build_category(3, 2)); "
+            "sc.coded_normal_cones(5, 2); "
+            "sc.coded_normal_cones(3, 2); "
             "sc.m_sets(5, 2); "
             "print('numpy.ma' in sys.modules)")
     out = subprocess.run([sys.executable, "-c", code], cwd=src, env={"PYTHONPATH": str(src)},
@@ -507,7 +527,7 @@ def test_product_outside_the_enumerated_set_raises(monkeypatch, cat22):
         return out if epi.shape[1] == 0 else 0 * out
     monkeypatch.setattr(sc, "_push", flattened_push)
     with pytest.raises(AssertionError, match="left the enumerated set"):
-        sc.coded_normal_cones(cat22)
+        sc.coded_normal_cones(2, 2)
 
 def test_cone_guard_refuses_before_building_a_cone(monkeypatch):
     def refuse(*args, **kwargs):
@@ -515,9 +535,9 @@ def test_cone_guard_refuses_before_building_a_cone(monkeypatch):
     monkeypatch.setattr(sc, "_principal_rows", refuse)
     monkeypatch.setattr(sc, "_assignments", refuse)
     with pytest.raises(gf.GuardExceeded, match="order 8451, beyond the associativity guard 1500"):
-        sc.coded_normal_cones(sc.build_category(3, 3))
+        sc.coded_normal_cones(3, 3)
     with pytest.raises(gf.GuardExceeded, match="order 45376, beyond the associativity guard 1500"):
-        sc.coded_normal_cones(sc.build_category(2, 4))
+        sc.coded_normal_cones(2, 4)
 
 def identity_cone(cat, obj):
     """A normal cone with the given vertex whose component there is the
@@ -571,7 +591,7 @@ def test_m_set_double_characterization(cat22):
 def test_batched_m_sets_match_the_cone_oracle(p, n):
     """Idempotent by idempotent: by_iso is the oracle's m_set of the principal
     Cone, by_sum the objects complementing the kernel rref'd per Endo."""
-    cat = sc.build_category(p, n)
+    cat = lo.build_category(p, n)
     idem, by_iso, by_sum = sc.m_sets(p, n)
     want = [e for e in sing_oracle.enumerate_endos(p, n, singular_only=True) if e * e == e]
     assert [gf.Endo(p, n, sc._matrix(e)) for e in idem.tolist()] == want
@@ -618,11 +638,11 @@ def test_cone_json_lists_objects_in_order(cat22):
 def test_cone_json_from_code_rows_matches_the_oracle_cones(p, n):
     """Byte for byte against the document written from the Cones, and those
     Cones are the principal ones."""
-    cat = sc.build_category(p, n)
-    smg, code, vertex, rows = sc.coded_normal_cones(cat)
+    cat = lo.build_category(p, n)
+    smg, code, vertex, rows = sc.coded_normal_cones(p, n)
     cones = oracle._cones(cat, code, vertex, rows)
     assert cones == tuple(oracle.principal_cone(cat, gf.Endo(p, n, e)) for e in smg.elements)
     doc = {"p": p, "n": n, "elements": [list(map(list, e)) for e in smg.elements],
            "table": smg.table.tolist(), "cones": [c.to_json(cat) for c in cones]}
     want = json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
-    assert sc.cone_semigroup_json(cat, smg, code, vertex, rows) == want
+    assert sc.cone_semigroup_json(p, n, smg, code, vertex, rows) == want
