@@ -174,9 +174,11 @@ def _check_dual_category(p, n):
 
 
 def _check_cross_connections(p, n):
-    # Decided on the subspace lattice and gf.sing_images, once Sing's order
-    # guard (gf.check_sing_order) passes, so it refuses before any
-    # automorphism is enumerated.  The linked-pair semigroup lies on Sing
+    # Decided on the subspace lattice and gf.sing_images, once the
+    # endomorphism guard passes and Sing's order is within gf.ASSOC_GUARD:
+    # the loop below checks every automorphism over all of Sing, and both
+    # counts are closed forms, so it refuses before any automorphism is
+    # enumerated.  The linked-pair semigroup lies on Sing
     # with labels in Sing order, so its
     # order, its first projection and its regularity hold by construction,
     # and its conjugation law is a reduction once eps.eps^-1 = I
@@ -185,7 +187,10 @@ def _check_cross_connections(p, n):
     # actions are injective on hom-sets.  At each automorphism in order:
     # functoriality, covering, that the conjugation is a permutation, which
     # link_failure assumes, and linking.
-    gf.check_sing_order(p, n)
+    endos, order = gf._endo_count(p, n), gf.singular_count(p, n)
+    if order > gf.ASSOC_GUARD:
+        raise gf.GuardExceeded(f"cross-connections at GF({p})^{n} would check {endos - order} automorphisms, "
+                               f"each over the {order} elements of Sing, an order beyond the limit {gf.ASSOC_GUARD}")
     autos = gf.enumerate_automorphisms(p, n)
     conj = xc.conjugations(p, n, autos)
     for i, eps in enumerate(autos):

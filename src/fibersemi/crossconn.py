@@ -25,6 +25,7 @@ from functools import cached_property
 import numpy as np
 
 from . import gf
+from . import semigroups as sg
 from .gf import Endo, Record
 
 
@@ -185,10 +186,11 @@ def linked_pairs(p, n, eps) -> Conjugations:
 
 def sing_json(p, n):
     """(matrices, table): the JSON text of each Sing(GF(p)^n) element's
-    matrix, in Sing order, and of Sing's table, as json.dumps writes them
-    with separators (",", ":").  The document writers encode each once."""
+    matrix, in Sing order, and of Sing's table (sg.table_json), as json.dumps
+    writes them with separators (",", ":").  The document writers encode
+    each once."""
     mats = [json.dumps(m, separators=(",", ":")) for m in gf._sing_matrices(p, n).tolist()]
-    return mats, json.dumps(gf.sing_table(p, n).tolist(), separators=(",", ":"))
+    return mats, sg.table_json(gf.sing_table(p, n))
 
 
 def linked_pairs_json(conj: Conjugations) -> str:

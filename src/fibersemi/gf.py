@@ -401,9 +401,9 @@ def sing_decode(p, n):
 def check_sing_order(p, n):
     """Sing(GF(p)^n)'s order, in closed form, once the endomorphism guard
     and the associativity guard pass.  sing_table refuses by it, and so do
-    the callers that must refuse where the table would, without building
-    it: crossconn.subspace_index and the crossconn and amalgam JSON
-    documents, before any linked pair is built."""
+    the cli commands that write the table, before they build it or any
+    linked pair: crossconn, and amalgam for its core and each fiber
+    dimension."""
     _endo_count(p, n)
     order = singular_count(p, n)
     if order > ASSOC_GUARD:

@@ -282,6 +282,34 @@ def semigroup_from_text(text) -> FiniteSemigroup:
     return from_table(labels, doc[1])
 
 
+def table_json(table) -> str:
+    """json.dumps(table.tolist(), separators=(",", ":")) for a square array
+    of indices below its order, written with no Python object per cell.
+
+    The index strings str(0) .. str(order - 1) are built once, each padded
+    with spaces to the widest and followed by a comma, as the rows of a byte
+    array.  Each block of about gf.TABLE_BLOCK_CELLS cells gathers its cells'
+    strings by index into rows framed "[" .. "],", and drops the padding,
+    since the JSON text holds no spaces; the last row closes with "]]"
+    instead."""
+    order = len(table)
+    if not order:
+        return "[]"
+    width = len(str(order - 1)) + 1
+    index = "".join([f"{i:<{width - 1}}," for i in range(order)]).encode("ascii")
+    cells = np.frombuffer(index, dtype=np.uint8).reshape(order, width)
+    block = max(1, gf.TABLE_BLOCK_CELLS // order)
+    parts = ["["]
+    for lo in range(0, order, block):
+        rows = table[lo:lo + block]
+        text = np.empty((len(rows), order * width + 2), dtype=np.uint8)
+        text[:, 1:-1] = cells[rows].reshape(len(rows), -1)
+        text[:, 0], text[:, -2], text[:, -1] = ord("["), ord("]"), ord(",")  # -2: the last cell's comma
+        parts.append(text.tobytes().translate(None, b" ").decode("ascii"))
+    parts[-1] = parts[-1][:-1] + "]"
+    return "".join(parts)
+
+
 # ---------------------------------------------------------------------------
 # regularity and Green's relations
 
@@ -322,6 +350,20 @@ def _class_of(classes, size):
     return of
 
 
+def _plus(mats, p):
+    """x+ of each matrix x of a stack, from one batched rref of [x | I], as
+    sing_green states it: row j of E, the right half, at row c_j, the
+    column of the j-th pivot of the left half."""
+    n = mats.shape[1]
+    eye = np.broadcast_to(np.eye(n, dtype=np.int64), mats.shape)
+    red, pivot, _ = gf.rref_stack(np.concatenate([mats, eye], axis=2), p)
+    pivot = pivot[:, :n]
+    at, col = np.nonzero(pivot)
+    plus = np.zeros(mats.shape, dtype=np.int64)
+    plus[at, col] = red[at, pivot.cumsum(axis=1)[at, col] - 1, n:]   # row j of E to row c_j
+    return plus
+
+
 @lru_cache(maxsize=None)
 def sing_green(p, n) -> GreenStructure:
     """Green's relations of Sing(GF(p)^n) from verified matrix witnesses,
@@ -332,7 +374,7 @@ def sing_green(p, n) -> GreenStructure:
     Regularity.  The rref of [x | I] is [R | E] with E invertible and
     E.x = R.  Let y0 select R's pivot columns, y0[c_j, j] = 1; then
     R.y0.R = R, so x+ = y0.E gives x.x+.x = E^-1.R.y0.R = x, and
-    rank x+ <= rank x < n.  One batched rref gives every x+.
+    rank x+ <= rank x < n.  Batched rrefs give every x+ (_plus).
 
     L and R.  If im x = im r then x = w.r for some w, so (x.r+).r = x, and
     likewise (r.x+).x = r: x L r.  If ker x = ker r then x = r.w, so
@@ -349,19 +391,17 @@ def sing_green(p, n) -> GreenStructure:
     the union of the R-classes that meet an L-class.
 
     No Light's test is needed: no table is built, and Sing's associativity
-    is that of matrix multiplication.  The first element whose witness
-    fails raises AssertionError naming it.
+    is that of matrix multiplication.  The elements are checked in blocks
+    of gf.TABLE_BLOCK_CELLS // n^2, in order, which bounds the stacks a
+    block holds; each class leader's x+ is kept from its own block.  The first
+    element whose witness fails raises AssertionError naming it.
     """
     mats, ranks = gf._sing_matrices(p, n), gf._ranks(p, n)
-    eye = np.broadcast_to(np.eye(n, dtype=np.int64), mats.shape)
-    red, pivot, _ = gf.rref_stack(np.concatenate([mats, eye], axis=2), p)
-    pivot = pivot[:, :n]
-    at, col = np.nonzero(pivot)
-    plus = np.zeros_like(mats)
-    plus[at, col] = red[at, pivot.cumsum(axis=1)[at, col] - 1, n:]   # row j of E to row c_j
     images, kernels = (a.tolist() for a in gf.sing_images(p, n))
     l_classes, r_classes = _partition(images), _partition(kernels)
     l_of, r_of = _class_of(l_classes, len(mats)), _class_of(r_classes, len(mats))
+    leader_of = np.array([c[0] for c in l_classes + r_classes])  # the L-classes', then the R-classes'
+    leaders, leader_plus = mats[leader_of], np.empty((len(leader_of), n, n), dtype=np.int64)
 
     def mul(a, b):
         return a @ b % p
@@ -372,22 +412,26 @@ def sing_green(p, n) -> GreenStructure:
     def singular(a):
         return ranks[gf.base_p(a, p)] < n
 
-    first_l = np.array([c[0] for c in l_classes])[l_of]
-    first_r = np.array([c[0] for c in r_classes])[r_of]
-    x, lead, rep = mats, mats[first_l], mats[first_r]
-    u, v = mul(x, plus[first_l]), mul(lead, plus)   # x = u.lead, lead = v.x
-    s, t = mul(plus[first_r], x), mul(plus, rep)    # x = rep.s, rep = x.t
-    claims = {
-        "regularity": equal(mul(mul(x, plus), x), x) & singular(plus),
-        "L": equal(mul(u, lead), x) & equal(mul(v, x), lead) & singular(u) & singular(v),
-        "R": equal(mul(rep, s), x) & equal(mul(x, t), rep) & singular(s) & singular(t),
-    }
-    held = claims["regularity"] & claims["L"] & claims["R"]
-    if not held.all():
-        i = int(held.argmin())
-        failed = " and ".join(name for name, ok in claims.items() if not ok[i])
-        raise AssertionError(f"element {i} of Sing(GF({p})^{n}), {mats[i].tolist()}, "
-                             f"fails its {failed} witness check")
+    block = max(1, gf.TABLE_BLOCK_CELLS // (n * n))
+    for lo in range(0, len(mats), block):
+        at = slice(lo, lo + block)
+        x, plus = mats[at], _plus(mats[at], p)
+        here = (leader_of >= lo) & (leader_of < lo + block)   # a class leads with its first element,
+        leader_plus[here] = plus[leader_of[here] - lo]         # so no block reads a later block's leader
+        lead, rep = leaders[l_of[at]], leaders[len(l_classes) + r_of[at]]
+        u, v = mul(x, leader_plus[l_of[at]]), mul(lead, plus)                   # x = u.lead, lead = v.x
+        s, t = mul(leader_plus[len(l_classes) + r_of[at]], x), mul(plus, rep)   # x = rep.s, rep = x.t
+        claims = {
+            "regularity": equal(mul(mul(x, plus), x), x) & singular(plus),
+            "L": equal(mul(u, lead), x) & equal(mul(v, x), lead) & singular(u) & singular(v),
+            "R": equal(mul(rep, s), x) & equal(mul(x, t), rep) & singular(s) & singular(t),
+        }
+        held = claims["regularity"] & claims["L"] & claims["R"]
+        if not held.all():
+            i = int(held.argmin())
+            failed = " and ".join(name for name, ok in claims.items() if not ok[i])
+            raise AssertionError(f"element {lo + i} of Sing(GF({p})^{n}), {x[i].tolist()}, "
+                                 f"fails its {failed} witness check")
     meets = np.zeros((len(l_classes), len(r_classes)), dtype=bool)
     meets[l_of, r_of] = True
     d_keys = [row.tobytes() for row in meets]

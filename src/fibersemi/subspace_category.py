@@ -376,23 +376,30 @@ def cone_map_witnesses(cones, source, mats, p):
 def cone_semigroup_json(p, n, semigroup, code: _ConeCode, vertex, rows):
     """The cone semigroup as JSON, each cone written from its code row: its
     vertex, and at each object the component's matrix over the canonical
-    bases, dim(object) rows of dim(vertex) coordinates."""
-    objects = [obj.to_json() for obj in gf.subspace_lattice(p, n).subspaces[:-1]]
-    spans = list(zip(objects, code.offsets, code.offsets[1:]))
-    cones = [
-        {"vertex": objects[k],
-         "components": [{"object": obj, "matrix": [row[:code.dims[k]] for row in r[lo:hi]]}
-                        for obj, lo, hi in spans]}
-        for k, r in zip(vertex.tolist(), rows.tolist())
-    ]
-    doc = {
-        "p": p,
-        "n": n,
-        "elements": [list(map(list, e)) for e in semigroup.elements],
-        "table": semigroup.table.tolist(),
-        "cones": cones,
-    }
-    return json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
+    bases, dim(object) rows of dim(vertex) coordinates.
+
+    Byte for byte as json.dumps(sort_keys=True, separators=(",", ":"))
+    writes {"cones", "elements", "n", "p", "table"}, but from pre-encoded
+    pieces: each object's JSON once, each component once per distinct
+    (object, vertex dimension, matrix), keyed by the padded block's code,
+    the elements in one call, and the table through sg.table_json."""
+    objects = [json.dumps(obj.to_json(), sort_keys=True, separators=(",", ":"))
+               for obj in gf.subspace_lattice(p, n).subspaces[:-1]]
+    vdims = np.array(code.dims)[vertex]
+    columns = []  # per object, every cone's component text
+    for k, obj in enumerate(objects):
+        block, encoded = code.block(rows, k), {}
+        keys = (gf.base_p(block, p) * n + vdims).tolist()
+        for i, key in enumerate(keys):
+            if key not in encoded:
+                matrix = json.dumps(block[i, :, :vdims[i]].tolist(), separators=(",", ":"))
+                encoded[key] = f'{{"matrix":{matrix},"object":{obj}}}'
+        columns.append([encoded[key] for key in keys])
+    cones = ",".join([f'{{"components":[{",".join(parts)}],"vertex":{objects[k]}}}'
+                      for k, parts in zip(vertex.tolist(), zip(*columns))])
+    elements = json.dumps(semigroup.elements, separators=(",", ":"))
+    return (f'{{"cones":[{cones}],"elements":{elements},"n":{n},"p":{p},'
+            f'"table":{sg.table_json(semigroup.table)}}}\n')
 
 
 def m_sets(p, n):

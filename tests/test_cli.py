@@ -95,12 +95,19 @@ def test_endomorphism_guard_refuses_green_and_enumerate_fast(capsys, argv, count
     assert run(capsys, *argv) == (2, "", f"error: p^(n^2) = {count} exceeds endomorphism guard 1048576\n")
     assert time.perf_counter() - start < 1.0
 
-@pytest.mark.parametrize("p,n", [(2, 4), (3, 3)])
-def test_cross_connections_check_refuses_before_any_automorphism(p, n):
+@pytest.mark.parametrize("p,n,autos,order", [pytest.param(2, 4, 20160, 45376, id="2-4"),
+                                              pytest.param(3, 3, 11232, 8451, id="3-3")])
+def test_cross_connections_check_refuses_before_any_automorphism(monkeypatch, p, n, autos, order):
+    def forbidden(*args):
+        raise AssertionError("an automorphism was enumerated before the guard refused")
+
+    monkeypatch.setattr(gf, "enumerate_automorphisms", forbidden)
     start = time.perf_counter()
-    with pytest.raises(gf.GuardExceeded, match="associativity guard 1500"):
+    with pytest.raises(gf.GuardExceeded) as exc:
         cli._check_cross_connections(p, n)
     assert time.perf_counter() - start < 1.0
+    assert str(exc.value) == (f"cross-connections at GF({p})^{n} would check {autos} automorphisms, "
+                              f"each over the {order} elements of Sing, an order beyond the limit 1500")
 
 def test_cardinalities_builds_no_endo(monkeypatch):
     def forbidden(self, *args):
@@ -660,6 +667,33 @@ def process(*argv):
     done = subprocess.run([sys.executable, "-m", "fibersemi.cli", *argv], cwd=SRC,
                           env={"PYTHONPATH": str(SRC)}, capture_output=True, timeout=120)
     return done.returncode, done.stdout, done.stderr
+
+
+# Linux carries the spawning process's own peak into a child's ru_maxrss
+# across exec, so the command is started from a bare interpreter that reads
+# the peak through os.wait4 and prints it, with the status, on stderr.
+_PEAK_LAUNCHER = ("import os, subprocess, sys\n"
+                  "proc = subprocess.Popen([sys.executable, '-m', 'fibersemi.cli', *sys.argv[1:]])\n"
+                  "_, status, usage = os.wait4(proc.pid, 0)\n"
+                  "print(os.waitstatus_to_exitcode(status), usage.ru_maxrss, file=sys.stderr)\n")
+
+
+def process_peak(*argv):
+    """``python -m fibersemi.cli argv`` in a fresh interpreter with one
+    BLAS thread: (status, stdout, peak resident memory in MB)."""
+    done = subprocess.run([sys.executable, "-c", _PEAK_LAUNCHER, *argv], cwd=SRC,
+                          env={"PYTHONPATH": str(SRC), "OPENBLAS_NUM_THREADS": "1"},
+                          capture_output=True, timeout=120)
+    status, kb = map(int, done.stderr.split(b"\n")[-2].split())
+    return status, done.stdout, kb / 1024
+
+
+def test_green_at_2_4_checks_its_witnesses_in_blocks():
+    # with all 45,376 elements' witness stacks held at once it peaked near
+    # 118 MB; gf._reduced(2, 4) alone takes about 58
+    status, out, peak = process_peak("green", "--field", "2", "--dim", "4", "--format", "json")
+    assert status == 0 and len(json.loads(out)["d_classes"]) == 4
+    assert peak < 80
 
 
 def in_process(capsys, *argv):

@@ -22,7 +22,10 @@ from LinearMap cones to batched ranks; both exit 1 on guard refusals only.
 Their digests were recorded again when regularity-idempotents and
 green-eggbox moved from Sing's Cayley table to its verified matrix
 witnesses: the table guard refused both checks there, and both now pass,
-which is the only change in either report.
+which is the only change in either report.  They were recorded a third
+time when the cross-connections refusal came to name what it guards, the
+automorphisms it would check over Sing's order, instead of a table guard;
+that witness is the only change in either report.
 
 The next one is verify-all at (2,5), recorded before the subspace orders
 and the retraction law were read from one subspace lattice per (p, n); it
@@ -108,8 +111,8 @@ GOLDEN = [
     ("cones --field 7 --dim 2 --format json", 0, "73b10616280339cfec556b00ecec2bee4146b8d7e1357d90674612cde2f05669"),
     ("cones --field 2 --dim 3 --format json", 0, "d9bc240fc84579f6fa659f54b453264a4d1e822571f67834e05ad56b5337862f"),
     ("cones --field 3 --dim 2", 0, "60cd374e64472c43c6f0610d8c3310cec975d8140bf5caf09044971996b35322"),
-    ("verify-all --field 3 --dim 3 --format json", 1, "eaf7544a4e96f14f50811fac1ce9130b29bc91f785f4ebf508c109ab35a3beda"),
-    ("verify-all --field 2 --dim 4 --format json", 1, "23304dedae846093652d56929fdb9614813e75fef16643a9a1320069058f8033"),
+    ("verify-all --field 3 --dim 3 --format json", 1, "e10679e702619a6f582f6ddb712d70ca38d94fd95fdf999aedfae4b42a6509e0"),
+    ("verify-all --field 2 --dim 4 --format json", 1, "984076442cdde443fb976ab6cfc6285a797de8d9f6609fd7ab75530039cf90e2"),
     ("verify-all --field 2 --dim 5 --format json", 1, "deecc0876d6083bf709665ab85dd3bc89e321fe7eda02c7e567cc8f5006ee683"),
     ("crossconn --field 3 --dim 2 --eps [[0,1],[1,0]] --format json", 0, "d6478e8a573974ea0f12eb21854283a85c17fe183c722c08ca80dce7f4b6491c"),
     ("crossconn --field 3 --dim 2 --all-eps", 0, "78b925264040880c6233ca61711df8d27e9c9d6171a183fe76812b59bc5ba3ab"),

@@ -651,6 +651,20 @@ def test_text_and_json_paths_build_the_same_semigroup():
         assert sg.semigroup_from_text(text) == sg.semigroup_from_json(json.loads(text)) == s
 
 
+@pytest.mark.parametrize("order", [0, 1, 10, 11, 101])  # one-, two- and three-digit indices
+def test_table_json_writes_what_json_dumps_writes(order):
+    rng = np.random.default_rng(order)
+    table = rng.integers(0, max(order, 1), size=(order, order)).astype(np.int32)
+    table[:, -1:] = order - 1  # the widest index closes every row
+    assert sg.table_json(table) == json.dumps(table.tolist(), separators=(",", ":"))
+
+
+def test_table_json_writes_sings_read_only_table():
+    table = gf.sing_table(2, 3)
+    assert (table.dtype, table.flags.writeable) == (np.int32, False)
+    assert sg.table_json(table) == json.dumps(table.tolist(), separators=(",", ":"))
+
+
 # ---------------------------------------------------------------------------
 # the cached Sing semigroup against the from_multiplication oracle
 
@@ -777,6 +791,33 @@ def test_sing_green_and_idempotents_match_the_table(p, n):
     idem = sing_oracle.idempotents(table)
     assert len(gf.idempotent_matrices(p, n)) == len(idem)
     assert np.array_equal(gf.idempotent_matrices(p, n), gf._sing_matrices(p, n)[list(idem)])
+
+
+@pytest.mark.parametrize("p,n", [(3, 2), (2, 3)])
+def test_sing_green_in_blocks_agrees_and_names_the_first_failure(monkeypatch, p, n):
+    whole = sg.sing_green(p, n)
+    sg.sing_green.cache_clear()
+    monkeypatch.setattr(gf, "TABLE_BLOCK_CELLS", 7 * n * n)  # blocks of 7 elements
+    assert sg.sing_green(p, n) == whole
+    # zero the x+ of two nonzero elements, in different blocks past the
+    # first, that lead no class: the earlier one is named
+    leaders = {c[0] for c in whole.l_classes + whole.r_classes}
+    mats = gf._sing_matrices(p, n)
+    k1, k2 = [k for k in range(10, len(mats)) if mats[k].any() and k not in leaders][::15][:2]
+    assert k1 // 7 < k2 // 7
+    plus = sg._plus
+
+    def corrupted(stack, q):
+        out = plus(stack, q)
+        for k in (k1, k2):
+            out[(stack == mats[k]).all(axis=(1, 2))] = 0
+        return out
+
+    sg.sing_green.cache_clear()
+    monkeypatch.setattr(sg, "_plus", corrupted)
+    with pytest.raises(AssertionError, match=rf"^element {k1} of Sing\(GF\({p}\)\^{n}\), "):
+        sg.sing_green(p, n)
+    sg.sing_green.cache_clear()
 
 
 def test_sing_and_green_leave_numpy_ma_unimported():

@@ -5,6 +5,7 @@ import json
 import random
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -646,3 +647,15 @@ def test_cone_json_from_code_rows_matches_the_oracle_cones(p, n):
            "table": smg.table.tolist(), "cones": [c.to_json(cat) for c in cones]}
     want = json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
     assert sc.cone_semigroup_json(p, n, smg, code, vertex, rows) == want
+
+@pytest.mark.parametrize("p, n", [(5, 2), (7, 2), (2, 3)])
+def test_cone_json_peaks_under_six_times_its_length(p, n):
+    # json.dumps over nested lists peaked at 10-24 times the document
+    args = sc.coded_normal_cones(p, n)
+    tracemalloc.start()
+    try:
+        doc = sc.cone_semigroup_json(p, n, *args)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 6 * len(doc)
