@@ -3,13 +3,10 @@ fields: subspace and annihilator categories, normal cones, cross-connection
 semigroups and the amalgams attached to bundle fibers."""
 
 from .gf import (
-    Endo,
     GuardExceeded,
     Subspace,
-    endo,
     enumerate_automorphisms,
     enumerate_subspaces,
-    identity_endo,
     singular_count,
     subspace_lattice,
     subspace_span,

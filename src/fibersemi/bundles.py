@@ -18,57 +18,60 @@ import numpy as np
 
 from . import crossconn as xc
 from . import gf
-from .gf import Endo, Record
+from .gf import Record
 
 
 class FiberFamilySpec(Record):
     p: int
-    k: int
     dims: tuple
-    eps: tuple  # one automorphism per fiber
+    eps: tuple  # one automorphism per fiber, by its base-p code
 
 
-def fiber_family(p, k, dims, eps=None) -> FiberFamilySpec:
-    """Validated fiber family: dimensions within the bundle dimension and one
-    invertible map per fiber (identity when unspecified)."""
+def _code(p, d, mat, shape_error, singular_error):
+    """The base-p code of the d x d matrix mat over GF(p), entries reduced
+    mod p, once one rref_stack rank shows it invertible."""
+    mat = np.asarray(mat, dtype=np.int64) % p
+    if mat.shape != (d, d):
+        raise ValueError(shape_error)
+    if gf.rref_stack(mat[None], p)[2][0] != d:
+        raise ValueError(singular_error)
+    return int(gf.base_p(mat[None], p)[0])
+
+
+def fiber_family(p, dims, eps=None) -> FiberFamilySpec:
+    """Validated fiber family: dimensions at least 1 and one invertible
+    matrix per fiber (identity when unspecified), held by code."""
     gf.check_field(p)
     dims = tuple(dims)
     if not dims:
         raise ValueError("fiber family needs at least one fiber")
     for d in dims:
-        if not (1 <= d <= k):
-            raise ValueError(f"fiber dimension {d} outside 1..{k}")
+        if d < 1:
+            raise ValueError(f"fiber dimension {d} must be at least 1")
     if eps is None:
-        eps = tuple(gf.identity_endo(p, d) for d in dims)
-    else:
-        eps = tuple(eps)
-        if len(eps) != len(dims):
-            raise ValueError("need one automorphism per fiber")
-        for e, d in zip(eps, dims):
-            if e.n != d or e.p != p:
-                raise ValueError("automorphism shape does not match its fiber")
-            if not e.is_invertible():
-                raise ValueError("fiber automorphism must be invertible")
-    return FiberFamilySpec(p, k, dims, eps)
+        eps = [np.eye(d, dtype=np.int64) for d in dims]
+    elif len(eps) != len(dims):
+        raise ValueError("need one automorphism per fiber")
+    return FiberFamilySpec(p, dims, tuple(
+        _code(p, d, e, "automorphism shape does not match its fiber", "fiber automorphism must be invertible")
+        for e, d in zip(eps, dims)))
 
 
 class CoreSpec(Record):
     m: int
-    eps_w: Endo
+    eps_w: int  # the core's automorphism, by its base-p code
 
 
 def build_core(spec: FiberFamilySpec, m=None, eps_w=None) -> CoreSpec:
     """The core's dimension m (default the smallest fiber dimension) and
-    automorphism (default the identity), validated."""
+    automorphism (default the identity), validated and held by code."""
     if m is None:
         m = min(spec.dims)
     if not (1 <= m <= min(spec.dims)):
         raise ValueError(f"core dimension {m} must lie in 1..{min(spec.dims)}")
-    if eps_w is None:
-        eps_w = gf.identity_endo(spec.p, m)
-    elif eps_w.n != m or not eps_w.is_invertible():
-        raise ValueError("core automorphism must be invertible of the core dimension")
-    return CoreSpec(m, eps_w)
+    eps_w = np.eye(m, dtype=np.int64) if eps_w is None else eps_w
+    error = "core automorphism must be invertible of the core dimension"
+    return CoreSpec(m, _code(spec.p, m, eps_w, error, error))
 
 
 def build_embedding(spec: FiberFamilySpec, i: int, m: int) -> np.ndarray:
@@ -122,11 +125,12 @@ def assemble_amalgam(spec: FiberFamilySpec, m=None, eps_w=None) -> BundleAmalgam
     """
     p, core = spec.p, build_core(spec, m, eps_w)
     parts = ((core.m, core.eps_w),) + tuple(zip(spec.dims, spec.eps))
-    stacks = {}  # dimension -> {automorphism: its row in that dimension's batch}
+    stacks = {}  # dimension -> {automorphism code: its row in that dimension's batch}
     for d, eps in parts:
         rows = stacks.setdefault(d, {})
         rows.setdefault(eps, len(rows))
-    perms = {d: xc.linked_pairs(p, d, list(rows)).perms for d, rows in stacks.items()}
+    perms = {d: xc.linked_pairs(p, d, gf.from_base_p(np.array(list(rows)), p, d, d)).perms
+             for d, rows in stacks.items()}
     embeddings = tuple(build_embedding(spec, i, core.m) for i in range(len(spec.dims)))
     return BundleAmalgam(spec, core, tuple(perms[d][stacks[d][eps]] for d, eps in parts), embeddings)
 

@@ -13,6 +13,8 @@ import json
 import math
 import sys
 
+import numpy as np
+
 from . import annihilators as ann
 from . import bundles as bn
 from . import crossconn as xc
@@ -112,11 +114,16 @@ def _check_factorization(p, n):
     return True, None
 
 
+def _matrix_json(p, mat):
+    """The {"n", "p", "rows"} witness document of a square matrix over GF(p)."""
+    return {"p": p, "n": len(mat), "rows": mat.tolist()}
+
+
 def _sing_pairs(p, n, found):
     """Morphism witnesses over Sing(GF(p)^n) with each index written as its
-    element's {"n", "p", "rows"} document."""
+    element's matrix document."""
     mats = gf._sing_matrices(p, n)
-    return {k: [{"p": p, "n": n, "rows": mats[i].tolist()} for i in pair] for k, pair in found.items()}
+    return {k: [_matrix_json(p, mats[i]) for i in pair] for k, pair in found.items()}
 
 
 def _check_cone_semigroup(p, n):
@@ -145,8 +152,7 @@ def _check_m_sets(p, n):
     idem, by_iso, by_sum = sc.m_sets(p, n)
     bad = (by_iso != by_sum).any(axis=1)
     if bad.any():
-        rows = tuple(map(tuple, idem[bad.argmax()].tolist()))
-        return False, {"idempotent": gf.Endo(p, n, rows).to_json()}
+        return False, {"idempotent": _matrix_json(p, idem[bad.argmax()])}
     return True, None
 
 
@@ -178,33 +184,31 @@ def _check_cross_connections(p, n):
     # endomorphism guard passes and Sing's order is within gf.ASSOC_GUARD:
     # the loop below checks every automorphism over all of Sing, and both
     # counts are closed forms, so it refuses before any automorphism is
-    # enumerated.  The linked-pair semigroup lies on Sing
-    # with labels in Sing order, so its
-    # order, its first projection and its regularity hold by construction,
-    # and its conjugation law is a reduction once eps.eps^-1 = I
-    # (xc.conjugations states it).  Functoriality is eps.eps^-1 = I too
-    # (xc.object_actions states why); object_actions also decides that the
-    # actions are injective on hom-sets.  At each automorphism in order:
-    # functoriality, covering, that the conjugation is a permutation, which
-    # link_failure assumes, and linking.
+    # enumerated.  The linked-pair semigroup lies on Sing with labels in
+    # Sing order, so its order, its first projection and its regularity
+    # hold by construction, and its conjugation law is a reduction once
+    # eps.eps^-1 = I (xc.conjugations states it).  Functoriality is
+    # eps.eps^-1 = I too (xc.object_actions states why); object_actions
+    # also decides that the actions are injective on hom-sets.  At each
+    # automorphism in order: functoriality, covering, that the conjugation
+    # is a permutation, which link_failure assumes, and linking.
     endos, order = gf._endo_count(p, n), gf.singular_count(p, n)
     if order > gf.ASSOC_GUARD:
         raise gf.GuardExceeded(f"cross-connections at GF({p})^{n} would check {endos - order} automorphisms, "
                                f"each over the {order} elements of Sing, an order beyond the limit {gf.ASSOC_GUARD}")
-    autos = gf.enumerate_automorphisms(p, n)
-    conj = xc.conjugations(p, n, autos)
-    for i, eps in enumerate(autos):
+    conj = xc.conjugations(p, n, gf.enumerate_automorphisms(p, n))
+    for i, eps in enumerate(conj.eps):
         if not conj.inverts[i]:
-            return False, {"eps": eps.to_json(), "failure": "functoriality"}
-        e_obj, et_obj = xc.object_actions(p, n, conj.eps[i])
+            return False, {"eps": _matrix_json(p, eps), "failure": "functoriality"}
+        e_obj, et_obj = xc.object_actions(p, n, eps)
         if not xc.covers(p, n, et_obj):
-            return False, {"eps": eps.to_json(), "failure": "covering"}
+            return False, {"eps": _matrix_json(p, eps), "failure": "covering"}
         if not conj.permutes[i]:
             raise AssertionError("not a permutation of the element indices")
         pair = xc.link_failure(p, n, conj.perms[i], e_obj, et_obj)
         if pair is not None:
             a, y = pair
-            return False, {"eps": eps.to_json(), "a": a.to_json(), "y": y.to_json()}
+            return False, {"eps": _matrix_json(p, eps), "a": a.to_json(), "y": y.to_json()}
     return True, None
 
 
@@ -243,7 +247,7 @@ def _check_bundle_amalgam(p, n):
     # raises), and the orders against the closed forms, compared here.  The
     # embeddings are decided on first coordinates; the second coordinates,
     # conjugates under each part's own automorphism, are not compared.
-    bundle = bn.assemble_amalgam(bn.fiber_family(p, max(BUNDLE_DIMS), BUNDLE_DIMS), m=BUNDLE_CORE_DIM)
+    bundle = bn.assemble_amalgam(bn.fiber_family(p, BUNDLE_DIMS), m=BUNDLE_CORE_DIM)
     core_order, *orders = bundle.orders
     want = [gf.singular_count(p, d) for d in BUNDLE_DIMS]
     if orders != want:
@@ -368,6 +372,8 @@ def cmd_cones(args):
 
 
 def _parse_eps(text, p, n):
+    """The --eps matrix as an n x n array, entries reduced mod p, once one
+    rref_stack rank shows it invertible."""
     try:
         rows = json.loads(text)
     except json.JSONDecodeError:
@@ -376,10 +382,10 @@ def _parse_eps(text, p, n):
             and all(isinstance(r, list) and len(r) == n for r in rows)
             and all(type(x) is int for r in rows for x in r)):  # bool is not int
         raise ValueError(f"--eps must be a JSON list of {n} lists of {n} integers")
-    e = gf.endo(rows, p)
-    if not e.is_invertible():
+    eps = np.array(rows, dtype=np.int64) % p
+    if gf.rref_stack(eps[None], p)[2][0] < n:
         raise ValueError("--eps matrix is singular")
-    return e
+    return eps
 
 
 ALL_EPS_CELL_LIMIT = 1 << 20  # table cells crossconn --all-eps may write
@@ -405,18 +411,18 @@ def cmd_crossconn(args):
     p, n = args.field, args.dim
     if args.all_eps:
         _check_all_eps_output(p, n)
-        eps_list = list(gf.enumerate_automorphisms(p, n))
+        eps = gf.enumerate_automorphisms(p, n)
     elif args.eps:
-        eps_list = [_parse_eps(args.eps, p, n)]
+        eps = _parse_eps(args.eps, p, n)[None]
     else:
-        eps_list = [gf.identity_endo(p, n)]
+        eps = np.eye(n, dtype=np.int64)[None]
     if args.format == "json":  # the document writes Sing's table: refuse before any pair is built
         gf.check_sing_order(p, n)
-    conj = xc.linked_pairs(p, n, eps_list)
+    conj = xc.linked_pairs(p, n, eps)
     if args.format == "json":
         _emit(xc.linked_pairs_json(conj), args.out)
     else:
-        lines = [f"eps={e.rows} order={conj.perms.shape[1]}" for e in eps_list]
+        lines = [f"eps={tuple(map(tuple, e))} order={conj.perms.shape[1]}" for e in conj.eps.tolist()]
         _emit("\n".join(lines) + "\n", args.out)
     return 0
 
@@ -424,7 +430,7 @@ def cmd_crossconn(args):
 def cmd_amalgam(args):
     p = args.field
     dims = tuple(int(x) for x in args.dims.split(","))
-    spec = bn.fiber_family(p, max(dims), dims)
+    spec = bn.fiber_family(p, dims)
     if args.format == "json":  # the document writes each part's Sing table: refuse before any is built
         for d in (bn.build_core(spec, args.core_dim).m,) + dims:
             gf.check_sing_order(p, d)
@@ -495,10 +501,7 @@ def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except gf.GuardExceeded as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (ValueError, sg.NotAssociative) as exc:
+    except ValueError as exc:  # gf.GuardExceeded and sg.NotAssociative are ValueErrors
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except AssertionError as exc:  # a failed verification, not bad input

@@ -26,27 +26,26 @@ import numpy as np
 
 from . import gf
 from . import semigroups as sg
-from .gf import Endo, Record
+from .gf import Record
 
 
 class CrossConnection(Record):
-    # only caller: perfbench/tracer.py's instrument, which wraps conjugate
-    eps: Endo
-
-    @property
-    def p(self):
-        return self.eps.p
-
-    @property
-    def n(self):
-        return self.eps.n
+    """The connection induced by an automorphism eps of GF(p)^n, an n x n
+    int64 array; its only caller is perfbench/tracer.py's instrument, which
+    wraps conjugate."""
+    p: int
+    eps: np.ndarray
 
     @cached_property
-    def eps_inv(self) -> Endo:
-        return self.eps.inverse()
+    def eps_inv(self) -> np.ndarray:
+        inv = gf.inverse_stack(self.eps[None], self.p)[0]
+        if not (self.eps @ inv % self.p == np.eye(len(inv), dtype=np.int64)).all():
+            raise ValueError("endomorphism is singular")
+        return inv
 
-    def conjugate(self, alpha: Endo) -> Endo:
-        return self.eps_inv * alpha * self.eps
+    def conjugate(self, alpha: np.ndarray) -> np.ndarray:
+        """eps^-1.alpha.eps, for a matrix alpha or a stack of them."""
+        return self.eps_inv @ alpha % self.p @ self.eps % self.p
 
 
 # ---------------------------------------------------------------------------
@@ -137,9 +136,10 @@ class Conjugations(Record):
     permutes: np.ndarray # (k,) perms[e] is a permutation of 0..N-1
 
 
-def conjugations(p, n, eps) -> Conjugations:
-    """The Conjugations of a sequence of Endos of GF(p)^n, computed for all
-    of them at once; nothing is raised here.  The inverses come from one
+def conjugations(p, n, mats) -> Conjugations:
+    """The Conjugations of a stack mats (k, n, n) of automorphisms of
+    GF(p)^n, such as gf.enumerate_automorphisms gives, computed for all of
+    them at once; nothing is raised here.  The inverses come from one
     batched rref, E.E^-1 = I from one batched product, and the conjugates of
     every Sing element from broadcast products, in chunks of about
     TABLE_BLOCK_CELLS entries, read by code from gf.sing_decode; one sort
@@ -157,7 +157,6 @@ def conjugations(p, n, eps) -> Conjugations:
     index arrays that link_failure reads, that each row is a permutation
     (permutes).  No Cayley table is read."""
     sing, decode = gf._sing_matrices(p, n), gf.sing_decode(p, n)
-    mats = np.array([e.rows for e in eps], dtype=np.int64).reshape(-1, n, n)
     inv = gf.inverse_stack(mats, p)
     inverts = (mats @ inv % p == np.eye(n, dtype=np.int64)).all(axis=(1, 2))
     perms = np.empty((len(mats), len(sing)), dtype=np.int32)
@@ -170,12 +169,12 @@ def conjugations(p, n, eps) -> Conjugations:
     return Conjugations(p, n, mats, inv, inverts, perms, permutes)
 
 
-def linked_pairs(p, n, eps) -> Conjugations:
-    """conjugations(p, n, eps), raising for the first automorphism in order
+def linked_pairs(p, n, mats) -> Conjugations:
+    """conjugations(p, n, mats), raising for the first automorphism in order
     that fails, at each one first eps.eps^-1 = I and then that its
     conjugation is a permutation; the conjugation law then holds by the
     reduction that conjugations states."""
-    conj = conjugations(p, n, eps)
+    conj = conjugations(p, n, mats)
     held = conj.inverts & conj.permutes
     if not held.all():
         if not conj.inverts[held.argmin()]:

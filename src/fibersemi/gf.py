@@ -1,11 +1,12 @@
 """Exact linear algebra over small prime fields GF(p).
 
-Vectors are row tuples and endomorphisms act on the right (v -> v.M), so
-composing maps left to right is plain matrix multiplication.  A Subspace
-record holds its reduced row-echelon basis, which makes equality exact; in
-computation a subspace is its position in subspace_lattice, and the one
-lookup row_spaces finds the position of any matrix's row space by the
-matrix's code.
+Vectors are rows and endomorphisms act on the right (v -> v.M), so
+composing maps left to right is plain matrix multiplication.  Every matrix
+is an int64 array, or its base-p code where it must be hashable.  A
+Subspace record holds its reduced row-echelon basis, which makes equality
+exact; in computation a subspace is its position in subspace_lattice, and
+the one lookup row_spaces finds the position of any matrix's row space by
+the matrix's code.
 """
 
 from __future__ import annotations
@@ -100,19 +101,7 @@ def _endo_count(p, n):
 
 
 # ---------------------------------------------------------------------------
-# matrices as tuples of row tuples
-
-def mat_mul(a, b, p):
-    """Product of matrices a (m x k) and b (k x n) over GF(p)."""
-    bt = tuple(zip(*b)) if b else ()
-    return tuple(
-        tuple(sum(x * y for x, y in zip(row, col)) % p for col in bt)
-        for row in a
-    )
-
-def identity_matrix(n):
-    return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
-
+# row reduction
 
 def rref(rows, width, p):
     """Canonical reduced row-echelon form.
@@ -137,10 +126,6 @@ def rref(rows, width, p):
         pivots.append(c)
         r += 1
     return tuple(tuple(row) for row in m[:r]), tuple(pivots)
-
-
-def mat_rank(rows, width, p):
-    return len(rref(rows, width, p)[0])
 
 
 def rref_stack(a, p):
@@ -168,18 +153,6 @@ def inverse_stack(mats, p):
     n = mats.shape[1]
     eye = np.broadcast_to(np.eye(n, dtype=np.int64), mats.shape)
     return rref_stack(np.concatenate([mats, eye], axis=2), p)[0][:, :, n:]
-
-
-def mat_inverse(a, p):
-    """Inverse of a square matrix over GF(p), or None if singular."""
-    n = len(a)
-    if n == 0:
-        return ()
-    aug = [list(ra) + list(rb) for ra, rb in zip(a, identity_matrix(n))]
-    red, piv = rref(aug, 2 * n, p)
-    if tuple(piv[:n]) != tuple(range(n)):
-        return None
-    return tuple(tuple(row[n:]) for row in red[:n])
 
 
 # ---------------------------------------------------------------------------
@@ -255,65 +228,6 @@ def enumerate_subspaces(p, n):
     return tuple(out)
 
 
-# ---------------------------------------------------------------------------
-# endomorphisms
-
-class Endo(Record):
-    """An n x n matrix over GF(p) acting on row vectors on the right."""
-    p: int
-    n: int
-    rows: tuple
-
-    def __str__(self):
-        return "/".join("".join(str(x) for x in row) for row in self.rows)
-
-    def compose(self, other: "Endo") -> "Endo":
-        """self then other; the matrix product rows(self) . rows(other)."""
-        return Endo(self.p, self.n, mat_mul(self.rows, other.rows, self.p))
-
-    def __mul__(self, other):
-        return self.compose(other)
-
-    @property
-    def rank(self) -> int:
-        return mat_rank(self.rows, self.n, self.p)
-
-    def is_invertible(self) -> bool:
-        return self.rank == self.n
-
-    def inverse(self) -> "Endo":
-        inv = mat_inverse(self.rows, self.p)
-        if inv is None:
-            raise ValueError("endomorphism is singular")
-        return Endo(self.p, self.n, inv)
-
-    def to_json(self):
-        return {"p": self.p, "n": self.n, "rows": [list(r) for r in self.rows]}
-
-    @staticmethod
-    def from_json(d):
-        return Endo(d["p"], d["n"], tuple(tuple(r) for r in d["rows"]))
-
-
-def endo(rows, p) -> Endo:
-    rows = tuple(tuple(x % p for x in r) for r in rows)
-    n = len(rows)
-    if any(len(r) != n for r in rows):
-        raise ValueError("endomorphism matrix must be square")
-    return Endo(p, n, rows)
-
-
-def identity_endo(p, n) -> Endo:
-    return Endo(p, n, identity_matrix(n))
-
-
-@lru_cache(maxsize=None)
-def enumerate_automorphisms(p, n):
-    """All invertible n x n matrices over GF(p), lexicographic by entries."""
-    mats = from_base_p(np.flatnonzero(_ranks(p, n) == n), p, n, n)
-    return tuple(Endo(p, n, tuple(map(tuple, m))) for m in mats.tolist())
-
-
 def singular_count(p, n):
     """Closed form p^(n^2) - prod_i (p^n - p^i)."""
     gl = 1
@@ -367,6 +281,15 @@ def _sing_matrices(p, n):
     return mats
 
 
+@lru_cache(maxsize=None)
+def enumerate_automorphisms(p, n):
+    """The invertible n x n matrices over GF(p) in code order, as one
+    read-only (count, n, n) array."""
+    mats = from_base_p(np.flatnonzero(_ranks(p, n) == n), p, n, n)
+    mats.flags.writeable = False  # shared by every caller
+    return mats
+
+
 def idempotent_matrices(p, n):
     """The idempotents of Sing(GF(p)^n) in code order, from one batched
     e.e = e over _sing_matrices."""
@@ -375,8 +298,8 @@ def idempotent_matrices(p, n):
 
 
 def endo_text(mats):
-    """str(Endo) of each matrix of a stack (count, n, n) with entries below
-    10, written from the array: each row's digits, the rows joined by "/"."""
+    """The text of each matrix of a stack (count, n, n) with entries below
+    10: each row's digits, the rows joined by "/"."""
     count, n = mats.shape[:2]
     text = np.full((count, n, n + 1), ord("/"), dtype=np.uint8)
     text[:, :, :n] = mats + ord("0")

@@ -22,10 +22,12 @@ from __future__ import annotations
 import json
 
 from crossconn_oracle import build_cross_conn_semigroup
+import gf_helpers as gh
 from fibersemi import bundles as bn
 from fibersemi import gf
 from fibersemi import semigroups as sg
-from fibersemi.gf import Endo, Record
+from fibersemi.gf import Record
+from gf_helpers import Endo
 from sing_oracle import SemigroupMorphism, semigroup_to_json, verify_morphism
 
 
@@ -110,11 +112,13 @@ def assemble(spec: bn.FiberFamilySpec, m=None, eps_w=None) -> OracleAmalgam:
     """The tagged core and branches, the embeddings by label lookup and
     their verification; nothing is raised on a failed verification."""
     core_spec = bn.build_core(spec, m, eps_w)
-    built = {core_spec.eps_w: build_cross_conn_semigroup(core_spec.eps_w)}
-    core = built[core_spec.eps_w]
+    core_eps = gh.from_code(core_spec.eps_w, spec.p, core_spec.m)
+    built = {core_eps: build_cross_conn_semigroup(core_eps)}
+    core = built[core_eps]
     core_tagged = tag_semigroup(core.semigroup, "core")
     branches, tagged, embeddings = [], [], []
-    for i, (d, eps) in enumerate(zip(spec.dims, spec.eps)):
+    for i, (d, code) in enumerate(zip(spec.dims, spec.eps)):
+        eps = gh.from_code(code, spec.p, d)
         if eps not in built:
             built[eps] = build_cross_conn_semigroup(eps)
         branch = built[eps]

@@ -20,8 +20,8 @@ import gf_helpers as gh
 from fibersemi import gf
 from fibersemi import semigroups as sg
 from fibersemi import subspace_category as sc
-from fibersemi.gf import Endo, Record, Subspace
-from gf_helpers import LinearMap
+from fibersemi.gf import Record, Subspace
+from gf_helpers import Endo, LinearMap
 from lattice_oracle import SubspaceCategory
 from fibersemi.subspace_category import _ConeCode
 

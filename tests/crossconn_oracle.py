@@ -6,12 +6,15 @@ per-automorphism forms of the batched inverses, conjugation permutations
 and conjugation law.  They are kept here so the tests can compare the two
 verdict for verdict.  check_conjugation_law is the batched law on Sing's
 table that the program ran before the law became the reduction stated in
-crossconn.conjugations; the tests decide that reduction with it.  The Endo-level connection (cross_connection) and the
+crossconn.conjugations; the tests decide that reduction with it.  The
+Endo-level connection (CrossConnection, cross_connection) and the
 label-level linked-pair semigroup (LinkedPair records, labels of first and
-second coordinates) are kept here too: the program holds a linked-pair
-semigroup as a conjugation permutation over Sing's table."""
+second coordinates) are kept here too: the program holds an automorphism
+as an int64 array and a linked-pair semigroup as a conjugation permutation
+over Sing's table."""
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -22,9 +25,8 @@ from sing_oracle import enumerate_endos, sing_semigroup
 from fibersemi import crossconn as xc
 from fibersemi import gf
 from fibersemi import semigroups as sg
-from fibersemi.crossconn import CrossConnection
-from fibersemi.gf import Endo, Record, Subspace
-from gf_helpers import LinearMap
+from fibersemi.gf import Record, Subspace
+from gf_helpers import Endo, LinearMap
 
 #: membership readings for the bifunctor sets: the second condition either
 #: constrains the annihilator of the kernel ("kernel", the reading under
@@ -32,6 +34,28 @@ from gf_helpers import LinearMap
 #: argument ("image", the literal transcription, kept for comparison).
 MEMBERSHIP_MODES = ("kernel", "image")
 DEFAULT_MODE = "kernel"
+
+
+class CrossConnection(Record):
+    """The connection induced by an automorphism, held as its Endo: the
+    inverse from Endo.inverse, computed once, and conjugation by Endo
+    products.  crossconn.CrossConnection is the same on an int64 array."""
+    eps: Endo
+
+    @property
+    def p(self):
+        return self.eps.p
+
+    @property
+    def n(self):
+        return self.eps.n
+
+    @cached_property
+    def eps_inv(self) -> Endo:
+        return self.eps.inverse()
+
+    def conjugate(self, alpha: Endo) -> Endo:
+        return self.eps_inv * alpha * self.eps
 
 
 def cross_connection(eps: Endo) -> CrossConnection:
@@ -363,7 +387,7 @@ def build_cross_conn_semigroup(eps: Endo) -> CrossConnSemigroup:
     batch of one (linked_pairs), labelled by the rows of both coordinates.
     The pairs are in Sing order and share the verified Sing table, since the
     first projection is an isomorphism by construction."""
-    perm = xc.linked_pairs(eps.p, eps.n, [eps]).perms[0]
+    perm = xc.linked_pairs(eps.p, eps.n, gh.stack([eps])).perms[0]
     sing = sing_semigroup(eps.p, eps.n)
     pairs = tuple(LinkedPair(x, sing.elements[k]) for x, k in zip(sing.elements, perm.tolist()))
     labels = tuple((pr.first.rows, pr.second.rows) for pr in pairs)

@@ -1,4 +1,8 @@
-"""GF(p) constructions the tests use and the program does not: the full
+"""GF(p) constructions the tests use and the program does not: matrices as
+tuples of row tuples with their pure-Python product, rank and inverse, and
+the Endo record built on them (the label-level form of a matrix, which the
+program holds as an int64 array or its base-p code), with the conversions
+between the two forms; the full
 and zero spaces, the zero matrix and map, the transpose of a matrix and of
 an Endo, an Endo's action on a row vector, its image and kernel, the
 solution space of a homogeneous system, a Subspace's pivot columns and the
@@ -12,8 +16,117 @@ compared against."""
 
 from __future__ import annotations
 
+import numpy as np
+
 from fibersemi import gf
-from fibersemi.gf import Endo, Record, Subspace
+from fibersemi.gf import Record, Subspace
+
+
+# ---------------------------------------------------------------------------
+# matrices as tuples of row tuples, and Endo records on them
+
+def mat_mul(a, b, p):
+    """Product of matrices a (m x k) and b (k x n) over GF(p)."""
+    bt = tuple(zip(*b)) if b else ()
+    return tuple(
+        tuple(sum(x * y for x, y in zip(row, col)) % p for col in bt)
+        for row in a
+    )
+
+
+def identity_matrix(n):
+    return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
+
+
+def mat_rank(rows, width, p):
+    return len(gf.rref(rows, width, p)[0])
+
+
+def mat_inverse(a, p):
+    """Inverse of a square matrix over GF(p), or None if singular."""
+    n = len(a)
+    if n == 0:
+        return ()
+    aug = [list(ra) + list(rb) for ra, rb in zip(a, identity_matrix(n))]
+    red, piv = gf.rref(aug, 2 * n, p)
+    if tuple(piv[:n]) != tuple(range(n)):
+        return None
+    return tuple(tuple(row[n:]) for row in red[:n])
+
+
+class Endo(Record):
+    """An n x n matrix over GF(p) acting on row vectors on the right."""
+    p: int
+    n: int
+    rows: tuple
+
+    def __str__(self):
+        return "/".join("".join(str(x) for x in row) for row in self.rows)
+
+    def compose(self, other: "Endo") -> "Endo":
+        """self then other; the matrix product rows(self) . rows(other)."""
+        return Endo(self.p, self.n, mat_mul(self.rows, other.rows, self.p))
+
+    def __mul__(self, other):
+        return self.compose(other)
+
+    @property
+    def rank(self) -> int:
+        return mat_rank(self.rows, self.n, self.p)
+
+    def is_invertible(self) -> bool:
+        return self.rank == self.n
+
+    def inverse(self) -> "Endo":
+        inv = mat_inverse(self.rows, self.p)
+        if inv is None:
+            raise ValueError("endomorphism is singular")
+        return Endo(self.p, self.n, inv)
+
+    def to_json(self):
+        return {"p": self.p, "n": self.n, "rows": [list(r) for r in self.rows]}
+
+    @staticmethod
+    def from_json(d):
+        return Endo(d["p"], d["n"], tuple(tuple(r) for r in d["rows"]))
+
+
+def endo(rows, p) -> Endo:
+    rows = tuple(tuple(x % p for x in r) for r in rows)
+    n = len(rows)
+    if any(len(r) != n for r in rows):
+        raise ValueError("endomorphism matrix must be square")
+    return Endo(p, n, rows)
+
+
+def identity_endo(p, n) -> Endo:
+    return Endo(p, n, identity_matrix(n))
+
+
+def endos_of(mats, p):
+    """The Endo of each matrix of an int64 stack (count, n, n)."""
+    return tuple(Endo(p, mats.shape[1], tuple(map(tuple, m))) for m in mats.tolist())
+
+
+def automorphisms(p, n):
+    """gf.enumerate_automorphisms(p, n) as Endos, in its order."""
+    return endos_of(gf.enumerate_automorphisms(p, n), p)
+
+
+def stack(endos):
+    """The int64 stack (count, n, n) of a nonempty sequence of Endos, the
+    form the program holds automorphisms in."""
+    return np.array([e.rows for e in endos], dtype=np.int64)
+
+
+def code(e: Endo) -> int:
+    """The base-p code of an Endo's matrix, as bundles holds automorphisms."""
+    return int(gf.base_p(stack([e]), e.p)[0])
+
+
+def from_code(code, p, n) -> Endo:
+    """The Endo of the n x n matrix with the given base-p code."""
+    return endos_of(gf.from_base_p(np.array([code]), p, n, n), p)[0]
 
 
 def zero_matrix(m, n):
@@ -120,12 +233,12 @@ class LinearMap(Record):
         if self.cod.dim == 0:
             m = zero_matrix(self.dom.dim, other.cod.dim)
         else:
-            m = gf.mat_mul(self.matrix, other.matrix, self.p)
+            m = mat_mul(self.matrix, other.matrix, self.p)
         return LinearMap(self.dom, other.cod, m)
 
     @property
     def rank(self):
-        return gf.mat_rank(self.matrix, self.cod.dim, self.p)
+        return mat_rank(self.matrix, self.cod.dim, self.p)
 
     def is_iso(self) -> bool:
         return self.dom.dim == self.cod.dim and self.rank == self.dom.dim
@@ -146,7 +259,7 @@ def linear_map(dom: Subspace, cod: Subspace, images) -> LinearMap:
 
 
 def full_space(p, n) -> Subspace:
-    return Subspace(p, n, gf.identity_matrix(n))
+    return Subspace(p, n, identity_matrix(n))
 
 
 def zero_endo(p, n) -> Endo:
@@ -220,7 +333,7 @@ def is_direct_sum(a: Subspace, b: Subspace) -> bool:
     """Whether a + b = V with a and b meeting only in 0."""
     if a.dim + b.dim != a.n:
         return False
-    return gf.mat_rank(a.basis + b.basis, a.n, a.p) == a.n
+    return mat_rank(a.basis + b.basis, a.n, a.p) == a.n
 
 
 def inclusion_map(a: Subspace, b: Subspace) -> LinearMap:
@@ -230,4 +343,4 @@ def inclusion_map(a: Subspace, b: Subspace) -> LinearMap:
 
 
 def identity_map(a: Subspace) -> LinearMap:
-    return LinearMap(a, a, gf.identity_matrix(a.dim))
+    return LinearMap(a, a, identity_matrix(a.dim))

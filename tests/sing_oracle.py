@@ -29,6 +29,7 @@ from functools import lru_cache
 
 import numpy as np
 
+import gf_helpers as gh
 from fibersemi import gf
 from fibersemi import semigroups as sg
 from fibersemi.gf import Record
@@ -55,7 +56,7 @@ def enumerate_endos(p, n, singular_only=False):
     """All n x n matrices over GF(p) as Endos, lexicographic by entries;
     singular_only keeps those of rank below n, which is Sing order."""
     mats = gf._sing_matrices(p, n) if singular_only else gf.from_base_p(np.arange(gf._endo_count(p, n)), p, n, n)
-    return tuple(gf.Endo(p, n, tuple(map(tuple, m))) for m in mats.tolist())
+    return tuple(gh.Endo(p, n, tuple(map(tuple, m))) for m in mats.tolist())
 
 
 @lru_cache(maxsize=None)
@@ -70,7 +71,7 @@ def endos(p, n, keep=lambda e: True):
     entries, with one pure-Python rank per matrix."""
     out = []
     for entries in itertools.product(range(p), repeat=n * n):
-        e = gf.Endo(p, n, tuple(entries[i * n:(i + 1) * n] for i in range(n)))
+        e = gh.Endo(p, n, tuple(entries[i * n:(i + 1) * n] for i in range(n)))
         if keep(e):
             out.append(e)
     return tuple(out)

@@ -145,7 +145,7 @@ def test_criterion_8_cross_connection_semigroups():
     with criterion(8, "all 6 automorphisms: order-10 linked pairs, covering, bijective linking", 60):
         sing = sing_semigroup(2, 2)
         cat = lo.build_category(2, 2)
-        autos = gf.enumerate_automorphisms(2, 2)
+        autos = gh.automorphisms(2, 2)
         assert len(autos) == 6
         for eps in autos:
             cc = oracle.cross_connection(eps)
@@ -153,7 +153,7 @@ def test_criterion_8_cross_connection_semigroups():
             assert cov.covering_ok and cov.inclusion_ok and cov.hom_injective_ok
             s = oracle.build_cross_conn_semigroup(eps)
             assert s.order == 10
-            mapping = tuple(sing.elements.index(gf.Endo(2, 2, lbl[0]))
+            mapping = tuple(sing.elements.index(gh.Endo(2, 2, lbl[0]))
                             for lbl in s.semigroup.elements)
             rep = sing_oracle.verify_morphism(sing_oracle.SemigroupMorphism(s.semigroup, sing, mapping))
             assert rep.is_hom and rep.is_injective
@@ -180,7 +180,7 @@ def test_criterion_9_null_amalgam_fixture():
 
 def test_criterion_10_bundle_amalgam():
     with criterion(10, "dims (2,2,3): core order 10, branches (10,10,344), verified embeddings", 60):
-        am = bn.assemble_amalgam(bn.fiber_family(2, 3, (2, 2, 3)), m=2)
+        am = bn.assemble_amalgam(bn.fiber_family(2, (2, 2, 3)), m=2)
         assert am.orders == [10, 10, 10, 344]
         core_table = gf.sing_table(2, 2)
         for phi, d in zip(am.embeddings, (2, 2, 3)):

@@ -139,7 +139,7 @@ def normal_dual_object(cat: lo.SubspaceCategory, cone: oracle.Cone) -> DualTag:
 
 
 def test_normal_dual_object_examples(cat22):
-    e = gf.endo([[1, 0], [0, 0]], 2)
+    e = gh.endo([[1, 0], [0, 0]], 2)
     tag = normal_dual_object(cat22, oracle.principal_cone(cat22, e))
     assert tag.primal == gf.subspace_span([(0, 1)], 2, 2)
     assert tag.dual == gf.subspace_span([(1, 0)], 2, 2)
@@ -147,7 +147,7 @@ def test_normal_dual_object_examples(cat22):
     assert z.primal == gh.full_space(2, 2) and z.dual.dim == 0
 
 def test_normal_dual_object_requires_idempotent(cat22):
-    nilpotent = oracle.principal_cone(cat22, gf.endo([[0, 1], [0, 0]], 2))
+    nilpotent = oracle.principal_cone(cat22, gh.endo([[0, 1], [0, 0]], 2))
     with pytest.raises(ValueError):
         normal_dual_object(cat22, nilpotent)
 

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import bundle_oracle
+import gf_helpers as gh
 import sing_oracle
 from bundle_oracle import block_embed
 from crossconn_oracle import conjugation_perm
@@ -19,14 +20,14 @@ from fibersemi import gf
 from fibersemi import semigroups as sg
 
 
-SWAP = gf.endo([[0, 1], [1, 0]], 2)
-SHEAR = gf.endo([[1, 1], [0, 1]], 2)
-CYCLE = gf.endo([[0, 1, 0], [0, 0, 1], [1, 0, 0]], 2)
+SWAP = gh.endo([[0, 1], [1, 0]], 2)
+SHEAR = gh.endo([[1, 1], [0, 1]], 2)
+CYCLE = gh.endo([[0, 1, 0], [0, 0, 1], [1, 0, 0]], 2)
 
 
 @pytest.fixture(scope="module")
 def reference_amalgam():
-    return bn.assemble_amalgam(bn.fiber_family(2, 3, (2, 2, 3)))
+    return bn.assemble_amalgam(bn.fiber_family(2, (2, 2, 3)))
 
 
 def labels(doc):
@@ -37,28 +38,28 @@ def labels(doc):
 
 
 def test_fiber_family_validation():
-    spec = bn.fiber_family(2, 3, (2, 2, 3))
+    spec = bn.fiber_family(2, (2, 2, 3))
     assert spec.dims == (2, 2, 3)
-    assert all(e == gf.identity_endo(2, d) for e, d in zip(spec.eps, spec.dims))
+    assert spec.eps == tuple(gh.code(gh.identity_endo(2, d)) for d in spec.dims) == (9, 9, 273)
     with pytest.raises(ValueError):
-        bn.fiber_family(2, 3, (4,))
+        bn.fiber_family(2, (0,))
     with pytest.raises(ValueError):
-        bn.fiber_family(2, 3, (0,))
-    with pytest.raises(ValueError):
-        bn.fiber_family(2, 3, ())
-    with pytest.raises(ValueError):
-        bn.fiber_family(2, 3, (2,), eps=(gf.endo([[1, 0], [0, 0]], 2),))
-    with pytest.raises(ValueError):
-        bn.fiber_family(2, 3, (2,), eps=(gf.identity_endo(2, 3),))
+        bn.fiber_family(2, ())
+    with pytest.raises(ValueError, match="^fiber automorphism must be invertible$"):
+        bn.fiber_family(2, (2,), eps=([[1, 0], [0, 0]],))
+    with pytest.raises(ValueError, match="^automorphism shape does not match its fiber$"):
+        bn.fiber_family(2, (2,), eps=(gh.identity_endo(2, 3).rows,))
+    # entries are reduced mod p, as the code of the reduced matrix
+    assert bn.fiber_family(3, (2,), eps=([[4, -3], [0, 2]],)).eps == (gh.code(gh.endo([[1, 0], [0, 2]], 3)),)
 
 def test_one_dimensional_fiber_has_singleton_branch():
-    am = bn.assemble_amalgam(bn.fiber_family(2, 3, (1,)))
+    am = bn.assemble_amalgam(bn.fiber_family(2, (1,)))
     assert am.orders == [1, 1]
     assert [phi.tolist() for phi in am.embeddings] == [[0]]
 
 
 def test_core_orders():
-    spec = bn.fiber_family(2, 3, (2, 2, 3))
+    spec = bn.fiber_family(2, (2, 2, 3))
     assert bn.build_core(spec).m == 2
     assert bn.assemble_amalgam(spec).orders[0] == 10
     assert bn.assemble_amalgam(spec, m=1).orders[0] == 1
@@ -68,20 +69,20 @@ def test_core_orders():
 def test_core_order_depends_only_on_p_and_m():
     # the core is (m, eps_w) whatever the fibers; its linked pairs are built
     # at (p, m) alone
-    a = bn.build_core(bn.fiber_family(2, 3, (2, 3)), m=2)
-    b = bn.build_core(bn.fiber_family(2, 4, (2, 2, 4)), m=2)
-    assert a == b == bn.CoreSpec(2, gf.identity_endo(2, 2))
-    assert bn.assemble_amalgam(bn.fiber_family(2, 3, (2, 3)), m=2).orders[0] == 10
+    a = bn.build_core(bn.fiber_family(2, (2, 3)), m=2)
+    b = bn.build_core(bn.fiber_family(2, (2, 2, 4)), m=2)
+    assert a == b == bn.CoreSpec(2, gh.code(gh.identity_endo(2, 2)))
+    assert bn.assemble_amalgam(bn.fiber_family(2, (2, 3)), m=2).orders[0] == 10
 
 def test_core_elements_are_tagged():
-    am = bn.assemble_amalgam(bn.fiber_family(2, 2, (2,)))
+    am = bn.assemble_amalgam(bn.fiber_family(2, (2,)))
     doc = json.loads(bn.amalgam_json(am))
     assert all(lbl[0] == "core" for lbl in doc["core"]["elements"])
     assert all(lbl[0] == ["fiber", 0] for lbl in doc["branches"][0]["elements"])
 
 
 def test_block_embed_example():
-    a = gf.endo([[1, 0], [0, 0]], 2)
+    a = gh.endo([[1, 0], [0, 0]], 2)
     assert block_embed(a, 3).rows == ((1, 0, 0), (0, 0, 0), (0, 0, 0))
 
 def test_block_embed_is_multiplicative_and_rank_preserving():
@@ -116,14 +117,14 @@ def test_assembled_tags_are_pairwise_disjoint(reference_amalgam):
         seen |= set(part)
 
 def test_single_fiber_degenerates_to_isomorphic_core():
-    am = bn.assemble_amalgam(bn.fiber_family(2, 2, (2,)))
+    am = bn.assemble_amalgam(bn.fiber_family(2, (2,)))
     assert am.orders == [10, 10]
     # bijective embedding: core is isomorphic to the branch
     assert sorted(am.embeddings[0].tolist()) == list(range(10))
 
 def test_nonidentity_fiber_automorphisms():
     eps = (SWAP, SHEAR)
-    am = bn.assemble_amalgam(bn.fiber_family(2, 2, (2, 2), eps=eps))
+    am = bn.assemble_amalgam(bn.fiber_family(2, (2, 2), eps=[e.rows for e in eps]))
     assert am.orders == [10, 10, 10]
     for perm, e in zip(am.perms[1:], eps):
         assert perm.tolist() == conjugation_perm(e).tolist()
@@ -140,7 +141,7 @@ def test_corrupted_embedding_is_caught_naming_fiber_and_witness(monkeypatch):
         return phi
 
     monkeypatch.setattr(bn, "build_embedding", corrupted)
-    am = bn.assemble_amalgam(bn.fiber_family(2, 3, (2, 2, 3)))
+    am = bn.assemble_amalgam(bn.fiber_family(2, (2, 2, 3)))
     with pytest.raises(AssertionError, match=r"embedding into fiber 1 failed verification: \{'hom'"):
         bundle_oracle.check_embeddings(am)
 
@@ -153,7 +154,7 @@ def test_embedding_refuses_an_invertible_image(monkeypatch):
     monkeypatch.setattr(gf, "sing_decode", lambda p, n: decode if n == 3 else real(p, n))
     for fiber, dims in ((0, (3, 3)), (1, (2, 3))):
         with pytest.raises(AssertionError, match=rf"^a block-embedded core element is invertible in fiber {fiber}$"):
-            bn.build_embedding(bn.fiber_family(2, 3, dims), fiber, 2)
+            bn.build_embedding(bn.fiber_family(2, dims), fiber, 2)
 
 def test_embedding_matches_the_block_embedded_endos(reference_amalgam):
     core = sing_oracle.enumerate_endos(2, 2, singular_only=True)
@@ -172,7 +173,7 @@ def test_each_embedding_verified_once(monkeypatch):
     monkeypatch.setattr(bn, "build_embedding", lambda spec, i, m: calls.append(i) or real(spec, i, m))
     monkeypatch.setattr(sg, "morphism_witnesses", forbidden)
     monkeypatch.setattr(gf, "sing_table", forbidden)
-    am = bn.assemble_amalgam(bn.fiber_family(2, 3, (2, 2, 3)))
+    am = bn.assemble_amalgam(bn.fiber_family(2, (2, 2, 3)))
     assert calls == [0, 1, 2] and len(am.embeddings) == 3
 
 def test_shared_verification_path_with_null_fixture(monkeypatch):
@@ -183,7 +184,7 @@ def test_shared_verification_path_with_null_fixture(monkeypatch):
     monkeypatch.setattr(sg, "morphism_witnesses", lambda *a: calls.append(real(*a)) or calls[-1])
     assert cli._check_null_amalgam(2, 2) == (True, None)
     assert calls == [{}, {}]
-    bundle_oracle.check_embeddings(bn.assemble_amalgam(bn.fiber_family(2, 2, (2, 2))))
+    bundle_oracle.check_embeddings(bn.assemble_amalgam(bn.fiber_family(2, (2, 2))))
     assert calls == [{}, {}, {}, {}]
 
 
@@ -191,7 +192,7 @@ def test_block_embedding_is_a_homomorphism_at_p_3():
     # Sing(GF(3)^3) is past the table guard, so the block reduction is
     # checked on matrices: pad(a).pad(b) = pad(ab) for all 33^2 core pairs,
     # with each pad(a) the zero-padded a, singular and distinct
-    am = bn.assemble_amalgam(bn.fiber_family(3, 3, (2, 2, 3)))
+    am = bn.assemble_amalgam(bn.fiber_family(3, (2, 2, 3)))
     core = gf._sing_matrices(3, 2)
     ab = gf.sing_decode(3, 2)[gf.base_p((core[:, None] @ core[None] % 3).reshape(-1, 2, 2), 3)]
     for phi, d in zip(am.embeddings, (2, 2, 3)):
@@ -203,7 +204,7 @@ def test_block_embedding_is_a_homomorphism_at_p_3():
 
 
 def test_amalgam_json_and_dot():
-    am = bn.assemble_amalgam(bn.fiber_family(2, 3, (2, 3)))
+    am = bn.assemble_amalgam(bn.fiber_family(2, (2, 3)))
     doc = json.loads(bn.amalgam_json(am))
     assert doc["p"] == 2 and doc["m"] == 2 and doc["fiber_dims"] == [2, 3]
     assert len(doc["branches"]) == 2
@@ -217,9 +218,9 @@ def test_each_distinct_branch_built_once(monkeypatch):
     # dimension, the core's first, each automorphism once
     calls = []
     real = xc.linked_pairs
-    monkeypatch.setattr(xc, "linked_pairs", lambda p, n, eps: calls.append((p, n, list(eps))) or real(p, n, eps))
-    am = bn.assemble_amalgam(bn.fiber_family(2, 3, (2, 2, 3)))
-    assert calls == [(2, 2, [gf.identity_endo(2, 2)]), (2, 3, [gf.identity_endo(2, 3)])]
+    monkeypatch.setattr(xc, "linked_pairs", lambda p, n, eps: calls.append((p, n, gh.endos_of(eps, p))) or real(p, n, eps))
+    am = bn.assemble_amalgam(bn.fiber_family(2, (2, 2, 3)))
+    assert calls == [(2, 2, (gh.identity_endo(2, 2),)), (2, 3, (gh.identity_endo(2, 3),))]
     assert np.shares_memory(am.perms[0], am.perms[1]) and np.shares_memory(am.perms[0], am.perms[2])
     doc = json.loads(bn.amalgam_json(am))
     assert doc["branches"][0]["elements"][0][0] == ["fiber", 0]
@@ -228,11 +229,12 @@ def test_each_distinct_branch_built_once(monkeypatch):
 def test_automorphisms_are_batched_per_dimension_in_order(monkeypatch):
     calls = []
     real = xc.linked_pairs
-    monkeypatch.setattr(xc, "linked_pairs", lambda p, n, eps: calls.append((n, list(eps))) or real(p, n, eps))
-    spec = bn.fiber_family(2, 3, (3, 2, 2, 3), eps=(CYCLE, SWAP, SHEAR, CYCLE))
-    am = bn.assemble_amalgam(spec, eps_w=SWAP)
-    assert calls == [(2, [SWAP, SHEAR]), (3, [CYCLE])]
-    for perm, e in zip(am.perms, (SWAP,) + spec.eps):
+    monkeypatch.setattr(xc, "linked_pairs", lambda p, n, eps: calls.append((n, gh.endos_of(eps, p))) or real(p, n, eps))
+    parts = (SWAP, CYCLE, SWAP, SHEAR, CYCLE)  # the core's, then the fibers'
+    spec = bn.fiber_family(2, (3, 2, 2, 3), eps=[e.rows for e in parts[1:]])
+    am = bn.assemble_amalgam(spec, eps_w=SWAP.rows)
+    assert calls == [(2, (SWAP, SHEAR)), (3, (CYCLE,))]
+    for perm, e in zip(am.perms, parts):
         assert perm.tolist() == conjugation_perm(e).tolist()
 
 
@@ -240,25 +242,25 @@ def test_automorphisms_are_batched_per_dimension_in_order(monkeypatch):
 # the array path against the label-level oracle
 
 FAMILIES = {
-    "2;2,2,3": (2, 3, (2, 2, 3), None, {}),
-    "2;3,3": (2, 3, (3, 3), None, {}),
-    "2;1,2,3 m=1": (2, 3, (1, 2, 3), None, {"m": 1}),
-    "3;2,2": (3, 2, (2, 2), None, {}),
-    "2;2,2 swap,shear": (2, 2, (2, 2), (SWAP, SHEAR), {}),
-    "2;2,3 cycle, core swap": (2, 3, (2, 3), (gf.identity_endo(2, 2), CYCLE), {"eps_w": SWAP}),
+    "2;2,2,3": (2, (2, 2, 3), None, {}),
+    "2;3,3": (2, (3, 3), None, {}),
+    "2;1,2,3 m=1": (2, (1, 2, 3), None, {"m": 1}),
+    "3;2,2": (3, (2, 2), None, {}),
+    "2;2,2 swap,shear": (2, (2, 2), (SWAP.rows, SHEAR.rows), {}),
+    "2;2,3 cycle, core swap": (2, (2, 3), (gh.identity_matrix(2), CYCLE.rows), {"eps_w": SWAP.rows}),
 }
 
 
 @pytest.mark.parametrize("family", FAMILIES)
 def test_embeddings_are_injective_homomorphisms_on_both_tables(family):
-    p, k, dims, eps, kwargs = FAMILIES[family]
-    bundle_oracle.check_embeddings(bn.assemble_amalgam(bn.fiber_family(p, k, dims, eps), **kwargs))
+    p, dims, eps, kwargs = FAMILIES[family]
+    bundle_oracle.check_embeddings(bn.assemble_amalgam(bn.fiber_family(p, dims, eps), **kwargs))
 
 
 @pytest.mark.parametrize("family", FAMILIES)
 def test_array_path_matches_the_label_oracle(family):
-    p, k, dims, eps, kwargs = FAMILIES[family]
-    spec = bn.fiber_family(p, k, dims, eps)
+    p, dims, eps, kwargs = FAMILIES[family]
+    spec = bn.fiber_family(p, dims, eps)
     am = bn.assemble_amalgam(spec, **kwargs)
     ref = bundle_oracle.assemble(spec, **kwargs)
     assert ref.report.ok and ref.report.disjoint
@@ -282,7 +284,7 @@ def _duplicate(phi):
 @pytest.mark.parametrize("fiber", [1, 2])
 @pytest.mark.parametrize("mutate,key", [(_swap, "hom"), (_duplicate, "injective")], ids=["swap", "duplicate"])
 def test_mutated_embedding_is_caught_by_both_paths(monkeypatch, mutate, key, fiber):
-    spec = bn.fiber_family(2, 3, (2, 2, 3))
+    spec = bn.fiber_family(2, (2, 2, 3))
     ref = bundle_oracle.assemble(spec)
     real = bn.build_embedding
     monkeypatch.setattr(bn, "build_embedding",

@@ -110,10 +110,11 @@ def test_cross_connections_check_refuses_before_any_automorphism(monkeypatch, p,
                               f"each over the {order} elements of Sing, an order beyond the limit 1500")
 
 def test_cardinalities_builds_no_endo(monkeypatch):
+    # no record of any kind is built, an Endo or otherwise
     def forbidden(self, *args):
-        raise AssertionError("an Endo was built only to be counted")
+        raise AssertionError("a record was built only to be counted")
 
-    monkeypatch.setattr(gf.Endo, "__init__", forbidden)
+    monkeypatch.setattr(gf.Record, "__init__", forbidden)
     assert cli._check_cardinalities(2, 4) == (True, None)
 
 @pytest.mark.parametrize("dim", ["0", "-1"])
@@ -512,9 +513,6 @@ def test_m_sets_and_green_take_no_per_element_subspaces(monkeypatch):
     def refuse(*args):
         raise AssertionError("a subspace was computed per element")
 
-    # Endo has had no image or kernel method since they moved to gf_helpers
-    monkeypatch.setattr(gf.Endo, "image", refuse, raising=False)
-    monkeypatch.setattr(gf.Endo, "kernel", refuse, raising=False)
     monkeypatch.setattr(gf, "restriction", refuse, raising=False)
     assert cli._check_m_sets(2, 4) == (True, None)
     assert cli._check_green(7, 2) == (True, None)

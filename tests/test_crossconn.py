@@ -18,7 +18,7 @@ from fibersemi import gf
 from fibersemi import semigroups as sg
 
 
-SWAP = gf.endo([[0, 1], [1, 0]], 2)
+SWAP = gh.endo([[0, 1], [1, 0]], 2)
 
 @pytest.fixture(scope="module")
 def cat22():
@@ -26,15 +26,15 @@ def cat22():
 
 @pytest.fixture(scope="module")
 def all_eps():
-    return gf.enumerate_automorphisms(2, 2)
+    return gh.automorphisms(2, 2)
 
 
 def test_rejects_singular_eps():
     with pytest.raises(ValueError):
-        oracle.cross_connection(gf.endo([[1, 0], [0, 0]], 2))
+        oracle.cross_connection(gh.endo([[1, 0], [0, 0]], 2))
 
 def test_identity_acts_trivially(cat22):
-    cc = oracle.cross_connection(gf.identity_endo(2, 2))
+    cc = oracle.cross_connection(gh.identity_endo(2, 2))
     for obj in cat22.objects:
         assert oracle.dual_object_image(cc, obj) == obj
         assert oracle.primal_object_image(cc, obj) == obj
@@ -79,7 +79,7 @@ def test_covering_holds_for_every_automorphism(all_eps):
         assert rep.covering_ok and rep.inclusion_ok and rep.hom_injective_ok
 
 def test_covering_witness_example(cat22):
-    cc = oracle.cross_connection(gf.identity_endo(2, 2))
+    cc = oracle.cross_connection(gh.identity_endo(2, 2))
     rep = oracle.verify_cross_connection(cc)
     witness = dict(rep.witnesses)
     a = gf.subspace_span([(1, 0)], 2, 2)
@@ -88,13 +88,13 @@ def test_covering_witness_example(cat22):
     assert gh.is_direct_sum(a, pre)
 
 def test_zero_subspace_witnessed_by_zero_dual(cat22):
-    cc = oracle.cross_connection(gf.identity_endo(2, 2))
+    cc = oracle.cross_connection(gh.identity_endo(2, 2))
     mset, pre = oracle.functor_m_set(cc, cat22, gh.zero_subspace(2, 2))
     assert pre == gh.full_space(2, 2)
     assert mset == (gh.zero_subspace(2, 2),)
 
 def test_covering_sampled_at_2_3():
-    eps = gf.endo([[0, 1, 0], [0, 0, 1], [1, 0, 0]], 2)
+    eps = gh.endo([[0, 1, 0], [0, 0, 1], [1, 0, 0]], 2)
     cc = oracle.cross_connection(eps)
     cat = lo.build_category(2, 3)
     for a in cat.objects:
@@ -104,7 +104,7 @@ def test_covering_sampled_at_2_3():
 
 def test_functoriality_sampled_at_2_3():
     import random
-    eps = gf.endo([[1, 1, 0], [0, 1, 1], [0, 0, 1]], 2)
+    eps = gh.endo([[1, 1, 0], [0, 1, 1], [0, 0, 1]], 2)
     cc = oracle.cross_connection(eps)
     cat = lo.build_category(2, 3)
     rng = random.Random(3)
@@ -126,14 +126,14 @@ def test_functoriality_sampled_at_2_3():
 # bifunctor sets and the linking bijection
 
 def test_zero_object_first_set_is_zero_map(cat22):
-    cc = oracle.cross_connection(gf.identity_endo(2, 2))
+    cc = oracle.cross_connection(gh.identity_endo(2, 2))
     zero = gh.zero_subspace(2, 2)
     for y in cat22.objects:
         first, _ = oracle.bifunctor_sets(cc, zero, y)
         assert first == (gh.zero_endo(2, 2),)
 
 def test_zero_map_membership(cat22):
-    cc = oracle.cross_connection(gf.identity_endo(2, 2))
+    cc = oracle.cross_connection(gh.identity_endo(2, 2))
     full_dual = max(cat22.objects, key=lambda o: o.dim)
     for a in cat22.objects:
         first, _ = oracle.bifunctor_sets(cc, a, full_dual)
@@ -179,12 +179,12 @@ def test_literal_image_mode_fails_bijectivity(cat22, all_eps):
     assert failures > 0
 
 def test_unknown_mode_rejected(cat22):
-    cc = oracle.cross_connection(gf.identity_endo(2, 2))
+    cc = oracle.cross_connection(gh.identity_endo(2, 2))
     with pytest.raises(ValueError):
         oracle.bifunctor_sets(cc, cat22.objects[0], cat22.objects[0], mode="guess")
 
 def test_identity_linking_is_identity(cat22):
-    cc = oracle.cross_connection(gf.identity_endo(2, 2))
+    cc = oracle.cross_connection(gh.identity_endo(2, 2))
     for a in cat22.objects:
         for y in cat22.objects:
             rep = oracle.linking_bijection(cc, a, y)
@@ -192,7 +192,7 @@ def test_identity_linking_is_identity(cat22):
 
 def test_swap_conjugation_example():
     cc = oracle.cross_connection(SWAP)
-    assert cc.conjugate(gf.endo([[1, 0], [0, 0]], 2)) == gf.endo([[0, 0], [0, 1]], 2)
+    assert cc.conjugate(gh.endo([[1, 0], [0, 0]], 2)) == gh.endo([[0, 0], [0, 1]], 2)
 
 
 # ---------------------------------------------------------------------------
@@ -222,7 +222,7 @@ def test_first_projection_is_isomorphism(all_eps):
     sing = sing_oracle.from_multiplication(elems, lambda a, b: a * b)
     for eps in all_eps:
         s = oracle.build_cross_conn_semigroup(eps)
-        mapping = tuple(sing.elements.index(gf.Endo(2, 2, lbl[0])) for lbl in s.semigroup.elements)
+        mapping = tuple(sing.elements.index(gh.Endo(2, 2, lbl[0])) for lbl in s.semigroup.elements)
         rep = sing_oracle.verify_morphism(sing_oracle.SemigroupMorphism(s.semigroup, sing, mapping))
         assert rep.is_hom and rep.is_injective
 
@@ -247,7 +247,7 @@ def test_linked_pair_semigroup_is_regular_with_matching_green(all_eps):
         assert shape(sing_oracle.green_relations(s.semigroup)) == shape(ref)
 
 def test_crossconn_json_shape():
-    [doc] = json.loads(xc.linked_pairs_json(xc.linked_pairs(2, 2, [SWAP])))
+    [doc] = json.loads(xc.linked_pairs_json(xc.linked_pairs(2, 2, gh.stack([SWAP]))))
     assert doc["eps"]["rows"] == [[0, 1], [1, 0]]
     assert len(doc["elements"]) == 10 and len(doc["table"]) == 10
     assert doc["elements"][0].keys() == {"first", "second"}
@@ -258,22 +258,22 @@ def test_crossconn_json_shape():
 
 def _perms_agree_with_conjugate(autos):
     elems = sing_oracle.enumerate_endos(autos[0].p, autos[0].n, singular_only=True)
-    perms = xc.conjugations(autos[0].p, autos[0].n, autos).perms
+    perms = xc.conjugations(autos[0].p, autos[0].n, gh.stack(autos)).perms
     for eps, perm in zip(autos, perms):
         cc = oracle.cross_connection(eps)
         assert [elems[k] for k in perm.tolist()] == [cc.conjugate(a) for a in elems]
 
 @pytest.mark.parametrize("p,n", [(2, 2), (3, 2)])
 def test_conjugation_perm_matches_conjugate_everywhere(p, n):
-    _perms_agree_with_conjugate(gf.enumerate_automorphisms(p, n))
+    _perms_agree_with_conjugate(gh.automorphisms(p, n))
 
 def test_conjugation_perm_matches_conjugate_at_2_3():
-    autos = gf.enumerate_automorphisms(2, 3)
+    autos = gh.automorphisms(2, 3)
     _perms_agree_with_conjugate((autos[0], autos[1], autos[len(autos) // 2], autos[-1]))
 
 def test_conjugation_law_check_is_live():
     table = gf.sing_table(2, 3)
-    eps = gf.enumerate_automorphisms(2, 3)[-1]
+    eps = gh.automorphisms(2, 3)[-1]
     perm = oracle.conjugation_perm(eps)
     oracle.check_conjugation_law(table, perm[None])
     # index 0 is the zero map, which every automorphism fixes
@@ -314,9 +314,9 @@ def _break(perm, i, j):
 
 @pytest.mark.parametrize("p,n", [(2, 2), (3, 2), (5, 2), (2, 3)])
 def test_batch_matches_the_per_eps_forms(p, n):
-    autos = gf.enumerate_automorphisms(p, n)
+    autos = gh.automorphisms(p, n)
     table = gf.sing_table(p, n)
-    conj = xc.conjugations(p, n, autos)
+    conj = xc.conjugations(p, n, gf.enumerate_automorphisms(p, n))
     assert conj.inverts.all()
     assert [tuple(map(tuple, m)) for m in conj.inv.tolist()] == [eps.inverse().rows for eps in autos]
     assert np.array_equal(conj.perms, [oracle.conjugation_perm(eps) for eps in autos])
@@ -376,10 +376,10 @@ def test_one_automorphism_per_chunk_changes_nothing(monkeypatch, p, n):
 
 
 def test_linked_pairs_refuse_a_singular_eps():
-    singular = gf.endo([[1, 0], [0, 0]], 2)
+    singular = gh.endo([[1, 0], [0, 0]], 2)
     for eps in ([singular], [SWAP, singular], [singular, SWAP]):
         with pytest.raises(ValueError, match="^cross-connections require an invertible endomorphism$"):
-            xc.linked_pairs(2, 2, eps)
+            xc.linked_pairs(2, 2, gh.stack(eps))
     with pytest.raises(ValueError, match="^cross-connections require an invertible endomorphism$"):
         oracle.build_cross_conn_semigroup(singular)
 
@@ -396,18 +396,35 @@ def test_inverse_computed_once_per_connection():
     assert cc.eps_inv is cc.eps_inv
 
 
+@pytest.mark.parametrize("p,n", [(2, 2), (3, 2)])
+def test_tracer_hook_conjugates_as_the_batch_does(p, n):
+    # crossconn.CrossConnection is the point perfbench/tracer.py wraps: its
+    # conjugate, on one element or on all of Sing, is the batch's permutation
+    sing, autos = gf._sing_matrices(p, n), gf.enumerate_automorphisms(p, n)
+    perms = xc.conjugations(p, n, autos).perms
+    for eps, perm in zip(autos, perms):
+        cc = xc.CrossConnection(p, eps)
+        assert np.array_equal(cc.conjugate(sing), sing[perm])
+        assert all(np.array_equal(cc.conjugate(x), sing[k]) for x, k in zip(sing, perm))
+        assert cc.eps_inv is cc.eps_inv
+    singular = np.zeros((n, n), dtype=np.int64)
+    singular[0, 0] = 1
+    with pytest.raises(ValueError, match="^endomorphism is singular$"):
+        xc.CrossConnection(p, singular).conjugate(sing[0])
+
+
 # ---------------------------------------------------------------------------
 # the index decision against the Subspace-object and full-table oracles
 
-AUTOS_3_2 = gf.enumerate_automorphisms(3, 2)
-AUTOS_2_3 = gf.enumerate_automorphisms(2, 3)
+AUTOS_3_2 = gh.automorphisms(3, 2)
+AUTOS_2_3 = gh.automorphisms(2, 3)
 
 
 def _index_verdicts(eps):
     """(functorial, covering and inclusion, linking bijective) as verify-all
     decides them."""
     p, n = eps.p, eps.n
-    conj = xc.conjugations(p, n, [eps])
+    conj = xc.conjugations(p, n, gh.stack([eps]))
     if not conj.inverts[0]:
         return False, None, None
     e_obj, et_obj = xc.object_actions(p, n, conj.eps[0])
@@ -423,7 +440,7 @@ def _oracle_verdicts(eps):
     return cov.hom_injective_ok, cov.covering_ok and cov.inclusion_ok, linked
 
 
-@pytest.mark.parametrize("eps", gf.enumerate_automorphisms(2, 2) + AUTOS_3_2
+@pytest.mark.parametrize("eps", gh.automorphisms(2, 2) + AUTOS_3_2
                          + (AUTOS_2_3[1], AUTOS_2_3[-1]), ids=str)
 def test_index_decision_agrees_with_oracle(eps):
     assert _index_verdicts(eps) == _oracle_verdicts(eps) == (True, True, True)
@@ -458,7 +475,7 @@ def _sets_match_oracle(eps, images=None):
 
 def test_index_bifunctor_sets_match_oracle():
     for p, n in [(2, 2), (3, 2)]:
-        for eps in gf.enumerate_automorphisms(p, n):
+        for eps in gh.automorphisms(p, n):
             assert _sets_match_oracle(eps), eps
 
 
@@ -466,7 +483,7 @@ def test_index_bifunctor_sets_match_oracle():
 def test_object_actions_match_oracle_object_images(p, n, step):
     subspaces = gf.subspace_lattice(p, n).subspaces
     objects = subspaces[:-1]
-    for eps in gf.enumerate_automorphisms(p, n)[::step]:
+    for eps in gh.automorphisms(p, n)[::step]:
         cc = oracle.cross_connection(eps)
         e_obj, et_obj = xc.object_actions(p, n, np.array(eps.rows))
         assert [subspaces[i] for i in e_obj] == [oracle.primal_object_image(cc, x) for x in objects]
@@ -485,10 +502,10 @@ def test_annihilator_of_kernel_is_image_of_transpose(p, n):
         assert gh.image(x) == subspaces[img[i]]
 
 
-@pytest.mark.parametrize("eps", gf.enumerate_automorphisms(2, 2) + AUTOS_3_2[::9], ids=str)
+@pytest.mark.parametrize("eps", gh.automorphisms(2, 2) + AUTOS_3_2[::9], ids=str)
 def test_functoriality_by_restriction_inverses_agrees_with_oracle(eps):
     oracle.check_functorial(oracle.cross_connection(eps))
-    assert xc.conjugations(eps.p, eps.n, [eps]).inverts.tolist() == [True]
+    assert xc.conjugations(eps.p, eps.n, gh.stack([eps])).inverts.tolist() == [True]
 
 
 @pytest.mark.parametrize("p,n", [(2, 2), (3, 2), (5, 2), (7, 2), (2, 3)])
@@ -508,8 +525,8 @@ def test_permutes_marks_each_row_that_is_no_permutation(monkeypatch):
     # a singular eps sends Sing into the maps that kill its kernel, so its
     # row is no permutation; one sort per chunk, so chunks of one
     # automorphism change nothing
-    singular = gf.endo([[1, 0], [0, 0]], 3)
-    eps = [gf.enumerate_automorphisms(3, 2)[5], singular, gf.identity_endo(3, 2)]
+    singular = gh.endo([[1, 0], [0, 0]], 3)
+    eps = gh.stack([gh.automorphisms(3, 2)[5], singular, gh.identity_endo(3, 2)])
     for cells in (gf.TABLE_BLOCK_CELLS, 1):
         monkeypatch.setattr(gf, "TABLE_BLOCK_CELLS", cells)
         conj = xc.conjugations(3, 2, eps)
@@ -594,7 +611,7 @@ def test_cross_connection_failures_come_in_loop_order(monkeypatch, planted, witn
     # a permutation, linking; the first failure in that order is the check's
     # verdict.  "law" in the ids is the planted non-permutation, the part of
     # the conjugation law that is left to decide (xc.conjugations).
-    autos = gf.enumerate_automorphisms(3, 2)
+    autos = gh.automorphisms(3, 2)
     a, y = _plant(monkeypatch, **planted)
     if witness is None:
         with pytest.raises(AssertionError, match="^not a permutation of the element indices$"):
@@ -621,7 +638,7 @@ def test_image_reading_of_annker_is_caught():
     # match the oracle.
     img, _ = gf.sing_images(2, 2)
     mutant = img, gf.subspace_lattice(2, 2).ann[img]
-    assert not all(_sets_match_oracle(eps, mutant) for eps in gf.enumerate_automorphisms(2, 2))
+    assert not all(_sets_match_oracle(eps, mutant) for eps in gh.automorphisms(2, 2))
 
 
 @pytest.mark.parametrize("p,n", [(2, 2), (3, 2), (5, 2)])
@@ -661,8 +678,8 @@ def test_wrong_inverse_fails_functoriality(monkeypatch):
     monkeypatch.setattr(gf, "inverse_stack", lambda mats, p: mats)
     ok, witness = cli._check_cross_connections(2, 2)
     assert not ok and witness["failure"] == "functoriality"
-    eps = gf.Endo.from_json(witness["eps"])
-    assert eps * eps != gf.identity_endo(2, 2)
+    eps = gh.Endo.from_json(witness["eps"])
+    assert eps * eps != gh.identity_endo(2, 2)
 
 
 def test_cross_connections_build_no_linear_map(monkeypatch):

@@ -105,4 +105,4 @@ def test_sing_table_cell_is_the_matrix_product(point, data):
     p, n = point
     elems, table = sing_oracle.enumerate_endos(p, n, singular_only=True), gf.sing_table(p, n)
     i, j = (data.draw(st.integers(0, len(elems) - 1)) for _ in range(2))
-    assert elems[table[i, j]].rows == gf.mat_mul(elems[i].rows, elems[j].rows, p)
+    assert elems[table[i, j]].rows == gh.mat_mul(elems[i].rows, elems[j].rows, p)

@@ -194,7 +194,7 @@ def test_sing_idempotents_and_regularity():
                         for j, x in enumerate(row):
                             v[j] = (v[j] + c * x) % 2
                     rows.append(tuple(v))
-                projections.add(gf.Endo(2, 2, tuple(rows)))
+                projections.add(gh.Endo(2, 2, tuple(rows)))
     assert {s.elements[i] for i in idem} == projections
 
 def test_null_semigroup_not_regular():
@@ -261,8 +261,8 @@ def test_green_matches_image_kernel_partition(p, n):
 
 def test_specific_l_related_pair():
     s = sing_semigroup(2, 2)
-    a = s.elements.index(gf.endo([[1, 0], [0, 0]], 2))
-    b = s.elements.index(gf.endo([[0, 0], [1, 0]], 2))
+    a = s.elements.index(gh.endo([[1, 0], [0, 0]], 2))
+    b = s.elements.index(gh.endo([[0, 0], [1, 0]], 2))
     g = sing_oracle.green_relations(s)
     assert any(a in c and b in c for c in g.l_classes)
     assert not any(a in c and b in c for c in g.r_classes)
@@ -358,7 +358,7 @@ def test_is_regular_matches_the_loop_oracle(builder):
 
 def test_verify_morphism_matches_the_loop_oracle_on_mutated_maps():
     s = sing_oracle.sing_semigroup(3, 2)
-    swap = gf.endo([[0, 1], [1, 0]], 3)
+    swap = gh.endo([[0, 1], [1, 0]], 3)
     conj = [s.elements.index(swap.inverse() * x * swap) for x in s.elements]
     seen = set()
     for k, v in itertools.product(range(s.order), range(0, s.order, 4)):
@@ -371,7 +371,7 @@ def test_verify_morphism_matches_the_loop_oracle_on_mutated_maps():
 
 def test_composition_of_homs_is_hom():
     s = sing_semigroup(2, 2)
-    swap = gf.endo([[0, 1], [1, 0]], 2)
+    swap = gh.endo([[0, 1], [1, 0]], 2)
     conj = tuple(s.elements.index(swap.inverse() * x * swap) for x in s.elements)
     f = sing_oracle.SemigroupMorphism(s, s, conj)
     assert sing_oracle.verify_morphism(f).ok

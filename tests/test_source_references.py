@@ -9,9 +9,8 @@ gf.transpose (like numpy's ndarray.transpose), Endo.sort_key (like
 Subspace.sort_key), FiniteSemigroup.index (like list.index) and
 Subspace.coords (like a local variable), before they moved to the test
 helpers.  So does code reached only from such a name or an allowed one:
-gf.mat_transpose was called only by gf.transpose, and Endo.inverse and
-gf.mat_inverse have no caller in the package but CrossConnection.eps_inv,
-which only the tracer hook runs."""
+gf.mat_transpose was called only by gf.transpose, and
+CrossConnection.eps_inv only by the allowed CrossConnection.conjugate."""
 
 import ast
 from pathlib import Path
@@ -26,7 +25,6 @@ ALLOWED = {
     "crossconn.CrossConnection.conjugate":
         "the tracer hook: perfbench/tracer.py wraps it as crossconn.conjugate",
     "gf.Subspace.from_json": "documented JSON reader, the inverse of to_json",
-    "gf.Endo.from_json": "documented JSON reader, the inverse of to_json",
     "semigroups.GreenStructure.from_json": "documented reader of green --format json",
 }
 

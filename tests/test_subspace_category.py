@@ -234,7 +234,7 @@ def test_factorization_of_zero_map():
 # cones
 
 def test_principal_cone_of_projection(cat22):
-    e = gf.endo([[1, 0], [0, 0]], 2)
+    e = gh.endo([[1, 0], [0, 0]], 2)
     rho = oracle.principal_cone(cat22, e)
     assert rho.vertex == gf.subspace_span([(1, 0)], 2, 2)
     l10 = gf.subspace_span([(1, 0)], 2, 2)
@@ -257,7 +257,7 @@ def test_principal_cone_of_zero(cat22):
 
 def test_principal_cone_rejects_invertible(cat22):
     with pytest.raises(ValueError):
-        oracle.principal_cone(cat22, gf.identity_endo(2, 2))
+        oracle.principal_cone(cat22, gh.identity_endo(2, 2))
 
 def test_all_principal_cones_are_normal(cat22, sing22):
     for a in sing22:
@@ -265,7 +265,7 @@ def test_all_principal_cones_are_normal(cat22, sing22):
         assert rep.well_formed and rep.is_normal
 
 def test_ill_typed_cone_is_flagged(cat22):
-    e = gf.endo([[1, 0], [0, 0]], 2)
+    e = gh.endo([[1, 0], [0, 0]], 2)
     rho = oracle.principal_cone(cat22, e)
     l01 = gf.subspace_span([(0, 1)], 2, 2)
     bad_comps = tuple(
@@ -278,7 +278,7 @@ def test_ill_typed_cone_is_flagged(cat22):
 
 def test_restriction_violation_is_flagged(cat23):
     # plane component maps a line one way, line component another
-    alpha = gf.endo([[0, 0, 1], [0, 0, 0], [0, 0, 0]], 2)
+    alpha = gh.endo([[0, 0, 1], [0, 0, 0], [0, 0, 0]], 2)
     rho = oracle.principal_cone(cat23, alpha)
     line = gf.subspace_span([(1, 0, 0)], 3, 2)
     vertex = rho.vertex
@@ -314,13 +314,13 @@ def test_star_with_identity_is_identity(cat22, sing22):
         assert oracle.cone_star(cat22, rho, gh.identity_map(rho.vertex)) == rho
 
 def test_star_hand_example(cat22):
-    rho = oracle.principal_cone(cat22, gf.endo([[1, 0], [0, 0]], 2))
+    rho = oracle.principal_cone(cat22, gh.endo([[1, 0], [0, 0]], 2))
     f = gh.linear_map(gf.subspace_span([(1, 0)], 2, 2),
                       gf.subspace_span([(0, 1)], 2, 2), [(0, 1)])
-    assert oracle.cone_star(cat22, rho, f) == oracle.principal_cone(cat22, gf.endo([[0, 1], [0, 0]], 2))
+    assert oracle.cone_star(cat22, rho, f) == oracle.principal_cone(cat22, gh.endo([[0, 1], [0, 0]], 2))
 
 def test_star_requires_epi_from_vertex(cat22):
-    rho = oracle.principal_cone(cat22, gf.endo([[1, 0], [0, 0]], 2))
+    rho = oracle.principal_cone(cat22, gh.endo([[1, 0], [0, 0]], 2))
     l10 = gf.subspace_span([(1, 0)], 2, 2)
     with pytest.raises(ValueError):
         oracle.cone_star(cat22, rho, zero_map(l10, l10))
@@ -345,8 +345,8 @@ def test_compose_idempotent(cat22):
             assert oracle.cone_compose(cat22, rho, rho) == rho
 
 def test_compose_hand_example(cat22):
-    a = gf.endo([[1, 0], [0, 0]], 2)
-    b = gf.endo([[0, 0], [1, 0]], 2)
+    a = gh.endo([[1, 0], [0, 0]], 2)
+    b = gh.endo([[0, 0], [1, 0]], 2)
     out = oracle.cone_compose(cat22, oracle.principal_cone(cat22, a), oracle.principal_cone(cat22, b))
     assert out == oracle.principal_cone(cat22, gh.zero_endo(2, 2))
 
@@ -377,7 +377,7 @@ def test_compose_associative_exhaustive_2_2(cat22, sing22):
                     oracle.cone_compose(cat22, x, oracle.cone_compose(cat22, y, z))
 
 def test_compose_requires_normal_inputs(cat22):
-    rho = oracle.principal_cone(cat22, gf.endo([[1, 0], [0, 0]], 2))
+    rho = oracle.principal_cone(cat22, gh.endo([[1, 0], [0, 0]], 2))
     line = rho.vertex
     flat = oracle.Cone(line, tuple(zero_map(o, line) for o in cat22.objects))
     with pytest.raises(ValueError):
@@ -551,7 +551,7 @@ def identity_cone(cat, obj):
         for k in range(cat.n):
             ek = tuple(1 if i == k else 0 for i in range(cat.n))
             rows.append(proj.apply(ek))
-        e = gf.Endo(cat.p, cat.n, tuple(rows))
+        e = gh.Endo(cat.p, cat.n, tuple(rows))
     return oracle.principal_cone(cat, e)
 
 def test_unit_cones_exist_at_every_vertex(cat22, cat23):
@@ -568,12 +568,12 @@ def test_unit_cones_exist_at_every_vertex(cat22, cat23):
 # m-sets
 
 def test_m_set_requires_idempotent(cat22):
-    rho = oracle.principal_cone(cat22, gf.endo([[0, 1], [0, 0]], 2))
+    rho = oracle.principal_cone(cat22, gh.endo([[0, 1], [0, 0]], 2))
     with pytest.raises(ValueError):
         oracle.m_set(cat22, rho)
 
 def test_m_set_examples(cat22):
-    e = gf.endo([[1, 0], [0, 0]], 2)
+    e = gh.endo([[1, 0], [0, 0]], 2)
     got = set(oracle.m_set(cat22, oracle.principal_cone(cat22, e)))
     assert got == {gf.subspace_span([(1, 0)], 2, 2), gf.subspace_span([(1, 1)], 2, 2)}
     z = oracle.principal_cone(cat22, gh.zero_endo(2, 2))
@@ -595,7 +595,7 @@ def test_batched_m_sets_match_the_cone_oracle(p, n):
     cat = lo.build_category(p, n)
     idem, by_iso, by_sum = sc.m_sets(p, n)
     want = [e for e in sing_oracle.enumerate_endos(p, n, singular_only=True) if e * e == e]
-    assert [gf.Endo(p, n, sc._matrix(e)) for e in idem.tolist()] == want
+    assert [gh.Endo(p, n, sc._matrix(e)) for e in idem.tolist()] == want
     assert len(want) == sum(p ** (a.dim * (n - a.dim)) for a in cat.objects)
     for e, iso, dsum in zip(want, by_iso.tolist(), by_sum.tolist()):
         assert {a for a, x in zip(cat.objects, iso) if x} == set(oracle.m_set(cat, oracle.principal_cone(cat, e)))
@@ -630,7 +630,7 @@ def test_m_sets_check_names_the_first_failing_idempotent(monkeypatch, p, n, firs
 # serialization
 
 def test_cone_json_lists_objects_in_order(cat22):
-    rho = oracle.principal_cone(cat22, gf.endo([[1, 0], [0, 0]], 2))
+    rho = oracle.principal_cone(cat22, gh.endo([[1, 0], [0, 0]], 2))
     doc = rho.to_json(cat22)
     assert [c["object"] for c in doc["components"]] == [o.to_json() for o in cat22.objects]
     assert doc["vertex"] == rho.vertex.to_json()
@@ -642,7 +642,7 @@ def test_cone_json_from_code_rows_matches_the_oracle_cones(p, n):
     cat = lo.build_category(p, n)
     smg, code, vertex, rows = sc.coded_normal_cones(p, n)
     cones = oracle._cones(cat, code, vertex, rows)
-    assert cones == tuple(oracle.principal_cone(cat, gf.Endo(p, n, e)) for e in smg.elements)
+    assert cones == tuple(oracle.principal_cone(cat, gh.Endo(p, n, e)) for e in smg.elements)
     doc = {"p": p, "n": n, "elements": [list(map(list, e)) for e in smg.elements],
            "table": smg.table.tolist(), "cones": [c.to_json(cat) for c in cones]}
     want = json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
