@@ -4,12 +4,10 @@ semigroups and the amalgams attached to bundle fibers."""
 
 from .gf import (
     GuardExceeded,
-    Subspace,
     enumerate_automorphisms,
     enumerate_subspaces,
     singular_count,
     subspace_lattice,
-    subspace_span,
 )
 from .semigroups import (
     FiniteSemigroup,

@@ -26,7 +26,7 @@ def build_annihilator_category(p, n):
     lattice = gf.subspace_lattice(p, n)
     nonzero = np.flatnonzero(lattice.dims > 0)
     # proper subspaces take the positions before the full space's
-    if not np.array_equal(np.sort(lattice.ann[nonzero]), np.arange(len(lattice.subspaces) - 1)):
+    if not np.array_equal(np.sort(lattice.ann[nonzero]), np.arange(len(lattice.dims) - 1)):
         raise AssertionError("annihilators of nonzero subspaces must be the proper dual subspaces")
     primal = np.empty(len(nonzero), dtype=np.intp)
     primal[lattice.ann[nonzero]] = nonzero
@@ -50,20 +50,20 @@ def iso_to_dual_subspace_category(p, n):
     double = lattice.ann[:-1] != primal
     if double.any():
         k = int(double.argmax())
-        return {"failure": "double annihilator", "object": lattice.subspaces[k].to_json()}
+        return {"failure": "double annihilator", "object": gf.rows_json(p, lattice.basis(k))}
     # [i, j]: primal[j] ⊆ primal[i], against dual object i inside dual object j
     reversal = lattice.contains[np.ix_(primal, primal)] != lattice.contains[:-1, :-1].T
     if reversal.any():
         i, j = divmod(int(reversal.argmax()), len(primal))
         return {"failure": "order reversal",
-                "objects": [lattice.subspaces[i].to_json(), lattice.subspaces[j].to_json()]}
+                "objects": [gf.rows_json(p, lattice.basis(i)), gf.rows_json(p, lattice.basis(j))]}
     return None
 
 
 def build_ta_semigroup(p, n):
     """(semigroup, witnesses): the cone semigroup of the annihilator
-    category, which is the cone semigroup over the dual space with matrices
-    acting on dual coordinates as labels, and the morphism witnesses
+    category, which is the cone semigroup over the dual space labelled by
+    the codes of matrices acting on dual coordinates, and the morphism witnesses
     (sc.cone_map_witnesses) of alpha -> the dual cone of alpha^T from the
     opposite of Sing's table.  Empty witnesses say that transposition is an
     anti-isomorphism, (alpha^T).(beta^T) = (beta.alpha)^T for every pair;

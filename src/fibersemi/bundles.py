@@ -29,10 +29,12 @@ class FiberFamilySpec(Record):
 
 def _code(p, d, mat, shape_error, singular_error):
     """The base-p code of the d x d matrix mat over GF(p), entries reduced
-    mod p, once one rref_stack rank shows it invertible."""
-    mat = np.asarray(mat, dtype=np.int64) % p
+    mod p as Python ints (so any integer is accepted), once one rref_stack
+    rank shows it invertible."""
+    mat = np.asarray(mat, dtype=object)
     if mat.shape != (d, d):
         raise ValueError(shape_error)
+    mat = (mat % p).astype(np.int64)
     if gf.rref_stack(mat[None], p)[2][0] != d:
         raise ValueError(singular_error)
     return int(gf.base_p(mat[None], p)[0])

@@ -109,21 +109,16 @@ def _check_factorization(p, n):
             return False, witness
         law = sc.retraction_law(cp, cn)
         if not law.all():
-            sub = gf.subspace_lattice(cp, cn).subspaces[sc.inclusion_pairs(cp, cn)[law.argmin(), 0]]
-            return False, {"failure": "retraction law", "sub": sub.to_json()}
+            sub = gf.subspace_lattice(cp, cn).basis(sc.inclusion_pairs(cp, cn)[law.argmin(), 0])
+            return False, {"failure": "retraction law", "sub": gf.rows_json(cp, sub)}
     return True, None
-
-
-def _matrix_json(p, mat):
-    """The {"n", "p", "rows"} witness document of a square matrix over GF(p)."""
-    return {"p": p, "n": len(mat), "rows": mat.tolist()}
 
 
 def _sing_pairs(p, n, found):
     """Morphism witnesses over Sing(GF(p)^n) with each index written as its
     element's matrix document."""
     mats = gf._sing_matrices(p, n)
-    return {k: [_matrix_json(p, mats[i]) for i in pair] for k, pair in found.items()}
+    return {k: [gf.rows_json(p, mats[i]) for i in pair] for k, pair in found.items()}
 
 
 def _check_cone_semigroup(p, n):
@@ -152,7 +147,7 @@ def _check_m_sets(p, n):
     idem, by_iso, by_sum = sc.m_sets(p, n)
     bad = (by_iso != by_sum).any(axis=1)
     if bad.any():
-        return False, {"idempotent": _matrix_json(p, idem[bad.argmax()])}
+        return False, {"idempotent": gf.rows_json(p, idem[bad.argmax()])}
     return True, None
 
 
@@ -199,16 +194,17 @@ def _check_cross_connections(p, n):
     conj = xc.conjugations(p, n, gf.enumerate_automorphisms(p, n))
     for i, eps in enumerate(conj.eps):
         if not conj.inverts[i]:
-            return False, {"eps": _matrix_json(p, eps), "failure": "functoriality"}
+            return False, {"eps": gf.rows_json(p, eps), "failure": "functoriality"}
         e_obj, et_obj = xc.object_actions(p, n, eps)
         if not xc.covers(p, n, et_obj):
-            return False, {"eps": _matrix_json(p, eps), "failure": "covering"}
+            return False, {"eps": gf.rows_json(p, eps), "failure": "covering"}
         if not conj.permutes[i]:
             raise AssertionError("not a permutation of the element indices")
         pair = xc.link_failure(p, n, conj.perms[i], e_obj, et_obj)
         if pair is not None:
-            a, y = pair
-            return False, {"eps": _matrix_json(p, eps), "a": a.to_json(), "y": y.to_json()}
+            lattice = gf.subspace_lattice(p, n)
+            a, y = (gf.rows_json(p, lattice.basis(k)) for k in pair)
+            return False, {"eps": gf.rows_json(p, eps), "a": a, "y": y}
     return True, None
 
 
@@ -311,7 +307,7 @@ def cmd_enumerate(args):
         "singular_endomorphisms": len(gf._sing_matrices(p, n)),
         "closed_form": gf.singular_count(p, n),
         "idempotents": len(gf.idempotent_matrices(p, n)),
-        "proper_subspaces": sum(s.dim < n for s in gf.enumerate_subspaces(p, n)),
+        "proper_subspaces": len(gf.enumerate_subspaces(p, n)) - 1,  # all but the full space
         "subspaces": len(gf.enumerate_subspaces(p, n)),
     }
     if args.format == "json":
@@ -372,8 +368,9 @@ def cmd_cones(args):
 
 
 def _parse_eps(text, p, n):
-    """The --eps matrix as an n x n array, entries reduced mod p, once one
-    rref_stack rank shows it invertible."""
+    """The --eps matrix as an n x n array, entries reduced mod p as Python
+    ints (so any integer is accepted), once one rref_stack rank shows it
+    invertible."""
     try:
         rows = json.loads(text)
     except json.JSONDecodeError:
@@ -382,7 +379,7 @@ def _parse_eps(text, p, n):
             and all(isinstance(r, list) and len(r) == n for r in rows)
             and all(type(x) is int for r in rows for x in r)):  # bool is not int
         raise ValueError(f"--eps must be a JSON list of {n} lists of {n} integers")
-    eps = np.array(rows, dtype=np.int64) % p
+    eps = np.array([[x % p for x in r] for r in rows], dtype=np.int64)
     if gf.rref_stack(eps[None], p)[2][0] < n:
         raise ValueError("--eps matrix is singular")
     return eps
@@ -456,11 +453,11 @@ def build_parser():
     )
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def common(sp, dims=False):
+    def common(sp, dims=False, dot=False):
         sp.add_argument("--field", type=int, default=2, help="prime field modulus")
         if not dims:
             sp.add_argument("--dim", type=int, default=2, help="ambient dimension")
-        sp.add_argument("--format", choices=("table", "json", "dot"), default="table")
+        sp.add_argument("--format", choices=("table", "json") + ("dot",) * dot, default="table")
         sp.add_argument("--out", default=None, help="output path (default stdout)")
 
     spe = sub.add_parser("enumerate", help="count endomorphisms, idempotents, subspaces")
@@ -475,7 +472,7 @@ def build_parser():
     spv.set_defaults(fn=cmd_verify_all)
 
     spg = sub.add_parser("green", help="Green structure and eggbox diagram")
-    common(spg)
+    common(spg, dot=True)
     spg.set_defaults(fn=cmd_green)
 
     spc = sub.add_parser("cones", help="the semigroup of normal cones")
@@ -490,7 +487,7 @@ def build_parser():
     spx.set_defaults(fn=cmd_crossconn)
 
     spa = sub.add_parser("amalgam", help="bundle-fiber amalgam")
-    common(spa, dims=True)
+    common(spa, dims=True, dot=True)
     spa.add_argument("--dims", default="2,2,3", help="comma-separated fiber dimensions")
     spa.add_argument("--core-dim", type=int, default=None, help="core dimension (default min)")
     spa.set_defaults(fn=cmd_amalgam)

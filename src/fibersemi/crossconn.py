@@ -96,8 +96,9 @@ def covers(p, n, et_obj) -> bool:
 
 
 def link_failure(p, n, perm, e_obj, et_obj):
-    """The first object pair (a, y) at which conjugation is not a bijection
-    from the first bifunctor set onto the second, or None.
+    """The lattice positions of the first object pair (a, y) at which
+    conjugation is not a bijection from the first bifunctor set onto the
+    second, or None.
 
     Sing element i is in the first set at (a, y) when its image lies in a
     and ann(ker x_i) = im(x_i^T) in eps_t.y; j is in the second set when
@@ -115,8 +116,7 @@ def link_failure(p, n, perm, e_obj, et_obj):
     bad = (first != second[:, :, perm]).any(axis=2)
     if not bad.any():
         return None
-    a, y = np.argwhere(bad)[0]
-    return lattice.subspaces[a], lattice.subspaces[y]
+    return tuple(np.argwhere(bad)[0].tolist())
 
 
 # ---------------------------------------------------------------------------

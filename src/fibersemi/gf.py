@@ -3,8 +3,8 @@
 Vectors are rows and endomorphisms act on the right (v -> v.M), so
 composing maps left to right is plain matrix multiplication.  Every matrix
 is an int64 array, or its base-p code where it must be hashable.  A
-Subspace record holds its reduced row-echelon basis, which makes equality
-exact; in computation a subspace is its position in subspace_lattice, and
+subspace is its position in subspace_lattice, where its reduced
+row-echelon basis, padded with zero rows, is a row of the lattice's bases;
 the one lookup row_spaces finds the position of any matrix's row space by
 the matrix's code.
 """
@@ -103,31 +103,6 @@ def _endo_count(p, n):
 # ---------------------------------------------------------------------------
 # row reduction
 
-def rref(rows, width, p):
-    """Canonical reduced row-echelon form.
-
-    Returns (basis, pivots): the nonzero rows with strictly increasing unit
-    pivots, every pivot column zero elsewhere.
-    """
-    m = [list(r) for r in rows]
-    pivots = []
-    r = 0
-    for c in range(width):
-        pr = next((i for i in range(r, len(m)) if m[i][c] % p), None)
-        if pr is None:
-            continue
-        m[r], m[pr] = m[pr], m[r]
-        inv = pow(m[r][c], -1, p)
-        m[r] = [(x * inv) % p for x in m[r]]
-        for i in range(len(m)):
-            if i != r and m[i][c] % p:
-                f = m[i][c]
-                m[i] = [(x - f * y) % p for x, y in zip(m[i], m[r])]
-        pivots.append(c)
-        r += 1
-    return tuple(tuple(row) for row in m[:r]), tuple(pivots)
-
-
 def rref_stack(a, p):
     """rref of every matrix of a stack (count, m, w) at once: the reduced
     matrices with their zero rows last, a mask of pivot columns, the ranks."""
@@ -158,37 +133,6 @@ def inverse_stack(mats, p):
 # ---------------------------------------------------------------------------
 # subspaces
 
-class Subspace(Record):
-    """A subspace of GF(p)^n held as its canonical RREF basis."""
-    p: int
-    n: int
-    basis: tuple
-
-    @property
-    def dim(self) -> int:
-        return len(self.basis)
-
-    def sort_key(self):
-        return (self.dim, self.basis)
-
-    def to_json(self):
-        return {"p": self.p, "n": self.n, "rows": [list(r) for r in self.basis]}
-
-    @staticmethod
-    def from_json(d):
-        return subspace_span([tuple(r) for r in d["rows"]], d["n"], d["p"])
-
-
-def subspace_span(vectors, ambient_dim, p) -> Subspace:
-    """Canonical subspace spanned by the given row vectors."""
-    check_field(p)
-    for v in vectors:
-        if len(v) != ambient_dim:
-            raise ValueError(f"vector {v} has length {len(v)}, expected {ambient_dim}")
-    basis, _ = rref(vectors, ambient_dim, p)
-    return Subspace(p, ambient_dim, basis)
-
-
 def subspace_count(p, n):
     """The number of subspaces of GF(p)^n, the sum over k of the Gaussian
     binomials [n, k]_p, once p, n and the subspace guard pass."""
@@ -206,26 +150,26 @@ def subspace_count(p, n):
 
 @lru_cache(maxsize=None)
 def enumerate_subspaces(p, n):
-    """All subspaces of GF(p)^n in canonical order (dimension, then basis)."""
+    """Every subspace of GF(p)^n as its RREF basis padded with zero rows, in
+    canonical order (dimension, then basis entries), as one read-only
+    (S, n, n) int64 array.  The bases of each pivot set are built at once:
+    a unit at each pivot, and every combination of values at the entries
+    right of a row's pivot outside the pivot columns."""
     subspace_count(p, n)
-    out = []
+    blocks = []
     for k in range(n + 1):
         for pivots in itertools.combinations(range(n), k):
-            free = [
-                (i, j)
-                for i in range(k)
-                for j in range(pivots[i] + 1, n)
-                if j not in pivots
-            ]
-            for vals in itertools.product(range(p), repeat=len(free)):
-                rows = [[0] * n for _ in range(k)]
-                for i in range(k):
-                    rows[i][pivots[i]] = 1
-                for (i, j), x in zip(free, vals):
-                    rows[i][j] = x
-                out.append(Subspace(p, n, tuple(tuple(r) for r in rows)))
-    out.sort(key=Subspace.sort_key)
-    return tuple(out)
+            free = [(i, j) for i in range(k) for j in range(pivots[i] + 1, n) if j not in pivots]
+            block = np.zeros((p ** len(free), n, n), dtype=np.int64)
+            block[:, list(range(k)), list(pivots)] = 1
+            if free:
+                rows, cols = zip(*free)
+                block[:, rows, cols] = from_base_p(np.arange(len(block)), p, 1, len(free))[:, 0]
+            blocks.append(block)
+    bases = np.concatenate(blocks)
+    bases = bases[np.lexsort((base_p(bases, p), (bases != 0).any(axis=2).sum(axis=1)))]
+    bases.flags.writeable = False  # shared by every caller
+    return bases
 
 
 def singular_count(p, n):
@@ -295,6 +239,12 @@ def idempotent_matrices(p, n):
     e.e = e over _sing_matrices."""
     mats = _sing_matrices(p, n)
     return mats[(mats @ mats % p == mats).all(axis=(1, 2))]
+
+
+def rows_json(p, rows):
+    """The {"n", "p", "rows"} document of a matrix, or of a subspace's basis,
+    over GF(p), from its rows (m, n): the interchange form of both."""
+    return {"p": p, "n": rows.shape[1], "rows": rows.tolist()}
 
 
 def endo_text(mats):
@@ -373,8 +323,7 @@ class SubspaceLattice(Record):
     """Every subspace of GF(p)^n at its position in enumerate_subspaces order
     (the full space last), with containment and annihilators as read-only
     arrays; S subspaces."""
-    subspaces: tuple
-    bases: np.ndarray       # (S, n, n) RREF bases, zero rows last
+    bases: np.ndarray       # (S, n, n) RREF bases, zero rows last: enumerate_subspaces
     dims: np.ndarray        # (S,)
     pivots: np.ndarray      # (S, n) each basis's pivot columns in order, then its other columns
     contains: np.ndarray    # (S, S) contains[u, v]: v is a subspace of u
@@ -389,11 +338,15 @@ class SubspaceLattice(Record):
         both.flags.writeable = False
         return both
 
+    def basis(self, k):
+        """The RREF basis of the subspace at position k, without padding."""
+        return self.bases[k, :self.dims[k]]
+
 
 @lru_cache(maxsize=None)
 def subspace_lattice(p, n) -> SubspaceLattice:
-    """The lattice of GF(p)^n, built once from enumerate_subspaces, so its
-    guard refuses first.
+    """The lattice of GF(p)^n, built once on the bases of enumerate_subspaces,
+    so its guard refuses first.
 
     ann(u) = {x : x.B_u^T = 0}, and u = ann(ann(u)).  B_u kept at its pivot
     columns, which are unit columns of an RREF basis, is P_u with
@@ -407,10 +360,9 @@ def subspace_lattice(p, n) -> SubspaceLattice:
     v <= ann(u); ann(u) is the one such v of dimension n - dim u.  No basis
     is reduced.
     """
-    subspaces = enumerate_subspaces(p, n)
-    size, zero = len(subspaces), (0,) * n
-    bases = np.array([s.basis + (zero,) * (n - s.dim) for s in subspaces], dtype=np.int64).reshape(size, n, n)
-    nonzero, dims = bases != 0, np.array([s.dim for s in subspaces])
+    bases = enumerate_subspaces(p, n)
+    size, nonzero = len(bases), bases != 0
+    dims = nonzero.any(axis=2).sum(axis=1)
     pivot = (nonzero & (nonzero.cumsum(axis=2) == 1)).any(axis=1)  # each row's first nonzero column
     spans = np.concatenate([np.eye(n, dtype=np.int64) - bases.transpose(0, 2, 1) @ (bases * pivot[:, None]), bases])
     vectors = from_base_p(np.arange(p ** n), p, 1, n).reshape(-1, n)
@@ -425,11 +377,10 @@ def subspace_lattice(p, n) -> SubspaceLattice:
         inside &= perp[rows[:, r]]
     annulled = inside[:, size:] & (dims[:, None] + dims == n)  # [v, u]: v = ann(u)
     lattice = SubspaceLattice(
-        subspaces, bases, dims,
-        np.argsort(~pivot, axis=1, kind="stable"), inside[:, :size].T,
+        bases, dims, np.argsort(~pivot, axis=1, kind="stable"), inside[:, :size].T,
         np.where(annulled.sum(axis=0) == 1, annulled.argmax(axis=0), -1),
     )
-    for k in SubspaceLattice._fields[1:]:
+    for k in SubspaceLattice._fields:
         getattr(lattice, k).flags.writeable = False  # shared by every caller
     return lattice
 

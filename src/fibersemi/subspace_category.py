@@ -153,7 +153,7 @@ def factorization_witness(p, n):
         for kind in ("retraction", "image"):
             if d in failing[kind]:
                 return {"failure": f"{kind} translation",
-                        "object": lattice.subspaces[int(np.argmax(lattice.dims == d))].to_json()}
+                        "object": gf.rows_json(p, lattice.basis(int(np.argmax(lattice.dims == d))))}
     return None
 
 
@@ -269,10 +269,6 @@ def _push(rows, epi, p):
     return rows[:, :, :len(epi)] @ e % p
 
 
-def _matrix(block):
-    return tuple(map(tuple, block))
-
-
 def _image_object(p, n, v, image):
     """The position of the span of image.B_v, image a component's image
     rows (zero past its rank) in the coordinates of object v, B_v its
@@ -312,8 +308,8 @@ def coded_normal_cones(p, n):
     product, and the products are looked up by code; each must be an
     enumerated cone.
 
-    Elements are in order of the inducing endomorphisms' codes, labelled by
-    their matrices.
+    Elements are in order of the inducing endomorphisms, each labelled by
+    its endomorphism's base-p code.
     """
     gf.subspace_count(p, n)
     size = gf.singular_count(p, n)
@@ -355,18 +351,18 @@ def coded_normal_cones(p, n):
             if -1 in found:
                 raise AssertionError("cone composition left the enumerated set")
             table[np.ix_(left, cols)] = np.array(found)[:, None]
-    labels = tuple(_matrix(e) for e in endos.tolist())
+    labels = gf.base_p(endos, p).tolist()
     table.flags.writeable = False  # so from_table keeps it rather than a copy
     return sg.from_table(labels, table), code, vertex, rows
 
 
 def cone_map_witnesses(cones, source, mats, p):
     """sg.morphism_witnesses of the map from the table source into the cone
-    semigroup cones that sends element i to the cone labelled by the matrix
-    mats[i], found by the matrices' base-p codes; {"no cone": (i,)} for the
-    first i whose matrix labels no cone, so no index is ever -1."""
+    semigroup cones that sends element i to the cone labelled by the
+    base-p code of the matrix mats[i]; {"no cone": (i,)} for the first i
+    whose matrix labels no cone, so no index is ever -1."""
     slot = np.full(p ** mats[0].size, -1, dtype=np.intp)
-    slot[gf.base_p(np.array(cones.elements, dtype=np.int64).reshape(-1, *mats.shape[1:]), p)] = np.arange(cones.order)
+    slot[np.array(cones.elements)] = np.arange(cones.order)
     img = slot[gf.base_p(mats, p)]
     if (img < 0).any():
         return {"no cone": (int(img.argmin()),)}
@@ -382,9 +378,11 @@ def cone_semigroup_json(p, n, semigroup, code: _ConeCode, vertex, rows):
     writes {"cones", "elements", "n", "p", "table"}, but from pre-encoded
     pieces: each object's JSON once, each component once per distinct
     (object, vertex dimension, matrix), keyed by the padded block's code,
-    the elements in one call, and the table through sg.table_json."""
-    objects = [json.dumps(obj.to_json(), sort_keys=True, separators=(",", ":"))
-               for obj in gf.subspace_lattice(p, n).subspaces[:-1]]
+    the elements' matrices, decoded from their labels, in one call, and the
+    table through sg.table_json."""
+    lattice = gf.subspace_lattice(p, n)
+    objects = [json.dumps(gf.rows_json(p, lattice.basis(k)), sort_keys=True, separators=(",", ":"))
+               for k in range(len(code.dims))]
     vdims = np.array(code.dims)[vertex]
     columns = []  # per object, every cone's component text
     for k, obj in enumerate(objects):
@@ -397,7 +395,7 @@ def cone_semigroup_json(p, n, semigroup, code: _ConeCode, vertex, rows):
         columns.append([encoded[key] for key in keys])
     cones = ",".join([f'{{"components":[{",".join(parts)}],"vertex":{objects[k]}}}'
                       for k, parts in zip(vertex.tolist(), zip(*columns))])
-    elements = json.dumps(semigroup.elements, separators=(",", ":"))
+    elements = json.dumps(gf.from_base_p(np.array(semigroup.elements), p, n, n).tolist(), separators=(",", ":"))
     return (f'{{"cones":[{cones}],"elements":{elements},"n":{n},"p":{p},'
             f'"table":{sg.table_json(semigroup.table)}}}\n')
 

@@ -17,11 +17,10 @@ from dataclasses import dataclass
 import factorization_oracle as fo
 from factorization_oracle import all_linear_maps
 import gf_helpers as gh
-from fibersemi import gf
 from fibersemi import semigroups as sg
 from fibersemi import subspace_category as sc
-from fibersemi.gf import Record, Subspace
-from gf_helpers import Endo, LinearMap
+from fibersemi.gf import Record
+from gf_helpers import Endo, LinearMap, Subspace
 from lattice_oracle import SubspaceCategory
 from fibersemi.subspace_category import _ConeCode
 
@@ -93,7 +92,7 @@ def _cones(cat: SubspaceCategory, code: _ConeCode, vertex, rows):
     for k, r in zip(vertex.tolist(), rows.tolist()):
         v, d = cat.objects[k], code.dims[k]
         cones.append(Cone(v, tuple(
-            LinearMap(obj, v, sc._matrix(row[:d] for row in r[lo:hi])) for obj, lo, hi in spans
+            LinearMap(obj, v, tuple(tuple(row[:d]) for row in r[lo:hi])) for obj, lo, hi in spans
         )))
     return tuple(cones)
 
@@ -102,7 +101,7 @@ def enumerate_normal_cones(cat: SubspaceCategory):
     """(semigroup, cones, endos) with parallel indexing: coded_normal_cones with
     each code row as a Cone, and the map back to inducing endomorphisms."""
     semigroup, code, vertex, rows = sc.coded_normal_cones(cat.p, cat.n)
-    return semigroup, _cones(cat, code, vertex, rows), tuple(Endo(cat.p, cat.n, e) for e in semigroup.elements)
+    return semigroup, _cones(cat, code, vertex, rows), tuple(gh.from_code(e, cat.p, cat.n) for e in semigroup.elements)
 
 
 def m_set(cat: SubspaceCategory, cone: Cone):
@@ -146,7 +145,7 @@ def cone_to_endo(cat: SubspaceCategory, cone: Cone):
         rows = []
         for k in range(n):
             ek = tuple(1 if i == k else 0 for i in range(n))
-            line = gf.subspace_span([ek], n, p)
+            line = gh.subspace_span([ek], n, p)
             comp = cone.components[cat.index(line)]
             rows.append(comp.apply(ek))
         candidate = Endo(p, n, tuple(rows))

@@ -25,8 +25,8 @@ from sing_oracle import enumerate_endos, sing_semigroup
 from fibersemi import crossconn as xc
 from fibersemi import gf
 from fibersemi import semigroups as sg
-from fibersemi.gf import Record, Subspace
-from gf_helpers import Endo, LinearMap
+from fibersemi.gf import Record
+from gf_helpers import Endo, LinearMap, Subspace
 
 #: membership readings for the bifunctor sets: the second condition either
 #: constrains the annihilator of the kernel ("kernel", the reading under
@@ -78,7 +78,7 @@ def restrictions(cc: CrossConnection, x: Subspace, fwd_map: Endo, back_map: Endo
     x -> F(x), F(x) being its image, and back_x is back_map restricted to
     F(x) -> x.  Both actions on morphisms are back . f . fwd."""
     images = [gh.apply(fwd_map, v) for v in x.basis]
-    fx = gf.subspace_span(images, cc.n, cc.p)
+    fx = gh.subspace_span(images, cc.n, cc.p)
     back = gh.linear_map(fx, x, [gh.apply(back_map, v) for v in fx.basis])
     return back, gh.linear_map(x, fx, images)
 
@@ -94,7 +94,7 @@ def primal_restrictions(cc: CrossConnection, a: Subspace):
 
 
 def dual_object_image(cc: CrossConnection, y: Subspace) -> Subspace:
-    return gf.subspace_span([gh.apply(eps_t(cc), f) for f in y.basis], cc.n, cc.p)
+    return gh.subspace_span([gh.apply(eps_t(cc), f) for f in y.basis], cc.n, cc.p)
 
 
 def dual_morphism_image(cc: CrossConnection, m: LinearMap) -> LinearMap:
@@ -103,7 +103,7 @@ def dual_morphism_image(cc: CrossConnection, m: LinearMap) -> LinearMap:
 
 
 def primal_object_image(cc: CrossConnection, a: Subspace) -> Subspace:
-    return gf.subspace_span([gh.apply(cc.eps, v) for v in a.basis], cc.n, cc.p)
+    return gh.subspace_span([gh.apply(cc.eps, v) for v in a.basis], cc.n, cc.p)
 
 
 def primal_morphism_image(cc: CrossConnection, f: LinearMap) -> LinearMap:
@@ -202,7 +202,7 @@ def _first_member(cc, alpha: Endo, a: Subspace, y: Subspace, mode) -> bool:
     if mode == "kernel":
         constrained = gh.annihilator(gh.kernel(alpha))
     elif mode == "image":
-        image_of_a = gf.subspace_span([gh.apply(alpha, v) for v in a.basis], cc.n, cc.p)
+        image_of_a = gh.subspace_span([gh.apply(alpha, v) for v in a.basis], cc.n, cc.p)
         constrained = gh.annihilator(image_of_a)
     else:
         raise ValueError(f"unknown membership mode {mode!r}")
@@ -219,7 +219,7 @@ def _second_member(cc, beta: Endo, a: Subspace, y: Subspace, mode) -> bool:
     if mode == "kernel":
         constrained = gh.annihilator(gh.kernel(bt))
     elif mode == "image":
-        image_of_y = gf.subspace_span([gh.apply(bt, f) for f in y.basis], cc.n, cc.p)
+        image_of_y = gh.subspace_span([gh.apply(bt, f) for f in y.basis], cc.n, cc.p)
         constrained = gh.annihilator(image_of_y)
     else:
         raise ValueError(f"unknown membership mode {mode!r}")

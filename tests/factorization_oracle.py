@@ -16,8 +16,8 @@ import numpy as np
 import gf_helpers as gh
 from fibersemi import gf
 from fibersemi import subspace_category as sc
-from fibersemi.gf import Record, Subspace
-from gf_helpers import LinearMap
+from fibersemi.gf import Record
+from gf_helpers import LinearMap, Subspace
 from lattice_oracle import SubspaceCategory
 
 
@@ -77,7 +77,7 @@ def all_morphisms(cat: SubspaceCategory):
 
 def image_subspace(f: LinearMap) -> Subspace:
     vecs = [gh.from_coords(f.cod, row) for row in f.matrix]
-    return gf.subspace_span(vecs, f.cod.n, f.p)
+    return gh.subspace_span(vecs, f.cod.n, f.p)
 
 
 def kernel_subspace(f: LinearMap) -> Subspace:
@@ -86,7 +86,7 @@ def kernel_subspace(f: LinearMap) -> Subspace:
     vecs = [gh.from_coords(f.dom, c) for c in coords]
     if f.cod.dim == 0:
         vecs = list(f.dom.basis)
-    return gf.subspace_span(vecs, f.dom.n, f.p)
+    return gh.subspace_span(vecs, f.dom.n, f.p)
 
 
 def normal_factorization(f: LinearMap) -> NormalFactorization:
@@ -118,7 +118,7 @@ def from_shape_factors(f: LinearMap) -> NormalFactorization:
     r = fac.rank[i]
     cprime, img = (cone_oracle.span_in(a, fac.complement[i, :r].tolist()),
                    cone_oracle.span_in(b, fac.image[i, :r].tolist()))
-    q, u, j, epi = (sc._matrix(m.tolist())
+    q, u, j, epi = (tuple(map(tuple, m.tolist()))
                     for m in (fac.q[i, :, :r], fac.u[i, :r, :r], fac.image[i, :r], fac.epi[i, :, :r]))
     return NormalFactorization(LinearMap(a, cprime, q), LinearMap(cprime, img, u),
                                LinearMap(img, b, j), LinearMap(a, img, epi))

@@ -1,25 +1,116 @@
-"""GF(p) constructions the tests use and the program does not: matrices as
-tuples of row tuples with their pure-Python product, rank and inverse, and
-the Endo record built on them (the label-level form of a matrix, which the
-program holds as an int64 array or its base-p code), with the conversions
-between the two forms; the full
-and zero spaces, the zero matrix and map, the transpose of a matrix and of
-an Endo, an Endo's action on a row vector, its image and kernel, the
-solution space of a homogeneous system, a Subspace's pivot columns and the
-coordinates of a vector over its basis, sums and intersections of subspaces,
-containment of subspaces, linear maps between subspaces (LinearMap, with
-the inclusion and identity maps), and the Gaussian binomial that counts
-subspaces of each dimension; and the one-subspace-at-a-time forms of what
-gf.subspace_lattice reads from arrays (annihilators, direct sums,
-complements and coordinates over a spanning set), which the lattice is
-compared against."""
+"""GF(p) constructions the tests use and the program does not: the
+pure-Python rref, the Subspace record (a subspace as its canonical RREF
+basis of row tuples, the label-level form of what the program holds as a
+row of gf.subspace_lattice), subspace_span and the tuple-building subspace
+enumeration (subspaces), which gf.enumerate_subspaces is compared against;
+matrices as tuples of row tuples with their pure-Python product, rank and
+inverse, and the Endo record built on them (the label-level form of a
+matrix, which the program holds as an int64 array or its base-p code), with
+the conversions between the two forms; the full and zero spaces, the zero
+matrix and map, the transpose of a matrix and of an Endo, an Endo's action
+on a row vector, its image and kernel, the solution space of a homogeneous
+system, a Subspace's pivot columns and the coordinates of a vector over its
+basis, sums and intersections of subspaces, containment of subspaces,
+linear maps between subspaces (LinearMap, with the inclusion and identity
+maps), and the Gaussian binomial that counts subspaces of each dimension;
+and the one-subspace-at-a-time forms of what gf.subspace_lattice reads from
+arrays (annihilators, direct sums, complements and coordinates over a
+spanning set), which the lattice is compared against."""
 
 from __future__ import annotations
+
+import itertools
+from functools import lru_cache
 
 import numpy as np
 
 from fibersemi import gf
-from fibersemi.gf import Record, Subspace
+from fibersemi.gf import Record
+
+
+# ---------------------------------------------------------------------------
+# row reduction and subspaces as records of row tuples
+
+def rref(rows, width, p):
+    """Canonical reduced row-echelon form.
+
+    Returns (basis, pivots): the nonzero rows with strictly increasing unit
+    pivots, every pivot column zero elsewhere.
+    """
+    m = [list(r) for r in rows]
+    pivots = []
+    r = 0
+    for c in range(width):
+        pr = next((i for i in range(r, len(m)) if m[i][c] % p), None)
+        if pr is None:
+            continue
+        m[r], m[pr] = m[pr], m[r]
+        inv = pow(m[r][c], -1, p)
+        m[r] = [(x * inv) % p for x in m[r]]
+        for i in range(len(m)):
+            if i != r and m[i][c] % p:
+                f = m[i][c]
+                m[i] = [(x - f * y) % p for x, y in zip(m[i], m[r])]
+        pivots.append(c)
+        r += 1
+    return tuple(tuple(row) for row in m[:r]), tuple(pivots)
+
+
+class Subspace(Record):
+    """A subspace of GF(p)^n held as its canonical RREF basis."""
+    p: int
+    n: int
+    basis: tuple
+
+    @property
+    def dim(self) -> int:
+        return len(self.basis)
+
+    def sort_key(self):
+        return (self.dim, self.basis)
+
+    def to_json(self):
+        return {"p": self.p, "n": self.n, "rows": [list(r) for r in self.basis]}
+
+    @staticmethod
+    def from_json(d):
+        return subspace_span([tuple(r) for r in d["rows"]], d["n"], d["p"])
+
+
+def subspace_span(vectors, ambient_dim, p) -> Subspace:
+    """Canonical subspace spanned by the given row vectors."""
+    gf.check_field(p)
+    for v in vectors:
+        if len(v) != ambient_dim:
+            raise ValueError(f"vector {v} has length {len(v)}, expected {ambient_dim}")
+    basis, _ = rref(vectors, ambient_dim, p)
+    return Subspace(p, ambient_dim, basis)
+
+
+@lru_cache(maxsize=None)
+def subspaces(p, n):
+    """All subspaces of GF(p)^n as Subspace records in canonical order
+    (dimension, then basis), one RREF basis per pivot set and value of its
+    free entries: the order and bases of gf.enumerate_subspaces."""
+    gf.subspace_count(p, n)
+    out = []
+    for k in range(n + 1):
+        for pivots in itertools.combinations(range(n), k):
+            free = [
+                (i, j)
+                for i in range(k)
+                for j in range(pivots[i] + 1, n)
+                if j not in pivots
+            ]
+            for vals in itertools.product(range(p), repeat=len(free)):
+                rows = [[0] * n for _ in range(k)]
+                for i in range(k):
+                    rows[i][pivots[i]] = 1
+                for (i, j), x in zip(free, vals):
+                    rows[i][j] = x
+                out.append(Subspace(p, n, tuple(tuple(r) for r in rows)))
+    out.sort(key=Subspace.sort_key)
+    return tuple(out)
 
 
 # ---------------------------------------------------------------------------
@@ -39,7 +130,7 @@ def identity_matrix(n):
 
 
 def mat_rank(rows, width, p):
-    return len(gf.rref(rows, width, p)[0])
+    return len(rref(rows, width, p)[0])
 
 
 def mat_inverse(a, p):
@@ -48,7 +139,7 @@ def mat_inverse(a, p):
     if n == 0:
         return ()
     aug = [list(ra) + list(rb) for ra, rb in zip(a, identity_matrix(n))]
-    red, piv = gf.rref(aug, 2 * n, p)
+    red, piv = rref(aug, 2 * n, p)
     if tuple(piv[:n]) != tuple(range(n)):
         return None
     return tuple(tuple(row[n:]) for row in red[:n])
@@ -180,7 +271,7 @@ def apply(alpha: Endo, v):
 
 def solve_homogeneous(rows, width, p):
     """Canonical basis of {x in GF(p)^width : rows . x^T = 0}."""
-    red, pivots = gf.rref(rows, width, p)
+    red, pivots = rref(rows, width, p)
     free = [j for j in range(width) if j not in pivots]
     basis = []
     for f in free:
@@ -189,11 +280,11 @@ def solve_homogeneous(rows, width, p):
         for i, c in enumerate(pivots):
             v[c] = (-red[i][f]) % p
         basis.append(tuple(v))
-    return gf.rref(basis, width, p)[0]
+    return rref(basis, width, p)[0]
 
 
 def image(alpha: Endo) -> Subspace:
-    return gf.subspace_span(alpha.rows, alpha.n, alpha.p)
+    return subspace_span(alpha.rows, alpha.n, alpha.p)
 
 
 def kernel(alpha: Endo) -> Subspace:
@@ -267,7 +358,7 @@ def zero_endo(p, n) -> Endo:
 
 
 def subspace_sum(a: Subspace, b: Subspace) -> Subspace:
-    return gf.subspace_span(a.basis + b.basis, a.n, a.p)
+    return subspace_span(a.basis + b.basis, a.n, a.p)
 
 
 def subspace_intersection(a: Subspace, b: Subspace) -> Subspace:
@@ -276,7 +367,7 @@ def subspace_intersection(a: Subspace, b: Subspace) -> Subspace:
     if not stacked:
         return zero_subspace(a.p, a.n)
     kern = solve_homogeneous(mat_transpose(stacked), len(stacked), a.p)
-    return gf.subspace_span([from_coords(a, k[: a.dim]) for k in kern], a.n, a.p)
+    return subspace_span([from_coords(a, k[: a.dim]) for k in kern], a.n, a.p)
 
 
 def gaussian_binomial(n, k, p):
@@ -293,7 +384,7 @@ def express_in_basis(v, rows, p):
     if not rows:
         return () if all(x % p == 0 for x in v) else None
     aug = [list(col) + [x] for col, x in zip(zip(*rows), v)]
-    red, pivots = gf.rref(aug, len(rows) + 1, p)
+    red, pivots = rref(aug, len(rows) + 1, p)
     if len(rows) in pivots:
         return None
     t = [0] * len(rows)
@@ -312,10 +403,10 @@ def complement_in(a: Subspace, b: Subspace) -> Subspace:
         if c is None:
             raise ValueError("complement_in: first subspace not contained in second")
         in_b.append(c)
-    red, pivots = gf.rref(in_b, b.dim, a.p)
+    red, pivots = rref(in_b, b.dim, a.p)
     piv = set(pivots)
     rows = [b.basis[j] for j in range(b.dim) if j not in piv]
-    basis, _ = gf.rref(rows, a.n, a.p)
+    basis, _ = rref(rows, a.n, a.p)
     return Subspace(a.p, a.n, basis)
 
 

@@ -15,7 +15,7 @@ import numpy as np
 
 import gf_helpers as gh
 from fibersemi import gf
-from fibersemi.gf import Subspace
+from gf_helpers import Subspace
 
 
 class SubspaceCategory:
@@ -26,7 +26,7 @@ class SubspaceCategory:
         lattice = gf.subspace_lattice(p, n)
         self.p = p
         self.n = n
-        self.objects = lattice.subspaces[:-1]
+        self.objects = gh.subspaces(p, n)[:-1]
         self._index = {obj: i for i, obj in enumerate(self.objects)}
         # (i, j) with objects[i] inside objects[j], by i then j
         self.inclusion_pairs = tuple(map(tuple, np.argwhere(lattice.contains[:-1, :-1].T).tolist()))
@@ -44,12 +44,12 @@ def build_category(p, n) -> SubspaceCategory:
 
 def proper_subspaces(p, n):
     """Every subspace of GF(p)^n but the full space, in lattice order."""
-    return gf.enumerate_subspaces(p, n)[:-1]
+    return gh.subspaces(p, n)[:-1]
 
 
 def positions(p, n):
     """subspace -> its position in gf.subspace_lattice(p, n)."""
-    return {s: k for k, s in enumerate(gf.subspace_lattice(p, n).subspaces)}
+    return {s: k for k, s in enumerate(gh.subspaces(p, n))}
 
 
 def containment(subspaces):
@@ -94,8 +94,8 @@ def first_proper_containment(p, n):
     return tuple(int(x) for x in divmod(int(contains.argmax()), len(contains)))
 
 
-def plant(monkeypatch, lattice):
-    """Have gf.subspace_lattice return lattice at its own (p, n) and the
-    real lattice elsewhere."""
-    real, zero = gf.subspace_lattice, lattice.subspaces[0]
-    monkeypatch.setattr(gf, "subspace_lattice", lambda p, n: lattice if (p, n) == (zero.p, zero.n) else real(p, n))
+def plant(monkeypatch, p, n, lattice):
+    """Have gf.subspace_lattice return lattice at (p, n) and the real
+    lattice elsewhere."""
+    real, at = gf.subspace_lattice, (p, n)
+    monkeypatch.setattr(gf, "subspace_lattice", lambda *pn: lattice if pn == at else real(*pn))

@@ -31,9 +31,9 @@ def test_object_counts(primal22):
     assert len(ann.build_annihilator_category(2, 3)) == 15
 
 def test_objects_are_annihilators_of_nonzero_subspaces(primal22):
-    subspaces = gf.subspace_lattice(2, 2).subspaces
+    subspaces = gh.subspaces(2, 2)
     primals = {subspaces[a] for a in primal22.tolist()}
-    nonzero = {a for a in gf.enumerate_subspaces(2, 2) if a.dim > 0}
+    nonzero = {a for a in subspaces if a.dim > 0}
     assert primals == nonzero
     # dual object k, the proper subspace at position k, is primal[k]'s annihilator
     for k, a in enumerate(primal22.tolist()):
@@ -41,14 +41,12 @@ def test_objects_are_annihilators_of_nonzero_subspaces(primal22):
         assert subspaces[a].dim + subspaces[k].dim == 2
 
 def test_tag_lookup_example(primal22):
-    lattice = gf.subspace_lattice(2, 2)
-    line = gf.subspace_span([(1, 0)], 2, 2)
-    dual = lo.positions(2, 2)[gf.subspace_span([(0, 1)], 2, 2)]
-    assert lattice.subspaces[primal22[dual]] == line
+    line = gh.subspace_span([(1, 0)], 2, 2)
+    dual = lo.positions(2, 2)[gh.subspace_span([(0, 1)], 2, 2)]
+    assert gh.subspaces(2, 2)[primal22[dual]] == line
 
 def test_full_space_maps_to_zero_object(primal22):
-    lattice = gf.subspace_lattice(2, 2)
-    assert lattice.subspaces[primal22[lo.positions(2, 2)[gh.zero_subspace(2, 2)]]] == gh.full_space(2, 2)
+    assert gh.subspaces(2, 2)[primal22[lo.positions(2, 2)[gh.zero_subspace(2, 2)]]] == gh.full_space(2, 2)
 
 
 def test_dual_iso_report():
@@ -67,8 +65,8 @@ def test_order_reversal_fails_on_a_missing_inclusion(monkeypatch, p, n):
     """Dropping one proper containment from the lattice breaks order
     reversal, and only it: the annihilator positions are intact."""
     u, v = lo.first_proper_containment(p, n)
-    lo.plant(monkeypatch, lo.mutated(p, n, drop=(u, v)))
-    subspaces = gf.subspace_lattice(p, n).subspaces
+    lo.plant(monkeypatch, p, n, lo.mutated(p, n, drop=(u, v)))
+    subspaces = gh.subspaces(p, n)
     # dual object v inside dual object u, against the primal pair
     assert ann.iso_to_dual_subspace_category(p, n) == {
         "failure": "order reversal", "objects": [subspaces[v].to_json(), subspaces[u].to_json()]}
@@ -85,7 +83,7 @@ def test_every_dropped_containment_is_caught_but_the_self_dual_ones(monkeypatch,
     for u, v in np.argwhere(lattice.contains[:-1, :-1]).tolist():
         if u == v:
             continue
-        lo.plant(monkeypatch, lo.mutated(p, n, drop=(u, v)))
+        lo.plant(monkeypatch, p, n, lo.mutated(p, n, drop=(u, v)))
         if ann.iso_to_dual_subspace_category(p, n) is None:
             escaped.append((u, v))
         monkeypatch.undo()
@@ -104,9 +102,9 @@ def test_double_annihilator_fails_on_swapped_annihilators(monkeypatch, p, n):
     can tell from the true one.)"""
     lattice = gf.subspace_lattice(p, n)
     other = next(k for k in range(2, len(lattice.dims)) if lattice.dims[k] == 1 and k != lattice.ann[1])
-    lo.plant(monkeypatch, lo.mutated(p, n, swap=(1, other)))
+    lo.plant(monkeypatch, p, n, lo.mutated(p, n, swap=(1, other)))
     assert len(ann.build_annihilator_category(p, n)) == len(lo.proper_subspaces(p, n))
-    line = gf.subspace_lattice(p, n).subspaces[1]
+    line = gh.subspaces(p, n)[1]
     assert ann.iso_to_dual_subspace_category(p, n) == {"failure": "double annihilator", "object": line.to_json()}
 
 @pytest.mark.parametrize("p, n", GRID)
@@ -115,15 +113,15 @@ def test_annihilators_off_the_proper_subspaces_are_refused(monkeypatch, p, n):
     # subspaces share it, and the zero subspace is no one's annihilator
     lattice = lo.mutated(p, n)
     lattice.ann[-1] = 1
-    lo.plant(monkeypatch, lattice)
+    lo.plant(monkeypatch, p, n, lattice)
     with pytest.raises(AssertionError, match="must be the proper dual subspaces"):
         ann.iso_to_dual_subspace_category(p, n)
 
 
 class DualTag(Record):
     """A nonzero subspace paired with its annihilator in dual coordinates."""
-    primal: gf.Subspace
-    dual: gf.Subspace
+    primal: gh.Subspace
+    dual: gh.Subspace
 
 
 def normal_dual_object(cat: lo.SubspaceCategory, cone: oracle.Cone) -> DualTag:
@@ -141,8 +139,8 @@ def normal_dual_object(cat: lo.SubspaceCategory, cone: oracle.Cone) -> DualTag:
 def test_normal_dual_object_examples(cat22):
     e = gh.endo([[1, 0], [0, 0]], 2)
     tag = normal_dual_object(cat22, oracle.principal_cone(cat22, e))
-    assert tag.primal == gf.subspace_span([(0, 1)], 2, 2)
-    assert tag.dual == gf.subspace_span([(1, 0)], 2, 2)
+    assert tag.primal == gh.subspace_span([(0, 1)], 2, 2)
+    assert tag.dual == gh.subspace_span([(1, 0)], 2, 2)
     z = normal_dual_object(cat22, oracle.principal_cone(cat22, gh.zero_endo(2, 2)))
     assert z.primal == gh.full_space(2, 2) and z.dual.dim == 0
 
@@ -187,9 +185,9 @@ def test_dual_cone_semigroup_with_swapped_labels_is_caught(monkeypatch, p, n):
     ta, found = ann.build_ta_semigroup(p, n)
     sing = sing_oracle.sing_semigroup(p, n)
     opposite = sg.FiniteSemigroup(sing.elements, sing.table.T)
-    mapping = tuple(ta.elements.index(gh.transpose(a).rows) for a in sing.elements)
+    mapping = tuple(ta.elements.index(gh.code(gh.transpose(a))) for a in sing.elements)
     want = sing_oracle.hom_witness(sing_oracle.SemigroupMorphism(opposite, ta, mapping))
-    assert want is not None and {i, j} & {ta.elements.index(gh.transpose(a).rows) for a in want}
+    assert want is not None and {i, j} & {ta.elements.index(gh.code(gh.transpose(a))) for a in want}
     assert list(found) == ["hom"] and tuple(sing.elements[k] for k in found["hom"]) == want
 
 
@@ -203,14 +201,14 @@ def test_dual_table_is_transpose_conjugated_opposite():
     sing = sing_oracle.from_multiplication(primal, lambda a, b: a * b)
     for a in primal:
         for b in primal:
-            at = ta.elements.index(gh.transpose(a).rows), ta.elements.index(gh.transpose(b).rows)
+            at = ta.elements.index(gh.code(gh.transpose(a))), ta.elements.index(gh.code(gh.transpose(b)))
             lhs = ta.elements[ta.table[at]]
-            rhs = gh.transpose(sing.elements[sing.table[sing.elements.index(b)][sing.elements.index(a)]]).rows
+            rhs = gh.code(gh.transpose(sing.elements[sing.table[sing.elements.index(b)][sing.elements.index(a)]]))
             assert lhs == rhs
 
 def test_dual_object_tag_json(primal22):
     # the identification's witnesses name objects by these documents
-    subspaces = gf.subspace_lattice(2, 2).subspaces
+    subspaces = gh.subspaces(2, 2)
     for k, a in enumerate(primal22.tolist()):
         for s in (subspaces[k], subspaces[a]):
-            assert gf.Subspace.from_json(s.to_json()) == s
+            assert gh.Subspace.from_json(s.to_json()) == s

@@ -51,6 +51,9 @@ def test_fiber_family_validation():
         bn.fiber_family(2, (2,), eps=(gh.identity_endo(2, 3).rows,))
     # entries are reduced mod p, as the code of the reduced matrix
     assert bn.fiber_family(3, (2,), eps=([[4, -3], [0, 2]],)).eps == (gh.code(gh.endo([[1, 0], [0, 2]], 3)),)
+    # at any size: an entry past int64 is reduced before the array is built
+    big = [[10 ** 20 + 1, 0], [0, 1]]
+    assert bn.fiber_family(2, (2,), eps=(big,)).eps == (9,) == (bn.build_core(spec, 2, big).eps_w,)
 
 def test_one_dimensional_fiber_has_singleton_branch():
     am = bn.assemble_amalgam(bn.fiber_family(2, (1,)))

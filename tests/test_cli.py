@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 import cone_oracle as co
+import gf_helpers as gh
 import lattice_oracle as lo
 import sing_oracle
 from fibersemi import annihilators as ann
@@ -165,6 +166,14 @@ def test_crossconn_explicit_eps_json(capsys):
     doc = json.loads(out)
     assert len(doc) == 1 and len(doc[0]["elements"]) == 10
 
+@pytest.mark.parametrize("fmt", ["table", "json"])
+@pytest.mark.parametrize("eps", ["[[100000000000000000001,0],[0,1]]", "[[3,-2],[-4,-1]]"])
+def test_crossconn_eps_entries_reduce_mod_p_at_any_size(capsys, eps, fmt):
+    # each is I mod 2; the first entry is past int64
+    want = run(capsys, "crossconn", "--field", "2", "--dim", "2", "--format", fmt)
+    assert run(capsys, "crossconn", "--field", "2", "--dim", "2", "--eps", eps, "--format", fmt) == want
+    assert want[0] == 0 and want[2] == ""
+
 def test_crossconn_rejects_singular_eps(capsys):
     code, _, err = run(capsys, "crossconn", "--field", "2", "--dim", "2",
                        "--eps", "[[1,0],[0,0]]")
@@ -190,6 +199,15 @@ def test_crossconn_eps_that_is_not_json_names_the_option(capsys, eps):
     code, out, err = run(capsys, "crossconn", "--field", "2", "--dim", "2", "--eps", eps)
     assert code == 2 and out == ""
     assert err == "error: --eps must be a JSON list of 2 lists of 2 integers\n"
+
+
+@pytest.mark.parametrize("command", ["enumerate", "verify-all", "cones", "crossconn"])
+def test_dot_is_offered_only_where_a_dot_writer_exists(capsys, command):
+    with pytest.raises(SystemExit) as exc:
+        cli.main([command, "--format", "dot"])
+    captured = capsys.readouterr()
+    assert exc.value.code == 2 and captured.out == ""
+    assert captured.err.endswith("error: argument --format: invalid choice: 'dot' (choose from 'table', 'json')\n")
 
 
 def test_amalgam_json(capsys):
@@ -530,8 +548,8 @@ def test_dual_category_check_decides_the_2_3_identification(monkeypatch):
 
     monkeypatch.setattr(ann, "iso_to_dual_subspace_category", recorded)
     u, v = lo.first_proper_containment(2, 3)
-    lo.plant(monkeypatch, lo.mutated(2, 3, drop=(u, v)))
-    subspaces = gf.subspace_lattice(2, 3).subspaces
+    lo.plant(monkeypatch, 2, 3, lo.mutated(2, 3, drop=(u, v)))
+    subspaces = gh.subspaces(2, 3)
     assert cli._check_dual_category(2, 2) == (False, {
         "failure": "order reversal", "objects": [subspaces[v].to_json(), subspaces[u].to_json()]})
     assert seen == [(2, 2), (2, 3)]
@@ -561,7 +579,7 @@ def test_cone_map_failure_names_the_pair_as_documents(monkeypatch, capsys, fmt):
     i, j = co.swap_two_cone_labels(monkeypatch)
     sing = sing_oracle.sing_semigroup(2, 2)
     cones = sc.coded_normal_cones(2, 2)[0]
-    mapping = tuple(cones.elements.index(a.rows) for a in sing.elements)
+    mapping = tuple(cones.elements.index(gh.code(a)) for a in sing.elements)
     pair = sing_oracle.hom_witness(sing_oracle.SemigroupMorphism(sing, cones, mapping))
     code, report = verify_all(capsys, fmt)
     assert code == 1

@@ -42,10 +42,10 @@ def test_identity_acts_trivially(cat22):
 
 def test_swap_object_maps():
     cc = oracle.cross_connection(SWAP)
-    y = gf.subspace_span([(1, 0)], 2, 2)
-    assert oracle.dual_object_image(cc, y) == gf.subspace_span([(0, 1)], 2, 2)
-    assert oracle.primal_object_image(cc, gf.subspace_span([(1, 0)], 2, 2)) == \
-        gf.subspace_span([(0, 1)], 2, 2)
+    y = gh.subspace_span([(1, 0)], 2, 2)
+    assert oracle.dual_object_image(cc, y) == gh.subspace_span([(0, 1)], 2, 2)
+    assert oracle.primal_object_image(cc, gh.subspace_span([(1, 0)], 2, 2)) == \
+        gh.subspace_span([(0, 1)], 2, 2)
 
 def test_functoriality_checked_on_construction(all_eps):
     # identities and all composable pairs, for every automorphism
@@ -82,7 +82,7 @@ def test_covering_witness_example(cat22):
     cc = oracle.cross_connection(gh.identity_endo(2, 2))
     rep = oracle.verify_cross_connection(cc)
     witness = dict(rep.witnesses)
-    a = gf.subspace_span([(1, 0)], 2, 2)
+    a = gh.subspace_span([(1, 0)], 2, 2)
     y = witness[a]
     _, pre = oracle.functor_m_set(cc, cat22, y)
     assert gh.is_direct_sum(a, pre)
@@ -481,7 +481,7 @@ def test_index_bifunctor_sets_match_oracle():
 
 @pytest.mark.parametrize("p,n,step", [(2, 2, 1), (3, 2, 1), (5, 2, 1), (2, 3, 41), (7, 2, 401)])
 def test_object_actions_match_oracle_object_images(p, n, step):
-    subspaces = gf.subspace_lattice(p, n).subspaces
+    subspaces = gh.subspaces(p, n)
     objects = subspaces[:-1]
     for eps in gh.automorphisms(p, n)[::step]:
         cc = oracle.cross_connection(eps)
@@ -495,7 +495,7 @@ def test_annihilator_of_kernel_is_image_of_transpose(p, n):
     """ann(ker x) = im(x^T) for x acting on row vectors, which lets
     gf.sing_images keep two per-element arrays; both are checked against
     Subspace objects."""
-    subspaces, (img, timg) = gf.subspace_lattice(p, n).subspaces, gf.sing_images(p, n)
+    subspaces, (img, timg) = gh.subspaces(p, n), gf.sing_images(p, n)
     for i, x in enumerate(sing_oracle.enumerate_endos(p, n, singular_only=True)):
         t_image = gh.image(gh.transpose(x))
         assert gh.annihilator(gh.kernel(x)) == t_image == subspaces[timg[i]]
@@ -589,11 +589,10 @@ def _plant(monkeypatch, inverts_at=None, covers_at=None, links_at=None):
     monkeypatch.setattr(xc, "conjugations", conjugations)
     if covers_at is not None:
         monkeypatch.setattr(xc, "covers", failing_at(covers_at, xc.covers, False))
-    subspaces = gf.subspace_lattice(3, 2).subspaces
-    pair = subspaces[1], subspaces[2]
     if links_at is not None:
-        monkeypatch.setattr(xc, "link_failure", failing_at(links_at, lambda *args: None, pair))
-    return pair
+        monkeypatch.setattr(xc, "link_failure", failing_at(links_at, lambda *args: None, (1, 2)))
+    subspaces = gh.subspaces(3, 2)
+    return subspaces[1], subspaces[2]
 
 
 @pytest.mark.parametrize("planted,witness", [
@@ -682,16 +681,11 @@ def test_wrong_inverse_fails_functoriality(monkeypatch):
     assert eps * eps != gh.identity_endo(2, 2)
 
 
-def test_cross_connections_build_no_linear_map(monkeypatch):
-    """The check reads the lattice and gf's lookups only: no LinearMap
-    (which lives in the tests' gf_helpers, not in the package) and no
-    subspace span per object, so the per-object restrictions cannot come
-    back unnoticed."""
-    gf.sing_images(3, 2)
-
-    def forbidden(*args):
-        raise AssertionError("the cross-connection check built a subspace")
-
-    assert not hasattr(gf, "LinearMap") and not hasattr(gf, "linear_map")
-    monkeypatch.setattr(gf, "subspace_span", forbidden)
+def test_cross_connections_build_no_linear_map():
+    """The check reads the lattice and gf's lookups only: no LinearMap, no
+    Subspace record and no subspace span (which live in the tests'
+    gf_helpers, not in the package), so the per-object restrictions cannot
+    come back unnoticed."""
+    for name in ("LinearMap", "linear_map", "Subspace", "subspace_span", "rref"):
+        assert not hasattr(gf, name), name
     assert cli._check_cross_connections(3, 2) == (True, None)

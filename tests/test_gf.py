@@ -68,27 +68,27 @@ def brute_annihilator(a):
 # spans and canonical form
 
 def test_span_full_space():
-    s = gf.subspace_span([(1, 0), (0, 1)], 2, 2)
+    s = gh.subspace_span([(1, 0), (0, 1)], 2, 2)
     assert s == gh.full_space(2, 2)
     assert s.dim == 2
 
 def test_span_canonicalizes():
-    s = gf.subspace_span([(1, 1), (0, 1)], 2, 2)
+    s = gh.subspace_span([(1, 1), (0, 1)], 2, 2)
     assert s.basis == ((1, 0), (0, 1))
 
 def test_empty_span():
-    s = gf.subspace_span([], 2, 2)
+    s = gh.subspace_span([], 2, 2)
     assert s.dim == 0 and s.basis == ()
 
 def test_span_rejects_ragged_input():
     with pytest.raises(ValueError):
-        gf.subspace_span([(1, 0, 0)], 2, 2)
+        gh.subspace_span([(1, 0, 0)], 2, 2)
 
 def test_span_matches_brute_force():
     for p, n in [(2, 2), (3, 2), (2, 3)]:
         vectors = list(itertools.product(range(p), repeat=n))
         for subset in itertools.combinations(vectors, 2):
-            s = gf.subspace_span(list(subset), n, p)
+            s = gh.subspace_span(list(subset), n, p)
             assert frozenset(all_vectors(s)) == brute_span(subset, n, p)
 
 
@@ -96,22 +96,22 @@ def test_span_matches_brute_force():
 # complements
 
 def test_complement_examples():
-    a = gf.subspace_span([(0, 1)], 2, 2)
+    a = gh.subspace_span([(0, 1)], 2, 2)
     assert full_complement(a).basis == ((1, 0),)
     assert full_complement(gh.zero_subspace(2, 2)) == gh.full_space(2, 2)
     assert full_complement(gh.full_space(2, 2)) == gh.zero_subspace(2, 2)
 
 def test_complement_is_deterministic_direct_sum():
     for p, n in [(2, 2), (3, 2), (2, 3), (5, 2)]:
-        for a in gf.enumerate_subspaces(p, n):
+        for a in gh.subspaces(p, n):
             b = full_complement(a)
             assert gh.is_direct_sum(a, b)
             assert a.dim + b.dim == n
             assert full_complement(a) == b
 
 def test_complement_in_respects_ambient():
-    big = gf.subspace_span([(1, 0, 0), (0, 1, 0)], 3, 2)
-    small = gf.subspace_span([(0, 1, 0)], 3, 2)
+    big = gh.subspace_span([(1, 0, 0), (0, 1, 0)], 3, 2)
+    small = gh.subspace_span([(0, 1, 0)], 3, 2)
     c = gh.complement_in(small, big)
     assert c.basis == ((1, 0, 0),)
     assert gh.contains_subspace(big, c)
@@ -121,24 +121,24 @@ def test_complement_in_respects_ambient():
 # annihilators
 
 def test_annihilator_examples():
-    assert gh.annihilator(gf.subspace_span([(1, 1)], 2, 2)).basis == ((1, 1),)
+    assert gh.annihilator(gh.subspace_span([(1, 1)], 2, 2)).basis == ((1, 1),)
     assert gh.annihilator(gh.zero_subspace(2, 2)) == gh.full_space(2, 2)
-    assert gh.annihilator(gf.subspace_span([(1, 0, 0)], 3, 2)).basis == ((0, 1, 0), (0, 0, 1))
+    assert gh.annihilator(gh.subspace_span([(1, 0, 0)], 3, 2)).basis == ((0, 1, 0), (0, 0, 1))
 
 def test_annihilator_matches_brute_force():
     for p, n in [(2, 2), (3, 2), (2, 3)]:
-        for a in gf.enumerate_subspaces(p, n):
+        for a in gh.subspaces(p, n):
             assert frozenset(all_vectors(gh.annihilator(a))) == brute_annihilator(a)
 
 def test_annihilator_dimension_and_double_dual():
     for p, n in [(2, 2), (3, 2), (2, 3)]:
-        for a in gf.enumerate_subspaces(p, n):
+        for a in gh.subspaces(p, n):
             assert gh.annihilator(a).dim == n - a.dim
             assert gh.annihilator(gh.annihilator(a)) == a
 
 def test_annihilator_antitone_and_de_morgan():
     for p, n in [(2, 2), (2, 3)]:
-        subs = gf.enumerate_subspaces(p, n)
+        subs = gh.subspaces(p, n)
         for a in subs:
             for b in subs:
                 if gh.contains_subspace(b, a):
@@ -152,7 +152,7 @@ def test_annihilator_antitone_and_de_morgan():
 
 
 def test_intersection_matches_brute_force():
-    subs = gf.enumerate_subspaces(2, 3)
+    subs = gh.subspaces(2, 3)
     for a in subs:
         for b in subs:
             got = set(all_vectors(gh.subspace_intersection(a, b)))
@@ -168,7 +168,7 @@ def test_subspace_counts_match_gaussian_binomials():
     assert len(gf.enumerate_subspaces(2, 3)) == 16
     assert len(gf.enumerate_subspaces(3, 2)) == 6
     for p, n in [(2, 2), (3, 2), (2, 3), (5, 2), (2, 4)]:
-        subs = gf.enumerate_subspaces(p, n)
+        subs = gh.subspaces(p, n)
         assert len(subs) == len(set(subs))
         for k in range(n + 1):
             assert sum(1 for s in subs if s.dim == k) == gh.gaussian_binomial(n, k, p)
@@ -176,17 +176,28 @@ def test_subspace_counts_match_gaussian_binomials():
 def test_subspace_enumeration_matches_brute_force():
     for p, n in [(2, 2), (3, 2), (2, 3)]:
         brute = brute_all_subspaces(n, p)
-        got = {frozenset(all_vectors(s)) for s in gf.enumerate_subspaces(p, n)}
+        got = {frozenset(all_vectors(s)) for s in gh.subspaces(p, n)}
         assert got == brute
+
+SUBSPACE_POINTS = [(2, n) for n in range(1, 7)] + [(3, n) for n in range(1, 6)] + [(5, 2), (5, 3)] \
+    + [(7, n) for n in range(2, 5)]
+
+@pytest.mark.parametrize("p,n", SUBSPACE_POINTS)
+def test_enumerated_subspaces_are_the_oracle_bases_in_its_order(p, n):
+    bases = gf.enumerate_subspaces(p, n)
+    assert bases.dtype == np.int64 and bases.shape[1:] == (n, n) and not bases.flags.writeable
+    assert gf.enumerate_subspaces(p, n) is bases
+    want = [s.basis + ((0,) * n,) * (n - s.dim) for s in gh.subspaces(p, n)]
+    assert tuple(map(tuple, (map(tuple, b) for b in bases.tolist()))) == tuple(want)
 
 @pytest.mark.parametrize("p", gf.SUPPORTED_PRIMES)
 def test_cached_pivots_are_the_rref_pivots(p):
-    assert gf.Subspace._fields == ("p", "n", "basis")
+    assert gh.Subspace._fields == ("p", "n", "basis")
     for n in (1, 2, 3):
-        for s in gf.enumerate_subspaces(p, n):
+        for s in gh.subspaces(p, n):
             # the pivots are no field: equality, hashing and JSON ignore them
-            assert gh.pivots(s) == gf.rref(s.basis, n, p)[1]
-            fresh = gf.Subspace(p, n, s.basis)
+            assert gh.pivots(s) == gh.rref(s.basis, n, p)[1]
+            fresh = gh.Subspace(p, n, s.basis)
             assert fresh == s and hash(fresh) == hash(s) and fresh.to_json() == s.to_json()
 
 def test_subspace_guard():
@@ -249,8 +260,8 @@ def test_transpose_reverses_products():
 # linear maps
 
 def test_linear_map_apply_and_compose():
-    a = gf.subspace_span([(1, 0, 0), (0, 1, 0)], 3, 2)
-    b = gf.subspace_span([(0, 0, 1)], 3, 2)
+    a = gh.subspace_span([(1, 0, 0), (0, 1, 0)], 3, 2)
+    b = gh.subspace_span([(0, 0, 1)], 3, 2)
     f = gh.linear_map(a, b, [(0, 0, 1), (0, 0, 0)])
     assert f.apply((1, 1, 0)) == (0, 0, 1)
     assert fo.image_subspace(f) == b
@@ -258,14 +269,14 @@ def test_linear_map_apply_and_compose():
     assert gh.identity_map(a).compose(f) == f
 
 def test_linear_map_rejects_escaping_images():
-    a = gf.subspace_span([(1, 0)], 2, 2)
-    b = gf.subspace_span([(0, 1)], 2, 2)
+    a = gh.subspace_span([(1, 0)], 2, 2)
+    b = gh.subspace_span([(0, 1)], 2, 2)
     with pytest.raises(ValueError):
         gh.linear_map(a, b, [(1, 0)])
 
 def test_inclusion_requires_containment():
-    a = gf.subspace_span([(1, 0)], 2, 2)
-    b = gf.subspace_span([(0, 1)], 2, 2)
+    a = gh.subspace_span([(1, 0)], 2, 2)
+    b = gh.subspace_span([(0, 1)], 2, 2)
     with pytest.raises(ValueError):
         gh.inclusion_map(a, b)
 
@@ -280,10 +291,10 @@ def test_hom_set_sizes():
 # serialization
 
 def test_subspace_json_round_trip():
-    for s in gf.enumerate_subspaces(3, 2):
+    for s in gh.subspaces(3, 2):
         doc = s.to_json()
         assert doc["p"] == 3 and doc["n"] == 2
-        assert gf.Subspace.from_json(doc) == s
+        assert gh.Subspace.from_json(doc) == s
 
 def test_endo_json_round_trip():
     e = gh.endo([[1, 0], [0, 0]], 2)
@@ -367,11 +378,13 @@ def test_singular_count_at_2_4():
 def test_enumeration_makes_no_rref_call(monkeypatch):
     def rref(*args):
         raise AssertionError("rref called")
-    for cached in (gf._reduced, gf._sing_matrices, sing_oracle.enumerate_endos, gf.enumerate_automorphisms):
+    for cached in (gf._reduced, gf._sing_matrices, sing_oracle.enumerate_endos, gf.enumerate_automorphisms,
+                   gf.enumerate_subspaces):
         cached.cache_clear()
-    monkeypatch.setattr(gf, "rref", rref)
+    monkeypatch.setattr(gh, "rref", rref)
     assert len(sing_oracle.enumerate_endos(5, 2, singular_only=True)) == gf.singular_count(5, 2)
     assert len(gf.enumerate_automorphisms(5, 2)) == 480
+    assert len(gf.enumerate_subspaces(5, 2)) == 8
 
 def test_dimension_must_be_positive():
     for n in (0, -1):
@@ -388,7 +401,7 @@ def test_dimension_must_be_positive():
 
 def test_record_hash_is_the_hash_of_the_field_tuple():
     e = gh.identity_endo(2, 2)
-    s = gf.Subspace(2, 2, e.rows)
+    s = gh.Subspace(2, 2, e.rows)
     f = gh.LinearMap(s, s, e.rows)
     assert hash(e) == hash((e.p, e.n, e.rows))
     assert hash(s) == hash((s.p, s.n, s.basis))
@@ -396,15 +409,15 @@ def test_record_hash_is_the_hash_of_the_field_tuple():
 
 def test_record_equality_needs_the_same_class():
     rows = gh.identity_matrix(2)
-    assert gf.Subspace(2, 2, rows) == gf.Subspace(2, 2, rows)
-    assert gf.Subspace(2, 2, rows) != gh.Endo(2, 2, rows)
+    assert gh.Subspace(2, 2, rows) == gh.Subspace(2, 2, rows)
+    assert gh.Subspace(2, 2, rows) != gh.Endo(2, 2, rows)
     assert gh.Endo(2, 2, rows) != (2, 2, rows)
 
 def test_record_repr_and_keyword_construction():
     e = gh.Endo(p=2, n=2, rows=((1, 0), (0, 0)))
     assert e == gh.Endo(2, 2, ((1, 0), (0, 0))) == gh.Endo(2, n=2, rows=((1, 0), (0, 0)))
     assert repr(e) == "Endo(p=2, n=2, rows=((1, 0), (0, 0)))"
-    assert repr(gf.Subspace(2, 1, ((1,),))) == "Subspace(p=2, n=1, basis=((1,),))"
+    assert repr(gh.Subspace(2, 1, ((1,),))) == "Subspace(p=2, n=1, basis=((1,),))"
 
 @pytest.mark.parametrize("args,kwargs", [
     ((2, 2), {}),                                  # missing
@@ -416,7 +429,7 @@ def test_record_repr_and_keyword_construction():
 ], ids=["missing", "extra", "unknown", "repeated", "missing-keyword", "repeated-missing"])
 def test_record_rejects_a_wrong_field_set(args, kwargs):
     with pytest.raises(TypeError):
-        gf.Subspace(*args, **kwargs)
+        gh.Subspace(*args, **kwargs)
 
 def test_record_is_immutable():
     e = gh.identity_endo(2, 2)

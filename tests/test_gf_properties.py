@@ -30,7 +30,7 @@ def spanned(draw, count=1):
     """(p, n, generating sets, subspaces) for count subspaces of one GF(p)^n."""
     p, n = draw(ambient())
     gens = [draw(vectors(p, n)) for _ in range(count)]
-    return p, n, gens, [gf.subspace_span(g, n, p) for g in gens]
+    return p, n, gens, [gh.subspace_span(g, n, p) for g in gens]
 
 
 def combination(coeffs, rows, p, n):
@@ -50,8 +50,8 @@ def test_rref_is_canonical(case, data):
                                         max_size=len(gens)), max_size=3))
     others = gens + [combination(c, gens, p, n) for c in extra]
     others = data.draw(st.permutations(others))
-    assert gf.subspace_span(others, n, p) == a
-    assert gf.rref(a.basis, n, p)[0] == a.basis
+    assert gh.subspace_span(others, n, p) == a
+    assert gh.rref(a.basis, n, p)[0] == a.basis
 
 
 @PROPERTY

@@ -24,7 +24,6 @@ ALLOWED = {
         "perfbench/tracer.py's instrument wraps its conjugate on every traced run",
     "crossconn.CrossConnection.conjugate":
         "the tracer hook: perfbench/tracer.py wraps it as crossconn.conjugate",
-    "gf.Subspace.from_json": "documented JSON reader, the inverse of to_json",
     "semigroups.GreenStructure.from_json": "documented reader of green --format json",
 }
 

@@ -107,7 +107,7 @@ def test_rref_stack_matches_gf_rref(p, m, w):
     mats = np.array(list(itertools.product(range(p), repeat=m * w))).reshape(-1, m, w)
     red, pivot, rank = gf.rref_stack(mats, p)
     for a, r, piv, k in zip(mats.tolist(), red.tolist(), pivot.tolist(), rank.tolist()):
-        basis, pivots = gf.rref(a, w, p)
+        basis, pivots = gh.rref(a, w, p)
         assert tuple(map(tuple, r[:k])) == basis and not any(map(any, r[k:]))
         assert tuple(c for c in range(w) if piv[c]) == pivots
 
@@ -161,8 +161,8 @@ def test_factorization_check_fails_on_a_perturbed_image_basis(monkeypatch):
 def _pivot_complement(a, b):
     """complement_in with b's basis rows at the pivot columns of a's
     coordinates in place of the others, for nonzero a."""
-    pivots = set(gf.rref([gh.coords(b, v) for v in a.basis], b.dim, b.p)[1])
-    return gf.subspace_span([row for j, row in enumerate(b.basis) if (j in pivots) == bool(pivots)], b.n, b.p)
+    pivots = set(gh.rref([gh.coords(b, v) for v in a.basis], b.dim, b.p)[1])
+    return gh.subspace_span([row for j, row in enumerate(b.basis) if (j in pivots) == bool(pivots)], b.n, b.p)
 
 def test_retraction_law_fails_on_a_corrupted_complement(monkeypatch):
     # the complement at a's pivots rather than its other columns: the
@@ -178,7 +178,7 @@ def test_retraction_law_fails_on_a_corrupted_complement(monkeypatch):
     assert sc.retraction_law(2, 3).tolist() == want and not all(want)
     assert sc.retraction_law(2, 2).all()
     sub = cat.objects[cat.inclusion_pairs[want.index(False)][0]]
-    assert sub == gf.subspace_span([(0, 0, 1)], 3, 2)
+    assert sub == gh.subspace_span([(0, 0, 1)], 3, 2)
     assert cli._check_factorization(2, 2) == (False, {"failure": "retraction law", "sub": sub.to_json()})
 
 @pytest.mark.parametrize("p", [2, 3])
@@ -203,18 +203,18 @@ def test_factorization_check_finishes_beyond_the_sing_guard(p, n):
     assert cli._check_factorization(p, n) == (True, None)
 
 def test_factorization_hand_example():
-    a = gf.subspace_span([(1, 0, 0), (0, 1, 0)], 3, 2)
-    b = gf.subspace_span([(0, 0, 1)], 3, 2)
+    a = gh.subspace_span([(1, 0, 0), (0, 1, 0)], 3, 2)
+    b = gh.subspace_span([(0, 0, 1)], 3, 2)
     f = gh.linear_map(a, b, [(0, 0, 1), (0, 0, 0)])
     nf = fo.from_shape_factors(f)
-    assert nf.q.cod == gf.subspace_span([(1, 0, 0)], 3, 2)
+    assert nf.q.cod == gh.subspace_span([(1, 0, 0)], 3, 2)
     assert nf.q.apply((0, 1, 0)) == (0, 0, 0)
     assert nf.u.apply((1, 0, 0)) == (0, 0, 1)
     assert nf.j == gh.identity_map(b)
 
 def test_factorization_of_isomorphism():
-    a = gf.subspace_span([(0, 0, 1)], 3, 2)
-    b = gf.subspace_span([(1, 0, 0)], 3, 2)
+    a = gh.subspace_span([(0, 0, 1)], 3, 2)
+    b = gh.subspace_span([(1, 0, 0)], 3, 2)
     f = gh.linear_map(a, b, [(1, 0, 0)])
     nf = fo.from_shape_factors(f)
     assert nf.q == gh.identity_map(a)
@@ -222,8 +222,8 @@ def test_factorization_of_isomorphism():
     assert nf.epi == f
 
 def test_factorization_of_zero_map():
-    a = gf.subspace_span([(1, 0, 0), (0, 1, 0)], 3, 2)
-    b = gf.subspace_span([(0, 0, 1)], 3, 2)
+    a = gh.subspace_span([(1, 0, 0), (0, 1, 0)], 3, 2)
+    b = gh.subspace_span([(0, 0, 1)], 3, 2)
     nf = fo.from_shape_factors(zero_map(a, b))
     assert nf.q.cod.dim == 0
     assert nf.u.dom.dim == 0 and nf.u.cod.dim == 0
@@ -236,10 +236,10 @@ def test_factorization_of_zero_map():
 def test_principal_cone_of_projection(cat22):
     e = gh.endo([[1, 0], [0, 0]], 2)
     rho = oracle.principal_cone(cat22, e)
-    assert rho.vertex == gf.subspace_span([(1, 0)], 2, 2)
-    l10 = gf.subspace_span([(1, 0)], 2, 2)
-    l01 = gf.subspace_span([(0, 1)], 2, 2)
-    l11 = gf.subspace_span([(1, 1)], 2, 2)
+    assert rho.vertex == gh.subspace_span([(1, 0)], 2, 2)
+    l10 = gh.subspace_span([(1, 0)], 2, 2)
+    l01 = gh.subspace_span([(0, 1)], 2, 2)
+    l11 = gh.subspace_span([(1, 1)], 2, 2)
     assert rho.components[cat22.index(l10)] == gh.identity_map(l10)
     assert is_zero(rho.components[cat22.index(l01)])
     assert rho.components[cat22.index(l11)].apply((1, 1)) == (1, 0)
@@ -267,7 +267,7 @@ def test_all_principal_cones_are_normal(cat22, sing22):
 def test_ill_typed_cone_is_flagged(cat22):
     e = gh.endo([[1, 0], [0, 0]], 2)
     rho = oracle.principal_cone(cat22, e)
-    l01 = gf.subspace_span([(0, 1)], 2, 2)
+    l01 = gh.subspace_span([(0, 1)], 2, 2)
     bad_comps = tuple(
         zero_map(gh.zero_subspace(2, 2), l01) if obj.dim == 0 else c
         for obj, c in zip(cat22.objects, rho.components)
@@ -280,7 +280,7 @@ def test_restriction_violation_is_flagged(cat23):
     # plane component maps a line one way, line component another
     alpha = gh.endo([[0, 0, 1], [0, 0, 0], [0, 0, 0]], 2)
     rho = oracle.principal_cone(cat23, alpha)
-    line = gf.subspace_span([(1, 0, 0)], 3, 2)
+    line = gh.subspace_span([(1, 0, 0)], 3, 2)
     vertex = rho.vertex
     comps = list(rho.components)
     comps[cat23.index(line)] = zero_map(line, vertex)
@@ -315,16 +315,16 @@ def test_star_with_identity_is_identity(cat22, sing22):
 
 def test_star_hand_example(cat22):
     rho = oracle.principal_cone(cat22, gh.endo([[1, 0], [0, 0]], 2))
-    f = gh.linear_map(gf.subspace_span([(1, 0)], 2, 2),
-                      gf.subspace_span([(0, 1)], 2, 2), [(0, 1)])
+    f = gh.linear_map(gh.subspace_span([(1, 0)], 2, 2),
+                      gh.subspace_span([(0, 1)], 2, 2), [(0, 1)])
     assert oracle.cone_star(cat22, rho, f) == oracle.principal_cone(cat22, gh.endo([[0, 1], [0, 0]], 2))
 
 def test_star_requires_epi_from_vertex(cat22):
     rho = oracle.principal_cone(cat22, gh.endo([[1, 0], [0, 0]], 2))
-    l10 = gf.subspace_span([(1, 0)], 2, 2)
+    l10 = gh.subspace_span([(1, 0)], 2, 2)
     with pytest.raises(ValueError):
         oracle.cone_star(cat22, rho, zero_map(l10, l10))
-    other = gf.subspace_span([(0, 1)], 2, 2)
+    other = gh.subspace_span([(0, 1)], 2, 2)
     with pytest.raises(ValueError):
         oracle.cone_star(cat22, rho, gh.identity_map(other))
 
@@ -404,7 +404,7 @@ def test_exhaustive_enumeration_at_3_2():
 def test_cone_semigroup_isomorphic_to_singular_endos(cat22, sing22):
     smg, _, _ = oracle.enumerate_normal_cones(cat22)
     sing = sing_oracle.from_multiplication(sing22, lambda a, b: a * b)
-    mapping = tuple(smg.elements.index(a.rows) for a in sing.elements)
+    mapping = tuple(smg.elements.index(gh.code(a)) for a in sing.elements)
     rep = sing_oracle.verify_morphism(sing_oracle.SemigroupMorphism(sing, smg, mapping))
     assert rep.is_hom and rep.is_injective
     assert len(set(mapping)) == smg.order
@@ -414,7 +414,7 @@ def annihilator_dual_category(p, n):
     nonzero subspaces, which build_annihilator_category places at the
     positions of the proper subspaces of the dual, so it is the category
     over the dual space; checked here one annihilator at a time."""
-    cat, subspaces = lo.build_category(p, n), gf.subspace_lattice(p, n).subspaces
+    cat, subspaces = lo.build_category(p, n), gh.subspaces(p, n)
     assert tuple(gh.annihilator(subspaces[a]) for a in build_annihilator_category(p, n)) == cat.objects
     return cat
 
@@ -495,7 +495,7 @@ def test_image_lookup_agrees_with_the_span_in_the_vertex(monkeypatch, p, n):
     """At every column group, the object that the product's vertex is
     looked up as by code is the Subspace that span_in builds from the
     image rows over the vertex's basis."""
-    subspaces, real, seen = gf.subspace_lattice(p, n).subspaces, sc._image_object, []
+    subspaces, real, seen = gh.subspaces(p, n), sc._image_object, []
 
     def spy(*args):
         found = real(*args)
@@ -575,7 +575,7 @@ def test_m_set_requires_idempotent(cat22):
 def test_m_set_examples(cat22):
     e = gh.endo([[1, 0], [0, 0]], 2)
     got = set(oracle.m_set(cat22, oracle.principal_cone(cat22, e)))
-    assert got == {gf.subspace_span([(1, 0)], 2, 2), gf.subspace_span([(1, 1)], 2, 2)}
+    assert got == {gh.subspace_span([(1, 0)], 2, 2), gh.subspace_span([(1, 1)], 2, 2)}
     z = oracle.principal_cone(cat22, gh.zero_endo(2, 2))
     assert oracle.m_set(cat22, z) == (gh.zero_subspace(2, 2),)
 
@@ -595,7 +595,7 @@ def test_batched_m_sets_match_the_cone_oracle(p, n):
     cat = lo.build_category(p, n)
     idem, by_iso, by_sum = sc.m_sets(p, n)
     want = [e for e in sing_oracle.enumerate_endos(p, n, singular_only=True) if e * e == e]
-    assert [gh.Endo(p, n, sc._matrix(e)) for e in idem.tolist()] == want
+    assert gh.endos_of(idem, p) == tuple(want)
     assert len(want) == sum(p ** (a.dim * (n - a.dim)) for a in cat.objects)
     for e, iso, dsum in zip(want, by_iso.tolist(), by_sum.tolist()):
         assert {a for a, x in zip(cat.objects, iso) if x} == set(oracle.m_set(cat, oracle.principal_cone(cat, e)))
@@ -642,8 +642,9 @@ def test_cone_json_from_code_rows_matches_the_oracle_cones(p, n):
     cat = lo.build_category(p, n)
     smg, code, vertex, rows = sc.coded_normal_cones(p, n)
     cones = oracle._cones(cat, code, vertex, rows)
-    assert cones == tuple(oracle.principal_cone(cat, gh.Endo(p, n, e)) for e in smg.elements)
-    doc = {"p": p, "n": n, "elements": [list(map(list, e)) for e in smg.elements],
+    labels = [gh.from_code(e, p, n) for e in smg.elements]
+    assert cones == tuple(oracle.principal_cone(cat, e) for e in labels)
+    doc = {"p": p, "n": n, "elements": [list(map(list, e.rows)) for e in labels],
            "table": smg.table.tolist(), "cones": [c.to_json(cat) for c in cones]}
     want = json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
     assert sc.cone_semigroup_json(p, n, smg, code, vertex, rows) == want
