@@ -287,8 +287,7 @@ def run_checks(p, n, table_path=None):
 
 def _table_check(path):
     try:
-        with open(path) as fh:
-            sg.semigroup_from_text(fh.read())
+        sg.semigroup_from_file(path)
     except sg.NotAssociative as exc:
         return False, {"triple": list(exc.witness)}
     except (OSError, ValueError) as exc:  # GuardExceeded too: an order past the guard is an error witness

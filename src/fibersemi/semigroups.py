@@ -10,6 +10,7 @@ verified matrix witnesses (sing_green).
 
 from __future__ import annotations
 
+import io
 import json
 import re
 from collections import defaultdict
@@ -89,7 +90,8 @@ def _generators(t):
 
 
 def _associativity_witness(t):
-    """A triple (x, g, y) with (xg)y != x(gy), or None if t is associative.
+    """The first triple (x, g, y), in row-major order for the first failing
+    generator g, with (xg)y != x(gy), or None if t is associative.
 
     Light's test over the generating set of ``_generators``.  It is sound
     for any magma: A = {a : (xa)y = x(ay) for all x, y} is closed under the
@@ -97,19 +99,26 @@ def _associativity_witness(t):
     closure of G under right multiplication lies in the submagma G generates,
     which lies in A once G does; so closure = S means A = S.
 
-    Every generator's pass is written into the same three buffers: fresh
-    (n, n) temporaries per pass cost more than the comparison itself, in
-    allocation and page faults.  The table's entries are indices below n
-    (from_table checks them), so mode="clip" never clips; it only spares
-    take() a buffered copy.
+    Each generator's pass runs over blocks of gf.TABLE_BLOCK_CELLS // n
+    rows, all written into the same three block buffers, so the scratch
+    memory does not grow with n^2 and no pass allocates.  The table's
+    entries are indices below n (from_table checks them), so mode="wrap"
+    never wraps; it only spares take() a buffered copy, and it gathers
+    faster than mode="clip".
     """
-    left, right, bad = np.empty_like(t), np.empty_like(t), np.empty(t.shape, dtype=bool)
+    n = len(t)
+    block = max(1, gf.TABLE_BLOCK_CELLS // n)
+    left, right = np.empty((block, n), dtype=t.dtype), np.empty((block, n), dtype=t.dtype)
+    bad = np.empty((block, n), dtype=bool)
     for g in _generators(t):
-        np.take(t, t[:, g], axis=0, out=left, mode="clip")   # [x, y]: (xg)y
-        np.take(t, t[g], axis=1, out=right, mode="clip")     # [x, y]: x(gy)
-        if np.not_equal(left, right, out=bad).any():
-            x, y = divmod(int(np.argmax(bad)), len(t))
-            return (x, g, y)
+        column, row = t[:, g], t[g]
+        for lo in range(0, n, block):
+            k = min(block, n - lo)
+            np.take(t, column[lo:lo + k], axis=0, out=left[:k], mode="wrap")   # [x, y]: (xg)y
+            np.take(t[lo:lo + k], row, axis=1, out=right[:k], mode="wrap")     # [x, y]: x(gy)
+            if np.not_equal(left[:k], right[:k], out=bad[:k]).any():
+                x, y = divmod(int(np.argmax(bad[:k])), n)
+                return (lo + x, g, y)
     return None
 
 
@@ -175,111 +184,136 @@ def semigroup_from_json(d) -> FiniteSemigroup:
 # The common table document, {"elements": [...], "table": [[...], ...]} in
 # that key order with any JSON whitespace, framed by these patterns.  They
 # are compiled on first use, through re's cache, so importing stays as fast.
-_WS = "[ \t\n\r]*"
-_DOC_HEAD = _WS + r'\{' + _WS + '"elements"' + _WS + ":" + _WS
-_TABLE_KEY = _WS + "," + _WS + '"table"' + _WS + ":" + _WS + r"(?=\[)"
-_DOC_TAIL = r"\]" + _WS + r"\}" + _WS
+_JSON_WS = b" \t\n\r"
+_WS = rb"[ \t\n\r]*"
+_DOC_HEAD = _WS + rb'\{' + _WS + rb'"elements"' + _WS + b":" + _WS
+_TABLE_KEY = rb'"table"' + _WS + b":" + _WS + rb"(?=\[)"  # after a comma, found apart
+_DOC_TAIL = rb"\]" + _WS + rb"\}" + _WS
 _BRACKETS_AS_SPACE = bytes.maketrans(b"[]", b"  ")
 # Each byte of a table as a left class in its low four bits and a right
 # class in its high four, so that two neighbours share a bit exactly when
 # they are digit "[", "]" digit, or one of "[" and "," before one of ","
-# and "]": a digit outside a row, or an empty slot.
-_PAIR_CLASS = bytes.maketrans(b"0123456789[],", b"\x21" * 10 + b"\x14\x42\x44")
+# and "]": a digit outside a row, or an empty slot.  A byte that is no
+# digit, comma or bracket is 0xff, which shares a bit with any neighbour.
+# Bit 0 marks a digit; bit 3, in no right class, marks "0" apart.
+_PAIR_CLASS = bytes({48: 0x29, 91: 0x14, 93: 0x42, 44: 0x44}.get(x, 0x21 if 48 < x <= 57 else 0xff)
+                    for x in range(256))
 
 
-def _digit_runs(data):
-    """The number of runs of ASCII digits in data that a byte ends."""
-    a = np.frombuffer(data, dtype=np.uint8)
-    digit = (a >= 48) & (a <= 57)
-    return int(np.count_nonzero(digit[:-1] & ~digit[1:]))
+def _digit_runs(data, lo, hi):
+    """The number of runs of ASCII digits in data[lo:hi] that a byte of it
+    ends, read in blocks of gf.TABLE_BLOCK_CELLS bytes with no copy."""
+    runs = 0
+    for a in range(lo, hi - 1, gf.TABLE_BLOCK_CELLS):
+        u = np.frombuffer(data, dtype=np.uint8, count=min(gf.TABLE_BLOCK_CELLS + 1, hi - a), offset=a)
+        digit = (u >= 48) & (u <= 57)
+        runs += int(np.count_nonzero(digit[:-1] & ~digit[1:]))
+    return runs
 
 
-def _is_table_shape(dense, n):
-    """Whether dense, bytes of digits, commas and brackets, is n rows of n
-    slots, each slot one digit run: the delimiters form the exact skeleton,
-    and no two neighbours share a _PAIR_CLASS bit.  The pairs are taken in
-    blocks of gf.TABLE_BLOCK_CELLS bytes, which bounds the scratch memory."""
+def _is_table_shape(dense, lo, hi, n):
+    """Whether dense[lo:hi], bytes with no JSON whitespace, is n rows of n
+    slots, each slot one literal of at most len(str(n - 1)) digits with no
+    leading zero.  The table's delimiters, read among all of dense's
+    non-digit bytes (no digit follows the table), must be the exact n x n
+    skeleton; they and the skeleton they are compared with are (n + 1)**2
+    bytes each, not the table's size.  The rest is read in blocks of
+    gf.TABLE_BLOCK_CELLS bytes, each with a few bytes of context, so nothing
+    the size of the table is made: no two neighbours share a _PAIR_CLASS
+    bit, no digit run is longer than len(str(n - 1)), and no "0" starts a
+    run of two or more.  A literal refused for its length is no index below
+    n, and none that is let through can wrap in int32."""
     row = b"[" + b"," * (n - 1) + b"]"
-    if dense.translate(None, b"0123456789") != b"[" + b",".join([row] * n) + b"]":
+    delimiters, start = dense.translate(None, b"0123456789"), len(dense[:lo].translate(None, b"0123456789"))
+    # the table's first byte is "[" and its last "]" (_table_document frames it so)
+    if (len(delimiters) - start != (n + 1) ** 2 + len(dense) - hi
+            or not delimiters.startswith(b",".join([row] * n), start + 1)):
         return False
-    for lo in range(0, len(dense) - 1, gf.TABLE_BLOCK_CELLS):
-        code = np.frombuffer(dense[lo:lo + gf.TABLE_BLOCK_CELLS + 1].translate(_PAIR_CLASS), dtype=np.uint8)
-        right = np.right_shift(code[1:], 4)
-        if np.bitwise_and(right, code[:-1], out=right).any():
+    del delimiters
+    width = len(str(n - 1))
+    for a in range(lo, hi, gf.TABLE_BLOCK_CELLS):
+        b = min(a + gf.TABLE_BLOCK_CELLS, hi)
+        c = max(lo, a - width)  # the block [a, b) with width bytes before it and one after
+        code = np.frombuffer(dense[c:min(b + 1, hi)].translate(_PAIR_CLASS), dtype=np.uint8)
+        right = np.right_shift(code[a - c + 1:], 4)
+        if np.bitwise_and(right, code[a - c:-1], out=right).any():
+            return False
+        digit = np.bitwise_and(code, 1).view(bool)
+        run = digit[width:].copy()  # [i]: digits i .. i + width of the block
+        for k in range(1, width + 1):
+            run &= digit[width - k:len(digit) - k]
+        if run.any() or ((code[1:-1] == 0x29) & digit[2:] & ~digit[:-2]).any():
             return False
     return True
 
 
-def _table_cells(data, n):
-    """The bytes of a JSON array of n arrays of n non-negative integer
-    literals as a read-only (n, n) int32 array, or None for any other bytes.
-
-    C-level scans decide the shape: no whitespace inside a literal, and
-    _is_table_shape, whose skeleton admits no byte but digits, commas and
-    brackets.  One np.fromstring then reads the n*n literals that the shape
-    holds; it is told that count, and would fill a short read silently.  It
-    also wraps silently past int32, so every value must have as many digits
-    as its literal, a negative value counting one.  That rules out leading
-    zeros too, since a wrapped value below 10**9 has fewer digits than the
-    ten or more of its literal.  Each buffer is dropped once the next is
-    made, which keeps the peak near two copies of the input.
-    """
+def _table_document(data):
+    """(elements, dense, lo, hi) for bytes data in the common table document
+    form: elements as json.loads reads them, and dense[lo:hi] the table with
+    no JSON whitespace, which _is_table_shape has decided readable; dense is
+    data itself unless the table held whitespace.  None for any other bytes,
+    every decline decided here, on data; ValueError or RecursionError where
+    raw_decode refuses the elements.  Only the bytes before the table key
+    are decoded, for raw_decode, and as ASCII; with the table's shape and
+    the patterns, that admits no byte outside ASCII."""
+    head = re.compile(_DOC_HEAD).match(data)
+    key = head and re.compile(_TABLE_KEY).search(data, head.end())
+    if not key:
+        return None
+    prefix = data[:key.start()].rstrip(_JSON_WS)  # the elements and a comma
+    elements, end = json.JSONDecoder().raw_decode(prefix.decode("ascii"), head.end())
+    lo, hi = key.end(), data.rfind(b"]") + 1
+    if not (prefix.endswith(b",") and end == len(prefix[:-1].rstrip(_JSON_WS)) and isinstance(elements, list)
+            and 0 < len(elements) <= ASSOC_GUARD and re.compile(_DOC_TAIL).fullmatch(data, hi - 1)):
+        return None
     dense = data
-    if data.translate(None, b"0123456789,[]"):  # JSON whitespace, or a byte the skeleton refuses
-        dense = data.translate(None, b" \t\n\r")
-        if _digit_runs(data) != _digit_runs(dense):
+    if any(data.find(c, lo, hi) >= 0 for c in _JSON_WS):
+        dense = data.translate(None, _JSON_WS)
+        start = lo - sum(data.count(c, 0, lo) for c in _JSON_WS)
+        stop = start + hi - lo - sum(data.count(c, lo, hi) for c in _JSON_WS)
+        if _digit_runs(data, lo, hi) != _digit_runs(dense, start, stop):  # whitespace inside a literal
             return None
-    del data
-    if not _is_table_shape(dense, n):
-        return None
-    digits = len(dense) - (n + 1) ** 2
-    spaced = dense.translate(_BRACKETS_AS_SPACE)
-    del dense
-    cells = np.fromstring(spaced, dtype=np.int32, count=n * n, sep=",")
-    del spaced
-    top = int(cells.max())
-    if top >= 10 ** 9 or digits != cells.size + sum(
-            int(np.count_nonzero(cells >= 10 ** k)) for k in range(1, len(str(top)))):
-        return None
-    cells = cells.reshape(n, n)
-    cells.flags.writeable = False
-    return cells
+        lo, hi = start, stop
+    return (elements, dense, lo, hi) if _is_table_shape(dense, lo, hi, len(elements)) else None
 
 
-def _table_document(text):
-    """(elements, table) of text in the common table document form, as
-    json.loads reads the elements and _table_cells the table; None for any
-    other text."""
-    head = re.compile(_DOC_HEAD).match(text)
-    if head is None:
-        return None
-    elements, end = json.JSONDecoder().raw_decode(text, head.end())
-    key = re.compile(_TABLE_KEY).match(text, end)
-    stop = text.rfind("]")
-    if not (isinstance(elements, list) and len(elements) <= ASSOC_GUARD
-            and key and re.compile(_DOC_TAIL).fullmatch(text, stop)):
-        return None
-    cells = _table_cells(text[key.end():stop + 1].encode("ascii"), len(elements))
-    return None if cells is None else (elements, cells)
+def semigroup_from_file(path) -> FiniteSemigroup:
+    """semigroup_from_json(json.loads(open(path).read())), with the same
+    result and the same exceptions, from one read of the file, as bytes.
 
-
-def semigroup_from_text(text) -> FiniteSemigroup:
-    """semigroup_from_json(json.loads(text)), with the same result and the
-    same exceptions.  A document of the common form has its table read
+    A document of the common form (_table_document) has its table read
     straight into the int32 array that from_table adopts, with no Python
-    int or list per cell; any other text, and any error before from_table,
-    goes through json.loads and semigroup_from_json, which alone word the
+    int or list per cell.  This function holds the only reference to the
+    file's bytes, so it can drop them: it slices out the table, drops the
+    file's bytes (or their whitespace-free copy), blanks the brackets and
+    parses the literals, each buffer dropped once the next is made, so no
+    more than two table-sized buffers are ever live.  np.fromstring is told
+    the n*n count that the shape holds; it would fill a short read silently.
+    Any other document, and any error before from_table, goes through
+    json.loads and semigroup_from_json, on the bytes decoded as open()
+    decodes them (locale encoding, universal newlines); they alone word the
     errors."""
+    with open(path, "rb") as fh:
+        data = fh.read()
     try:
-        doc = _table_document(text)
+        doc = _table_document(data)
         if doc is not None:
             labels = _label_from_json(doc[0])
-    except (ValueError, RecursionError):  # raw_decode, encode, fromstring or a label
+    except (ValueError, RecursionError):  # raw_decode or a label
         doc = None
     if doc is None:
-        return semigroup_from_json(json.loads(text))
-    del text  # the caller passes the only reference: free it before Light's test
-    return from_table(labels, doc[1])
+        return semigroup_from_json(json.loads(io.TextIOWrapper(io.BytesIO(data)).read()))
+    dense, lo, hi = doc[1:]
+    del data, doc  # and with doc the element lists that raw_decode made
+    table = dense[lo:hi]
+    del dense
+    spaced = table.translate(_BRACKETS_AS_SPACE)
+    del table
+    n = len(labels)
+    cells = np.fromstring(spaced, dtype=np.int32, count=n * n, sep=",").reshape(n, n)
+    del spaced
+    cells.flags.writeable = False
+    return from_table(labels, cells)
 
 
 def table_json(table) -> str:

@@ -74,6 +74,13 @@ def retraction_law(p, n):
 SWEEP_LIMIT = 1 << 16  # rows of one batched sweep: matrices of a hom-set shape, or cone assignments
 
 
+def _check_sweep(p, da, db):
+    """GuardExceeded if the da x db matrices over GF(p) are too many to sweep."""
+    count = p ** (da * db)
+    if count > SWEEP_LIMIT:
+        raise gf.GuardExceeded(f"p^(da*db) = {count} matrices of shape {da}x{db} exceed limit {SWEEP_LIMIT}")
+
+
 @lru_cache(maxsize=None)
 def shape_factors(p, da, db) -> SimpleNamespace:
     """The normal factorization of every da x db matrix M over GF(p), as
@@ -85,8 +92,7 @@ def shape_factors(p, da, db) -> SimpleNamespace:
     E_J; u = M[J] at the pivot columns of image (leading r x r block); epi =
     q.u; matrices holds M.  For every x, x.M = q(x).M[J] = q(x).u.image."""
     count, slots = p ** (da * db), np.arange(da)
-    if count > SWEEP_LIMIT:
-        raise gf.GuardExceeded(f"p^(da*db) = {count} matrices of shape {da}x{db} exceed limit {SWEEP_LIMIT}")
+    _check_sweep(p, da, db)
     mats = gf.from_base_p(np.arange(count), p, da, db)
     eye = np.broadcast_to(np.eye(da, dtype=np.int64), (count, da, da))
     red, pivot, _ = gf.rref_stack(np.concatenate([mats, eye], axis=2), p)
@@ -127,6 +133,8 @@ def factorization_witness(p, n):
     lattice = gf.subspace_lattice(p, n)
     dims = sorted(set(lattice.dims[:-1].tolist()))
     failing = {"retraction": set(), "image": set()}
+    for da, db in itertools.product(dims, dims):  # refuse before any shape is swept
+        _check_sweep(p, da, db)
     for da, db in itertools.product(dims, dims):
         fac, count, width = shape_factors(p, da, db), p ** (da * db), max(da, db)
         kept = np.arange(da) < fac.rank[:, None]  # the first rank M rows or columns

@@ -16,6 +16,10 @@ idempotents and Green's relations in verify-all before both checks moved to
 the verified matrix witnesses (sg.sing_green, gf.idempotent_matrices); they
 work on any table and are the reference those witnesses are compared with.
 
+associativity_witness is Light's test as semigroups ran it before each
+generator's pass moved to row blocks: one pass over the whole (n, n) table
+per generator, in three table-sized buffers.
+
 enumerate_endos (every matrix as an Endo record) and sing_semigroup (Sing's
 table under Light's test, labelled by those records) are what gf and
 semigroups built Sing from before the program read Sing's matrices and its
@@ -49,6 +53,20 @@ def from_multiplication(elements, op) -> sg.FiniteSemigroup:
             row.append(idx[c])
         table.append(row)
     return sg.from_table(elements, table)
+
+
+def associativity_witness(t):
+    """The first triple (x, g, y), in row-major order for the first failing
+    generator g of sg._generators, with (xg)y != x(gy), or None: Light's
+    test with each generator's pass over the whole table at once."""
+    left, right, bad = np.empty_like(t), np.empty_like(t), np.empty(t.shape, dtype=bool)
+    for g in sg._generators(t):
+        np.take(t, t[:, g], axis=0, out=left, mode="clip")   # [x, y]: (xg)y
+        np.take(t, t[g], axis=1, out=right, mode="clip")     # [x, y]: x(gy)
+        if np.not_equal(left, right, out=bad).any():
+            x, y = divmod(int(np.argmax(bad)), len(t))
+            return (x, g, y)
+    return None
 
 
 @lru_cache(maxsize=None)

@@ -365,11 +365,12 @@ TWO = '{"elements": ["a", "b"], "table": %s}'
     '{"elements": ["\u00e9", "\u00fc"], "table": [[0, 1], [1, 2]]}',
     '{"elements": ["a", "a"], "table": [[0, 1], [1, 0]]}',
     '{"elements": %s, "table": [[0]]}' % json.dumps(list(range(gf.ASSOC_GUARD + 1))),
+    '{"elements": %s, "table": [%s]}' % (list(range(11)), ", ".join(["[%s]" % ", ".join(["0"] * 10 + ["1 0"])] * 11)),
 ], ids=["top-level-array", "object-label", "boolean-entry", "huge-entry", "ragged", "ragged-same-count",
         "float-entry", "negative-entry", "leading-zero", "split-number", "empty-slot",
         "blank-slot", "digit-outside-row", "out-of-range", "trailing-garbage",
         "duplicate-table-key", "reordered-keys", "extra-member", "non-ascii-label",
-        "duplicate-labels", "order-above-guard"])
+        "duplicate-labels", "order-above-guard", "split-number-below-order"])
 def test_malformed_table_fails_with_error(tmp_path, capsys, text):
     path = tmp_path / "table.json"
     path.write_text(text, encoding="utf-8")
@@ -380,6 +381,43 @@ def test_malformed_table_fails_with_error(tmp_path, capsys, text):
     assert entry["check"] == "table-associativity"
     assert entry["status"] == "fail"
     assert entry["witness"] == {"error": _json_path_error(text)}
+
+
+def _json_path_report(path):
+    """table-associativity's status and witness when the file is read as
+    open() reads it, then by json.loads and semigroup_from_json."""
+    try:
+        with open(path) as fh:
+            sg.semigroup_from_json(json.loads(fh.read()))
+    except sg.NotAssociative as exc:
+        return "fail", {"triple": list(exc.witness)}
+    except ValueError as exc:
+        return "fail", {"error": str(exc)}
+    return "pass", None
+
+
+CRLF = json.dumps(sing_oracle.semigroup_to_json(sg.null_semigroup_fixture()[0]), indent=1).replace("\n", "\r\n")
+
+@pytest.mark.parametrize("data", [
+    CRLF.encode("ascii"),
+    CRLF.replace('"table"', '"table" x', 1).encode("ascii"),
+    b"\xef\xbb\xbf" + (TWO % "[[0, 1], [1, 0]]").encode("ascii"),
+    '{"elements": ["\u00e9", "\u00fc"], "table": [[0, 1], [1, 0]]}'.encode("utf-8"),
+    (TWO % "[[0, 1], [1, 4294967296]]").encode("ascii"),
+    (TWO % "[[0, 1], [1, 0000000001]]").encode("ascii"),
+    (TWO % "[[0, 1], [01, 0]]").encode("ascii"),
+    b'{"elements": ["\xff"], "table": [[0]]}',
+], ids=["crlf", "crlf-error", "utf8-bom", "non-ascii-label", "ten-digits", "ten-digits-leading-zeros",
+        "leading-zero", "invalid-utf8"])
+def test_table_report_matches_the_json_path(tmp_path, capsys, data):
+    path = tmp_path / "table.json"
+    path.write_bytes(data)
+    code, out, _ = run(capsys, "verify-all", "--field", "2", "--dim", "2",
+                       "--format", "json", "--table", str(path))
+    entry = json.loads(out)[-1]
+    assert entry["check"] == "table-associativity"
+    assert (entry["status"], entry["witness"]) == _json_path_report(path)
+    assert code == (entry["status"] == "fail")
 
 
 @pytest.mark.parametrize("depth", [900, 5000], ids=["label-depth", "json-depth"])
@@ -710,6 +748,20 @@ def test_green_at_2_4_checks_its_witnesses_in_blocks():
     status, out, peak = process_peak("green", "--field", "2", "--dim", "4", "--format", "json")
     assert status == 0 and len(json.loads(out)["d_classes"]) == 4
     assert peak < 80
+
+
+def test_table_check_at_the_order_guard_keeps_two_table_copies(tmp_path):
+    # Z_1500's document is 9.6 MB.  Read as text, with its bytes, the cells
+    # and three whole-table buffers of Light's test alive, the table check
+    # peaked at 65 MB; with at most two table-sized buffers, about 48 MB.
+    n = gf.ASSOC_GUARD
+    index = np.arange(n)
+    path = tmp_path / "cyclic.json"
+    path.write_text('{"elements": %s, "table": %s}' % (list(range(n)), sg.table_json((index[:, None] + index) % n)))
+    status, out, peak = process_peak("verify-all", "--field", "2", "--dim", "2", "--format", "json",
+                                     "--table", str(path))
+    assert status == 0 and json.loads(out)[-1] == {"check": "table-associativity", "status": "pass", "witness": None}
+    assert peak < 53
 
 
 def in_process(capsys, *argv):

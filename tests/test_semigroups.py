@@ -4,11 +4,15 @@ morphisms, amalgams and the eggbox export."""
 import dataclasses
 import itertools
 import json
+import os
 import random
 import subprocess
 import sys
+import tempfile
+import threading
 from collections import deque
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -605,26 +609,60 @@ def mutated_documents(draw):
     return text
 
 
-def reads_as_json(text):
-    """Whether sg._table_document declines text or reads exactly what
-    json.loads reads: the element list and the table's rows."""
+def outcome(read, path):
+    """What read(path) returns, or the type and message of what it raises."""
     try:
-        got = sg._table_document(text)
-    except ValueError:  # raw_decode's errors; semigroup_from_text declines on them
+        return read(path)
+    except (ValueError, RecursionError) as exc:
+        return type(exc), str(exc)
+
+
+def json_path(path):
+    with open(path) as fh:
+        return sg.semigroup_from_json(json.loads(fh.read()))
+
+
+def reads_as_json(text):
+    """Whether sg.semigroup_from_file reads text, written as UTF-8, to the
+    same semigroup or the same error as json.loads and semigroup_from_json;
+    and, where the array reader takes the document, whether it read the
+    element list that json.loads reads and handed from_table a read-only
+    int32 array equal, cell for cell, to json.loads' table."""
+    data = text.encode("utf-8")
+    try:
+        doc = sg._table_document(data)
+    except (ValueError, RecursionError):  # raw_decode's errors; the reader declines on them
+        doc = None
+    handed, real = [], sg.from_table
+
+    def spy(labels, table):
+        handed.append(table)
+        return real(labels, table)
+
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "table.json"
+        path.write_bytes(data)
+        with mock.patch.object(sg, "from_table", spy):
+            got = outcome(sg.semigroup_from_file, path)
+        if got != outcome(json_path, path):
+            return False
+    if doc is None:
         return True
-    if got is None:
-        return True
-    elements, table = got
-    doc = json.loads(text)
-    return (list(doc) == ["elements", "table"] and elements == doc["elements"]
-            and table.dtype == np.int32 and not table.flags.writeable
-            and table.tolist() == doc["table"])
+    parsed = json.loads(text)
+    if list(parsed) != ["elements", "table"] or doc[0] != parsed["elements"]:
+        return False
+    try:
+        sg._label_from_json(doc[0])
+    except (ValueError, RecursionError):  # a label both paths refuse before from_table
+        return handed == []
+    return (len(handed) == 1 and isinstance(handed[0], np.ndarray) and handed[0].dtype == np.int32
+            and not handed[0].flags.writeable and handed[0].tolist() == parsed["table"])
 
 
 @READER
 @given(table_documents())
 def test_table_reader_reads_every_well_formed_document(text):
-    assert sg._table_document(text) is not None
+    assert sg._table_document(text.encode("ascii")) is not None
     assert reads_as_json(text)
 
 
@@ -637,18 +675,74 @@ def test_table_reader_reads_every_well_formed_document(text):
 @example('{"elements": ["a", "b"], "table": [[0, 1, 1], [0]]}')  # ragged, n*n cells
 @example('{"elements": ["a"], "table": [[[0]]]}')  # nested a level deeper
 @example('{"elements": ["a"], "table": [[-0]]}')
+@example('{"elements": ["a", "b"], "table": [[0, 01], [1, 0]]}')  # a leading zero
+@example('{"elements": ["a", "b"], "table": [[0, 00], [1, 0]]}')
+@example('{"elements": ["a", "b"], "table": [[0, 10], [1, 0]]}')  # wider than any index
+@example('{"elements": ["a", "b"], "table": [[0, 1],\r\n [1, 0]] x}')  # CRLF before an error
+@example('\ufeff{"elements": ["a", "b"], "table": [[0, 1], [1, 0]]}')  # a UTF-8 BOM
+@example('{"elements": ["\u00e9", "b"], "table": [[0, 1], [1, 0]]}')  # a non-ASCII label
+@example('{"elements": [{"table": [0]}], "table": [[0]]}')  # the key inside a label
+@example('{"elements": ["table"], "table": [[0]]}')
+@example('{"elements": ["a"], "table": [[0]], [[0]]}')  # a second skeleton after the table's
+@example('{"elements": ["a", "b"], "table": [[0, 1], [1, 0]], [1, 0]]}')
 def test_table_reader_declines_or_agrees_with_json(text):
     assert reads_as_json(text)
 
 
-def test_text_and_json_paths_build_the_same_semigroup():
+def test_table_reader_refuses_a_literal_past_the_widest_index():
+    # declined before the parse, so no literal can wrap in int32
+    for n, entry in [(2, "10"), (10, "100"), (11, "05"), (11, "0"), (11, "10")]:
+        rows = [["0"] * n for _ in range(n)]
+        rows[-1][-1] = entry
+        text = '{"elements": %s, "table": [%s]}' % (list(range(n)), ",".join("[%s]" % ",".join(r) for r in rows))
+        doc = sg._table_document(text.encode("ascii"))
+        assert (doc is None) == (len(entry) > len(str(n - 1)) or entry.startswith("0") and len(entry) > 1), entry
+        assert reads_as_json(text)
+
+
+@pytest.mark.parametrize("cells", [1, 3, 7])
+@pytest.mark.parametrize("sep", [",", ", "], ids=["dense", "spaced"])
+def test_table_reader_decides_the_same_across_block_boundaries(monkeypatch, cells, sep):
+    # blocks of a few bytes split every literal somewhere, so a refusal
+    # must see the bytes of the literal on both sides of a boundary
+    n = 11
+    monkeypatch.setattr(gf, "TABLE_BLOCK_CELLS", cells)
+
+    def document(entry, at):
+        rows = [[str(i * j % n) for j in range(n)] for i in range(n)]
+        rows[at // n][at % n] = entry
+        return ('{"elements": %s, "table": [%s]}' % (list(range(n)), sep.join(
+            "[%s]" % sep.join(r) for r in rows))).encode("ascii")
+
+    for at in range(0, n * n, 13):
+        assert sg._table_document(document("10", at)) is not None
+        for entry in ["100", "05", "00", "010", "1 0"]:
+            assert sg._table_document(document(entry, at)) is None, (entry, at)
+
+
+def test_text_and_json_paths_build_the_same_semigroup(tmp_path):
     # Z_6 under multiplication, each residue labelled with its parity
     s = sing_oracle.from_multiplication([(a, (a % 2,)) for a in range(6)],
                                         lambda x, y: (x[0] * y[0] % 6, (x[0] * y[0] % 2,)))
     doc = sing_oracle.semigroup_to_json(s)
-    for text in (json.dumps(doc), json.dumps(doc, indent=2), json.dumps(doc, separators=(",", ":"))):
-        assert sg._table_document(text) is not None
-        assert sg.semigroup_from_text(text) == sg.semigroup_from_json(json.loads(text)) == s
+    path = tmp_path / "table.json"
+    for text in (json.dumps(doc), json.dumps(doc, indent=2), json.dumps(doc, separators=(",", ":")),
+                 json.dumps(doc, indent=2).replace("\n", "\r\n")):
+        path.write_bytes(text.encode("ascii"))
+        assert sg._table_document(text.encode("ascii")) is not None
+        assert sg.semigroup_from_file(path) == json_path(path) == s
+
+
+def test_file_reader_reads_a_fifo(tmp_path):
+    doc = sing_oracle.semigroup_to_json(sg.null_semigroup_fixture()[0])
+    path = tmp_path / "table.fifo"
+    os.mkfifo(path)
+    writer = threading.Thread(target=path.write_text, args=(json.dumps(doc),))
+    writer.start()
+    try:
+        assert sg.semigroup_from_file(path) == sg.null_semigroup_fixture()[0]
+    finally:
+        writer.join()
 
 
 @pytest.mark.parametrize("order", [0, 1, 10, 11, 101])  # one-, two- and three-digit indices
@@ -712,6 +806,54 @@ def test_light_catches_every_single_cell_mutation_of_sing_2_2():
                 table[i][j] = v
                 caught += assert_decided_like_the_sweep(table)
     assert caught == 100 * 9   # every one of them breaks associativity
+
+def cyclic_table(n, seed=None):
+    """Z_n under addition as a read-only int32 table, its indices permuted
+    at random when a seed is given."""
+    perm = np.arange(n) if seed is None else np.random.default_rng(seed).permutation(n)
+    sums = np.add.outer(np.arange(n), np.arange(n)) % n
+    table = np.empty((n, n), dtype=np.int32)
+    table[np.ix_(perm, perm)] = perm[sums]
+    table.flags.writeable = False
+    return table
+
+def planted(table, cells):
+    """table with each cell (x, y) of cells moved to the next index."""
+    t = table.copy()
+    for x, y in cells:
+        t[x, y] = (t[x, y] + 1) % len(t)
+    t.flags.writeable = False
+    return t
+
+@pytest.mark.parametrize("n", [400, 1500])
+def test_blocked_light_names_the_whole_table_witness(n):
+    block = gf.TABLE_BLOCK_CELLS // n
+    assert n // block >= 4   # several row blocks
+    rng = np.random.default_rng(n)
+    last = (n - 1) // block
+    cases = [(cyclic_table(n), None), (cyclic_table(n, 1), None)]
+    cases += [(rng.integers(0, n, size=(n, n), dtype=np.int32), "any") for _ in range(3)]
+    # in Z_n the identity's pass holds and the pass of 1 first fails one row
+    # above a changed cell: in the last block, and in the earlier of two
+    cases += [(planted(cyclic_table(n), [(n - 1, 5)]), last),
+              (planted(cyclic_table(n), [(2 * block + 3, 7), (last * block + 1, 2)]), 2),
+              (planted(cyclic_table(n, 2), [(n - 1, 5), (block + 4, 9)]), "any")]
+    for table, where in cases:
+        want = sing_oracle.associativity_witness(table)
+        assert sg._associativity_witness(table) == want
+        assert (want is None) == (where is None)
+        if isinstance(where, int):
+            assert want[0] // block == where
+
+@pytest.mark.parametrize("rows", [1, 3])
+def test_light_in_small_blocks_names_the_whole_table_witness(monkeypatch, rows):
+    s = sing_oracle.sing_semigroup(2, 2)
+    monkeypatch.setattr(gf, "TABLE_BLOCK_CELLS", rows * s.order)
+    for i, j in itertools.product(range(s.order), repeat=2):
+        for v in range(s.order):
+            table = s.table.copy()
+            table[i, j] = v
+            assert sg._associativity_witness(table) == sing_oracle.associativity_witness(table)
 
 def right_closure_walk(table):
     """Independent pure-Python form of the generator walk: the least index

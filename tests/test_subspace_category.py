@@ -121,6 +121,17 @@ def test_shape_factors_refuse_beyond_the_sweep_limit():
     with pytest.raises(gf.GuardExceeded, match="1048576 matrices of shape 4x5 exceed limit 65536"):
         sc.shape_factors(2, 4, 5)
 
+def test_factorization_refuses_before_sweeping_any_shape(monkeypatch):
+    # at (2,6) the shapes before 4x5 in loop order fit the limit; sweeping
+    # them first took about 1 s and 257 MB only to refuse at 4x5
+    def swept(*args):
+        raise AssertionError("a shape was swept")
+
+    monkeypatch.setattr(sc, "shape_factors", swept)
+    assert cli._run_check("normal-factorization", cli._check_factorization, 2, 6) == {
+        "check": "normal-factorization", "status": "fail",
+        "witness": {"guard": "p^(da*db) = 1048576 matrices of shape 4x5 exceed limit 65536"}}
+
 def perturbed(changes):
     """shape_factors with entries changed: {(p, da, db): [(field, index, value)]}."""
     shape_factors = sc.shape_factors
