@@ -20,7 +20,6 @@ from .semigroups import (
 )
 from .annihilators import (
     build_annihilator_category,
-    build_ta_semigroup,
     iso_to_dual_subspace_category,
 )
 from .bundles import (

@@ -3,9 +3,10 @@ subspace category of the dual space.
 
 Objects are the annihilators of nonzero subspaces, which are exactly the
 proper subspaces of the dual (zero included); its cone semigroup realizes the
-opposite of the singular endomorphism semigroup through transposition.  All
-of it is read from gf.subspace_lattice, whose positions serve both sides:
-the dual category is the subspace category of the dual space, so its
+opposite of the singular endomorphism semigroup through transposition, which
+verify-all's cone-semigroup check decides on the cone semigroup it builds.
+The category is read from gf.subspace_lattice, whose positions serve both
+sides: the dual category is the subspace category of the dual space, so its
 objects are the proper subspaces at their lattice positions.
 """
 
@@ -14,7 +15,6 @@ from __future__ import annotations
 import numpy as np
 
 from . import gf
-from . import subspace_category as sc
 
 
 def build_annihilator_category(p, n):
@@ -59,15 +59,3 @@ def iso_to_dual_subspace_category(p, n):
                 "objects": [gf.rows_json(p, lattice.basis(i)), gf.rows_json(p, lattice.basis(j))]}
     return None
 
-
-def build_ta_semigroup(p, n):
-    """(semigroup, witnesses): the cone semigroup of the annihilator
-    category, which is the cone semigroup over the dual space labelled by
-    the codes of matrices acting on dual coordinates, and the morphism witnesses
-    (sc.cone_map_witnesses) of alpha -> the dual cone of alpha^T from the
-    opposite of Sing's table.  Empty witnesses say that transposition is an
-    anti-isomorphism, (alpha^T).(beta^T) = (beta.alpha)^T for every pair;
-    the opposite of an associative table is associative."""
-    ta = sc.coded_normal_cones(p, n)[0]
-    transposed = gf._sing_matrices(p, n).transpose(0, 2, 1)
-    return ta, sc.cone_map_witnesses(ta, gf.sing_table(p, n).T, transposed, p)

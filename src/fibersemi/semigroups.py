@@ -253,17 +253,19 @@ def _table_document(data):
     no JSON whitespace, which _is_table_shape has decided readable; dense is
     data itself unless the table held whitespace.  None for any other bytes,
     every decline decided here, on data; ValueError or RecursionError where
-    raw_decode refuses the elements.  Only the bytes before the table key
-    are decoded, for raw_decode, and as ASCII; with the table's shape and
-    the patterns, that admits no byte outside ASCII."""
+    the decoding or raw_decode refuses the elements.  Only the bytes between
+    the head and the table key are decoded, for raw_decode, as open()
+    decodes them, so a label may hold any character; the patterns and the
+    table's shape admit no byte outside ASCII elsewhere."""
     head = re.compile(_DOC_HEAD).match(data)
     key = head and re.compile(_TABLE_KEY).search(data, head.end())
     if not key:
         return None
-    prefix = data[:key.start()].rstrip(_JSON_WS)  # the elements and a comma
-    elements, end = json.JSONDecoder().raw_decode(prefix.decode("ascii"), head.end())
+    ws = _JSON_WS.decode("ascii")  # str.strip's default would strip whitespace that JSON refuses
+    prefix = io.TextIOWrapper(io.BytesIO(data[head.end():key.start()])).read().rstrip(ws)  # elements, comma
+    elements, end = json.JSONDecoder().raw_decode(prefix)
     lo, hi = key.end(), data.rfind(b"]") + 1
-    if not (prefix.endswith(b",") and end == len(prefix[:-1].rstrip(_JSON_WS)) and isinstance(elements, list)
+    if not (prefix.endswith(",") and end == len(prefix[:-1].rstrip(ws)) and isinstance(elements, list)
             and 0 < len(elements) <= ASSOC_GUARD and re.compile(_DOC_TAIL).fullmatch(data, hi - 1)):
         return None
     dense = data

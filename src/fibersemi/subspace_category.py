@@ -303,7 +303,14 @@ def coded_normal_cones(p, n):
     Small categories are swept exhaustively: every assignment of a morphism
     into each vertex is a row, kept when it is a well-formed normal cone.
     Larger ones take the principal cones of every singular endomorphism, and
-    each of them must pass the same test.
+    each of them must pass the same test.  At n >= 3 that is every normal
+    cone: any two vectors lie in a proper subspace, of dimension at most
+    2 < n, and compatibility makes the components agree where objects meet,
+    so they glue to one map on GF(p)^n that is linear on the span of any
+    two vectors, hence linear.  Normality makes its image the vertex, a
+    proper subspace, so the map is singular and the cone is its principal
+    cone.  At n = 2 no inclusion joins two lines, and the sweep's global
+    linearity clause is what keeps the cones principal.
 
     Either way every cell of the Cayley table is a cone composition, never a
     matrix shortcut, filled one vertex object at a time: g1.g2 pushes g1

@@ -7,7 +7,9 @@ unchanged, so the tests can compare the code rows, the cone JSON and the
 batched M-sets with them.  span_in is the Subspace the cone semigroup built
 for each product's vertex before it looked the vertex up by code.
 swap_two_cone_labels plants a mutant cone semigroup for the checks that map
-Sing onto it."""
+Sing onto it.  build_ta_semigroup is the dual cone semigroup as the package
+built it before verify-all's cone-semigroup check decided the transposition
+claim on its own build."""
 
 from __future__ import annotations
 
@@ -17,6 +19,7 @@ from dataclasses import dataclass
 import factorization_oracle as fo
 from factorization_oracle import all_linear_maps
 import gf_helpers as gh
+from fibersemi import gf
 from fibersemi import semigroups as sg
 from fibersemi import subspace_category as sc
 from fibersemi.gf import Record
@@ -210,3 +213,16 @@ def swap_two_cone_labels(monkeypatch, i=1, j=2):
 
     monkeypatch.setattr(sc, "coded_normal_cones", planted)
     return i, j
+
+
+def build_ta_semigroup(p, n):
+    """(semigroup, witnesses): the cone semigroup of the annihilator
+    category, which is the cone semigroup over the dual space labelled by
+    the codes of matrices acting on dual coordinates, and the morphism witnesses
+    (sc.cone_map_witnesses) of alpha -> the dual cone of alpha^T from the
+    opposite of Sing's table.  Empty witnesses say that transposition is an
+    anti-isomorphism, (alpha^T).(beta^T) = (beta.alpha)^T for every pair;
+    the opposite of an associative table is associative."""
+    ta = sc.coded_normal_cones(p, n)[0]
+    transposed = gf._sing_matrices(p, n).transpose(0, 2, 1)
+    return ta, sc.cone_map_witnesses(ta, gf.sing_table(p, n).T, transposed, p)

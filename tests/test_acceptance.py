@@ -127,7 +127,7 @@ def test_criterion_7_dual_category_and_transpose():
         assert ann.iso_to_dual_subspace_category(2, 2) is None
         assert ann.iso_to_dual_subspace_category(2, 3) is None
         assert len(ann.build_annihilator_category(2, 3)) == 15
-        ta, found = ann.build_ta_semigroup(2, 2)
+        ta, found = co.build_ta_semigroup(2, 2)
         assert ta.order == 10
         assert found == {}
         # the same anti-isomorphism through the labelled oracle check

@@ -172,7 +172,7 @@ def test_m_set_matches_dual_tag(cat22):
 
 
 def test_dual_cone_semigroup_order_and_anti_iso():
-    ta, found = ann.build_ta_semigroup(2, 2)
+    ta, found = oracle.build_ta_semigroup(2, 2)
     assert ta.order == 10
     assert found == {}
 
@@ -182,7 +182,7 @@ def test_dual_cone_semigroup_with_swapped_labels_is_caught(monkeypatch, p, n):
     of the true map, which the morphism check refuses; the witness agrees
     with the loop oracle's over the opposite of Sing."""
     i, j = oracle.swap_two_cone_labels(monkeypatch)
-    ta, found = ann.build_ta_semigroup(p, n)
+    ta, found = oracle.build_ta_semigroup(p, n)
     sing = sing_oracle.sing_semigroup(p, n)
     opposite = sg.FiniteSemigroup(sing.elements, sing.table.T)
     mapping = tuple(ta.elements.index(gh.code(gh.transpose(a))) for a in sing.elements)
@@ -196,7 +196,7 @@ def test_transpose_identities():
         assert gh.transpose(gh.transpose(a)) == a
 
 def test_dual_table_is_transpose_conjugated_opposite():
-    ta, _ = ann.build_ta_semigroup(2, 2)
+    ta, _ = oracle.build_ta_semigroup(2, 2)
     primal = sing_oracle.enumerate_endos(2, 2, singular_only=True)
     sing = sing_oracle.from_multiplication(primal, lambda a, b: a * b)
     for a in primal:

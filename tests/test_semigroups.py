@@ -574,15 +574,17 @@ def test_cayley_json_round_trip():
 
 READER = settings(max_examples=300, deadline=None, derandomize=True, database=None)
 JSON_WS = st.text(alphabet=" \t\n\r", max_size=2)
-LABELS = st.recursive(st.integers(0, 3) | st.text("ab", max_size=2),
+LABELS = st.recursive(st.integers(0, 3) | st.text("ab\u00e9\U0001d11e", max_size=2),
                       lambda inner: st.lists(inner, max_size=2), max_leaves=4)
-# every byte the reader treats apart, and some that only json.loads knows
-MUTATION_BYTES = list('0123456789,[]{} \t\n\r"-.eE:+x') + ["\u00e9"]
+# every byte the reader treats apart, and some that only json.loads knows;
+# U+3000 is whitespace to str.strip but not to JSON
+MUTATION_BYTES = list('0123456789,[]{} \t\n\r"-.eE:+x') + ["\u00e9", "\u3000"]
 
 
 @st.composite
 def table_documents(draw, big=()):
-    """A table document of order 1 to 4 with random JSON whitespace; its
+    """A table document of order 1 to 4 with random JSON whitespace, its
+    labels' characters outside ASCII written as UTF-8 or escaped; its
     entries are below n + 2, or drawn from big."""
     n = draw(st.integers(1, 4))
     labels = draw(st.lists(LABELS, min_size=n, max_size=n))
@@ -593,7 +595,7 @@ def table_documents(draw, big=()):
         return draw(JSON_WS)
 
     table = ",".join(ws() + "[" + ",".join(ws() + str(v) + ws() for v in row) + "]" + ws() for row in rows)
-    return (ws() + "{" + ws() + '"elements"' + ws() + ":" + ws() + json.dumps(labels) + ws() + ","
+    return (ws() + "{" + ws() + '"elements"' + ws() + ":" + ws() + json.dumps(labels, ensure_ascii=draw(st.booleans())) + ws() + ","
             + ws() + '"table"' + ws() + ":" + ws() + "[" + table + "]" + ws() + "}" + ws())
 
 
@@ -662,7 +664,7 @@ def reads_as_json(text):
 @READER
 @given(table_documents())
 def test_table_reader_reads_every_well_formed_document(text):
-    assert sg._table_document(text.encode("ascii")) is not None
+    assert sg._table_document(text.encode("utf-8")) is not None
     assert reads_as_json(text)
 
 
@@ -681,6 +683,9 @@ def test_table_reader_reads_every_well_formed_document(text):
 @example('{"elements": ["a", "b"], "table": [[0, 1],\r\n [1, 0]] x}')  # CRLF before an error
 @example('\ufeff{"elements": ["a", "b"], "table": [[0, 1], [1, 0]]}')  # a UTF-8 BOM
 @example('{"elements": ["\u00e9", "b"], "table": [[0, 1], [1, 0]]}')  # a non-ASCII label
+@example('{"elements": ["\u00e9"],\r\n"table": [[0]]}')  # counted in characters, after CRLF
+@example('{"elements": ["a"]\u3000, "table": [[0]]}')  # whitespace to str.strip, not to JSON
+@example('{"elements": ["a"],\u3000"table": [[0]]}')
 @example('{"elements": [{"table": [0]}], "table": [[0]]}')  # the key inside a label
 @example('{"elements": ["table"], "table": [[0]]}')
 @example('{"elements": ["a"], "table": [[0]], [[0]]}')  # a second skeleton after the table's
@@ -718,6 +723,23 @@ def test_table_reader_decides_the_same_across_block_boundaries(monkeypatch, cell
         assert sg._table_document(document("10", at)) is not None
         for entry in ["100", "05", "00", "010", "1 0"]:
             assert sg._table_document(document(entry, at)) is None, (entry, at)
+
+
+def test_labels_outside_ascii_stay_on_the_array_path(tmp_path, monkeypatch):
+    # decoded as ASCII, one such label sent the whole document through json.loads
+    labels = ["\u00e9", "\u00df", "\U0001d11e", ["\u00e9", 1]]
+    text = '{"elements": %s,\r\n "table": %s}' % (json.dumps(labels, ensure_ascii=False),
+                                                  [[(i + j) % 4 for j in range(4)] for i in range(4)])
+    path = tmp_path / "table.json"
+    path.write_bytes(text.encode("utf-8"))
+    want = json_path(path)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the document went through json.loads")
+
+    monkeypatch.setattr(sg.json, "loads", forbidden)
+    assert sg.semigroup_from_file(path) == want
+    assert want.elements == ("\u00e9", "\u00df", "\U0001d11e", ("\u00e9", 1))
 
 
 def test_text_and_json_paths_build_the_same_semigroup(tmp_path):

@@ -145,9 +145,11 @@ def perturbed(changes):
     return changed
 
 def test_factorization_check_fails_on_a_perturbed_retraction(monkeypatch):
-    # M = [[0, 1], [0, 1]] has kernel <(1, 1)>, so q = [[1], [1]]
+    # M = [[0, 1], [0, 1]] has kernel <(1, 1)>, so q = [[1], [1]]; maps
+    # between planes occur first at (2,3)
     monkeypatch.setattr(sc, "shape_factors", perturbed({(2, 2, 2): [("q", (5, 1, 0), 0)]}))
-    ok, witness = cli._check_factorization(2, 2)
+    assert cli._check_factorization(2, 2) == (True, None)
+    ok, witness = cli._check_factorization(2, 3)
     assert not ok
     assert witness == {"failure": "factorization identity", "shape": [2, 2], "matrix": [[0, 1], [0, 1]]}
 
@@ -177,9 +179,9 @@ def _pivot_complement(a, b):
 
 def test_retraction_law_fails_on_a_corrupted_complement(monkeypatch):
     # the complement at a's pivots rather than its other columns: the
-    # batched law and the LinearMap loop fail at the same inclusion pairs,
-    # and the check names the first of them
-    assert cli._check_factorization(2, 2) == (True, None)
+    # batched law and the LinearMap loop fail at the same inclusion pairs of
+    # the (2,3) category, and the check at (2,3) names the first of them
+    assert cli._check_factorization(2, 3) == (True, None)
     complement_rows = sc.complement_rows
     monkeypatch.setattr(sc, "complement_rows",
                         lambda pivot: complement_rows(np.where(pivot.any(axis=1)[:, None], ~pivot, pivot)))
@@ -190,12 +192,15 @@ def test_retraction_law_fails_on_a_corrupted_complement(monkeypatch):
     assert sc.retraction_law(2, 2).all()
     sub = cat.objects[cat.inclusion_pairs[want.index(False)][0]]
     assert sub == gh.subspace_span([(0, 0, 1)], 3, 2)
-    assert cli._check_factorization(2, 2) == (False, {"failure": "retraction law", "sub": sub.to_json()})
+    assert cli._check_factorization(2, 2) == (True, None)
+    assert cli._check_factorization(2, 3) == (False, {"failure": "retraction law", "sub": sub.to_json()})
 
 @pytest.mark.parametrize("p", [2, 3])
 def test_cone_check_fails_on_a_planted_non_principal_cone(monkeypatch, p):
-    # at (p, 2) the cones come from the exhaustive sweep, so the comparison
-    # with the principal codes is a real check
+    # at (p, 2) the cones come from the exhaustive sweep, whose global
+    # linearity clause keeps only principal cones, so on the real build the
+    # comparison with the principal codes always holds: only a planted cone
+    # reaches its failure
     assert cli._check_cone_semigroup(p, 2) == (True, None)
     coded = sc.coded_normal_cones
 
