@@ -113,22 +113,18 @@ def _sing_pairs(p, n, found):
 
 
 def _check_cone_semigroup(p, n):
-    # The table is built by cone composition and its cones are exactly the
-    # principal ones (both code arrays are in order of the inducing
-    # endomorphisms), so the morphism check, on the map that sends each Sing
-    # element to the cone its matrix labels, decides
+    # The cones are the principal ones, in Sing order (sc.coded_normal_cones
+    # states at which n that is every normal cone), and the table is built by
+    # cone composition, so the morphism check, on the map that sends each
+    # Sing element to the cone its matrix labels, decides
     # cone(a).cone(b) = cone(ab).  coded_normal_cones' guards refuse before
     # the lattice is built.  The same semigroup, labelled by matrices acting
     # on dual coordinates, is the dual cone semigroup, the cone semigroup of
     # the annihilator category; on this build, the map a -> cone(a^T) from
     # the opposite of Sing's table decides that transposition is an
     # anti-isomorphism, (a^T).(b^T) = (b.a)^T for every pair.
-    cone_sg, code, vertex, rows = sc.coded_normal_cones(p, n)
+    cone_sg = sc.coded_normal_cones(p, n)[0]
     mats = gf._sing_matrices(p, n)
-    if cone_sg.order != len(mats):
-        return False, {"cones": cone_sg.order, "singular": len(mats)}
-    if code.codes(vertex, rows).tolist() != sc.principal_codes(p, n, code).tolist():
-        return False, {"failure": "non-principal normal cone found"}
     table = gf.sing_table(p, n)
     for failure, source, images in (("cone map is not an isomorphism", table, mats),
                                     ("dual cone semigroup", table.T, mats.transpose(0, 2, 1))):
@@ -351,21 +347,18 @@ def cmd_cones(args):
 
 
 def _parse_eps(text, p, n):
-    """The --eps matrix as an n x n array, entries reduced mod p as Python
-    ints (so any integer is accepted), once one rref_stack rank shows it
-    invertible."""
+    """The --eps matrix as an n x n array over GF(p), once
+    gf.invertible_matrix accepts it."""
     try:
         rows = json.loads(text)
     except json.JSONDecodeError:
         rows = None
+    shape_error = f"--eps must be a JSON list of {n} lists of {n} integers"
     if not (isinstance(rows, list) and len(rows) == n
             and all(isinstance(r, list) and len(r) == n for r in rows)
             and all(type(x) is int for r in rows for x in r)):  # bool is not int
-        raise ValueError(f"--eps must be a JSON list of {n} lists of {n} integers")
-    eps = np.array([[x % p for x in r] for r in rows], dtype=np.int64)
-    if gf.rref_stack(eps[None], p)[2][0] < n:
-        raise ValueError("--eps matrix is singular")
-    return eps
+        raise ValueError(shape_error)
+    return gf.invertible_matrix(rows, p, n, shape_error, "--eps matrix is singular")
 
 
 ALL_EPS_CELL_LIMIT = 1 << 20  # table cells crossconn --all-eps may write

@@ -130,6 +130,20 @@ def inverse_stack(mats, p):
     return rref_stack(np.concatenate([mats, eye], axis=2), p)[0][:, :, n:]
 
 
+def invertible_matrix(mat, p, d, shape_error, singular_error):
+    """The d x d matrix mat over GF(p) as an int64 array, its entries
+    reduced mod p as Python ints (so any integer is accepted), once one
+    rref_stack rank shows it invertible; ValueError with shape_error or
+    singular_error otherwise."""
+    mat = np.asarray(mat, dtype=object)
+    if mat.shape != (d, d):
+        raise ValueError(shape_error)
+    mat = (mat % p).astype(np.int64)
+    if rref_stack(mat[None], p)[2][0] != d:
+        raise ValueError(singular_error)
+    return mat
+
+
 # ---------------------------------------------------------------------------
 # subspaces
 

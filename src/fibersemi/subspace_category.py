@@ -71,7 +71,7 @@ def retraction_law(p, n):
     return (coords @ lattice.bases[b] % p == lattice.bases[a]).all(axis=(1, 2)) & (rank == lattice.dims[b])
 
 
-SWEEP_LIMIT = 1 << 16  # rows of one batched sweep: matrices of a hom-set shape, or cone assignments
+SWEEP_LIMIT = 1 << 16  # rows of one batched sweep: matrices of a hom-set shape
 
 
 def _check_sweep(p, da, db):
@@ -129,11 +129,13 @@ def factorization_witness(p, n):
     depends on the object, so each is decided once per shape on the
     arrays, and the witness names the first object of the smallest
     dimension that fails, the retraction first, as a sweep over the
-    objects in order would."""
-    lattice = gf.subspace_lattice(p, n)
-    dims = sorted(set(lattice.dims[:-1].tolist()))
+    objects in order would.  The proper subspaces have the dimensions
+    0..n-1, so the subspace guard, then the sweep guard of every shape,
+    refuse before the lattice is built or any shape is swept."""
+    gf.subspace_count(p, n)
+    dims = range(n)
     failing = {"retraction": set(), "image": set()}
-    for da, db in itertools.product(dims, dims):  # refuse before any shape is swept
+    for da, db in itertools.product(dims, dims):
         _check_sweep(p, da, db)
     for da, db in itertools.product(dims, dims):
         fac, count, width = shape_factors(p, da, db), p ** (da * db), max(da, db)
@@ -160,6 +162,7 @@ def factorization_witness(p, n):
     for d in dims:
         for kind in ("retraction", "image"):
             if d in failing[kind]:
+                lattice = gf.subspace_lattice(p, n)
                 return {"failure": f"{kind} translation",
                         "object": gf.rows_json(p, lattice.basis(int(np.argmax(lattice.dims == d))))}
     return None
@@ -217,55 +220,22 @@ def _principal_rows(p, n, code: _ConeCode):
     return vertex, rows
 
 
-def _assignments(code: _ConeCode):
-    """(vertex, rows) of every assignment of a morphism into each vertex,
-    vertex by vertex in the order of itertools.product over the objects'
-    hom-sets, each lexicographic by matrix entries."""
-    p = code.p
-    vertices, blocks = [], []
-    for k, v in enumerate(code.dims):
-        places = code.depth * v
-        count = p ** places
-        weights = p ** np.arange(places - 1, -1, -1, dtype=np.int64)
-        digits = np.arange(count, dtype=np.int64)[:, None] // weights % p
-        rows = np.zeros((count, code.depth, code.width), dtype=np.int64)
-        rows[:, :, :v] = digits.reshape(count, code.depth, v)
-        vertices.append(np.full(count, k))
-        blocks.append(rows)
-    return np.concatenate(vertices), np.concatenate(blocks)
-
-
 def _admissible(p, n, code: _ConeCode, vertex, rows):
-    """(endos, ok): the endomorphism read off the coordinate lines of each
-    row, and where the row is a well-formed normal cone.
-
-    Restriction compatibility is decided over inclusion_pairs with the
-    inclusion matrices, read from the lattice as in retraction_law; global
-    linearity by checking that every component is the restriction of the
-    endomorphism; normality by some component between equal dimensions
-    having full rank in shape_factors.
-    """
+    """Where each row is a normal cone: compatible with restriction, decided
+    over inclusion_pairs with the inclusion matrices, read from the lattice
+    as in retraction_law, and normal, by some component between equal
+    dimensions having full rank in shape_factors."""
     lattice = gf.subspace_lattice(p, n)
     ok = np.ones(len(rows), dtype=bool)
     for i, j in inclusion_pairs(p, n).tolist():
         if i != j:  # the inclusion's matrix: objects[i]'s basis at objects[j]'s pivot columns
             incl = lattice.bases[i, :code.dims[i]][:, lattice.pivots[j, :code.dims[j]]]
             ok &= (incl @ code.block(rows, j) % p == code.block(rows, i)).all(axis=(1, 2))
-    ambient = code.ambient(vertex, rows)
-    if n == 1:
-        endos = np.zeros((len(rows), 1, 1), dtype=np.int64)
-    else:
-        # the coordinate line through e_i has basis e_i, so its row is e_i's
-        # image; it is the row space of the matrix with first row e_i and
-        # zeros below, whose code is p^(n^2 - 1 - i)
-        lines = [code.offsets[k] for k in gf.row_spaces(p, n)[p ** (n * n - 1 - np.arange(n))].tolist()]
-        endos = ambient[:, lines]
-    ok &= (code.stacked @ endos % p == ambient).all(axis=(1, 2))
     vdim, normal = np.array(code.dims)[vertex], np.zeros(len(rows), dtype=bool)
     for k, d in enumerate(code.dims):
         at = np.flatnonzero(vdim == d)
         normal[at] |= shape_factors(p, d, d).rank[gf.base_p(code.block(rows[at], k)[:, :, :d], p)] == d
-    return endos, ok & normal
+    return ok & normal
 
 
 def _push(rows, epi, p):
@@ -287,11 +257,6 @@ def _image_object(p, n, v, image):
     return gf.row_spaces(p, n)[gf.base_p(rows, p)[0]]
 
 
-def principal_codes(p, n, code: _ConeCode):
-    """The code of the principal cone of every singular endomorphism, in Sing order."""
-    return code.codes(*_principal_rows(p, n, code))
-
-
 def coded_normal_cones(p, n):
     """The cone semigroup on code rows: (semigroup, code, vertex, rows), the
     cone of element i being the row (vertex[i], rows[i]) of code.
@@ -300,31 +265,31 @@ def coded_normal_cones(p, n):
     the cone semigroup has, against the associativity guard, refuse before
     the lattice is built, and the code width against int64 before any cone
     is built.  Cones are code rows (_ConeCode).
-    Small categories are swept exhaustively: every assignment of a morphism
-    into each vertex is a row, kept when it is a well-formed normal cone.
-    Larger ones take the principal cones of every singular endomorphism, and
-    each of them must pass the same test.  At n >= 3 that is every normal
-    cone: any two vectors lie in a proper subspace, of dimension at most
-    2 < n, and compatibility makes the components agree where objects meet,
-    so they glue to one map on GF(p)^n that is linear on the span of any
-    two vectors, hence linear.  Normality makes its image the vertex, a
+
+    The cones are the principal cones of the singular endomorphisms, in
+    Sing order, each labelled by its endomorphism's base-p code.  Each must
+    be a normal cone (_admissible), and no two may share a code.  At n = 1
+    the zero cone is the only cone.  At n >= 3 the principal cones are every
+    normal cone: any two vectors lie in a proper subspace, of dimension at
+    most 2 < n, and compatibility makes the components agree where objects
+    meet, so they glue to one map on GF(p)^n that is linear on the span of
+    any two vectors, hence linear.  Normality makes its image the vertex, a
     proper subspace, so the map is singular and the cone is its principal
-    cone.  At n = 2 no inclusion joins two lines, and the sweep's global
-    linearity clause is what keeps the cones principal.
+    cone.  At n = 2 no inclusion joins two lines, so a normal cone need not
+    be linear, and the principal cones are only some of them: Nambooripad's
+    cone semigroup of GF(p)^2 has (p+1)(p^(p+1)-1)+1 normal cones (22 at
+    p = 2, 321 at p = 3), which are not built here (ROADMAP.md, item 15).
 
-    Either way every cell of the Cayley table is a cone composition, never a
-    matrix shortcut, filled one vertex object at a time: g1.g2 pushes g1
-    along the epimorphic part of g2's component at the vertex of g1, so it
-    reads g2 only through that component, which depends only on its
-    values in GF(p)^n, so all columns whose components there agree as maps
-    share the product.  Each such component's epimorphic part and image are
-    read from shape_factors once, the image's object is looked up by code
+    Every cell of the Cayley table is a cone composition, never a matrix
+    shortcut, filled one vertex object at a time: g1.g2 pushes g1 along the
+    epimorphic part of g2's component at the vertex of g1, so it reads g2
+    only through that component, which depends only on its values in
+    GF(p)^n, so all columns whose components there agree as maps share the
+    product.  Each such component's epimorphic part and image are read from
+    shape_factors once, the image's object is looked up by code
     (_image_object), every row with that vertex is pushed along it in one
-    product, and the products are looked up by code; each must be an
-    enumerated cone.
-
-    Elements are in order of the inducing endomorphisms, each labelled by
-    its endomorphism's base-p code.
+    product, and the products are looked up by code; each must be one of
+    the principal cones.
     """
     gf.subspace_count(p, n)
     size = gf.singular_count(p, n)
@@ -332,21 +297,13 @@ def coded_normal_cones(p, n):
         raise gf.GuardExceeded(f"the cone semigroup of GF({p})^{n} has order {gf.count_text(size)}, "
                                f"beyond the associativity guard {gf.ASSOC_GUARD}")
     code = _ConeCode(p, n)
-    exhaustive = sum(p ** (code.depth * d) for d in code.dims) <= SWEEP_LIMIT
-    vertex, rows = _assignments(code) if exhaustive else _principal_rows(p, n, code)
-    endos, ok = _admissible(p, n, code, vertex, rows)
-    if not (exhaustive or ok.all()):
-        raise AssertionError("a principal cone is not a well-formed normal cone")
-    # in order of the endomorphisms' codes, by a slot per matrix rather than
-    # np.argsort, whose sort kernels add to peak RSS
-    slot = np.full(p ** (n * n), -1)
-    slot[gf.base_p(endos[ok], p)] = np.flatnonzero(ok)
-    by_endo = slot[slot >= 0]
-    if len(by_endo) != ok.sum():
-        raise AssertionError("two normal cones with one inducing endomorphism")
-    vertex, rows, endos = vertex[by_endo], rows[by_endo], endos[by_endo]
+    vertex, rows = _principal_rows(p, n, code)
+    if not _admissible(p, n, code, vertex, rows).all():
+        raise AssertionError("a principal cone is not a normal cone")
     index = {c: i for i, c in enumerate(code.codes(vertex, rows).tolist())}
     order = len(rows)
+    if len(index) != order:
+        raise AssertionError("two principal cones with one code")
     table = np.empty((order, order), dtype=np.int32)
     ambient = code.ambient(vertex, rows)
     for k in range(len(code.dims)):
@@ -366,7 +323,7 @@ def coded_normal_cones(p, n):
             if -1 in found:
                 raise AssertionError("cone composition left the enumerated set")
             table[np.ix_(left, cols)] = np.array(found)[:, None]
-    labels = gf.base_p(endos, p).tolist()
+    labels = gf.base_p(gf._sing_matrices(p, n), p).tolist()
     table.flags.writeable = False  # so from_table keeps it rather than a copy
     return sg.from_table(labels, table), code, vertex, rows
 

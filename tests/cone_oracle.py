@@ -1,20 +1,24 @@
 """Test oracles for the cone semigroup: the Cone object API, a vertex and one
 LinearMap component per object, with principal cones, pushing along an
-epimorphism, composition and M-sets; the view of code rows as Cones; and the
+epimorphism, composition and M-sets; the view of code rows as Cones; the
 LinearMap-level cone validation and assignment sweep that the cone semigroup
-was decided with before cones became integer code rows.  They are kept here,
-unchanged, so the tests can compare the code rows, the cone JSON and the
-batched M-sets with them.  span_in is the Subspace the cone semigroup built
-for each product's vertex before it looked the vertex up by code.
-swap_two_cone_labels plants a mutant cone semigroup for the checks that map
-Sing onto it.  build_ta_semigroup is the dual cone semigroup as the package
-built it before verify-all's cone-semigroup check decided the transposition
-claim on its own build."""
+was decided with before cones became integer code rows; and _assignments,
+every assignment as code rows, which coded_normal_cones swept at n = 1 and
+at (2,2) and (3,2) before it took the principal cones at every point.  They
+are kept here, unchanged, so the tests can compare the code rows, the cone
+JSON, sc._admissible and the batched M-sets with them.  span_in is the
+Subspace the cone semigroup built for each product's vertex before it
+looked the vertex up by code.  swap_two_cone_labels plants a mutant cone
+semigroup for the checks that map Sing onto it.  build_ta_semigroup is the
+dual cone semigroup as the package built it before verify-all's
+cone-semigroup check decided the transposition claim on its own build."""
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+
+import numpy as np
 
 import factorization_oracle as fo
 from factorization_oracle import all_linear_maps
@@ -198,6 +202,24 @@ def _assignment_space(cat: SubspaceCategory, vertex: Subspace):
     for combo in itertools.product(*per_object):
         yield Cone(vertex, combo)
 
+
+
+def _assignments(code: _ConeCode):
+    """(vertex, rows) of every assignment of a morphism into each vertex,
+    vertex by vertex in the order of itertools.product over the objects'
+    hom-sets, each lexicographic by matrix entries."""
+    p = code.p
+    vertices, blocks = [], []
+    for k, v in enumerate(code.dims):
+        places = code.depth * v
+        count = p ** places
+        weights = p ** np.arange(places - 1, -1, -1, dtype=np.int64)
+        digits = np.arange(count, dtype=np.int64)[:, None] // weights % p
+        rows = np.zeros((count, code.depth, code.width), dtype=np.int64)
+        rows[:, :, :v] = digits.reshape(count, code.depth, v)
+        vertices.append(np.full(count, k))
+        blocks.append(rows)
+    return np.concatenate(vertices), np.concatenate(blocks)
 
 
 def swap_two_cone_labels(monkeypatch, i=1, j=2):

@@ -93,10 +93,13 @@ def test_criterion_4_normal_factorization():
 def test_criterion_5_cone_semigroup_isomorphism():
     with criterion(5, "exhaustive cone sweep gives 10 principal cones isomorphic to Sing", 60):
         cat = lo.build_category(2, 2)
-        cone_sg, cones, _ = co.enumerate_normal_cones(cat)
-        assert cone_sg.order == 10
+        swept = [cone for v in cat.objects for cone in co._assignment_space(cat, v)]
+        assert len(swept) == 25
+        kept = [c for c in swept if (rep := co.validate_cone(cat, c)).well_formed and rep.is_normal]
         sing_elems = sing_oracle.enumerate_endos(2, 2, singular_only=True)
-        assert set(cones) == {co.principal_cone(cat, a) for a in sing_elems}
+        assert len(kept) == 10 and set(kept) == {co.principal_cone(cat, a) for a in sing_elems}
+        cone_sg, cones, _ = co.enumerate_normal_cones(cat)
+        assert cone_sg.order == 10 and set(cones) == set(kept)
         sing = sing_oracle.from_multiplication(sing_elems, lambda a, b: a * b)
         mapping = tuple(cone_sg.elements.index(gh.code(a)) for a in sing.elements)
         rep = sing_oracle.verify_morphism(sing_oracle.SemigroupMorphism(sing, cone_sg, mapping))

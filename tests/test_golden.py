@@ -14,8 +14,9 @@ bundle-amalgam fails, refused by the endomorphism guard.
 
 The last three are cones at (7,2) and (2,3) as JSON and at (3,2) as the
 table summary, which runs is_regular; they were recorded before the cone
-semigroup moved to integer code rows.  The (2,3) and (7,2) points take the
-principal-cone path and (3,2) the exhaustive sweep.
+semigroup moved to integer code rows.  The (2,3) and (7,2) points took the
+principal-cone path and (3,2) an exhaustive sweep that kept only the
+principal cones; every point takes the principal cones now.
 
 The last two are verify-all at (3,3) and (2,4), recorded before m-sets moved
 from LinearMap cones to batched ranks; both exit 1 on guard refusals only.
@@ -62,7 +63,11 @@ format and at (3,3) as JSON.  bundle-amalgam was refused there by the
 associativity guard on Sing(GF(3)^3), order 8,451, and now passes, which is
 the only change in any of the three reports.  So (3,2) exits 0 with the
 digest of (2,2), (3,1) exits 0 with the table-format digest of (2,2), and
-(3,3) still exits 1, on cone-semigroup and cross-connections."""
+(3,3) still exits 1, on cone-semigroup and cross-connections.
+
+The last two are cones at n = 1, as JSON at p = 2 and in the table format
+at p = 3, recorded before n = 1 moved from the assignment sweep to the
+principal cones."""
 
 import hashlib
 import io
@@ -129,6 +134,8 @@ GOLDEN = [
     ("green --field 7 --dim 2", 0, "30be9bfde33ee17934f20494ff52e96f13869184b72714064ef0d32d536ed33c"),
     ("enumerate --field 2 --dim 3", 0, "c76091d1c79fa7c20027fa342035b0f1ea9fd1c93bd594833cb2a764cea56127"),
     ("enumerate --field 7 --dim 2", 0, "49867f98df053efe963dc400c1598dee2754e65dbb80ab2bf399b91d697fa57b"),
+    ("cones --field 2 --dim 1 --format json", 0, "e8977b86462e25691d95a6b16bdad411d748098c3db6de92d3e31217cc4103d1"),
+    ("cones --field 3 --dim 1", 0, "4912cc65c2c2c1b9ef69bf26b0f586090f4ecefe678501f92765b2e493cfd33d"),
 ]
 
 

@@ -92,6 +92,13 @@ def test_subspace_count_is_the_enumerated_count(p, n):
     assert gf.subspace_count(p, n) == len(gf.enumerate_subspaces(p, n)) == len(gf.subspace_lattice(p, n).bases)
 
 
+@pytest.mark.parametrize("p, n", [(2, 1), (3, 2), (2, 5), (7, 3), (3, 4)])
+def test_proper_subspaces_have_every_dimension_below_n(p, n):
+    # sc.factorization_witness reads the object dimensions as 0..n-1
+    # without building the lattice
+    assert sorted(set(gf.subspace_lattice(p, n).dims[:-1].tolist())) == list(range(n))
+
+
 @pytest.mark.parametrize("p, n, count", [(2, 7, 29212), (3, 6, 56632), (5, 5, 42176), (7, 5, 285704), (2, 12, 488176700923)])
 def test_subspace_guard_refuses_by_count_before_enumerating(monkeypatch, p, n, count):
     def forbidden(*args):

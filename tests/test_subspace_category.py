@@ -123,11 +123,15 @@ def test_shape_factors_refuse_beyond_the_sweep_limit():
 
 def test_factorization_refuses_before_sweeping_any_shape(monkeypatch):
     # at (2,6) the shapes before 4x5 in loop order fit the limit; sweeping
-    # them first took about 1 s and 257 MB only to refuse at 4x5
+    # them first took about 1 s and 257 MB only to refuse at 4x5, and
+    # building the lattice of its 2,825 subspaces first took 0.2 s and
+    # about 100 MB
     def swept(*args):
-        raise AssertionError("a shape was swept")
+        raise AssertionError("a shape was swept or the lattice built")
 
     monkeypatch.setattr(sc, "shape_factors", swept)
+    monkeypatch.setattr(gf, "subspace_lattice", swept)
+    monkeypatch.setattr(gf, "enumerate_subspaces", swept)
     assert cli._run_check("normal-factorization", cli._check_factorization, 2, 6) == {
         "check": "normal-factorization", "status": "fail",
         "witness": {"guard": "p^(da*db) = 1048576 matrices of shape 4x5 exceed limit 65536"}}
@@ -194,25 +198,6 @@ def test_retraction_law_fails_on_a_corrupted_complement(monkeypatch):
     assert sub == gh.subspace_span([(0, 0, 1)], 3, 2)
     assert cli._check_factorization(2, 2) == (True, None)
     assert cli._check_factorization(2, 3) == (False, {"failure": "retraction law", "sub": sub.to_json()})
-
-@pytest.mark.parametrize("p", [2, 3])
-def test_cone_check_fails_on_a_planted_non_principal_cone(monkeypatch, p):
-    # at (p, 2) the cones come from the exhaustive sweep, whose global
-    # linearity clause keeps only principal cones, so on the real build the
-    # comparison with the principal codes always holds: only a planted cone
-    # reaches its failure
-    assert cli._check_cone_semigroup(p, 2) == (True, None)
-    coded = sc.coded_normal_cones
-
-    def planted(q, n):
-        semigroup, code, vertex, rows = coded(q, n)
-        rows = rows.copy()
-        rows[-1, -1, 0] = (rows[-1, -1, 0] + 1) % p   # the last cone, at the last line
-        assert code.codes(vertex, rows)[-1] not in sc.principal_codes(q, n, code).tolist()
-        return semigroup, code, vertex, rows
-
-    monkeypatch.setattr(sc, "coded_normal_cones", planted)
-    assert cli._check_cone_semigroup(p, 2) == (False, {"failure": "non-principal normal cone found"})
 
 @pytest.mark.parametrize("p, n", [(2, 4), (3, 3)])
 def test_factorization_check_finishes_beyond_the_sing_guard(p, n):
@@ -403,19 +388,30 @@ def test_compose_requires_normal_inputs(cat22):
 # ---------------------------------------------------------------------------
 # the cone semigroup
 
+def swept_cones(cat):
+    """Every assignment of the oracle's sweep that validate_cone finds
+    well-formed (globally linear included) and normal."""
+    return [cone for v in cat.objects for cone in oracle._assignment_space(cat, v)
+            if (rep := oracle.validate_cone(cat, cone)).well_formed and rep.is_normal]
+
 def test_exhaustive_enumeration_is_exactly_principal(cat22, sing22):
-    smg, cones, endos = oracle.enumerate_normal_cones(cat22)
-    assert smg.order == 10
+    # the sweep over all 25 assignments keeps the principal cones, which
+    # are the cones coded_normal_cones builds
+    assert sum(1 for v in cat22.objects for _ in oracle._assignment_space(cat22, v)) == 25
+    cones = swept_cones(cat22)
+    assert len(cones) == 10
     assert set(cones) == {oracle.principal_cone(cat22, a) for a in sing22}
-    assert set(endos) == set(sing22)
+    smg, built, endos = oracle.enumerate_normal_cones(cat22)
+    assert set(built) == set(cones) and set(endos) == set(sing22)
     assert sg.is_regular(smg)
 
 def test_exhaustive_enumeration_at_3_2():
     cat = lo.build_category(3, 2)
-    smg, cones, _ = oracle.enumerate_normal_cones(cat)
+    cones = swept_cones(cat)
     sing = sing_oracle.enumerate_endos(3, 2, singular_only=True)
-    assert smg.order == len(sing) == 33
+    assert len(cones) == len(sing) == 33
     assert set(cones) == {oracle.principal_cone(cat, a) for a in sing}
+    assert set(oracle.enumerate_normal_cones(cat)[1]) == set(cones)
 
 def test_cone_semigroup_isomorphic_to_singular_endos(cat22, sing22):
     smg, _, _ = oracle.enumerate_normal_cones(cat22)
@@ -467,22 +463,32 @@ CODED_POINTS = pytest.mark.parametrize("build", [
 
 @CODED_POINTS
 def test_coded_sweep_accepts_exactly_what_validate_cone_accepts(build):
+    # over every assignment, _admissible is compatibility and normality; at
+    # n = 2 no inclusion joins two lines, so it accepts (p+1)(p^(p+1)-1)+1
+    # cones, the zero cone and every line-vertex assignment but the zero
+    # one, of which the globally linear ones are the principal cones
     cat = build()
-    code = sc._ConeCode(cat.p, cat.n)
-    vertex, rows = sc._assignments(code)
-    _, ok = sc._admissible(cat.p, cat.n, code, vertex, rows)
+    p, code = cat.p, sc._ConeCode(cat.p, cat.n)
+    vertex, rows = oracle._assignments(code)
+    ok = sc._admissible(p, cat.n, code, vertex, rows)
     swept = [cone for v in cat.objects for cone in oracle._assignment_space(cat, v)]
     assert list(oracle._cones(cat, code, vertex, rows)) == swept
+    linear = []
     for cone, accepted in zip(swept, ok.tolist()):
         rep = oracle.validate_cone(cat, cone)
-        assert accepted == (rep.well_formed and rep.is_normal)
-    assert ok.sum() == gf.singular_count(cat.p, cat.n)
+        assert accepted == (rep.typing_ok and rep.restriction_compatible and rep.is_normal)
+        if accepted and rep.globally_linear:
+            linear.append(cone)
+    assert ok.sum() == (p + 1) * (p ** (p + 1) - 1) + 1 == {2: 22, 3: 321}[p]
+    sing = sing_oracle.enumerate_endos(p, cat.n, singular_only=True)
+    assert len(linear) == len(sing) == gf.singular_count(p, cat.n)
+    assert set(linear) == {oracle.principal_cone(cat, a) for a in sing}
 
 @CODED_POINTS
 def test_code_is_injective_on_the_assignment_space(build):
     cat = build()
     code = sc._ConeCode(cat.p, cat.n)
-    vertex, rows = sc._assignments(code)
+    vertex, rows = oracle._assignments(code)
     assert len(set(code.codes(vertex, rows).tolist())) == len(rows)
 
 def test_cone_codes_fit_in_int64_up_to_2_3(cat23):
@@ -503,7 +509,6 @@ def test_principal_rows_are_the_principal_cones(p, n):
     vertex, rows = sc._principal_rows(p, n, code)
     sing = sing_oracle.enumerate_endos(p, n, singular_only=True)
     assert oracle._cones(cat, code, vertex, rows) == tuple(oracle.principal_cone(cat, a) for a in sing)
-    assert sc.principal_codes(p, n, code).tolist() == code.codes(vertex, rows).tolist()
     assert len(set(code.codes(vertex, rows).tolist())) == len(sing)
 
 @pytest.mark.parametrize("p, n", [(2, 2), (3, 2), (5, 2), (2, 3)])
@@ -546,11 +551,28 @@ def test_product_outside_the_enumerated_set_raises(monkeypatch, cat22):
     with pytest.raises(AssertionError, match="left the enumerated set"):
         sc.coded_normal_cones(2, 2)
 
+@pytest.mark.parametrize("p, n", [(2, 2), (3, 2), (2, 3)])
+@pytest.mark.parametrize("plant, error", [
+    # the last principal cone replaced by the first, the zero cone, which
+    # is still a normal cone: only the distinct codes tell them apart
+    (lambda vertex, rows: (np.append(vertex[:-1], vertex[0]), np.concatenate([rows[:-1], rows[:1]])),
+     "two principal cones with one code"),
+    # the last principal cone with every component zero: compatible with
+    # restriction, but no component is an isomorphism
+    (lambda vertex, rows: (vertex, np.concatenate([rows[:-1], 0 * rows[-1:]])),
+     "a principal cone is not a normal cone"),
+], ids=["shared-code", "not-normal"])
+def test_cone_check_fails_on_planted_principal_rows(monkeypatch, p, n, plant, error):
+    assert cli._check_cone_semigroup(p, n) == (True, None)
+    principal_rows = sc._principal_rows
+    monkeypatch.setattr(sc, "_principal_rows", lambda *args: plant(*principal_rows(*args)))
+    assert cli._run_check("cone-semigroup", cli._check_cone_semigroup, p, n) == {
+        "check": "cone-semigroup", "status": "fail", "witness": {"error": error}}
+
 def test_cone_guard_refuses_before_building_a_cone(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("built a cone before the guard refused")
     monkeypatch.setattr(sc, "_principal_rows", refuse)
-    monkeypatch.setattr(sc, "_assignments", refuse)
     with pytest.raises(gf.GuardExceeded, match="order 8451, beyond the associativity guard 1500"):
         sc.coded_normal_cones(3, 3)
     with pytest.raises(gf.GuardExceeded, match="order 45376, beyond the associativity guard 1500"):
