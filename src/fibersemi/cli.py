@@ -190,18 +190,9 @@ def _check_cross_connections(p, n):
 
 def _check_null_amalgam(p, n):
     # each branch lists the core's elements first under its own tag, so the
-    # labels are disjoint by construction; each inclusion is decided
+    # labels are disjoint by construction, and the fixture's tables are
+    # written from its defining products; each inclusion is decided
     core, (s1, s2), inclusions = sg.null_semigroup_fixture()
-    facts = [
-        s1.mul_labels(("S1", "a"), ("S1", "u")) == ("S1", "v"),
-        s1.mul_labels(("S1", "u"), ("S1", "a")) == ("S1", "v"),
-        s1.mul_labels(("S1", "a"), ("S1", "a")) == ("S1", "z"),
-        s2.mul_labels(("S2", "b"), ("S2", "v")) == ("S2", "w"),
-        s2.mul_labels(("S2", "v"), ("S2", "b")) == ("S2", "w"),
-        core.mul_labels(("U", "u"), ("U", "v")) == ("U", "z"),
-    ]
-    if not all(facts):
-        return False, {"failure": "fixture products"}
     for i, (branch, inclusion) in enumerate(zip((s1, s2), inclusions)):
         found = sg.morphism_witnesses(core.table, branch.table, inclusion)
         if found:
@@ -402,7 +393,10 @@ def cmd_crossconn(args):
 
 def cmd_amalgam(args):
     p = args.field
-    dims = tuple(int(x) for x in args.dims.split(","))
+    try:
+        dims = tuple(int(x) for x in args.dims.split(","))
+    except ValueError:
+        raise ValueError(f"--dims must be comma-separated integers, got {args.dims!r}") from None
     spec = bn.fiber_family(p, dims)
     if args.format == "json":  # the document writes each part's Sing table: refuse before any is built
         for d in (bn.build_core(spec, args.core_dim).m,) + dims:

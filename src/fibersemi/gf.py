@@ -367,33 +367,33 @@ def subspace_lattice(p, n) -> SubspaceLattice:
     P_u[i, pivot i] = 1, so the rows of A_u = I - B_u^T.P_u are e_f - sum_i
     B_u[i, f] e_(pivot i) at each non-pivot column f and zero at the
     pivots: a spanning set of ann(u).  So a vector x lies in u iff
-    x.A_u^T = 0, and in ann(u) iff x.B_u^T = 0.  One product of every
-    vector of GF(p)^n, coded in base p, by every A_u and B_u, in blocks
-    (LATTICE_BLOCK_CELLS), gives both tables.  Then v <= u iff every row of
-    B_v lies in u, which is B_v.A_u^T = 0 read row by row, and likewise
-    v <= ann(u); ann(u) is the one such v of dimension n - dim u.  No basis
-    is reduced.
+    x.A_u^T = 0.  One product of every vector of GF(p)^n, coded in base p,
+    by every A_u, in blocks (LATTICE_BLOCK_CELLS), gives that table; then
+    v <= u iff every row of B_v lies in u, which is B_v.A_u^T = 0 read row
+    by row.  ann(u) is the row space of A_u: one rref_stack of the A_u, and
+    each reduced code looked up among the bases' own codes, since a padded
+    RREF basis is its own rref.  The lookup is a dict of S codes: a numpy
+    sort and search would page in kernels that no other step of a command
+    runs, about 0.4 MB of peak RSS in a short process.
     """
     bases = enumerate_subspaces(p, n)
-    size, nonzero = len(bases), bases != 0
+    nonzero = bases != 0
     dims = nonzero.any(axis=2).sum(axis=1)
     pivot = (nonzero & (nonzero.cumsum(axis=2) == 1)).any(axis=1)  # each row's first nonzero column
-    spans = np.concatenate([np.eye(n, dtype=np.int64) - bases.transpose(0, 2, 1) @ (bases * pivot[:, None]), bases])
+    spans = np.eye(n, dtype=np.int64) - bases.transpose(0, 2, 1) @ (bases * pivot[:, None])  # the A_u
     vectors = from_base_p(np.arange(p ** n), p, 1, n).reshape(-1, n)
-    perp = np.empty((len(vectors), 2 * size), dtype=bool)  # perp[x, k]: x.spans[k]^T = 0, for A_u then B_u
+    perp = np.empty((len(vectors), len(bases)), dtype=bool)  # perp[x, u]: x.A_u^T = 0, x lies in u
     block = max(1, LATTICE_BLOCK_CELLS // (len(vectors) * n))
-    for lo in range(0, 2 * size, block):
+    for lo in range(0, len(bases), block):
         flat = spans[lo:lo + block].reshape(-1, n)
         perp[:, lo:lo + block] = ~(vectors @ flat.T % p).reshape(len(vectors), -1, n).any(axis=2)
     rows = bases @ p ** np.arange(n - 1, -1, -1)  # the code of every basis row, 0 on padding
-    inside = perp[rows[:, 0]]                     # inside[v, k]: B_v.spans[k]^T = 0
+    inside = perp[rows[:, 0]]                     # inside[v, u]: B_v.A_u^T = 0
     for r in range(1, n):
         inside &= perp[rows[:, r]]
-    annulled = inside[:, size:] & (dims[:, None] + dims == n)  # [v, u]: v = ann(u)
-    lattice = SubspaceLattice(
-        bases, dims, np.argsort(~pivot, axis=1, kind="stable"), inside[:, :size].T,
-        np.where(annulled.sum(axis=0) == 1, annulled.argmax(axis=0), -1),
-    )
+    position = dict(zip(base_p(bases, p).tolist(), range(len(bases))))
+    ann = [position.get(code, -1) for code in base_p(rref_stack(spans, p)[0], p).tolist()]
+    lattice = SubspaceLattice(bases, dims, np.argsort(~pivot, axis=1, kind="stable"), inside.T, np.array(ann))
     for k in SubspaceLattice._fields:
         getattr(lattice, k).flags.writeable = False  # shared by every caller
     return lattice

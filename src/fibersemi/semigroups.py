@@ -35,10 +35,6 @@ class FiniteSemigroup(Record):
     elements: tuple
     table: np.ndarray
 
-    def __init__(self, elements, table):
-        super().__init__(elements, table)
-        object.__setattr__(self, "_index", {x: i for i, x in enumerate(elements)})
-
     def __eq__(self, other):
         if not isinstance(other, FiniteSemigroup):
             return NotImplemented
@@ -47,9 +43,6 @@ class FiniteSemigroup(Record):
     @property
     def order(self) -> int:
         return len(self.elements)
-
-    def mul_labels(self, a, b):
-        return self.elements[self.table[self._index[a], self._index[b]]]
 
 
 _NESTED = {list, dict}
@@ -364,10 +357,6 @@ class GreenStructure(Record):
     def to_json(self):
         return {k: [list(c) for c in getattr(self, k)] for k in self._fields}
 
-    @staticmethod
-    def from_json(d):
-        return GreenStructure(*(tuple(map(tuple, d[k])) for k in GreenStructure._fields))
-
 
 def _partition(keys):
     groups = defaultdict(list)
@@ -429,15 +418,17 @@ def sing_green(p, n) -> GreenStructure:
     No Light's test is needed: no table is built, and Sing's associativity
     is that of matrix multiplication.  The elements are checked in blocks
     of gf.TABLE_BLOCK_CELLS // n^2, in order, which bounds the stacks a
-    block holds; each class leader's x+ is kept from its own block.  The first
-    element whose witness fails raises AssertionError naming it.
+    block holds; the class leaders' x+ come from one _plus before the
+    blocks.  The first element whose witness fails raises AssertionError
+    naming it.
     """
     mats, ranks = gf._sing_matrices(p, n), gf._ranks(p, n)
     images, kernels = (a.tolist() for a in gf.sing_images(p, n))
     l_classes, r_classes = _partition(images), _partition(kernels)
     l_of, r_of = _class_of(l_classes, len(mats)), _class_of(r_classes, len(mats))
     leader_of = np.array([c[0] for c in l_classes + r_classes])  # the L-classes', then the R-classes'
-    leaders, leader_plus = mats[leader_of], np.empty((len(leader_of), n, n), dtype=np.int64)
+    leaders = mats[leader_of]
+    leader_plus = _plus(leaders, p)
 
     def mul(a, b):
         return a @ b % p
@@ -452,8 +443,6 @@ def sing_green(p, n) -> GreenStructure:
     for lo in range(0, len(mats), block):
         at = slice(lo, lo + block)
         x, plus = mats[at], _plus(mats[at], p)
-        here = (leader_of >= lo) & (leader_of < lo + block)   # a class leads with its first element,
-        leader_plus[here] = plus[leader_of[here] - lo]         # so no block reads a later block's leader
         lead, rep = leaders[l_of[at]], leaders[len(l_classes) + r_of[at]]
         u, v = mul(x, leader_plus[l_of[at]]), mul(lead, plus)                   # x = u.lead, lead = v.x
         s, t = mul(leader_plus[len(l_classes) + r_of[at]], x), mul(plus, rep)   # x = rep.s, rep = x.t

@@ -6,10 +6,12 @@ they read the int32 table as an array, and from_multiplication, a table
 built one call of a labelled operation per cell.
 
 The labelled morphism record (SemigroupMorphism, verify_morphism with its
-MorphismReport) and the table document writer (semigroup_to_json) are the
-semigroups API the program kept before it decided every morphism on index
-arrays (sg.morphism_witnesses) and wrote tables only through its own
-document writers; the tests use them to state claims over labels.
+MorphismReport), the table document writer (semigroup_to_json), the
+product of two labels (mul_labels) and the reader of green --format json
+(green_from_json) are the semigroups API the program kept before it
+decided every morphism on index arrays (sg.morphism_witnesses) and wrote
+tables only through its own document writers; the tests use them to state
+claims over labels.
 
 idempotents and green_relations are the table engine that decided Sing's
 idempotents and Green's relations in verify-all before both checks moved to
@@ -171,6 +173,17 @@ def _label_to_json(x):
 def semigroup_to_json(s: sg.FiniteSemigroup):
     """The table document that sg.semigroup_from_json reads back."""
     return {"elements": [_label_to_json(x) for x in s.elements], "table": s.table.tolist()}
+
+
+def mul_labels(s: sg.FiniteSemigroup, a, b):
+    """The label of a.b in s, read from its table by the labels' positions."""
+    return s.elements[s.table[s.elements.index(a), s.elements.index(b)]]
+
+
+def green_from_json(d) -> sg.GreenStructure:
+    """The GreenStructure whose to_json document, as green --format json
+    writes it, is d."""
+    return sg.GreenStructure(*(tuple(map(tuple, d[k])) for k in sg.GreenStructure._fields))
 
 
 def idempotents(s: sg.FiniteSemigroup):

@@ -139,10 +139,9 @@ def test_green_dot(capsys):
     assert out.count("subgraph cluster_") == 2
 
 def test_green_json_round_trip(capsys):
-    from fibersemi import semigroups as sg
     code, out, _ = run(capsys, "green", "--field", "2", "--dim", "2", "--format", "json")
     assert code == 0
-    green = sg.GreenStructure.from_json(json.loads(out))
+    green = sing_oracle.green_from_json(json.loads(out))
     assert len(green.d_classes) == 2
 
 
@@ -228,6 +227,9 @@ def test_amalgam_dot(capsys):
     ("amalgam --field 3 --format json", "error: Sing(GF(3)^3) has order 8451, beyond the associativity guard 1500\n"),
     ("amalgam --field 5", "error: p^(n^2) = 1953125 exceeds endomorphism guard 1048576\n"),
     ("amalgam --dims 2,3 --core-dim 3", "error: core dimension 3 must lie in 1..2\n"),
+    ("amalgam --dims=", "error: --dims must be comma-separated integers, got ''\n"),
+    ("amalgam --dims 2,x", "error: --dims must be comma-separated integers, got '2,x'\n"),
+    ("amalgam --dims 2,,3", "error: --dims must be comma-separated integers, got '2,,3'\n"),
 ])
 def test_amalgam_refusals_exit_2_with_their_message(capsys, argv, err):
     assert run(capsys, *argv.split()) == (2, "", err)
@@ -827,6 +829,16 @@ def test_green_at_2_4_checks_its_witnesses_in_blocks():
     assert peak < 80
 
 
+def test_verify_all_at_7_4_builds_the_lattice_from_one_product():
+    # dual-category is decided on the lattice of the 3,652 subspaces of
+    # GF(7)^4; multiplying every vector by both A_u and the basis B_u of each
+    # subspace u, and reading ann from an (S, S) mask, peaked near 200 MB
+    status, out, peak = process_peak("verify-all", "--field", "7", "--dim", "4", "--format", "json")
+    report = {r["check"]: r["status"] for r in json.loads(out)}
+    assert status == 1 and report["dual-category"] == "pass"
+    assert peak < 100
+
+
 def test_table_check_at_the_order_guard_keeps_two_table_copies(tmp_path):
     # Z_1500's document is 9.6 MB.  Read as text, with its bytes, the cells
     # and three whole-table buffers of Light's test alive, the table check
@@ -919,6 +931,16 @@ def test_import_fills_no_cache():
     assert {"fibersemi.gf.subspace_lattice", "fibersemi.gf.row_spaces", "fibersemi.gf.sing_images",
             "fibersemi.subspace_category.shape_factors"} <= set(sizes)
     assert set(sizes.values()) == {0}
+
+
+def test_package_import_loads_no_module():
+    # the package binds only its docstring; each command imports the layers
+    # it reads through fibersemi.cli
+    code = ("import sys, fibersemi\n"
+            "print(sorted(m for m in sys.modules if m == 'numpy' or m.startswith('fibersemi.')))\n")
+    done = subprocess.run([sys.executable, "-c", code], cwd=SRC, env={"PYTHONPATH": str(SRC)},
+                          capture_output=True, text=True, timeout=120)
+    assert (done.returncode, done.stdout) == (0, "[]\n")
 
 
 # ---------------------------------------------------------------------------

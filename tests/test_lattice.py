@@ -16,7 +16,7 @@ from fibersemi import subspace_category as sc
 GRID = [(2, 2), (3, 2), (5, 2), (7, 2), (2, 3), (3, 3), (2, 4)]
 
 
-@pytest.mark.parametrize("p, n", GRID)
+@pytest.mark.parametrize("p, n", GRID + [(3, 4)])
 def test_lattice_arrays_match_the_subspace_sweeps(p, n):
     lattice, subspaces = gf.subspace_lattice(p, n), gh.subspaces(p, n)
     assert np.array_equal(lattice.bases, gf.enumerate_subspaces(p, n)) and subspaces[-1].dim == n

@@ -1,7 +1,6 @@
 """Every public function, class and method of the package has a caller in
-the package.  Code that only the tests (or the package's exports) reach
-belongs in a test oracle, so the scan fails on it unless ALLOWED names it
-with a reason.  Names are matched by spelling, so a name that shares its
+the package.  Code that only the tests reach belongs in a test oracle, so
+the scan fails on it unless ALLOWED names it with a reason.  Names are matched by spelling, so a name that shares its
 spelling with any other name or attribute in the package counts as
 referenced, and passes unseen: so did Endo.image, Endo.kernel and
 FiniteSemigroup.to_json (named like fields or module functions),
@@ -24,7 +23,6 @@ ALLOWED = {
         "perfbench/tracer.py's instrument wraps its conjugate on every traced run",
     "crossconn.CrossConnection.conjugate":
         "the tracer hook: perfbench/tracer.py wraps it as crossconn.conjugate",
-    "semigroups.GreenStructure.from_json": "documented reader of green --format json",
 }
 
 
@@ -43,7 +41,7 @@ def _definitions(trees):
 
 def unreferenced():
     """The qualified names that no Name or Attribute node of src/ mentions
-    outside their own definition.  An import in __init__ is no reference."""
+    outside their own definition."""
     trees = {p.stem: ast.parse(p.read_text()) for p in sorted(SRC.glob("*.py"))}
     mentions = {}  # short name -> ids of the nodes that mention it
     for tree in trees.values():
