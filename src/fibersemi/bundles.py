@@ -33,9 +33,9 @@ def _code(p, d, mat, shape_error, singular_error):
     return int(gf.base_p(gf.invertible_matrix(mat, p, d, shape_error, singular_error)[None], p)[0])
 
 
-def fiber_family(p, dims, eps=None) -> FiberFamilySpec:
-    """Validated fiber family: dimensions at least 1 and one invertible
-    matrix per fiber (identity when unspecified), held by code."""
+def family_dims(p, dims) -> tuple:
+    """The fiber dimensions as a tuple, once p is a supported field and
+    there is at least one fiber, each of dimension at least 1."""
     gf.check_field(p)
     dims = tuple(dims)
     if not dims:
@@ -43,6 +43,13 @@ def fiber_family(p, dims, eps=None) -> FiberFamilySpec:
     for d in dims:
         if d < 1:
             raise ValueError(f"fiber dimension {d} must be at least 1")
+    return dims
+
+
+def fiber_family(p, dims, eps=None) -> FiberFamilySpec:
+    """Validated fiber family: dimensions at least 1 and one invertible
+    matrix per fiber (identity when unspecified), held by code."""
+    dims = family_dims(p, dims)
     if eps is None:
         eps = [np.eye(d, dtype=np.int64) for d in dims]
     elif len(eps) != len(dims):
@@ -57,13 +64,20 @@ class CoreSpec(Record):
     eps_w: int  # the core's automorphism, by its base-p code
 
 
-def build_core(spec: FiberFamilySpec, m=None, eps_w=None) -> CoreSpec:
-    """The core's dimension m (default the smallest fiber dimension) and
-    automorphism (default the identity), validated and held by code."""
+def core_dim(dims, m=None) -> int:
+    """The core's dimension: m, by default the smallest fiber dimension,
+    once it lies in 1..min(dims)."""
     if m is None:
-        m = min(spec.dims)
-    if not (1 <= m <= min(spec.dims)):
-        raise ValueError(f"core dimension {m} must lie in 1..{min(spec.dims)}")
+        m = min(dims)
+    if not (1 <= m <= min(dims)):
+        raise ValueError(f"core dimension {m} must lie in 1..{min(dims)}")
+    return m
+
+
+def build_core(spec: FiberFamilySpec, m=None, eps_w=None) -> CoreSpec:
+    """The core's dimension m (core_dim) and automorphism (default the
+    identity), validated and held by code."""
+    m = core_dim(spec.dims, m)
     eps_w = np.eye(m, dtype=np.int64) if eps_w is None else eps_w
     error = "core automorphism must be invertible of the core dimension"
     return CoreSpec(m, _code(spec.p, m, eps_w, error, error))

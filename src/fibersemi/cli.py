@@ -36,15 +36,13 @@ def _emit(text: str, out_path):
 
 
 # ---------------------------------------------------------------------------
-# verification checks; each returns (ok, witness-or-None) and decides its
-# claims exhaustively.  A claim decided elsewhere, or true by construction,
-# is not checked again: the comments name where it is decided.
+# verification checks; each returns its witness, or None when its claims
+# hold, and decides them exhaustively.  A claim decided elsewhere, or true by
+# construction, is not checked again: the comments name where it is decided.
 
 def _check_cardinalities(p, n):
     got, want = len(gf._sing_matrices(p, n)), gf.singular_count(p, n)
-    if got != want:
-        return False, {"enumerated": got, "closed_form": want}
-    return True, None
+    return {"enumerated": got, "closed_form": want} if got != want else None
 
 
 def _sing_profile(p, n):
@@ -75,9 +73,7 @@ def _check_regularity(p, n):
     # from this one through the isomorphism that cone-semigroup decides.
     sg.sing_green(p, n)
     got, want = len(gf.idempotent_matrices(p, n)), _sing_profile(p, n)[0]
-    if got != want:
-        return False, {"idempotents": got, "expected": want}
-    return True, None
+    return {"idempotents": got, "expected": want} if got != want else None
 
 
 def _check_green(p, n):
@@ -87,8 +83,8 @@ def _check_green(p, n):
     green, want = sg.sing_green(p, n), _sing_profile(p, n)[1]
     for relation in green._fields:
         if sorted(map(len, getattr(green, relation))) != want[relation]:
-            return False, {"failure": "class sizes differ from the closed form", "relation": relation}
-    return True, None
+            return {"failure": "class sizes differ from the closed form", "relation": relation}
+    return None
 
 
 def _check_factorization(p, n):
@@ -97,12 +93,12 @@ def _check_factorization(p, n):
     # (sc.factorization_witness and sc.retraction_law state the reductions).
     witness = sc.factorization_witness(p, n)
     if witness is not None:
-        return False, witness
+        return witness
     law = sc.retraction_law(p, n)
     if not law.all():
         sub = gf.subspace_lattice(p, n).basis(sc.inclusion_pairs(p, n)[law.argmin(), 0])
-        return False, {"failure": "retraction law", "sub": gf.rows_json(p, sub)}
-    return True, None
+        return {"failure": "retraction law", "sub": gf.rows_json(p, sub)}
+    return None
 
 
 def _sing_pairs(p, n, found):
@@ -113,25 +109,24 @@ def _sing_pairs(p, n, found):
 
 
 def _check_cone_semigroup(p, n):
-    # The cones are the principal ones, in Sing order (sc.coded_normal_cones
-    # states at which n that is every normal cone), and the table is built by
-    # cone composition, so the morphism check, on the map that sends each
-    # Sing element to the cone its matrix labels, decides
-    # cone(a).cone(b) = cone(ab).  coded_normal_cones' guards refuse before
-    # the lattice is built.  The same semigroup, labelled by matrices acting
-    # on dual coordinates, is the dual cone semigroup, the cone semigroup of
-    # the annihilator category; on this build, the map a -> cone(a^T) from
-    # the opposite of Sing's table decides that transposition is an
+    # Cone i is the principal cone of Sing's element i (sc.coded_normal_cones
+    # states at which n those are every normal cone), and the table is built
+    # by cone composition, so the morphism check on the identity index map
+    # decides cone(a).cone(b) = cone(ab).  coded_normal_cones' guards refuse
+    # before the lattice is built.  The same semigroup, on matrices acting on
+    # dual coordinates, is the dual cone semigroup, the cone semigroup of the
+    # annihilator category; on this build, the map a -> cone(a^T) from the
+    # opposite of Sing's table decides that transposition is an
     # anti-isomorphism, (a^T).(b^T) = (b.a)^T for every pair.
-    cone_sg = sc.coded_normal_cones(p, n)[0]
-    mats = gf._sing_matrices(p, n)
-    table = gf.sing_table(p, n)
-    for failure, source, images in (("cone map is not an isomorphism", table, mats),
-                                    ("dual cone semigroup", table.T, mats.transpose(0, 2, 1))):
-        found = sc.cone_map_witnesses(cone_sg, source, images, p)
+    cones = sc.coded_normal_cones(p, n)[0].table
+    mats, table = gf._sing_matrices(p, n), gf.sing_table(p, n)
+    transposed = gf.sing_decode(p, n)[gf.base_p(mats.transpose(0, 2, 1), p)]
+    for failure, source, img in (("cone map is not an isomorphism", table, np.arange(len(mats))),
+                                 ("dual cone semigroup", table.T, transposed)):
+        found = sg.morphism_witnesses(source, cones, img)
         if found:
-            return False, {"failure": failure, **_sing_pairs(p, n, found)}
-    return True, None
+            return {"failure": failure, **_sing_pairs(p, n, found)}
+    return None
 
 
 def _check_m_sets(p, n):
@@ -140,9 +135,7 @@ def _check_m_sets(p, n):
     # they differ is the witness
     idem, by_iso, by_sum = sc.m_sets(p, n)
     bad = (by_iso != by_sum).any(axis=1)
-    if bad.any():
-        return False, {"idempotent": gf.rows_json(p, idem[bad.argmax()])}
-    return True, None
+    return {"idempotent": gf.rows_json(p, idem[bad.argmax()])} if bad.any() else None
 
 
 def _check_dual_category(p, n):
@@ -150,8 +143,7 @@ def _check_dual_category(p, n):
     # category's objects are the proper subspaces at their own positions
     # (ann.iso_to_dual_subspace_category states what that leaves to decide).
     # Its cone semigroup is decided by cone-semigroup, on that check's build.
-    witness = ann.iso_to_dual_subspace_category(p, n)
-    return witness is None, witness
+    return ann.iso_to_dual_subspace_category(p, n)
 
 
 def _check_cross_connections(p, n):
@@ -174,18 +166,18 @@ def _check_cross_connections(p, n):
     conj = xc.conjugations(p, n, gf.enumerate_automorphisms(p, n))
     for i, eps in enumerate(conj.eps):
         if not conj.inverts[i]:
-            return False, {"eps": gf.rows_json(p, eps), "failure": "functoriality"}
+            return {"eps": gf.rows_json(p, eps), "failure": "functoriality"}
         e_obj, et_obj = xc.object_actions(p, n, eps)
         if not xc.covers(p, n, et_obj):
-            return False, {"eps": gf.rows_json(p, eps), "failure": "covering"}
+            return {"eps": gf.rows_json(p, eps), "failure": "covering"}
         if not conj.permutes[i]:
             raise AssertionError("not a permutation of the element indices")
         pair = xc.link_failure(p, n, conj.perms[i], e_obj, et_obj)
         if pair is not None:
             lattice = gf.subspace_lattice(p, n)
             a, y = (gf.rows_json(p, lattice.basis(k)) for k in pair)
-            return False, {"eps": gf.rows_json(p, eps), "a": a, "y": y}
-    return True, None
+            return {"eps": gf.rows_json(p, eps), "a": a, "y": y}
+    return None
 
 
 def _check_null_amalgam(p, n):
@@ -197,8 +189,8 @@ def _check_null_amalgam(p, n):
         found = sg.morphism_witnesses(core.table, branch.table, inclusion)
         if found:
             pairs = {k: [core.elements[x] for x in pair] for k, pair in found.items()}
-            return False, {"failure": "inclusion", "branch": i, **pairs}
-    return True, None
+            return {"failure": "inclusion", "branch": i, **pairs}
+    return None
 
 
 BUNDLE_DIMS, BUNDLE_CORE_DIM = (2, 2, 3), 2  # bundle-amalgam's fiber family, the same at every n
@@ -210,18 +202,13 @@ def _check_bundle_amalgam(p, n):
     # and each part's conjugation law holds by the conjugation reduction
     # (xc.conjugations).  So what is left to decide is E.E^-1 = I and that
     # each conjugation is a permutation (xc.linked_pairs raises otherwise),
-    # that no block-embedded core element is invertible (build_embedding
-    # raises), and the orders against the closed forms, compared here.  The
+    # and that no block-embedded core element is invertible (build_embedding
+    # raises).  Each part's order is that of Sing of its dimension by
+    # construction, which cardinalities decides at its own point.  The
     # embeddings are decided on first coordinates; the second coordinates,
     # conjugates under each part's own automorphism, are not compared.
-    bundle = bn.assemble_amalgam(bn.fiber_family(p, BUNDLE_DIMS), m=BUNDLE_CORE_DIM)
-    core_order, *orders = bundle.orders
-    want = [gf.singular_count(p, d) for d in BUNDLE_DIMS]
-    if orders != want:
-        return False, {"orders": orders, "expected": want}
-    if core_order != gf.singular_count(p, BUNDLE_CORE_DIM):
-        return False, {"core_order": core_order}
-    return True, None
+    bn.assemble_amalgam(bn.fiber_family(p, BUNDLE_DIMS), m=BUNDLE_CORE_DIM)
+    return None
 
 
 CHECKS = (
@@ -240,12 +227,12 @@ CHECKS = (
 
 def _run_check(name, fn, *args):
     try:
-        ok, witness = fn(*args)
+        witness = fn(*args)
     except gf.GuardExceeded as exc:
-        ok, witness = False, {"guard": str(exc)}
+        witness = {"guard": str(exc)}
     except Exception as exc:  # a claim that fails by raising fails its check only
-        ok, witness = False, {"error": str(exc)}
-    return {"check": name, "status": "pass" if ok else "fail", "witness": witness}
+        witness = {"error": str(exc)}
+    return {"check": name, "status": "pass" if witness is None else "fail", "witness": witness}
 
 
 def run_checks(p, n, table_path=None):
@@ -260,10 +247,10 @@ def _table_check(path):
     try:
         sg.semigroup_from_file(path)
     except sg.NotAssociative as exc:
-        return False, {"triple": list(exc.witness)}
+        return {"triple": list(exc.witness)}
     except (OSError, ValueError) as exc:  # GuardExceeded too: an order past the guard is an error witness
-        return False, {"error": str(exc)}
-    return True, None
+        return {"error": str(exc)}
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -358,17 +345,31 @@ ALL_EPS_CELL_LIMIT = 1 << 20  # table cells crossconn --all-eps may write
 def _check_all_eps_output(p, n):
     """Refuse crossconn --all-eps when its tables, |GL_n(p)| of them with N^2
     cells each, N = |Sing(GF(p)^n)|, would exceed ALL_EPS_CELL_LIMIT cells;
-    counted in closed form, nothing is enumerated."""
+    counted in closed form, nothing is enumerated.  Past gf.exact_counts
+    the message names lower bounds: |GL_n(p)| >= (p^n - p^(n-1))^n and the
+    matrices with a zero first row are singular, so both counts are at
+    least p^(n(n-1)).  While the counts are exact, the cells' log2 is read
+    from theirs: math.log2 of an int of the few million bits these reach
+    errs by under 1e-9, so the cells are multiplied out only where the sum
+    lies within 1e-8 of an integer or below 2^65."""
     gf.check_field(p)
     gf.check_dim(n)
-    order = gf.singular_count(p, n)
-    autos = p ** (n * n) - order
-    if autos * order ** 2 > ALL_EPS_CELL_LIMIT:
-        raise gf.GuardExceeded(
-            f"crossconn --all-eps at GF({p})^{n} would write {gf.count_text(autos)} tables of order "
-            f"{gf.count_text(order)}, {gf.count_text(autos * order ** 2)} cells in all, "
-            f"beyond the output limit of {ALL_EPS_CELL_LIMIT} cells"
-        )
+    if gf.exact_counts(p, n):
+        autos = gf.gl_order(p, n)
+        order = p ** (n * n) - autos
+        bits = math.log2(autos) + 2 * math.log2(order)
+        if bits > 65 and 1e-8 < bits % 1 < 1 - 1e-8:
+            cells = f"at least 2^{math.floor(bits)}"
+        elif autos * order ** 2 <= ALL_EPS_CELL_LIMIT:
+            return
+        else:
+            cells = gf.count_text(autos * order ** 2)
+        texts = gf.count_text(autos), gf.count_text(order), cells
+    else:
+        texts = gf.power_text(p, n * (n - 1)), gf.power_text(p, n * (n - 1)), gf.power_text(p, 3 * n * (n - 1))
+    raise gf.GuardExceeded(
+        f"crossconn --all-eps at GF({p})^{n} would write {texts[0]} tables of order {texts[1]}, "
+        f"{texts[2]} cells in all, beyond the output limit of {ALL_EPS_CELL_LIMIT} cells")
 
 
 def cmd_crossconn(args):
@@ -378,7 +379,8 @@ def cmd_crossconn(args):
         eps = gf.enumerate_automorphisms(p, n)
     elif args.eps:
         eps = _parse_eps(args.eps, p, n)[None]
-    else:
+    else:  # the identity, built once the endomorphism guard that linked_pairs meets first passes
+        gf._endo_count(p, n)
         eps = np.eye(n, dtype=np.int64)[None]
     if args.format == "json":  # the document writes Sing's table: refuse before any pair is built
         gf.check_sing_order(p, n)
@@ -397,11 +399,14 @@ def cmd_amalgam(args):
         dims = tuple(int(x) for x in args.dims.split(","))
     except ValueError:
         raise ValueError(f"--dims must be comma-separated integers, got {args.dims!r}") from None
-    spec = bn.fiber_family(p, dims)
-    if args.format == "json":  # the document writes each part's Sing table: refuse before any is built
-        for d in (bn.build_core(spec, args.core_dim).m,) + dims:
-            gf.check_sing_order(p, d)
-    bundle = bn.assemble_amalgam(spec, m=args.core_dim)
+    # Every guard runs before any matrix is built, in the order the build
+    # reaches the dimensions, the core's first; the JSON document writes each
+    # part's Sing table, so there the table guard refuses too.
+    m = bn.core_dim(bn.family_dims(p, dims), args.core_dim)
+    guard = gf.check_sing_order if args.format == "json" else gf._endo_count
+    for d in (m,) + dims:
+        guard(p, d)
+    bundle = bn.assemble_amalgam(bn.fiber_family(p, dims), m=m)
     if args.format == "dot":
         _emit(bn.amalgam_dot(bundle), args.out)
     elif args.format == "json":

@@ -12,6 +12,7 @@ the matrix's code.
 from __future__ import annotations
 
 import itertools
+import math
 from functools import cached_property, lru_cache
 from operator import attrgetter
 
@@ -22,6 +23,7 @@ SUPPORTED_PRIMES = (2, 3, 5, 7)
 SUBSPACE_ENUM_LIMIT = 4096  # max number of subspaces of GF(p)^n
 ENDO_ENUM_LIMIT = 1 << 20   # max p**(n*n)
 ASSOC_GUARD = 1500          # largest order of a Cayley table checked for associativity
+EXACT_BITS = 1 << 21        # guards count GF(p)^n exactly while n^2 log2(p) is at most this
 
 
 class GuardExceeded(ValueError):
@@ -91,12 +93,38 @@ def count_text(x):
     return str(x) if x.bit_length() <= 64 else f"at least 2^{x.bit_length() - 1}"
 
 
+def power_text(p, e):
+    """count_text(p^e) at any e, with no number of more than about
+    2 e.bit_length() + 130 bits built.  Past e = 64 the text names
+    floor(log2 p^e), read from lo.2^s <= p^e <= hi.2^s: repeated squaring,
+    each product cut to e.bit_length() + 64 bits, rounded down for lo and
+    up for hi.  Where the bounds' bit lengths differ, lo's is named, which
+    p^e still reaches."""
+    if e <= 64:
+        return count_text(p ** e)
+    keep, lo, hi, shift = e.bit_length() + 64, 1, 1, 0
+    for bit in map(int, bin(e)[2:]):
+        lo, hi, shift = lo * lo * p ** bit, hi * hi * p ** bit, 2 * shift
+        cut = max(0, hi.bit_length() - keep)
+        lo, hi, shift = lo >> cut, -(-hi >> cut), shift + cut
+    return f"at least 2^{lo.bit_length() - 1 + shift}"
+
+
+def exact_counts(p, n):
+    """Whether the closed-form counts of GF(p)^n are cheap enough to
+    compute exactly for a guard's message (EXACT_BITS).  Past that, n is
+    in the hundreds, and every guard refuses by a lower bound, since from
+    n = 7 on each one refuses at every p."""
+    return n * n <= EXACT_BITS / math.log2(p)
+
+
 def _endo_count(p, n):
-    """p^(n^2), the number of n x n matrices, once p, n and the guard pass."""
+    """p^(n^2), the number of n x n matrices, once p, n and the guard pass.
+    p^(n^2) >= 2^(n^2), so past n^2 = log2 of the guard no power is built."""
     check_field(p)
     check_dim(n)
-    if p ** (n * n) > ENDO_ENUM_LIMIT:
-        raise GuardExceeded(f"p^(n^2) = {count_text(p ** (n * n))} exceeds endomorphism guard {ENDO_ENUM_LIMIT}")
+    if n * n > math.log2(ENDO_ENUM_LIMIT) or p ** (n * n) > ENDO_ENUM_LIMIT:
+        raise GuardExceeded(f"p^(n^2) = {power_text(p, n * n)} exceeds endomorphism guard {ENDO_ENUM_LIMIT}")
     return p ** (n * n)
 
 
@@ -121,13 +149,20 @@ def rref_stack(a, p):
     return a, pivot, rank
 
 
+def rref_augmented(mats, p):
+    """rref_stack of [M | I] for every matrix M of a stack (count, m, w), I
+    the m x m identity: one batched elimination, whose right half E is
+    invertible with E.M the rref of M, the left half."""
+    count, m = mats.shape[:2]
+    eye = np.broadcast_to(np.eye(m, dtype=np.int64), (count, m, m))
+    return rref_stack(np.concatenate([mats, eye], axis=2), p)
+
+
 def inverse_stack(mats, p):
     """The right half of the rref of [E | I] for each matrix E of a stack
-    (count, n, n), from one batched elimination: E^-1 where E is invertible
-    and meaningless where it is not, so callers check E.E^-1 = I."""
-    n = mats.shape[1]
-    eye = np.broadcast_to(np.eye(n, dtype=np.int64), mats.shape)
-    return rref_stack(np.concatenate([mats, eye], axis=2), p)[0][:, :, n:]
+    (count, n, n): E^-1 where E is invertible and meaningless where it is
+    not, so callers check E.E^-1 = I."""
+    return rref_augmented(mats, p)[0][:, :, mats.shape[2]:]
 
 
 def invertible_matrix(mat, p, d, shape_error, singular_error):
@@ -148,17 +183,27 @@ def invertible_matrix(mat, p, d, shape_error, singular_error):
 # subspaces
 
 def subspace_count(p, n):
-    """The number of subspaces of GF(p)^n, the sum over k of the Gaussian
-    binomials [n, k]_p, once p, n and the subspace guard pass."""
+    """The number of subspaces of GF(p)^n, once p, n and the subspace guard
+    pass.  Past exact_counts the guard names a lower bound: there are
+    [n, n // 2]_p >= p^(n // 2 * (n - n // 2)) = p^(n^2 // 4) subspaces of
+    dimension n // 2 alone."""
     check_field(p)
     check_dim(n)
-    count = term = 1
-    for k in range(n):  # [n, k + 1] = [n, k] (p^(n - k) - 1) / (p^(k + 1) - 1)
-        term = term * (p ** (n - k) - 1) // (p ** (k + 1) - 1)
-        count += term
-    if count > SUBSPACE_ENUM_LIMIT:
-        raise GuardExceeded(f"GF({p})^{n} has {count_text(count)} subspaces, "
-                            f"beyond the subspace guard {SUBSPACE_ENUM_LIMIT}")
+    count = _galois_number(p, n) if exact_counts(p, n) else None
+    if count is None or count > SUBSPACE_ENUM_LIMIT:
+        text = power_text(p, n * n // 4) if count is None else count_text(count)
+        raise GuardExceeded(f"GF({p})^{n} has {text} subspaces, beyond the subspace guard {SUBSPACE_ENUM_LIMIT}")
+    return count
+
+
+@lru_cache(maxsize=None)
+def _galois_number(p, n):
+    """The sum over k of the Gaussian binomials [n, k]_p, by the recurrence
+    G(m + 1) = 2 G(m) + (p^m - 1) G(m - 1) from G(0) = 1 and G(1) = 2: no
+    division, and each product has one factor of m digits."""
+    before, count = 1, 2
+    for m in range(1, n):
+        before, count = count, 2 * count + (p ** m - 1) * before
     return count
 
 
@@ -186,12 +231,19 @@ def enumerate_subspaces(p, n):
     return bases
 
 
+def gl_order(p, n):
+    """|GL_n(p)| = prod_(i<n) (p^n - p^i) = p^(n(n-1)/2) prod_(i=1..n) (p^i
+    - 1), the last product taken in balanced pairs, so the large factors
+    meet last."""
+    factors = [p ** i - 1 for i in range(1, n + 1)]
+    while len(factors) > 1:
+        factors = [math.prod(factors[i:i + 2]) for i in range(0, len(factors), 2)]
+    return p ** (n * (n - 1) // 2) * factors[0]
+
+
 def singular_count(p, n):
-    """Closed form p^(n^2) - prod_i (p^n - p^i)."""
-    gl = 1
-    for i in range(n):
-        gl *= p ** n - p ** i
-    return p ** (n * n) - gl
+    """Closed form p^(n^2) - |GL_n(p)|."""
+    return p ** (n * n) - gl_order(p, n)
 
 
 # ---------------------------------------------------------------------------

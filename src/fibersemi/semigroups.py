@@ -380,8 +380,7 @@ def _plus(mats, p):
     sing_green states it: row j of E, the right half, at row c_j, the
     column of the j-th pivot of the left half."""
     n = mats.shape[1]
-    eye = np.broadcast_to(np.eye(n, dtype=np.int64), mats.shape)
-    red, pivot, _ = gf.rref_stack(np.concatenate([mats, eye], axis=2), p)
+    red, pivot, _ = gf.rref_augmented(mats, p)
     pivot = pivot[:, :n]
     at, col = np.nonzero(pivot)
     plus = np.zeros(mats.shape, dtype=np.int64)

@@ -94,12 +94,11 @@ def shape_factors(p, da, db) -> SimpleNamespace:
     count, slots = p ** (da * db), np.arange(da)
     _check_sweep(p, da, db)
     mats = gf.from_base_p(np.arange(count), p, da, db)
-    eye = np.broadcast_to(np.eye(da, dtype=np.int64), (count, da, da))
-    red, pivot, _ = gf.rref_stack(np.concatenate([mats, eye], axis=2), p)
+    red, pivot, _ = gf.rref_augmented(mats, p)
     rank, lead = pivot[:, :db].sum(axis=1), pivot[:, db:]
     kernel = np.where(slots[:, None] >= rank[:, None, None], red[:, :, db:], 0)
     # e_t - (the row of K leading at t) for each pivot t of K, e_t elsewhere
-    proj = eye - (lead[:, None, :] & (kernel != 0)).astype(np.int64).transpose(0, 2, 1) @ kernel
+    proj = np.eye(da, dtype=np.int64) - (lead[:, None] & (kernel != 0)).astype(np.int64).transpose(0, 2, 1) @ kernel
     complement = complement_rows(lead)
     at_pivots = ((np.cumsum(pivot[:, :db], axis=1) - 1)[:, :, None] == slots) & pivot[:, :db, None]
     q, u = proj @ complement.transpose(0, 2, 1) % p, complement @ mats @ at_pivots
@@ -266,19 +265,20 @@ def coded_normal_cones(p, n):
     the lattice is built, and the code width against int64 before any cone
     is built.  Cones are code rows (_ConeCode).
 
-    The cones are the principal cones of the singular endomorphisms, in
-    Sing order, each labelled by its endomorphism's base-p code.  Each must
-    be a normal cone (_admissible), and no two may share a code.  At n = 1
-    the zero cone is the only cone.  At n >= 3 the principal cones are every
-    normal cone: any two vectors lie in a proper subspace, of dimension at
-    most 2 < n, and compatibility makes the components agree where objects
-    meet, so they glue to one map on GF(p)^n that is linear on the span of
-    any two vectors, hence linear.  Normality makes its image the vertex, a
-    proper subspace, so the map is singular and the cone is its principal
-    cone.  At n = 2 no inclusion joins two lines, so a normal cone need not
-    be linear, and the principal cones are only some of them: Nambooripad's
-    cone semigroup of GF(p)^2 has (p+1)(p^(p+1)-1)+1 normal cones (22 at
-    p = 2, 321 at p = 3), which are not built here (ROADMAP.md, item 15).
+    The cones are the principal cones of the singular endomorphisms, in Sing
+    order: cone i, labelled i, is that of gf._sing_matrices' element i.
+    Each must be a normal cone (_admissible), and no two may share a code.
+    At n = 1 the zero cone is the only cone.  At n >= 3 the principal cones
+    are every normal cone: any two vectors lie in a proper subspace, of
+    dimension at most 2 < n, and compatibility makes the components agree
+    where objects meet, so they glue to one map on GF(p)^n that is linear on
+    the span of any two vectors, hence linear.  Normality makes its image
+    the vertex, a proper subspace, so the map is singular and the cone is
+    its principal cone.  At n = 2 no inclusion joins two lines, so a normal
+    cone need not be linear, and the principal cones are only some of them:
+    Nambooripad's cone semigroup of GF(p)^2 has (p+1)(p^(p+1)-1)+1 normal
+    cones (22 at p = 2, 321 at p = 3), which are not built here (ROADMAP.md,
+    item 15).
 
     Every cell of the Cayley table is a cone composition, never a matrix
     shortcut, filled one vertex object at a time: g1.g2 pushes g1 along the
@@ -323,22 +323,8 @@ def coded_normal_cones(p, n):
             if -1 in found:
                 raise AssertionError("cone composition left the enumerated set")
             table[np.ix_(left, cols)] = np.array(found)[:, None]
-    labels = gf.base_p(gf._sing_matrices(p, n), p).tolist()
     table.flags.writeable = False  # so from_table keeps it rather than a copy
-    return sg.from_table(labels, table), code, vertex, rows
-
-
-def cone_map_witnesses(cones, source, mats, p):
-    """sg.morphism_witnesses of the map from the table source into the cone
-    semigroup cones that sends element i to the cone labelled by the
-    base-p code of the matrix mats[i]; {"no cone": (i,)} for the first i
-    whose matrix labels no cone, so no index is ever -1."""
-    slot = np.full(p ** mats[0].size, -1, dtype=np.intp)
-    slot[np.array(cones.elements)] = np.arange(cones.order)
-    img = slot[gf.base_p(mats, p)]
-    if (img < 0).any():
-        return {"no cone": (int(img.argmin()),)}
-    return sg.morphism_witnesses(source, cones.table, img)
+    return sg.from_table(range(order), table), code, vertex, rows
 
 
 def cone_semigroup_json(p, n, semigroup, code: _ConeCode, vertex, rows):
@@ -350,8 +336,8 @@ def cone_semigroup_json(p, n, semigroup, code: _ConeCode, vertex, rows):
     writes {"cones", "elements", "n", "p", "table"}, but from pre-encoded
     pieces: each object's JSON once, each component once per distinct
     (object, vertex dimension, matrix), keyed by the padded block's code,
-    the elements' matrices, decoded from their labels, in one call, and the
-    table through sg.table_json."""
+    the elements' matrices, Sing's in order, in one call, and the table
+    through sg.table_json."""
     lattice = gf.subspace_lattice(p, n)
     objects = [json.dumps(gf.rows_json(p, lattice.basis(k)), sort_keys=True, separators=(",", ":"))
                for k in range(len(code.dims))]
@@ -367,7 +353,7 @@ def cone_semigroup_json(p, n, semigroup, code: _ConeCode, vertex, rows):
         columns.append([encoded[key] for key in keys])
     cones = ",".join([f'{{"components":[{",".join(parts)}],"vertex":{objects[k]}}}'
                       for k, parts in zip(vertex.tolist(), zip(*columns))])
-    elements = json.dumps(gf.from_base_p(np.array(semigroup.elements), p, n, n).tolist(), separators=(",", ":"))
+    elements = json.dumps(gf._sing_matrices(p, n).tolist(), separators=(",", ":"))
     return (f'{{"cones":[{cones}],"elements":{elements},"n":{n},"p":{p},'
             f'"table":{sg.table_json(semigroup.table)}}}\n')
 

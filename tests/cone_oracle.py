@@ -8,10 +8,12 @@ at (2,2) and (3,2) before it took the principal cones at every point.  They
 are kept here, unchanged, so the tests can compare the code rows, the cone
 JSON, sc._admissible and the batched M-sets with them.  span_in is the
 Subspace the cone semigroup built for each product's vertex before it
-looked the vertex up by code.  swap_two_cone_labels plants a mutant cone
-semigroup for the checks that map Sing onto it.  build_ta_semigroup is the
-dual cone semigroup as the package built it before verify-all's
-cone-semigroup check decided the transposition claim on its own build."""
+looked the vertex up by code.  swap_two_cones plants a mutant cone
+semigroup, out of Sing order, for the checks that map Sing onto it.
+build_ta_semigroup is the dual cone semigroup as the package built it
+before verify-all's cone-semigroup check decided the transposition claim on
+its own build, with cone_map_witnesses, the map it was decided through
+while the cones were labelled by their endomorphisms' codes."""
 
 from __future__ import annotations
 
@@ -106,9 +108,10 @@ def _cones(cat: SubspaceCategory, code: _ConeCode, vertex, rows):
 
 def enumerate_normal_cones(cat: SubspaceCategory):
     """(semigroup, cones, endos) with parallel indexing: coded_normal_cones with
-    each code row as a Cone, and the map back to inducing endomorphisms."""
+    each code row as a Cone, and the endomorphisms of Sing in its order,
+    whose principal cones the rows are."""
     semigroup, code, vertex, rows = sc.coded_normal_cones(cat.p, cat.n)
-    return semigroup, _cones(cat, code, vertex, rows), tuple(gh.from_code(e, cat.p, cat.n) for e in semigroup.elements)
+    return semigroup, _cones(cat, code, vertex, rows), gh.endos_of(gf._sing_matrices(cat.p, cat.n), cat.p)
 
 
 def m_set(cat: SubspaceCategory, cone: Cone):
@@ -222,29 +225,44 @@ def _assignments(code: _ConeCode):
     return np.concatenate(vertices), np.concatenate(blocks)
 
 
-def swap_two_cone_labels(monkeypatch, i=1, j=2):
-    """Have sc.coded_normal_cones return its semigroup with the labels of
-    elements i and j exchanged, its table unchanged; (i, j)."""
+def swap_two_cones(monkeypatch, i=1, j=2):
+    """Have sc.coded_normal_cones return its semigroup with elements i and
+    j exchanged, out of Sing order: their rows, their columns and every
+    entry naming either, so the semigroup is isomorphic to the true one
+    through the transposition (i j); (i, j)."""
     real = sc.coded_normal_cones
 
     def planted(p, n):
         smg, *rest = real(p, n)
-        labels = list(smg.elements)
-        labels[i], labels[j] = labels[j], labels[i]
-        return (sg.FiniteSemigroup(tuple(labels), smg.table), *rest)
+        swap = np.arange(smg.order)
+        swap[[i, j]] = j, i
+        return (sg.FiniteSemigroup(smg.elements, swap[smg.table][np.ix_(swap, swap)]), *rest)
 
     monkeypatch.setattr(sc, "coded_normal_cones", planted)
     return i, j
 
 
+def cone_map_witnesses(cones, source, mats, p):
+    """sg.morphism_witnesses of the map from the table source into the cone
+    semigroup cones that sends element i to the cone of the matrix mats[i],
+    cone k being that of Sing's element k, found by code through
+    gf.sing_decode; {"no cone": (i,)} for the first i whose matrix is no
+    element of Sing, so no index is ever -1."""
+    img = gf.sing_decode(p, mats.shape[1])[gf.base_p(mats, p)]
+    if (img < 0).any():
+        return {"no cone": (int(img.argmin()),)}
+    return sg.morphism_witnesses(source, cones.table, img)
+
+
 def build_ta_semigroup(p, n):
     """(semigroup, witnesses): the cone semigroup of the annihilator
-    category, which is the cone semigroup over the dual space labelled by
-    the codes of matrices acting on dual coordinates, and the morphism witnesses
-    (sc.cone_map_witnesses) of alpha -> the dual cone of alpha^T from the
-    opposite of Sing's table.  Empty witnesses say that transposition is an
-    anti-isomorphism, (alpha^T).(beta^T) = (beta.alpha)^T for every pair;
-    the opposite of an associative table is associative."""
+    category, which is the cone semigroup over the dual space, cone k that
+    of the matrix of Sing's element k acting on dual coordinates, and the
+    morphism witnesses (cone_map_witnesses) of alpha -> the dual cone of
+    alpha^T from the opposite of Sing's table.  Empty witnesses say that
+    transposition is an anti-isomorphism, (alpha^T).(beta^T) =
+    (beta.alpha)^T for every pair; the opposite of an associative table is
+    associative."""
     ta = sc.coded_normal_cones(p, n)[0]
     transposed = gf._sing_matrices(p, n).transpose(0, 2, 1)
-    return ta, sc.cone_map_witnesses(ta, gf.sing_table(p, n).T, transposed, p)
+    return ta, cone_map_witnesses(ta, gf.sing_table(p, n).T, transposed, p)

@@ -101,7 +101,7 @@ def test_criterion_5_cone_semigroup_isomorphism():
         cone_sg, cones, _ = co.enumerate_normal_cones(cat)
         assert cone_sg.order == 10 and set(cones) == set(kept)
         sing = sing_oracle.from_multiplication(sing_elems, lambda a, b: a * b)
-        mapping = tuple(cone_sg.elements.index(gh.code(a)) for a in sing.elements)
+        mapping = tuple(cones.index(co.principal_cone(cat, a)) for a in sing.elements)
         rep = sing_oracle.verify_morphism(sing_oracle.SemigroupMorphism(sing, cone_sg, mapping))
         assert rep.is_hom and rep.is_injective and len(set(mapping)) == cone_sg.order
         for a in sing_elems:
@@ -133,10 +133,11 @@ def test_criterion_7_dual_category_and_transpose():
         ta, found = co.build_ta_semigroup(2, 2)
         assert ta.order == 10
         assert found == {}
-        # the same anti-isomorphism through the labelled oracle check
+        # the same anti-isomorphism through the labelled oracle check; cone
+        # k is that of Sing's element k
         sing = sing_oracle.sing_semigroup(2, 2)
         opposite = sg.FiniteSemigroup(sing.elements, sing.table.T)
-        mapping = tuple(ta.elements.index(gh.code(gh.transpose(a))) for a in sing.elements)
+        mapping = tuple(sing.elements.index(gh.transpose(a)) for a in sing.elements)
         assert sing_oracle.verify_morphism(sing_oracle.SemigroupMorphism(opposite, ta, mapping)).ok
         sing_elems = sing_oracle.enumerate_endos(2, 2, singular_only=True)
         for a in sing_elems:

@@ -178,16 +178,17 @@ def test_dual_cone_semigroup_order_and_anti_iso():
 
 @pytest.mark.parametrize("p, n", GRID)
 def test_dual_cone_semigroup_with_swapped_labels_is_caught(monkeypatch, p, n):
-    """Two cone labels swapped make alpha -> cone(alpha^T) a transposition
-    of the true map, which the morphism check refuses; the witness agrees
-    with the loop oracle's over the opposite of Sing."""
-    i, j = oracle.swap_two_cone_labels(monkeypatch)
+    """Two cones exchanged, out of Sing order, make alpha -> cone(alpha^T) a
+    transposition of the true map, which the morphism check refuses; the
+    witness agrees with the loop oracle's over the opposite of Sing."""
+    i, j = oracle.swap_two_cones(monkeypatch)
     ta, found = oracle.build_ta_semigroup(p, n)
     sing = sing_oracle.sing_semigroup(p, n)
     opposite = sg.FiniteSemigroup(sing.elements, sing.table.T)
-    mapping = tuple(ta.elements.index(gh.code(gh.transpose(a))) for a in sing.elements)
+    position = {a: k for k, a in enumerate(sing.elements)}  # cone k is that of Sing's element k
+    mapping = tuple(position[gh.transpose(a)] for a in sing.elements)
     want = sing_oracle.hom_witness(sing_oracle.SemigroupMorphism(opposite, ta, mapping))
-    assert want is not None and {i, j} & {ta.elements.index(gh.code(gh.transpose(a))) for a in want}
+    assert want is not None and {i, j} & {position[gh.transpose(a)] for a in want}
     assert list(found) == ["hom"] and tuple(sing.elements[k] for k in found["hom"]) == want
 
 
@@ -196,14 +197,15 @@ def test_transpose_identities():
         assert gh.transpose(gh.transpose(a)) == a
 
 def test_dual_table_is_transpose_conjugated_opposite():
+    # cone k of the dual cone semigroup is that of Sing's element k
     ta, _ = oracle.build_ta_semigroup(2, 2)
     primal = sing_oracle.enumerate_endos(2, 2, singular_only=True)
     sing = sing_oracle.from_multiplication(primal, lambda a, b: a * b)
     for a in primal:
         for b in primal:
-            at = ta.elements.index(gh.code(gh.transpose(a))), ta.elements.index(gh.code(gh.transpose(b)))
-            lhs = ta.elements[ta.table[at]]
-            rhs = gh.code(gh.transpose(sing.elements[sing.table[sing.elements.index(b)][sing.elements.index(a)]]))
+            at = primal.index(gh.transpose(a)), primal.index(gh.transpose(b))
+            lhs = primal[ta.table[at]]
+            rhs = gh.transpose(sing.elements[sing.table[sing.elements.index(b)][sing.elements.index(a)]])
             assert lhs == rhs
 
 def test_dual_object_tag_json(primal22):

@@ -185,7 +185,7 @@ def test_shared_verification_path_with_null_fixture(monkeypatch):
     calls = []
     real = sg.morphism_witnesses
     monkeypatch.setattr(sg, "morphism_witnesses", lambda *a: calls.append(real(*a)) or calls[-1])
-    assert cli._check_null_amalgam(2, 2) == (True, None)
+    assert cli._check_null_amalgam(2, 2) is None
     assert calls == [{}, {}]
     bundle_oracle.check_embeddings(bn.assemble_amalgam(bn.fiber_family(2, (2, 2))))
     assert calls == [{}, {}, {}, {}]

@@ -3,9 +3,11 @@
 import functools
 import gc
 import json
+import re
 import subprocess
 import sys
 import time
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -117,7 +119,7 @@ def test_cardinalities_builds_no_endo(monkeypatch):
         raise AssertionError("a record was built only to be counted")
 
     monkeypatch.setattr(gf.Record, "__init__", forbidden)
-    assert cli._check_cardinalities(2, 4) == (True, None)
+    assert cli._check_cardinalities(2, 4) is None
 
 @pytest.mark.parametrize("dim", ["0", "-1"])
 def test_nonpositive_dim_exit(capsys, dim):
@@ -230,9 +232,19 @@ def test_amalgam_dot(capsys):
     ("amalgam --dims=", "error: --dims must be comma-separated integers, got ''\n"),
     ("amalgam --dims 2,x", "error: --dims must be comma-separated integers, got '2,x'\n"),
     ("amalgam --dims 2,,3", "error: --dims must be comma-separated integers, got '2,,3'\n"),
+    # the guards run before any matrix is built, the core's first, so no
+    # identity of a refused dimension is made, and numpy warns of nothing
+    ("amalgam --dims 9", "error: p^(n^2) = at least 2^81 exceeds endomorphism guard 1048576\n"),
+    ("amalgam --dims 10,9", "error: p^(n^2) = at least 2^81 exceeds endomorphism guard 1048576\n"),
+    ("amalgam --dims 2,1000", "error: p^(n^2) = at least 2^1000000 exceeds endomorphism guard 1048576\n"),
+    ("amalgam --dims 99999999999999999999",
+     f"error: p^(n^2) = at least 2^{99999999999999999999 ** 2} exceeds endomorphism guard 1048576\n"),
+    ("amalgam --dims 4,5 --format json", "error: Sing(GF(2)^4) has order 45376, beyond the associativity guard 1500\n"),
 ])
 def test_amalgam_refusals_exit_2_with_their_message(capsys, argv, err):
-    assert run(capsys, *argv.split()) == (2, "", err)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run(capsys, *argv.split()) == (2, "", err)
 
 
 @pytest.mark.parametrize("argv,order", [
@@ -476,7 +488,7 @@ def test_green_check_fails_on_planted_classes(monkeypatch, field, how, path):
     # a class merged with the next or split in two, planted into the
     # witnesses' classes, changes that relation's class sizes; path names
     # the one source of classes the check reads
-    assert cli._check_green(3, 2) == (True, None)
+    assert cli._check_green(3, 2) is None
     honest = sg.sing_green
 
     def planted(*args):
@@ -490,14 +502,13 @@ def test_green_check_fails_on_planted_classes(monkeypatch, field, how, path):
         return sg.GreenStructure(**{**{f: getattr(g, f) for f in g._fields}, field: tuple(classes)})
 
     monkeypatch.setattr(sg, "sing_green", planted)
-    assert cli._check_green(3, 2) == (
-        False, {"failure": "class sizes differ from the closed form", "relation": field})
+    assert cli._check_green(3, 2) == {"failure": "class sizes differ from the closed form", "relation": field}
 
 
 def test_regularity_check_fails_on_a_missing_idempotent(monkeypatch):
     honest = gf.idempotent_matrices
     monkeypatch.setattr(gf, "idempotent_matrices", lambda p, n: honest(p, n)[1:])
-    assert cli._check_regularity(3, 2) == (False, {"idempotents": 12, "expected": 13})
+    assert cli._check_regularity(3, 2) == {"idempotents": 12, "expected": 13}
 
 
 @pytest.mark.parametrize("p,n", [(2, 3), (3, 3), (2, 4)])
@@ -508,8 +519,8 @@ def test_regularity_and_green_checks_build_no_table(monkeypatch, p, n):
 
     for owner, name in [(gf, "sing_table"), (sg, "from_table")]:
         monkeypatch.setattr(owner, name, forbidden)
-    assert cli._check_regularity(p, n) == (True, None)
-    assert cli._check_green(p, n) == (True, None)
+    assert cli._check_regularity(p, n) is None
+    assert cli._check_green(p, n) is None
 
 
 def test_verify_all_computes_the_witnesses_once():
@@ -529,9 +540,9 @@ def test_cross_connections_and_bundle_amalgam_build_no_table(monkeypatch):
     for owner, name in [(gf, "sing_table"), (sg, "from_table")]:
         monkeypatch.setattr(owner, name, forbidden)
     for p, n in [(2, 2), (3, 2), (2, 3)]:
-        assert cli._check_cross_connections(p, n) == (True, None)
+        assert cli._check_cross_connections(p, n) is None
     for p, n in [(2, 2), (3, 2)]:
-        assert cli._check_bundle_amalgam(p, n) == (True, None)
+        assert cli._check_bundle_amalgam(p, n) is None
 
 
 def _corrupt_witness(monkeypatch, p, n):
@@ -573,8 +584,8 @@ def test_m_sets_and_green_take_no_per_element_subspaces(monkeypatch):
         raise AssertionError("a subspace was computed per element")
 
     monkeypatch.setattr(gf, "restriction", refuse, raising=False)
-    assert cli._check_m_sets(2, 4) == (True, None)
-    assert cli._check_green(7, 2) == (True, None)
+    assert cli._check_m_sets(2, 4) is None
+    assert cli._check_green(7, 2) is None
 
 
 def test_dual_category_check_decides_the_2_3_identification(monkeypatch):
@@ -591,8 +602,8 @@ def test_dual_category_check_decides_the_2_3_identification(monkeypatch):
     u, v = lo.first_proper_containment(2, 3)
     lo.plant(monkeypatch, 2, 3, lo.mutated(2, 3, drop=(u, v)))
     subspaces = gh.subspaces(2, 3)
-    assert cli._check_dual_category(2, 3) == (False, {
-        "failure": "order reversal", "objects": [subspaces[v].to_json(), subspaces[u].to_json()]})
+    assert cli._check_dual_category(2, 3) == {
+        "failure": "order reversal", "objects": [subspaces[v].to_json(), subspaces[u].to_json()]}
     assert seen == [(2, 3)]
 
 
@@ -652,15 +663,23 @@ def verify_all(capsys, fmt, p=2, n=2):
     return code, report
 
 
+def sing_positions_of_transposes(p, n):
+    """The Sing position of a^T for each element a of Sing(GF(p)^n), by
+    the loop oracle's elements: the index of the cone of a^T."""
+    sing = sing_oracle.sing_semigroup(p, n)
+    position = {a: k for k, a in enumerate(sing.elements)}
+    return np.array([position[gh.transpose(a)] for a in sing.elements])
+
+
 @pytest.mark.parametrize("fmt", ["json", "table"])
 def test_cone_map_failure_names_the_pair_as_documents(monkeypatch, capsys, fmt):
-    # two cone labels swapped: the map from Sing by code lookup is a
-    # transposition, no homomorphism; the witness is the loop oracle's pair
-    i, j = co.swap_two_cone_labels(monkeypatch)
+    # two cones exchanged, out of Sing order: the identity map from Sing is
+    # then a transposition of the isomorphism, no homomorphism; the witness
+    # is the loop oracle's pair
+    co.swap_two_cones(monkeypatch)
     sing = sing_oracle.sing_semigroup(2, 2)
     cones = sc.coded_normal_cones(2, 2)[0]
-    mapping = tuple(cones.elements.index(gh.code(a)) for a in sing.elements)
-    pair = sing_oracle.hom_witness(sing_oracle.SemigroupMorphism(sing, cones, mapping))
+    pair = sing_oracle.hom_witness(sing_oracle.SemigroupMorphism(sing, cones, tuple(range(sing.order))))
     code, report = verify_all(capsys, fmt)
     assert code == 1
     assert report["cone-semigroup"] == ("fail", {
@@ -672,63 +691,57 @@ def test_cone_map_failure_names_the_pair_as_documents(monkeypatch, capsys, fmt):
 def test_dual_cone_failure_names_the_pair_as_documents(monkeypatch, capsys, fmt):
     # the isomorphism passes and the second map, a -> cone(a^T) from the
     # opposite of Sing's table, is given a witness: it is reported alone,
-    # its pair named by the Sing elements' documents
-    real, calls = sc.cone_map_witnesses, []
+    # its pair named by the Sing elements' documents; null-amalgam's two
+    # calls, which come after, are left as they are
+    real, calls = sg.morphism_witnesses, []
 
-    def second_fails(cones, source, mats, p):
-        calls.append((source, mats))
-        found = real(cones, source, mats, p)
-        return found if len(calls) == 1 else {"hom": (3, 4)}
+    def second_fails(source, target, img):
+        calls.append((source, target, img))
+        found = real(source, target, img)
+        return {"hom": (3, 4)} if len(calls) == 2 else found
 
-    monkeypatch.setattr(sc, "cone_map_witnesses", second_fails)
+    monkeypatch.setattr(sg, "morphism_witnesses", second_fails)
     code, report = verify_all(capsys, fmt)
     assert code == 1
     sing = sing_oracle.sing_semigroup(2, 2)
     assert report["cone-semigroup"] == ("fail", {
         "failure": "dual cone semigroup", "hom": [sing.elements[3].to_json(), sing.elements[4].to_json()]})
     assert [k for k, (st, _) in report.items() if st == "fail"] == ["cone-semigroup"]
-    (table, mats), (opposite, transposed) = calls
-    assert np.array_equal(opposite, table.T) and np.array_equal(transposed, mats.transpose(0, 2, 1))
+    (table, cones, identity), (opposite, dual_cones, transposed) = calls[:2]
+    assert np.array_equal(opposite, table.T) and dual_cones is cones
+    assert identity.tolist() == list(range(10))
+    assert np.array_equal(transposed, sing_positions_of_transposes(2, 2))
 
 
 @pytest.mark.parametrize("p,n", [(2, 2), (3, 2), (5, 2), (2, 3)])
 def test_cone_map_failures_at_each_point(monkeypatch, p, n):
-    # on the real build both maps are decided and pass: a -> cone(a) from
-    # Sing's table, then a -> cone(a^T) from its opposite
-    real, calls = sc.cone_map_witnesses, []
+    # on the real build both maps are decided and pass: a -> cone(a), the
+    # identity on Sing positions, from Sing's table, then a -> cone(a^T)
+    # from its opposite
+    real, calls = sg.morphism_witnesses, []
 
-    def recorded(cones, source, mats, q):
-        found = real(cones, source, mats, q)
-        calls.append((source, mats, found))
+    def recorded(source, target, img):
+        found = real(source, target, img)
+        calls.append((source, target, img, found))
         return found
 
-    monkeypatch.setattr(sc, "cone_map_witnesses", recorded)
-    assert cli._check_cone_semigroup(p, n) == (True, None)
-    table, mats = gf.sing_table(p, n), gf._sing_matrices(p, n)
-    (source, images, found), (opposite, transposed, dual_found) = calls
-    assert np.array_equal(source, table) and np.array_equal(images, mats) and found == {}
-    assert np.array_equal(opposite, table.T) and np.array_equal(transposed, mats.transpose(0, 2, 1))
-    assert dual_found == {}
+    monkeypatch.setattr(sg, "morphism_witnesses", recorded)
+    assert cli._check_cone_semigroup(p, n) is None
+    table, cones = gf.sing_table(p, n), sc.coded_normal_cones(p, n)[0].table
+    (source, target, img, found), (opposite, dual_target, transposed, dual_found) = calls
+    assert np.array_equal(source, table) and np.array_equal(target, cones)
+    assert img.tolist() == list(range(len(table))) and found == {}
+    assert np.array_equal(opposite, table.T) and np.array_equal(dual_target, cones)
+    assert np.array_equal(transposed, sing_positions_of_transposes(p, n)) and dual_found == {}
     monkeypatch.undo()
-    co.swap_two_cone_labels(monkeypatch)
-    ok, witness = cli._check_cone_semigroup(p, n)
-    assert not ok and witness["failure"] == "cone map is not an isomorphism" and list(witness)[1:] == ["hom"]
-    assert all(set(doc) == {"n", "p", "rows"} and (doc["p"], doc["n"]) == (p, n) for doc in witness["hom"])
-    monkeypatch.undo()
-    # a repeated label leaves one Sing element with no cone, which is
-    # reported and never looked up at index -1
-    real = sc.coded_normal_cones
-
-    def repeated(*args):
-        smg, *rest = real(*args)
-        return (sg.FiniteSemigroup(smg.elements[:1] * 2 + smg.elements[2:], smg.table), *rest)
-
-    monkeypatch.setattr(sc, "coded_normal_cones", repeated)
-    witness_calls = []
-    monkeypatch.setattr(sg, "morphism_witnesses", lambda *a: witness_calls.append(a))
-    assert cli._check_cone_semigroup(p, n) == (False, {
-        "failure": "cone map is not an isomorphism", "no cone": [sing_oracle.sing_semigroup(p, n).elements[1].to_json()]})
-    assert witness_calls == []
+    # two cones exchanged, out of Sing order: refused with a hom witness,
+    # the loop oracle's first failing pair
+    co.swap_two_cones(monkeypatch)
+    sing = sing_oracle.sing_semigroup(p, n)
+    planted = sc.coded_normal_cones(p, n)[0]
+    pair = sing_oracle.hom_witness(sing_oracle.SemigroupMorphism(sing, planted, tuple(range(sing.order))))
+    assert cli._check_cone_semigroup(p, n) == {
+        "failure": "cone map is not an isomorphism", "hom": [a.to_json() for a in pair]}
 
 
 @pytest.mark.parametrize("fmt", ["json", "table"])
@@ -994,3 +1007,60 @@ def test_guards_name_counts_too_long_to_print(capsys, argv, message):
     start = time.perf_counter()
     assert run(capsys, *argv) == (2, "", f"error: {message}\n")
     assert time.perf_counter() - start < 1.0
+
+
+HUGE = 99999999999999999999
+
+
+@pytest.mark.parametrize("argv,status,message", [
+    ("amalgam --dims 9", 2, "p^(n^2) = at least 2^81 exceeds endomorphism guard 1048576"),
+    (f"amalgam --dims {HUGE}", 2, f"p^(n^2) = at least 2^{HUGE ** 2} exceeds endomorphism guard 1048576"),
+    ("amalgam --dims 2,1000", 2, "p^(n^2) = at least 2^1000000 exceeds endomorphism guard 1048576"),
+    ("crossconn --dim 20000", 2, "p^(n^2) = at least 2^400000000 exceeds endomorphism guard 1048576"),
+    ("green --dim 1000000", 2, "p^(n^2) = at least 2^1000000000000 exceeds endomorphism guard 1048576"),
+    ("cones --dim 1000000", 2, "GF(2)^1000000 has at least 2^250000000000 subspaces, beyond the subspace guard 4096"),
+    ("crossconn --all-eps --dim 1000000", 2,
+     "crossconn --all-eps at GF(2)^1000000 would write at least 2^999999000000 tables of order at least "
+     "2^999999000000, at least 2^2999997000000 cells in all, beyond the output limit of 1048576 cells"),
+    (f"enumerate --dim {HUGE}", 2, f"p^(n^2) = at least 2^{HUGE ** 2} exceeds endomorphism guard 1048576"),
+    ("verify-all --dim 1000", 1, None),
+    ("verify-all --dim 3000", 1, None),
+    (f"verify-all --field 3 --dim {HUGE}", 1, None),
+])
+def test_refusals_at_any_dimension_take_under_a_second(argv, status, message):
+    # Each command in a fresh process under a 2 GB address-space limit,
+    # timed around main(): the guards decide from a bound on the size, and
+    # no count, identity or matrix of a refused dimension is built.
+    # verify-all reports every check that reads (p, n) as refused by a
+    # guard; the null and bundle amalgams do not depend on n.
+    code = ("import contextlib, io, json, resource, sys, time\n"
+            "resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))\n"
+            "from fibersemi import cli\n"
+            "out, err = io.StringIO(), io.StringIO()\n"
+            "start = time.perf_counter()\n"
+            "with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):\n"
+            "    status = cli.main(sys.argv[1:] + ['--format', 'json'] * sys.argv[1].startswith('verify'))\n"
+            "print(json.dumps([status, time.perf_counter() - start, out.getvalue(), err.getvalue()]))\n")
+    done = subprocess.run([sys.executable, "-W", "error", "-c", code, *argv.split()], cwd=SRC,
+                          env={"PYTHONPATH": str(SRC), "OPENBLAS_NUM_THREADS": "1"},
+                          capture_output=True, text=True, timeout=120)
+    got, seconds, out, err = json.loads(done.stdout)
+    assert (got, done.stderr) == (status, "") and seconds < 1.0
+    if message is not None:
+        assert (out, err) == ("", f"error: {message}\n")
+    else:
+        report = {r["check"]: r for r in json.loads(out)}
+        assert list(report) == [name for name, _ in cli.CHECKS]
+        fixed = {"null-amalgam", "bundle-amalgam"}
+        assert all(report[name]["status"] == "pass" for name in fixed)
+        assert all(list(r["witness"]) == ["guard"] for name, r in report.items() if name not in fixed)
+
+
+@pytest.mark.parametrize("p,n", [(2, 17), (3, 13), (7, 10)])
+def test_all_eps_guard_past_the_exact_counts_names_true_lower_bounds(monkeypatch, p, n):
+    monkeypatch.setattr(gf, "EXACT_BITS", 1 << 8)
+    with pytest.raises(gf.GuardExceeded) as exc:
+        cli._check_all_eps_output(p, n)
+    autos, order, cells = map(int, re.findall(r"at least 2\^(\d+)", str(exc.value)))
+    want = gf.gl_order(p, n), gf.singular_count(p, n)
+    assert 2 ** autos <= want[0] and 2 ** order <= want[1] and 2 ** cells <= want[0] * want[1] ** 2

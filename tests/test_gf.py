@@ -1,7 +1,9 @@
 """Field-level linear algebra: examples checked against independent
 brute-force oracles computed inside this module."""
 
+import decimal
 import itertools
+import math
 import subprocess
 import sys
 from pathlib import Path
@@ -203,6 +205,40 @@ def test_cached_pivots_are_the_rref_pivots(p):
 def test_subspace_guard():
     with pytest.raises(gf.GuardExceeded):
         gf.enumerate_subspaces(2, 13)
+
+@pytest.mark.parametrize("p", gf.SUPPORTED_PRIMES)
+def test_guard_counts_match_their_defining_sums(p):
+    # the Galois-number recurrence against the sum of Gaussian binomials,
+    # the balanced GL product against prod_(i<n) (p^n - p^i)
+    for n in range(1, 41):
+        assert gf._galois_number(p, n) == sum(gh.gaussian_binomial(n, k, p) for k in range(n + 1))
+        assert gf.gl_order(p, n) == math.prod(p ** n - p ** i for i in range(n))
+
+@pytest.mark.parametrize("p", gf.SUPPORTED_PRIMES)
+def test_power_text_is_the_count_text_of_the_power(p):
+    for e in [*range(300), 1000, 4099, 65536, 10 ** 5 + 1, 3 * 10 ** 5 - 7]:
+        assert gf.power_text(p, e) == gf.count_text(p ** e)
+
+def test_power_text_past_any_power_matches_a_high_precision_log():
+    # floor(e log2 p), from a 120-digit log, at exponents whose power
+    # could never be built
+    with decimal.localcontext() as ctx:
+        ctx.prec = 120
+        for p in (3, 5, 7):
+            log2 = decimal.Decimal(p).ln() / decimal.Decimal(2).ln()
+            for e in (10 ** 12 + 1, 99999999999999999999 ** 2):
+                k = int((log2 * e).to_integral_value(rounding=decimal.ROUND_FLOOR))
+                assert gf.power_text(p, e) == f"at least 2^{k}"
+
+def test_subspace_guard_past_the_exact_counts_names_a_true_lower_bound(monkeypatch):
+    monkeypatch.setattr(gf, "EXACT_BITS", 1 << 8)
+    for p, n in [(2, 17), (3, 13), (7, 10)]:
+        assert not gf.exact_counts(p, n) and gf.exact_counts(p, n - 2)
+        with pytest.raises(gf.GuardExceeded) as exc:
+            gf.subspace_count(p, n)
+        k = (p ** (n * n // 4)).bit_length() - 1
+        assert str(exc.value) == f"GF({p})^{n} has at least 2^{k} subspaces, beyond the subspace guard 4096"
+        assert 2 ** k <= gf._galois_number(p, n)
 
 def test_endo_counts():
     assert len(sing_oracle.enumerate_endos(2, 2, singular_only=True)) == 10

@@ -152,10 +152,9 @@ def test_factorization_check_fails_on_a_perturbed_retraction(monkeypatch):
     # M = [[0, 1], [0, 1]] has kernel <(1, 1)>, so q = [[1], [1]]; maps
     # between planes occur first at (2,3)
     monkeypatch.setattr(sc, "shape_factors", perturbed({(2, 2, 2): [("q", (5, 1, 0), 0)]}))
-    assert cli._check_factorization(2, 2) == (True, None)
-    ok, witness = cli._check_factorization(2, 3)
-    assert not ok
-    assert witness == {"failure": "factorization identity", "shape": [2, 2], "matrix": [[0, 1], [0, 1]]}
+    assert cli._check_factorization(2, 2) is None
+    assert cli._check_factorization(2, 3) == {
+        "failure": "factorization identity", "shape": [2, 2], "matrix": [[0, 1], [0, 1]]}
 
 def test_factorization_check_fails_on_a_rescaled_retraction(monkeypatch):
     # over GF(3), q = u = [[2]] still give q.u.image = M = [[1]], so only the
@@ -163,8 +162,7 @@ def test_factorization_check_fails_on_a_rescaled_retraction(monkeypatch):
     monkeypatch.setattr(sc, "shape_factors", perturbed(
         {(3, 1, 1): [("q", (1, 0, 0), 2), ("u", (1, 0, 0), 2)]}))
     line = lo.build_category(3, 2).objects[1]
-    assert cli._check_factorization(3, 2) == (
-        False, {"failure": "retraction translation", "object": line.to_json()})
+    assert cli._check_factorization(3, 2) == {"failure": "retraction translation", "object": line.to_json()}
 
 def test_factorization_check_fails_on_a_perturbed_image_basis(monkeypatch):
     # image = T.RREF(M) with T = [[2]] and u = [[2]] = u.T^-1: q.u.image is
@@ -172,8 +170,7 @@ def test_factorization_check_fails_on_a_perturbed_image_basis(monkeypatch):
     monkeypatch.setattr(sc, "shape_factors", perturbed(
         {(3, 1, 1): [("image", (1, 0, 0), 2), ("u", (1, 0, 0), 2)]}))
     line = lo.build_category(3, 2).objects[1]
-    assert cli._check_factorization(3, 2) == (
-        False, {"failure": "image translation", "object": line.to_json()})
+    assert cli._check_factorization(3, 2) == {"failure": "image translation", "object": line.to_json()}
 
 def _pivot_complement(a, b):
     """complement_in with b's basis rows at the pivot columns of a's
@@ -185,7 +182,7 @@ def test_retraction_law_fails_on_a_corrupted_complement(monkeypatch):
     # the complement at a's pivots rather than its other columns: the
     # batched law and the LinearMap loop fail at the same inclusion pairs of
     # the (2,3) category, and the check at (2,3) names the first of them
-    assert cli._check_factorization(2, 3) == (True, None)
+    assert cli._check_factorization(2, 3) is None
     complement_rows = sc.complement_rows
     monkeypatch.setattr(sc, "complement_rows",
                         lambda pivot: complement_rows(np.where(pivot.any(axis=1)[:, None], ~pivot, pivot)))
@@ -196,12 +193,12 @@ def test_retraction_law_fails_on_a_corrupted_complement(monkeypatch):
     assert sc.retraction_law(2, 2).all()
     sub = cat.objects[cat.inclusion_pairs[want.index(False)][0]]
     assert sub == gh.subspace_span([(0, 0, 1)], 3, 2)
-    assert cli._check_factorization(2, 2) == (True, None)
-    assert cli._check_factorization(2, 3) == (False, {"failure": "retraction law", "sub": sub.to_json()})
+    assert cli._check_factorization(2, 2) is None
+    assert cli._check_factorization(2, 3) == {"failure": "retraction law", "sub": sub.to_json()}
 
 @pytest.mark.parametrize("p, n", [(2, 4), (3, 3)])
 def test_factorization_check_finishes_beyond_the_sing_guard(p, n):
-    assert cli._check_factorization(p, n) == (True, None)
+    assert cli._check_factorization(p, n) is None
 
 def test_factorization_hand_example():
     a = gh.subspace_span([(1, 0, 0), (0, 1, 0)], 3, 2)
@@ -414,9 +411,10 @@ def test_exhaustive_enumeration_at_3_2():
     assert set(oracle.enumerate_normal_cones(cat)[1]) == set(cones)
 
 def test_cone_semigroup_isomorphic_to_singular_endos(cat22, sing22):
-    smg, _, _ = oracle.enumerate_normal_cones(cat22)
+    # each Sing element is sent to the built cone that is its principal cone
+    smg, cones, _ = oracle.enumerate_normal_cones(cat22)
     sing = sing_oracle.from_multiplication(sing22, lambda a, b: a * b)
-    mapping = tuple(smg.elements.index(gh.code(a)) for a in sing.elements)
+    mapping = tuple(cones.index(oracle.principal_cone(cat22, a)) for a in sing.elements)
     rep = sing_oracle.verify_morphism(sing_oracle.SemigroupMorphism(sing, smg, mapping))
     assert rep.is_hom and rep.is_injective
     assert len(set(mapping)) == smg.order
@@ -563,7 +561,7 @@ def test_product_outside_the_enumerated_set_raises(monkeypatch, cat22):
      "a principal cone is not a normal cone"),
 ], ids=["shared-code", "not-normal"])
 def test_cone_check_fails_on_planted_principal_rows(monkeypatch, p, n, plant, error):
-    assert cli._check_cone_semigroup(p, n) == (True, None)
+    assert cli._check_cone_semigroup(p, n) is None
     principal_rows = sc._principal_rows
     monkeypatch.setattr(sc, "_principal_rows", lambda *args: plant(*principal_rows(*args)))
     assert cli._run_check("cone-semigroup", cli._check_cone_semigroup, p, n) == {
@@ -650,7 +648,7 @@ def test_m_sets_check_names_the_first_failing_idempotent(monkeypatch, p, n, firs
     # M-sets by complements are empty and the first of them is the witness;
     # rows is what the check reported on Cones with every kernel from that
     # idempotent on planted as the zero subspace
-    assert cli._check_m_sets(p, n) == (True, None)
+    assert cli._check_m_sets(p, n) is None
     idem, rref_stack = sc.m_sets(p, n)[0], gf.rref_stack
     late = set(gf.base_p((np.eye(n, dtype=np.int64) - idem[first:]) % p, p).tolist())
 
@@ -661,7 +659,7 @@ def test_m_sets_check_names_the_first_failing_idempotent(monkeypatch, p, n, firs
         return red, pivot, rank
 
     monkeypatch.setattr(gf, "rref_stack", planted)
-    assert cli._check_m_sets(p, n) == (False, {"idempotent": {"p": p, "n": n, "rows": rows}})
+    assert cli._check_m_sets(p, n) == {"idempotent": {"p": p, "n": n, "rows": rows}}
 
 
 # ---------------------------------------------------------------------------
@@ -680,7 +678,7 @@ def test_cone_json_from_code_rows_matches_the_oracle_cones(p, n):
     cat = lo.build_category(p, n)
     smg, code, vertex, rows = sc.coded_normal_cones(p, n)
     cones = oracle._cones(cat, code, vertex, rows)
-    labels = [gh.from_code(e, p, n) for e in smg.elements]
+    labels = sing_oracle.enumerate_endos(p, n, singular_only=True)
     assert cones == tuple(oracle.principal_cone(cat, e) for e in labels)
     doc = {"p": p, "n": n, "elements": [list(map(list, e.rows)) for e in labels],
            "table": smg.table.tolist(), "cones": [c.to_json(cat) for c in cones]}
