@@ -48,8 +48,11 @@ def family_dims(p, dims) -> tuple:
 
 def fiber_family(p, dims, eps=None) -> FiberFamilySpec:
     """Validated fiber family: dimensions at least 1 and one invertible
-    matrix per fiber (identity when unspecified), held by code."""
+    matrix per fiber (identity when unspecified), held by code.  The
+    endomorphism guard refuses each dimension before any matrix is built."""
     dims = family_dims(p, dims)
+    for d in dims:
+        gf._endo_count(p, d)
     if eps is None:
         eps = [np.eye(d, dtype=np.int64) for d in dims]
     elif len(eps) != len(dims):
@@ -76,8 +79,10 @@ def core_dim(dims, m=None) -> int:
 
 def build_core(spec: FiberFamilySpec, m=None, eps_w=None) -> CoreSpec:
     """The core's dimension m (core_dim) and automorphism (default the
-    identity), validated and held by code."""
+    identity), validated and held by code once the endomorphism guard
+    passes."""
     m = core_dim(spec.dims, m)
+    gf._endo_count(spec.p, m)
     eps_w = np.eye(m, dtype=np.int64) if eps_w is None else eps_w
     error = "core automorphism must be invertible of the core dimension"
     return CoreSpec(m, _code(spec.p, m, eps_w, error, error))

@@ -8,10 +8,11 @@ artifacts.  Exit status is 0 only when every requested verification passed.
 
 from __future__ import annotations
 
-import argparse
 import json
 import math
+import re
 import sys
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -420,59 +421,118 @@ def cmd_amalgam(args):
     return 0
 
 
-def build_parser():
-    ap = argparse.ArgumentParser(
-        prog="fibersemi",
-        description="Singular endomorphism semigroups over GF(p): Green structure, "
-                    "cone semigroups, cross-connections and bundle amalgams.",
-    )
-    sub = ap.add_subparsers(dest="command", required=True)
+def _commands():
+    """name -> (function, help, options) of each command, built at the call
+    so that each cmd_* is the function the module holds then.  An option is
+    (flag, type, default, help): type None is a flag that stores True, and
+    a tuple holds the strings the option takes."""
+    def common(dim=True, dot=False):
+        return (("--field", int, 2, "prime field modulus"),) + (("--dim", int, 2, "ambient dimension"),) * dim + (
+            ("--format", ("table", "json") + ("dot",) * dot, "table", "output format"),
+            ("--out", str, None, "output path (default stdout)"))
 
-    def common(sp, dims=False, dot=False):
-        sp.add_argument("--field", type=int, default=2, help="prime field modulus")
-        if not dims:
-            sp.add_argument("--dim", type=int, default=2, help="ambient dimension")
-        sp.add_argument("--format", choices=("table", "json") + ("dot",) * dot, default="table")
-        sp.add_argument("--out", default=None, help="output path (default stdout)")
+    seed = ("accepted only so that existing command lines, the benchmark's among them, still parse: "
+            "every check is exhaustive")
+    return {
+        "enumerate": (cmd_enumerate, "count endomorphisms, idempotents, subspaces", common()),
+        "verify-all": (cmd_verify_all, "run every verification check", common() + (
+            ("--seed", int, 0, seed), ("--table", str, None, "also validate a Cayley-table JSON file"))),
+        "green": (cmd_green, "Green structure and eggbox diagram", common(dot=True)),
+        "cones": (cmd_cones, "the semigroup of normal cones", common()),
+        "crossconn": (cmd_crossconn, "linked-pair semigroups per automorphism", common() + (
+            ("--eps", str, None, "automorphism as a JSON matrix literal"),
+            ("--all-eps", None, False, "sweep every automorphism"))),
+        "amalgam": (cmd_amalgam, "bundle-fiber amalgam", common(dim=False, dot=True) + (
+            ("--dims", str, "2,2,3", "comma-separated fiber dimensions"),
+            ("--core-dim", int, None, "core dimension (default min)"))),
+    }
 
-    spe = sub.add_parser("enumerate", help="count endomorphisms, idempotents, subspaces")
-    common(spe)
-    spe.set_defaults(fn=cmd_enumerate)
 
-    spv = sub.add_parser("verify-all", help="run every verification check")
-    common(spv)
-    spv.add_argument("--seed", type=int, default=0,
-                     help="accepted and ignored: every check is exhaustive")
-    spv.add_argument("--table", default=None, help="also validate a Cayley-table JSON file")
-    spv.set_defaults(fn=cmd_verify_all)
+def _read(arg, flags, fail):
+    """argparse's reading of one argument: None for a positional, else the
+    flag it names ("" for none) and the value after its "=".  A long flag
+    may be named by any prefix that names no other."""
+    if arg[:1] != "-" or arg in ("-", "--"):
+        return None
+    head, eq, value = arg.partition("=")
+    hits = [head] if head in flags else [f for f in flags if arg[:2] == "--" and f.startswith(head)]
+    if len(hits) > 1:
+        fail(f"ambiguous option: {arg} could match {', '.join(hits)}")
+    if not hits:
+        return None if re.fullmatch(r"-\d+|-\d*\.\d+", arg) or " " in arg else ("", None)
+    return hits[0], value if eq else None
 
-    spg = sub.add_parser("green", help="Green structure and eggbox diagram")
-    common(spg, dot=True)
-    spg.set_defaults(fn=cmd_green)
 
-    spc = sub.add_parser("cones", help="the semigroup of normal cones")
-    common(spc)
-    spc.set_defaults(fn=cmd_cones)
+def _parse_args(argv):
+    """(function, options) of a command line, read in argparse's grammar and
+    with its messages (README.md, CLI; tests/cli_oracle.py holds the parser
+    the tests compare it with).  Before the command the only flags are -h
+    and --help."""
+    argv, table, fn, extras, seen = sys.argv[1:] if argv is None else list(argv), _commands(), None, [], set()
+    usage = top = "usage: fibersemi [-h] {" + ",".join(table) + "} ..."
+    prog, flags = "fibersemi", dict.fromkeys(("-h", "--help"), ("-h/--help", None))
+    about, rows = ("Singular endomorphism semigroups over GF(p): Green structure, cone semigroups, cross-connections "
+                   "and bundle amalgams.\n\ncommands:"), [(name, entry[1]) for name, entry in table.items()]
 
-    spx = sub.add_parser("crossconn", help="linked-pair semigroups per automorphism")
-    common(spx)
-    which = spx.add_mutually_exclusive_group()
-    which.add_argument("--eps", default=None, help="automorphism as a JSON matrix literal")
-    which.add_argument("--all-eps", action="store_true", help="sweep every automorphism")
-    spx.set_defaults(fn=cmd_crossconn)
+    def fail(message):
+        sys.stderr.write(f"{usage}\n{prog}: error: {message}\n")
+        raise SystemExit(2)
 
-    spa = sub.add_parser("amalgam", help="bundle-fiber amalgam")
-    common(spa, dims=True, dot=True)
-    spa.add_argument("--dims", default="2,2,3", help="comma-separated fiber dimensions")
-    spa.add_argument("--core-dim", type=int, default=None, help="core dimension (default min)")
-    spa.set_defaults(fn=cmd_amalgam)
-    return ap
+    kinds, j = [_read(a, flags, fail) for a in argv], 0
+    if argv[-1:] == ["--"]:  # a "--" is taken as the command only when an argument follows it
+        kinds[-1] = ("", None)
+    while j < len(argv):
+        kind, arg, j = kinds[j], argv[j], j + 1
+        if kind is None and fn is None:  # the command; what follows is read with its flags
+            if arg not in table:
+                fail(f"argument command: invalid choice: {arg!r} (choose from {', '.join(map(repr, table))})")
+            (fn, about, options), prog = table[arg], f"fibersemi {arg}"
+            shown = [o[0] + ("" if o[1] is None else f" {{{','.join(o[1])}}}" if isinstance(o[1], tuple)
+                             else " " + o[0][2:].upper().replace("-", "_")) for o in options]
+            usage, about = f"usage: {prog} [-h] " + " ".join(f"[{s}]" for s in shown), about + "\n\noptions:"
+            rows = [("-h, --help", "show this help message and exit"), *zip(shown, (o[3] for o in options))]
+            flags.update((o[0], o) for o in options)
+            values = {o[0][2:].replace("-", "_"): o[2] for o in options}
+            cut = (argv[j:] + ["--"]).index("--") + j  # all after a "--" is positional
+            kinds[j:] = [_read(a, flags, fail) for a in argv[j:cut]] + [("", None)] + [None] * len(argv[cut + 1:])
+        elif not kind or not kind[0]:
+            extras.append(arg)
+        else:
+            (label, type_), value = flags[kind[0]][:2], kind[1]
+            if type_ is None and value is not None:
+                fail(f"argument {label}: ignored explicit argument {value!r}")
+            if label == "-h/--help":
+                width = max(len(row[0]) for row in rows)
+                sys.stdout.write(f"{usage}\n\n{about}\n" + "".join(f"  {a:<{width}}  {h}\n" for a, h in rows))
+                raise SystemExit(0)
+            if type_ is not None and value is None:
+                if kinds[j] is not None:
+                    fail(f"argument {label}: expected one argument")
+                value, j = argv[j], j + 1
+            if type_ is int:
+                try:
+                    value = int(value)
+                except ValueError:
+                    fail(f"argument {label}: invalid int value: {value!r}")
+            elif isinstance(type_, tuple) and value not in type_:
+                fail(f"argument {label}: invalid choice: {value!r} (choose from {', '.join(map(repr, type_))})")
+            other = {"--eps": "--all-eps", "--all-eps": "--eps"}.get(label)
+            if other in seen:
+                fail(f"argument {label}: not allowed with argument {other}")
+            seen.add(label)
+            values[label[2:].replace("-", "_")] = True if type_ is None else value
+    usage, prog = top, "fibersemi"
+    if fn is None:
+        fail("the following arguments are required: command")
+    if extras:
+        fail("unrecognized arguments: " + " ".join(extras))
+    return fn, SimpleNamespace(**values)
 
 
 def main(argv=None):
-    args = build_parser().parse_args(argv)
+    fn, args = _parse_args(argv)
     try:
-        return args.fn(args)
+        return fn(args)
     except ValueError as exc:  # gf.GuardExceeded and sg.NotAssociative are ValueErrors
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -4,6 +4,7 @@ bundle amalgams.  The array path is compared with the label-level oracle
 byte."""
 
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -54,6 +55,17 @@ def test_fiber_family_validation():
     # at any size: an entry past int64 is reduced before the array is built
     big = [[10 ** 20 + 1, 0], [0, 1]]
     assert bn.fiber_family(2, (2,), eps=(big,)).eps == (9,) == (bn.build_core(spec, 2, big).eps_w,)
+
+def test_library_calls_refuse_a_dimension_before_building_any_matrix():
+    # fiber_family and build_core meet the endomorphism guard before any
+    # identity is built or code decoded, so numpy warns of nothing
+    message = r"^p\^\(n\^2\) = at least 2\^81 exceeds endomorphism guard 1048576$"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(gf.GuardExceeded, match=message):
+            bn.assemble_amalgam(bn.fiber_family(2, (9,)))
+        with pytest.raises(gf.GuardExceeded, match=message):
+            bn.build_core(bn.FiberFamilySpec(2, (9,), (0,)))
 
 def test_one_dimensional_fiber_has_singleton_branch():
     am = bn.assemble_amalgam(bn.fiber_family(2, (1,)))

@@ -1,7 +1,9 @@
 """Command-line behavior: output formats, exit codes, guards, determinism."""
 
+import contextlib
 import functools
 import gc
+import io
 import json
 import re
 import subprocess
@@ -13,6 +15,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import cli_oracle
 import cone_oracle as co
 import gf_helpers as gh
 import lattice_oracle as lo
@@ -210,6 +213,87 @@ def test_dot_is_offered_only_where_a_dot_writer_exists(capsys, command):
     captured = capsys.readouterr()
     assert exc.value.code == 2 and captured.out == ""
     assert captured.err.endswith("error: argument --format: invalid choice: 'dot' (choose from 'table', 'json')\n")
+
+
+# ---------------------------------------------------------------------------
+# the command table against the argparse parser it replaced
+
+def _outcome(parse, argv):
+    """("ok", the options and function) of a parse that returns, else
+    ("exit", status, last stderr line); the stdout of -h is not compared."""
+    err = io.StringIO()
+    try:
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            fn, options = parse(argv)
+    except SystemExit as exc:
+        return "exit", exc.code, err.getvalue().splitlines()[-1:] if exc.code else []
+    return "ok", fn, options
+
+
+def _oracle(parser, argv):
+    # argparse in Python 3.11 drops the "--" of --opt=-- and stores an empty
+    # list; the table stores the string, so the grid reads [] as "--".  No
+    # command reads the command's name, which argparse also stored.
+    options = {k: "--" if v == [] else v for k, v in vars(parser.parse_args(argv)).items() if k != "command"}
+    return options.pop("fn"), options
+
+
+_VALUES = {int: ["3", "-1", "x", "", " 4 ", "0x1"], str: ["a", "-", "-1", "", "a b", "--", "-x"]}
+
+
+def _grid(command):
+    """Command lines of one command: every option under each prefix of its
+    flag, in both forms, with good and bad values; repeats, missing
+    values, flags given a value, strays, unknown options, "--" and help."""
+    options = cli._commands()[command][2]
+    yield [command]
+    for flag, kind, _, _ in options:
+        values = ([None] if kind is None else list(kind) + ["dot", "xml", "tab"] if isinstance(kind, tuple)
+                  else _VALUES[kind])
+        for cut in range(3, len(flag) + 1):
+            for value in values:
+                yield [command, flag[:cut]] + ([] if value is None else [value])
+                yield [command, f"{flag[:cut]}={'' if value is None else value}"]
+        yield [command, flag, *([] if kind is None else [values[0]]), flag, *([] if kind is None else [values[1]])]
+        yield [command, flag]
+        yield [command, flag, "--out"]
+        yield [command, flag, "--", "x"]
+        yield [command, "-h", flag, "x"]
+        yield [command, flag, "x", "-h"]
+    for strays in (["x"], ["x", "--field", "3", "y"], ["--bogus"], ["--bogus=1"], ["-x"], ["-x", "3"],
+                   ["--", "--field"], ["--f"], ["--f=3"], ["--=x"], ["-h"], ["--he"], ["--help=x"], ["-h=x"],
+                   ["--field", "x", "--f"]):
+        yield [command, *strays]
+        yield [*strays[:1], command, *strays[1:]]
+    yield [command, "--eps", "[[0,1],[1,0]]", "--all-eps"]
+    yield [command, "--all-eps", "--eps", "[[0,1],[1,0]]"]
+    yield [command, "--all-eps", "--all-eps", "--eps", "x", "--eps", "y"]
+
+
+@pytest.mark.parametrize("command", ["enumerate", "verify-all", "green", "cones", "crossconn", "amalgam"])
+def test_parse_args_matches_the_argparse_parser(command):
+    parser = cli_oracle.build_parser()
+    grid = list(_grid(command))
+    got = [_outcome(cli._parse_args, argv) for argv in grid]
+    want = [_outcome(functools.partial(_oracle, parser), argv) for argv in grid]
+    assert [(argv, g, w) for argv, g, w in zip(grid, got, want)
+            if g[:2] != w[:2] or (g[2] if g[0] == "exit" else vars(g[2])) != w[2]] == []
+    assert {w[0] for w in want} == {"ok", "exit"}
+
+
+@pytest.mark.parametrize("argv", [[], ["-x"], ["foo"], ["verify"], ["--field", "2", "enumerate"], ["--"],
+                                  ["--", "enumerate"], ["-x", "--"], ["--", "-x"], ["-h"], ["--he"], ["--help=x"],
+                                  ["-x", "enumerate", "y"], ["-3"], ["- 3"]])
+def test_parse_args_matches_the_argparse_parser_before_the_command(argv):
+    want = _outcome(functools.partial(_oracle, cli_oracle.build_parser()), argv)
+    assert want[0] == "exit" and _outcome(cli._parse_args, argv) == want
+
+
+def test_a_double_dash_after_equals_is_the_value():
+    # argparse stored [] for each: --out=-- wrote to stdout, --field=-- raised a TypeError
+    assert vars(cli._parse_args(["enumerate", "--out=--"])[1])["out"] == "--"
+    assert _outcome(cli._parse_args, ["enumerate", "--field=--"]) == (
+        "exit", 2, ["fibersemi enumerate: error: argument --field: invalid int value: '--'"])
 
 
 def test_amalgam_json(capsys):
@@ -877,7 +961,7 @@ def test_table_check_at_the_order_guard_keeps_two_table_copies(tmp_path):
 def in_process(capsys, *argv):
     try:
         code = cli.main(list(argv))
-    except SystemExit as exc:  # argparse's usage errors
+    except SystemExit as exc:  # a usage error, or the help
         code = exc.code
     captured = capsys.readouterr()
     return code, captured.out.encode(), captured.err.encode()
@@ -890,7 +974,11 @@ def in_process(capsys, *argv):
     (("verify-all", "--field", "5", "--dim", "2"), 1),  # bundle-amalgam refused by a guard
     (("enumerate", "--field", "2", "--dim", "9"), 2),
     (("enumerate", "--field", "x"), 2),
-], ids=["enumerate", "green-dot", "verify-all-json", "verify-all-fails", "guard", "usage"])
+    (("enumerate", "--format=dot"), 2),
+    (("crossconn", "--bogus"), 2),
+    (("green", "-h"), 0),
+], ids=["enumerate", "green-dot", "verify-all-json", "verify-all-fails", "guard", "usage", "usage-format",
+        "usage-unknown", "help"])
 def test_process_output_and_status_match_main(capsys, argv, status):
     want = in_process(capsys, *argv)
     assert want[0] == status
@@ -1064,3 +1152,26 @@ def test_all_eps_guard_past_the_exact_counts_names_true_lower_bounds(monkeypatch
     autos, order, cells = map(int, re.findall(r"at least 2\^(\d+)", str(exc.value)))
     want = gf.gl_order(p, n), gf.singular_count(p, n)
     assert 2 ** autos <= want[0] and 2 ** order <= want[1] and 2 ** cells <= want[0] * want[1] ** 2
+
+
+def _loaded(*args):
+    """The modules a fresh ``python -X importtime args`` process loads, read
+    from the import times it writes on stderr."""
+    done = subprocess.run([sys.executable, "-X", "importtime", *args], cwd=SRC, env={"PYTHONPATH": str(SRC)},
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    lines = [line.split("|") for line in done.stderr.splitlines() if line.startswith("import time:")]
+    return {fields[-1].strip() for fields in lines[1:]}  # the first line is the header
+
+
+@pytest.mark.parametrize("argv", [["enumerate"], ["green", "--format", "dot"], ["verify-all"],
+                                  ["crossconn", "--all-eps"]])
+def test_a_command_loads_no_argument_parser_and_no_package_module_the_import_does_not(argv):
+    # the benchmark's untimed import of fibersemi.cli compiles what a command
+    # loads of the package, so no compile moves into the first timed command
+    command = _loaded("-m", "fibersemi.cli", *argv)
+    assert not command & {"argparse", "gettext", "locale"}
+    package = {m for m in _loaded("-c", "import fibersemi.cli") if m.split(".")[0] == "fibersemi"}
+    # run with -m, the module is __main__ and is not imported as fibersemi.cli
+    assert {m for m in command if m.split(".")[0] == "fibersemi"} | {"fibersemi.cli"} == package
+
