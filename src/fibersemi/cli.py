@@ -8,8 +8,10 @@ artifacts.  Exit status is 0 only when every requested verification passed.
 
 from __future__ import annotations
 
+import atexit
 import json
 import math
+import os
 import re
 import sys
 from types import SimpleNamespace
@@ -28,9 +30,27 @@ def _dump(doc) -> str:
     return json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
 
 
+def _open_out(path, mode):
+    try:
+        return open(path, mode)
+    except OSError as exc:
+        raise ValueError(f"cannot write --out {path}: {exc.strerror}") from None
+
+
+def _check_out(path):
+    """Refuse an --out path that cannot be written, before the command's
+    work: it is opened to append, which truncates nothing, and a file that
+    this opening created (at a dangling link, the link's target) is removed
+    again."""
+    existed = os.path.exists(path)
+    _open_out(path, "a").close()
+    if not existed:
+        os.remove(os.path.realpath(path))
+
+
 def _emit(text: str, out_path):
     if out_path:
-        with open(out_path, "w") as fh:
+        with _open_out(out_path, "w") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
@@ -532,6 +552,8 @@ def _parse_args(argv):
 def main(argv=None):
     fn, args = _parse_args(argv)
     try:
+        if args.out:
+            _check_out(args.out)
         return fn(args)
     except ValueError as exc:  # gf.GuardExceeded and sg.NotAssociative are ValueErrors
         print(f"error: {exc}", file=sys.stderr)
@@ -545,18 +567,23 @@ def run():
     """Process entry point of ``python -m fibersemi.cli`` and the ``fibersemi``
     script: main() on sys.argv, then exit with its status.
 
-    Once main() returns, every live object moves to the collector's
-    permanent generation, which the full collections of interpreter
-    finalization skip: the heap is about to be discarded, and those passes
-    over numpy's and the package's objects are a measurable share of a short
-    command.  atexit handlers, the flushing of stdout and stderr and the
-    exit status are unchanged; a usage error or an uncaught exception leaves
-    before the freeze.  main() leaves the collector alone, for in-process
-    callers."""
+    Once main() returns, the atexit handlers run and stdout and stderr are
+    flushed, and the process ends there, without the interpreter's
+    finalization: the heap is about to be discarded, and tearing down numpy
+    and the package is a measurable share of a short command.  main() has
+    closed any --out file.  A usage error, the help or an uncaught
+    exception leaves main() through SystemExit or a traceback and takes the
+    interpreter's own exit, and so does a flush that fails (a closed stdout,
+    say), so that the status and stderr are the interpreter's.  main()
+    itself exits nothing, for in-process callers."""
     code = main()
-    import gc  # not at the top: importing or freezing before main() raised its peak RSS
-    gc.freeze()
-    sys.exit(code)
+    atexit._run_exitfuncs()
+    try:
+        sys.stdout.flush()
+        sys.stderr.flush()
+    except (OSError, ValueError):  # a reader gone, or a stream closed
+        sys.exit(code)
+    os._exit(code)
 
 
 if __name__ == "__main__":

@@ -238,22 +238,20 @@ def _admissible(p, n, code: _ConeCode, vertex, rows):
 
 
 def _push(rows, epi, p):
-    """Push cones along an epimorphism out of their vertex, on code rows:
-    every component of every row, all into a vertex of dimension len(epi),
-    composed with the epimorphism whose matrix is epi."""
-    e = np.zeros((len(epi), rows.shape[2]), dtype=np.int64)
-    e[:, :epi.shape[1]] = epi
-    return rows[:, :, :len(epi)] @ e % p
+    """Push cones along epimorphisms out of their vertex, on code rows: every
+    component of every row composed with each epi[g], the matrix of a map
+    out of the rows' vertex, of dimension epi.shape[1], padded with zero
+    columns to the code width; as (epimorphisms, rows, D, width)."""
+    return rows[None, :, :, :epi.shape[1]] @ epi[:, None] % p
 
 
 def _image_object(p, n, v, image):
-    """The position of the span of image.B_v, image a component's image
-    rows (zero past its rank) in the coordinates of object v, B_v its
-    basis; looked up by code in gf.row_spaces."""
-    basis = gf.subspace_lattice(p, n).bases[v]
-    rows = np.zeros((1, n, n), dtype=np.int64)
-    rows[0, :len(image)] = image @ basis[:image.shape[1]] % p
-    return gf.row_spaces(p, n)[gf.base_p(rows, p)[0]]
+    """The position of the span of image[g].B_v[g] for every g, image[g] a
+    component's image rows (zero past its rank) in the coordinates of
+    object v[g], B_v[g] its basis; looked up by code in gf.row_spaces."""
+    rows = np.zeros((len(v), n, n), dtype=np.int64)
+    rows[:, :image.shape[1]] = image @ gf.subspace_lattice(p, n).bases[v, :image.shape[2]] % p
+    return gf.row_spaces(p, n)[gf.base_p(rows, p)]
 
 
 def coded_normal_cones(p, n):
@@ -281,15 +279,21 @@ def coded_normal_cones(p, n):
     item 15).
 
     Every cell of the Cayley table is a cone composition, never a matrix
-    shortcut, filled one vertex object at a time: g1.g2 pushes g1 along the
+    shortcut, filled one vertex object k at a time: g1.g2 pushes g1 along the
     epimorphic part of g2's component at the vertex of g1, so it reads g2
     only through that component, which depends only on its values in
     GF(p)^n, so all columns whose components there agree as maps share the
-    product.  Each such component's epimorphic part and image are read from
-    shape_factors once, the image's object is looked up by code
-    (_image_object), every row with that vertex is pushed along it in one
-    product, and the products are looked up by code; each must be one of
-    the principal cones.
+    product, and one column stands for each such group.  At k, each
+    group's epimorphic part and image are read from shape_factors in one
+    index per vertex dimension of the representatives, the images' objects
+    are looked up by code in one batch (_image_object), every row with
+    vertex k is pushed along every group's epimorphism in one product
+    (_push), and the products are looked up by code; each must be one of
+    the principal cones.  The epimorphism is pushed along as shape_factors
+    holds it, with all its columns: epi = q.u and u = E_J.M.P, where P,
+    from the image's pivot columns to the first r coordinates, has no
+    nonzero column past r = rank M, so neither have u and epi, and the
+    product is that of the epimorphism's first r columns.
     """
     gf.subspace_count(p, n)
     size = gf.singular_count(p, n)
@@ -305,24 +309,34 @@ def coded_normal_cones(p, n):
     if len(index) != order:
         raise AssertionError("two principal cones with one code")
     table = np.empty((order, order), dtype=np.int32)
-    ambient = code.ambient(vertex, rows)
-    for k in range(len(code.dims)):
+    ambient, vdims = code.ambient(vertex, rows), np.array(code.dims)[vertex]
+    for k, dk in enumerate(code.dims):
         left = np.flatnonzero(vertex == k)
         if not len(left):
             continue
-        columns = {}
-        for j, key in enumerate(code.block(ambient, k)):
-            columns.setdefault(key.tobytes(), []).append(j)
-        for cols in columns.values():
-            v = vertex[cols[0]]
-            fac = shape_factors(p, code.dims[k], code.dims[v])
-            i = gf.base_p(code.block(rows[cols[:1]], k)[:, :, :code.dims[v]], p)[0]
-            img = _image_object(p, n, v, fac.image[i])
-            prod = code.codes(img, _push(rows[left], fac.epi[i, :, :fac.rank[i]], p))
-            found = [index.get(c, -1) for c in prod.tolist()]
-            if -1 in found:
-                raise AssertionError("cone composition left the enumerated set")
-            table[np.ix_(left, cols)] = np.array(found)[:, None]
+        # each component's group, keyed by its code (p^(dk.n) <= code.stride),
+        # each group's first column, each column's group
+        group, reps, of = {}, [], []
+        for j, key in enumerate(gf.base_p(code.block(ambient, k), p).tolist()):
+            if key not in group:
+                group[key] = len(reps)
+                reps.append(j)
+            of.append(group[key])
+        reps = np.array(reps)
+        rdims = vdims[reps]
+        epi, img = np.zeros((len(reps), dk, code.width), dtype=np.int64), np.empty(len(reps), dtype=np.intp)
+        for dv in set(rdims.tolist()):
+            at = np.flatnonzero(rdims == dv)
+            fac = shape_factors(p, dk, dv)
+            i = gf.base_p(code.block(rows[reps[at]], k)[:, :, :dv], p)
+            epi[at, :, :dk] = fac.epi[i]
+            img[at] = _image_object(p, n, vertex[reps[at]], fac.image[i])
+        prod = _push(rows[left], epi, p)
+        codes = code.codes(np.repeat(img, len(left)), prod.reshape(len(reps) * len(left), *prod.shape[2:]))
+        found = [index.get(c, -1) for c in codes.tolist()]
+        if -1 in found:
+            raise AssertionError("cone composition left the enumerated set")
+        table[left] = np.array(found).reshape(len(reps), len(left)).T[:, of]
     table.flags.writeable = False  # so from_table keeps it rather than a copy
     return sg.from_table(range(order), table), code, vertex, rows
 

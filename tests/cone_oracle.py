@@ -13,7 +13,10 @@ semigroup, out of Sing order, for the checks that map Sing onto it.
 build_ta_semigroup is the dual cone semigroup as the package built it
 before verify-all's cone-semigroup check decided the transposition claim on
 its own build, with cone_map_witnesses, the map it was decided through
-while the cones were labelled by their endomorphisms' codes."""
+while the cones were labelled by their endomorphisms' codes.
+grouped_table is the cone semigroup's Cayley table as coded_normal_cones
+filled it before the fill was batched: one column group at a time, with its
+own push and image lookup."""
 
 from __future__ import annotations
 
@@ -223,6 +226,56 @@ def _assignments(code: _ConeCode):
         vertices.append(np.full(count, k))
         blocks.append(rows)
     return np.concatenate(vertices), np.concatenate(blocks)
+
+
+def _push_one(rows, epi, p):
+    """Push cones along an epimorphism out of their vertex, on code rows:
+    every component of every row, all into a vertex of dimension len(epi),
+    composed with the epimorphism whose matrix is epi."""
+    e = np.zeros((len(epi), rows.shape[2]), dtype=np.int64)
+    e[:, :epi.shape[1]] = epi
+    return rows[:, :, :len(epi)] @ e % p
+
+
+def _image_object_one(p, n, v, image):
+    """The position of the span of image.B_v, image a component's image
+    rows (zero past its rank) in the coordinates of object v, B_v its
+    basis; looked up by code in gf.row_spaces."""
+    basis = gf.subspace_lattice(p, n).bases[v]
+    rows = np.zeros((1, n, n), dtype=np.int64)
+    rows[0, :len(image)] = image @ basis[:image.shape[1]] % p
+    return gf.row_spaces(p, n)[gf.base_p(rows, p)[0]]
+
+
+def grouped_table(p, n):
+    """The cone semigroup's Cayley table, filled one vertex object k and one
+    column group at a time: the columns whose components at k agree in
+    GF(p)^n share the product, so each group's first column gives the
+    epimorphism (its first rank columns) and the image object, and every
+    row with vertex k is pushed along it and looked up by code."""
+    _, code, vertex, rows = sc.coded_normal_cones(p, n)
+    index = {c: i for i, c in enumerate(code.codes(vertex, rows).tolist())}
+    order = len(rows)
+    table = np.empty((order, order), dtype=np.int32)
+    ambient = code.ambient(vertex, rows)
+    for k in range(len(code.dims)):
+        left = np.flatnonzero(vertex == k)
+        if not len(left):
+            continue
+        columns = {}
+        for j, key in enumerate(code.block(ambient, k)):
+            columns.setdefault(key.tobytes(), []).append(j)
+        for cols in columns.values():
+            v = vertex[cols[0]]
+            fac = sc.shape_factors(p, code.dims[k], code.dims[v])
+            i = gf.base_p(code.block(rows[cols[:1]], k)[:, :, :code.dims[v]], p)[0]
+            img = _image_object_one(p, n, v, fac.image[i])
+            prod = code.codes(img, _push_one(rows[left], fac.epi[i, :, :fac.rank[i]], p))
+            found = [index.get(c, -1) for c in prod.tolist()]
+            if -1 in found:
+                raise AssertionError("cone composition left the enumerated set")
+            table[np.ix_(left, cols)] = np.array(found)[:, None]
+    return table
 
 
 def swap_two_cones(monkeypatch, i=1, j=2):

@@ -5,6 +5,7 @@ import functools
 import gc
 import io
 import json
+import os
 import re
 import subprocess
 import sys
@@ -977,8 +978,10 @@ def in_process(capsys, *argv):
     (("enumerate", "--format=dot"), 2),
     (("crossconn", "--bogus"), 2),
     (("green", "-h"), 0),
+    (("enumerate", "--out", "/"), 2),  # a directory cannot be written
+    (("verify-all", "--field", "2", "--dim", "2", "--table", "missing.json"), 1),
 ], ids=["enumerate", "green-dot", "verify-all-json", "verify-all-fails", "guard", "usage", "usage-format",
-        "usage-unknown", "help"])
+        "usage-unknown", "help", "out-unwritable", "table-missing"])
 def test_process_output_and_status_match_main(capsys, argv, status):
     want = in_process(capsys, *argv)
     assert want[0] == status
@@ -993,18 +996,89 @@ def test_process_writes_out_file_in_full(tmp_path, capsys):
     assert target.read_bytes() == want
 
 
-def test_process_exit_freezes_the_heap_after_main_and_runs_atexit():
-    # runs the module as python -m does, with an atexit handler that reports
-    # whether the heap was frozen by the time the interpreter shuts down
-    code = ("import atexit, gc, runpy, sys\n"
-            "atexit.register(lambda: print('frozen', gc.get_freeze_count() > 0, file=sys.stderr))\n"
+def test_process_exit_runs_an_outer_atexit_handler():
+    # runs the module as python -m does, with an atexit handler registered
+    # before it; run() ends the process without finalization, so it must
+    # run the handlers itself, after main()'s output
+    code = ("import atexit, runpy, sys\n"
+            "atexit.register(lambda: print('handler ran', file=sys.stderr))\n"
             "sys.argv = ['fibersemi', 'enumerate']\n"
             "runpy.run_module('fibersemi.cli', run_name='__main__', alter_sys=True)\n")
     done = subprocess.run([sys.executable, "-c", code], cwd=SRC, env={"PYTHONPATH": str(SRC)},
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0
     assert "singular_endomorphisms: 10" in done.stdout
-    assert done.stderr == "frozen True\n"
+    assert done.stderr == "handler ran\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ("crossconn", "--field", "3", "--dim", "2", "--all-eps", "--format", "json"),
+    ("cones", "--field", "5", "--dim", "2", "--format", "json"),
+], ids=["crossconn-all-eps-3-2", "cones-5-2"])
+def test_largest_benchmark_outputs_arrive_whole(tmp_path, capsys, argv):
+    # through a pipe, and through --out, whose file main() closes before
+    # the process ends
+    want = in_process(capsys, *argv)
+    assert want[0] == 0 and len(want[1]) > 1 << 16  # more than a pipe buffer holds
+    assert process(*argv) == want
+    target = tmp_path / "out.json"
+    assert process(*argv, "--out", str(target)) == (0, b"", b"")
+    assert target.read_bytes() == want[1]
+
+
+# the interpreter's own exit, which run() took before it ended the process itself
+_INTERPRETER_EXIT = "import sys; from fibersemi.cli import main; sys.exit(main(sys.argv[1:]))"
+
+
+@pytest.mark.parametrize("argv", [
+    ("enumerate",),  # the output waits in stdout's buffer, so the flush after main() fails
+    ("cones", "--field", "5", "--dim", "2", "--format", "json"),  # the write in main() fails
+], ids=["flush", "write"])
+def test_closed_stdout_gives_the_interpreters_status_and_stderr(argv):
+    # a reader that is gone before the output comes, as `| head -c 10` can be
+    def closed_stdout(*prefix):
+        read, write = os.pipe()
+        os.close(read)
+        try:
+            done = subprocess.run([sys.executable, *prefix, *argv], cwd=SRC, env={"PYTHONPATH": str(SRC)},
+                                  stdout=write, stderr=subprocess.PIPE, timeout=120)
+        finally:
+            os.close(write)
+        return done.returncode, done.stderr.decode().splitlines()
+
+    got, want = closed_stdout("-m", "fibersemi.cli"), closed_stdout("-c", _INTERPRETER_EXIT)
+    assert got[0] == want[0] != 0
+    if argv == ("enumerate",):
+        assert got[1] == want[1] and want[1][-1] == "BrokenPipeError: [Errno 32] Broken pipe"
+    else:  # a traceback, whose frames name the two entry points
+        assert got[1][0] == want[1][0] == "Traceback (most recent call last):"
+        assert got[1][-1] == want[1][-1] == "BrokenPipeError: [Errno 32] Broken pipe"
+
+
+def test_unwritable_out_is_refused_before_the_work(tmp_path, capsys, monkeypatch):
+    def never(args):
+        raise AssertionError("the command ran")
+
+    monkeypatch.setattr(cli, "cmd_verify_all", never)
+    target = tmp_path / "missing" / "report.txt"
+    for path in (target, tmp_path):  # a missing directory, and a directory
+        assert cli.main(["verify-all", "--out", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot write --out {path}: ") and err.count("\n") == 1
+    assert not target.parent.exists()
+
+
+def test_a_command_that_fails_before_it_emits_leaves_out_alone(tmp_path, capsys):
+    kept, fresh, link = tmp_path / "kept.txt", tmp_path / "fresh.txt", tmp_path / "link.txt"
+    kept.write_text("earlier output\n")
+    link.symlink_to(tmp_path / "target.txt")  # dangling
+    for path in (kept, fresh, link):
+        assert cli.main(["enumerate", "--field", "2", "--dim", "9", "--out", str(path)]) == 2  # the guard refuses
+        assert capsys.readouterr().err.startswith("error: p^(n^2)")
+    assert kept.read_text() == "earlier output\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["kept.txt", "link.txt"]
+    assert cli.main(["enumerate", "--out", str(kept)]) == 0
+    assert kept.read_text().startswith("field: 2\n")
 
 
 def test_main_leaves_the_collector_alone(capsys):

@@ -513,18 +513,22 @@ def test_principal_rows_are_the_principal_cones(p, n):
 def test_image_lookup_agrees_with_the_span_in_the_vertex(monkeypatch, p, n):
     """At every column group, the object that the product's vertex is
     looked up as by code is the Subspace that span_in builds from the
-    image rows over the vertex's basis."""
+    image rows over the vertex's basis.  _image_object looks up a batch of
+    groups per call; each group is one (v, image) pair of it."""
     subspaces, real, seen = gh.subspaces(p, n), sc._image_object, []
 
     def spy(*args):
         found = real(*args)
-        seen.append((args, found))
+        seen.extend(zip(args[2].tolist(), args[3], found.tolist()))
         return found
 
     monkeypatch.setattr(sc, "_image_object", spy)
-    sc.coded_normal_cones(p, n)
-    assert len({found for _, found in seen}) == len(subspaces) - 1  # every object is some product's vertex
-    for (_, _, v, image), found in seen:
+    _, code, vertex, rows = sc.coded_normal_cones(p, n)
+    ambient = code.ambient(vertex, rows)
+    groups = sum(len({b.tobytes() for b in code.block(ambient, k)}) for k in set(vertex.tolist()))
+    assert len(seen) == groups  # one lookup per column group at each vertex object
+    assert len({found for _, _, found in seen}) == len(subspaces) - 1  # every object is some product's vertex
+    for v, image, found in seen:
         rows = [row for row in image.tolist() if any(row)]  # the image rows, zero past the rank
         assert subspaces[found] == oracle.span_in(subspaces[v], rows)
 
@@ -541,13 +545,20 @@ def test_cones_leave_numpy_ma_unimported():
     assert out.strip() == "False"
 
 def test_product_outside_the_enumerated_set_raises(monkeypatch, cat22):
+    # every product out of a vertex of positive dimension made zero, while
+    # its vertex stays the image object: no principal cone has that code
     push = sc._push
     def flattened_push(rows, epi, p):
-        out = push(rows, epi, p)
+        out = push(rows, epi, p)  # (epimorphisms, rows, D, width), epi (epimorphisms, vertex dim, width)
         return out if epi.shape[1] == 0 else 0 * out
     monkeypatch.setattr(sc, "_push", flattened_push)
     with pytest.raises(AssertionError, match="left the enumerated set"):
         sc.coded_normal_cones(2, 2)
+
+@pytest.mark.parametrize("p, n", [(2, 2), (3, 2), (5, 2), (7, 2), (2, 3)])
+def test_batched_fill_matches_the_grouped_fill(p, n):
+    # the table filled one column group at a time (cone_oracle.grouped_table)
+    assert np.array_equal(sc.coded_normal_cones(p, n)[0].table, oracle.grouped_table(p, n))
 
 @pytest.mark.parametrize("p, n", [(2, 2), (3, 2), (2, 3)])
 @pytest.mark.parametrize("plant, error", [
