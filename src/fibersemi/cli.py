@@ -77,8 +77,7 @@ def _sing_profile(p, n):
     dims = gf.subspace_lattice(p, n).dims.tolist()
     idempotents, sizes = 0, {f: [] for f in sg.GreenStructure._fields}
     for k in range(n):
-        g, s, h = (dims.count(k), math.prod(p ** n - p ** i for i in range(k)),
-                   math.prod(p ** k - p ** i for i in range(k)))
+        g, s, h = dims.count(k), math.prod(p ** n - p ** i for i in range(k)), gf.gl_order(p, k)
         idempotents += g * p ** (k * (n - k))
         sizes["l_classes"] += [s] * g
         sizes["r_classes"] += [s] * g
@@ -366,31 +365,16 @@ ALL_EPS_CELL_LIMIT = 1 << 20  # table cells crossconn --all-eps may write
 def _check_all_eps_output(p, n):
     """Refuse crossconn --all-eps when its tables, |GL_n(p)| of them with N^2
     cells each, N = |Sing(GF(p)^n)|, would exceed ALL_EPS_CELL_LIMIT cells;
-    counted in closed form, nothing is enumerated.  Past gf.exact_counts
-    the message names lower bounds: |GL_n(p)| >= (p^n - p^(n-1))^n and the
-    matrices with a zero first row are singular, so both counts are at
-    least p^(n(n-1)).  While the counts are exact, the cells' log2 is read
-    from theirs: math.log2 of an int of the few million bits these reach
-    errs by under 1e-9, so the cells are multiplied out only where the sum
-    lies within 1e-8 of an integer or below 2^65."""
-    gf.check_field(p)
-    gf.check_dim(n)
-    if gf.exact_counts(p, n):
-        autos = gf.gl_order(p, n)
-        order = p ** (n * n) - autos
-        bits = math.log2(autos) + 2 * math.log2(order)
-        if bits > 65 and 1e-8 < bits % 1 < 1 - 1e-8:
-            cells = f"at least 2^{math.floor(bits)}"
-        elif autos * order ** 2 <= ALL_EPS_CELL_LIMIT:
-            return
-        else:
-            cells = gf.count_text(autos * order ** 2)
-        texts = gf.count_text(autos), gf.count_text(order), cells
-    else:
-        texts = gf.power_text(p, n * (n - 1)), gf.power_text(p, n * (n - 1)), gf.power_text(p, 3 * n * (n - 1))
-    raise gf.GuardExceeded(
-        f"crossconn --all-eps at GF({p})^{n} would write {texts[0]} tables of order {texts[1]}, "
-        f"{texts[2]} cells in all, beyond the output limit of {ALL_EPS_CELL_LIMIT} cells")
+    counted in closed form, nothing is enumerated.  Enumerating GL_n(p)
+    meets the endomorphism guard, so it refuses first, and past it every
+    count is a small exact int."""
+    endos = gf._endo_count(p, n)
+    autos = gf.gl_order(p, n)
+    cells = autos * (endos - autos) ** 2
+    if cells > ALL_EPS_CELL_LIMIT:
+        raise gf.GuardExceeded(
+            f"crossconn --all-eps at GF({p})^{n} would write {autos} tables of order {endos - autos}, "
+            f"{cells} cells in all, beyond the output limit of {ALL_EPS_CELL_LIMIT} cells")
 
 
 def cmd_crossconn(args):

@@ -23,7 +23,6 @@ SUPPORTED_PRIMES = (2, 3, 5, 7)
 SUBSPACE_ENUM_LIMIT = 4096  # max number of subspaces of GF(p)^n
 ENDO_ENUM_LIMIT = 1 << 20   # max p**(n*n)
 ASSOC_GUARD = 1500          # largest order of a Cayley table checked for associativity
-EXACT_BITS = 1 << 21        # guards count GF(p)^n exactly while n^2 log2(p) is at most this
 
 
 class GuardExceeded(ValueError):
@@ -110,14 +109,6 @@ def power_text(p, e):
     return f"at least 2^{lo.bit_length() - 1 + shift}"
 
 
-def exact_counts(p, n):
-    """Whether the closed-form counts of GF(p)^n are cheap enough to
-    compute exactly for a guard's message (EXACT_BITS).  Past that, n is
-    in the hundreds, and every guard refuses by a lower bound, since from
-    n = 7 on each one refuses at every p."""
-    return n * n <= EXACT_BITS / math.log2(p)
-
-
 def _endo_count(p, n):
     """p^(n^2), the number of n x n matrices, once p, n and the guard pass.
     p^(n^2) >= 2^(n^2), so past n^2 = log2 of the guard no power is built."""
@@ -184,23 +175,25 @@ def invertible_matrix(mat, p, d, shape_error, singular_error):
 
 def subspace_count(p, n):
     """The number of subspaces of GF(p)^n, once p, n and the subspace guard
-    pass.  Past exact_counts the guard names a lower bound: there are
-    [n, n // 2]_p >= p^(n // 2 * (n - n // 2)) = p^(n^2 // 4) subspaces of
-    dimension n // 2 alone."""
+    pass.  There are [n, n // 2]_p >= p^e subspaces of dimension n // 2
+    alone, e = n^2 // 4, so the count is exact only while p^e fits in 64
+    bits (to n = 16 at p = 2, 9 at p = 7); past that the guard names p^e,
+    which is beyond it.  p >= 2, so p^e is built only at e <= 64."""
     check_field(p)
     check_dim(n)
-    count = _galois_number(p, n) if exact_counts(p, n) else None
-    if count is None or count > SUBSPACE_ENUM_LIMIT:
-        text = power_text(p, n * n // 4) if count is None else count_text(count)
+    e = n * n // 4
+    exact = e <= 64 and p ** e <= 1 << 64
+    count = _galois_number(p, n) if exact else None
+    if not exact or count > SUBSPACE_ENUM_LIMIT:
+        text = count_text(count) if exact else power_text(p, e)
         raise GuardExceeded(f"GF({p})^{n} has {text} subspaces, beyond the subspace guard {SUBSPACE_ENUM_LIMIT}")
     return count
 
 
-@lru_cache(maxsize=None)
 def _galois_number(p, n):
     """The sum over k of the Gaussian binomials [n, k]_p, by the recurrence
     G(m + 1) = 2 G(m) + (p^m - 1) G(m - 1) from G(0) = 1 and G(1) = 2: no
-    division, and each product has one factor of m digits."""
+    division."""
     before, count = 1, 2
     for m in range(1, n):
         before, count = count, 2 * count + (p ** m - 1) * before
@@ -232,13 +225,8 @@ def enumerate_subspaces(p, n):
 
 
 def gl_order(p, n):
-    """|GL_n(p)| = prod_(i<n) (p^n - p^i) = p^(n(n-1)/2) prod_(i=1..n) (p^i
-    - 1), the last product taken in balanced pairs, so the large factors
-    meet last."""
-    factors = [p ** i - 1 for i in range(1, n + 1)]
-    while len(factors) > 1:
-        factors = [math.prod(factors[i:i + 2]) for i in range(0, len(factors), 2)]
-    return p ** (n * (n - 1) // 2) * factors[0]
+    """|GL_n(p)| = prod_(i<n) (p^n - p^i)."""
+    return math.prod(p ** n - p ** i for i in range(n))
 
 
 def singular_count(p, n):

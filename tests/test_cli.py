@@ -6,7 +6,6 @@ import gc
 import io
 import json
 import os
-import re
 import subprocess
 import sys
 import time
@@ -1158,14 +1157,13 @@ def test_cones_refuses_before_the_category_is_built(monkeypatch, capsys, n, mess
 
 @pytest.mark.parametrize("argv,message", [
     (("enumerate", "--field", "7", "--dim", "80"), "p^(n^2) = at least 2^17967 exceeds endomorphism guard 1048576"),
-    (("cones", "--field", "2", "--dim", "300"), "GF(2)^300 has at least 2^22502 subspaces, beyond the subspace guard 4096"),
+    (("cones", "--field", "2", "--dim", "300"), "GF(2)^300 has at least 2^22500 subspaces, beyond the subspace guard 4096"),
     (("crossconn", "--field", "7", "--dim", "45", "--all-eps"),
-     "crossconn --all-eps at GF(7)^45 would write at least 2^5684 tables of order at least 2^5682, "
-     "at least 2^17049 cells in all, beyond the output limit of 1048576 cells"),
+     "p^(n^2) = at least 2^5684 exceeds endomorphism guard 1048576"),
 ])
 def test_guards_name_counts_too_long_to_print(capsys, argv, message):
-    # past 4300 digits Python refuses to write an int out, so these counts
-    # are named by a power of two they reach
+    # a count past 64 bits is named by a power of two it reaches, read from
+    # a closed-form lower bound that is never multiplied out
     start = time.perf_counter()
     assert run(capsys, *argv) == (2, "", f"error: {message}\n")
     assert time.perf_counter() - start < 1.0
@@ -1181,9 +1179,7 @@ HUGE = 99999999999999999999
     ("crossconn --dim 20000", 2, "p^(n^2) = at least 2^400000000 exceeds endomorphism guard 1048576"),
     ("green --dim 1000000", 2, "p^(n^2) = at least 2^1000000000000 exceeds endomorphism guard 1048576"),
     ("cones --dim 1000000", 2, "GF(2)^1000000 has at least 2^250000000000 subspaces, beyond the subspace guard 4096"),
-    ("crossconn --all-eps --dim 1000000", 2,
-     "crossconn --all-eps at GF(2)^1000000 would write at least 2^999999000000 tables of order at least "
-     "2^999999000000, at least 2^2999997000000 cells in all, beyond the output limit of 1048576 cells"),
+    ("crossconn --all-eps --dim 1000000", 2, "p^(n^2) = at least 2^1000000000000 exceeds endomorphism guard 1048576"),
     (f"enumerate --dim {HUGE}", 2, f"p^(n^2) = at least 2^{HUGE ** 2} exceeds endomorphism guard 1048576"),
     ("verify-all --dim 1000", 1, None),
     ("verify-all --dim 3000", 1, None),
@@ -1218,14 +1214,29 @@ def test_refusals_at_any_dimension_take_under_a_second(argv, status, message):
         assert all(list(r["witness"]) == ["guard"] for name, r in report.items() if name not in fixed)
 
 
-@pytest.mark.parametrize("p,n", [(2, 17), (3, 13), (7, 10)])
-def test_all_eps_guard_past_the_exact_counts_names_true_lower_bounds(monkeypatch, p, n):
-    monkeypatch.setattr(gf, "EXACT_BITS", 1 << 8)
-    with pytest.raises(gf.GuardExceeded) as exc:
-        cli._check_all_eps_output(p, n)
-    autos, order, cells = map(int, re.findall(r"at least 2\^(\d+)", str(exc.value)))
-    want = gf.gl_order(p, n), gf.singular_count(p, n)
-    assert 2 ** autos <= want[0] and 2 ** order <= want[1] and 2 ** cells <= want[0] * want[1] ** 2
+@pytest.mark.parametrize("p,n", [(2, 5), (3, 4), (5, 3), (7, 3)])
+def test_all_eps_meets_the_endomorphism_guard_first(monkeypatch, capsys, p, n):
+    # enumerating GL_n(p) needs p^(n^2) matrices, so that guard refuses
+    # before GL_n(p) is counted or enumerated
+    def forbidden(*args):
+        raise AssertionError("GL_n(p) was counted before the endomorphism guard refused")
+
+    monkeypatch.setattr(gf, "gl_order", forbidden)
+    monkeypatch.setattr(gf, "enumerate_automorphisms", forbidden)
+    code, out, err = run(capsys, "crossconn", "--field", str(p), "--dim", str(n), "--all-eps")
+    assert (code, out) == (2, "")
+    assert err == f"error: p^(n^2) = {p ** (n * n)} exceeds endomorphism guard {gf.ENDO_ENUM_LIMIT}\n"
+
+
+@pytest.mark.parametrize("argv", ["cones --field 2 --dim 1448", "cones --field 3 --dim 1150",
+                                  "crossconn --all-eps --field 3 --dim 1150", "crossconn --all-eps --field 5 --dim 949"])
+def test_guards_do_no_big_integer_work(capsys, argv):
+    # an exact subspace count or |GL_n(p)| here has two million bits and takes
+    # a quarter of a second; the guards name a bound instead
+    start = time.perf_counter()
+    code = cli.main(argv.split())
+    seconds = time.perf_counter() - start
+    assert (code, capsys.readouterr().out) == (2, "") and seconds < 0.05
 
 
 def _loaded(*args):

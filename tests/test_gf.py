@@ -209,10 +209,10 @@ def test_subspace_guard():
 @pytest.mark.parametrize("p", gf.SUPPORTED_PRIMES)
 def test_guard_counts_match_their_defining_sums(p):
     # the Galois-number recurrence against the sum of Gaussian binomials,
-    # the balanced GL product against prod_(i<n) (p^n - p^i)
+    # the GL product against p^(n(n-1)/2) prod_(i=1..n) (p^i - 1)
     for n in range(1, 41):
         assert gf._galois_number(p, n) == sum(gh.gaussian_binomial(n, k, p) for k in range(n + 1))
-        assert gf.gl_order(p, n) == math.prod(p ** n - p ** i for i in range(n))
+        assert gf.gl_order(p, n) == p ** (n * (n - 1) // 2) * math.prod(p ** i - 1 for i in range(1, n + 1))
 
 @pytest.mark.parametrize("p", gf.SUPPORTED_PRIMES)
 def test_power_text_is_the_count_text_of_the_power(p):
@@ -230,15 +230,22 @@ def test_power_text_past_any_power_matches_a_high_precision_log():
                 k = int((log2 * e).to_integral_value(rounding=decimal.ROUND_FLOOR))
                 assert gf.power_text(p, e) == f"at least 2^{k}"
 
-def test_subspace_guard_past_the_exact_counts_names_a_true_lower_bound(monkeypatch):
-    monkeypatch.setattr(gf, "EXACT_BITS", 1 << 8)
-    for p, n in [(2, 17), (3, 13), (7, 10)]:
-        assert not gf.exact_counts(p, n) and gf.exact_counts(p, n - 2)
-        with pytest.raises(gf.GuardExceeded) as exc:
-            gf.subspace_count(p, n)
-        k = (p ** (n * n // 4)).bit_length() - 1
-        assert str(exc.value) == f"GF({p})^{n} has at least 2^{k} subspaces, beyond the subspace guard 4096"
-        assert 2 ** k <= gf._galois_number(p, n)
+def test_subspace_guard_counts_exactly_only_within_64_bits():
+    # exact while p^(n^2 // 4) fits in 64 bits; past it, that power, a
+    # lower bound on the count, is named
+    for p, exact_to in [(2, 16), (3, 12), (5, 10), (7, 9)]:
+        for n in range(1, 41):
+            bound, count = p ** (n * n // 4), gf._galois_number(p, n)
+            assert (bound <= 1 << 64) == (n <= exact_to)
+            if n <= exact_to and count <= gf.SUBSPACE_ENUM_LIMIT:
+                assert gf.subspace_count(p, n) == count
+                continue
+            with pytest.raises(gf.GuardExceeded) as exc:
+                gf.subspace_count(p, n)
+            k = bound.bit_length() - 1
+            text = gf.count_text(count) if n <= exact_to else f"at least 2^{k}"
+            assert str(exc.value) == f"GF({p})^{n} has {text} subspaces, beyond the subspace guard 4096"
+            assert 2 ** k <= count
 
 def test_endo_counts():
     assert len(sing_oracle.enumerate_endos(2, 2, singular_only=True)) == 10
