@@ -349,7 +349,7 @@ def _parse_eps(text, p, n):
     gf.invertible_matrix accepts it."""
     try:
         rows = json.loads(text)
-    except json.JSONDecodeError:
+    except (json.JSONDecodeError, RecursionError):  # RecursionError: nested too deep
         rows = None
     shape_error = f"--eps must be a JSON list of {n} lists of {n} integers"
     if not (isinstance(rows, list) and len(rows) == n

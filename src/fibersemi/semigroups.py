@@ -182,74 +182,22 @@ _WS = rb"[ \t\n\r]*"
 _DOC_HEAD = _WS + rb'\{' + _WS + rb'"elements"' + _WS + b":" + _WS
 _TABLE_KEY = rb'"table"' + _WS + b":" + _WS + rb"(?=\[)"  # after a comma, found apart
 _DOC_TAIL = rb"\]" + _WS + rb"\}" + _WS
-_BRACKETS_AS_SPACE = bytes.maketrans(b"[]", b"  ")
-# Each byte of a table as a left class in its low four bits and a right
-# class in its high four, so that two neighbours share a bit exactly when
-# they are digit "[", "]" digit, or one of "[" and "," before one of ","
-# and "]": a digit outside a row, or an empty slot.  A byte that is no
-# digit, comma or bracket is 0xff, which shares a bit with any neighbour.
-# Bit 0 marks a digit; bit 3, in no right class, marks "0" apart.
-_PAIR_CLASS = bytes({48: 0x29, 91: 0x14, 93: 0x42, 44: 0x44}.get(x, 0x21 if 48 < x <= 57 else 0xff)
-                    for x in range(256))
-
-
-def _digit_runs(data, lo, hi):
-    """The number of runs of ASCII digits in data[lo:hi] that a byte of it
-    ends, read in blocks of gf.TABLE_BLOCK_CELLS bytes with no copy."""
-    runs = 0
-    for a in range(lo, hi - 1, gf.TABLE_BLOCK_CELLS):
-        u = np.frombuffer(data, dtype=np.uint8, count=min(gf.TABLE_BLOCK_CELLS + 1, hi - a), offset=a)
-        digit = (u >= 48) & (u <= 57)
-        runs += int(np.count_nonzero(digit[:-1] & ~digit[1:]))
-    return runs
-
-
-def _is_table_shape(dense, lo, hi, n):
-    """Whether dense[lo:hi], bytes with no JSON whitespace, is n rows of n
-    slots, each slot one literal of at most len(str(n - 1)) digits with no
-    leading zero.  The table's delimiters, read among all of dense's
-    non-digit bytes (no digit follows the table), must be the exact n x n
-    skeleton; they and the skeleton they are compared with are (n + 1)**2
-    bytes each, not the table's size.  The rest is read in blocks of
-    gf.TABLE_BLOCK_CELLS bytes, each with a few bytes of context, so nothing
-    the size of the table is made: no two neighbours share a _PAIR_CLASS
-    bit, no digit run is longer than len(str(n - 1)), and no "0" starts a
-    run of two or more.  A literal refused for its length is no index below
-    n, and none that is let through can wrap in int32."""
-    row = b"[" + b"," * (n - 1) + b"]"
-    delimiters, start = dense.translate(None, b"0123456789"), len(dense[:lo].translate(None, b"0123456789"))
-    # the table's first byte is "[" and its last "]" (_table_document frames it so)
-    if (len(delimiters) - start != (n + 1) ** 2 + len(dense) - hi
-            or not delimiters.startswith(b",".join([row] * n), start + 1)):
-        return False
-    del delimiters
-    width = len(str(n - 1))
-    for a in range(lo, hi, gf.TABLE_BLOCK_CELLS):
-        b = min(a + gf.TABLE_BLOCK_CELLS, hi)
-        c = max(lo, a - width)  # the block [a, b) with width bytes before it and one after
-        code = np.frombuffer(dense[c:min(b + 1, hi)].translate(_PAIR_CLASS), dtype=np.uint8)
-        right = np.right_shift(code[a - c + 1:], 4)
-        if np.bitwise_and(right, code[a - c:-1], out=right).any():
-            return False
-        digit = np.bitwise_and(code, 1).view(bool)
-        run = digit[width:].copy()  # [i]: digits i .. i + width of the block
-        for k in range(1, width + 1):
-            run &= digit[width - k:len(digit) - k]
-        if run.any() or ((code[1:-1] == 0x29) & digit[2:] & ~digit[:-2]).any():
-            return False
-    return True
+# A table's brackets blanked to whitespace that np.fromstring skips, "[" to
+# a space and "]" to a tab, so that a table with no JSON whitespace can be
+# unblanked again.
+_BLANK = bytes.maketrans(b"[]", b" \t")
+_UNBLANK = bytes.maketrans(b" \t", b"[]")
 
 
 def _table_document(data):
-    """(elements, dense, lo, hi) for bytes data in the common table document
-    form: elements as json.loads reads them, and dense[lo:hi] the table with
-    no JSON whitespace, which _is_table_shape has decided readable; dense is
-    data itself unless the table held whitespace.  None for any other bytes,
-    every decline decided here, on data; ValueError or RecursionError where
-    the decoding or raw_decode refuses the elements.  Only the bytes between
-    the head and the table key are decoded, for raw_decode, as open()
-    decodes them, so a label may hold any character; the patterns and the
-    table's shape admit no byte outside ASCII elsewhere."""
+    """(elements, lo, hi) for bytes data in the common table document form:
+    elements as json.loads reads them, and data[lo:hi] the table, from its
+    first "[" to the document's last "]".  None for any other bytes;
+    ValueError or RecursionError where the decoding or raw_decode refuses
+    the elements.  Only the bytes between the head and the table key are
+    decoded, for raw_decode, as open() decodes them, so a label may hold any
+    character; the patterns admit no byte outside ASCII elsewhere, and
+    semigroup_from_file decides the table's bytes by writing it back."""
     head = re.compile(_DOC_HEAD).match(data)
     key = head and re.compile(_TABLE_KEY).search(data, head.end())
     if not key:
@@ -261,33 +209,57 @@ def _table_document(data):
     if not (prefix.endswith(",") and end == len(prefix[:-1].rstrip(ws)) and isinstance(elements, list)
             and 0 < len(elements) <= ASSOC_GUARD and re.compile(_DOC_TAIL).fullmatch(data, hi - 1)):
         return None
-    dense = data
-    if any(data.find(c, lo, hi) >= 0 for c in _JSON_WS):
-        dense = data.translate(None, _JSON_WS)
-        start = lo - sum(data.count(c, 0, lo) for c in _JSON_WS)
-        stop = start + hi - lo - sum(data.count(c, lo, hi) for c in _JSON_WS)
-        if _digit_runs(data, lo, hi) != _digit_runs(dense, start, stop):  # whitespace inside a literal
-            return None
-        lo, hi = start, stop
-    return (elements, dense, lo, hi) if _is_table_shape(dense, lo, hi, len(elements)) else None
+    return elements, lo, hi
+
+
+def _parse_cells(blanked, n):
+    """The read-only (n, n) int32 cells that np.fromstring reads from
+    blanked, a table's text with its brackets blanked (_BLANK); None where
+    it stops at unmatched text before the n*n-th literal.  Told the n*n
+    count, it fills a short read silently, with anything."""
+    try:
+        cells = np.fromstring(blanked, dtype=np.int32, count=n * n, sep=",")
+    except ValueError:
+        return None
+    cells.flags.writeable = False
+    return cells.reshape(n, n)
+
+
+def _writes_back(table, blanked):
+    """Whether table_text(table), its brackets blanked (_BLANK), is blanked
+    byte for byte."""
+    at = 0
+    for block in table_text(table):
+        block = block.translate(_BLANK)
+        if blanked[at:at + len(block)] != block:
+            return False
+        at += len(block)
+    return at == len(blanked)
 
 
 def semigroup_from_file(path) -> FiniteSemigroup:
     """semigroup_from_json(json.loads(open(path).read())), with the same
     result and the same exceptions, from one read of the file, as bytes.
 
-    A document of the common form (_table_document) has its table read
-    straight into the int32 array that from_table adopts, with no Python
-    int or list per cell.  This function holds the only reference to the
-    file's bytes, so it can drop them: it slices out the table, drops the
-    file's bytes (or their whitespace-free copy), blanks the brackets and
-    parses the literals, each buffer dropped once the next is made, so no
-    more than two table-sized buffers are ever live.  np.fromstring is told
-    the n*n count that the shape holds; it would fill a short read silently.
-    Any other document, and any error before from_table, goes through
-    json.loads and semigroup_from_json, on the bytes decoded as open()
-    decodes them (locale encoding, universal newlines); they alone word the
-    errors."""
+    A document of the common form (_table_document) has its table's
+    literals parsed straight into the int32 array that from_table adopts,
+    with no Python int or list per cell, and the parse is kept only where
+    the writer, table_text, writes it back as the table's text byte for
+    byte.  That text is what json.dumps writes for indices below n, so a
+    literal that is signed, zero-led, wrapped past int32, out of range (the
+    writer clips it) or missing is written back otherwise.  This function
+    holds the only reference to the file's bytes, so it slices out the
+    table and drops them, then blanks the table's brackets (_BLANK) for the
+    parse.  A table with no JSON whitespace is dropped too, since
+    unblanking gives it back, so no more than two table-sized buffers are
+    ever live; the writer's text is blanked the same way to be compared.
+    A table with JSON whitespace is kept and parsed with it, so whitespace
+    inside a literal stops the parse, and the writer's text is compared
+    with a whitespace-free copy: three buffers.  Any other document, any
+    decline and any error before from_table goes through json.loads and
+    semigroup_from_json, on the file's bytes (rebuilt around the table)
+    decoded as open() decodes them (locale encoding, universal newlines);
+    they alone word the errors."""
     with open(path, "rb") as fh:
         data = fh.read()
     try:
@@ -296,47 +268,63 @@ def semigroup_from_file(path) -> FiniteSemigroup:
             labels = _label_from_json(doc[0])
     except (ValueError, RecursionError):  # raw_decode or a label
         doc = None
-    if doc is None:
-        return semigroup_from_json(json.loads(io.TextIOWrapper(io.BytesIO(data)).read()))
-    dense, lo, hi = doc[1:]
-    del data, doc  # and with doc the element lists that raw_decode made
-    table = dense[lo:hi]
-    del dense
-    spaced = table.translate(_BRACKETS_AS_SPACE)
-    del table
-    n = len(labels)
-    cells = np.fromstring(spaced, dtype=np.int32, count=n * n, sep=",").reshape(n, n)
-    del spaced
-    cells.flags.writeable = False
-    return from_table(labels, cells)
+    if doc is not None:
+        _, lo, hi = doc
+        del doc  # and with it the element lists that raw_decode made
+        before, table, after = data[:lo], data[lo:hi], data[hi:]
+        del data
+        blanked = table.translate(_BLANK)
+        if any(c in table for c in _JSON_WS):  # parsed as it is, compared with no whitespace
+            cells = _parse_cells(blanked, len(labels))
+            del blanked
+            blanked = table.translate(_BLANK, _JSON_WS)
+        else:  # unblanking gives the table back
+            table = None
+            cells = _parse_cells(blanked, len(labels))
+        if cells is not None and _writes_back(cells, blanked):
+            del blanked
+            return from_table(labels, cells)
+        data = before + (table or blanked.translate(_UNBLANK)) + after
+    return semigroup_from_json(json.loads(io.TextIOWrapper(io.BytesIO(data)).read()))
+
+
+def table_text(table):
+    """The text of json.dumps(table.tolist(), separators=(",", ":")) for a
+    square array of indices below its order, as ASCII bytes in blocks of
+    about gf.TABLE_BLOCK_CELLS bytes, written with no Python object per
+    cell.
+
+    Each index's text is one fixed-width S{w} word, w = len(str(order - 1))
+    + 1, comma-first ("," and the index), built once.  Each block of rows
+    gathers its cells' words by index, np.take with mode="clip", turns each
+    row's first comma into "[", closes the row with a "]," word ("]]" for
+    the last row) and drops the words' NUL padding.  An entry outside
+    0 .. order - 1 is written as the nearest index."""
+    order = len(table)
+    if not order:
+        yield b"[]"
+        return
+    word = f"S{len(str(order - 1)) + 1}"
+    index = np.array([f",{i}" for i in range(order)], dtype=word)
+    block = max(1, gf.TABLE_BLOCK_CELLS // (order * index.itemsize))
+    words = np.empty((min(block, order), order + 1), dtype=word)  # each row's cells, then "],"
+    lead = words.view(np.uint8)[:, 0]  # the first byte of each row's first word
+    yield b"["
+    for lo in range(0, order, block):
+        rows = table[lo:lo + block]
+        k = len(rows)
+        words[:k, :-1] = index.take(rows, mode="clip")
+        lead[:k] = ord("[")
+        words[:k, -1] = b"],"
+        if lo + k == order:
+            words[k - 1, -1] = b"]]"
+        yield words[:k].tobytes().translate(None, b"\0")
 
 
 def table_json(table) -> str:
     """json.dumps(table.tolist(), separators=(",", ":")) for a square array
-    of indices below its order, written with no Python object per cell.
-
-    The index strings str(0) .. str(order - 1) are built once, each padded
-    with spaces to the widest and followed by a comma, as the rows of a byte
-    array.  Each block of about gf.TABLE_BLOCK_CELLS cells gathers its cells'
-    strings by index into rows framed "[" .. "],", and drops the padding,
-    since the JSON text holds no spaces; the last row closes with "]]"
-    instead."""
-    order = len(table)
-    if not order:
-        return "[]"
-    width = len(str(order - 1)) + 1
-    index = "".join([f"{i:<{width - 1}}," for i in range(order)]).encode("ascii")
-    cells = np.frombuffer(index, dtype=np.uint8).reshape(order, width)
-    block = max(1, gf.TABLE_BLOCK_CELLS // order)
-    parts = ["["]
-    for lo in range(0, order, block):
-        rows = table[lo:lo + block]
-        text = np.empty((len(rows), order * width + 2), dtype=np.uint8)
-        text[:, 1:-1] = cells[rows].reshape(len(rows), -1)
-        text[:, 0], text[:, -2], text[:, -1] = ord("["), ord("]"), ord(",")  # -2: the last cell's comma
-        parts.append(text.tobytes().translate(None, b" ").decode("ascii"))
-    parts[-1] = parts[-1][:-1] + "]"
-    return "".join(parts)
+    of indices below its order: table_text, joined."""
+    return b"".join(table_text(table)).decode("ascii")
 
 
 # ---------------------------------------------------------------------------

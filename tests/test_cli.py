@@ -958,6 +958,24 @@ def test_table_check_at_the_order_guard_keeps_two_table_copies(tmp_path):
     assert peaks[0] < 53 and peaks[1] < 1.05 * peaks[0]
 
 
+def test_table_check_with_whitespace_at_the_order_guard_keeps_three_table_copies(tmp_path):
+    # json.dumps' default ", " separators make Z_1500's document 13.5 MB.
+    # The reader keeps such a table's bytes, to compare its parse with a
+    # whitespace-free copy and for the json path, so it holds one
+    # table-sized buffer more than a whitespace-free table: about 61 MB,
+    # against 54 MB when the whitespace-free copy of the file was taken
+    # first and the file's bytes dropped.
+    n = gf.ASSOC_GUARD
+    index = np.arange(n)
+    path = tmp_path / "cyclic.json"
+    path.write_text(json.dumps({"elements": list(range(n)), "table": ((index[:, None] + index) % n).tolist()}))
+    status, out, peak = process_peak("verify-all", "--field", "2", "--dim", "2", "--format", "json",
+                                     "--table", str(path))
+    assert status == 0
+    assert json.loads(out)[-1] == {"check": "table-associativity", "status": "pass", "witness": None}
+    assert peak < 66
+
+
 def in_process(capsys, *argv):
     try:
         code = cli.main(list(argv))
@@ -985,6 +1003,13 @@ def test_process_output_and_status_match_main(capsys, argv, status):
     want = in_process(capsys, *argv)
     assert want[0] == status
     assert process(*argv) == want
+
+
+def test_deeply_nested_eps_is_a_usage_error_not_a_traceback():
+    # json.loads raises RecursionError past the interpreter's depth, which
+    # escaped as a traceback with status 1
+    status, out, err = process("crossconn", "--field", "2", "--dim", "2", "--eps", "[" * 3000 + "]" * 3000)
+    assert (status, out, err) == (2, b"", b"error: --eps must be a JSON list of 2 lists of 2 integers\n")
 
 
 def test_process_writes_out_file_in_full(tmp_path, capsys):

@@ -624,21 +624,14 @@ def json_path(path):
         return sg.semigroup_from_json(json.loads(fh.read()))
 
 
-def reads_as_json(text):
-    """Whether sg.semigroup_from_file reads text, written as UTF-8, to the
-    same semigroup or the same error as json.loads and semigroup_from_json;
-    and, where the array reader takes the document, whether it read the
-    element list that json.loads reads and handed from_table a read-only
-    int32 array equal, cell for cell, to json.loads' table."""
-    data = text.encode("utf-8")
-    try:
-        doc = sg._table_document(data)
-    except (ValueError, RecursionError):  # raw_decode's errors; the reader declines on them
-        doc = None
+def read_spied(data):
+    """What sg.semigroup_from_file and the json path make of bytes data,
+    as outcome() gives them, and the (labels, table) pairs that
+    semigroup_from_file handed from_table."""
     handed, real = [], sg.from_table
 
     def spy(labels, table):
-        handed.append(table)
+        handed.append((labels, table))
         return real(labels, table)
 
     with tempfile.TemporaryDirectory() as tmp:
@@ -646,25 +639,38 @@ def reads_as_json(text):
         path.write_bytes(data)
         with mock.patch.object(sg, "from_table", spy):
             got = outcome(sg.semigroup_from_file, path)
-        if got != outcome(json_path, path):
-            return False
-    if doc is None:
+        return got, outcome(json_path, path), handed
+
+
+def takes_array_path(data):
+    """Whether sg.semigroup_from_file reads bytes data on the array path:
+    it hands from_table an array, where the json path hands it lists."""
+    return any(isinstance(table, np.ndarray) for _, table in read_spied(data)[2])
+
+
+def reads_as_json(text):
+    """Whether sg.semigroup_from_file reads text, written as UTF-8, to the
+    same semigroup or the same error as json.loads and semigroup_from_json;
+    and, where the array reader takes the document, whether it handed
+    from_table, once, the labels that json.loads' element list gives and a
+    read-only int32 array equal, cell for cell, to json.loads' table."""
+    got, want, handed = read_spied(text.encode("utf-8"))
+    if got != want:
+        return False
+    if not any(isinstance(table, np.ndarray) for _, table in handed):
         return True
     parsed = json.loads(text)
-    if list(parsed) != ["elements", "table"] or doc[0] != parsed["elements"]:
-        return False
-    try:
-        sg._label_from_json(doc[0])
-    except (ValueError, RecursionError):  # a label both paths refuse before from_table
-        return handed == []
-    return (len(handed) == 1 and isinstance(handed[0], np.ndarray) and handed[0].dtype == np.int32
-            and not handed[0].flags.writeable and handed[0].tolist() == parsed["table"])
+    (labels, table), = handed
+    return (list(parsed) == ["elements", "table"] and labels == sg._label_from_json(parsed["elements"])
+            and table.dtype == np.int32 and not table.flags.writeable and table.tolist() == parsed["table"])
 
 
 @READER
 @given(table_documents())
 def test_table_reader_reads_every_well_formed_document(text):
-    assert sg._table_document(text.encode("utf-8")) is not None
+    # an entry of n or more is no index; the json path words its error
+    table = json.loads(text)["table"]
+    assert takes_array_path(text.encode("utf-8")) == all(x < len(table) for row in table for x in row)
     assert reads_as_json(text)
 
 
@@ -690,26 +696,31 @@ def test_table_reader_reads_every_well_formed_document(text):
 @example('{"elements": ["table"], "table": [[0]]}')
 @example('{"elements": ["a"], "table": [[0]], [[0]]}')  # a second skeleton after the table's
 @example('{"elements": ["a", "b"], "table": [[0, 1], [1, 0]], [1, 0]]}')
+@example('{"elements": ["a", "b"], "table": [[0,1],[1,0 0]]}')  # whitespace splits the last literal
+@example('{"elements": ["a", "b"], "table": [[,01],[1,0]]}')  # a blank slot, offset by a leading zero
+@example('{"elements": ["a", "b"], "table": [[0,1],[1]]}')  # short: n*n literals are asked for
+@example('{"elements": ["a", "b"], "table": [[0,-1],[1,0]]}')  # a negative entry
+@example('{"elements": ["a", "b"], "table": [[0,2],[1,0]]}')  # an entry past the last index
+@example('{"elements": ["a", "b"], "table": []0,1],[1,0]]}')  # a bracket turned the other way
 def test_table_reader_declines_or_agrees_with_json(text):
     assert reads_as_json(text)
 
 
 def test_table_reader_refuses_a_literal_past_the_widest_index():
-    # declined before the parse, so no literal can wrap in int32
     for n, entry in [(2, "10"), (10, "100"), (11, "05"), (11, "0"), (11, "10")]:
         rows = [["0"] * n for _ in range(n)]
         rows[-1][-1] = entry
         text = '{"elements": %s, "table": [%s]}' % (list(range(n)), ",".join("[%s]" % ",".join(r) for r in rows))
-        doc = sg._table_document(text.encode("ascii"))
-        assert (doc is None) == (len(entry) > len(str(n - 1)) or entry.startswith("0") and len(entry) > 1), entry
+        declined = not takes_array_path(text.encode("ascii"))
+        assert declined == (len(entry) > len(str(n - 1)) or entry.startswith("0") and len(entry) > 1), entry
         assert reads_as_json(text)
 
 
 @pytest.mark.parametrize("cells", [1, 3, 7])
 @pytest.mark.parametrize("sep", [",", ", "], ids=["dense", "spaced"])
 def test_table_reader_decides_the_same_across_block_boundaries(monkeypatch, cells, sep):
-    # blocks of a few bytes split every literal somewhere, so a refusal
-    # must see the bytes of the literal on both sides of a boundary
+    # the writer's blocks of a few bytes split every literal somewhere, so
+    # the write-back must compare a literal's bytes on both sides of a boundary
     n = 11
     monkeypatch.setattr(gf, "TABLE_BLOCK_CELLS", cells)
 
@@ -720,9 +731,9 @@ def test_table_reader_decides_the_same_across_block_boundaries(monkeypatch, cell
             "[%s]" % sep.join(r) for r in rows))).encode("ascii")
 
     for at in range(0, n * n, 13):
-        assert sg._table_document(document("10", at)) is not None
+        assert takes_array_path(document("10", at))
         for entry in ["100", "05", "00", "010", "1 0"]:
-            assert sg._table_document(document(entry, at)) is None, (entry, at)
+            assert not takes_array_path(document(entry, at)), (entry, at)
 
 
 def test_labels_outside_ascii_stay_on_the_array_path(tmp_path, monkeypatch):
@@ -751,7 +762,7 @@ def test_text_and_json_paths_build_the_same_semigroup(tmp_path):
     for text in (json.dumps(doc), json.dumps(doc, indent=2), json.dumps(doc, separators=(",", ":")),
                  json.dumps(doc, indent=2).replace("\n", "\r\n")):
         path.write_bytes(text.encode("ascii"))
-        assert sg._table_document(text.encode("ascii")) is not None
+        assert takes_array_path(text.encode("ascii"))
         assert sg.semigroup_from_file(path) == json_path(path) == s
 
 
